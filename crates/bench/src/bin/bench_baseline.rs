@@ -147,7 +147,7 @@ fn main() {
         |i, _| i.wrapping_add(1),
         |d, s| d.wrapping_add(s),
     );
-    chain_pl.blend_into(&mut mat_fb, &operand, |d, s| d.wrapping_add(s));
+    chain_pl.par_map_texels(&mut mat_fb, |x, y, t| t.wrapping_add(operand.get(x, y)));
     chain_pl.par_map_texels(
         &mut mat_fb,
         |x, y, t| if (t ^ x ^ y) & 3 != 3 { t } else { 0 },
@@ -178,7 +178,7 @@ fn main() {
 
     let t0 = Instant::now();
     for _ in 0..DISPATCH_PASSES {
-        // What raster::par did before the executor: fresh scoped OS
+        // What every pass paid before the executor: fresh scoped OS
         // threads per pass, same worker count, same trivial work.
         let counter = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|s| {

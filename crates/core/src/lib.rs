@@ -50,13 +50,11 @@
 
 pub mod algebra;
 pub mod boundary;
-pub mod bytebuf;
 pub mod canvas;
 pub mod device;
 pub mod info;
 pub mod ops;
 pub mod queries;
-pub mod serial;
 pub mod source;
 pub mod table;
 pub mod versioned;

@@ -298,8 +298,8 @@ pub fn run_points_chain(
         )
     };
 
-    // render_points' entry contract, shared verbatim; then replay the
-    // operator bookkeeping (see `replay_bookkeeping`).
+    // Exact point entries, then the operator bookkeeping replay (see
+    // `replay_bookkeeping`).
     crate::source::push_point_entries(&mut canvas, &vp, batch);
     replay_bookkeeping(&mut canvas, chain, &report.masked);
 
@@ -346,7 +346,8 @@ pub fn run_polygons_chain(
         )
     };
 
-    // render_polygon_set's entry contract, then the operator replay.
+    // One area entry per conservative boundary fragment, then the
+    // operator replay.
     for (record, pixel) in boundary {
         canvas.boundary_mut().push_area(crate::boundary::AreaEntry {
             pixel,
@@ -445,19 +446,6 @@ mod tests {
             Point::new(7.5, 7.5),
             Point::new(1.0, 8.0),
         ])
-    }
-
-    #[test]
-    fn empty_chain_equals_render_points() {
-        let mut dev_a = Device::cpu();
-        let mut dev_b = Device::cpu();
-        let chain = CanvasChain::new();
-        let fused = run_points_chain(&mut dev_a, vp(16), &pts(), &chain);
-        let want = crate::source::render_points(&mut dev_b, vp(16), &pts());
-        assert_eq!(fused.canvas.texels(), want.texels());
-        assert_eq!(fused.canvas.cover(), want.cover());
-        assert_eq!(fused.canvas.boundary().points(), want.boundary().points());
-        assert_eq!(dev_a.stats(), dev_b.stats());
     }
 
     #[test]

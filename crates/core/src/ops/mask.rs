@@ -10,7 +10,7 @@
 //! refinement because their whole area has one membership answer.
 //!
 //! Both mask passes execute band-parallel on the device's persistent
-//! worker pool (`Pipeline::map_planes` / `map_planes_inplace`): bands
+//! worker pool (`Pipeline::map_planes`): bands
 //! of the split texel + cover planes are claimed by pool executors and
 //! band-local collections concatenate in row-major order, so results
 //! are bit-identical at any thread count.
@@ -107,7 +107,7 @@ fn mask_texel(dev: &mut Device, c: &Canvas, pred: impl Fn(&Texel) -> bool + Sync
     {
         let (texels, cover, _) = out.planes_mut();
         dev.pipeline()
-            .map_planes_inplace(texels, cover, |_, _, t, cov| {
+            .map_planes::<_, _, (), _>(texels, cover, |_, _, t, cov, _| {
                 if !t.is_null() && !pred(t) {
                     *t = Texel::null();
                     *cov = 0;

@@ -14,6 +14,7 @@ use crate::boundary::{AreaEntry, LineEntry, PointEntry};
 use crate::canvas::{AreaSource, Canvas, LineSource, PointBatch};
 use crate::device::Device;
 use crate::info::{BlendFn, Texel};
+use crate::ops::chain::{run_points_chain, run_polygons_chain, CanvasChain};
 use canvas_geom::polygon::Polygon;
 use canvas_raster::Viewport;
 
@@ -23,34 +24,17 @@ use canvas_raster::Viewport;
 /// pixel accumulate through [`BlendFn::PointAccumulate`], so the pixel's
 /// `v1` is the point count and `v2` the weight sum — exactly the
 /// encodings of Sections 4.1/4.3. Exact locations go to the boundary
-/// index (points always need them).
+/// index (points always need them). This is the empty-chain case of
+/// [`run_points_chain`].
 pub fn render_points(dev: &mut Device, vp: Viewport, batch: &PointBatch) -> Canvas {
-    let mut canvas = Canvas::empty(vp);
-    dev.pipeline().note_upload(batch.upload_bytes());
-
-    let ids = &batch.ids;
-    let weights = &batch.weights;
-    {
-        let (texels, _, _) = canvas.planes_mut();
-        dev.pipeline().draw_points_tiled(
-            &vp,
-            texels,
-            &batch.points,
-            |i, _| Texel::point(ids[i as usize], 1.0, weights[i as usize]),
-            |d, s| BlendFn::PointAccumulate.apply(d, s),
-        );
-    }
-    // Exact locations for refinement and result extraction (the paper
-    // stores "the actual location of the points" per pixel).
-    push_point_entries(&mut canvas, &vp, batch);
-    canvas
+    run_points_chain(dev, vp, batch, &CanvasChain::new()).canvas
 }
 
 /// Pushes the exact point entries of a rendered batch (every
-/// in-viewport point keeps its true location) and sorts the index —
-/// shared by [`render_points`] and the fused chain's boundary replay
-/// (`ops::chain::run_points_chain`), so the two paths can never
-/// diverge on the entry contract.
+/// in-viewport point keeps its true location — the paper stores "the
+/// actual location of the points" per pixel, for refinement and result
+/// extraction) and sorts the index. Shared by every point render
+/// (`ops::chain::run_points_chain`, the live heatmap).
 pub(crate) fn push_point_entries(canvas: &mut Canvas, vp: &Viewport, batch: &PointBatch) {
     for (i, &p) in batch.points.iter().enumerate() {
         if let Some((x, y)) = vp.world_to_pixel(p) {
@@ -124,40 +108,15 @@ pub fn render_polygon_with(
 
 /// Renders *all* polygons of a table into one canvas, blending with the
 /// given function — the fused `B*[⊕](C_Q)` of Section 5.1 (multi-polygon
-/// constraints) executed as a single instanced draw.
+/// constraints) executed as a single instanced draw: the empty-chain
+/// case of [`run_polygons_chain`].
 pub fn render_polygon_set(
     dev: &mut Device,
     vp: Viewport,
     table: &AreaSource,
     blend: BlendFn,
 ) -> Canvas {
-    let mut canvas = Canvas::empty(vp);
-    let source = canvas.add_area_source(table.clone());
-    let upload: u64 = table.iter().map(|p| (p.num_vertices() * 16) as u64).sum();
-    dev.pipeline().note_upload(upload);
-    let boundary = {
-        // One instanced draw for the whole table (a single pass — this
-        // is the fusion the Section 5.1 multi-constraint plan relies on).
-        let (texels, cover, _) = canvas.planes_mut();
-        dev.pipeline().draw_polygons_tiled(
-            &vp,
-            texels,
-            cover,
-            table,
-            true,
-            |record, _| Texel::area(record, 1.0, 0.0),
-            |d, s| blend.apply(d, s),
-        )
-    };
-    for (record, pixel) in boundary {
-        canvas.boundary_mut().push_area(AreaEntry {
-            pixel,
-            source,
-            record,
-        });
-    }
-    canvas.boundary_mut().sort();
-    canvas
+    run_polygons_chain(dev, vp, table, blend, &CanvasChain::new()).canvas
 }
 
 /// Renders a polyline table into one canvas (1-primitives; supercover
@@ -242,7 +201,7 @@ pub fn render_object(
         // All primitives belong to one record: rewrite the line ids.
         {
             let (texels, _, _) = c.planes_mut();
-            dev.pipeline().map_texels(texels, |_, _, mut t| {
+            dev.pipeline().par_map_texels(texels, |_, _, mut t| {
                 if let Some(mut info) = t.get(1) {
                     info.id = id;
                     t.set(1, info);

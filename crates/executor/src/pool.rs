@@ -705,12 +705,16 @@ mod tests {
         assert_eq!(pool.run_indexed(1, |i| i + 5), vec![5]);
     }
 
+    // Worker liveness is asserted per pool — every live worker holds one
+    // reference to its pool's shared state — because sibling tests in
+    // this binary spawn pools concurrently; the process-wide
+    // `live_worker_count` check lives in `tests/pool_shutdown.rs`, which
+    // runs alone in its process.
     #[test]
     fn single_thread_pool_spawns_no_workers() {
-        let before = live_worker_count();
         let pool = WorkerPool::new(1);
         assert_eq!(pool.worker_count(), 0);
-        assert_eq!(live_worker_count(), before);
+        assert_eq!(Arc::strong_count(&pool.shared), 1);
         assert_eq!(pool.run_indexed(10, |i| i), (0..10).collect::<Vec<_>>());
     }
 
@@ -803,14 +807,13 @@ mod tests {
 
     #[test]
     fn drop_joins_all_workers() {
-        let before = live_worker_count();
-        {
-            let pool = WorkerPool::new(5);
-            assert_eq!(pool.worker_count(), 4);
-            assert_eq!(live_worker_count(), before + 4);
-            let _ = pool.run_indexed(10, |i| i);
-        }
-        assert_eq!(live_worker_count(), before, "workers leaked after drop");
+        let pool = WorkerPool::new(5);
+        assert_eq!(pool.worker_count(), 4);
+        assert_eq!(Arc::strong_count(&pool.shared), 1 + 4);
+        let _ = pool.run_indexed(10, |i| i);
+        let shared = Arc::downgrade(&pool.shared);
+        drop(pool);
+        assert_eq!(shared.strong_count(), 0, "workers leaked after drop");
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   (outer ring + holes), [`GeomObject`] (heterogeneous primitive sets),
 //! * robust-enough predicates: orientation, point-in-polygon (crossing and
 //!   winding number), segment intersection, distances,
-//! * algorithms: ear-clipping triangulation (with hole bridging), convex
-//!   hull, Sutherland–Hodgman clipping,
+//! * algorithms: convex hull, Sutherland–Hodgman clipping,
 //! * spatial indexes used by the *baseline* approaches and join filters:
 //!   a uniform [`grid::GridIndex`] and an STR-packed [`rtree::RTree`].
 //!
@@ -34,8 +33,6 @@ pub mod polyline;
 pub mod predicates;
 pub mod rtree;
 pub mod segment;
-pub mod simplify;
-pub mod triangulate;
 pub mod wkt;
 
 pub use bbox::BBox;

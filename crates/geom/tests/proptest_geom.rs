@@ -6,7 +6,6 @@ use canvas_geom::hull::{convex_hull, hull_contains};
 use canvas_geom::predicates::{point_in_ring, signed_area, winding_number, Containment};
 use canvas_geom::rtree::RTree;
 use canvas_geom::segment::Segment;
-use canvas_geom::triangulate::{point_in_triangle, triangles_area, triangulate_polygon};
 use canvas_geom::{BBox, Point, Polygon};
 use proptest::prelude::*;
 
@@ -67,38 +66,6 @@ proptest! {
                 let c = hull[(i + 2) % n];
                 prop_assert!((b - a).cross(c - b) > 0.0, "reflex at {i}");
             }
-        }
-    }
-
-    /// Ear-clipping preserves area and covers exactly the polygon:
-    /// sampled points are inside the polygon iff some triangle covers
-    /// them (boundary excluded to avoid tie ambiguity).
-    #[test]
-    fn triangulation_area_and_coverage(poly in arb_star_polygon(), p in arb_point()) {
-        let tris = triangulate_polygon(&poly);
-        prop_assert_eq!(tris.len(), poly.outer().len() - 2);
-        let area = triangles_area(&tris);
-        prop_assert!(
-            (area - poly.area()).abs() <= 1e-6 * poly.area().max(1.0),
-            "area {} vs {}", area, poly.area()
-        );
-        match poly.contains(p) {
-            Containment::Inside => prop_assert!(
-                tris.iter().any(|t| point_in_triangle(p, t[0], t[1], t[2])),
-                "interior point uncovered"
-            ),
-            Containment::Outside => {
-                // Strictly outside points can only touch triangle edges
-                // through numeric noise; require no *strict* coverage.
-                let strictly_covered = tris.iter().any(|t| {
-                    let d1 = (t[1] - t[0]).cross(p - t[0]);
-                    let d2 = (t[2] - t[1]).cross(p - t[1]);
-                    let d3 = (t[0] - t[2]).cross(p - t[2]);
-                    d1 > 1e-9 && d2 > 1e-9 && d3 > 1e-9
-                });
-                prop_assert!(!strictly_covered, "exterior point covered");
-            }
-            Containment::OnBoundary => {}
         }
     }
 

@@ -4,11 +4,12 @@
 //! Mask — into query plans, but executing them one whole-canvas pass at
 //! a time materializes a full intermediate framebuffer between every
 //! operator. An [`OpChain`] instead describes the post-draw operators
-//! of a linear plan as **tile-granular kernels**: the tiled draw
-//! produces one finished tile at a time, and the executor's multi-stage
-//! streaming hand-off (`WorkerPool::run_streaming_chain`) flows each
-//! tile through every downstream operator while later tiles are still
-//! rendering. Intermediate canvases are never materialized — at most
+//! of a linear plan as **tile-granular kernels** — the *chain* of a
+//! tile job (source × chain × tile set, see [`crate::pipeline`]): the
+//! job's source produces one finished tile at a time, and the
+//! executor's multi-stage streaming hand-off
+//! (`WorkerPool::run_streaming_chain`) flows each tile through every
+//! downstream operator while later tiles are still rendering. Intermediate canvases are never materialized — at most
 //! `Policy::stream_window(workers)` tile buffers are live at any
 //! instant, and the blit into the output framebuffer happens exactly
 //! once per tile, after the last operator.
@@ -19,73 +20,69 @@
 //! count; `tests/chain_equivalence.rs` asserts this on random chains.
 
 use crate::simd::{self, Backend, BlendTag, MaskTag, TexelWords, ValueTag};
+use crate::stats::PipelineStats;
 use crate::texture::Texture;
 use crate::tile::TileRect;
 
-/// Boxed per-texel rewrite of a [`ChainOp::Map`] stage.
+/// Boxed per-texel rewrite of a custom [`ChainOp::Map`] stage.
 pub type MapFn<'a, P> = Box<dyn Fn(u32, u32, P) -> P + Sync + 'a>;
-/// Boxed binary blend function of a [`ChainOp::Blend`] stage.
+/// Boxed binary blend function of a custom [`ChainOp::Blend`] stage.
 pub type BlendOpFn<'a, P> = Box<dyn Fn(P, P) -> P + Sync + 'a>;
-/// Boxed keep-predicate of a [`ChainOp::Mask`] stage.
+/// Boxed keep-predicate of a custom [`ChainOp::Mask`] stage.
 pub type MaskPred<'a, P> = Box<dyn Fn(u32, u32, &P) -> bool + Sync + 'a>;
 /// Boxed nullity test (see [`OpChain::with_null_test`]).
 type NullTest<'a, P> = Box<dyn Fn(&P) -> bool + Sync + 'a>;
-/// Monomorphized row-kernel dispatcher of a [`ChainOp::MaskTagged`]
-/// stage: texel row, optional cover row, null bitmap.
-type MaskKernel<P> = fn(Backend, MaskTag, &mut [P], Option<&mut [u16]>, &mut [u64]);
+/// Row dispatcher of a built-in Map: texel row.
+type MapRows<P> = fn(Backend, ValueTag, &mut [P]);
+/// Row dispatcher of a built-in Blend: destination row, operand row.
+type BlendRows<P> = fn(Backend, BlendTag, &mut [P], &[P]);
+/// Row dispatcher of a built-in Mask: texel row, optional cover row,
+/// null bitmap.
+type MaskRows<P> = fn(Backend, MaskTag, &mut [P], Option<&mut [u16]>, &mut [u64]);
+
+/// The per-texel kernel of one operator: a built-in function carried as
+/// an op *tag* plus the monomorphized SIMD row dispatcher captured by
+/// the `*_tagged` builder (where `P: TexelWords` is known), or the one
+/// closure form for arbitrary user functions.
+pub enum Kernel<Tag, Rows, Custom> {
+    BuiltIn { tag: Tag, rows: Rows },
+    Custom(Custom),
+}
 
 /// One post-draw operator of a fused chain.
 pub enum ChainOp<'a, P> {
     /// Per-texel rewrite — the Value Transform `V[f]`. Equivalent to a
-    /// materialized `Pipeline::par_map_texels` pass.
-    Map(MapFn<'a, P>),
+    /// materialized `Pipeline::par_map_texels` pass. Built-in
+    /// transforms are position-independent.
+    Map(Kernel<ValueTag, MapRows<P>, MapFn<'a, P>>),
     /// Pixel-wise blend with an already-materialized input texture —
     /// the Blend `B[⊙]` against an operand canvas. Equivalent to a
-    /// materialized `Pipeline::blend_into` pass; when `src_cover` is
-    /// given, the cover planes additionally merge with saturating
-    /// addition (the canvas Blend contract), matching a second
-    /// `blend_into` pass over the cover planes.
+    /// materialized `Pipeline::blend_into_tagged` pass; when
+    /// `src_cover` is given, the cover planes additionally merge with
+    /// saturating addition (the canvas Blend contract), matching a
+    /// `Pipeline::blend_cover_into` pass.
     Blend {
         src: &'a Texture<P>,
         src_cover: Option<&'a Texture<u16>>,
-        f: BlendOpFn<'a, P>,
+        f: Kernel<BlendTag, BlendRows<P>, BlendOpFn<'a, P>>,
     },
     /// Per-texel keep-predicate — the coarse Mask `M[M]`. Texels
     /// failing the predicate are nulled to `P::default()` and their
     /// cover zeroed. Equivalent to a materialized
-    /// `Pipeline::map_planes_inplace` pass.
-    Mask(MaskPred<'a, P>),
-    /// [`ChainOp::Map`] for a built-in value transform, carried as an
-    /// op *tag* so the tile kernel takes the SIMD row-slice path. The
-    /// `kernel` fn pointer is the monomorphized dispatcher captured by
-    /// [`OpChain::map_tagged`] (where `P: TexelWords` is known).
-    MapTagged {
-        tag: ValueTag,
-        kernel: fn(Backend, ValueTag, &mut [P]),
-    },
-    /// [`ChainOp::Blend`] for a built-in blend function, carried as a
-    /// tag; the texel rows take the SIMD select kernel and the cover
-    /// rows the SIMD saturating add.
-    BlendTagged {
-        src: &'a Texture<P>,
-        src_cover: Option<&'a Texture<u16>>,
-        tag: BlendTag,
-        kernel: fn(Backend, BlendTag, &mut [P], &[P]),
-    },
-    /// [`ChainOp::Mask`] for a built-in predicate, carried as a tag.
-    /// Implements the lowered canvas semantics directly (null texels
+    /// `Pipeline::map_planes` pass. A built-in predicate
+    /// implements the lowered canvas semantics directly (null texels
     /// pass; failures nulled, cover zeroed, word-0 nullity recorded),
     /// so it assumes the chain's null test is plain texel nullity.
-    MaskTagged { tag: MaskTag, kernel: MaskKernel<P> },
+    Mask(Kernel<MaskTag, MaskRows<P>, MaskPred<'a, P>>),
 }
 
 impl<P> ChainOp<'_, P> {
     /// Short label for plan printing / debugging.
     pub fn label(&self) -> &'static str {
         match self {
-            ChainOp::Map(_) | ChainOp::MapTagged { .. } => "V[f]",
-            ChainOp::Blend { .. } | ChainOp::BlendTagged { .. } => "B[⊙]",
-            ChainOp::Mask(_) | ChainOp::MaskTagged { .. } => "M[M]",
+            ChainOp::Map(_) => "V[f]",
+            ChainOp::Blend { .. } => "B[⊙]",
+            ChainOp::Mask(_) => "M[M]",
         }
     }
 }
@@ -124,7 +121,7 @@ impl<'a, P> OpChain<'a, P> {
 
     /// Appends a Value Transform stage.
     pub fn map(mut self, f: impl Fn(u32, u32, P) -> P + Sync + 'a) -> Self {
-        self.ops.push(ChainOp::Map(Box::new(f)));
+        self.ops.push(ChainOp::Map(Kernel::Custom(Box::new(f))));
         self
     }
 
@@ -133,7 +130,7 @@ impl<'a, P> OpChain<'a, P> {
         self.ops.push(ChainOp::Blend {
             src,
             src_cover: None,
-            f: Box::new(f),
+            f: Kernel::Custom(Box::new(f)),
         });
         self
     }
@@ -149,14 +146,14 @@ impl<'a, P> OpChain<'a, P> {
         self.ops.push(ChainOp::Blend {
             src,
             src_cover: Some(src_cover),
-            f: Box::new(f),
+            f: Kernel::Custom(Box::new(f)),
         });
         self
     }
 
     /// Appends a coarse Mask stage.
     pub fn mask(mut self, pred: impl Fn(u32, u32, &P) -> bool + Sync + 'a) -> Self {
-        self.ops.push(ChainOp::Mask(Box::new(pred)));
+        self.ops.push(ChainOp::Mask(Kernel::Custom(Box::new(pred))));
         self
     }
 
@@ -167,14 +164,14 @@ impl<'a, P> OpChain<'a, P> {
         self
     }
 
-    /// Pins the SIMD backend used by the tagged stages (default: the
+    /// Pins the SIMD backend used by the built-in stages (default: the
     /// process-wide [`simd::active_backend`]).
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = Some(backend);
         self
     }
 
-    /// The backend the tagged stages (and the span-fill fast path in
+    /// The backend the built-in stages (and the span-fill fast path in
     /// the pipeline) will run on.
     pub(crate) fn resolved_backend(&self) -> Backend {
         self.backend.unwrap_or_else(simd::active_backend)
@@ -186,10 +183,10 @@ impl<'a, P> OpChain<'a, P> {
     where
         P: TexelWords,
     {
-        self.ops.push(ChainOp::MapTagged {
+        self.ops.push(ChainOp::Map(Kernel::BuiltIn {
             tag,
-            kernel: simd::value_rows_with::<P>,
-        });
+            rows: simd::value_rows_with::<P>,
+        }));
         self
     }
 
@@ -205,11 +202,13 @@ impl<'a, P> OpChain<'a, P> {
     where
         P: TexelWords,
     {
-        self.ops.push(ChainOp::BlendTagged {
+        self.ops.push(ChainOp::Blend {
             src,
             src_cover,
-            tag,
-            kernel: simd::blend_rows_with::<P>,
+            f: Kernel::BuiltIn {
+                tag,
+                rows: simd::blend_rows_with::<P>,
+            },
         });
         self
     }
@@ -222,10 +221,10 @@ impl<'a, P> OpChain<'a, P> {
     where
         P: TexelWords,
     {
-        self.ops.push(ChainOp::MaskTagged {
+        self.ops.push(ChainOp::Mask(Kernel::BuiltIn {
             tag,
-            kernel: simd::mask_rows_with::<P>,
-        });
+            rows: simd::mask_rows_with::<P>,
+        }));
         self
     }
 
@@ -243,10 +242,7 @@ impl<'a, P> OpChain<'a, P> {
 
     /// Number of Mask ops (one [`MaskOutcome`] bitmap each).
     pub fn mask_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, ChainOp::Mask(_) | ChainOp::MaskTagged { .. }))
-            .count()
+        self.mask_ordinal(self.ops.len())
     }
 
     /// True when any Blend op merges a cover plane (such chains require
@@ -258,9 +254,6 @@ impl<'a, P> OpChain<'a, P> {
                 ChainOp::Blend {
                     src_cover: Some(_),
                     ..
-                } | ChainOp::BlendTagged {
-                    src_cover: Some(_),
-                    ..
                 }
             )
         })
@@ -270,19 +263,63 @@ impl<'a, P> OpChain<'a, P> {
     fn mask_ordinal(&self, op_idx: usize) -> usize {
         self.ops[..op_idx]
             .iter()
-            .filter(|op| matches!(op, ChainOp::Mask(_) | ChainOp::MaskTagged { .. }))
+            .filter(|op| matches!(op, ChainOp::Mask(_)))
             .count()
+    }
+
+    /// Charges the deterministic work counters of the operator stages
+    /// over `texels` visited texels — identical to running the
+    /// equivalent materialized full-screen passes, and independent of
+    /// thread count. A canvas Blend is one pass over the texel planes
+    /// plus (when covers merge) one over the cover planes.
+    pub(crate) fn charge_stats(&self, stats: &mut PipelineStats, texels: usize) {
+        for op in &self.ops {
+            let (planes, blend_planes) = match op {
+                ChainOp::Map(_) | ChainOp::Mask(_) => (1, 0),
+                ChainOp::Blend { src_cover, .. } => {
+                    let planes = 1 + src_cover.is_some() as u64;
+                    (planes, planes)
+                }
+            };
+            stats.passes += planes;
+            stats.fullscreen_texels += planes * texels as u64;
+            stats.blend_ops += blend_planes * texels as u64;
+        }
+    }
+
+    /// Fresh null bitmaps for one tile of `len` texels, one per Mask op.
+    pub(crate) fn tile_bits(&self, len: usize) -> Vec<TileBits> {
+        (0..self.mask_count()).map(|_| TileBits::new(len)).collect()
     }
 }
 
 impl<'a, P: Copy + Default> OpChain<'a, P> {
+    /// Asserts every Blend operand shares the framebuffer's dimensions
+    /// (the same contract the full-screen blends enforce pass-by-pass).
+    pub(crate) fn assert_operands(&self, fb: &Texture<P>) {
+        let dims = (fb.width(), fb.height());
+        for op in &self.ops {
+            if let ChainOp::Blend { src, src_cover, .. } = op {
+                let cover_dims = src_cover.map_or(dims, |sc| (sc.width(), sc.height()));
+                assert_eq!(
+                    (src.width(), src.height()),
+                    dims,
+                    "chain blend requires same-size framebuffers"
+                );
+                assert_eq!(
+                    cover_dims, dims,
+                    "chain blend requires same-size cover planes"
+                );
+            }
+        }
+    }
+
     /// Applies op `op_idx` to one tile in place: `tex`/`cov` are the
     /// tile's row-major local buffers for `rect`. Mask ops record their
     /// post-op null pixels into `bits[mask_ordinal]` (local bitset).
     ///
-    /// This is the tile-granular kernel shared by the fused streaming
-    /// run and the sequential in-place run — one implementation, so the
-    /// two can never diverge.
+    /// This is the one tile-granular kernel of the tile-job runner: a
+    /// sequential run applies it to a single framebuffer-sized rect.
     pub(crate) fn apply_tile(
         &self,
         op_idx: usize,
@@ -293,13 +330,14 @@ impl<'a, P: Copy + Default> OpChain<'a, P> {
     ) {
         // Row-wise iteration: pixel coordinates advance by increments
         // instead of a div/mod pair per texel (these loops are the hot
-        // kernels of every streamed tile). Tagged built-in ops take the
-        // SIMD row-slice kernels; closure ops remain the fallback for
-        // arbitrary user functions.
+        // kernels of every streamed tile).
         let w = rect.w as usize;
         let be = self.resolved_backend();
         match &self.ops[op_idx] {
-            ChainOp::Map(f) => {
+            // Built-in value transforms are position-independent, so
+            // the whole contiguous tile buffer is one row.
+            ChainOp::Map(Kernel::BuiltIn { tag, rows }) => rows(be, *tag, tex),
+            ChainOp::Map(Kernel::Custom(f)) => {
                 for (r, row) in tex.chunks_mut(w).enumerate() {
                     let y = rect.y0 + r as u32;
                     for (c, t) in row.iter_mut().enumerate() {
@@ -309,55 +347,30 @@ impl<'a, P: Copy + Default> OpChain<'a, P> {
             }
             ChainOp::Blend { src, src_cover, f } => {
                 for (r, row) in tex.chunks_mut(w).enumerate() {
-                    let y = rect.y0 + r as u32;
-                    let base = src.index(rect.x0, y);
+                    let base = src.index(rect.x0, rect.y0 + r as u32);
                     let srow = &src.texels()[base..base + w];
-                    for (t, s) in row.iter_mut().zip(srow) {
-                        *t = f(*t, *s);
-                    }
-                }
-                if let (Some(sc), Some(cov)) = (src_cover, cov.as_deref_mut()) {
-                    for (r, row) in cov.chunks_mut(w).enumerate() {
-                        let y = rect.y0 + r as u32;
-                        let base = sc.index(rect.x0, y);
-                        let srow = &sc.texels()[base..base + w];
-                        for (c, s) in row.iter_mut().zip(srow) {
-                            *c = c.saturating_add(*s);
+                    match f {
+                        Kernel::BuiltIn { tag, rows } => rows(be, *tag, row, srow),
+                        Kernel::Custom(f) => {
+                            for (t, s) in row.iter_mut().zip(srow) {
+                                *t = f(*t, *s);
+                            }
                         }
                     }
                 }
-            }
-            ChainOp::MapTagged { tag, kernel } => {
-                // Built-in value transforms are position-independent,
-                // so the whole contiguous tile buffer is one row.
-                kernel(be, *tag, tex);
-            }
-            ChainOp::BlendTagged {
-                src,
-                src_cover,
-                tag,
-                kernel,
-            } => {
-                for (r, row) in tex.chunks_mut(w).enumerate() {
-                    let y = rect.y0 + r as u32;
-                    let base = src.index(rect.x0, y);
-                    kernel(be, *tag, row, &src.texels()[base..base + w]);
-                }
-                if let (Some(sc), Some(cov)) = (src_cover, cov.as_deref_mut()) {
+                if let (Some(sc), Some(cov)) = (src_cover, cov) {
                     for (r, row) in cov.chunks_mut(w).enumerate() {
-                        let y = rect.y0 + r as u32;
-                        let base = sc.index(rect.x0, y);
+                        let base = sc.index(rect.x0, rect.y0 + r as u32);
                         simd::cover_add_rows_with(be, row, &sc.texels()[base..base + w]);
                     }
                 }
             }
-            ChainOp::MaskTagged { tag, kernel } => {
+            ChainOp::Mask(Kernel::BuiltIn { tag, rows }) => {
                 let ordinal = self.mask_ordinal(op_idx);
-                kernel(be, *tag, tex, cov.as_deref_mut(), &mut bits[ordinal].words);
+                rows(be, *tag, tex, cov, &mut bits[ordinal].words);
             }
-            ChainOp::Mask(pred) => {
-                let ordinal = self.mask_ordinal(op_idx);
-                let tile_bits = &mut bits[ordinal];
+            ChainOp::Mask(Kernel::Custom(pred)) => {
+                let tile_bits = &mut bits[self.mask_ordinal(op_idx)];
                 let mut li = 0usize;
                 for (r, row) in tex.chunks_mut(w).enumerate() {
                     let y = rect.y0 + r as u32;
@@ -468,45 +481,13 @@ pub struct ChainRunReport {
     /// Tiles that flowed through the chain (all tiles when the chain
     /// has operators; only primitive-carrying tiles for a bare draw).
     pub tiles: usize,
-    /// High-water mark of live tile buffers (claimed-but-unblitted).
+    /// High-water mark of live tiles (claimed-but-unmerged).
     /// The fused-memory contract: never exceeds
     /// `Policy::stream_window(workers)`; 0 for sequential in-place
     /// runs, which hold no tile buffers at all.
     pub peak_tiles_in_flight: usize,
     /// Per-Mask-op nulled-pixel bitmaps (see [`MaskOutcome`]).
     pub masked: MaskOutcome,
-}
-
-/// Sequential in-place chain application over the whole framebuffer —
-/// the 1-thread execution of a fused chain. Runs the *same* per-texel
-/// kernels as the streamed tile run ([`OpChain::apply_tile`] over one
-/// framebuffer-sized rect), so results are bit-identical by
-/// construction, with zero tile buffers live.
-pub(crate) fn apply_chain_inplace<P: Copy + Default>(
-    chain: &OpChain<'_, P>,
-    fb: &mut Texture<P>,
-    cover: Option<&mut Texture<u16>>,
-    masked: &mut MaskOutcome,
-) {
-    if chain.is_empty() || fb.is_empty() {
-        return;
-    }
-    let rect = TileRect {
-        x0: 0,
-        y0: 0,
-        w: fb.width(),
-        h: fb.height(),
-    };
-    let mut bits: Vec<TileBits> = (0..chain.mask_count())
-        .map(|_| TileBits::new(rect.len()))
-        .collect();
-    let mut cov = cover.map(|c| c.texels_mut());
-    for op in 0..chain.len() {
-        chain.apply_tile(op, rect, fb.texels_mut(), cov.as_deref_mut(), &mut bits);
-    }
-    for (m, tb) in bits.iter().enumerate() {
-        masked.import_tile(m, rect, tb);
-    }
 }
 
 #[cfg(test)]

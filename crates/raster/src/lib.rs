@@ -16,28 +16,38 @@
 //!
 //! * [`texture::Texture`] — off-screen framebuffers of generic texels,
 //! * [`viewport::Viewport`] — the projection/viewport transform,
-//! * [`rasterize`] — point / supercover-line / triangle / scanline-fill
-//!   coverage kernels (standard + conservative modes),
-//! * [`pipeline::Pipeline`] — draw calls with programmable fragment
-//!   shading and blending, full-screen passes, scatter passes,
-//! * [`tile`] + [`par`] — the fixed-size tile decomposition and the
-//!   deterministic executor behind the tiled draw paths
-//!   (`draw_points_tiled`, `draw_polygons_tiled`, `draw_polylines_tiled`):
-//!   primitives are binned to 64×64 tiles and each tile is rasterized
-//!   independently on a **persistent worker pool** (the
-//!   `canvas-executor` crate — spawned once per `Device`, parked
-//!   between passes, joined on drop), with finished tiles streamed
-//!   through a bounded channel and blitted in fixed tile order so
-//!   results are bit-identical at any thread count and peak memory
-//!   stays capped at huge resolutions,
+//! * [`rasterize`] — point / supercover-line / scanline-fill coverage
+//!   kernels,
+//! * [`pipeline::Pipeline`] — **tile jobs** (primitive source ×
+//!   [`OpChain`] × tile set: every draw, fused chain and incremental
+//!   patch is one job shape run by one runner), full-screen passes and
+//!   scatter passes, with programmable fragment shading and blending,
+//! * [`chain::OpChain`] — the per-texel operators a job's tiles flow
+//!   through before their single blit,
+//! * [`tile`] — the fixed 64×64 tile decomposition: primitives are
+//!   binned to tiles and each tile is rasterized independently on a
+//!   **persistent worker pool** (the `canvas-executor` crate — spawned
+//!   once per `Device`, parked between passes, joined on drop), with
+//!   finished tiles streamed through a bounded channel and merged in
+//!   fixed tile order so results are bit-identical at any thread count
+//!   and peak memory stays capped at huge resolutions. A one-thread
+//!   pool runs the same jobs on a one-tile grid,
+//! * [`simd`] — runtime-dispatched row kernels behind the built-in
+//!   operators,
 //! * [`stats::PipelineStats`] + [`device::DeviceProfile`] — work
 //!   counting and the calibrated cost model that substitutes for the
 //!   paper's two physical GPUs (see DESIGN.md §2 for the substitution
 //!   rationale).
+//!
+//! The executor's minimum-work threshold lives in one place,
+//! [`Policy::min_parallel_items`]: the full-screen band passes and
+//! `scatter_shared` — whose per-item cost is a texel — consult it
+//! through `WorkerPool::should_parallelize`; tile jobs carry coarse
+//! items of known cost (a tile, a binning chunk), so they gate only on
+//! trivial sizes.
 
 pub mod chain;
 pub mod device;
-pub mod par;
 pub mod pipeline;
 pub mod rasterize;
 pub mod simd;
@@ -46,11 +56,12 @@ pub mod texture;
 pub mod tile;
 pub mod viewport;
 
+pub use canvas_executor::{
+    live_worker_count, Calibration, Policy, SchedulerStats, TicketId, WorkerPool,
+};
 pub use chain::{ChainOp, ChainRunReport, MaskOutcome, OpChain};
 pub use device::DeviceProfile;
-pub use par::{live_worker_count, Calibration, Policy, SchedulerStats, TicketId, WorkerPool};
 pub use pipeline::{Frag, PatchReport, Pipeline};
-pub use rasterize::RasterMode;
 pub use simd::{Backend, BlendTag, MaskTag, TexelWords, ValueTag};
 pub use stats::PipelineStats;
 pub use texture::Texture;

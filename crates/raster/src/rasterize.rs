@@ -7,9 +7,6 @@
 //! * **lines** — *supercover* traversal emits every pixel the segment
 //!   touches; this is the "conservative rasterization" OpenGL extension
 //!   the paper uses to tag boundary pixels without loss of accuracy,
-//! * **triangles** — center-sample coverage with the top-left fill rule
-//!   (standard mode, a pixel is drawn when its center is covered) and a
-//!   conservative mode (every pixel whose square overlaps the triangle),
 //! * **polygon scanline fill** — even–odd fill across all rings at pixel
 //!   centers, the software analogue of stencil-based polygon filling and
 //!   of the paper's "draw outer ring, negate hole pixels" strategy.
@@ -141,143 +138,6 @@ pub fn rasterize_line_supercover(
     }
 }
 
-/// Triangle rasterization mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RasterMode {
-    /// A pixel is covered when its center lies inside (top-left rule on
-    /// ties) — OpenGL's default rasterization.
-    Standard,
-    /// A pixel is covered when its square overlaps the triangle at all —
-    /// the conservative-rasterization extension the paper enables.
-    Conservative,
-}
-
-/// Rasterizes a filled triangle given in world coordinates.
-pub fn rasterize_triangle(
-    vp: &Viewport,
-    tri: [Point; 3],
-    mode: RasterMode,
-    mut emit: impl FnMut(u32, u32),
-) {
-    // Normalize to CCW in pixel space.
-    let mut v = [
-        vp.world_to_pixel_f(tri[0]),
-        vp.world_to_pixel_f(tri[1]),
-        vp.world_to_pixel_f(tri[2]),
-    ];
-    let area2 = (v[1] - v[0]).cross(v[2] - v[0]);
-    if area2 == 0.0 {
-        return;
-    }
-    if area2 < 0.0 {
-        v.swap(1, 2);
-    }
-
-    let minx = v.iter().map(|p| p.x).fold(f64::INFINITY, f64::min);
-    let maxx = v.iter().map(|p| p.x).fold(f64::NEG_INFINITY, f64::max);
-    let miny = v.iter().map(|p| p.y).fold(f64::INFINITY, f64::min);
-    let maxy = v.iter().map(|p| p.y).fold(f64::NEG_INFINITY, f64::max);
-
-    let x0 = (minx.floor() as i64).max(0);
-    let y0 = (miny.floor() as i64).max(0);
-    let x1 = (maxx.ceil() as i64).min(vp.width() as i64) - 1;
-    let y1 = (maxy.ceil() as i64).min(vp.height() as i64) - 1;
-    if x1 < x0 || y1 < y0 {
-        return;
-    }
-
-    match mode {
-        RasterMode::Standard => {
-            let edges = [(v[0], v[1]), (v[1], v[2]), (v[2], v[0])];
-            for py in y0..=y1 {
-                for px in x0..=x1 {
-                    let c = Point::new(px as f64 + 0.5, py as f64 + 0.5);
-                    let mut inside = true;
-                    for (a, b) in edges {
-                        let e = (b - a).cross(c - a);
-                        if e < 0.0 {
-                            inside = false;
-                            break;
-                        }
-                        if e == 0.0 && !is_top_left(a, b) {
-                            inside = false;
-                            break;
-                        }
-                    }
-                    if inside {
-                        emit(px as u32, py as u32);
-                    }
-                }
-            }
-        }
-        RasterMode::Conservative => {
-            for py in y0..=y1 {
-                for px in x0..=x1 {
-                    if triangle_overlaps_pixel(&v, px as f64, py as f64) {
-                        emit(px as u32, py as u32);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Top-left fill rule: a pixel center exactly on an edge belongs to the
-/// triangle only when the edge is a top or left edge (CCW convention).
-#[inline]
-fn is_top_left(a: Point, b: Point) -> bool {
-    let d = b - a;
-    // Left edge: goes down in a y-up CCW triangle... we use y-down pixel
-    // space semantics-free: an edge is "top" when horizontal with d.x < 0,
-    // "left" when d.y > 0 (consistent tie-break; exactness is restored by
-    // the boundary refinement layer anyway).
-    (d.y == 0.0 && d.x < 0.0) || d.y > 0.0
-}
-
-/// SAT overlap test between a CCW triangle and the unit pixel square at
-/// `(px, py)` in pixel space.
-fn triangle_overlaps_pixel(v: &[Point; 3], px: f64, py: f64) -> bool {
-    let bx0 = px;
-    let by0 = py;
-    let bx1 = px + 1.0;
-    let by1 = py + 1.0;
-
-    // Axis X / Y.
-    let tminx = v.iter().map(|p| p.x).fold(f64::INFINITY, f64::min);
-    let tmaxx = v.iter().map(|p| p.x).fold(f64::NEG_INFINITY, f64::max);
-    if tmaxx < bx0 || tminx > bx1 {
-        return false;
-    }
-    let tminy = v.iter().map(|p| p.y).fold(f64::INFINITY, f64::min);
-    let tmaxy = v.iter().map(|p| p.y).fold(f64::NEG_INFINITY, f64::max);
-    if tmaxy < by0 || tminy > by1 {
-        return false;
-    }
-
-    // Triangle edge normals.
-    let corners = [
-        Point::new(bx0, by0),
-        Point::new(bx1, by0),
-        Point::new(bx1, by1),
-        Point::new(bx0, by1),
-    ];
-    for i in 0..3 {
-        let a = v[i];
-        let b = v[(i + 1) % 3];
-        let n = (b - a).perp();
-        let tri_proj: Vec<f64> = v.iter().map(|p| n.dot(*p)).collect();
-        let box_proj: Vec<f64> = corners.iter().map(|p| n.dot(*p)).collect();
-        let tmin = tri_proj.iter().copied().fold(f64::INFINITY, f64::min);
-        let tmax = tri_proj.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let bmin = box_proj.iter().copied().fold(f64::INFINITY, f64::min);
-        let bmax = box_proj.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        if tmax < bmin || tmin > bmax {
-            return false;
-        }
-    }
-    true
-}
-
 /// Scanline even–odd fill of a polygon (outer ring + holes) at pixel
 /// centers. Emits each covered pixel exactly once.
 pub fn rasterize_polygon_fill(vp: &Viewport, poly: &Polygon, emit: impl FnMut(u32, u32)) {
@@ -390,14 +250,6 @@ mod tests {
         out
     }
 
-    fn collect_tri(vp: &Viewport, tri: [Point; 3], mode: RasterMode) -> BTreeSet<(u32, u32)> {
-        let mut out = BTreeSet::new();
-        rasterize_triangle(vp, tri, mode, |x, y| {
-            out.insert((x, y));
-        });
-        out
-    }
-
     #[test]
     fn point_rasterization() {
         let vp = vp10();
@@ -473,93 +325,6 @@ mod tests {
         // The segment's world trace passes through each claimed cell.
         for &(x, y) in &cells {
             assert!(x < 4 && y < 2, "unexpected cell ({x},{y})");
-        }
-    }
-
-    #[test]
-    fn triangle_standard_matches_center_test() {
-        let vp = vp10();
-        let tri = [
-            Point::new(1.0, 1.0),
-            Point::new(8.0, 2.0),
-            Point::new(4.0, 9.0),
-        ];
-        let got = collect_tri(&vp, tri, RasterMode::Standard);
-        for y in 0..10 {
-            for x in 0..10 {
-                let c = vp.pixel_center(x, y);
-                let d1 = (tri[1] - tri[0]).cross(c - tri[0]);
-                let d2 = (tri[2] - tri[1]).cross(c - tri[1]);
-                let d3 = (tri[0] - tri[2]).cross(c - tri[2]);
-                let strictly_in = d1 > 0.0 && d2 > 0.0 && d3 > 0.0;
-                let strictly_out = d1 < 0.0 || d2 < 0.0 || d3 < 0.0;
-                if strictly_in {
-                    assert!(got.contains(&(x, y)), "missing interior pixel ({x},{y})");
-                }
-                if strictly_out {
-                    assert!(!got.contains(&(x, y)), "extra exterior pixel ({x},{y})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn triangle_conservative_superset_of_standard() {
-        let vp = vp10();
-        let tri = [
-            Point::new(1.2, 1.7),
-            Point::new(8.9, 2.3),
-            Point::new(4.4, 8.6),
-        ];
-        let std = collect_tri(&vp, tri, RasterMode::Standard);
-        let cons = collect_tri(&vp, tri, RasterMode::Conservative);
-        assert!(std.is_subset(&cons));
-        assert!(cons.len() > std.len());
-    }
-
-    #[test]
-    fn sliver_triangle_conservative_nonempty() {
-        let vp = vp10();
-        // Thin sliver that misses every pixel center.
-        let tri = [
-            Point::new(1.1, 1.26),
-            Point::new(8.9, 1.26),
-            Point::new(8.9, 1.30),
-        ];
-        let std = collect_tri(&vp, tri, RasterMode::Standard);
-        let cons = collect_tri(&vp, tri, RasterMode::Conservative);
-        assert!(std.is_empty());
-        assert!(!cons.is_empty());
-    }
-
-    #[test]
-    fn degenerate_triangle_emits_nothing() {
-        let vp = vp10();
-        let tri = [
-            Point::new(1.0, 1.0),
-            Point::new(5.0, 5.0),
-            Point::new(9.0, 9.0),
-        ];
-        assert!(collect_tri(&vp, tri, RasterMode::Standard).is_empty());
-    }
-
-    #[test]
-    fn adjacent_triangles_partition_shared_edge() {
-        // Two triangles sharing a diagonal: every pixel of the covering
-        // quad is emitted exactly once under the top-left rule.
-        let vp = vp10();
-        let a = Point::new(1.0, 1.0);
-        let b = Point::new(9.0, 1.0);
-        let c = Point::new(9.0, 9.0);
-        let d = Point::new(1.0, 9.0);
-        let mut count = std::collections::HashMap::new();
-        for tri in [[a, b, c], [a, c, d]] {
-            rasterize_triangle(&vp, tri, RasterMode::Standard, |x, y| {
-                *count.entry((x, y)).or_insert(0u32) += 1;
-            });
-        }
-        for (px, n) in &count {
-            assert_eq!(*n, 1, "pixel {px:?} drawn {n} times across shared edge");
         }
     }
 

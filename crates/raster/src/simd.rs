@@ -29,14 +29,22 @@
 //! vector paths must be **bit-identical** to the scalar reference, not
 //! merely close. This extends the repo's streamed ≡ materialized ≡
 //! sequential equivalence oracle with a fourth axis: SIMD ≡ scalar.
-//! Two rules keep f32 bits exact:
+//! The contract, word by word: **every lane is bit-identical to the
+//! scalar result whenever that result is not a NaN, and is a NaN on
+//! every backend when it is.** NaN *payloads* are outside the contract:
+//! when both operands of an `f32` add are NaNs the hardware propagates
+//! one operand's payload, and the optimizer is free to commute the add
+//! differently in each backend's instantiation (observed under `-O`:
+//! the scalar `fadd` commuted, AVX2's did not). Nothing downstream
+//! reads a NaN's payload. Two rules keep every other bit exact:
 //!
 //! * texels that pass through unchanged are copied **verbatim by mask
 //!   select**, never re-derived arithmetically (`x + 0.0` would turn
-//!   `-0.0` into `+0.0`);
+//!   `-0.0` into `+0.0`) — so a NaN that is merely *carried* keeps its
+//!   payload on every backend;
 //! * the few genuine float additions (the accumulate blends' `v1`/`v2`
-//!   sums) are executed as scalar `f32` adds with the same operand
-//!   order on every backend, so rounding and NaN propagation match.
+//!   sums) are executed as scalar `f32` adds on every backend, so
+//!   rounding and NaN-ness match.
 //!
 //! # What vectorizes, and what deliberately does not
 //!

@@ -23,6 +23,12 @@ pub struct TileRect {
 }
 
 impl TileRect {
+    /// The rect of a whole `w × h` frame, whose local indices are the
+    /// frame's own row-major pixel indices.
+    pub fn frame(w: u32, h: u32) -> Self {
+        TileRect { x0: 0, y0: 0, w, h }
+    }
+
     #[inline]
     pub fn contains(&self, x: u32, y: u32) -> bool {
         x >= self.x0 && x < self.x0 + self.w && y >= self.y0 && y < self.y0 + self.h

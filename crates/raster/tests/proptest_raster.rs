@@ -3,8 +3,7 @@
 
 use canvas_geom::{BBox, Point, Polygon};
 use canvas_raster::rasterize::{
-    rasterize_line_supercover, rasterize_point, rasterize_polygon_fill, rasterize_triangle,
-    RasterMode,
+    rasterize_line_supercover, rasterize_point, rasterize_polygon_fill,
 };
 use canvas_raster::{Pipeline, Texture, Viewport};
 use proptest::prelude::*;
@@ -63,58 +62,6 @@ proptest! {
         }
     }
 
-    /// Conservative triangle coverage is a superset of standard coverage,
-    /// and both are clipped to the viewport.
-    #[test]
-    fn triangle_conservative_superset(
-        a in arb_point(), b in arb_point(), c in arb_point(),
-    ) {
-        let v = vp(48);
-        let mut std_set = BTreeSet::new();
-        rasterize_triangle(&v, [a, b, c], RasterMode::Standard, |x, y| {
-            std_set.insert((x, y));
-        });
-        let mut cons_set = BTreeSet::new();
-        rasterize_triangle(&v, [a, b, c], RasterMode::Conservative, |x, y| {
-            cons_set.insert((x, y));
-        });
-        prop_assert!(std_set.is_subset(&cons_set));
-        for &(x, y) in &cons_set {
-            prop_assert!(x < 48 && y < 48);
-        }
-    }
-
-    /// Standard triangle coverage contains every strictly-interior pixel
-    /// center and no strictly-exterior pixel center.
-    #[test]
-    fn triangle_standard_center_exact(
-        a in in_extent_point(), b in in_extent_point(), c in in_extent_point(),
-    ) {
-        let v = vp(32);
-        let mut set = BTreeSet::new();
-        rasterize_triangle(&v, [a, b, c], RasterMode::Standard, |x, y| {
-            set.insert((x, y));
-        });
-        for y in 0..32 {
-            for x in 0..32 {
-                let p = v.pixel_center(x, y);
-                let d1 = (b - a).cross(p - a);
-                let d2 = (c - b).cross(p - b);
-                let d3 = (a - c).cross(p - c);
-                let strictly_in =
-                    (d1 > 0.0 && d2 > 0.0 && d3 > 0.0) || (d1 < 0.0 && d2 < 0.0 && d3 < 0.0);
-                let strictly_out = (d1 > 0.0 || d2 > 0.0 || d3 > 0.0)
-                    && (d1 < 0.0 || d2 < 0.0 || d3 < 0.0);
-                if strictly_in {
-                    prop_assert!(set.contains(&(x, y)), "missing interior pixel ({x},{y})");
-                }
-                if strictly_out && set.contains(&(x, y)) {
-                    prop_assert!(false, "exterior pixel ({x},{y}) covered");
-                }
-            }
-        }
-    }
-
     /// Scanline polygon fill equals the exact strict-interior test at
     /// pixel centers for star-shaped polygons.
     #[test]
@@ -164,14 +111,14 @@ proptest! {
         }
     }
 
-    /// Pipeline stats: draw_points counts one fragment per in-viewport
-    /// point; blend_into counts every texel exactly once.
+    /// Pipeline stats: a point draw counts one fragment per in-viewport
+    /// point.
     #[test]
     fn stats_accounting(pts in prop::collection::vec(arb_point(), 0..100)) {
         let v = vp(32);
         let mut pl = Pipeline::new();
         let mut fb: Texture<u32> = Texture::new(32, 32);
-        pl.draw_points(&v, &mut fb, &pts, |_, _| 1u32, |d, s| d + s);
+        pl.draw_points_tiled(&v, &mut fb, &pts, |_, _| 1u32, |d, s| d + s);
         let inside = pts.iter().filter(|p| v.world_to_pixel(**p).is_some()).count() as u64;
         let st = pl.stats();
         prop_assert_eq!(st.fragments, inside);

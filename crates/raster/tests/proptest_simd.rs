@@ -2,11 +2,14 @@
 //! repo's streamed ≡ materialized ≡ sequential equivalence oracle.
 //!
 //! The row kernels (`canvas_raster::simd`) promise that every vector
-//! backend produces the *same bits* as the scalar reference, including
-//! NaN payloads, `-0.0`, denormals, non-canonical presence bits, and
-//! garbage words under absent dimensions. These properties fuzz that
-//! promise directly on the kernels, then on the fused chain pipeline
-//! across thread counts and dispatch modes.
+//! backend produces the *same bits* as the scalar reference — `-0.0`,
+//! denormals, carried NaNs, non-canonical presence bits, and garbage
+//! words under absent dimensions included — except that a float word
+//! the scalar reference *computes* as NaN need only be a NaN (payloads
+//! of summed NaNs are outside the contract; see the `simd` module
+//! docs). These properties fuzz that promise directly on the kernels,
+//! then on the fused chain pipeline across thread counts and dispatch
+//! modes.
 
 use canvas_geom::{BBox, Point, Polygon};
 use canvas_raster::{
@@ -35,6 +38,21 @@ fn backends() -> Vec<Backend> {
         v.push(Backend::Sse2);
     }
     v
+}
+
+/// The `simd` bit-identity contract between a backend's row and the
+/// scalar reference's: every word equal, except that a float word
+/// (`v1`/`v2` of any dimension) may differ when both are NaNs.
+fn rows_match(got: &[T10], want: &[T10]) -> bool {
+    let word_ok = |w: usize, g: u32, s: u32| {
+        let both_nan = f32::from_bits(g).is_nan() && f32::from_bits(s).is_nan();
+        g == s || (w % 3 != 1 && w > 0 && both_nan)
+    };
+    got.len() == want.len()
+        && got.iter().zip(want).all(|(g, s)| {
+            let mut words = g.0.iter().zip(&s.0).enumerate();
+            words.all(|(w, (&g, &s))| word_ok(w, g, s))
+        })
 }
 
 /// Payload words biased toward adversarial f32 bit patterns: NaNs with
@@ -82,7 +100,8 @@ fn arb_cover_row() -> impl Strategy<Value = Vec<u16>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every blend tag on every backend is bit-identical to scalar.
+    /// Every blend tag on every backend matches scalar under the
+    /// contract (bit-identical but for the payloads of summed NaNs).
     #[test]
     fn blend_rows_bit_identity(a in arb_row(), b in arb_row()) {
         let n = a.len().min(b.len());
@@ -99,7 +118,10 @@ proptest! {
             for be in backends() {
                 let mut got = a.to_vec();
                 simd::blend_rows_with(be, tag, &mut got, b);
-                prop_assert_eq!(&got, &want, "tag {:?} backend {:?}", tag, be);
+                prop_assert!(
+                    rows_match(&got, &want),
+                    "tag {:?} backend {:?}: {:?} vs {:?}", tag, be, &got, &want
+                );
             }
         }
     }
@@ -166,6 +188,61 @@ proptest! {
             let mut got = a.to_vec();
             simd::cover_add_rows_with(be, &mut got, b);
             prop_assert_eq!(&got, &want, "backend {:?}", be);
+        }
+    }
+}
+
+/// Regression for the `-O`-only divergence that set the contract: both
+/// operands of an accumulate sum are NaNs with different payloads, so
+/// which payload survives depends on how the add was commuted. Every
+/// backend must still produce a NaN there and exact bits elsewhere.
+#[test]
+fn summed_nans_with_distinct_payloads_stay_nan() {
+    let nan = |payload: u32| f32::NAN.to_bits() | payload;
+    let a = [T10([
+        0b101,
+        7,
+        nan(1),
+        1.5f32.to_bits(),
+        0,
+        0,
+        0,
+        9,
+        nan(3),
+        nan(5),
+    ]); 9];
+    let b = [T10([
+        0b101,
+        8,
+        nan(2),
+        2.5f32.to_bits(),
+        0,
+        0,
+        0,
+        6,
+        nan(4),
+        nan(6),
+    ]); 9];
+    for tag in [
+        BlendTag::Accumulate,
+        BlendTag::PointAccumulate,
+        BlendTag::AreaCount,
+    ] {
+        let mut want = a.to_vec();
+        simd::blend_rows_with(Backend::Scalar, tag, &mut want, &b);
+        for be in backends() {
+            let mut got = a.to_vec();
+            simd::blend_rows_with(be, tag, &mut got, &b);
+            assert!(rows_match(&got, &want), "tag {tag:?} backend {be:?}");
+            for (g, s) in got.iter().zip(&want) {
+                // The finite sum is exact; ids and carried NaNs verbatim.
+                assert_eq!((g.0[0], g.0[1], g.0[3]), (s.0[0], s.0[1], s.0[3]));
+                assert_eq!(
+                    (g.0[7], g.0[9]),
+                    (s.0[7], s.0[9]),
+                    "tag {tag:?} backend {be:?}"
+                );
+            }
         }
     }
 }
