@@ -386,14 +386,6 @@ impl Expr {
         }
     }
 
-    /// Executes the plan through a [`SharedDevice`](crate::device::SharedDevice) — the thread-safe
-    /// eval path (`&self` on both plan and device): any number of
-    /// threads may evaluate plans against one shared executor pool
-    /// concurrently; counted work folds into the shared totals.
-    pub fn eval_shared(&self, shared: &crate::device::SharedDevice, vp: Viewport) -> Canvas {
-        shared.run(|dev| self.eval(dev, vp))
-    }
-
     // ----- plan diagrams --------------------------------------------------
 
     /// Renders the plan as an indented tree (the textual analogue of the

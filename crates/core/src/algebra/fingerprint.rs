@@ -46,6 +46,7 @@ use super::expr::{Expr, SourceSpec};
 use crate::info::BlendFn;
 use crate::ops::{CountCond, MaskSpec, PositionMap};
 use canvas_geom::polygon::Polygon;
+use canvas_geom::Point;
 
 /// A 128-bit structural plan identity (see module docs).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -166,6 +167,24 @@ impl FingerprintBuilder {
         self
     }
 
+    /// Folds in a polygon table by value: its length, then each
+    /// polygon.
+    pub fn polygons(&mut self, table: &[Polygon]) -> &mut Self {
+        polygon_table(table, &mut self.mix);
+        self
+    }
+
+    /// Folds in a point list by value: its length, then each point's
+    /// coordinates.
+    pub fn points(&mut self, points: &[Point]) -> &mut Self {
+        self.mix.word(points.len() as u64);
+        for p in points {
+            self.mix.float(p.x);
+            self.mix.float(p.y);
+        }
+        self
+    }
+
     /// Folds in a whole plan (the structural hash of the given form —
     /// normalize first for syntax-insensitive identity).
     pub fn plan(&mut self, e: &Expr) -> &mut Self {
@@ -206,6 +225,13 @@ fn polygon_content(p: &Polygon, mix: &mut Mix) {
     }
 }
 
+fn polygon_table(table: &[Polygon], mix: &mut Mix) {
+    mix.word(table.len() as u64);
+    for p in table {
+        polygon_content(p, mix);
+    }
+}
+
 fn blend_tag(op: BlendFn, mix: &mut Mix) {
     mix.word(match op {
         BlendFn::Over => 1,
@@ -243,10 +269,7 @@ fn source(s: &SourceSpec, mix: &mut Mix) {
         }
         SourceSpec::PolygonSet { table, blend } => {
             mix.tag(3);
-            mix.word(table.len() as u64);
-            for p in table.iter() {
-                polygon_content(p, mix);
-            }
+            polygon_table(table, mix);
             blend_tag(*blend, mix);
         }
         SourceSpec::Circle { center, radius, id } => {

@@ -2,29 +2,40 @@
 //!
 //! [`QueryEngine::execute`] is the single entry point: any number of
 //! client threads call it simultaneously with a [`Query`] and a
-//! viewport. A submission flows through four stations:
+//! viewport. A submission flows through five stations (diagram in
+//! the crate docs):
 //!
-//! ```text
-//! submit ── prepare ──► cache probe ──► in-flight dedup ──► admission ──► fair-share execute
-//!            (normalize     hit? ◄─┐        follower waits      bounded       leased device,
-//!             + fingerprint)  done ┘        for the leader     concurrency    per-query ticket
-//! ```
+//! 1. **Prepare** lowers the descriptor (plans are normalized) and
+//!    computes its fingerprint ([`Query::prepare`]).
+//! 2. **Cache** — a hit returns the shared result immediately
+//!    (bit-identical by construction: the cache stores the `Arc` the
+//!    original evaluation produced).
+//! 3. **In-flight dedup** — a submission whose key is already being
+//!    evaluated *coalesces*: it parks until the leader publishes, then
+//!    shares that outcome instead of re-evaluating.
+//! 4. **Admission control** bounds concurrently-executing queries and
+//!    the waiting line behind them; beyond the line the engine sheds
+//!    load ([`EngineError::Overloaded`]) instead of collapsing.
+//! 5. **Execution** leases a device over the shared worker pool
+//!    ([`SharedDevice`]) under a fresh pass-scheduling ticket, so
+//!    concurrent queries interleave *passes* fairly on the pool
+//!    instead of queueing whole-query behind a lock. A maintainable
+//!    query (a live heatmap over a versioned table) first probes the
+//!    cache for a canvas of a *predecessor generation* and, on a hit,
+//!    patches only the append delta's dirty tiles instead of
+//!    rendering.
 //!
-//! * **Prepare** normalizes the plan and computes its structural
-//!   fingerprint (`canvas_core::algebra::fingerprint`).
-//! * **Cache** — a hit returns the shared canvas immediately
-//!   (bit-identical by construction: the cache stores the `Arc` the
-//!   original evaluation produced).
-//! * **In-flight dedup** — a submission whose key is already being
-//!   evaluated *coalesces*: it parks until the leader publishes, then
-//!   shares that result instead of re-evaluating.
-//! * **Admission control** bounds concurrently-executing queries and
-//!   the waiting line behind them; beyond the line the engine sheds
-//!   load ([`EngineError::Overloaded`]) instead of collapsing.
-//! * **Execution** leases a device over the shared worker pool
-//!   ([`SharedDevice`]) under a fresh pass-scheduling ticket, so
-//!   concurrent queries interleave *passes* fairly on the pool
-//!   instead of queueing whole-query behind a lock.
+//! The leader then **publishes**: result into the cache, followers
+//! woken with the same `Arc`. Every obligation a leader takes on the
+//! way is a guard — the in-flight slot (`Lead`), the admission
+//! `Permit`, the spans — so a panic at any station unwinds into the
+//! state a clean failure leaves: followers resolved with
+//! [`EngineError::LeaderFailed`], permit returned, counters conserved
+//! (`submitted = computed + cache_hits + coalesced +
+//! incremental_refreshes + shed + failed`). The one leader/follower
+//! mechanism (`Flights`) runs twice: keyed by whole-plan fingerprints
+//! (`roots`), and by the subplan fingerprints evaluation consults at
+//! cut points (`interiors`, behind the engine's [`SubplanExchange`]).
 
 use crate::cache::{CacheKey, CacheStats, CanvasCache, DataPin};
 use crate::query::{Prepared, Query};
@@ -34,8 +45,10 @@ use canvas_core::algebra::Fingerprint;
 use canvas_core::{Canvas, SharedDevice};
 use canvas_obs as obs;
 use canvas_raster::{Calibration, SchedulerStats, Viewport};
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Engine construction knobs.
@@ -133,6 +146,18 @@ pub enum Served {
     Incremental,
 }
 
+impl Served {
+    /// The provenance string reports carry.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Served::Computed => "computed",
+            Served::CacheHit => "cache",
+            Served::Coalesced => "coalesced",
+            Served::Incremental => "incremental",
+        }
+    }
+}
+
 /// A served query result.
 pub struct Response {
     /// The result payload — shared, immutable; a canvas for the
@@ -180,59 +205,159 @@ impl Response {
     /// When the recorder was off for this query the report stays
     /// plan-only measurements-wise (`spans_joined == 0`).
     pub fn report(&self) -> obs::ExecReport {
-        let mut r = self.prepared.explain();
-        r.provenance = match self.served {
-            Served::Computed => "computed",
-            Served::CacheHit => "cache",
-            Served::Coalesced => "coalesced",
-            Served::Incremental => "incremental",
-        }
-        .to_string();
-        r.service_ns = self.service.as_nanos().min(u64::MAX as u128) as u64;
-        let be = canvas_raster::simd::active_backend();
-        r.simd_backend = be.name().to_string();
-        if self.query_span == 0 {
-            return r;
-        }
-        let spans = obs::flight::collect(self.query_span);
-        r.measure(self.query_span, &spans)
+        measured_report(
+            &self.prepared,
+            self.served.as_str(),
+            self.service,
+            self.query_span,
+        )
     }
 }
 
-/// One in-flight evaluation other submitters can latch onto. The slot
-/// carries the full outcome — including a structured [`EngineError`] —
-/// so a follower coalesced onto a shed leader still sees `Overloaded`
-/// (the retry signal), not a generic failure.
-struct InFlight {
-    slot: Mutex<Option<Result<QueryResult, EngineError>>>,
+/// The EXPLAIN skeleton of `prepared` stamped with one submission's
+/// provenance and service time and, when the submission recorded spans
+/// (`query_span != 0`), joined with them from the flight rings.
+fn measured_report(
+    prepared: &Prepared,
+    provenance: &str,
+    service: Duration,
+    query_span: u64,
+) -> obs::ExecReport {
+    let mut r = prepared.explain();
+    r.provenance = provenance.to_string();
+    r.service_ns = nanos(service);
+    r.simd_backend = canvas_raster::simd::active_backend().name().to_string();
+    if query_span == 0 {
+        return r;
+    }
+    r.measure(query_span, &obs::flight::collect(query_span))
+}
+
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// Locks `m`, recovering the guard from a poisoned mutex: every update
+/// made under the engine's locks leaves the data valid at every step,
+/// and a panicking query must not take the engine down with it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What a leader hands its followers. The full outcome — including a
+/// structured [`EngineError`] — so a follower coalesced onto a shed
+/// leader still sees `Overloaded` (the retry signal), not a generic
+/// failure.
+type Outcome = Result<QueryResult, EngineError>;
+
+/// One in-flight evaluation other submitters can latch onto.
+struct Flight {
+    slot: Mutex<Option<Outcome>>,
     done: Condvar,
 }
 
-/// One in-flight **subplan** render other queries can subscribe to —
-/// the interior sibling of [`InFlight`]. Unlike the whole-plan slot,
-/// failure here is not an error surface: a subscriber to a failed
-/// leader simply falls back to rendering the subplan privately.
-struct SubFlight {
-    state: Mutex<SubState>,
-    done: Condvar,
+impl Flight {
+    /// Parks until the leader resolves the flight, then shares its
+    /// outcome **directly from the slot** — even if the cache evicted
+    /// (or never admitted) the result, a follower's answer can never go
+    /// stale or vanish.
+    fn wait(&self) -> Outcome {
+        let slot = self
+            .done
+            .wait_while(lock(&self.slot), |slot| slot.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        slot.clone().expect("woken by a resolved slot")
+    }
 }
 
-enum SubState {
-    /// Leader still rendering.
-    Pending,
-    /// Published: subscribers share this canvas **directly from the
-    /// slot** — even if the cache evicted (or never admitted) it, a
-    /// mid-subscription canvas can never go stale or vanish.
-    Ready(Arc<Canvas>),
-    /// Leader dropped its lease without publishing (panic / bail):
-    /// subscribers recompute privately.
-    Failed,
+/// A keyed table of in-flight evaluations — the one leader/follower
+/// mechanism, instantiated for whole plans and for subplans.
+#[derive(Default)]
+struct Flights(Mutex<HashMap<CacheKey, Arc<Flight>>>);
+
+/// The caller's role in a [`Flights::join`].
+enum Joined<'a> {
+    /// First under the key: evaluate, then [`Lead::publish`].
+    Lead(Lead<'a>),
+    /// Someone is already evaluating it: [`Flight::wait`] for them.
+    Follow(Arc<Flight>),
+}
+
+impl Flights {
+    fn join(&self, key: CacheKey) -> Joined<'_> {
+        let mut table = lock(&self.0);
+        if let Some(flight) = table.get(&key) {
+            return Joined::Follow(Arc::clone(flight));
+        }
+        let flight = Arc::new(Flight {
+            slot: Mutex::new(None),
+            done: Condvar::new(),
+        });
+        table.insert(key, Arc::clone(&flight));
+        Joined::Lead(Lead {
+            flights: self,
+            key,
+            flight,
+            blame: None,
+            resolved: false,
+        })
+    }
+}
+
+/// A leader's obligation to its followers, discharged by construction:
+/// [`publish`](Self::publish) hands them an outcome; dropping the guard
+/// unresolved — the leader panicked or bailed — hands them
+/// [`EngineError::LeaderFailed`] instead of leaving them parked.
+struct Lead<'a> {
+    flights: &'a Flights,
+    key: CacheKey,
+    flight: Arc<Flight>,
+    /// The failure followers are told about if the guard drops
+    /// unresolved (a caught panic's message).
+    blame: Option<String>,
+    resolved: bool,
+}
+
+impl Lead<'_> {
+    /// Resolves the flight — at most once: wakes the followers with
+    /// `outcome` and retires the table entry.
+    fn publish(&mut self, outcome: Outcome) {
+        debug_assert!(!self.resolved, "a flight resolves once");
+        self.resolved = true;
+        *lock(&self.flight.slot) = Some(outcome);
+        self.flight.done.notify_all();
+        lock(&self.flights.0).remove(&self.key);
+    }
+}
+
+impl Drop for Lead<'_> {
+    fn drop(&mut self) {
+        if !self.resolved {
+            let msg = self.blame.take();
+            self.publish(Err(EngineError::LeaderFailed(
+                msg.unwrap_or_else(|| "query evaluation panicked".to_string()),
+            )));
+        }
+    }
 }
 
 /// The engine's [`SubplanExchange`]: probes the shared cache, then the
-/// subplan in-flight table; first-comers lead (and publish through
-/// [`SubLease`]), later arrivals subscribe. Created per-execution so
-/// it can carry the query's dataset pins into published entries.
+/// interior flights; first-comers lead (and publish through
+/// [`InteriorLease`]), later arrivals subscribe. Created per-execution
+/// so it can carry the query's dataset pins into published entries.
+///
+/// Blocking in `acquire` is deadlock-free: a leader only ever acquires
+/// subplans strictly contained in the one it is rendering, so wait
+/// chains descend strictly shrinking subtrees (see `algebra::subplan`).
+///
+/// Root and interior flights are deliberately **not** bridged while
+/// work is in flight (the unified keyspace kicks in once a render
+/// lands in the cache): a subplan acquirer always holds an admission
+/// permit, but a whole-plan leader may still be *waiting* for one —
+/// subscribing across the tables could park every permit holder behind
+/// a leader that can never be admitted. The cost is one duplicated
+/// render in the narrow window where a whole plan and an identical
+/// interior subplan overlap in flight; correctness is unaffected.
 struct Exchange<'e> {
     engine: &'e QueryEngine,
     /// Pins of the whole query — a superset of any subplan's pins
@@ -242,45 +367,67 @@ struct Exchange<'e> {
 }
 
 impl SubplanExchange for Exchange<'_> {
+    /// Off = whole-plan caching only: evaluation never consults
+    /// `acquire` and skips per-node fingerprinting.
+    fn active(&self) -> bool {
+        self.engine.cfg.share_subplans
+    }
+
     fn acquire(&self, fp: Fingerprint, vp: &Viewport) -> SubplanAccess<'_> {
-        self.engine.acquire_subplan(fp, vp, self.pins)
+        let engine = self.engine;
+        let key = CacheKey::new(fp, vp);
+        if let Some(canvas) = engine.cache.get_shared(&key) {
+            engine.metrics_mut().subplan_hits += 1;
+            return SubplanAccess::Ready(canvas, SubplanSource::Cache);
+        }
+        match engine.interiors.join(key) {
+            Joined::Lead(lead) => SubplanAccess::Lead(Box::new(InteriorLease {
+                engine,
+                lead,
+                pins: self.pins.to_vec(),
+            })),
+            // Subscribe: park until the leader resolves, then share its
+            // canvas. Failure here is not an error surface: a
+            // subscriber to a failed leader renders privately.
+            Joined::Follow(flight) => match flight.wait() {
+                Ok(QueryResult::Canvas(canvas)) => {
+                    let mut m = engine.metrics_mut();
+                    m.subplan_hits += 1;
+                    m.shared_renders_avoided += 1;
+                    SubplanAccess::Ready(canvas, SubplanSource::Subscribed)
+                }
+                _ => {
+                    engine.metrics_mut().subplan_fallbacks += 1;
+                    SubplanAccess::Compute
+                }
+            },
+        }
     }
 }
 
-/// A leader's publish obligation for one subplan. Dropping it without
-/// [`publish`](SubplanLease::publish) (leader panicked) resolves
-/// subscribers with [`SubState::Failed`] so they fall back instead of
-/// hanging.
-struct SubLease<'e> {
+/// A subplan leader's [`SubplanLease`]: publishing caches the canvas
+/// as a shared intermediate and resolves the interior flight; dropping
+/// it unpublished resolves subscribers through [`Lead`]'s drop, and
+/// they fall back to a private render.
+struct InteriorLease<'e> {
     engine: &'e QueryEngine,
-    key: CacheKey,
-    flight: Arc<SubFlight>,
+    lead: Lead<'e>,
     pins: Vec<DataPin>,
-    published: bool,
 }
 
-impl SubplanLease for SubLease<'_> {
+impl SubplanLease for InteriorLease<'_> {
     fn publish(&mut self, canvas: &Arc<Canvas>) {
-        self.published = true;
-        // Cache first (may be rejected under a tiny budget — the slot
-        // below still serves current subscribers), then wake them.
+        // Cache first (may be rejected under a tiny budget — the
+        // flight's slot still serves current subscribers), then wake
+        // them.
         self.engine.cache.insert_shared(
-            self.key,
+            self.lead.key,
             Arc::clone(canvas),
             std::mem::take(&mut self.pins),
         );
-        self.engine
-            .resolve_subplan(&self.key, &self.flight, SubState::Ready(Arc::clone(canvas)));
+        self.lead
+            .publish(Ok(QueryResult::Canvas(Arc::clone(canvas))));
         self.engine.metrics_mut().subplan_published += 1;
-    }
-}
-
-impl Drop for SubLease<'_> {
-    fn drop(&mut self) {
-        if !self.published {
-            self.engine
-                .resolve_subplan(&self.key, &self.flight, SubState::Failed);
-        }
     }
 }
 
@@ -298,9 +445,22 @@ struct AdmState {
     permits: usize,
     executing: usize,
     next_seq: u64,
-    queue: std::collections::VecDeque<u64>,
+    queue: VecDeque<u64>,
     peak_queued: usize,
     shed: u64,
+}
+
+/// One executing slot of an [`Admission`] gate, returned on drop —
+/// including when the holder unwinds.
+struct Permit<'a>(&'a Admission);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        lock(&self.0.state).executing -= 1;
+        // Only the front waiter may proceed; wake everyone and let the
+        // predicate sort it out (lines are short — max_queue bounded).
+        self.0.freed.notify_all();
+    }
 }
 
 impl Admission {
@@ -310,7 +470,7 @@ impl Admission {
                 permits: permits.max(1),
                 executing: 0,
                 next_seq: 0,
-                queue: std::collections::VecDeque::new(),
+                queue: VecDeque::new(),
                 peak_queued: 0,
                 shed: 0,
             }),
@@ -318,16 +478,13 @@ impl Admission {
         }
     }
 
-    fn acquire(&self, max_queue: usize) -> Result<(), EngineError> {
-        let mut st = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+    fn acquire(&self, max_queue: usize) -> Result<Permit<'_>, EngineError> {
+        let mut st = lock(&self.state);
         // Fast path only when nobody is queued — otherwise join the
         // line behind them even if a permit is momentarily free.
         if st.executing < st.permits && st.queue.is_empty() {
             st.executing += 1;
-            return Ok(());
+            return Ok(Permit(self));
         }
         if st.queue.len() >= max_queue {
             st.shed += 1;
@@ -341,10 +498,7 @@ impl Admission {
         st.queue.push_back(seq);
         st.peak_queued = st.peak_queued.max(st.queue.len());
         while !(st.executing < st.permits && st.queue.front() == Some(&seq)) {
-            st = self
-                .freed
-                .wait(st)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            st = self.freed.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         st.queue.pop_front();
         st.executing += 1;
@@ -352,20 +506,27 @@ impl Admission {
         // permits freed while we were at the front).
         drop(st);
         self.freed.notify_all();
-        Ok(())
+        Ok(Permit(self))
     }
+}
 
-    fn release(&self) {
-        let mut st = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        st.executing -= 1;
-        drop(st);
-        // Only the front waiter may proceed; wake everyone and let the
-        // predicate sort it out (lines are short — max_queue bounded).
-        self.freed.notify_all();
-    }
+/// What stations 2–5 hand back for a served submission — the
+/// [`Response`] fields decided there.
+struct Serving {
+    result: QueryResult,
+    how: Served,
+    queue_wait: Duration,
+    exec: Duration,
+}
+
+/// A cached predecessor generation's canvas an incremental refresh
+/// patches instead of re-rendering `snapshot` from scratch.
+struct RefreshBase<'a> {
+    key: CacheKey,
+    canvas: Arc<Canvas>,
+    /// Points of `snapshot`'s batch the canvas was rendered from.
+    prefix_len: usize,
+    snapshot: &'a canvas_core::TableSnapshot,
 }
 
 /// Computed-response cadence of load-aware minimum-work recalibration
@@ -533,12 +694,13 @@ pub struct QueryEngine {
     shared: SharedDevice,
     cache: CanvasCache,
     admission: Admission,
-    max_queue: usize,
-    inflight: Mutex<HashMap<CacheKey, Arc<InFlight>>>,
-    /// In-flight **subplan** renders (cut-point granularity) — the
-    /// interior sibling of `inflight`.
-    subflight: Mutex<HashMap<CacheKey, Arc<SubFlight>>>,
-    share_subplans: bool,
+    /// The construction knobs consulted while serving (`max_queue`,
+    /// `share_subplans`, `slow_query_threshold`).
+    cfg: EngineConfig,
+    /// In-flight whole-plan evaluations.
+    roots: Flights,
+    /// In-flight **subplan** renders (cut-point granularity).
+    interiors: Flights,
     metrics: Mutex<EngineMetrics>,
     /// Named counters + latency histograms, snapshot-able as JSON /
     /// Prometheus ([`QueryEngine::metrics_json`]). The histograms below
@@ -547,22 +709,19 @@ pub struct QueryEngine {
     registry: obs::Registry,
     /// End-to-end latency of successfully served submissions (ns).
     lat_service: Arc<obs::Histogram>,
+    /// The same per query class (`service_ns_<label>`, e.g.
+    /// `service_ns_knn`), indexed by class and resolved on the class's
+    /// first response.
+    lat_class: [OnceLock<Arc<obs::Histogram>>; Query::CLASSES],
     /// Evaluation-only latency of computed submissions (ns).
     lat_exec: Arc<obs::Histogram>,
     /// Admission-wait latency of computed submissions (ns).
     lat_queue_wait: Arc<obs::Histogram>,
     calibration: Option<Calibration>,
     /// Load-aware recalibrations applied (see `maybe_recalibrate`).
-    recalibrations: std::sync::atomic::AtomicU64,
-    /// Tail-sampling bar (see [`EngineConfig::slow_query_threshold`]).
-    slow_query_threshold: Duration,
+    recalibrations: AtomicU64,
     /// Retained slow-query captures ([`QueryEngine::slow_queries`]).
     slow_log: obs::SlowQueryLog,
-}
-
-/// Records a duration into a nanosecond-bucketed histogram.
-fn record_dur(h: &obs::Histogram, d: Duration) {
-    h.record(d.as_nanos().min(u64::MAX as u128) as u64);
 }
 
 impl QueryEngine {
@@ -594,18 +753,17 @@ impl QueryEngine {
             shared,
             cache: CanvasCache::new(cfg.cache_budget_bytes),
             admission: Admission::new(cfg.max_concurrent),
-            max_queue: cfg.max_queue,
-            inflight: Mutex::new(HashMap::new()),
-            subflight: Mutex::new(HashMap::new()),
-            share_subplans: cfg.share_subplans,
+            cfg,
+            roots: Flights::default(),
+            interiors: Flights::default(),
             metrics: Mutex::new(EngineMetrics::default()),
             registry,
             lat_service,
+            lat_class: Default::default(),
             lat_exec,
             lat_queue_wait,
             calibration,
-            recalibrations: std::sync::atomic::AtomicU64::new(0),
-            slow_query_threshold: cfg.slow_query_threshold,
+            recalibrations: AtomicU64::new(0),
             slow_log: obs::SlowQueryLog::new(SLOW_LOG_CAP),
         };
         // Stamp the process-level metadata into both the metrics
@@ -626,9 +784,7 @@ impl QueryEngine {
             .map(|n| n.get())
             .unwrap_or(1);
         let min_items = self.shared.pool().effective_min_parallel_items();
-        let recals = self
-            .recalibrations
-            .load(std::sync::atomic::Ordering::Relaxed);
+        let recals = self.recalibrations.load(Ordering::Relaxed);
         let meta: [(&str, String); 5] = [
             ("simd_backend", be.name().to_string()),
             ("simd_width", be.width().to_string()),
@@ -639,114 +795,6 @@ impl QueryEngine {
         for (k, v) in meta {
             self.registry.set_meta(k, v.clone());
             obs::sink().set_meta(k, v);
-        }
-    }
-
-    /// The subplan-sharing path of [`Exchange`]: shared-cache probe →
-    /// in-flight subscription → leadership. Blocking here is
-    /// deadlock-free: a leader only ever acquires subplans strictly
-    /// contained in the one it is rendering, so wait chains descend
-    /// strictly shrinking subtrees (see `algebra::subplan`).
-    ///
-    /// The whole-plan `inflight` table and this `subflight` table are
-    /// deliberately **not** bridged while work is in flight (the
-    /// unified keyspace kicks in once a render lands in the cache): a
-    /// subplan acquirer always holds an admission permit, but a
-    /// whole-plan leader may still be *waiting* for one — subscribing
-    /// across the tables could park every permit holder behind a
-    /// leader that can never be admitted. The cost is one duplicated
-    /// render in the narrow window where a whole plan and an identical
-    /// interior subplan overlap in flight; correctness is unaffected.
-    fn acquire_subplan(
-        &self,
-        fp: Fingerprint,
-        vp: &Viewport,
-        pins: &[DataPin],
-    ) -> SubplanAccess<'_> {
-        let key = CacheKey::new(fp, vp);
-        if let Some(canvas) = self.cache.get_shared(&key) {
-            self.metrics_mut().subplan_hits += 1;
-            return SubplanAccess::Ready(canvas, SubplanSource::Cache);
-        }
-        let (flight, leader) = {
-            let mut subflight = self
-                .subflight
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            match subflight.get(&key) {
-                Some(f) => (Arc::clone(f), false),
-                None => {
-                    let f = Arc::new(SubFlight {
-                        state: Mutex::new(SubState::Pending),
-                        done: Condvar::new(),
-                    });
-                    subflight.insert(key, Arc::clone(&f));
-                    (f, true)
-                }
-            }
-        };
-        if leader {
-            return SubplanAccess::Lead(Box::new(SubLease {
-                engine: self,
-                key,
-                flight,
-                pins: pins.to_vec(),
-                published: false,
-            }));
-        }
-        // Subscribe: park until the leader resolves, then either share
-        // its canvas or fall back to a private render.
-        let mut state = flight
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        loop {
-            match &*state {
-                SubState::Pending => {
-                    state = flight
-                        .done
-                        .wait(state)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-                SubState::Ready(canvas) => {
-                    let canvas = Arc::clone(canvas);
-                    drop(state);
-                    let mut m = self.metrics_mut();
-                    m.subplan_hits += 1;
-                    m.shared_renders_avoided += 1;
-                    return SubplanAccess::Ready(canvas, SubplanSource::Subscribed);
-                }
-                SubState::Failed => {
-                    drop(state);
-                    self.metrics_mut().subplan_fallbacks += 1;
-                    return SubplanAccess::Compute;
-                }
-            }
-        }
-    }
-
-    /// Resolves a subplan flight (publish or failure), wakes its
-    /// subscribers, and retires the table entry.
-    fn resolve_subplan(&self, key: &CacheKey, flight: &Arc<SubFlight>, outcome: SubState) {
-        {
-            let mut state = flight
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            *state = outcome;
-        }
-        flight.done.notify_all();
-        let mut subflight = self
-            .subflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(current) = subflight.get(key) {
-            // Only the leader resolves its own flight, but guard the
-            // removal anyway: a racing future leader could in principle
-            // have inserted a fresh flight under the same key.
-            if Arc::ptr_eq(current, flight) {
-                subflight.remove(key);
-            }
         }
     }
 
@@ -768,22 +816,21 @@ impl QueryEngine {
         let t_submit = Instant::now();
         let mut root = obs::span_with_query("execute", "engine");
         root.arg_str("query", || query.label().to_string());
-        let query_id = root.query();
+        let query_span = root.query();
         self.metrics_mut().submitted += 1;
+        // Station 1: prepare.
         let prepared = Arc::new({
             let _s = obs::span("prepare", "engine");
             query.prepare()
         });
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.serve(&prepared, vp, t_submit, query_id)
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.serve(&prepared, vp)));
         // Close the root span *before* the tail-sampling decision so
         // its record is resident in the flight ring when `collect`
         // joins the tree.
         drop(root);
         let service = t_submit.elapsed();
         let reason = match &outcome {
-            Ok(Ok(_)) if service > self.slow_query_threshold => {
+            Ok(Ok(_)) if service > self.cfg.slow_query_threshold => {
                 Some(obs::CaptureReason::SlowService)
             }
             Ok(Ok(_)) => None,
@@ -791,362 +838,265 @@ impl QueryEngine {
             Ok(Err(EngineError::LeaderFailed(_))) => Some(obs::CaptureReason::Failed),
             Err(_) => Some(obs::CaptureReason::Panicked),
         };
-        if let Some(reason) = reason {
-            let served = match &outcome {
-                Ok(Ok(resp)) => Some(resp.served),
-                _ => None,
+        // Tail sampling: promote this query's spans out of the flight
+        // rings into the retained log (nothing to keep when the
+        // recorder and tracing are both off).
+        if let (Some(reason), true) = (reason, query_span != 0) {
+            let provenance = match &outcome {
+                Ok(Ok(served)) => served.how.as_str(),
+                _ => reason.as_str(),
             };
-            self.capture_slow(&prepared, query_id, service, reason, served);
+            self.slow_log.push(obs::SlowQuery {
+                query_id: query_span,
+                label: prepared.label.to_string(),
+                reason,
+                service_ns: nanos(service),
+                report: measured_report(&prepared, provenance, service, query_span),
+            });
         }
         match outcome {
-            Ok(result) => result.map(|mut resp| {
-                resp.service = service;
-                resp
-            }),
-            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(served) => served.map(|s| self.respond(prepared, query_span, service, s)),
+            Err(payload) => {
+                self.metrics_mut().failed += 1;
+                resume_unwind(payload)
+            }
         }
     }
 
-    /// The station pipeline of one submission (cache probe → in-flight
-    /// dedup → admission → fair-share eval). Split from
+    /// Stations 2–5 of one submission (cache probe → in-flight dedup →
+    /// admission → execute → publish). Split from
     /// [`execute`](Self::execute) so the wrapper can close the root
-    /// span and tail-sample *every* terminal outcome — including the
-    /// eval-panic path, which unwinds through here after publishing
-    /// `LeaderFailed` to its followers.
-    fn serve(
-        &self,
-        prepared: &Arc<Prepared>,
-        vp: Viewport,
-        t_submit: Instant,
-        query_id: u64,
-    ) -> Result<Response, EngineError> {
+    /// span and tail-sample *every* terminal outcome — including a
+    /// panic, which unwinds through here dropping the guards that
+    /// return the permit and fail the followers.
+    fn serve(&self, prepared: &Prepared, vp: Viewport) -> Result<Serving, EngineError> {
         let key = CacheKey::new(prepared.fingerprint, &vp);
-        // Per-class service latency (one histogram per query class,
-        // e.g. `service_ns_knn`) alongside the all-traffic histogram.
-        let lat_class = self
-            .registry
-            .histogram(&format!("service_ns_{}", prepared.label));
-
-        // Station 1: the cache.
-        let probe = {
+        let probe = || {
             let _s = obs::span("cache_probe", "engine");
             self.cache.get(&key)
         };
-        if let Some(result) = probe {
-            let service = t_submit.elapsed();
-            record_dur(&self.lat_service, service);
-            record_dur(&lat_class, service);
-            self.metrics_mut().cache_hits += 1;
-            return Ok(Response {
-                result,
-                fingerprint: prepared.fingerprint,
-                served: Served::CacheHit,
-                queue_wait: Duration::ZERO,
-                exec: Duration::ZERO,
-                service: t_submit.elapsed(),
-                query_span: query_id,
-                prepared: Arc::clone(prepared),
-            });
+        let unqueued = |result, how, exec| Serving {
+            result,
+            how,
+            queue_wait: Duration::ZERO,
+            exec,
+        };
+
+        // Station 2: the cache.
+        if let Some(result) = probe() {
+            return Ok(unqueued(result, Served::CacheHit, Duration::ZERO));
         }
 
-        // Station 2: in-flight dedup — one leader per key, everyone
-        // else coalesces onto its result.
-        let (flight, leader) = {
-            let mut inflight = self
-                .inflight
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            match inflight.get(&key) {
-                Some(f) => (Arc::clone(f), false),
-                None => {
-                    let f = Arc::new(InFlight {
-                        slot: Mutex::new(None),
-                        done: Condvar::new(),
-                    });
-                    inflight.insert(key, Arc::clone(&f));
-                    (f, true)
-                }
+        // Station 3: in-flight dedup — one leader per key, everyone
+        // else coalesces onto its outcome (and reports its park time
+        // as `exec`).
+        let mut lead = match self.roots.join(key) {
+            Joined::Lead(lead) => lead,
+            Joined::Follow(flight) => {
+                let t_park = Instant::now();
+                let _wait = obs::span("inflight_wait", "engine");
+                return match flight.wait() {
+                    Ok(result) => Ok(unqueued(result, Served::Coalesced, t_park.elapsed())),
+                    Err(e) => {
+                        self.metrics_mut().failed += 1;
+                        Err(e)
+                    }
+                };
             }
         };
-        if !leader {
-            let t_park = Instant::now();
-            let _wait = obs::span("inflight_wait", "engine");
-            let mut slot = flight
-                .slot
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            while slot.is_none() {
-                slot = flight
-                    .done
-                    .wait(slot)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            let outcome = slot.as_ref().expect("published").clone();
-            drop(slot);
-            let exec = t_park.elapsed();
-            let service = t_submit.elapsed();
-            return match outcome {
-                Ok(result) => {
-                    record_dur(&self.lat_service, service);
-                    record_dur(&lat_class, service);
-                    self.metrics_mut().coalesced += 1;
-                    Ok(Response {
-                        result,
-                        fingerprint: prepared.fingerprint,
-                        served: Served::Coalesced,
-                        queue_wait: Duration::ZERO,
-                        exec,
-                        service,
-                        query_span: query_id,
-                        prepared: Arc::clone(prepared),
-                    })
-                }
-                Err(e) => {
-                    self.metrics_mut().failed += 1;
-                    Err(e)
-                }
-            };
-        }
-
-        // Leader path. Whatever happens (admission shed, panic,
-        // success), the in-flight entry must be resolved and removed,
-        // or followers hang forever.
-        //
-        // Re-probe the cache first: between our miss above and winning
+        // Re-probe as leader: between the miss above and winning
         // leadership here, the previous leader for this key may have
         // published (it inserts into the cache *before* retiring its
-        // in-flight entry, so this double-check can never miss a
-        // completed evaluation).
-        let reprobe = {
-            let _s = obs::span("cache_probe", "engine");
-            self.cache.get(&key)
-        };
-        if let Some(result) = reprobe {
-            self.publish(&key, &flight, Ok(result.clone()));
-            let service = t_submit.elapsed();
-            record_dur(&self.lat_service, service);
-            record_dur(&lat_class, service);
-            self.metrics_mut().cache_hits += 1;
-            return Ok(Response {
-                result,
-                fingerprint: prepared.fingerprint,
-                served: Served::CacheHit,
-                queue_wait: Duration::ZERO,
-                exec: Duration::ZERO,
-                service: t_submit.elapsed(),
-                query_span: query_id,
-                prepared: Arc::clone(prepared),
-            });
+        // flight, so this double-check can never miss a completed
+        // evaluation).
+        if let Some(result) = probe() {
+            lead.publish(Ok(result.clone()));
+            return Ok(unqueued(result, Served::CacheHit, Duration::ZERO));
         }
+
+        // Station 4: admission. A shed leader's followers receive the
+        // same structured `Overloaded` (shed/peak_queued are tracked by
+        // the gate itself and folded in by `metrics()`).
         let t_adm = Instant::now();
         let admitted = {
             let _s = obs::span("admission_wait", "engine");
-            self.admission.acquire(self.max_queue)
+            self.admission.acquire(self.cfg.max_queue)
         };
         let queue_wait = t_adm.elapsed();
-        if let Err(e) = admitted {
-            // shed/peak_queued are tracked by the admission gate itself
-            // and folded in by `metrics()`. Followers coalesced onto
-            // this key receive the same structured `Overloaded`.
-            self.publish(&key, &flight, Err(e.clone()));
-            return Err(e);
-        }
+        let permit = match admitted {
+            Ok(permit) => permit,
+            Err(e) => {
+                lead.publish(Err(e.clone()));
+                return Err(e);
+            }
+        };
 
-        // Station 5: incremental maintenance. A maintainable query (a
-        // live heatmap over a versioned table) probes the cache for a
-        // canvas of a *predecessor generation* — newest first — before
-        // paying a full render. A hit is cloned and patched with only
-        // the append delta's dirty tiles on the leased device, then
-        // published under *this* generation's fingerprint. The probe
-        // sits after admission because the patch is device work and
-        // must respect the concurrency bound; a miss (predecessor
-        // evicted, or first generation) falls through to the full
-        // render below.
-        let refresh_base = prepared.refresh().and_then(|spec| {
-            let _s = obs::span("refresh_probe", "engine");
-            spec.predecessors.iter().find_map(|&(prev_fp, prev_len)| {
-                let prev_key = CacheKey::new(prev_fp, &vp);
-                match self.cache.get(&prev_key) {
-                    Some(QueryResult::Canvas(base)) => {
-                        Some((prev_key, base, prev_len, spec.snapshot.clone()))
-                    }
-                    _ => None,
-                }
-            })
+        // Station 5: execute — patch a cached predecessor generation
+        // when there is one, run the class's run arm otherwise. The
+        // predecessor probe sits after admission because the patch is
+        // device work and must respect the concurrency bound.
+        let base = self.refresh_base(prepared, &vp);
+        let t_exec = Instant::now();
+        let evaluated = catch_unwind(AssertUnwindSafe(|| {
+            self.evaluate(prepared, vp, base.as_ref())
+        }));
+        drop(permit);
+        let exec = t_exec.elapsed();
+        let result = evaluated.unwrap_or_else(|payload| {
+            // Caught only to tell the followers why; the unwinding
+            // guards do the rest.
+            lead.blame = panic_message(&*payload);
+            resume_unwind(payload)
         });
 
-        let t_exec = Instant::now();
-        let ticket = self.shared.pool().register_ticket();
-        let pool = Arc::clone(self.shared.pool());
-        let mut eval_span = obs::span("eval", "engine");
-        eval_span.arg_u64("ticket", ticket);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.with_ticket(ticket, || {
-                self.shared.run(|dev| {
-                    if let Some((_, base, prev_len, snapshot)) = &refresh_base {
-                        // Mirror `execute_via`'s per-class span so the
-                        // report's descriptor row (node 0) still joins
-                        // this submission's measured work.
-                        let mut class_span = obs::span(prepared.label, "query");
-                        class_span.arg_u64("node", 0);
-                        let mut span = obs::span("incremental_patch", "engine");
-                        let (canvas, out) = canvas_core::patch_live_heatmap(
-                            dev,
-                            vp,
-                            base,
-                            snapshot.batch(),
-                            *prev_len,
-                            None,
-                        );
-                        span.arg_u64("dirty_tiles", out.dirty_tiles as u64);
-                        span.arg_u64("total_tiles", out.total_tiles as u64);
-                        span.arg_u64("delta_points", out.delta_points as u64);
-                        drop(span);
-                        let result = QueryResult::Canvas(Arc::new(canvas));
-                        class_span.arg_u64("bytes", result.size_bytes() as u64);
-                        return (result, Some(out));
-                    }
-                    let result = if self.share_subplans {
-                        // Cut-point canvases flow through the engine's
-                        // exchange: reused if another query rendered
-                        // them, published otherwise. A panic mid-plan
-                        // drops any unpublished leases, resolving
-                        // their subscribers with the fallback signal.
-                        let ex = Exchange {
-                            engine: self,
-                            pins: prepared.pins(),
-                        };
-                        prepared.execute_via(dev, vp, &ex)
-                    } else {
-                        prepared.execute(dev, vp)
-                    };
-                    (result, None)
-                })
-            })
-        }));
-        drop(eval_span);
-        self.admission.release();
-        let exec = t_exec.elapsed();
-
-        match outcome {
-            Ok((result, patched)) => {
-                // The entry pins the query's dataset handles: fingerprints
-                // identify datasets by Arc address, so a cached result
-                // must keep those addresses alive (a freed-and-reused
-                // allocation could otherwise alias a different dataset
-                // onto an old key).
-                self.cache
-                    .insert(key, result.clone(), prepared.pins().to_vec());
-                if patched.is_some() {
-                    if let Some((prev_key, ..)) = &refresh_base {
-                        // The patched predecessor is superseded: retire
-                        // its entry eagerly so the stale generation's
-                        // bytes are reclaimed, not merely unreachable
-                        // by new probes.
-                        self.cache.remove(prev_key);
-                    }
-                }
-                self.publish(&key, &flight, Ok(result.clone()));
-                let service = t_submit.elapsed();
-                record_dur(&self.lat_exec, exec);
-                record_dur(&self.lat_queue_wait, queue_wait);
-                record_dur(&self.lat_service, service);
-                record_dur(&lat_class, service);
-                let computed = {
-                    let mut m = self.metrics_mut();
-                    if let Some(out) = &patched {
-                        m.incremental_refreshes += 1;
-                        m.dirty_tiles_redrawn += out.dirty_tiles as u64;
-                        m.full_renders_avoided += 1;
-                    } else {
-                        m.computed += 1;
-                    }
-                    m.computed
-                };
-                self.maybe_recalibrate(computed);
-                Ok(Response {
-                    result,
-                    fingerprint: prepared.fingerprint,
-                    served: if patched.is_some() {
-                        Served::Incremental
-                    } else {
-                        Served::Computed
-                    },
-                    queue_wait,
-                    exec,
-                    service,
-                    query_span: query_id,
-                    prepared: Arc::clone(prepared),
-                })
+        // Publish. The entry pins the query's dataset handles:
+        // fingerprints identify datasets by Arc address, so a cached
+        // result must keep those addresses alive (a freed-and-reused
+        // allocation could otherwise alias a different dataset onto an
+        // old key).
+        self.cache
+            .insert(key, result.clone(), prepared.pins().to_vec());
+        let how = match &base {
+            Some(base) => {
+                // The patched predecessor is superseded: retire its
+                // entry eagerly so the stale generation's bytes are
+                // reclaimed, not merely unreachable by new probes.
+                self.cache.remove(&base.key);
+                Served::Incremental
             }
-            Err(payload) => {
-                let msg = panic_message(&payload);
-                self.publish(&key, &flight, Err(EngineError::LeaderFailed(msg)));
-                self.metrics_mut().failed += 1;
-                std::panic::resume_unwind(payload);
-            }
-        }
+            None => Served::Computed,
+        };
+        lead.publish(Ok(result.clone()));
+        Ok(Serving {
+            result,
+            how,
+            queue_wait,
+            exec,
+        })
     }
 
-    /// Publishes the leader's outcome to coalesced followers and
-    /// retires the in-flight entry.
-    fn publish(
-        &self,
-        key: &CacheKey,
-        flight: &Arc<InFlight>,
-        outcome: Result<QueryResult, EngineError>,
-    ) {
-        {
-            let mut slot = flight
-                .slot
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            *slot = Some(outcome);
-        }
-        flight.done.notify_all();
-        let mut inflight = self
-            .inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        inflight.remove(key);
+    /// For a maintainable query, the freshest cached predecessor
+    /// generation's canvas. `None` for every other class, for a first
+    /// generation, and when every predecessor was evicted — the caller
+    /// then pays the full render.
+    fn refresh_base<'p>(&self, prepared: &'p Prepared, vp: &Viewport) -> Option<RefreshBase<'p>> {
+        let (snapshot, mut predecessors) = prepared.refresh()?;
+        let _s = obs::span("refresh_probe", "engine");
+        predecessors.find_map(|(prev_fp, prefix_len)| {
+            let key = CacheKey::new(prev_fp, vp);
+            match self.cache.get(&key) {
+                Some(QueryResult::Canvas(canvas)) => Some(RefreshBase {
+                    key,
+                    canvas,
+                    prefix_len,
+                    snapshot,
+                }),
+                _ => None,
+            }
+        })
     }
 
-    /// Promotes one completed query's spans out of the flight rings
-    /// into the retained slow-query log (the tail-sampling *keep*
-    /// decision — see [`EngineConfig::slow_query_threshold`]).
-    fn capture_slow(
+    /// The device work of station 5, on a leased device under a fresh
+    /// fair-share ticket: clone-and-patch `base` with only the append
+    /// delta's dirty tiles, or run the class's run arm through the
+    /// engine's [`Exchange`], so cut-point canvases are reused if
+    /// another query rendered them and published otherwise (a panic
+    /// mid-plan drops any unpublished leases, resolving their
+    /// subscribers with the fallback signal).
+    fn evaluate(
         &self,
         prepared: &Prepared,
-        query_id: u64,
+        vp: Viewport,
+        base: Option<&RefreshBase<'_>>,
+    ) -> QueryResult {
+        let pool = self.shared.pool();
+        let ticket = pool.register_ticket();
+        let mut eval_span = obs::span("eval", "engine");
+        eval_span.arg_u64("ticket", ticket);
+        pool.with_ticket(ticket, || {
+            self.shared.run(|dev| {
+                let Some(base) = base else {
+                    let ex = Exchange {
+                        engine: self,
+                        pins: prepared.pins(),
+                    };
+                    return prepared.execute_via(dev, vp, &ex);
+                };
+                // Mirror `execute_via`'s per-class span so the report's
+                // descriptor row (node 0) still joins this submission's
+                // measured work.
+                let mut class_span = obs::span(prepared.label, "query");
+                class_span.arg_u64("node", 0);
+                let mut span = obs::span("incremental_patch", "engine");
+                let (canvas, out) = canvas_core::patch_live_heatmap(
+                    dev,
+                    vp,
+                    &base.canvas,
+                    base.snapshot.batch(),
+                    base.prefix_len,
+                    None,
+                );
+                span.arg_u64("dirty_tiles", out.dirty_tiles as u64);
+                span.arg_u64("total_tiles", out.total_tiles as u64);
+                span.arg_u64("delta_points", out.delta_points as u64);
+                drop(span);
+                self.metrics_mut().dirty_tiles_redrawn += out.dirty_tiles as u64;
+                let result = QueryResult::from(canvas);
+                class_span.arg_u64("bytes", result.size_bytes() as u64);
+                result
+            })
+        })
+    }
+
+    /// Builds every [`Response`], and records what serving it cost:
+    /// the latency histograms (all-traffic and per-class service time;
+    /// evaluation and admission wait for the submissions that
+    /// evaluated) and the served-outcome counter.
+    fn respond(
+        &self,
+        prepared: Arc<Prepared>,
+        query_span: u64,
         service: Duration,
-        reason: obs::CaptureReason,
-        served: Option<Served>,
-    ) {
-        if query_id == 0 {
-            // Recorder (and tracing) off: nothing was recorded to keep.
-            return;
+        served: Serving,
+    ) -> Response {
+        let evaluated = matches!(served.how, Served::Computed | Served::Incremental);
+        if evaluated {
+            self.lat_exec.record(nanos(served.exec));
+            self.lat_queue_wait.record(nanos(served.queue_wait));
         }
-        let service_ns = service.as_nanos().min(u64::MAX as u128) as u64;
-        let mut report = prepared.explain();
-        report.provenance = match served {
-            Some(Served::Computed) => "computed",
-            Some(Served::CacheHit) => "cache",
-            Some(Served::Coalesced) => "coalesced",
-            Some(Served::Incremental) => "incremental",
-            None => reason.as_str(),
+        self.lat_service.record(nanos(service));
+        self.lat_class[prepared.class]
+            .get_or_init(|| {
+                self.registry
+                    .histogram(&format!("service_ns_{}", prepared.label))
+            })
+            .record(nanos(service));
+        let computed = {
+            let mut m = self.metrics_mut();
+            match served.how {
+                Served::Computed => m.computed += 1,
+                Served::CacheHit => m.cache_hits += 1,
+                Served::Coalesced => m.coalesced += 1,
+                Served::Incremental => {
+                    m.incremental_refreshes += 1;
+                    m.full_renders_avoided += 1;
+                }
+            }
+            m.computed
+        };
+        if evaluated {
+            self.maybe_recalibrate(computed);
         }
-        .to_string();
-        report.service_ns = service_ns;
-        report.simd_backend = canvas_raster::simd::active_backend().name().to_string();
-        let spans = obs::flight::collect(query_id);
-        let report = report.measure(query_id, &spans);
-        self.slow_log.push(obs::SlowQuery {
-            query_id,
-            label: prepared.label.to_string(),
-            reason,
-            service_ns,
-            report,
-        });
+        Response {
+            result: served.result,
+            fingerprint: prepared.fingerprint,
+            served: served.how,
+            queue_wait: served.queue_wait,
+            exec: served.exec,
+            service,
+            query_span,
+            prepared,
+        }
     }
 
     /// The retained slow-query captures, oldest first: every query
@@ -1159,21 +1109,15 @@ impl QueryEngine {
         self.slow_log.entries()
     }
 
-    fn metrics_mut(&self) -> std::sync::MutexGuard<'_, EngineMetrics> {
-        self.metrics
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn metrics_mut(&self) -> MutexGuard<'_, EngineMetrics> {
+        lock(&self.metrics)
     }
 
     /// Engine counters snapshot (latency fields are histogram
     /// snapshots — see [`LatencyStats`]).
     pub fn metrics(&self) -> EngineMetrics {
         let mut m = self.metrics_mut().clone();
-        let st = self
-            .admission
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let st = lock(&self.admission.state);
         m.peak_queued = st.peak_queued;
         m.shed = st.shed;
         drop(st);
@@ -1183,9 +1127,7 @@ impl QueryEngine {
         let be = canvas_raster::simd::active_backend();
         m.simd_backend = be.name();
         m.simd_width = be.width();
-        m.recalibrations = self
-            .recalibrations
-            .load(std::sync::atomic::Ordering::Relaxed);
+        m.recalibrations = self.recalibrations.load(Ordering::Relaxed);
         m
     }
 
@@ -1274,8 +1216,7 @@ impl QueryEngine {
             .recalibrate(cal.dispatch_ns_per_pass, per_item_ns)
             .is_some()
         {
-            self.recalibrations
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.recalibrations.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -1321,14 +1262,12 @@ impl QueryEngine {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "query evaluation panicked".to_string()
-    }
+/// The message of a caught panic, when it carried one.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> Option<String> {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
 }
 
 #[cfg(test)]
@@ -1351,19 +1290,15 @@ mod tests {
     #[test]
     fn admission_sheds_beyond_queue_bound() {
         let adm = Admission::new(1);
-        adm.acquire(4).unwrap();
+        let held = adm.acquire(4).unwrap();
         // Permit taken, queue bound 0: immediate shed.
         assert!(matches!(
             adm.acquire(0),
             Err(EngineError::Overloaded { queued: 0, .. })
         ));
-        adm.release();
-        adm.acquire(0).unwrap();
-        adm.release();
-        let st = adm
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        drop(held);
+        drop(adm.acquire(0).unwrap());
+        let st = lock(&adm.state);
         assert_eq!(st.shed, 1);
         assert_eq!(st.executing, 0);
     }
@@ -1372,14 +1307,13 @@ mod tests {
     fn admission_is_fifo_no_barging() {
         let adm = Arc::new(Admission::new(1));
         let order = Arc::new(Mutex::new(Vec::<&'static str>::new()));
-        adm.acquire(8).unwrap(); // main holds the only permit
+        let held = adm.acquire(8).unwrap(); // main holds the only permit
         let w = {
             let adm = Arc::clone(&adm);
             let order = Arc::clone(&order);
             std::thread::spawn(move || {
-                adm.acquire(8).unwrap();
+                let _permit = adm.acquire(8).unwrap();
                 order.lock().unwrap().push("first-waiter");
-                adm.release();
             })
         };
         // Let the first waiter park, then race a late arrival against
@@ -1392,12 +1326,11 @@ mod tests {
             let order = Arc::clone(&order);
             std::thread::spawn(move || {
                 std::thread::sleep(std::time::Duration::from_millis(20));
-                adm.acquire(8).unwrap();
+                let _permit = adm.acquire(8).unwrap();
                 order.lock().unwrap().push("late-arrival");
-                adm.release();
             })
         };
-        adm.release();
+        drop(held);
         w.join().unwrap();
         late.join().unwrap();
         assert_eq!(*order.lock().unwrap(), vec!["first-waiter", "late-arrival"]);

@@ -13,16 +13,19 @@
 //! ```text
 //!  clients ──► QueryEngine::execute(query, viewport)
 //!                │
-//!                ├─ 1. prepare    normalize plan → structural fingerprint
-//!                ├─ 2. cache      (fingerprint, viewport) → Arc<Canvas>   [budgeted LRU]
+//!                ├─ 1. prepare    lower + normalize → fingerprint        [query.rs]
+//!                ├─ 2. cache      (fingerprint, viewport) → QueryResult  [budgeted LRU]
 //!                ├─ 3. dedup      identical in-flight key? coalesce onto the leader
 //!                ├─ 4. admission  bounded concurrency + bounded queue (shed beyond)
-//!                └─ 5. execute    leased SharedDevice over ONE WorkerPool,
-//!                                 per-query ticket → passes interleave FAIRLY
-//!                                 (bounded quantum, no whole-query head-of-line);
-//!                                 every canvas-producing SUBPLAN goes through the
-//!                                 exchange: reuse a shared intermediate, subscribe
-//!                                 to one in flight, or render-and-publish
+//!                ├─ 5. execute    leased SharedDevice over ONE WorkerPool,
+//!                │                per-query ticket → passes interleave FAIRLY
+//!                │                (bounded quantum, no whole-query head-of-line);
+//!                │                a live view patches a cached predecessor
+//!                │                generation instead of rendering; every
+//!                │                canvas-producing SUBPLAN goes through the
+//!                │                exchange: reuse a shared intermediate, subscribe
+//!                │                to one in flight, or render-and-publish
+//!                └─ publish       result → cache, followers woken with the same Arc
 //! ```
 //!
 //! Layer responsibilities:
@@ -35,11 +38,13 @@
 //!   **subplan exchange hook** (`algebra::subplan`) evaluation
 //!   consults at cut points, and the **shared-state eval path**
 //!   (`SharedDevice`),
-//! * this crate adds the [`Query`] descriptors, the budgeted
+//! * this crate adds the [`Query`] descriptors — the one description of
+//!   each class: label, identity arm, run arm (`query.rs`, which also
+//!   carries the "adding a query class" recipe) — the budgeted
 //!   [`CanvasCache`] (whole-plan roots + shared subplan intermediates
-//!   in one keyspace), admission control, in-flight deduplication at
-//!   both whole-plan and subplan granularity, and per-query
-//!   latency/sharing metrics.
+//!   in one keyspace), admission control, one in-flight leader/follower
+//!   mechanism run at both whole-plan and subplan granularity, and
+//!   per-query latency/sharing metrics.
 //!
 //! Every cached, coalesced, or subplan-shared response is the *same*
 //! `Arc<Canvas>` the original evaluation produced — bit-identical by

@@ -1,40 +1,54 @@
-//! Query descriptors — the engine's admission surface.
+//! Query descriptors — the engine's admission surface, and the **one
+//! description** of every query class.
 //!
-//! Clients either hand the engine a raw algebra plan ([`Query::Plan`])
-//! or one of the high-level descriptors mirroring the paper's query
-//! classes (selection §4.1, heatmaps §4.1 fused, aggregation §4.3, knn
-//! §4.4, Voronoi / hull / skyline §4.5, origin–destination and
-//! spatio-temporal §4.6). Every descriptor resolves to a [`Prepared`]
-//! form carrying:
+//! Clients hand the engine a raw algebra plan ([`Query::Plan`]) or one
+//! of the high-level descriptors mirroring the paper's query classes
+//! (selection §4.1, heatmaps §4.1 fused, aggregation §4.3, knn §4.4,
+//! Voronoi / hull / skyline §4.5, origin–destination and
+//! spatio-temporal §4.6). [`Query::prepare`] resolves a descriptor to a
+//! [`Prepared`]: the *lowered* query (plan-backed descriptors become
+//! one normalized [`Query::Plan`]; every other class is its own lowered
+//! form) plus its identity. Everything the engine knows about a class
+//! is written once, on [`Query`] itself:
 //!
-//! * the **normalized identity** — descriptors lowering to `Expr`
-//!   plans are normalized through `algebra::normalize` and fingerprinted
-//!   structurally, so syntactically different but equivalent
-//!   submissions (and identical submissions from different clients)
-//!   share cache entries and in-flight work;
-//! * the **runner** — the normalized plan (evaluated through
-//!   `Expr::eval`), one of the fused chain executors
-//!   (`selection_heatmap`, `polygon_density_heatmap`), or one of the
-//!   promoted query-class procedures (`knn`, `compute_voronoi`, …).
-//!   Non-plan runners do not flow through `Expr` and are fingerprinted
-//!   from their descriptor parameters directly (same identity
-//!   contract: datasets by handle, query geometry and scalar
-//!   parameters by value).
+//! * its **label** ([`Query::label`]) — names the class span, the
+//!   per-class latency histogram and the execution report;
+//! * its **identity arm** (`Query::identity`) — plans are normalized
+//!   and fingerprinted structurally, so syntactically different but
+//!   equivalent submissions share cache entries and in-flight work; the
+//!   other classes fold their descriptor parameters into a fingerprint
+//!   under their own domain (`"engine/knn"`, …) by the same contract:
+//!   datasets by handle (and pinned), query geometry and scalar
+//!   parameters by value;
+//! * its **run arm** ([`Prepared::execute_via`]) — `Expr::eval_via`, a
+//!   fused chain executor (`selection_heatmap`,
+//!   `polygon_density_heatmap`), or a promoted procedure (`knn`,
+//!   `compute_voronoi`, …), wrapped in the [`QueryResult`] kind the
+//!   class answers with.
 //!
-//! Execution returns a [`QueryResult`]: the rendering classes produce
-//! canvases, the promoted classes produce small derived payloads (id
-//! lists, flow matrices, time series, hull rings) that ride the same
-//! cache/dedup machinery.
+//! ## Adding a query class
+//!
+//! A [`Query`] variant, then one arm each in `Query::class` (next dense
+//! index + label; bump `Query::CLASSES`), `Query::identity` (fresh
+//! fingerprint domain, every parameter folded, every by-address handle
+//! pinned — or, for sugar over the algebra, only its plan in
+//! `Query::lower`) and [`Prepared::execute_via`], plus a
+//! [`QueryResult`] kind if no existing one fits the answer. Nothing
+//! outside this file changes: cache, dedup, admission, metrics and
+//! reports key on the label and the fingerprint
+//! (`docs/ARCHITECTURE.md` walks through it).
 
+use crate::cache::DataPin;
 use crate::result::QueryResult;
-use canvas_core::algebra::{self, Expr, Fingerprint};
+use canvas_core::algebra::subplan::{NullExchange, SubplanExchange};
+use canvas_core::algebra::{self, Expr, Fingerprint, FingerprintBuilder};
 use canvas_core::canvas::{AreaSource, PointBatch};
 use canvas_core::info::BlendFn;
 use canvas_core::ops::{CountCond, MaskSpec, ValueMap};
 use canvas_core::queries::od::TripBatch;
 use canvas_core::queries::spatiotemporal::TemporalPoints;
-use canvas_core::queries::{heatmap, hull, knn, od, skyline, spatiotemporal, voronoi};
-use canvas_core::Device;
+use canvas_core::queries::{heatmap, hull, knn, od, selection, skyline, spatiotemporal, voronoi};
+use canvas_core::{Device, TableSnapshot};
 use canvas_geom::polygon::Polygon;
 use canvas_geom::Point;
 use canvas_obs as obs;
@@ -123,269 +137,201 @@ pub enum Query {
     /// satisfy this query *incrementally*: if a predecessor
     /// generation's canvas is still cached, it is cloned and only the
     /// delta's dirty tiles are redrawn (provenance `incremental`).
-    LiveHeatmap {
-        snapshot: canvas_core::TableSnapshot,
-    },
+    LiveHeatmap { snapshot: TableSnapshot },
 }
 
 impl Query {
+    /// Number of query classes — sizes the engine's per-class tables.
+    pub(crate) const CLASSES: usize = 14;
+
+    /// The class's dense index (`< CLASSES`) and its label.
+    fn class(&self) -> (usize, &'static str) {
+        match self {
+            Query::Plan(_) => (0, "plan"),
+            Query::SelectPoints { .. } => (1, "select_points"),
+            Query::SelectionHeatmap { .. } => (2, "selection_heatmap"),
+            Query::PolygonDensity { .. } => (3, "polygon_density"),
+            Query::AggregateByZone { .. } => (4, "aggregate_by_zone"),
+            Query::Knn { .. } => (5, "knn"),
+            Query::Voronoi { .. } => (6, "voronoi"),
+            Query::SelectOd { .. } => (7, "select_od"),
+            Query::OdFlowMatrix { .. } => (8, "od_flow_matrix"),
+            Query::SpatioTemporalWindow { .. } => (9, "spatiotemporal_window"),
+            Query::RegionTimeSeries { .. } => (10, "region_time_series"),
+            Query::Skyline { .. } => (11, "skyline"),
+            Query::Hull { .. } => (12, "hull"),
+            Query::LiveHeatmap { .. } => (13, "live_heatmap"),
+        }
+    }
+
     /// Plan-diagram-style label for logs and metrics.
     pub fn label(&self) -> &'static str {
-        match self {
-            Query::Plan(_) => "plan",
-            Query::SelectPoints { .. } => "select_points",
-            Query::SelectionHeatmap { .. } => "selection_heatmap",
-            Query::PolygonDensity { .. } => "polygon_density",
-            Query::AggregateByZone { .. } => "aggregate_by_zone",
-            Query::Knn { .. } => "knn",
-            Query::Voronoi { .. } => "voronoi",
-            Query::SelectOd { .. } => "select_od",
-            Query::OdFlowMatrix { .. } => "od_flow_matrix",
-            Query::SpatioTemporalWindow { .. } => "spatiotemporal_window",
-            Query::RegionTimeSeries { .. } => "region_time_series",
-            Query::Skyline { .. } => "skyline",
-            Query::Hull { .. } => "hull",
-            Query::LiveHeatmap { .. } => "live_heatmap",
-        }
+        self.class().1
     }
 
     /// Resolves the descriptor to its normalized, fingerprinted,
     /// executable form.
     pub fn prepare(&self) -> Prepared {
-        let label = self.label();
-        match self {
-            Query::Plan(e) => Prepared::from_expr(e.clone(), label),
-            Query::SelectPoints { data, q } => Prepared::from_expr(
+        let (class, label) = self.class();
+        let query = self.lower();
+        let (fingerprint, pins) = query.identity();
+        Prepared {
+            fingerprint,
+            label,
+            class,
+            query,
+            pins,
+        }
+    }
+
+    /// The lowered form: raw plans and the descriptors that are sugar
+    /// over the algebra become one normalized [`Query::Plan`] (so a
+    /// hand-built Figure 5 plan and `SelectPoints` are the same
+    /// question); every other class is its own lowered form.
+    fn lower(&self) -> Query {
+        let plan = match self {
+            Query::Plan(e) => e.clone(),
+            Query::SelectPoints { data, q } => {
+                selection::points_in_polygon_plan(data.clone(), q.clone())
+            }
+            Query::AggregateByZone { data, zones } => Expr::map_scatter(
+                ValueMap::area_id_slot(),
+                zones.len() as u32,
+                BlendFn::Accumulate,
                 Expr::mask(
                     MaskSpec::PointInAreas(CountCond::Ge(1)),
                     Expr::blend(
                         BlendFn::PointOverArea,
                         Expr::points(data.clone()),
-                        Expr::query_polygon(q.clone(), 1),
+                        Expr::polygon_set(zones.clone(), BlendFn::AreaCount),
                     ),
                 ),
-                label,
             ),
-            Query::SelectionHeatmap { data, q } => {
-                let mut fb = algebra::FingerprintBuilder::new("engine/selection-heatmap");
-                fb.handle(data, data.len()).polygon(q);
-                Prepared {
-                    fingerprint: fb.finish(),
-                    label,
-                    runner: Runner::SelectionHeatmap {
-                        data: data.clone(),
-                        q: q.clone(),
-                    },
-                    pins: vec![data.clone()],
-                }
+            other => return other.clone(),
+        };
+        Query::Plan(algebra::normalize(plan))
+    }
+
+    /// The class's identity arm: the query's fingerprint, and the
+    /// handles that fingerprint identifies **by address**, which every
+    /// cache entry under it must pin ([`DataPin`]). Geometry, site
+    /// lists and polygon tables hash by value — a client that rebuilds
+    /// them still deduplicates, and there is nothing to pin.
+    fn identity(&self) -> (Fingerprint, Vec<DataPin>) {
+        let fb = FingerprintBuilder::new;
+        match self {
+            Query::Plan(e) => {
+                let mut pins = Vec::new();
+                collect_pins(e, &mut pins);
+                (algebra::fingerprint(e), pins)
             }
-            Query::PolygonDensity { table, q } => {
-                // Polygon tables hash by value like every polygon leaf,
-                // so a client that rebuilds the same table still
-                // deduplicates.
-                let mut fb = algebra::FingerprintBuilder::new("engine/polygon-density");
-                fb.word(table.len() as u64);
-                for p in table.iter() {
-                    fb.polygon(p);
-                }
-                fb.polygon(q);
-                Prepared {
-                    fingerprint: fb.finish(),
-                    label,
-                    runner: Runner::PolygonDensity {
-                        table: table.clone(),
-                        q: q.clone(),
-                    },
-                    // Table and query polygon hash by value — nothing
-                    // is identified by address, nothing to pin.
-                    pins: Vec::new(),
-                }
-            }
-            Query::AggregateByZone { data, zones } => Prepared::from_expr(
-                Expr::map_scatter(
-                    ValueMap::area_id_slot(),
-                    zones.len() as u32,
-                    BlendFn::Accumulate,
-                    Expr::mask(
-                        MaskSpec::PointInAreas(CountCond::Ge(1)),
-                        Expr::blend(
-                            BlendFn::PointOverArea,
-                            Expr::points(data.clone()),
-                            Expr::polygon_set(zones.clone(), BlendFn::AreaCount),
-                        ),
-                    ),
-                ),
-                label,
+            Query::SelectPoints { .. } | Query::AggregateByZone { .. } => self.lower().identity(),
+            Query::SelectionHeatmap { data, q } => (
+                fb("engine/selection-heatmap")
+                    .handle(data, data.len())
+                    .polygon(q)
+                    .finish(),
+                vec![data.clone()],
             ),
-            Query::Knn { data, x, k } => {
-                let mut fb = algebra::FingerprintBuilder::new("engine/knn");
-                fb.handle(data, data.len())
+            Query::PolygonDensity { table, q } => (
+                fb("engine/polygon-density")
+                    .polygons(table)
+                    .polygon(q)
+                    .finish(),
+                Vec::new(),
+            ),
+            Query::Knn { data, x, k } => (
+                fb("engine/knn")
+                    .handle(data, data.len())
                     .float(x.x)
                     .float(x.y)
-                    .word(*k as u64);
-                Prepared {
-                    fingerprint: fb.finish(),
-                    label,
-                    runner: Runner::Knn {
-                        data: data.clone(),
-                        x: *x,
-                        k: *k,
-                    },
-                    pins: vec![data.clone()],
-                }
-            }
-            Query::Voronoi { sites } => {
-                let mut fb = algebra::FingerprintBuilder::new("engine/voronoi");
-                fb.word(sites.len() as u64);
-                for s in sites.iter() {
-                    fb.float(s.x).float(s.y);
-                }
-                Prepared {
-                    fingerprint: fb.finish(),
-                    label,
-                    runner: Runner::Voronoi {
-                        sites: sites.clone(),
-                    },
-                    // Sites hash by value — nothing pinned by address.
-                    pins: Vec::new(),
-                }
-            }
-            Query::SelectOd { trips, q1, q2 } => {
-                let mut fb = algebra::FingerprintBuilder::new("engine/select-od");
-                fb.handle(trips, trips.len()).polygon(q1).polygon(q2);
-                Prepared {
-                    fingerprint: fb.finish(),
-                    label,
-                    runner: Runner::SelectOd {
-                        trips: trips.clone(),
-                        q1: q1.clone(),
-                        q2: q2.clone(),
-                    },
-                    pins: vec![trips.clone()],
-                }
-            }
+                    .word(*k as u64)
+                    .finish(),
+                vec![data.clone()],
+            ),
+            Query::Voronoi { sites } => (fb("engine/voronoi").points(sites).finish(), Vec::new()),
+            Query::SelectOd { trips, q1, q2 } => (
+                fb("engine/select-od")
+                    .handle(trips, trips.len())
+                    .polygon(q1)
+                    .polygon(q2)
+                    .finish(),
+                vec![trips.clone()],
+            ),
             Query::OdFlowMatrix {
                 trips,
                 origin_zones,
                 dest_zones,
-            } => {
-                let mut fb = algebra::FingerprintBuilder::new("engine/od-flow-matrix");
-                fb.handle(trips, trips.len());
-                fb.word(origin_zones.len() as u64);
-                for p in origin_zones.iter() {
-                    fb.polygon(p);
-                }
-                fb.word(dest_zones.len() as u64);
-                for p in dest_zones.iter() {
-                    fb.polygon(p);
-                }
-                Prepared {
-                    fingerprint: fb.finish(),
-                    label,
-                    runner: Runner::OdFlowMatrix {
-                        trips: trips.clone(),
-                        origin_zones: origin_zones.clone(),
-                        dest_zones: dest_zones.clone(),
-                    },
-                    pins: vec![trips.clone()],
-                }
-            }
-            Query::SpatioTemporalWindow { data, q, t0, t1 } => {
-                let mut fb = algebra::FingerprintBuilder::new("engine/spatiotemporal-window");
-                fb.handle(data, data.len())
+            } => (
+                fb("engine/od-flow-matrix")
+                    .handle(trips, trips.len())
+                    .polygons(origin_zones)
+                    .polygons(dest_zones)
+                    .finish(),
+                vec![trips.clone()],
+            ),
+            Query::SpatioTemporalWindow { data, q, t0, t1 } => (
+                fb("engine/spatiotemporal-window")
+                    .handle(data, data.len())
                     .polygon(q)
                     .word(*t0 as u64)
-                    .word(*t1 as u64);
-                Prepared {
-                    fingerprint: fb.finish(),
-                    label,
-                    runner: Runner::SpatioTemporalWindow {
-                        data: data.clone(),
-                        q: q.clone(),
-                        t0: *t0,
-                        t1: *t1,
-                    },
-                    pins: vec![data.clone()],
-                }
-            }
+                    .word(*t1 as u64)
+                    .finish(),
+                vec![data.clone()],
+            ),
             Query::RegionTimeSeries {
                 data,
                 q,
                 t0,
                 t1,
                 windows,
-            } => {
-                let mut fb = algebra::FingerprintBuilder::new("engine/region-time-series");
-                fb.handle(data, data.len())
+            } => (
+                fb("engine/region-time-series")
+                    .handle(data, data.len())
                     .polygon(q)
                     .word(*t0 as u64)
                     .word(*t1 as u64)
-                    .word(*windows as u64);
-                Prepared {
-                    fingerprint: fb.finish(),
-                    label,
-                    runner: Runner::RegionTimeSeries {
-                        data: data.clone(),
-                        q: q.clone(),
-                        t0: *t0,
-                        t1: *t1,
-                        windows: *windows,
-                    },
-                    pins: vec![data.clone()],
-                }
-            }
+                    .word(*windows as u64)
+                    .finish(),
+                vec![data.clone()],
+            ),
             Query::Skyline {
                 data,
                 constraint,
                 sites,
-            } => {
-                let mut fb = algebra::FingerprintBuilder::new("engine/skyline");
-                fb.handle(data, data.len()).polygon(constraint);
-                fb.word(sites.len() as u64);
-                for s in sites.iter() {
-                    fb.float(s.x).float(s.y);
-                }
-                Prepared {
-                    fingerprint: fb.finish(),
-                    label,
-                    runner: Runner::Skyline {
-                        data: data.clone(),
-                        constraint: constraint.clone(),
-                        sites: sites.clone(),
-                    },
-                    pins: vec![data.clone()],
-                }
-            }
-            Query::Hull { data, q } => {
-                let mut fb = algebra::FingerprintBuilder::new("engine/hull");
-                fb.handle(data, data.len()).polygon(q);
-                Prepared {
-                    fingerprint: fb.finish(),
-                    label,
-                    runner: Runner::Hull {
-                        data: data.clone(),
-                        q: q.clone(),
-                    },
-                    pins: vec![data.clone()],
-                }
-            }
-            Query::LiveHeatmap { snapshot } => {
-                let mut fb = algebra::FingerprintBuilder::new("engine/live-heatmap");
-                snapshot.fold_identity(&mut fb);
-                Prepared {
-                    fingerprint: fb.finish(),
-                    label,
-                    runner: Runner::LiveHeatmap {
-                        snapshot: snapshot.clone(),
-                    },
-                    // The identity hashes the table handle's address
-                    // (generation + length disambiguate contents); pin
-                    // both the handle and the snapshot's batch.
-                    pins: vec![snapshot.ident_handle(), snapshot.batch().clone()],
-                }
-            }
+            } => (
+                fb("engine/skyline")
+                    .handle(data, data.len())
+                    .polygon(constraint)
+                    .points(sites)
+                    .finish(),
+                vec![data.clone()],
+            ),
+            Query::Hull { data, q } => (
+                fb("engine/hull")
+                    .handle(data, data.len())
+                    .polygon(q)
+                    .finish(),
+                vec![data.clone()],
+            ),
+            // The table handle hashes by address (generation + length
+            // disambiguate contents): pin it and the snapshot's batch.
+            Query::LiveHeatmap { snapshot } => (
+                live_heatmap_fingerprint(snapshot, snapshot.generation()),
+                vec![snapshot.ident_handle(), snapshot.batch().clone()],
+            ),
         }
     }
+}
+
+/// Identity of the live heatmap over `snapshot`'s table as of
+/// `generation` — the snapshot's own for [`Query::prepare`], an older
+/// one when the engine probes for a patchable predecessor, so both
+/// address exactly the entries earlier submissions published.
+fn live_heatmap_fingerprint(snapshot: &TableSnapshot, generation: u64) -> Fingerprint {
+    let mut fb = FingerprintBuilder::new("engine/live-heatmap");
+    snapshot.fold_identity_at(&mut fb, generation);
+    fb.finish()
 }
 
 impl std::fmt::Debug for Query {
@@ -394,76 +340,10 @@ impl std::fmt::Debug for Query {
     }
 }
 
-/// How a prepared query executes.
-pub(crate) enum Runner {
-    Plan(Expr),
-    SelectionHeatmap {
-        data: Arc<PointBatch>,
-        q: Polygon,
-    },
-    PolygonDensity {
-        table: AreaSource,
-        q: Polygon,
-    },
-    Knn {
-        data: Arc<PointBatch>,
-        x: Point,
-        k: u32,
-    },
-    Voronoi {
-        sites: Arc<Vec<Point>>,
-    },
-    SelectOd {
-        trips: Arc<TripBatch>,
-        q1: Polygon,
-        q2: Polygon,
-    },
-    OdFlowMatrix {
-        trips: Arc<TripBatch>,
-        origin_zones: AreaSource,
-        dest_zones: AreaSource,
-    },
-    SpatioTemporalWindow {
-        data: Arc<TemporalPoints>,
-        q: Polygon,
-        t0: u32,
-        t1: u32,
-    },
-    RegionTimeSeries {
-        data: Arc<TemporalPoints>,
-        q: Polygon,
-        t0: u32,
-        t1: u32,
-        windows: u32,
-    },
-    Skyline {
-        data: Arc<PointBatch>,
-        constraint: Polygon,
-        sites: Arc<Vec<Point>>,
-    },
-    Hull {
-        data: Arc<PointBatch>,
-        q: Polygon,
-    },
-    LiveHeatmap {
-        snapshot: canvas_core::TableSnapshot,
-    },
-}
-
-/// What the engine needs to *maintain* a query's cached result instead
-/// of recomputing it: the snapshot to render, plus the cache identities
-/// of prior generations whose canvases can be patched (newest first —
-/// the freshest predecessor yields the smallest delta).
-pub(crate) struct RefreshSpec {
-    pub snapshot: canvas_core::TableSnapshot,
-    /// `(fingerprint, prefix_len)` per predecessor generation.
-    pub predecessors: Vec<(Fingerprint, usize)>,
-}
-
 /// Collects the handles a plan's fingerprint identifies **by address**
 /// (point batches, literal canvases, unnamed custom transforms) so a
-/// cache entry can pin them — see [`crate::cache::DataPin`].
-fn collect_pins(e: &Expr, out: &mut Vec<crate::cache::DataPin>) {
+/// cache entry can pin them — see [`DataPin`].
+fn collect_pins(e: &Expr, out: &mut Vec<DataPin>) {
     use canvas_core::algebra::SourceSpec;
     use canvas_core::ops::PositionMap;
     match e {
@@ -500,23 +380,14 @@ pub struct Prepared {
     /// prepared from) — names the per-class latency histogram and the
     /// execution report.
     pub label: &'static str,
-    pub(crate) runner: Runner,
-    pins: Vec<crate::cache::DataPin>,
+    /// Dense class index of that descriptor (`< Query::CLASSES`).
+    pub(crate) class: usize,
+    /// The lowered query — what [`execute_via`](Self::execute_via) runs.
+    query: Query,
+    pins: Vec<DataPin>,
 }
 
 impl Prepared {
-    fn from_expr(e: Expr, label: &'static str) -> Self {
-        let normalized = algebra::normalize(e);
-        let mut pins = Vec::new();
-        collect_pins(&normalized, &mut pins);
-        Prepared {
-            fingerprint: algebra::fingerprint(&normalized),
-            label,
-            runner: Runner::Plan(normalized),
-            pins,
-        }
-    }
-
     /// The EXPLAIN skeleton: one [`NodeReport`](obs::NodeReport) row
     /// per plan node for plan-backed queries (pre-order ids matching
     /// the evaluator's span stamps, operator labels, per-subtree
@@ -525,31 +396,24 @@ impl Prepared {
     /// tree in via [`ExecReport::measure`](obs::ExecReport::measure)
     /// (`Response::report()`, slow-query capture).
     pub fn explain(&self) -> obs::ExecReport {
-        let fp_hex = self.fingerprint.to_string();
-        let nodes = match &self.runner {
-            Runner::Plan(e) => algebra::plan_nodes(e)
+        let row = |node, depth, label, fingerprint: Fingerprint| obs::NodeReport {
+            node,
+            depth,
+            label,
+            fingerprint: fingerprint.to_string(),
+            provenance: "plan".to_string(),
+            ..obs::NodeReport::default()
+        };
+        let nodes = match &self.query {
+            Query::Plan(e) => algebra::plan_nodes(e)
                 .into_iter()
-                .map(|n| obs::NodeReport {
-                    node: n.id,
-                    depth: n.depth,
-                    label: n.label,
-                    fingerprint: n.fingerprint.to_string(),
-                    provenance: "plan".to_string(),
-                    ..obs::NodeReport::default()
-                })
+                .map(|n| row(n.id, n.depth, n.label, n.fingerprint))
                 .collect(),
-            _ => vec![obs::NodeReport {
-                node: 0,
-                depth: 0,
-                label: self.label.to_string(),
-                fingerprint: fp_hex.clone(),
-                provenance: "plan".to_string(),
-                ..obs::NodeReport::default()
-            }],
+            _ => vec![row(0, 0, self.label.to_string(), self.fingerprint)],
         };
         obs::ExecReport {
             query: self.label.to_string(),
-            fingerprint: fp_hex,
+            fingerprint: self.fingerprint.to_string(),
             provenance: "plan".to_string(),
             nodes,
             ..obs::ExecReport::default()
@@ -558,35 +422,30 @@ impl Prepared {
 
     /// The dataset handles this query's fingerprint identifies by
     /// address (the cache pins these alongside the result).
-    pub fn pins(&self) -> &[crate::cache::DataPin] {
+    pub fn pins(&self) -> &[DataPin] {
         &self.pins
     }
 
-    /// For maintainable queries (today: [`Query::LiveHeatmap`]), the
-    /// refresh spec the serve path uses to patch a cached predecessor
-    /// generation instead of re-rendering from scratch. The
-    /// predecessor fingerprints are derived exactly as
-    /// [`Query::prepare`] derives this query's own — same builder
-    /// domain, older generation stamp — so they address precisely the
-    /// entries earlier submissions published.
-    pub(crate) fn refresh(&self) -> Option<RefreshSpec> {
-        match &self.runner {
-            Runner::LiveHeatmap { snapshot } => {
-                let predecessors = snapshot
-                    .predecessors()
-                    .map(|g| {
-                        let mut fb = algebra::FingerprintBuilder::new("engine/live-heatmap");
-                        snapshot.fold_identity_at(&mut fb, g);
-                        (fb.finish(), snapshot.len_at(g).expect("known generation"))
-                    })
-                    .collect();
-                Some(RefreshSpec {
-                    snapshot: snapshot.clone(),
-                    predecessors,
-                })
-            }
-            _ => None,
-        }
+    /// For maintainable queries (today: [`Query::LiveHeatmap`]), what
+    /// the serve path needs to patch a cached predecessor generation
+    /// instead of re-rendering: the snapshot to render, and the
+    /// `(fingerprint, prefix length)` of every prior generation,
+    /// newest first — the freshest predecessor yields the smallest
+    /// delta.
+    pub(crate) fn refresh(
+        &self,
+    ) -> Option<(
+        &TableSnapshot,
+        impl Iterator<Item = (Fingerprint, usize)> + '_,
+    )> {
+        let Query::LiveHeatmap { snapshot } = &self.query else {
+            return None;
+        };
+        let predecessors = snapshot.predecessors().map(move |g| {
+            let prefix = snapshot.len_at(g).expect("known generation");
+            (live_heatmap_fingerprint(snapshot, g), prefix)
+        });
+        Some((snapshot, predecessors))
     }
 
     /// Evaluates on a device. The engine calls this on a leased shared
@@ -594,58 +453,62 @@ impl Prepared {
     /// harnesses can evaluate the *identical* prepared form on a
     /// reference device (`Device::cpu`) for equivalence checks.
     pub fn execute(&self, dev: &mut Device, vp: Viewport) -> QueryResult {
-        self.execute_via(dev, vp, &canvas_core::algebra::subplan::NullExchange)
+        self.execute_via(dev, vp, &NullExchange)
     }
 
-    /// Evaluates with a [`SubplanExchange`](canvas_core::algebra::subplan::SubplanExchange) consulted at cut points —
-    /// the engine's subplan-sharing entry. Plan runners thread the
-    /// exchange through `Expr::eval_via`; the fused chain runners
-    /// consult it only for the operand canvases they materialize
-    /// anyway (`selection_heatmap_via` / `polygon_density_heatmap_via`
-    /// — fusion is never broken by a cut point); the promoted classes
-    /// with a shareable interior selection (skyline, hull) thread it
-    /// through their `_via` variants, while the remaining procedures
-    /// run on the leased device directly (their interior batches are
-    /// derived per call, so there is nothing stable to share). Results
-    /// are bit-identical to [`execute`](Self::execute) regardless of
-    /// what the exchange serves, because rendering is deterministic.
+    /// Evaluates with a [`SubplanExchange`] consulted at cut points —
+    /// the engine's subplan-sharing entry, and the one **run arm** per
+    /// class. Plans thread the exchange through `Expr::eval_via`; the
+    /// fused chains consult it only for the operand canvases they
+    /// materialize anyway (fusion is never broken by a cut point); the
+    /// promoted classes with a shareable interior selection (skyline,
+    /// hull) thread it through their `_via` variants, while the
+    /// remaining procedures run on the leased device directly (their
+    /// interior batches are derived per call, so there is nothing
+    /// stable to share). Results are bit-identical to
+    /// [`execute`](Self::execute) regardless of what the exchange
+    /// serves, because rendering is deterministic.
     ///
-    /// Every non-plan runner records a per-class trace span (category
-    /// `"query"`, named after [`Query::label`]) under the engine's
-    /// `eval` span, stamped with `node = 0` and the result's byte size
-    /// — the join key [`ExecReport::measure`](obs::ExecReport::measure)
-    /// uses to attribute the runner's work to its single descriptor
-    /// row. Plan runners need no extra span: the evaluator stamps one
-    /// per plan node.
+    /// Every class but the plan records a per-class trace span
+    /// (category `"query"`, named after [`Query::label`]) under the
+    /// engine's `eval` span, stamped with `node = 0` and the result's
+    /// byte size — the join key
+    /// [`ExecReport::measure`](obs::ExecReport::measure) uses to
+    /// attribute the work to the class's single descriptor row. Plans
+    /// need no extra span: the evaluator stamps one per plan node.
     pub fn execute_via(
         &self,
         dev: &mut Device,
         vp: Viewport,
-        ex: &dyn canvas_core::algebra::subplan::SubplanExchange,
+        ex: &dyn SubplanExchange,
     ) -> QueryResult {
-        if let Runner::Plan(e) = &self.runner {
-            return QueryResult::Canvas(Arc::new(e.eval_via(dev, vp, ex)));
+        if let Query::Plan(e) = &self.query {
+            return e.eval_via(dev, vp, ex).into();
         }
         let mut class_span = obs::span(self.label, "query");
         class_span.arg_u64("node", 0);
-        let result = match &self.runner {
-            Runner::Plan(_) => unreachable!("handled above"),
-            Runner::SelectionHeatmap { data, q } => QueryResult::Canvas(Arc::new(
-                heatmap::selection_heatmap_via(dev, vp, data, q, ex).canvas,
-            )),
-            Runner::PolygonDensity { table, q } => QueryResult::Canvas(Arc::new(
-                heatmap::polygon_density_heatmap_via(dev, vp, table, q, ex).canvas,
-            )),
-            Runner::Knn { data, x, k } => {
+        let result = match &self.query {
+            Query::Plan(_) | Query::SelectPoints { .. } | Query::AggregateByZone { .. } => {
+                unreachable!("plans return above")
+            }
+            Query::SelectionHeatmap { data, q } => {
+                heatmap::selection_heatmap_via(dev, vp, data, q, ex)
+                    .canvas
+                    .into()
+            }
+            Query::PolygonDensity { table, q } => {
+                heatmap::polygon_density_heatmap_via(dev, vp, table, q, ex)
+                    .canvas
+                    .into()
+            }
+            Query::Knn { data, x, k } => {
                 QueryResult::Ids(Arc::new(knn::knn(dev, vp, data, *x, *k as usize)))
             }
-            Runner::Voronoi { sites } => {
-                QueryResult::Canvas(Arc::new(voronoi::compute_voronoi(dev, vp, sites)))
-            }
-            Runner::SelectOd { trips, q1, q2 } => {
+            Query::Voronoi { sites } => voronoi::compute_voronoi(dev, vp, sites).into(),
+            Query::SelectOd { trips, q1, q2 } => {
                 QueryResult::Ids(Arc::new(od::select_od(dev, vp, trips, q1, q2)))
             }
-            Runner::OdFlowMatrix {
+            Query::OdFlowMatrix {
                 trips,
                 origin_zones,
                 dest_zones,
@@ -656,10 +519,10 @@ impl Prepared {
                 origin_zones,
                 dest_zones,
             ))),
-            Runner::SpatioTemporalWindow { data, q, t0, t1 } => QueryResult::Ids(Arc::new(
+            Query::SpatioTemporalWindow { data, q, t0, t1 } => QueryResult::Ids(Arc::new(
                 spatiotemporal::select_in_polygon_and_window(dev, vp, data, q, *t0, *t1),
             )),
-            Runner::RegionTimeSeries {
+            Query::RegionTimeSeries {
                 data,
                 q,
                 t0,
@@ -668,31 +531,31 @@ impl Prepared {
             } => QueryResult::Series(Arc::new(spatiotemporal::region_time_series(
                 dev, vp, data, q, *t0, *t1, *windows,
             ))),
-            Runner::Skyline {
+            Query::Skyline {
                 data,
                 constraint,
                 sites,
             } => QueryResult::Ids(Arc::new(skyline::skyline_of_selection_via(
                 dev, vp, data, constraint, sites, ex,
             ))),
-            Runner::Hull { data, q } => {
+            Query::Hull { data, q } => {
                 QueryResult::Hull(Arc::new(hull::hull_of_selection_via(dev, vp, data, q, ex)))
             }
-            Runner::LiveHeatmap { snapshot } => QueryResult::Canvas(Arc::new(
-                canvas_core::render_live_heatmap(dev, vp, snapshot.batch(), None),
-            )),
+            Query::LiveHeatmap { snapshot } => {
+                canvas_core::render_live_heatmap(dev, vp, snapshot.batch(), None).into()
+            }
         };
         class_span.arg_u64("bytes", result.size_bytes() as u64);
         result
     }
 
     /// The canvas-producing subexpressions of a plan-backed query
-    /// (bottom-up; empty for the fused-chain runners, whose only
-    /// exchanged canvases are their materialized operands). Exposed
-    /// for introspection and tests.
+    /// (bottom-up; empty for the other classes, whose only exchanged
+    /// canvases are their materialized operands). Exposed for
+    /// introspection and tests.
     pub fn subplans(&self) -> Vec<algebra::Subplan> {
-        match &self.runner {
-            Runner::Plan(e) => algebra::subplans(e),
+        match &self.query {
+            Query::Plan(e) => algebra::subplans(e),
             _ => Vec::new(),
         }
     }

@@ -10,9 +10,12 @@
 //! budget evicts but never corrupts).
 
 use canvas_core::prelude::*;
-use canvas_engine::{EngineConfig, Query, QueryEngine, QueryResult, Served};
+use canvas_engine::{
+    EngineConfig, EngineError, EngineMetrics, Query, QueryEngine, QueryResult, Served,
+};
 use canvas_geom::{BBox, Point};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, OnceLock};
 
 fn extent() -> BBox {
     BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0))
@@ -112,6 +115,16 @@ fn assert_canvas_eq(got: &Canvas, want: &Canvas, ctx: &str) {
     );
 }
 
+/// Every submission ends in exactly one terminal counter — served
+/// (four ways), shed, or failed — whatever path it took to get there.
+fn assert_conserved(m: &EngineMetrics) {
+    assert_eq!(
+        m.submitted,
+        m.computed + m.cache_hits + m.coalesced + m.incremental_refreshes + m.shed + m.failed,
+        "submissions not conserved: {m:?}"
+    );
+}
+
 #[test]
 fn concurrent_randomized_queries_match_sequential_cpu() {
     let (queries, vps) = workload();
@@ -175,6 +188,7 @@ fn concurrent_randomized_queries_match_sequential_cpu() {
 
     let m = engine.metrics();
     assert_eq!(m.submitted, (CLIENTS * PER_CLIENT) as u64);
+    assert_conserved(&m);
     assert_eq!(
         m.computed + m.cache_hits + m.coalesced,
         m.submitted,
@@ -342,4 +356,172 @@ fn fair_share_tickets_reach_the_pool_gate() {
     assert_eq!(m.cache_hits, 0);
     assert_eq!(m.computed + m.coalesced, 12);
     assert!(m.computed >= 6, "most distinct submissions computed: {m:?}");
+}
+
+// ---------------------------------------------------------------------
+// Whole-plan failure paths: a leader that panics or is shed must still
+// resolve its coalesced followers, return its permit, and leave the
+// key servable. A Value Transform gated on a `OnceLock` parks a query
+// inside its eval (64×64 stays under `min_parallel_items`, so the pass
+// runs inline on the submitting thread) so the tests control who holds
+// what.
+// ---------------------------------------------------------------------
+
+/// `V[name](C_P)` as a whole plan: the evaluation raises `entered`,
+/// parks until the gate is set, and — with `boom` — panics the first
+/// time through.
+fn gated_plan(
+    name: &'static str,
+    gate: &Arc<OnceLock<()>>,
+    entered: &Arc<AtomicBool>,
+    boom: bool,
+) -> Query {
+    let points = canvas_datagen::taxi_pickups(&extent(), 500, 5);
+    let (gate, entered, fuse) = (Arc::clone(gate), Arc::clone(entered), AtomicBool::new(boom));
+    Query::Plan(Expr::value_transform(
+        name,
+        Arc::new(move |_, t: Texel| {
+            entered.store(true, Ordering::SeqCst);
+            gate.wait();
+            if fuse.swap(false, Ordering::SeqCst) {
+                panic!("gated leader failed");
+            }
+            t
+        }),
+        Expr::points(Arc::new(PointBatch::from_points(points))),
+    ))
+}
+
+/// One permit, no waiting line: a leaked permit sheds the next query
+/// instead of hanging the test.
+fn single_permit_engine() -> Arc<QueryEngine> {
+    Arc::new(QueryEngine::with_config(EngineConfig {
+        threads: 2,
+        max_concurrent: 1,
+        max_queue: 0,
+        cache_budget_bytes: 64 << 20,
+        calibrate: false,
+        share_subplans: true,
+        ..EngineConfig::default()
+    }))
+}
+
+fn submit(
+    engine: &Arc<QueryEngine>,
+    q: &Query,
+    vp: Viewport,
+) -> std::thread::JoinHandle<Result<Served, EngineError>> {
+    let engine = Arc::clone(engine);
+    let q = q.clone();
+    std::thread::spawn(move || engine.execute(&q, vp).map(|r| r.served))
+}
+
+fn spin_until(cond: impl Fn() -> bool) {
+    while !cond() {
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn follower_of_a_panicking_leader_sees_leader_failed_and_the_key_recovers() {
+    let vp = viewports()[0];
+    let gate = Arc::new(OnceLock::new());
+    let entered = Arc::new(AtomicBool::new(false));
+    let q = gated_plan("gated-boom", &gate, &entered, true);
+    let engine = single_permit_engine();
+
+    let leader = submit(&engine, &q, vp);
+    // Parked inside its eval: the leader holds the flight and the
+    // only permit.
+    spin_until(|| entered.load(Ordering::SeqCst));
+    let misses = engine.cache_stats().misses;
+    let follower = submit(&engine, &q, vp);
+    // The follower's root-probe miss is its last observable step
+    // before it joins the leader's flight; give it ample time to park.
+    spin_until(|| engine.cache_stats().misses > misses);
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    gate.set(()).unwrap();
+
+    assert!(
+        leader.join().is_err(),
+        "the panic reaches the leader's caller"
+    );
+    match follower.join().expect("a follower never panics") {
+        Err(EngineError::LeaderFailed(msg)) => {
+            assert!(msg.contains("gated leader failed"), "message kept: {msg}")
+        }
+        other => panic!("follower must see LeaderFailed, got {other:?}"),
+    }
+
+    // The failure poisoned nothing: the flight is retired and the
+    // permit returned, so the same key is admitted and recomputes.
+    let again = engine.execute(&q, vp).expect("permit returned, key free");
+    assert_eq!(again.served, Served::Computed);
+    let mut dev = Device::cpu();
+    let want = q.prepare().execute(&mut dev, vp);
+    assert_canvas_eq(again.canvas(), want.canvas(), "recompute after failure");
+    let m = engine.metrics();
+    assert_eq!((m.submitted, m.computed, m.failed), (3, 1, 2), "{m:?}");
+    assert_conserved(&m);
+}
+
+#[test]
+fn submissions_behind_a_shed_leader_all_see_overloaded() {
+    const ROUNDS: usize = 500;
+    const CLIENTS: usize = 4;
+    let (queries, vps) = workload();
+    let (q, vp) = (&queries[0], vps[0]);
+    let gate = Arc::new(OnceLock::new());
+    let entered = Arc::new(AtomicBool::new(false));
+    let engine = single_permit_engine();
+
+    // The holder parks inside its eval with the only permit.
+    let hold = gated_plan("gated-hold", &gate, &entered, false);
+    let holder = submit(&engine, &hold, vp);
+    spin_until(|| entered.load(Ordering::SeqCst));
+
+    // Simultaneous identical submissions: each round's first arrival
+    // leads and is shed at the empty waiting line; the others either
+    // coalesced onto it in time (and are handed its outcome) or lead
+    // and are shed themselves. Which is a race (on a 2-core host tens
+    // to hundreds of the 2000 coalesce) — the structured retry signal
+    // every client sees is not.
+    let barrier = Barrier::new(CLIENTS);
+    let outcomes: Vec<_> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                s.spawn(|| {
+                    let round = |_| {
+                        barrier.wait();
+                        engine.execute(q, vp).map(|r| r.served)
+                    };
+                    (0..ROUNDS).map(round).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect()
+    });
+    let shed = Err(EngineError::Overloaded {
+        executing: 1,
+        queued: 0,
+    });
+    assert!(outcomes.iter().all(|o| *o == shed), "{outcomes:?}");
+    let m = engine.metrics();
+    assert_eq!(m.shed + m.failed, (ROUNDS * CLIENTS) as u64, "{m:?}");
+    assert!(m.shed >= ROUNDS as u64, "every round shed a leader: {m:?}");
+
+    gate.set(()).unwrap();
+    assert_eq!(holder.join().expect("holder thread"), Ok(Served::Computed));
+    // Shed outcomes were never cached or left in flight.
+    assert_eq!(engine.execute(q, vp).unwrap().served, Served::Computed);
+    let m = engine.metrics();
+    assert_eq!(
+        (m.submitted, m.computed, m.coalesced),
+        ((ROUNDS * CLIENTS + 2) as u64, 2, 0),
+        "{m:?}"
+    );
+    assert_conserved(&m);
 }
