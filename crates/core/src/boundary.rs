@@ -7,15 +7,26 @@
 //! actual vector representation". The mask operator consults this index
 //! to run exact tests only where pixels straddle a boundary.
 //!
-//! Entries are kept in pixel-sorted arrays (binary-searched, no per-pixel
-//! allocation); sources of vector geometry are shared via `Arc` so blends
-//! do not copy polygons.
+//! Each entry kind is one [`SortedRun`]: a contiguous array ordered by
+//! pixel (ties in input order) plus an `h + 1` row-offset table, CSR
+//! style. A run is **sorted by construction** — it is only ever built
+//! by a stable counting scatter, a two-way merge of runs, or an
+//! order-preserving filter — so there is no unsorted state and no sort
+//! call. Lookups search one pixel row; operators that visit every pixel
+//! walk a row with a [`RowCursor`] instead of searching at all. Sources
+//! of vector geometry are shared via `Arc` so blends do not copy
+//! polygons.
 
 use canvas_geom::Point;
 
+/// An index entry: anything filed under a pixel.
+pub trait Entry: Copy + Default {
+    fn pixel(&self) -> u32;
+}
+
 /// An exact 0-primitive behind a pixel: record id, true location, and
 /// the record's attribute weight (used by SUM-style aggregations).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PointEntry {
     pub pixel: u32,
     pub record: u32,
@@ -25,7 +36,7 @@ pub struct PointEntry {
 
 /// A 2-primitive whose *boundary* touches a pixel; `source`/`record`
 /// resolve to the vector polygon through the owning canvas.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AreaEntry {
     pub pixel: u32,
     pub source: u16,
@@ -33,40 +44,378 @@ pub struct AreaEntry {
 }
 
 /// A 1-primitive touching a pixel (lines are all-boundary coverage).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LineEntry {
     pub pixel: u32,
     pub source: u16,
     pub record: u32,
 }
 
-/// Pixel-sorted boundary entries for one canvas.
-#[derive(Clone, Debug, Default, PartialEq)]
+impl Entry for PointEntry {
+    #[inline]
+    fn pixel(&self) -> u32 {
+        self.pixel
+    }
+}
+
+impl Entry for AreaEntry {
+    #[inline]
+    fn pixel(&self) -> u32 {
+        self.pixel
+    }
+}
+
+impl Entry for LineEntry {
+    #[inline]
+    fn pixel(&self) -> u32 {
+        self.pixel
+    }
+}
+
+/// Key of an input the scatter build leaves out (a pixel index never
+/// reaches it: no texture has 2³² texels).
+const SKIP: u32 = u32::MAX;
+
+/// Entries of one kind over a `width × height` pixel grid, ordered by
+/// pixel with ties in input order, and indexed by row:
+/// `rows[y]..rows[y + 1]` are the entries of pixel row `y`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SortedRun<T> {
+    entries: Vec<T>,
+    /// `height + 1` offsets into `entries`.
+    rows: Vec<u32>,
+    width: u32,
+}
+
+impl<T: Entry> SortedRun<T> {
+    /// The empty run over a `width × height` grid.
+    pub fn new(width: u32, height: u32) -> Self {
+        SortedRun {
+            entries: Vec::new(),
+            rows: vec![0; height as usize + 1],
+            width,
+        }
+    }
+
+    /// Builds a run from inputs in arbitrary pixel order: input `i` is
+    /// filed under the `i`-th item of `pixels` (`None` leaves it out)
+    /// as `make(i, pixel)`. A stable two-level counting scatter — entries
+    /// go to their row's slot range in input order, then each row is
+    /// ordered by column — so the result equals "push in input order,
+    /// stable sort by pixel" without a comparison sort over the whole
+    /// array, and the array is allocated once at its final length.
+    pub fn scatter(
+        width: u32,
+        height: u32,
+        pixels: impl Iterator<Item = Option<u32>>,
+        make: impl Fn(usize, u32) -> T,
+    ) -> Self {
+        let mut rows = vec![0u32; height as usize + 1];
+        let keys: Vec<u32> = pixels
+            .map(|p| {
+                let key = p.unwrap_or(SKIP);
+                if key != SKIP {
+                    rows[(key / width) as usize + 1] += 1;
+                }
+                key
+            })
+            .collect();
+        let mut total = 0u32;
+        for r in rows.iter_mut() {
+            total += *r;
+            *r = total;
+        }
+        let mut next = rows.clone();
+        let mut entries = vec![T::default(); total as usize];
+        for (i, &key) in keys.iter().enumerate() {
+            if key != SKIP {
+                let slot = &mut next[(key / width) as usize];
+                entries[*slot as usize] = make(i, key);
+                *slot += 1;
+            }
+        }
+        drop(keys);
+        let mut by_column = ColumnOrder::new(width);
+        for y in 0..height as usize {
+            let row = &mut entries[rows[y] as usize..rows[y + 1] as usize];
+            by_column.order(row, y as u32 * width);
+        }
+        debug_assert_eq!(entries.capacity(), entries.len());
+        let run = SortedRun {
+            entries,
+            rows,
+            width,
+        };
+        run.check_invariants();
+        run
+    }
+
+    /// Wraps entries that are already in run order (pixel ascending,
+    /// ties in the order wanted), indexing their rows.
+    pub fn from_sorted(width: u32, height: u32, entries: Vec<T>) -> Self {
+        let rows = index_rows(&entries, width, height);
+        let run = SortedRun {
+            entries,
+            rows,
+            width,
+        };
+        run.check_invariants();
+        run
+    }
+
+    /// Two-way merge: every entry of `self` and `map(e)` for every
+    /// entry of `other`, ordered by pixel with `self`'s entries first on
+    /// ties — what a stable sort of `self ++ other` gives. `map` must
+    /// keep the pixel. One pass over both runs, written once at exact
+    /// capacity; whatever is left of one run when the other ends (all of
+    /// it, when the other is empty) is moved as one block.
+    pub fn merge(&self, other: &Self, map: impl Fn(&T) -> T) -> Self {
+        assert_eq!(
+            (self.width, self.rows.len()),
+            (other.width, other.rows.len()),
+            "merged runs must cover the same pixel grid"
+        );
+        let (a, b) = (&self.entries, &other.entries);
+        let mut entries = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            if a[i].pixel() <= b[j].pixel() {
+                entries.push(a[i]);
+                i += 1;
+            } else {
+                entries.push(map(&b[j]));
+                j += 1;
+            }
+        }
+        entries.extend_from_slice(&a[i..]);
+        entries.extend(b[j..].iter().map(&map));
+        debug_assert_eq!(entries.capacity(), entries.len());
+        let rows = self
+            .rows
+            .iter()
+            .zip(&other.rows)
+            .map(|(x, y)| x + y)
+            .collect();
+        let run = SortedRun {
+            entries,
+            rows,
+            width: self.width,
+        };
+        run.check_invariants();
+        run
+    }
+
+    /// The entries `keep` accepts, as a new run (order preserved).
+    pub fn filtered(&self, keep: impl FnMut(&T) -> bool) -> Self {
+        let entries = self.entries.iter().copied().filter(keep).collect();
+        SortedRun::from_sorted(self.width, self.height(), entries)
+    }
+
+    /// Drops the entries `keep` rejects, in place (order preserved).
+    pub fn retain(&mut self, keep: impl FnMut(&T) -> bool) {
+        self.entries.retain(keep);
+        self.rows = index_rows(&self.entries, self.width, self.height());
+        self.check_invariants();
+    }
+
+    pub fn width(&self) -> u32 {
+        self.width
+    }
+
+    pub fn height(&self) -> u32 {
+        (self.rows.len() - 1) as u32
+    }
+
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// All entries, in run order.
+    pub fn as_slice(&self) -> &[T] {
+        &self.entries
+    }
+
+    /// The entries of pixel row `y` (empty beyond the grid).
+    pub fn row(&self, y: u32) -> &[T] {
+        match self.rows.get(y as usize..y as usize + 2) {
+            Some(r) => &self.entries[r[0] as usize..r[1] as usize],
+            None => &[],
+        }
+    }
+
+    /// The entries behind one pixel: a search of that pixel's row only.
+    pub fn at(&self, pixel: u32) -> &[T] {
+        let row = self.row(pixel / self.width);
+        let lo = row.partition_point(|e| e.pixel() < pixel);
+        let len = row[lo..].partition_point(|e| e.pixel() == pixel);
+        &row[lo..lo + len]
+    }
+
+    /// A cursor over row `y` for visiting its pixels left to right.
+    pub fn cursor(&self, y: u32) -> RowCursor<'_, T> {
+        RowCursor { rest: self.row(y) }
+    }
+
+    /// Debug builds: panics unless the run is ordered by pixel and its
+    /// row table brackets exactly the entries of each row. Every
+    /// constructor and mutator ends here, so the debug test suite
+    /// polices the invariant; release builds compile it out.
+    pub fn check_invariants(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        assert_eq!(self.rows[0], 0, "row table starts at 0");
+        assert_eq!(
+            *self.rows.last().expect("h + 1 offsets") as usize,
+            self.entries.len(),
+            "row table ends at the entry count"
+        );
+        for y in 0..self.height() {
+            let (lo, hi) = (self.rows[y as usize], self.rows[y as usize + 1]);
+            assert!(lo <= hi, "row offsets ascend");
+            let row = &self.entries[lo as usize..hi as usize];
+            assert!(
+                row.iter().all(|e| e.pixel() / self.width == y),
+                "row {y} holds an entry of another row"
+            );
+            assert!(
+                row.windows(2).all(|w| w[0].pixel() <= w[1].pixel()),
+                "row {y} is not ordered by pixel"
+            );
+        }
+    }
+}
+
+/// Offsets of each pixel row's entries within a pixel-ordered array.
+fn index_rows<T: Entry>(entries: &[T], width: u32, height: u32) -> Vec<u32> {
+    let mut rows = Vec::with_capacity(height as usize + 1);
+    let mut start = 0usize;
+    rows.push(0);
+    for y in 0..height as u64 {
+        let row_end = (y + 1) * width as u64;
+        start += entries[start..].partition_point(|e| (e.pixel() as u64) < row_end);
+        rows.push(start as u32);
+    }
+    rows
+}
+
+/// Stable in-row ordering by column for the scatter build: a counting
+/// pass over a copy of the row when the row is dense enough to repay
+/// `O(width)` bookkeeping, the standard stable sort when it is sparse.
+struct ColumnOrder<T> {
+    width: u32,
+    slots: Vec<u32>,
+    copy: Vec<T>,
+}
+
+impl<T: Entry> ColumnOrder<T> {
+    fn new(width: u32) -> Self {
+        ColumnOrder {
+            width,
+            slots: Vec::new(),
+            copy: Vec::new(),
+        }
+    }
+
+    /// Orders `row` (all of whose pixels start at `base`) by pixel.
+    fn order(&mut self, row: &mut [T], base: u32) {
+        if row.len() < 2 {
+            return;
+        }
+        if row.len() * 8 < self.width as usize {
+            row.sort_by_key(|e| e.pixel());
+            return;
+        }
+        self.slots.clear();
+        self.slots.resize(self.width as usize + 1, 0);
+        for e in row.iter() {
+            self.slots[(e.pixel() - base) as usize + 1] += 1;
+        }
+        let mut total = 0;
+        for s in self.slots.iter_mut() {
+            total += *s;
+            *s = total;
+        }
+        self.copy.clear();
+        self.copy.extend_from_slice(row);
+        for e in &self.copy {
+            let slot = &mut self.slots[(e.pixel() - base) as usize];
+            row[*slot as usize] = *e;
+            *slot += 1;
+        }
+    }
+}
+
+/// Walks one pixel row of a run from left to right: [`at`](Self::at)
+/// must be asked for ascending pixels, and the whole walk is linear in
+/// the row's entries.
+pub struct RowCursor<'a, T> {
+    rest: &'a [T],
+}
+
+impl<'a, T: Entry> RowCursor<'a, T> {
+    /// The entries behind `pixel`; entries of earlier pixels are
+    /// passed over for good.
+    pub fn at(&mut self, pixel: u32) -> &'a [T] {
+        let skip = self
+            .rest
+            .iter()
+            .position(|e| e.pixel() >= pixel)
+            .unwrap_or(self.rest.len());
+        let here = &self.rest[skip..];
+        let len = here
+            .iter()
+            .position(|e| e.pixel() != pixel)
+            .unwrap_or(here.len());
+        self.rest = &here[len..];
+        &here[..len]
+    }
+}
+
+/// The boundary entries of one canvas: one [`SortedRun`] per kind.
+#[derive(Clone, Debug, PartialEq)]
 pub struct BoundaryIndex {
-    points: Vec<PointEntry>,
-    areas: Vec<AreaEntry>,
-    lines: Vec<LineEntry>,
-    sorted: bool,
+    points: SortedRun<PointEntry>,
+    areas: SortedRun<AreaEntry>,
+    lines: SortedRun<LineEntry>,
 }
 
 impl BoundaryIndex {
-    pub fn new() -> Self {
-        BoundaryIndex::default()
+    /// The empty index of a `width × height` canvas.
+    pub fn new(width: u32, height: u32) -> Self {
+        BoundaryIndex {
+            points: SortedRun::new(width, height),
+            areas: SortedRun::new(width, height),
+            lines: SortedRun::new(width, height),
+        }
     }
 
-    pub fn push_point(&mut self, e: PointEntry) {
-        self.points.push(e);
-        self.sorted = false;
+    /// An index holding exactly these runs (all over one pixel grid).
+    pub fn from_runs(
+        points: SortedRun<PointEntry>,
+        areas: SortedRun<AreaEntry>,
+        lines: SortedRun<LineEntry>,
+    ) -> Self {
+        let grid = (points.width(), points.height());
+        assert_eq!(grid, (areas.width(), areas.height()), "one pixel grid");
+        assert_eq!(grid, (lines.width(), lines.height()), "one pixel grid");
+        BoundaryIndex {
+            points,
+            areas,
+            lines,
+        }
     }
 
-    pub fn push_area(&mut self, e: AreaEntry) {
-        self.areas.push(e);
-        self.sorted = false;
+    pub fn width(&self) -> u32 {
+        self.points.width()
     }
 
-    pub fn push_line(&mut self, e: LineEntry) {
-        self.lines.push(e);
-        self.sorted = false;
+    pub fn height(&self) -> u32 {
+        self.points.height()
     }
 
     pub fn num_points(&self) -> usize {
@@ -81,92 +430,120 @@ impl BoundaryIndex {
         self.lines.len()
     }
 
-    /// Sorts all entry arrays by pixel (idempotent; required before
-    /// range lookups).
-    pub fn sort(&mut self) {
-        if self.sorted {
-            return;
-        }
-        self.points.sort_by_key(|e| e.pixel);
-        self.areas.sort_by_key(|e| e.pixel);
-        self.lines.sort_by_key(|e| e.pixel);
-        self.sorted = true;
-    }
-
-    fn range_of<T, K: Fn(&T) -> u32>(items: &[T], key: K, pixel: u32) -> &[T] {
-        let lo = items.partition_point(|e| key(e) < pixel);
-        let hi = items.partition_point(|e| key(e) <= pixel);
-        &items[lo..hi]
-    }
-
-    /// Exact point entries behind a pixel. Call [`sort`](Self::sort) first.
+    /// Exact point entries behind a pixel.
     pub fn points_at(&self, pixel: u32) -> &[PointEntry] {
-        debug_assert!(self.sorted, "boundary index must be sorted");
-        Self::range_of(&self.points, |e| e.pixel, pixel)
+        self.points.at(pixel)
     }
 
     /// Boundary-area entries behind a pixel.
     pub fn areas_at(&self, pixel: u32) -> &[AreaEntry] {
-        debug_assert!(self.sorted, "boundary index must be sorted");
-        Self::range_of(&self.areas, |e| e.pixel, pixel)
+        self.areas.at(pixel)
     }
 
     /// Line entries behind a pixel.
     pub fn lines_at(&self, pixel: u32) -> &[LineEntry] {
-        debug_assert!(self.sorted, "boundary index must be sorted");
-        Self::range_of(&self.lines, |e| e.pixel, pixel)
+        self.lines.at(pixel)
     }
 
     /// All point entries (pixel-sorted).
     pub fn points(&self) -> &[PointEntry] {
-        &self.points
+        self.points.as_slice()
     }
 
     /// All area entries (pixel-sorted).
     pub fn areas(&self) -> &[AreaEntry] {
-        &self.areas
+        self.areas.as_slice()
     }
 
     /// All line entries (pixel-sorted).
     pub fn lines(&self) -> &[LineEntry] {
-        &self.lines
+        self.lines.as_slice()
     }
 
-    /// Merges another index, remapping its source indexes through
-    /// `area_remap`/`line_remap` (used when blending canvases whose
-    /// geometry source tables are concatenated).
-    pub fn merge_remapped(
-        &mut self,
-        other: &BoundaryIndex,
-        area_remap: &[u16],
-        line_remap: &[u16],
-    ) {
-        self.points.extend_from_slice(&other.points);
-        self.areas.extend(other.areas.iter().map(|e| AreaEntry {
-            pixel: e.pixel,
-            source: area_remap[e.source as usize],
-            record: e.record,
-        }));
-        self.lines.extend(other.lines.iter().map(|e| LineEntry {
-            pixel: e.pixel,
-            source: line_remap[e.source as usize],
-            record: e.record,
-        }));
-        self.sorted = false;
+    /// Left-to-right cursor over the point entries of pixel row `y`.
+    pub fn points_cursor(&self, y: u32) -> RowCursor<'_, PointEntry> {
+        self.points.cursor(y)
     }
 
-    /// Keeps only the point entries satisfying the predicate (used by the
-    /// mask operator's exact refinement).
+    /// Left-to-right cursor over the area entries of pixel row `y`.
+    pub fn areas_cursor(&self, y: u32) -> RowCursor<'_, AreaEntry> {
+        self.areas.cursor(y)
+    }
+
+    /// The index of a blend: this index's entries with `other`'s merged
+    /// in, `other`'s source indexes remapped through `area_remap` /
+    /// `line_remap` (the blended canvas concatenates the operands'
+    /// geometry source tables). One linear merge per kind, written once.
+    pub fn merged(&self, other: &BoundaryIndex, area_remap: &[u16], line_remap: &[u16]) -> Self {
+        BoundaryIndex {
+            points: self.points.merge(&other.points, |e| *e),
+            areas: self.areas.merge(&other.areas, remap_area(area_remap)),
+            lines: self.lines.merge(&other.lines, remap_line(line_remap)),
+        }
+    }
+
+    /// [`merged`](Self::merged) into an index its canvas owns: a kind
+    /// `other` has no entries of is left as it is, not rewritten.
+    pub fn merge_in(&mut self, other: &BoundaryIndex, area_remap: &[u16], line_remap: &[u16]) {
+        if !other.points.is_empty() {
+            self.points = self.points.merge(&other.points, |e| *e);
+        }
+        if !other.areas.is_empty() {
+            self.areas = self.areas.merge(&other.areas, remap_area(area_remap));
+        }
+        if !other.lines.is_empty() {
+            self.lines = self.lines.merge(&other.lines, remap_line(line_remap));
+        }
+    }
+
+    /// The index a mask leaves behind, built without copying this one:
+    /// `points` (the mask's survivors, already in run order) become the
+    /// point run, and areas and lines keep the entries on pixels
+    /// `keep_pixel` accepts.
+    pub fn masked(&self, points: Vec<PointEntry>, keep_pixel: impl Fn(u32) -> bool) -> Self {
+        BoundaryIndex {
+            points: SortedRun::from_sorted(self.width(), self.height(), points),
+            areas: self.areas.filtered(|e| keep_pixel(e.pixel)),
+            lines: self.lines.filtered(|e| keep_pixel(e.pixel)),
+        }
+    }
+
+    /// Keeps only the point entries satisfying the predicate (a query's
+    /// exact post-filter over a result canvas).
     pub fn retain_points(&mut self, f: impl FnMut(&PointEntry) -> bool) {
         self.points.retain(f);
     }
 
     /// Keeps only entries whose pixels satisfy the predicate (used when a
     /// mask drops pixels wholesale).
-    pub fn retain_pixels(&mut self, mut f: impl FnMut(u32) -> bool) {
+    pub fn retain_pixels(&mut self, f: impl Fn(u32) -> bool) {
         self.points.retain(|e| f(e.pixel));
         self.areas.retain(|e| f(e.pixel));
         self.lines.retain(|e| f(e.pixel));
+    }
+
+    /// Debug builds: checks every run (see
+    /// [`SortedRun::check_invariants`]).
+    pub fn check_invariants(&self) {
+        self.points.check_invariants();
+        self.areas.check_invariants();
+        self.lines.check_invariants();
+    }
+}
+
+/// An area entry re-filed under its source's index in a blended canvas.
+fn remap_area(remap: &[u16]) -> impl Fn(&AreaEntry) -> AreaEntry + '_ {
+    |e| AreaEntry {
+        source: remap[e.source as usize],
+        ..*e
+    }
+}
+
+/// A line entry re-filed under its source's index in a blended canvas.
+fn remap_line(remap: &[u16]) -> impl Fn(&LineEntry) -> LineEntry + '_ {
+    |e| LineEntry {
+        source: remap[e.source as usize],
+        ..*e
     }
 }
 
@@ -183,87 +560,122 @@ mod tests {
         }
     }
 
+    /// A point run over a 4×4 grid from `(pixel, record)` in input order.
+    fn points(input: &[(u32, u32)]) -> SortedRun<PointEntry> {
+        SortedRun::scatter(4, 4, input.iter().map(|&(p, _)| Some(p)), |i, p| {
+            pe(p, input[i].1)
+        })
+    }
+
+    fn areas(input: &[(u32, u16, u32)]) -> SortedRun<AreaEntry> {
+        SortedRun::scatter(4, 4, input.iter().map(|&(p, _, _)| Some(p)), |i, pixel| {
+            AreaEntry {
+                pixel,
+                source: input[i].1,
+                record: input[i].2,
+            }
+        })
+    }
+
+    fn records(entries: &[PointEntry]) -> Vec<u32> {
+        entries.iter().map(|e| e.record).collect()
+    }
+
     #[test]
-    fn sorted_range_lookup() {
-        let mut b = BoundaryIndex::new();
-        b.push_point(pe(5, 1));
-        b.push_point(pe(2, 2));
-        b.push_point(pe(5, 3));
-        b.push_point(pe(9, 4));
-        b.sort();
-        let at5 = b.points_at(5);
-        assert_eq!(at5.len(), 2);
-        assert!(at5.iter().any(|e| e.record == 1));
-        assert!(at5.iter().any(|e| e.record == 3));
-        assert_eq!(b.points_at(2).len(), 1);
-        assert!(b.points_at(7).is_empty());
+    fn scatter_orders_by_pixel_with_ties_in_input_order() {
+        let run = points(&[(5, 1), (2, 2), (5, 3), (9, 4), (4, 5)]);
+        assert_eq!(records(run.as_slice()), vec![2, 5, 1, 3, 4]);
+        assert_eq!(records(run.at(5)), vec![1, 3]);
+        assert_eq!(records(run.at(2)), vec![2]);
+        assert!(run.at(7).is_empty());
+        assert!(run.at(400).is_empty(), "beyond the grid");
+        assert_eq!(records(run.row(1)), vec![5, 1, 3]);
+    }
+
+    #[test]
+    fn scatter_leaves_out_skipped_inputs() {
+        let pixels = [Some(3), None, Some(1)];
+        let run: SortedRun<PointEntry> =
+            SortedRun::scatter(4, 4, pixels.into_iter(), |i, p| pe(p, i as u32));
+        assert_eq!(records(run.as_slice()), vec![2, 0]);
+    }
+
+    #[test]
+    fn dense_rows_take_the_counting_order() {
+        // 40 entries in one 4-wide row: well past the sparse threshold.
+        let input: Vec<(u32, u32)> = (0..40).map(|i| (4 + (i * 7) % 4, i)).collect();
+        let run = points(&input);
+        let mut want = input.clone();
+        want.sort_by_key(|&(p, _)| p);
+        let want: Vec<u32> = want.iter().map(|&(_, r)| r).collect();
+        assert_eq!(records(run.as_slice()), want);
     }
 
     #[test]
     fn area_and_line_lookup() {
-        let mut b = BoundaryIndex::new();
-        b.push_area(AreaEntry {
-            pixel: 3,
-            source: 0,
-            record: 10,
-        });
-        b.push_line(LineEntry {
-            pixel: 3,
-            source: 0,
-            record: 20,
-        });
-        b.sort();
+        let lines: SortedRun<LineEntry> =
+            SortedRun::scatter(4, 4, [Some(3)].into_iter(), |_, pixel| LineEntry {
+                pixel,
+                source: 0,
+                record: 20,
+            });
+        let b = BoundaryIndex::from_runs(SortedRun::new(4, 4), areas(&[(3, 0, 10)]), lines);
         assert_eq!(b.areas_at(3)[0].record, 10);
         assert_eq!(b.lines_at(3)[0].record, 20);
         assert!(b.areas_at(0).is_empty());
     }
 
     #[test]
-    fn merge_remaps_sources() {
-        let mut a = BoundaryIndex::new();
-        a.push_area(AreaEntry {
-            pixel: 1,
-            source: 0,
-            record: 1,
-        });
-        let mut b = BoundaryIndex::new();
-        b.push_area(AreaEntry {
-            pixel: 2,
-            source: 0,
-            record: 2,
-        });
-        b.push_line(LineEntry {
-            pixel: 2,
-            source: 0,
-            record: 3,
-        });
-        a.merge_remapped(&b, &[7], &[4]);
-        a.sort();
-        assert_eq!(a.areas_at(2)[0].source, 7);
-        assert_eq!(a.lines_at(2)[0].source, 4);
-        assert_eq!(a.areas_at(1)[0].source, 0);
+    fn merge_remaps_sources_and_keeps_left_first_on_ties() {
+        let a = BoundaryIndex::from_runs(
+            points(&[(1, 10), (6, 11)]),
+            areas(&[(1, 0, 1), (2, 0, 5)]),
+            SortedRun::new(4, 4),
+        );
+        let b = BoundaryIndex::from_runs(
+            points(&[(6, 20), (0, 21)]),
+            areas(&[(2, 0, 2)]),
+            SortedRun::new(4, 4),
+        );
+        let m = a.merged(&b, &[7], &[]);
+        assert_eq!(records(m.points()), vec![21, 10, 11, 20]);
+        assert_eq!(m.areas_at(1)[0].source, 0);
+        let at2: Vec<(u16, u32)> = m.areas_at(2).iter().map(|e| (e.source, e.record)).collect();
+        assert_eq!(at2, vec![(0, 5), (7, 2)]);
+        let mut in_place = a.clone();
+        in_place.merge_in(&b, &[7], &[]);
+        assert_eq!(in_place, m);
     }
 
     #[test]
-    fn retain_filters() {
-        let mut b = BoundaryIndex::new();
-        for i in 0..10 {
-            b.push_point(pe(i, i));
-        }
+    fn retain_and_masked_filter_in_order() {
+        let input: Vec<(u32, u32)> = (0..10).map(|i| (i, i)).collect();
+        let mut b =
+            BoundaryIndex::from_runs(points(&input), SortedRun::new(4, 4), SortedRun::new(4, 4));
         b.retain_pixels(|p| p % 2 == 0);
         assert_eq!(b.num_points(), 5);
         b.retain_points(|e| e.record < 4);
-        assert_eq!(b.num_points(), 2);
+        assert_eq!(records(b.points()), vec![0, 2]);
+        assert_eq!(records(b.points_at(2)), vec![2]);
+
+        let with_areas = BoundaryIndex::from_runs(
+            points(&input),
+            areas(&[(1, 0, 1), (2, 0, 2)]),
+            SortedRun::new(4, 4),
+        );
+        let m = with_areas.masked(vec![pe(2, 2)], |p| p == 2);
+        assert_eq!(records(m.points()), vec![2]);
+        assert_eq!(m.num_areas(), 1);
+        assert_eq!(m.areas_at(2)[0].record, 2);
     }
 
     #[test]
-    fn sort_idempotent() {
-        let mut b = BoundaryIndex::new();
-        b.push_point(pe(3, 0));
-        b.push_point(pe(1, 1));
-        b.sort();
-        let snapshot = b.clone();
-        b.sort();
-        assert_eq!(b, snapshot);
+    fn cursor_walks_a_row_left_to_right() {
+        let run = points(&[(5, 1), (4, 2), (5, 3), (7, 4)]);
+        let mut cur = run.cursor(1);
+        assert_eq!(records(cur.at(5)), vec![1, 3], "pixel 4 passed over");
+        assert!(cur.at(6).is_empty());
+        assert_eq!(records(cur.at(7)), vec![4]);
+        assert!(cur.at(7).is_empty(), "consumed");
     }
 }

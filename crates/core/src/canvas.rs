@@ -49,7 +49,7 @@ impl Canvas {
             viewport,
             texels: Texture::new(viewport.width(), viewport.height()),
             cover: Texture::new(viewport.width(), viewport.height()),
-            boundary: BoundaryIndex::new(),
+            boundary: BoundaryIndex::new(viewport.width(), viewport.height()),
             area_sources: Vec::new(),
             line_sources: Vec::new(),
         }
@@ -64,6 +64,11 @@ impl Canvas {
         area_sources: Vec<AreaSource>,
         line_sources: Vec<LineSource>,
     ) -> Self {
+        debug_assert_eq!(
+            (boundary.width(), boundary.height()),
+            (viewport.width(), viewport.height()),
+            "boundary index must cover the canvas's pixel grid"
+        );
         Canvas {
             viewport,
             texels,
@@ -119,25 +124,12 @@ impl Canvas {
     /// Registers a polygon table; returns its source index for boundary
     /// entries.
     pub fn add_area_source(&mut self, src: AreaSource) -> u16 {
-        // Deduplicate by identity so repeated blends don't grow tables.
-        for (i, existing) in self.area_sources.iter().enumerate() {
-            if Arc::ptr_eq(existing, &src) {
-                return i as u16;
-            }
-        }
-        self.area_sources.push(src);
-        (self.area_sources.len() - 1) as u16
+        register_source(&mut self.area_sources, src)
     }
 
     /// Registers a polyline table; returns its source index.
     pub fn add_line_source(&mut self, src: LineSource) -> u16 {
-        for (i, existing) in self.line_sources.iter().enumerate() {
-            if Arc::ptr_eq(existing, &src) {
-                return i as u16;
-            }
-        }
-        self.line_sources.push(src);
-        (self.line_sources.len() - 1) as u16
+        register_source(&mut self.line_sources, src)
     }
 
     /// Resolves an area boundary entry to its vector polygon.
@@ -188,13 +180,16 @@ impl Canvas {
     /// kernel the mask operator runs on boundary pixels.
     pub fn exact_area_count(&self, pixel: u32, p: Point) -> u32 {
         let (x, y) = self.texels.coords(pixel as usize);
-        let mut count = self.cover.get(x, y) as u32;
-        for e in self.boundary.areas_at(pixel) {
-            if self.resolve_area(e).contains_closed(p) {
-                count += 1;
-            }
-        }
-        count
+        self.cover.get(x, y) as u32 + self.areas_containing(self.boundary.areas_at(pixel), p)
+    }
+
+    /// How many of the given boundary-touching polygons contain `p`
+    /// (the exact half of [`exact_area_count`](Self::exact_area_count)).
+    pub fn areas_containing(&self, areas: &[AreaEntry], p: Point) -> u32 {
+        areas
+            .iter()
+            .filter(|e| self.resolve_area(e).contains_closed(p))
+            .count() as u32
     }
 
     /// Record ids of all surviving point entries — the `SELECT *` result
@@ -235,6 +230,20 @@ impl Canvas {
         c.texels.set(x, y, texel);
         c
     }
+}
+
+/// Index of `src` in a canvas's source table, appending it unless the
+/// same table (by identity) is already there — repeated blends don't
+/// grow tables.
+pub(crate) fn register_source<T>(table: &mut Vec<Arc<T>>, src: Arc<T>) -> u16 {
+    let at = table
+        .iter()
+        .position(|existing| Arc::ptr_eq(existing, &src))
+        .unwrap_or_else(|| {
+            table.push(src);
+            table.len() - 1
+        });
+    at as u16
 }
 
 /// Immutable point-record batch: the vector-side representation of a
@@ -286,7 +295,7 @@ impl PointBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boundary::PointEntry;
+    use crate::boundary::{PointEntry, SortedRun};
     use canvas_geom::BBox;
 
     fn vp() -> Viewport {
@@ -344,12 +353,13 @@ mod tests {
         // Pixel (4,4) is a boundary pixel of the square (edge at x=5,y=5
         // clips it); register a boundary entry.
         let pix = c.pixel_index(4, 4);
-        c.boundary_mut().push_area(AreaEntry {
-            pixel: pix,
+        let areas = SortedRun::scatter(10, 10, [Some(pix)].into_iter(), |_, pixel| AreaEntry {
+            pixel,
             source: s,
             record: 0,
         });
-        c.boundary_mut().sort();
+        *c.boundary_mut() =
+            BoundaryIndex::from_runs(SortedRun::new(10, 10), areas, SortedRun::new(10, 10));
         assert_eq!(
             c.exact_area_count(c.pixel_index(2, 2), Point::new(2.5, 2.5)),
             1
@@ -365,15 +375,18 @@ mod tests {
     #[test]
     fn point_records_sorted_dedup() {
         let mut c = Canvas::empty(vp());
-        for (px, rec) in [(3u32, 9u32), (1, 4), (3, 9), (2, 4)] {
-            c.boundary_mut().push_point(PointEntry {
-                pixel: px,
-                record: rec,
-                loc: Point::new(0.0, 0.0),
-                weight: 2.0,
+        let input = [(3u32, 9u32), (1, 4), (3, 9), (2, 4)];
+        let points =
+            SortedRun::scatter(10, 10, input.iter().map(|&(px, _)| Some(px)), |i, pixel| {
+                PointEntry {
+                    pixel,
+                    record: input[i].1,
+                    loc: Point::new(0.0, 0.0),
+                    weight: 2.0,
+                }
             });
-        }
-        c.boundary_mut().sort();
+        *c.boundary_mut() =
+            BoundaryIndex::from_runs(points, SortedRun::new(10, 10), SortedRun::new(10, 10));
         assert_eq!(c.point_records(), vec![4, 9]);
         assert_eq!(c.point_weight_sum(), 8.0);
     }

@@ -13,7 +13,7 @@
 //! persistent worker pool (`Pipeline::blend_into`); per-texel blends
 //! are independent, so the decomposition cannot change the result.
 
-use crate::canvas::Canvas;
+use crate::canvas::{register_source, Canvas};
 use crate::device::Device;
 use crate::info::BlendFn;
 
@@ -42,29 +42,22 @@ pub fn blend(dev: &mut Device, a: &Canvas, b: &Canvas, op: BlendFn) -> Canvas {
     let mut cover = a.cover().clone();
     dev.pipeline().blend_cover_into(&mut cover, b.cover());
 
-    // Merge geometry sources and boundary entries.
-    let mut out = Canvas::from_parts(
-        vp,
-        texels,
-        cover,
-        a.boundary().clone(),
-        a.area_sources().to_vec(),
-        a.line_sources().to_vec(),
-    );
+    // Merge geometry sources, then boundary entries: one linear merge
+    // of the operands' runs, written once.
+    let mut area_sources = a.area_sources().to_vec();
+    let mut line_sources = a.line_sources().to_vec();
     let area_remap: Vec<u16> = b
         .area_sources()
         .iter()
-        .map(|s| out.add_area_source(s.clone()))
+        .map(|s| register_source(&mut area_sources, s.clone()))
         .collect();
     let line_remap: Vec<u16> = b
         .line_sources()
         .iter()
-        .map(|s| out.add_line_source(s.clone()))
+        .map(|s| register_source(&mut line_sources, s.clone()))
         .collect();
-    out.boundary_mut()
-        .merge_remapped(b.boundary(), &area_remap, &line_remap);
-    out.boundary_mut().sort();
-    out
+    let boundary = a.boundary().merged(b.boundary(), &area_remap, &line_remap);
+    Canvas::from_parts(vp, texels, cover, boundary, area_sources, line_sources)
 }
 
 /// `C' = B*[⊙](inputs…)` — left-deep fold of the binary blend

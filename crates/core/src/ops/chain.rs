@@ -253,15 +253,13 @@ fn replay_bookkeeping(
                     .collect();
                 canvas
                     .boundary_mut()
-                    .merge_remapped(other.boundary(), &area_remap, &line_remap);
-                canvas.boundary_mut().sort();
+                    .merge_in(other.boundary(), &area_remap, &line_remap);
             }
             CanvasOp::Mask { .. } | CanvasOp::MaskTagged { .. } => {
                 let ordinal = mask_ordinal;
                 canvas
                     .boundary_mut()
                     .retain_pixels(|pixel| !masked.is_null_after(ordinal, pixel));
-                canvas.boundary_mut().sort();
                 mask_ordinal += 1;
             }
         }
@@ -300,7 +298,8 @@ pub fn run_points_chain(
 
     // Exact point entries, then the operator bookkeeping replay (see
     // `replay_bookkeeping`).
-    crate::source::push_point_entries(&mut canvas, &vp, batch);
+    *canvas.boundary_mut() =
+        crate::source::point_index(&vp, &batch.points, &batch.ids, &batch.weights);
     replay_bookkeeping(&mut canvas, chain, &report.masked);
 
     ChainOutcome {
@@ -348,14 +347,7 @@ pub fn run_polygons_chain(
 
     // One area entry per conservative boundary fragment, then the
     // operator replay.
-    for (record, pixel) in boundary {
-        canvas.boundary_mut().push_area(crate::boundary::AreaEntry {
-            pixel,
-            source,
-            record,
-        });
-    }
-    canvas.boundary_mut().sort();
+    *canvas.boundary_mut() = crate::source::area_index(&vp, source, &boundary, |record| record);
     replay_bookkeeping(&mut canvas, chain, &report.masked);
 
     ChainOutcome {

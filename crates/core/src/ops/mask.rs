@@ -13,8 +13,12 @@
 //! worker pool (`Pipeline::map_planes`): bands
 //! of the split texel + cover planes are claimed by pool executors and
 //! band-local collections concatenate in row-major order, so results
-//! are bit-identical at any thread count.
+//! are bit-identical at any thread count. A mask copies the two planes
+//! it rewrites and nothing else: the output's boundary index is
+//! assembled from the input's by one filtering pass
+//! ([`BoundaryIndex::masked`](crate::boundary::BoundaryIndex::masked)).
 
+use crate::boundary::PointEntry;
 use crate::canvas::Canvas;
 use crate::device::Device;
 use crate::info::Texel;
@@ -103,19 +107,24 @@ pub fn mask(dev: &mut Device, c: &Canvas, spec: &MaskSpec) -> Canvas {
 /// Coarse texel-level mask (full-screen pass, band-parallel over the
 /// texel + cover planes).
 fn mask_texel(dev: &mut Device, c: &Canvas, pred: impl Fn(&Texel) -> bool + Sync) -> Canvas {
-    let mut out = c.clone();
-    {
-        let (texels, cover, _) = out.planes_mut();
-        dev.pipeline()
-            .map_planes::<_, _, (), _>(texels, cover, |_, _, t, cov, _| {
+    let mut texels = c.texels().clone();
+    let mut cover = c.cover().clone();
+    dev.pipeline()
+        .map_planes::<_, _, (), _>(&mut texels, &mut cover, |_, row, row_cover, _| {
+            for (t, cov) in row.iter_mut().zip(row_cover) {
                 if !t.is_null() && !pred(t) {
                     *t = Texel::null();
                     *cov = 0;
                 }
-            });
-    }
-    prune_boundary(&mut out);
-    out
+            }
+        });
+    // Boundary entries of nulled pixels go; the survivors are filtered
+    // straight out of the input's index (it is never copied).
+    let kept_points = c.boundary().points().iter().copied();
+    let kept_points = kept_points
+        .filter(|e| !texels.texels()[e.pixel as usize].is_null())
+        .collect();
+    finish_mask(c, texels, cover, kept_points)
 }
 
 /// The point-selection mask with exact refinement, band-parallel over
@@ -123,42 +132,50 @@ fn mask_texel(dev: &mut Device, c: &Canvas, pred: impl Fn(&Texel) -> bool + Sync
 /// (and the exact boundary refinement where needed) independently,
 /// collecting its surviving point entries locally; bands concatenate in
 /// row-major order, so the result is identical at any thread count.
+/// Within a pixel row the input's point and area entries are walked by
+/// cursor — the pass never searches the index.
 fn mask_point_in_areas(dev: &mut Device, c: &Canvas, cond: CountCond) -> Canvas {
-    let mut out = c.clone();
-    let kept_points: Vec<crate::boundary::PointEntry> = {
-        let (texels, cover, _) = out.planes_mut();
-        let width = c.viewport().width();
+    // Only the two planes the pass rewrites are copied.
+    let mut texels = c.texels().clone();
+    let mut cover = c.cover().clone();
+    let width = c.viewport().width();
+    let index = c.boundary();
+    let kept_points =
         dev.pipeline()
-            .map_planes(texels, cover, |x, y, t, cov, kept| {
-                if t.is_null() {
-                    return;
-                }
-                let pixel = y * width + x;
-                if !t.has(0) {
-                    // No point here: the selection result only keeps
-                    // intersection pixels.
-                    *cov = 0;
-                    *t = Texel::null();
-                    return;
-                }
-                let boundary_areas = c.boundary().areas_at(pixel);
-                if boundary_areas.is_empty() {
-                    // Uniform pixel: the certain-cover count is the exact
-                    // polygon incidence for every location in the pixel.
-                    let count = *cov as u32;
-                    if cond.eval(count) {
-                        kept.extend_from_slice(c.boundary().points_at(pixel));
-                    } else {
+            .map_planes(&mut texels, &mut cover, |y, row, row_cover, kept| {
+                let mut points = index.points_cursor(y);
+                let mut areas = index.areas_cursor(y);
+                for (x, (t, cov)) in row.iter_mut().zip(row_cover).enumerate() {
+                    if t.is_null() {
+                        continue;
+                    }
+                    if !t.has(0) {
+                        // No point here: the selection result only keeps
+                        // intersection pixels.
                         *cov = 0;
                         *t = Texel::null();
+                        continue;
                     }
-                } else {
+                    let pixel = y * width + x as u32;
+                    let here = points.at(pixel);
+                    let boundary_areas = areas.at(pixel);
+                    if boundary_areas.is_empty() {
+                        // Uniform pixel: the certain-cover count is the exact
+                        // polygon incidence for every location in the pixel.
+                        if cond.eval(*cov as u32) {
+                            kept.extend_from_slice(here);
+                        } else {
+                            *cov = 0;
+                            *t = Texel::null();
+                        }
+                        continue;
+                    }
                     // Boundary pixel: refine each exact point location
                     // against the vector polygons (paper Section 5).
                     let mut count_kept = 0u32;
                     let mut weight_sum = 0.0f32;
-                    for e in c.boundary().points_at(pixel) {
-                        let exact = c.exact_area_count(pixel, e.loc);
+                    for e in here {
+                        let exact = *cov as u32 + c.areas_containing(boundary_areas, e.loc);
                         if cond.eval(exact) {
                             kept.push(*e);
                             count_kept += 1;
@@ -177,40 +194,32 @@ fn mask_point_in_areas(dev: &mut Device, c: &Canvas, cond: CountCond) -> Canvas 
                         t.set(0, info);
                     }
                 }
-            })
-    };
-    // Replace point entries with the refined set (already pixel-ordered
-    // because bands concatenate row-major) and drop boundary entries of
-    // nulled pixels.
-    let texels = out.texels().clone();
-    let width = texels.width();
-    {
-        let b = out.boundary_mut();
-        b.retain_points(|_| false);
-        for e in kept_points {
-            b.push_point(e);
-        }
-        b.retain_pixels(|pixel| {
-            let x = pixel % width;
-            let y = pixel / width;
-            !texels.get(x, y).is_null()
-        });
-        b.sort();
-    }
-    out
+            });
+    // The survivors are already in index order (bands concatenate
+    // row-major, entries within a pixel keep their order).
+    finish_mask(c, texels, cover, kept_points)
 }
 
-/// Drops boundary entries whose pixels were nulled by a coarse mask.
-fn prune_boundary(out: &mut Canvas) {
-    let texels = out.texels().clone();
-    let width = texels.width();
-    let b = out.boundary_mut();
-    b.retain_pixels(|pixel| {
-        let x = pixel % width;
-        let y = pixel / width;
-        !texels.get(x, y).is_null()
+/// Assembles a mask's output canvas: the rewritten planes, the
+/// surviving point entries, and the input's area/line entries minus
+/// those on pixels the mask nulled.
+fn finish_mask(
+    c: &Canvas,
+    texels: canvas_raster::Texture<Texel>,
+    cover: canvas_raster::Texture<u16>,
+    kept_points: Vec<PointEntry>,
+) -> Canvas {
+    let boundary = c.boundary().masked(kept_points, |pixel| {
+        !texels.texels()[pixel as usize].is_null()
     });
-    b.sort();
+    Canvas::from_parts(
+        *c.viewport(),
+        texels,
+        cover,
+        boundary,
+        c.area_sources().to_vec(),
+        c.line_sources().to_vec(),
+    )
 }
 
 #[cfg(test)]

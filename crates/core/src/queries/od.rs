@@ -19,9 +19,10 @@
 //! link `γd` needs), so the composition stays exact even when several
 //! origins share a pixel.
 
-use crate::canvas::PointBatch;
+use crate::canvas::{Canvas, PointBatch};
 use crate::device::Device;
-use crate::queries::selection::{select_points_in_polygon, PointSelection};
+use crate::queries::selection::select_rendered_points_in_polygon;
+use crate::source::render_points;
 use canvas_geom::polygon::Polygon;
 use canvas_geom::Point;
 use canvas_raster::Viewport;
@@ -63,6 +64,34 @@ impl TripBatch {
     }
 }
 
+/// Stages 1 and 2 of the plan for one origin constraint:
+/// `C_origin ← M[Mp](B[⊙](C_P, C_Q1))`, then `G[γd]` — each surviving
+/// record moved to its destination. The exact point entries give the
+/// id → destination lookup; the moved set re-renders as a point canvas
+/// (still closed: the output is a canvas). `None` when no origin
+/// survives.
+fn moved_survivors(
+    dev: &mut Device,
+    origins: &Canvas,
+    trips: &TripBatch,
+    q1: &Polygon,
+) -> Option<Canvas> {
+    let origin_sel = select_rendered_points_in_polygon(dev, origins, q1);
+    if origin_sel.records.is_empty() {
+        return None;
+    }
+    let survivors = origin_sel.canvas.boundary().points();
+    let moved = PointBatch {
+        points: survivors
+            .iter()
+            .map(|e| trips.destinations[e.record as usize])
+            .collect(),
+        ids: survivors.iter().map(|e| e.record).collect(),
+        weights: survivors.iter().map(|e| e.weight).collect(),
+    };
+    Some(render_points(dev, *origins.viewport(), &moved))
+}
+
 /// Selects trip records whose origin lies in `q1` *and* destination lies
 /// in `q2` (Section 4.6). Returns matching record ids sorted.
 pub fn select_od(
@@ -75,46 +104,19 @@ pub fn select_od(
     if trips.is_empty() {
         return Vec::new();
     }
-    // Stage 1: C_origin ← M[Mp](B[⊙](C_P, C_Q1)).
-    let origin_sel: PointSelection = select_points_in_polygon(dev, vp, &trips.origin_batch(), q1);
-    if origin_sel.records.is_empty() {
-        return Vec::new();
+    let origins = render_points(dev, vp, &trips.origin_batch());
+    match moved_survivors(dev, &origins, trips, q1) {
+        // Stage 3: blend with C_Q2 and mask again — same operators, reused.
+        Some(moved) => select_rendered_points_in_polygon(dev, &moved, q2).records,
+        None => Vec::new(),
     }
-
-    // Stage 2: G[γd] — move each surviving record to its destination.
-    // The exact point entries give the id → destination lookup; the
-    // moved set re-renders as a point canvas (still closed: the output
-    // is a canvas).
-    let survivors = &origin_sel.canvas;
-    let moved = PointBatch {
-        points: survivors
-            .boundary()
-            .points()
-            .iter()
-            .map(|e| trips.destinations[e.record as usize])
-            .collect(),
-        ids: survivors
-            .boundary()
-            .points()
-            .iter()
-            .map(|e| e.record)
-            .collect(),
-        weights: survivors
-            .boundary()
-            .points()
-            .iter()
-            .map(|e| e.weight)
-            .collect(),
-    };
-
-    // Stage 3: blend with C_Q2 and mask again — same operators, reused.
-    let dest_sel = select_points_in_polygon(dev, vp, &moved, q2);
-    dest_sel.records
 }
 
 /// Group-by variant: counts trips between every (origin-zone,
 /// destination-zone) pair — the flow matrix used by the OD example
-/// application. Zones are given as polygon tables.
+/// application. Zones are given as polygon tables. The origin canvas
+/// is rendered once, each origin zone's selection (and its moved
+/// survivors' canvas) once, and reused across every destination zone.
 pub fn od_flow_matrix(
     dev: &mut Device,
     vp: Viewport,
@@ -128,9 +130,14 @@ pub fn od_flow_matrix(
     if trips.is_empty() || no == 0 || nd == 0 {
         return matrix;
     }
+    let origins = render_points(dev, vp, &trips.origin_batch());
     for (i, oz) in origin_zones.iter().enumerate() {
+        let Some(moved) = moved_survivors(dev, &origins, trips, oz) else {
+            continue;
+        };
         for (j, dz) in dest_zones.iter().enumerate() {
-            matrix[i][j] = select_od(dev, vp, trips, oz, dz).len() as u64;
+            let dest_sel = select_rendered_points_in_polygon(dev, &moved, dz);
+            matrix[i][j] = dest_sel.records.len() as u64;
         }
     }
     matrix

@@ -79,9 +79,22 @@ pub fn select_points_in_polygon(
     data: &PointBatch,
     q: &Polygon,
 ) -> PointSelection {
-    let plan = points_in_polygon_plan(Arc::new(data.clone()), q.clone());
-    let plan = crate::algebra::optimize(plan);
-    let canvas = plan.eval(dev, vp);
+    let cp = crate::source::render_points(dev, vp, data);
+    select_rendered_points_in_polygon(dev, &cp, q)
+}
+
+/// The Figure 5 plan over an already rendered `C_P`: the operator calls
+/// [`points_in_polygon_plan`] evaluates to, made directly — so a
+/// borrowed batch is never copied into a plan leaf, and one `C_P`
+/// serves any number of constraint polygons.
+pub fn select_rendered_points_in_polygon(
+    dev: &mut Device,
+    cp: &Canvas,
+    q: &Polygon,
+) -> PointSelection {
+    let cq = crate::source::render_query_polygon(dev, *cp.viewport(), q.clone(), 1);
+    let merged = crate::ops::blend(dev, cp, &cq, BlendFn::PointOverArea);
+    let canvas = crate::ops::mask(dev, &merged, &MaskSpec::PointInAreas(CountCond::Ge(1)));
     PointSelection {
         records: canvas.point_records(),
         canvas,
@@ -92,9 +105,7 @@ pub fn select_points_in_polygon(
 /// [`SubplanExchange`](crate::algebra::SubplanExchange): the selection
 /// plan's interior renders become shareable across concurrent queries.
 /// Subplan fingerprints identify datasets by `Arc` address, so this only
-/// pays off when callers pass the *same* handle — cloning into a fresh
-/// `Arc` per call (as the borrowing variant does) would publish entries
-/// under never-repeating keys.
+/// pays off when callers pass the *same* handle.
 pub fn select_points_in_polygon_via(
     dev: &mut Device,
     vp: Viewport,

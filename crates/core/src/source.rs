@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use crate::boundary::{AreaEntry, LineEntry, PointEntry};
+use crate::boundary::{AreaEntry, BoundaryIndex, LineEntry, PointEntry, SortedRun};
 use crate::canvas::{AreaSource, Canvas, LineSource, PointBatch};
 use crate::device::Device;
 use crate::info::{BlendFn, Texel};
@@ -30,24 +30,48 @@ pub fn render_points(dev: &mut Device, vp: Viewport, batch: &PointBatch) -> Canv
     run_points_chain(dev, vp, batch, &CanvasChain::new()).canvas
 }
 
-/// Pushes the exact point entries of a rendered batch (every
-/// in-viewport point keeps its true location — the paper stores "the
-/// actual location of the points" per pixel, for refinement and result
-/// extraction) and sorts the index. Shared by every point render
-/// (`ops::chain::run_points_chain`, the live heatmap).
-pub(crate) fn push_point_entries(canvas: &mut Canvas, vp: &Viewport, batch: &PointBatch) {
-    for (i, &p) in batch.points.iter().enumerate() {
-        if let Some((x, y)) = vp.world_to_pixel(p) {
-            let pixel = canvas.pixel_index(x, y);
-            canvas.boundary_mut().push_point(PointEntry {
-                pixel,
-                record: batch.ids[i],
-                loc: p,
-                weight: batch.weights[i],
-            });
-        }
-    }
-    canvas.boundary_mut().sort();
+/// The index of a point render: the exact entry of every in-viewport
+/// point (the paper stores "the actual location of the points" per
+/// pixel, for refinement and result extraction), scattered straight
+/// from the batch columns into pixel order. Shared by every point
+/// render (`ops::chain::run_points_chain`, the live heatmap and its
+/// patches, which pass the appended suffix of each column).
+pub(crate) fn point_index(
+    vp: &Viewport,
+    points: &[canvas_geom::Point],
+    ids: &[u32],
+    weights: &[f32],
+) -> BoundaryIndex {
+    let (w, h) = (vp.width(), vp.height());
+    let pixels = points
+        .iter()
+        .map(|&p| vp.world_to_pixel(p).map(|(x, y)| y * w + x));
+    let run = SortedRun::scatter(w, h, pixels, |i, pixel| PointEntry {
+        pixel,
+        record: ids[i],
+        loc: points[i],
+        weight: weights[i],
+    });
+    BoundaryIndex::from_runs(run, SortedRun::new(w, h), SortedRun::new(w, h))
+}
+
+/// The index of a polygon draw: one area entry per conservative
+/// boundary fragment `(record, pixel)` the draw reported, filed under
+/// `source` with the record `record_of` names.
+pub(crate) fn area_index(
+    vp: &Viewport,
+    source: u16,
+    fragments: &[(u32, u32)],
+    record_of: impl Fn(u32) -> u32,
+) -> BoundaryIndex {
+    let (w, h) = (vp.width(), vp.height());
+    let pixels = fragments.iter().map(|&(_, pixel)| Some(pixel));
+    let run = SortedRun::scatter(w, h, pixels, |i, pixel| AreaEntry {
+        pixel,
+        source,
+        record: record_of(fragments[i].0),
+    });
+    BoundaryIndex::from_runs(SortedRun::new(w, h), run, SortedRun::new(w, h))
 }
 
 /// Renders one polygon from a shared table into its own canvas
@@ -95,14 +119,7 @@ pub fn render_polygon_with(
             |d, s| d.over(s),
         )
     };
-    for (_, pixel) in boundary {
-        canvas.boundary_mut().push_area(AreaEntry {
-            pixel,
-            source,
-            record: record as u32,
-        });
-    }
-    canvas.boundary_mut().sort();
+    *canvas.boundary_mut() = area_index(&vp, source, &boundary, |_| record as u32);
     canvas
 }
 
@@ -136,14 +153,15 @@ pub fn render_polylines(dev: &mut Device, vp: Viewport, table: &LineSource) -> C
             |d, s| d.over(s),
         )
     };
-    for (record, pixel) in boundary {
-        canvas.boundary_mut().push_line(LineEntry {
-            pixel,
-            source,
-            record,
-        });
-    }
-    canvas.boundary_mut().sort();
+    let (w, h) = (vp.width(), vp.height());
+    let pixels = boundary.iter().map(|&(_, pixel)| Some(pixel));
+    let lines = SortedRun::scatter(w, h, pixels, |i, pixel| LineEntry {
+        pixel,
+        source,
+        record: boundary[i].0,
+    });
+    *canvas.boundary_mut() =
+        BoundaryIndex::from_runs(SortedRun::new(w, h), SortedRun::new(w, h), lines);
     canvas
 }
 

@@ -19,7 +19,8 @@
 //! * [`patch_live_heatmap`] — O(delta) maintenance: clone the cached
 //!   canvas of a previous generation, bin only the appended points to
 //!   tiles, replay the blend on the dirty tiles, re-apply the value
-//!   pass over those tiles, and append the delta's boundary entries.
+//!   pass over those tiles, and merge the delta's boundary entries
+//!   into the clone's index.
 //!
 //! ## Why the patch is bit-identical to a full re-render
 //!
@@ -35,10 +36,11 @@
 //!   overwrites the only word the cached (post-value-pass) texels
 //!   disagree on with the pre-value-pass fold state — and tiles with
 //!   no delta points already hold the exact full-render texels.
-//! * Boundary point entries are stably sorted by pixel; pushing the
-//!   delta's entries in input order and re-sorting reproduces the
-//!   push-all-then-sort index exactly. The cover plane is never
-//!   touched by point draws.
+//! * Boundary point entries are ordered by pixel with ties in input
+//!   order; the delta's entries come later in the input than every
+//!   predecessor entry, so merging them behind the predecessor's on
+//!   ties reproduces the full render's index exactly. The cover plane
+//!   is never touched by point draws.
 //!
 //! The grid index rides along incrementally: the table retains its CSR
 //! [`GridIndexBuilder`] and inserts only the delta points on append —
@@ -48,7 +50,6 @@
 use std::sync::{Arc, Mutex};
 
 use crate::algebra::FingerprintBuilder;
-use crate::boundary::PointEntry;
 use crate::canvas::{Canvas, PointBatch};
 use crate::device::Device;
 use crate::info::{BlendFn, Texel};
@@ -336,7 +337,8 @@ pub fn render_live_heatmap(
             &chain,
         );
     }
-    crate::source::push_point_entries(&mut canvas, &vp, batch);
+    *canvas.boundary_mut() =
+        crate::source::point_index(&vp, &batch.points, &batch.ids, &batch.weights);
     canvas
 }
 
@@ -363,7 +365,6 @@ pub fn patch_live_heatmap(
         from_len <= batch.len(),
         "previous generation longer than the batch (tables are append-only)"
     );
-    let mut canvas = base.clone();
     let delta_points = &batch.points[from_len..];
     let delta_ids = &batch.ids[from_len..];
     let delta_weights = &batch.weights[from_len..];
@@ -372,6 +373,7 @@ pub fn patch_live_heatmap(
     dev.pipeline()
         .note_upload((delta_points.len() * (8 + 4 + 4)) as u64);
     let be = backend.unwrap_or_else(canvas_raster::simd::active_backend);
+    let mut canvas = base.clone();
     let report = {
         let (texels, _, _) = canvas.planes_mut();
         dev.pipeline().patch_points_tiled(
@@ -383,20 +385,11 @@ pub fn patch_live_heatmap(
             Some((be, ValueTag::HeatLog)),
         )
     };
-    // Delta boundary entries in input order onto the (sorted) cloned
-    // index; the stable re-sort reproduces push-all-then-sort exactly.
-    for (i, &p) in delta_points.iter().enumerate() {
-        if let Some((x, y)) = vp.world_to_pixel(p) {
-            let pixel = canvas.pixel_index(x, y);
-            canvas.boundary_mut().push_point(PointEntry {
-                pixel,
-                record: delta_ids[i],
-                loc: p,
-                weight: delta_weights[i],
-            });
-        }
-    }
-    canvas.boundary_mut().sort();
+    // The delta's entries, scattered into pixel order, merge behind the
+    // predecessor's on ties — exactly the order a full render's scatter
+    // of the whole (append-only) batch produces.
+    let delta = crate::source::point_index(&vp, delta_points, delta_ids, delta_weights);
+    canvas.boundary_mut().merge_in(&delta, &[], &[]);
     (
         canvas,
         PatchOutcome {

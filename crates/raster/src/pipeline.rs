@@ -1404,13 +1404,22 @@ mod tests {
             let mut c: Texture<u16> = Texture::new(10, 9);
             let mut pl = Pipeline::new();
             pl.set_threads(threads);
-            let collected = pl.map_planes(&mut a, &mut c, |x, y, t, cov, out| {
-                *t = x + y;
-                *cov = 1;
-                if x == y {
-                    out.push(y * 10 + x);
+            let collected = pl.map_planes(&mut a, &mut c, |y, row, cover, out| {
+                assert_eq!((row.len(), cover.len()), (10, 10), "one pixel row per call");
+                for (x, (t, cov)) in row.iter_mut().zip(cover.iter_mut()).enumerate() {
+                    let x = x as u32;
+                    *t = x + y;
+                    *cov = 1;
+                    if x == y {
+                        out.push(y * 10 + x);
+                    }
                 }
             });
+            assert_eq!(
+                collected.capacity(),
+                collected.len(),
+                "one exact allocation"
+            );
             assert_eq!(collected, vec![0, 11, 22, 33, 44, 55, 66, 77, 88]);
             assert_eq!(a.get(3, 5), 8);
             assert!(c.iter().all(|(_, _, v)| v == 1));

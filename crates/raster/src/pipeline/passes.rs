@@ -64,16 +64,19 @@ impl Pipeline {
 
     /// Full-screen pass over two aligned planes (texel + cover) with a
     /// band-local collector — the parallel form of the Mask operator's
-    /// per-pixel test. `f` may rewrite both texels and push entries into
-    /// the collector; collected values are returned concatenated in
-    /// row-major band order, so the output is identical at any thread
-    /// count.
+    /// per-pixel test. `f(y, row_a, row_c, collected)` is called once
+    /// per pixel row, rows of a band in ascending order, so it can walk
+    /// per-row side data (the boundary index's row runs) with a cursor
+    /// instead of searching per pixel. It may rewrite both rows and
+    /// push entries into the collector; collected values are returned
+    /// concatenated in row-major band order (one allocation, exact
+    /// capacity), so the output is identical at any thread count.
     pub fn map_planes<A, C, T, F>(&mut self, a: &mut Texture<A>, c: &mut Texture<C>, f: F) -> Vec<T>
     where
         A: Copy + Default + Send,
         C: Copy + Default + Send,
         T: Send,
-        F: Fn(u32, u32, &mut A, &mut C, &mut Vec<T>) + Sync,
+        F: Fn(u32, &mut [A], &mut [C], &mut Vec<T>) + Sync,
     {
         assert_eq!(
             (a.width(), a.height()),
@@ -87,14 +90,17 @@ impl Pipeline {
             self.pool
                 .for_each_band2(w, a.texels_mut(), c.texels_mut(), |row0, band_a, band_c| {
                     let mut collected = Vec::new();
-                    for (j, (ta, tc)) in band_a.iter_mut().zip(band_c.iter_mut()).enumerate() {
-                        let x = (j % w) as u32;
-                        let y = (row0 + j / w) as u32;
-                        f(x, y, ta, tc, &mut collected);
+                    let rows = band_a.chunks_mut(w).zip(band_c.chunks_mut(w));
+                    for (j, (row_a, row_c)) in rows.enumerate() {
+                        f((row0 + j) as u32, row_a, row_c, &mut collected);
                     }
                     collected
                 });
-        parts.into_iter().flatten().collect()
+        let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+        for part in parts {
+            out.extend(part);
+        }
+        out
     }
 
     /// Parallel full-screen pass over row bands on the worker pool:
