@@ -7,8 +7,8 @@
 //! actual vector representation". The mask operator consults this index
 //! to run exact tests only where pixels straddle a boundary.
 //!
-//! Each entry kind is one [`SortedRun`]: a contiguous array ordered by
-//! pixel (ties in input order) plus an `h + 1` row-offset table, CSR
+//! Each entry kind is kept in [`SortedRun`]s: a contiguous array ordered
+//! by pixel (ties in input order) plus an `h + 1` row-offset table, CSR
 //! style. A run is **sorted by construction** — it is only ever built
 //! by a stable counting scatter, a two-way merge of runs, or an
 //! order-preserving filter — so there is no unsorted state and no sort
@@ -16,6 +16,13 @@
 //! walk a row with a [`RowCursor`] instead of searching at all. Sources
 //! of vector geometry are shared via `Arc` so blends do not copy
 //! polygons.
+//!
+//! Areas and lines are one run each. Points — the only kind anything
+//! appends to — are a [`RunStack`]: up to [`MAX_LEVELS`] runs behind
+//! `Arc`, oldest first, so a live refresh stacks its delta on its
+//! predecessor's levels (shared by pointer) instead of copying them.
+
+use std::sync::Arc;
 
 use canvas_geom::Point;
 
@@ -167,8 +174,10 @@ impl<T: Entry> SortedRun<T> {
     /// entry of `other`, ordered by pixel with `self`'s entries first on
     /// ties — what a stable sort of `self ++ other` gives. `map` must
     /// keep the pixel. One pass over both runs, written once at exact
-    /// capacity; whatever is left of one run when the other ends (all of
-    /// it, when the other is empty) is moved as one block.
+    /// capacity, a block at a time: the end of each run's next block
+    /// (the entries that go before the other run's head) is found by
+    /// [`block_len`] and the block moved with one copy, so a merge costs
+    /// O(blocks · log block) compares rather than one per entry.
     pub fn merge(&self, other: &Self, map: impl Fn(&T) -> T) -> Self {
         assert_eq!(
             (self.width, self.rows.len()),
@@ -179,13 +188,17 @@ impl<T: Entry> SortedRun<T> {
         let mut entries = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
-            if a[i].pixel() <= b[j].pixel() {
-                entries.push(a[i]);
-                i += 1;
-            } else {
-                entries.push(map(&b[j]));
-                j += 1;
+            let head = b[j].pixel();
+            let end = i + block_len(&a[i..], |e| e.pixel() <= head);
+            entries.extend_from_slice(&a[i..end]);
+            i = end;
+            if i == a.len() {
+                break;
             }
+            let head = a[i].pixel();
+            let end = j + block_len(&b[j..], |e| e.pixel() < head);
+            entries.extend(b[j..end].iter().map(&map));
+            j = end;
         }
         entries.extend_from_slice(&a[i..]);
         entries.extend(b[j..].iter().map(&map));
@@ -303,6 +316,20 @@ fn index_rows<T: Entry>(entries: &[T], width: u32, height: u32) -> Vec<u32> {
     rows
 }
 
+/// Length of the prefix of `s` whose entries satisfy `pred` (true on a
+/// prefix, false after it): an exponential probe from the front, then a
+/// binary search inside the last step — O(log k) for a k-entry prefix,
+/// one compare when it is empty.
+fn block_len<T>(s: &[T], pred: impl Fn(&T) -> bool) -> usize {
+    let (mut len, mut step) = (0, 1);
+    while len + step <= s.len() && pred(&s[len + step - 1]) {
+        len += step;
+        step *= 2;
+    }
+    let end = (len + step).min(s.len());
+    len + s[len..end].partition_point(pred)
+}
+
 /// Stable in-row ordering by column for the scatter build: a counting
 /// pass over a copy of the row when the row is dense enough to repay
 /// `O(width)` bookkeeping, the standard stable sort when it is sparse.
@@ -376,10 +403,266 @@ impl<'a, T: Entry> RowCursor<'a, T> {
     }
 }
 
-/// The boundary entries of one canvas: one [`SortedRun`] per kind.
+/// Most levels a [`RunStack`] holds: one base and up to two deltas.
+pub const MAX_LEVELS: usize = 3;
+
+/// Compaction keeps each level at least this many times the size of
+/// the level stacked on it.
+const SIZE_RATIO: usize = 4;
+
+/// Entries of one kind as a short stack of shared [`SortedRun`] levels,
+/// oldest first. Its logical sequence is the levels merged by pixel with
+/// an older level's entries first on ties — every entry of a newer level
+/// came later in the input — so at any one pixel the entries are simply
+/// the levels' slices in level order.
+///
+/// Levels are immutable behind `Arc`: cloning a stack shares them, and
+/// every mutator writes a new level instead of writing through a shared
+/// one. [`push`](Self::push) stacks a run and compacts (see there);
+/// every other mutator leaves a single level.
+#[derive(Clone, Debug)]
+pub struct RunStack<T> {
+    /// `1..=MAX_LEVELS` runs over one pixel grid.
+    levels: Vec<Arc<SortedRun<T>>>,
+}
+
+impl<T: Entry> RunStack<T> {
+    /// The one-level stack of `run`.
+    pub fn new(run: SortedRun<T>) -> Self {
+        RunStack {
+            levels: vec![Arc::new(run)],
+        }
+    }
+
+    /// The levels, oldest first.
+    pub fn levels(&self) -> &[Arc<SortedRun<T>>] {
+        &self.levels
+    }
+
+    pub fn width(&self) -> u32 {
+        self.levels[0].width()
+    }
+
+    pub fn height(&self) -> u32 {
+        self.levels[0].height()
+    }
+
+    pub fn len(&self) -> usize {
+        self.levels.iter().map(|l| l.len()).sum()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.levels.iter().all(|l| l.is_empty())
+    }
+
+    /// Every entry in logical order: a slice walk over one level, a
+    /// k-way merge by pixel over several.
+    pub fn iter(&self) -> StackIter<'_, T> {
+        StackIter {
+            heads: std::array::from_fn(|i| self.levels.get(i).map_or(&[][..], |l| l.as_slice())),
+            levels: self.levels.len(),
+        }
+    }
+
+    /// The entries behind one pixel: each level's, in level order.
+    pub fn at(&self, pixel: u32) -> StackAt<'_, T> {
+        StackAt {
+            parts: std::array::from_fn(|i| self.levels.get(i).map_or(&[][..], |l| l.at(pixel))),
+            levels: self.levels.len(),
+        }
+    }
+
+    /// A cursor over row `y` for visiting its pixels left to right.
+    pub fn cursor(&self, y: u32) -> StackCursor<'_, T> {
+        StackCursor {
+            rows: std::array::from_fn(|i| match self.levels.get(i) {
+                Some(l) => l.cursor(y),
+                None => RowCursor { rest: &[] },
+            }),
+            levels: self.levels.len(),
+        }
+    }
+
+    /// Stacks `delta` — entries that come after every entry already
+    /// here — as the newest level, then compacts: while the stack holds
+    /// more than [`MAX_LEVELS`] levels, or the newest level is more than
+    /// a quarter (`SIZE_RATIO`) of the one under it, those two are merged
+    /// (older first) into one new level. Levels the compaction does not
+    /// reach stay shared with every other stack holding them. Returns
+    /// the entries the compaction rewrote (0 when it did not run).
+    pub fn push(&mut self, delta: SortedRun<T>) -> usize {
+        if delta.is_empty() {
+            return 0;
+        }
+        self.levels.push(Arc::new(delta));
+        let mut rewritten = 0;
+        while let [.., older, newer] = &self.levels[..] {
+            if self.levels.len() <= MAX_LEVELS && older.len() >= SIZE_RATIO * newer.len() {
+                break;
+            }
+            let merged = older.merge(newer, |e| *e);
+            rewritten += merged.len();
+            self.levels.truncate(self.levels.len() - 2);
+            self.levels.push(Arc::new(merged));
+        }
+        rewritten
+    }
+
+    /// The one-level stack of this stack's entries followed by
+    /// `other`'s (ties: all of this stack's first).
+    pub fn merged(&self, other: &Self) -> Self {
+        let mut runs = self.levels.iter().chain(&other.levels);
+        let first = runs.next().expect("a stack has a level");
+        let second = runs.next().expect("two stacks have two levels");
+        let run = runs.fold(first.merge(second, |e| *e), |acc, l| acc.merge(l, |e| *e));
+        RunStack::new(run)
+    }
+
+    /// Drops the entries `keep` rejects (order preserved): in place when
+    /// this stack is one level nobody shares, into one new level
+    /// otherwise.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        if let [only] = &mut self.levels[..] {
+            if let Some(run) = Arc::get_mut(only) {
+                run.retain(keep);
+                return;
+            }
+        }
+        let entries = self.iter().copied().filter(|e| keep(e)).collect();
+        *self = RunStack::new(SortedRun::from_sorted(self.width(), self.height(), entries));
+    }
+
+    /// Debug builds: checks every level (see
+    /// [`SortedRun::check_invariants`]) and the stack's shape.
+    pub fn check_invariants(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        assert!(
+            (1..=MAX_LEVELS).contains(&self.levels.len()),
+            "a stack holds 1..={MAX_LEVELS} levels, not {}",
+            self.levels.len()
+        );
+        for level in &self.levels {
+            assert_eq!(
+                (level.width(), level.height()),
+                (self.width(), self.height()),
+                "one pixel grid"
+            );
+            level.check_invariants();
+        }
+    }
+}
+
+/// Stacks are equal when their logical entry sequences are, however
+/// they are split into levels.
+impl<T: Entry + PartialEq> PartialEq for RunStack<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.width(), self.height()) == (other.width(), other.height())
+            && self.len() == other.len()
+            && self.iter().eq(other.iter())
+    }
+}
+
+/// The entries of a [`RunStack`] in logical order (see
+/// [`RunStack::iter`]).
+#[derive(Clone)]
+pub struct StackIter<'a, T> {
+    /// Each level's entries not yet yielded.
+    heads: [&'a [T]; MAX_LEVELS],
+    levels: usize,
+}
+
+impl<'a, T: Entry> Iterator for StackIter<'a, T> {
+    type Item = &'a T;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a T> {
+        // The level whose head has the lowest pixel; the oldest on ties.
+        let mut pick = 0;
+        for i in 1..self.levels {
+            if let Some(e) = self.heads[i].first() {
+                if self.heads[pick]
+                    .first()
+                    .is_none_or(|p| e.pixel() < p.pixel())
+                {
+                    pick = i;
+                }
+            }
+        }
+        let (first, rest) = self.heads[pick].split_first()?;
+        self.heads[pick] = rest;
+        Some(first)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.heads.iter().map(|h| h.len()).sum();
+        (n, Some(n))
+    }
+}
+
+impl<T: Entry> ExactSizeIterator for StackIter<'_, T> {}
+
+/// The entries behind one pixel of a [`RunStack`]: one slice per level,
+/// oldest first — at one pixel, level order is entry order, so reading
+/// them takes no compare.
+#[derive(Clone, Copy, Debug)]
+pub struct StackAt<'a, T> {
+    parts: [&'a [T]; MAX_LEVELS],
+    levels: usize,
+}
+
+impl<'a, T: Copy> StackAt<'a, T> {
+    /// The per-level slices, oldest first.
+    pub fn slices(&self) -> &[&'a [T]] {
+        &self.parts[..self.levels]
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.slices().iter().all(|s| s.is_empty())
+    }
+
+    pub fn to_vec(&self) -> Vec<T> {
+        self.slices().concat()
+    }
+}
+
+impl<'a, T> IntoIterator for StackAt<'a, T> {
+    type Item = &'a T;
+    type IntoIter = std::iter::Flatten<std::iter::Take<std::array::IntoIter<&'a [T], MAX_LEVELS>>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.parts.into_iter().take(self.levels).flatten()
+    }
+}
+
+/// Walks one pixel row of a [`RunStack`] from left to right, one
+/// [`RowCursor`] per level.
+pub struct StackCursor<'a, T> {
+    rows: [RowCursor<'a, T>; MAX_LEVELS],
+    levels: usize,
+}
+
+impl<'a, T: Entry> StackCursor<'a, T> {
+    /// The entries behind `pixel` (asked for in ascending order).
+    #[inline]
+    pub fn at(&mut self, pixel: u32) -> StackAt<'a, T> {
+        let mut parts = [&[][..]; MAX_LEVELS];
+        for (part, row) in parts.iter_mut().zip(&mut self.rows[..self.levels]) {
+            *part = row.at(pixel);
+        }
+        StackAt {
+            parts,
+            levels: self.levels,
+        }
+    }
+}
+
+/// The boundary entries of one canvas: a [`RunStack`] of points and one
+/// [`SortedRun`] each of areas and lines.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BoundaryIndex {
-    points: SortedRun<PointEntry>,
+    points: RunStack<PointEntry>,
     areas: SortedRun<AreaEntry>,
     lines: SortedRun<LineEntry>,
 }
@@ -388,13 +671,14 @@ impl BoundaryIndex {
     /// The empty index of a `width × height` canvas.
     pub fn new(width: u32, height: u32) -> Self {
         BoundaryIndex {
-            points: SortedRun::new(width, height),
+            points: RunStack::new(SortedRun::new(width, height)),
             areas: SortedRun::new(width, height),
             lines: SortedRun::new(width, height),
         }
     }
 
-    /// An index holding exactly these runs (all over one pixel grid).
+    /// An index holding exactly these runs (all over one pixel grid);
+    /// the points are one level.
     pub fn from_runs(
         points: SortedRun<PointEntry>,
         areas: SortedRun<AreaEntry>,
@@ -404,7 +688,7 @@ impl BoundaryIndex {
         assert_eq!(grid, (areas.width(), areas.height()), "one pixel grid");
         assert_eq!(grid, (lines.width(), lines.height()), "one pixel grid");
         BoundaryIndex {
-            points,
+            points: RunStack::new(points),
             areas,
             lines,
         }
@@ -431,7 +715,7 @@ impl BoundaryIndex {
     }
 
     /// Exact point entries behind a pixel.
-    pub fn points_at(&self, pixel: u32) -> &[PointEntry] {
+    pub fn points_at(&self, pixel: u32) -> StackAt<'_, PointEntry> {
         self.points.at(pixel)
     }
 
@@ -446,8 +730,20 @@ impl BoundaryIndex {
     }
 
     /// All point entries (pixel-sorted).
-    pub fn points(&self) -> &[PointEntry] {
-        self.points.as_slice()
+    pub fn points(&self) -> StackIter<'_, PointEntry> {
+        self.points.iter()
+    }
+
+    /// The levels of the point stack, oldest first (see [`RunStack`]).
+    pub fn point_levels(&self) -> &[Arc<SortedRun<PointEntry>>] {
+        self.points.levels()
+    }
+
+    /// Stacks `delta` — point entries that come after every one already
+    /// here — on the point stack (see [`RunStack::push`]). Returns the
+    /// entries its compaction rewrote.
+    pub fn push_points(&mut self, delta: SortedRun<PointEntry>) -> usize {
+        self.points.push(delta)
     }
 
     /// All area entries (pixel-sorted).
@@ -461,7 +757,7 @@ impl BoundaryIndex {
     }
 
     /// Left-to-right cursor over the point entries of pixel row `y`.
-    pub fn points_cursor(&self, y: u32) -> RowCursor<'_, PointEntry> {
+    pub fn points_cursor(&self, y: u32) -> StackCursor<'_, PointEntry> {
         self.points.cursor(y)
     }
 
@@ -473,10 +769,11 @@ impl BoundaryIndex {
     /// The index of a blend: this index's entries with `other`'s merged
     /// in, `other`'s source indexes remapped through `area_remap` /
     /// `line_remap` (the blended canvas concatenates the operands'
-    /// geometry source tables). One linear merge per kind, written once.
+    /// geometry source tables). One linear merge per kind (per level,
+    /// for layered points), written once.
     pub fn merged(&self, other: &BoundaryIndex, area_remap: &[u16], line_remap: &[u16]) -> Self {
         BoundaryIndex {
-            points: self.points.merge(&other.points, |e| *e),
+            points: self.points.merged(&other.points),
             areas: self.areas.merge(&other.areas, remap_area(area_remap)),
             lines: self.lines.merge(&other.lines, remap_line(line_remap)),
         }
@@ -486,7 +783,7 @@ impl BoundaryIndex {
     /// `other` has no entries of is left as it is, not rewritten.
     pub fn merge_in(&mut self, other: &BoundaryIndex, area_remap: &[u16], line_remap: &[u16]) {
         if !other.points.is_empty() {
-            self.points = self.points.merge(&other.points, |e| *e);
+            self.points = self.points.merged(&other.points);
         }
         if !other.areas.is_empty() {
             self.areas = self.areas.merge(&other.areas, remap_area(area_remap));
@@ -502,7 +799,7 @@ impl BoundaryIndex {
     /// `keep_pixel` accepts.
     pub fn masked(&self, points: Vec<PointEntry>, keep_pixel: impl Fn(u32) -> bool) -> Self {
         BoundaryIndex {
-            points: SortedRun::from_sorted(self.width(), self.height(), points),
+            points: RunStack::new(SortedRun::from_sorted(self.width(), self.height(), points)),
             areas: self.areas.filtered(|e| keep_pixel(e.pixel)),
             lines: self.lines.filtered(|e| keep_pixel(e.pixel)),
         }
@@ -577,8 +874,8 @@ mod tests {
         })
     }
 
-    fn records(entries: &[PointEntry]) -> Vec<u32> {
-        entries.iter().map(|e| e.record).collect()
+    fn records<'a>(entries: impl IntoIterator<Item = &'a PointEntry>) -> Vec<u32> {
+        entries.into_iter().map(|e| e.record).collect()
     }
 
     #[test]
@@ -677,5 +974,79 @@ mod tests {
         assert!(cur.at(6).is_empty());
         assert_eq!(records(cur.at(7)), vec![4]);
         assert!(cur.at(7).is_empty(), "consumed");
+    }
+
+    #[test]
+    fn block_len_finds_the_end_of_a_prefix() {
+        let s: Vec<u32> = (0..100).collect();
+        for k in [0, 1, 2, 3, 7, 8, 9, 63, 64, 65, 99, 100] {
+            assert_eq!(block_len(&s, |&v| v < k), k as usize, "k={k}");
+        }
+        assert_eq!(block_len(&[] as &[u32], |_| true), 0);
+    }
+
+    #[test]
+    fn stacked_levels_read_older_first_on_ties() {
+        let base = points(&[(5, 1), (2, 2), (9, 3), (0, 4)]);
+        let mut stack = RunStack::new(base);
+        // A quarter of the base: stays a level of its own.
+        assert_eq!(stack.push(points(&[(5, 10)])), 0);
+        assert_eq!(stack.levels().len(), 2);
+        assert_eq!(records(stack.iter()), vec![4, 2, 1, 10, 3]);
+        assert_eq!(stack.iter().len(), 5);
+        assert_eq!(records(stack.at(5)), vec![1, 10]);
+        assert_eq!(stack.at(5).slices().len(), 2);
+        let mut cur = stack.cursor(1);
+        assert_eq!(records(cur.at(5)), vec![1, 10]);
+        assert!(cur.at(6).is_empty());
+        // Equality is by logical sequence, not by layout.
+        let flat = RunStack::new(points(&[(5, 1), (2, 2), (9, 3), (0, 4), (5, 10)]));
+        assert_eq!(stack, flat);
+        let swapped = RunStack::new(points(&[(5, 10), (2, 2), (9, 3), (0, 4), (5, 1)]));
+        assert_ne!(stack, swapped);
+    }
+
+    #[test]
+    fn push_compacts_by_size_ratio_and_never_exceeds_the_level_cap() {
+        let mut want: Vec<(u32, u32)> = (0..256).map(|i| (i % 16, 1000 + i)).collect();
+        let mut stack = RunStack::new(points(&want));
+        let base = Arc::clone(&stack.levels()[0]);
+        assert_eq!(stack.push(points(&[])), 0, "an empty delta is no level");
+        assert_eq!(stack.levels().len(), 1);
+        let deltas: Vec<(u32, u32)> = (0..30).map(|r| (r * 7 % 16, r)).collect();
+        let mut rewritten = Vec::new();
+        for &delta in &deltas {
+            rewritten.push(stack.push(points(&[delta])));
+            stack.check_invariants();
+            assert!(stack.levels().len() <= MAX_LEVELS);
+        }
+        // [256, 1] stays; [256, 1, 1] merges its deltas (1 > 1/4 of 1);
+        // [256, 2, 1] merges into [256, 3]; [256, 3, 1] into [256, 4].
+        assert_eq!(rewritten[..4], [0, 2, 3, 4]);
+        assert!(Arc::ptr_eq(&stack.levels()[0], &base), "base never reached");
+        want.extend_from_slice(&deltas);
+        // A delta larger than everything below folds the stack into one.
+        let big: Vec<(u32, u32)> = (0..1200).map(|i| (i % 16, 5000 + i)).collect();
+        let total = stack.len() + big.len();
+        assert!(stack.push(points(&big)) >= total);
+        assert_eq!(stack.levels().len(), 1);
+        want.extend(big);
+        assert_eq!(stack, RunStack::new(points(&want)));
+    }
+
+    #[test]
+    fn retain_on_a_shared_stack_writes_a_new_level() {
+        let mut stack = RunStack::new(points(&[(1, 1), (2, 2)]));
+        stack.push(points(&[(1, 3)]));
+        let shared = stack.clone();
+        stack.retain(|e| e.record != 1);
+        assert_eq!(records(stack.iter()), vec![3, 2]);
+        assert_eq!(stack.levels().len(), 1);
+        assert_eq!(records(shared.iter()), vec![1, 3, 2], "untouched");
+        // Unshared and flat: filtered in place.
+        let mut flat = RunStack::new(points(&[(1, 1), (2, 2)]));
+        let before = flat.levels()[0].as_slice().as_ptr();
+        flat.retain(|e| e.record == 2);
+        assert_eq!(flat.levels()[0].as_slice().as_ptr(), before);
     }
 }

@@ -195,7 +195,7 @@ impl Canvas {
     /// Record ids of all surviving point entries — the `SELECT *` result
     /// of point queries (sorted, deduplicated).
     pub fn point_records(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.boundary.points().iter().map(|e| e.record).collect();
+        let mut ids: Vec<u32> = self.boundary.points().map(|e| e.record).collect();
         ids.sort_unstable();
         ids.dedup();
         ids
@@ -203,7 +203,7 @@ impl Canvas {
 
     /// Sum of point-entry weights (exact SUM aggregations).
     pub fn point_weight_sum(&self) -> f64 {
-        self.boundary.points().iter().map(|e| e.weight as f64).sum()
+        self.boundary.points().map(|e| e.weight as f64).sum()
     }
 
     /// Distinct record ids present in the 2-primitive rows of non-∅

@@ -120,9 +120,11 @@ fn mask_texel(dev: &mut Device, c: &Canvas, pred: impl Fn(&Texel) -> bool + Sync
         });
     // Boundary entries of nulled pixels go; the survivors are filtered
     // straight out of the input's index (it is never copied).
-    let kept_points = c.boundary().points().iter().copied();
-    let kept_points = kept_points
+    let kept_points = c
+        .boundary()
+        .points()
         .filter(|e| !texels.texels()[e.pixel as usize].is_null())
+        .copied()
         .collect();
     finish_mask(c, texels, cover, kept_points)
 }
@@ -163,7 +165,9 @@ fn mask_point_in_areas(dev: &mut Device, c: &Canvas, cond: CountCond) -> Canvas 
                         // Uniform pixel: the certain-cover count is the exact
                         // polygon incidence for every location in the pixel.
                         if cond.eval(*cov as u32) {
-                            kept.extend_from_slice(here);
+                            for level in here.slices() {
+                                kept.extend_from_slice(level);
+                            }
                         } else {
                             *cov = 0;
                             *t = Texel::null();

@@ -78,12 +78,12 @@ pub fn transform_positions(
     let mut out = Canvas::empty(target_vp);
 
     // 0-primitives: transform the exact stored locations.
-    let entries = c.boundary().points();
-    if !entries.is_empty() {
+    let entries = c.boundary();
+    if entries.num_points() > 0 {
         let batch = crate::canvas::PointBatch {
-            points: entries.iter().map(|e| gamma.apply(e.loc)).collect(),
-            ids: entries.iter().map(|e| e.record).collect(),
-            weights: entries.iter().map(|e| e.weight).collect(),
+            points: entries.points().map(|e| gamma.apply(e.loc)).collect(),
+            ids: entries.points().map(|e| e.record).collect(),
+            weights: entries.points().map(|e| e.weight).collect(),
         };
         let moved = source::render_points(dev, target_vp, &batch);
         out = crate::ops::blend::blend(dev, &out, &moved, BlendFn::Over);
@@ -253,7 +253,7 @@ mod tests {
         assert!(out.texel(4, 5).has(0));
         assert!(out.texel(1, 1).is_null());
         // Exact location moved too.
-        let e = out.boundary().points()[0];
+        let e = out.boundary().points().next().unwrap();
         assert_eq!(e.loc, Point::new(4.5, 5.5));
     }
 

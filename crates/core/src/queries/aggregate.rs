@@ -97,7 +97,6 @@ pub fn minmax_points_in_polygon(
     sel.canvas
         .boundary()
         .points()
-        .iter()
         .map(|e| e.weight)
         .fold(None, |acc, w| match acc {
             None => Some((w, w)),

@@ -228,8 +228,8 @@ mod tests {
             assert_eq!(fused.canvas.texels(), want.texels(), "threads={threads}");
             assert_eq!(fused.canvas.cover(), want.cover(), "threads={threads}");
             assert_eq!(
-                fused.canvas.boundary().points(),
-                want.boundary().points(),
+                fused.canvas.boundary().points().collect::<Vec<_>>(),
+                want.boundary().points().collect::<Vec<_>>(),
                 "threads={threads}"
             );
             assert_eq!(dev_f.stats(), dev_m.stats(), "stats at {threads} threads");

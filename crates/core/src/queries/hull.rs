@@ -50,13 +50,7 @@ pub fn hull_of_selection_via(
 }
 
 fn hull_of_canvas_points(sel: &crate::queries::selection::PointSelection) -> Vec<Point> {
-    let pts: Vec<Point> = sel
-        .canvas
-        .boundary()
-        .points()
-        .iter()
-        .map(|e| e.loc)
-        .collect();
+    let pts: Vec<Point> = sel.canvas.boundary().points().map(|e| e.loc).collect();
     convex_hull(&pts)
 }
 

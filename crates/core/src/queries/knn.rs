@@ -69,7 +69,6 @@ pub fn knn(dev: &mut Device, vp: Viewport, data: &PointBatch, x: Point, k: usize
             .canvas
             .boundary()
             .points()
-            .iter()
             .map(|e| (e.loc.dist_sq(x), e.record))
             .collect(),
         None => Vec::new(),

@@ -80,14 +80,14 @@ fn moved_survivors(
     if origin_sel.records.is_empty() {
         return None;
     }
-    let survivors = origin_sel.canvas.boundary().points();
+    let survivors = origin_sel.canvas.boundary();
     let moved = PointBatch {
         points: survivors
-            .iter()
+            .points()
             .map(|e| trips.destinations[e.record as usize])
             .collect(),
-        ids: survivors.iter().map(|e| e.record).collect(),
-        weights: survivors.iter().map(|e| e.weight).collect(),
+        ids: survivors.points().map(|e| e.record).collect(),
+        weights: survivors.points().map(|e| e.weight).collect(),
     };
     Some(render_points(dev, *origins.viewport(), &moved))
 }

@@ -74,9 +74,9 @@ pub fn skyline_of_selection_via(
 }
 
 fn skyline_of_canvas_points(sel: &PointSelection, sites: &[Point]) -> Vec<u32> {
-    let entries = sel.canvas.boundary().points();
-    let pts: Vec<Point> = entries.iter().map(|e| e.loc).collect();
-    let ids: Vec<u32> = entries.iter().map(|e| e.record).collect();
+    let entries = sel.canvas.boundary();
+    let pts: Vec<Point> = entries.points().map(|e| e.loc).collect();
+    let ids: Vec<u32> = entries.points().map(|e| e.record).collect();
     skyline_of(&pts, &ids, sites)
 }
 

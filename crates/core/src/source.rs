@@ -30,12 +30,31 @@ pub fn render_points(dev: &mut Device, vp: Viewport, batch: &PointBatch) -> Canv
     run_points_chain(dev, vp, batch, &CanvasChain::new()).canvas
 }
 
-/// The index of a point render: the exact entry of every in-viewport
-/// point (the paper stores "the actual location of the points" per
-/// pixel, for refinement and result extraction), scattered straight
-/// from the batch columns into pixel order. Shared by every point
-/// render (`ops::chain::run_points_chain`, the live heatmap and its
-/// patches, which pass the appended suffix of each column).
+/// The point entries of a point render: the exact entry of every
+/// in-viewport point (the paper stores "the actual location of the
+/// points" per pixel, for refinement and result extraction), scattered
+/// straight from the batch columns into pixel order. Shared by every
+/// point render (`ops::chain::run_points_chain`, the live heatmap) and
+/// by live patches, which pass the appended suffix of each column.
+pub(crate) fn point_run(
+    vp: &Viewport,
+    points: &[canvas_geom::Point],
+    ids: &[u32],
+    weights: &[f32],
+) -> SortedRun<PointEntry> {
+    let (w, h) = (vp.width(), vp.height());
+    let pixels = points
+        .iter()
+        .map(|&p| vp.world_to_pixel(p).map(|(x, y)| y * w + x));
+    SortedRun::scatter(w, h, pixels, |i, pixel| PointEntry {
+        pixel,
+        record: ids[i],
+        loc: points[i],
+        weight: weights[i],
+    })
+}
+
+/// The index of a point render: [`point_run`] and nothing else.
 pub(crate) fn point_index(
     vp: &Viewport,
     points: &[canvas_geom::Point],
@@ -43,15 +62,7 @@ pub(crate) fn point_index(
     weights: &[f32],
 ) -> BoundaryIndex {
     let (w, h) = (vp.width(), vp.height());
-    let pixels = points
-        .iter()
-        .map(|&p| vp.world_to_pixel(p).map(|(x, y)| y * w + x));
-    let run = SortedRun::scatter(w, h, pixels, |i, pixel| PointEntry {
-        pixel,
-        record: ids[i],
-        loc: points[i],
-        weight: weights[i],
-    });
+    let run = point_run(vp, points, ids, weights);
     BoundaryIndex::from_runs(run, SortedRun::new(w, h), SortedRun::new(w, h))
 }
 

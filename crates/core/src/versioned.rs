@@ -16,11 +16,14 @@
 //! * [`render_live_heatmap`] — the maintained view: a full tiled
 //!   point-density render finished by the `HeatLog` value pass
 //!   (`v2 := ln(1 + count)` per occupied pixel).
-//! * [`patch_live_heatmap`] — O(delta) maintenance: clone the cached
-//!   canvas of a previous generation, bin only the appended points to
-//!   tiles, replay the blend on the dirty tiles, re-apply the value
-//!   pass over those tiles, and merge the delta's boundary entries
-//!   into the clone's index.
+//! * [`patch_live_heatmap`] — O(delta) maintenance from the cached
+//!   canvas of a previous generation, which it never writes: copy its
+//!   two planes, bin only the appended points to tiles, replay the
+//!   blend on the dirty tiles, re-apply the value pass over those
+//!   tiles, and stack the delta's boundary entries as a new level on
+//!   the predecessor's point levels, which the new canvas shares by
+//!   pointer ([`RunStack`](crate::boundary::RunStack); its size-ratio
+//!   compaction keeps the stack at most three levels deep).
 //!
 //! ## Why the patch is bit-identical to a full re-render
 //!
@@ -38,9 +41,10 @@
 //!   no delta points already hold the exact full-render texels.
 //! * Boundary point entries are ordered by pixel with ties in input
 //!   order; the delta's entries come later in the input than every
-//!   predecessor entry, so merging them behind the predecessor's on
-//!   ties reproduces the full render's index exactly. The cover plane
-//!   is never touched by point draws.
+//!   predecessor entry, so a level stacked on the predecessor's (read
+//!   behind them on ties, and merged behind them when compacted)
+//!   reproduces the full render's index exactly. The cover plane is
+//!   never touched by point draws.
 //!
 //! The grid index rides along incrementally: the table retains its CSR
 //! [`GridIndexBuilder`] and inserts only the delta points on append —
@@ -78,6 +82,10 @@ pub struct PatchOutcome {
     pub total_tiles: usize,
     /// Points in the applied delta (including out-of-viewport ones).
     pub delta_points: usize,
+    /// Levels of the patched canvas's point index.
+    pub levels: usize,
+    /// Point entries the index's compaction rewrote in this patch.
+    pub compacted: usize,
 }
 
 struct State {
@@ -342,12 +350,15 @@ pub fn render_live_heatmap(
     canvas
 }
 
-/// Incremental maintenance of a live heatmap: clones `base` — the
-/// canvas rendered from the first `from_len` points of `batch` — and
-/// patches in the appended suffix `batch[from_len..]`, redrawing only
-/// the tiles the delta touches. Bit-identical to
-/// [`render_live_heatmap`] over the full batch (module docs explain
-/// why; the proptest oracle asserts it).
+/// Incremental maintenance of a live heatmap: the canvas of the full
+/// `batch`, built from `base` — the canvas rendered from its first
+/// `from_len` points — by patching in the appended suffix
+/// `batch[from_len..]`. The two planes are copied and only the tiles
+/// the delta touches are redrawn; the point index is `base`'s levels,
+/// shared by pointer, with the delta's entries stacked on top. `base`
+/// is left as it was. Bit-identical to [`render_live_heatmap`] over the
+/// full batch (module docs explain why; the proptest oracle asserts
+/// it).
 pub fn patch_live_heatmap(
     dev: &mut Device,
     vp: Viewport,
@@ -373,29 +384,43 @@ pub fn patch_live_heatmap(
     dev.pipeline()
         .note_upload((delta_points.len() * (8 + 4 + 4)) as u64);
     let be = backend.unwrap_or_else(canvas_raster::simd::active_backend);
-    let mut canvas = base.clone();
-    let report = {
-        let (texels, _, _) = canvas.planes_mut();
-        dev.pipeline().patch_points_tiled(
-            &vp,
-            texels,
-            delta_points,
-            |i, _| Texel::point(delta_ids[i as usize], 1.0, delta_weights[i as usize]),
-            |d, s| BlendFn::PointAccumulate.apply(d, s),
-            Some((be, ValueTag::HeatLog)),
-        )
-    };
-    // The delta's entries, scattered into pixel order, merge behind the
-    // predecessor's on ties — exactly the order a full render's scatter
-    // of the whole (append-only) batch produces.
-    let delta = crate::source::point_index(&vp, delta_points, delta_ids, delta_weights);
-    canvas.boundary_mut().merge_in(&delta, &[], &[]);
+    let mut texels = base.texels().clone();
+    let report = dev.pipeline().patch_points_tiled(
+        &vp,
+        &mut texels,
+        delta_points,
+        |i, _| Texel::point(delta_ids[i as usize], 1.0, delta_weights[i as usize]),
+        |d, s| BlendFn::PointAccumulate.apply(d, s),
+        Some((be, ValueTag::HeatLog)),
+    );
+    // The delta's entries, scattered into pixel order, stack on the
+    // predecessor's levels and so read behind them on ties — exactly the
+    // order a full render's scatter of the whole (append-only) batch
+    // produces.
+    let mut boundary = base.boundary().clone();
+    let compacted = boundary.push_points(crate::source::point_run(
+        &vp,
+        delta_points,
+        delta_ids,
+        delta_weights,
+    ));
+    let levels = boundary.point_levels().len();
+    let canvas = Canvas::from_parts(
+        vp,
+        texels,
+        base.cover().clone(),
+        boundary,
+        base.area_sources().to_vec(),
+        base.line_sources().to_vec(),
+    );
     (
         canvas,
         PatchOutcome {
             dirty_tiles: report.dirty_tiles,
             total_tiles: report.total_tiles,
             delta_points: delta_points.len(),
+            levels,
+            compacted,
         },
     )
 }
@@ -508,6 +533,43 @@ mod tests {
             assert!(out.dirty_tiles >= 1 && out.dirty_tiles <= 2);
             assert_eq!(out.total_tiles, 4);
         }
+    }
+
+    #[test]
+    fn patches_share_the_predecessor_base_level() {
+        // 100 two-point deltas add a sixth of the base: compaction keeps
+        // every level within a quarter of the one under it, so it never
+        // reaches the base.
+        let pts: Vec<(f64, f64)> = (0..1_200)
+            .map(|i| ((i % 97) as f64 / 9.7, (i % 89) as f64 / 8.9))
+            .collect();
+        let mut all = batch(&pts);
+        let mut dev = Device::cpu();
+        let mut canvas = render_live_heatmap(&mut dev, vp(64), &all, None);
+        let mut compacted = 0;
+        for g in 0..100 {
+            let from_len = all.len();
+            for k in 0..2 {
+                let id = all.len() as u32;
+                all.points.push(Point::new(g as f64 / 10.0, k as f64 * 5.0));
+                all.ids.push(id);
+                all.weights.push(1.0);
+            }
+            let (next, out) = patch_live_heatmap(&mut dev, vp(64), &canvas, &all, from_len, None);
+            let (before, after) = (
+                canvas.boundary().point_levels(),
+                next.boundary().point_levels(),
+            );
+            assert!(Arc::ptr_eq(&before[0], &after[0]), "generation {g}");
+            assert!(after.len() <= 3, "generation {g}: {} levels", after.len());
+            assert_eq!(out.levels, after.len());
+            compacted += out.compacted;
+            canvas = next;
+        }
+        assert!(compacted > 0, "the deltas were compacted among themselves");
+        let want = render_live_heatmap(&mut Device::cpu(), vp(64), &all, None);
+        assert_eq!(canvas.boundary(), want.boundary());
+        assert_eq!(canvas.texels(), want.texels());
     }
 
     #[test]

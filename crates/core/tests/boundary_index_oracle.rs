@@ -10,11 +10,14 @@
 //! on random inputs, at 1, 2 and 4 threads where a device is involved.
 //! The pre-change `mask_point_in_areas` is copied here too, written
 //! against `OldIndex`, as the reference for the mask's planes and all
-//! three entry lists.
+//! three entry lists. A layered point index (a stack of delta levels
+//! on a base) is held to the same spec over the concatenated input.
 
 use std::sync::Arc;
 
-use canvas_core::boundary::{AreaEntry, BoundaryIndex, LineEntry, PointEntry, SortedRun};
+use canvas_core::boundary::{
+    AreaEntry, BoundaryIndex, LineEntry, PointEntry, SortedRun, MAX_LEVELS,
+};
 use canvas_core::canvas::{AreaSource, LineSource};
 use canvas_core::ops::{blend, mask, CountCond, MaskSpec};
 use canvas_core::source::{render_points, render_polygon_set, render_polylines};
@@ -84,7 +87,7 @@ use spec::OldIndex;
 /// The spec's view of a new index (for `assert_eq!` against it).
 fn as_old(b: &BoundaryIndex) -> OldIndex {
     OldIndex {
-        points: b.points().to_vec(),
+        points: b.points().copied().collect(),
         areas: b.areas().to_vec(),
         lines: b.lines().to_vec(),
     }
@@ -146,13 +149,15 @@ fn arb_keyed(w: u32, h: u32, n: usize) -> impl Strategy<Value = Vec<(u32, u16, u
     prop::collection::vec((0..w * h, 0u16..3, 0u32..1000), 0..n)
 }
 
-fn point_run(w: u32, h: u32, input: &[(u32, u16, u32)]) -> SortedRun<PointEntry> {
+/// Point entries of `input`, which starts at position `first` of the
+/// whole input (entries carry their position, so all are distinct).
+fn point_run(w: u32, h: u32, input: &[(u32, u16, u32)], first: usize) -> SortedRun<PointEntry> {
     SortedRun::scatter(w, h, input.iter().map(|&(p, _, _)| Some(p)), |i, pixel| {
         PointEntry {
             pixel,
             record: input[i].2,
-            loc: Point::new(i as f64, input[i].1 as f64),
-            weight: i as f32,
+            loc: Point::new((first + i) as f64, input[i].1 as f64),
+            weight: (first + i) as f32,
         }
     })
 }
@@ -218,7 +223,7 @@ fn new_index(
     lns: &[(u32, u16, u32)],
 ) -> BoundaryIndex {
     BoundaryIndex::from_runs(
-        point_run(w, h, pts),
+        point_run(w, h, pts, 0),
         area_run(w, h, ars),
         line_run(w, h, lns),
     )
@@ -245,7 +250,7 @@ proptest! {
         for threads in THREADS {
             let c = render_points(&mut device(threads), vp, &batch);
             c.boundary().check_invariants();
-            prop_assert_eq!(c.boundary().points(), &want[..], "threads={}", threads);
+            prop_assert_eq!(as_old(c.boundary()).points, want.clone(), "threads={}", threads);
             prop_assert_eq!(c.boundary().num_areas() + c.boundary().num_lines(), 0);
         }
     }
@@ -291,12 +296,12 @@ proptest! {
         // Lookups search one row; the spec is a linear filter.
         for pixel in 0..w * h + 3 {
             let pts: Vec<PointEntry> =
-                merged.points().iter().copied().filter(|e| e.pixel == pixel).collect();
+                merged.points().copied().filter(|e| e.pixel == pixel).collect();
             let ars: Vec<AreaEntry> =
                 merged.areas().iter().copied().filter(|e| e.pixel == pixel).collect();
             let lns: Vec<LineEntry> =
                 merged.lines().iter().copied().filter(|e| e.pixel == pixel).collect();
-            prop_assert_eq!(merged.points_at(pixel), &pts[..]);
+            prop_assert_eq!(merged.points_at(pixel).to_vec(), pts);
             prop_assert_eq!(merged.areas_at(pixel), &ars[..]);
             prop_assert_eq!(merged.lines_at(pixel), &lns[..]);
         }
@@ -305,7 +310,7 @@ proptest! {
             let mut cursor = merged.points_cursor(y);
             for x in 0..w {
                 let pixel = y * w + x;
-                prop_assert_eq!(cursor.at(pixel), old_merged.points_at(pixel));
+                prop_assert_eq!(&cursor.at(pixel).to_vec()[..], old_merged.points_at(pixel));
             }
         }
 
@@ -319,6 +324,105 @@ proptest! {
         prop_assert_eq!(as_old(&kept), old_kept.clone());
         let masked = merged.masked(old_kept.points.clone(), keep);
         prop_assert_eq!(&masked, &kept);
+    }
+
+    /// A point stack built by pushing 1–40 deltas — empty, a handful, a
+    /// few dozen, or more than the whole base — reads, filters and
+    /// merges exactly as the old index over the concatenated input: after
+    /// every push the entry order, count and stack depth, and a clone
+    /// taken before the push is unchanged by it; at the end every lookup
+    /// path, every mutator, and the blend merge on either side.
+    #[test]
+    fn layered_point_stacks_match_the_old_index(
+        grid in prop::sample::select(GRIDS.to_vec()),
+        seed in 0u64..u64::MAX,
+    ) {
+        let (w, h) = grid;
+        let mut rng = TestRng::for_test(&format!("layers-{seed}"));
+        let mut gen = |n: usize| {
+            prop::collection::vec((0..w * h, 0u16..3, 0u32..1000), n..n + 1).generate(&mut rng)
+        };
+        let mut sizes = TestRng::for_test(&format!("sizes-{seed}"));
+        let mut roll = |n: u64| (sizes.next_u64() % n) as usize;
+        let base_len = roll(300);
+        let (mut all, ars, lns) = (gen(base_len), gen(40), gen(40));
+        let mut stack = BoundaryIndex::from_runs(
+            point_run(w, h, &all, 0),
+            area_run(w, h, &ars),
+            line_run(w, h, &lns),
+        );
+        let deltas = 1 + roll(40);
+        for k in 0..deltas {
+            let size = match roll(4) {
+                0 => 0,
+                1 => 1 + roll(8),
+                2 => 8 + roll(56),
+                _ => base_len + 1 + roll(64),
+            };
+            let delta = gen(size);
+            let before = stack.clone();
+            let before_old = as_old(&before);
+            stack.push_points(point_run(w, h, &delta, all.len()));
+            all.extend(delta);
+            stack.check_invariants();
+            let levels = stack.point_levels().len();
+            prop_assert!(levels <= MAX_LEVELS, "{} levels", levels);
+            prop_assert_eq!(stack.num_points(), all.len());
+            prop_assert_eq!(as_old(&stack), spec_index(&all, &ars, &lns), "after push {}", k);
+            prop_assert_eq!(as_old(&before), before_old, "push wrote a shared level");
+        }
+        let old = spec_index(&all, &ars, &lns);
+        let flat = new_index(w, h, &all, &ars, &lns);
+        prop_assert_eq!(&stack, &flat, "equality ignores the level layout");
+
+        // Lookups and cursors chain the levels' slices.
+        for pixel in 0..w * h + 3 {
+            prop_assert_eq!(&stack.points_at(pixel).to_vec()[..], old.points_at(pixel));
+        }
+        for y in 0..h {
+            let mut cursor = stack.points_cursor(y);
+            for x in 0..w {
+                let pixel = y * w + x;
+                let here: Vec<PointEntry> = cursor.at(pixel).into_iter().copied().collect();
+                prop_assert_eq!(&here[..], old.points_at(pixel));
+            }
+        }
+
+        // Mutators write one level and leave clones of the stack alone.
+        let shared = stack.clone();
+        let mut kept = stack.clone();
+        kept.retain_points(|e| e.record % 3 != 0);
+        kept.check_invariants();
+        let mut old_kept = old.clone();
+        old_kept.points.retain(|e| e.record % 3 != 0);
+        prop_assert_eq!(as_old(&kept), old_kept);
+        prop_assert_eq!(kept.point_levels().len(), 1);
+        let keep = |pixel: u32| pixel % 3 != 1;
+        let mut old_pruned = old.clone();
+        old_pruned.retain_pixels(keep);
+        let mut pruned = stack.clone();
+        pruned.retain_pixels(keep);
+        prop_assert_eq!(as_old(&pruned), old_pruned.clone());
+        let masked = stack.masked(old_pruned.points.clone(), keep);
+        prop_assert_eq!(&masked, &pruned);
+        prop_assert_eq!(&shared, &stack);
+        prop_assert_eq!(as_old(&shared), old.clone(), "a mutator wrote a shared level");
+
+        // The blend merge, with the stack on either side (and both).
+        let other = new_index(w, h, &gen(200), &gen(30), &gen(30));
+        let (area_remap, line_remap) = ([2u16, 0, 5], [1u16, 1, 4]);
+        for (left, right) in [(&stack, &other), (&other, &stack), (&stack, &stack)] {
+            let mut want = as_old(left);
+            want.merge_remapped(&as_old(right), &area_remap, &line_remap);
+            want.sort();
+            let merged = left.merged(right, &area_remap, &line_remap);
+            merged.check_invariants();
+            prop_assert_eq!(merged.point_levels().len(), 1);
+            prop_assert_eq!(as_old(&merged), want);
+            let mut in_place = left.clone();
+            in_place.merge_in(right, &area_remap, &line_remap);
+            prop_assert_eq!(&in_place, &merged);
+        }
     }
 
     /// The incremental patch's index (predecessor merged with the
@@ -338,7 +442,7 @@ proptest! {
             let before = render_live_heatmap(&mut dev, vp, &prefix, None);
             let (patched, _) = patch_live_heatmap(&mut dev, vp, &before, &full, prefix.len(), None);
             patched.boundary().check_invariants();
-            prop_assert_eq!(patched.boundary().points(), &want[..], "threads={}", threads);
+            prop_assert_eq!(as_old(patched.boundary()).points, want.clone(), "threads={}", threads);
             let rebuilt = render_live_heatmap(&mut dev, vp, &full, None);
             prop_assert_eq!(patched.boundary(), rebuilt.boundary(), "threads={}", threads);
         }
@@ -361,8 +465,8 @@ fn scatter_build_beyond_two_to_the_sixteen_entries() {
         for threads in THREADS {
             let c = render_points(&mut device(threads), vp, &batch);
             assert_eq!(
-                c.boundary().points(),
-                &want[..],
+                as_old(c.boundary()).points,
+                want,
                 "{w}×{h} threads={threads}"
             );
         }

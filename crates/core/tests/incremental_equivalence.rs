@@ -13,6 +13,15 @@
 //! The reference for all configurations is the sequential forced-scalar
 //! from-scratch render, so the assertions also pin the cross-device and
 //! cross-backend axes, not just incremental-vs-scratch per config.
+//!
+//! A patched canvas shares its predecessor's point-index levels, so
+//! every predecessor is re-checked against its own reference after
+//! being patched from (no write may go through a shared level), and
+//! long histories drive the index's compaction rule through every
+//! branch.
+
+use std::collections::HashSet;
+use std::sync::Arc;
 
 use canvas_core::{patch_live_heatmap, render_live_heatmap, Canvas, Device, PointBatch, Texel};
 use canvas_geom::{BBox, Point};
@@ -143,6 +152,13 @@ proptest! {
                 prop_assert_eq!(out.delta_points, gens[g].len() - from_len);
                 prop_assert!(out.dirty_tiles <= out.total_tiles);
                 assert_bit_identical(&patched, &refs[g], &format!("patched gen {g}, {ctx_cfg}"));
+                // The predecessor shares levels with its successor; the
+                // patch must not have written through any of them.
+                assert_bit_identical(
+                    &maintained,
+                    &refs[g - 1],
+                    &format!("gen {} after patching from it, {ctx_cfg}", g - 1),
+                );
                 maintained = patched;
             }
         }
@@ -175,5 +191,93 @@ proptest! {
         let (from0, out) = patch_live_heatmap(&mut dev, vp(), &base0, &g2, g0.len(), None);
         prop_assert_eq!(out.delta_points, mid.len() + last.len());
         assert_bit_identical(&from0, &want, "patch from gen 0");
+        let want0 = render_live_heatmap(&mut dev, vp(), &g0, None);
+        assert_bit_identical(&base0, &want0, "gen 0 after two patches from it");
+    }
+}
+
+/// What one patch did to its predecessor's point stack.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Compaction {
+    /// No in-viewport entries: no level was added.
+    Empty,
+    /// The delta became a level of its own; nothing was rewritten.
+    Stacked,
+    /// Two deltas merged by the size-ratio rule; the base stayed shared.
+    Ratio,
+    /// The ratio held but a fourth level was one too many: the two
+    /// newest merged; the base stayed shared.
+    Cap,
+    /// The compaction reached the base and rewrote it.
+    Base,
+}
+
+fn compaction(before: &Canvas, after: &Canvas, compacted: usize) -> Compaction {
+    let (b, a) = (before.boundary(), after.boundary());
+    let delta = a.num_points() - b.num_points();
+    let sizes: Vec<usize> = b.point_levels().iter().map(|l| l.len()).collect();
+    if delta == 0 {
+        Compaction::Empty
+    } else if compacted == 0 {
+        Compaction::Stacked
+    } else if !Arc::ptr_eq(&b.point_levels()[0], &a.point_levels()[0]) {
+        Compaction::Base
+    } else if sizes.len() == 3 && sizes[2] >= 4 * delta {
+        Compaction::Cap
+    } else {
+        Compaction::Ratio
+    }
+}
+
+/// Long histories — dozens of appends, mostly trickles with bursts —
+/// patched generation by generation: every intermediate canvas equals
+/// its from-scratch render and so does every predecessor after being
+/// patched from, the stack never exceeds three levels, and between them
+/// the histories take every branch of the compaction rule.
+#[test]
+fn long_histories_cross_every_compaction_branch() {
+    let mut rng = TestRng::for_test("long-histories");
+    let mut seen = HashSet::new();
+    for history in 0..4 {
+        let mut cum: Vec<(Point, f32)> = (0..1_500)
+            .map(|_| arb_weighted().generate(&mut rng))
+            .collect();
+        let mut dev = device(2);
+        let mut maintained = render_live_heatmap(&mut dev, vp(), &batch(&cum), None);
+        for g in 1..=40 {
+            let size = match rng.next_u64() % 8 {
+                0 => 0,
+                1..=4 => 1 + (rng.next_u64() % 4) as usize,
+                5 | 6 => 10 + (rng.next_u64() % 20) as usize,
+                _ => 60 + (rng.next_u64() % 90) as usize,
+            };
+            let from_len = cum.len();
+            cum.extend((0..size).map(|_| arb_weighted().generate(&mut rng)));
+            let full = batch(&cum);
+            let (patched, out) =
+                patch_live_heatmap(&mut dev, vp(), &maintained, &full, from_len, None);
+            let ctx = format!("history {history}, gen {g}");
+            assert!(out.levels <= 3, "{ctx}: {} levels", out.levels);
+            assert_eq!(out.levels, patched.boundary().point_levels().len(), "{ctx}");
+            seen.insert(compaction(&maintained, &patched, out.compacted));
+            let want = render_live_heatmap(&mut device(1), vp(), &full, None);
+            assert_bit_identical(&patched, &want, &ctx);
+            let want_before =
+                render_live_heatmap(&mut device(1), vp(), &batch(&cum[..from_len]), None);
+            assert_bit_identical(&maintained, &want_before, &format!("{ctx}: predecessor"));
+            maintained = patched;
+        }
+    }
+    for branch in [
+        Compaction::Empty,
+        Compaction::Stacked,
+        Compaction::Ratio,
+        Compaction::Cap,
+        Compaction::Base,
+    ] {
+        assert!(
+            seen.contains(&branch),
+            "no patch took {branch:?}: saw {seen:?}"
+        );
     }
 }

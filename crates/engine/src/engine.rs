@@ -997,7 +997,7 @@ impl QueryEngine {
     }
 
     /// The device work of station 5, on a leased device under a fresh
-    /// fair-share ticket: clone-and-patch `base` with only the append
+    /// fair-share ticket: patch `base` forward with only the append
     /// delta's dirty tiles, or run the class's run arm through the
     /// engine's [`Exchange`], so cut-point canvases are reused if
     /// another query rendered them and published otherwise (a panic
@@ -1039,6 +1039,8 @@ impl QueryEngine {
                 span.arg_u64("dirty_tiles", out.dirty_tiles as u64);
                 span.arg_u64("total_tiles", out.total_tiles as u64);
                 span.arg_u64("delta_points", out.delta_points as u64);
+                span.arg_u64("levels", out.levels as u64);
+                span.arg_u64("compacted", out.compacted as u64);
                 drop(span);
                 self.metrics_mut().dirty_tiles_redrawn += out.dirty_tiles as u64;
                 let result = QueryResult::from(canvas);
@@ -1084,7 +1086,9 @@ impl QueryEngine {
             }
             m.computed
         };
-        if evaluated {
+        // Only a response that advanced `computed` can cross the cadence;
+        // an incremental refresh leaves it standing on a multiple.
+        if served.how == Served::Computed {
             self.maybe_recalibrate(computed);
         }
         Response {

@@ -233,6 +233,49 @@ fn evicted_predecessor_falls_back_to_full_render() {
     assert_eq!(m.dirty_tiles_redrawn, 0);
 }
 
+/// Load-aware recalibration runs once per 64 *computed* responses. An
+/// incremental refresh leaves `computed` where it was, so refreshes
+/// while it stands on a multiple of 64 must not re-time the kernel.
+#[test]
+fn refreshes_do_not_retrigger_recalibration() {
+    let table = VersionedTable::new(
+        "recal",
+        extent(),
+        PointBatch::from_points(vec![Point::new(10.0, 10.0), Point::new(60.0, 70.0)]),
+    );
+    let engine = QueryEngine::with_config(EngineConfig {
+        threads: 2,
+        calibrate: true,
+        ..EngineConfig::default()
+    });
+    // 0 where the host gave no usable startup calibration (then nothing
+    // ever recalibrates), 1 otherwise.
+    let once = u64::from(engine.calibration().is_some_and(|c| c.applied));
+    let vp_of = |i: u32| Viewport::new(extent(), 16 + i, 16);
+    for i in 0..64 {
+        let q = Query::LiveHeatmap {
+            snapshot: table.snapshot(),
+        };
+        let resp = engine.execute(&q, vp_of(i)).unwrap();
+        assert_eq!(resp.served, Served::Computed, "viewport {i}");
+    }
+    assert_eq!(engine.metrics().computed, 64);
+    assert_eq!(engine.metrics().recalibrations, once, "the 64th computed");
+    for tick in 0..3 {
+        engine.ingest_append(
+            &table,
+            &PointBatch::from_points(vec![Point::new(20.0 + tick as f64, 30.0)]),
+        );
+        let q = Query::LiveHeatmap {
+            snapshot: table.snapshot(),
+        };
+        let resp = engine.execute(&q, vp_of(63)).unwrap();
+        assert_eq!(resp.served, Served::Incremental, "tick {tick}");
+        assert_eq!(engine.metrics().recalibrations, once, "tick {tick}");
+    }
+    assert_eq!(engine.metrics().computed, 64);
+}
+
 /// Satellite 2's core claim: concurrent appenders racing mixed readers,
 /// and **no query ever observes a canvas from a different generation
 /// than its fingerprint claims**. References for every generation are

@@ -39,8 +39,8 @@ fn assert_results_eq(a: &QueryResult, b: &QueryResult, ctx: &str) {
             assert_eq!(x.texels(), y.texels(), "{ctx}: texel planes differ");
             assert_eq!(x.cover(), y.cover(), "{ctx}: cover planes differ");
             assert_eq!(
-                x.boundary().points(),
-                y.boundary().points(),
+                x.boundary().points().collect::<Vec<_>>(),
+                y.boundary().points().collect::<Vec<_>>(),
                 "{ctx}: point entries differ"
             );
         }

@@ -86,7 +86,6 @@ fn geometric_transform_invertible() {
         let orig = c
             .boundary()
             .points()
-            .iter()
             .find(|o| o.record == e.record)
             .expect("record existed");
         assert!(orig.loc.dist(e.loc) < 1e-9);
