@@ -65,7 +65,7 @@ pub use device::{Device, SharedDevice};
 pub use info::{BlendFn, DimInfo, Texel};
 pub use table::{SpatialTable, TableError};
 pub use versioned::{
-    patch_live_heatmap, render_live_heatmap, AppendOutcome, PatchOutcome, TableSnapshot,
+    patch_live_heatmap, render_live_heatmap, AppendOutcome, Delta, PatchOutcome, TableSnapshot,
     VersionedTable,
 };
 

@@ -13,6 +13,14 @@
 //!   generation `g` can never satisfy a probe at generation `g+1`
 //!   (stale results are unreachable by construction), while repeated
 //!   probes at the *same* generation still hit.
+//! * Records are stored as one `Arc<PointBatch>` **chunk per
+//!   generation** (chunk 0 is the base; each append adds one, ids
+//!   already global). A [`TableSnapshot`] shares the chunk list by
+//!   pointer — O(generations) pointer copies, never the records — and
+//!   concatenates it only if [`TableSnapshot::batch`] is asked for
+//!   (O(table), once per snapshot). A refresh reads only
+//!   [`TableSnapshot::delta_from`] its predecessor: the appended chunk
+//!   itself for the newest one.
 //! * [`render_live_heatmap`] — the maintained view: a full tiled
 //!   point-density render finished by the `HeatLog` value pass
 //!   (`v2 := ln(1 + count)` per occupied pixel).
@@ -51,7 +59,7 @@
 //! [`VersionedTable::grid_index`] packs the accumulated items without
 //! re-binning the history.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::algebra::FingerprintBuilder;
 use crate::canvas::{Canvas, PointBatch};
@@ -89,8 +97,10 @@ pub struct PatchOutcome {
 }
 
 struct State {
-    points: Vec<Point>,
-    weights: Vec<f32>,
+    /// `chunks[g]`: the records generation `g` added — the base for
+    /// `g = 0`, else that append's batch with global ids (possibly
+    /// empty). Snapshots share them by pointer.
+    chunks: Vec<Arc<PointBatch>>,
     /// Monotone version stamp; bumped by every append, empty or not.
     generation: u64,
     /// `gen_lens[g]` = point count at generation `g` (append-only, so a
@@ -101,6 +111,25 @@ struct State {
     grid: GridIndexBuilder,
     /// Cached immutable snapshot of the current generation.
     snapshot: Option<TableSnapshot>,
+}
+
+impl State {
+    fn len(&self) -> usize {
+        *self.gen_lens.last().expect("generation 0 always exists")
+    }
+}
+
+/// Rejects a batch whose columns disagree before it enters `table`: a
+/// longer `weights` would shift every later record's weight, a shorter
+/// one would panic inside some reader's render.
+fn check_columns(table: &str, what: &str, batch: &PointBatch) {
+    assert_eq!(
+        batch.weights.len(),
+        batch.points.len(),
+        "table {table:?}: {what} batch has {} weights for {} points",
+        batch.weights.len(),
+        batch.points.len()
+    );
 }
 
 /// An append-only versioned point table (see module docs).
@@ -120,8 +149,11 @@ pub struct VersionedTable {
 impl VersionedTable {
     /// A table over the feed's declared world `extent` (sizes the
     /// retained grid index; appended points outside it are clamped to
-    /// edge cells) seeded with `base` as generation 0.
-    pub fn new(name: &str, extent: BBox, base: PointBatch) -> Self {
+    /// edge cells) seeded with `base` as generation 0. Its ids are
+    /// replaced by `0..len`; panics when its columns differ in length.
+    pub fn new(name: &str, extent: BBox, mut base: PointBatch) -> Self {
+        check_columns(name, "base", &base);
+        base.ids = (0..base.len() as u32).collect();
         let extent = extent.inflated(1e-9);
         let extent = if extent.is_empty() {
             BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0))
@@ -135,9 +167,8 @@ impl VersionedTable {
         VersionedTable {
             ident: Arc::new(name.to_string()),
             state: Mutex::new(State {
-                gen_lens: vec![base.points.len()],
-                points: base.points,
-                weights: base.weights,
+                gen_lens: vec![base.len()],
+                chunks: vec![Arc::new(base)],
                 generation: 0,
                 appends: 0,
                 grid,
@@ -161,17 +192,22 @@ impl VersionedTable {
     /// ignored — records get global sequential ids; weights are kept.
     /// An empty batch is a no-op generation bump (same points, new
     /// stamp), which deliberately invalidates cached fingerprints.
+    /// Panics when the batch's columns differ in length.
     pub fn append(&self, batch: &PointBatch) -> AppendOutcome {
+        check_columns(self.name(), "appended", batch);
         let mut st = self.lock();
-        let base = st.points.len();
+        let base = st.len();
         for (k, &p) in batch.points.iter().enumerate() {
             st.grid.insert((base + k) as u32, &BBox::new(p, p));
         }
-        st.points.extend_from_slice(&batch.points);
-        st.weights.extend_from_slice(&batch.weights);
+        let total = base + batch.len();
+        st.chunks.push(Arc::new(PointBatch {
+            points: batch.points.clone(),
+            ids: (base as u32..total as u32).collect(),
+            weights: batch.weights.clone(),
+        }));
         st.generation += 1;
         st.appends += 1;
-        let total = st.points.len();
         st.gen_lens.push(total);
         st.snapshot = None;
         AppendOutcome {
@@ -192,29 +228,28 @@ impl VersionedTable {
     }
 
     pub fn len(&self) -> usize {
-        self.lock().points.len()
+        self.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// An immutable snapshot of the current generation (cached until
-    /// the next append, so repeated snapshots of one generation share
-    /// the same batch `Arc` — and therefore the same fingerprint).
+    /// An immutable snapshot of the current generation: the chunk list
+    /// shared by pointer, no record copied. Cached until the next
+    /// append, so repeated snapshots of one generation share one
+    /// [`batch`](TableSnapshot::batch) `Arc` — and one fingerprint.
     pub fn snapshot(&self) -> TableSnapshot {
         let mut st = self.lock();
         if st.snapshot.is_none() {
-            let n = st.points.len();
             st.snapshot = Some(TableSnapshot {
                 ident: Arc::clone(&self.ident),
-                batch: Arc::new(PointBatch {
-                    points: st.points.clone(),
-                    ids: (0..n as u32).collect(),
-                    weights: st.weights.clone(),
+                records: Arc::new(Records {
+                    chunks: st.chunks.clone(),
+                    gen_lens: st.gen_lens.clone(),
+                    whole: OnceLock::new(),
                 }),
                 generation: st.generation,
-                gen_lens: Arc::new(st.gen_lens.clone()),
             });
         }
         st.snapshot.clone().expect("populated above")
@@ -229,23 +264,98 @@ impl VersionedTable {
     }
 }
 
+/// The records of one generation, shared by every snapshot of it.
+struct Records {
+    /// The table's chunks up to this generation (see `State::chunks`).
+    chunks: Vec<Arc<PointBatch>>,
+    /// `gen_lens[g]` = point count at generation `g`.
+    gen_lens: Vec<usize>,
+    /// The chunks concatenated, built by the first multi-chunk
+    /// [`TableSnapshot::batch`] call.
+    whole: OnceLock<Arc<PointBatch>>,
+}
+
+/// One batch holding `chunks` back to back (their ids are global, so
+/// they need no renumbering).
+fn concat<C: AsRef<PointBatch>>(chunks: &[C]) -> PointBatch {
+    let n = chunks.iter().map(|c| c.as_ref().len()).sum();
+    let mut out = PointBatch {
+        points: Vec::with_capacity(n),
+        ids: Vec::with_capacity(n),
+        weights: Vec::with_capacity(n),
+    };
+    for c in chunks {
+        let c = c.as_ref();
+        out.points.extend_from_slice(&c.points);
+        out.ids.extend_from_slice(&c.ids);
+        out.weights.extend_from_slice(&c.weights);
+    }
+    out
+}
+
+/// The records a snapshot holds past a predecessor's prefix (see
+/// [`TableSnapshot::delta_from`]).
+pub struct Delta {
+    /// The appended records in arrival order, with their global ids.
+    pub batch: Arc<PointBatch>,
+    /// Non-empty append chunks the records came from: 1 means `batch`
+    /// *is* that chunk, shared by pointer; more means they were copied
+    /// into one batch.
+    pub chunks: usize,
+}
+
 /// An immutable view of one generation of a [`VersionedTable`]:
-/// the full point batch, the generation stamp, and the prefix lengths
-/// of every earlier generation (what an incremental refresh needs to
-/// locate a delta against *any* cached predecessor).
+/// the table's chunks up to it, the generation stamp, and the prefix
+/// lengths of every earlier generation (what an incremental refresh
+/// needs to locate a delta against *any* cached predecessor).
 #[derive(Clone)]
 pub struct TableSnapshot {
     ident: Arc<String>,
-    batch: Arc<PointBatch>,
+    records: Arc<Records>,
     generation: u64,
-    gen_lens: Arc<Vec<usize>>,
 }
 
 impl TableSnapshot {
     /// The snapshot's full point batch (shared; append-only prefix of
-    /// every later generation).
+    /// every later generation). A generation-0 snapshot returns the
+    /// base chunk itself; any later one concatenates its chunks on the
+    /// first call — O(table), once per snapshot, shared by every clone
+    /// of it. A refresh reads [`delta_from`](Self::delta_from) instead.
     pub fn batch(&self) -> &Arc<PointBatch> {
-        &self.batch
+        match self.records.chunks.as_slice() {
+            [only] => only,
+            chunks => self.records.whole.get_or_init(|| Arc::new(concat(chunks))),
+        }
+    }
+
+    /// The records past the first `prefix_len` — what a refresh from a
+    /// predecessor of that length patches in — without touching the
+    /// prefix. `prefix_len` must be the length of one of this
+    /// snapshot's generations ([`len_at`](Self::len_at)). The newest
+    /// predecessor's delta is the appended chunk itself, shared by
+    /// pointer; an older one's concatenates only the chunks in between.
+    pub fn delta_from(&self, prefix_len: usize) -> Delta {
+        let Records {
+            chunks, gen_lens, ..
+        } = &*self.records;
+        // Every chunk after the first generation of that length.
+        let g = gen_lens.partition_point(|&len| len < prefix_len);
+        assert_eq!(
+            gen_lens.get(g),
+            Some(&prefix_len),
+            "no generation of this snapshot holds {prefix_len} points"
+        );
+        let tail = &chunks[g + 1..];
+        let filled: Vec<&Arc<PointBatch>> = tail.iter().filter(|c| !c.is_empty()).collect();
+        let batch = match filled[..] {
+            [] => tail.last().cloned().unwrap_or_default(),
+            [only] => Arc::clone(only),
+            _ => Arc::new(concat(&filled)),
+        };
+        Delta {
+            batch,
+            chunks: filled.len(),
+        }
     }
 
     pub fn generation(&self) -> u64 {
@@ -253,11 +363,15 @@ impl TableSnapshot {
     }
 
     pub fn len(&self) -> usize {
-        self.batch.len()
+        *self
+            .records
+            .gen_lens
+            .last()
+            .expect("generation 0 always exists")
     }
 
     pub fn is_empty(&self) -> bool {
-        self.batch.is_empty()
+        self.len() == 0
     }
 
     /// Point count at `generation` (≤ this snapshot's), or `None` for
@@ -266,7 +380,7 @@ impl TableSnapshot {
         if generation > self.generation {
             return None;
         }
-        self.gen_lens.get(generation as usize).copied()
+        self.records.gen_lens.get(generation as usize).copied()
     }
 
     /// Prior generations of this table, newest first — the probe order
@@ -296,9 +410,17 @@ impl TableSnapshot {
     }
 
     /// The table's stable identity handle — cache entries must pin
-    /// this (the fingerprint hashed its address) alongside the batch.
+    /// this (the fingerprint hashed its address) alongside
+    /// [`records_handle`](Self::records_handle).
     pub fn ident_handle(&self) -> Arc<String> {
         Arc::clone(&self.ident)
+    }
+
+    /// The snapshot's shared chunk list, for a cache entry to pin: it
+    /// keeps this generation's records alive without concatenating
+    /// them (as pinning [`batch`](Self::batch) would).
+    pub fn records_handle(&self) -> Arc<dyn std::any::Any + Send + Sync> {
+        Arc::clone(&self.records) as _
     }
 }
 
@@ -428,6 +550,7 @@ pub fn patch_live_heatmap(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn vp(n: u32) -> Viewport {
         Viewport::new(
@@ -497,6 +620,115 @@ mod tests {
         let mut fb = FingerprintBuilder::new("test/versioned");
         t.snapshot().fold_identity_at(&mut fb, 1);
         assert_eq!(fb.finish(), fp(&s1));
+    }
+
+    mod spec {
+        //! The table as it stored its records before they were chunked:
+        //! contiguous columns, copied whole into every snapshot.
+        use super::{Point, PointBatch};
+
+        pub struct OldTable {
+            points: Vec<Point>,
+            weights: Vec<f32>,
+        }
+
+        impl OldTable {
+            pub fn new(base: &PointBatch) -> Self {
+                OldTable {
+                    points: base.points.clone(),
+                    weights: base.weights.clone(),
+                }
+            }
+
+            pub fn append(&mut self, batch: &PointBatch) {
+                self.points.extend_from_slice(&batch.points);
+                self.weights.extend_from_slice(&batch.weights);
+            }
+
+            pub fn snapshot(&self) -> PointBatch {
+                let n = self.points.len();
+                PointBatch {
+                    points: self.points.clone(),
+                    ids: (0..n as u32).collect(),
+                    weights: self.weights.clone(),
+                }
+            }
+        }
+    }
+
+    /// Column-wise equality of `got` with `want[from..]`.
+    fn same_records(got: &PointBatch, want: &PointBatch, from: usize) -> bool {
+        got.points == want.points[from..]
+            && got.ids == want.ids[from..]
+            && got.weights == want.weights[from..]
+    }
+
+    fn arb_batch(max: usize) -> impl Strategy<Value = PointBatch> {
+        prop::collection::vec(((0.0f64..10.0, 0.0f64..10.0), 0.25f32..4.0), 0..max).prop_map(
+            |pts| {
+                PointBatch::with_weights(
+                    pts.iter().map(|&((x, y), _)| Point::new(x, y)).collect(),
+                    pts.iter().map(|&(_, w)| w).collect(),
+                )
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random histories of 0–60 appends (a sixth of them empty) held
+        /// to the contiguous spec at every generation: the whole batch,
+        /// the delta from every predecessor, and which of them share a
+        /// chunk by pointer instead of copying.
+        #[test]
+        fn chunked_snapshots_match_the_contiguous_spec(
+            base in arb_batch(30),
+            appends in prop::collection::vec(arb_batch(6), 0..61),
+        ) {
+            let t = VersionedTable::new("spec", BBox::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)), base.clone());
+            let mut old = spec::OldTable::new(&base);
+            for g in 0..=appends.len() {
+                if g > 0 {
+                    t.append(&appends[g - 1]);
+                    old.append(&appends[g - 1]);
+                }
+                let (snap, want) = (t.snapshot(), old.snapshot());
+                let chunks = t.lock().chunks.clone();
+                prop_assert!(same_records(snap.batch(), &want, 0), "generation {}", g);
+                prop_assert!(Arc::ptr_eq(snap.batch(), t.snapshot().batch()));
+                if g == 0 {
+                    prop_assert!(Arc::ptr_eq(snap.batch(), &chunks[0]), "one chunk is its own batch");
+                } else {
+                    let newest = snap.delta_from(snap.len_at(g as u64 - 1).unwrap());
+                    prop_assert!(Arc::ptr_eq(&newest.batch, &chunks[g]), "generation {}", g);
+                }
+                for from in 0..=g {
+                    let len = snap.len_at(from as u64).unwrap();
+                    let delta = snap.delta_from(len);
+                    prop_assert!(same_records(&delta.batch, &want, len), "generation {} from {}", g, from);
+                    let filled = appends[from..g].iter().filter(|a| !a.is_empty()).count();
+                    prop_assert_eq!(delta.chunks, filled);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "table \"bad\": base batch has 3 weights for 2 points")]
+    fn new_rejects_mismatched_columns() {
+        let mut base = batch(&[(1.0, 1.0), (2.0, 2.0)]);
+        base.weights.push(1.0);
+        VersionedTable::new("bad", *vp(8).world(), base);
+    }
+
+    #[test]
+    #[should_panic(expected = "table \"bad\": appended batch has 1 weights for 2 points")]
+    fn append_rejects_mismatched_columns() {
+        let t = VersionedTable::new("bad", *vp(8).world(), batch(&[(1.0, 1.0)]));
+        let mut delta = batch(&[(2.0, 2.0), (3.0, 3.0)]);
+        delta.weights.pop();
+        t.append(&delta);
     }
 
     #[test]

@@ -23,7 +23,9 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use canvas_core::{patch_live_heatmap, render_live_heatmap, Canvas, Device, PointBatch, Texel};
+use canvas_core::{
+    patch_live_heatmap, render_live_heatmap, Canvas, Device, PointBatch, Texel, VersionedTable,
+};
 use canvas_geom::{BBox, Point};
 use canvas_raster::{Backend, Viewport};
 use proptest::prelude::*;
@@ -167,32 +169,45 @@ proptest! {
     /// Patching may also start from *any* older generation (the engine
     /// probes predecessors newest-first but takes whatever the cache
     /// still holds): skipping generations must be as exact as stepping.
+    /// Every patch reads the table's `delta_from` the predecessor, as
+    /// the engine's does — from an older one that is several chunks
+    /// concatenated, across the empty appends between `mid` and `last`.
     #[test]
     fn patch_from_any_predecessor_generation(
         base in prop::collection::vec(arb_weighted(), 1..40),
         mid in prop::collection::vec(arb_weighted(), 1..20),
+        gaps in 1usize..3,
         last in prop::collection::vec(arb_weighted(), 1..20),
+        tail in prop::collection::vec(prop::collection::vec(arb_weighted(), 0..10), 0..3),
     ) {
+        let mut appends = vec![mid.clone()];
+        appends.extend(std::iter::repeat_n(Vec::new(), gaps));
+        appends.push(last.clone());
+        appends.extend(tail);
+        let table = VersionedTable::new("any", extent(), batch(&base));
         let mut cum = base.clone();
-        let g0 = batch(&cum);
-        cum.extend(mid.iter().copied());
-        let g1 = batch(&cum);
-        cum.extend(last.iter().copied());
-        let g2 = batch(&cum);
+        let mut gens = vec![batch(&cum)];
+        for delta in &appends {
+            table.append(&batch(delta));
+            cum.extend(delta.iter().copied());
+            gens.push(batch(&cum));
+        }
+        let snap = table.snapshot();
+        let newest = gens.len() - 1;
 
         let mut dev = device(2);
-        let want = render_live_heatmap(&mut dev, vp(), &g2, None);
-        let base0 = render_live_heatmap(&mut dev, vp(), &g0, None);
-        let base1 = render_live_heatmap(&mut dev, vp(), &g1, None);
-        // One hop from the freshest predecessor…
-        let (from1, _) = patch_live_heatmap(&mut dev, vp(), &base1, &g2, g1.len(), None);
-        assert_bit_identical(&from1, &want, "patch from gen 1");
-        // …and a double-size delta from two generations back.
-        let (from0, out) = patch_live_heatmap(&mut dev, vp(), &base0, &g2, g0.len(), None);
-        prop_assert_eq!(out.delta_points, mid.len() + last.len());
-        assert_bit_identical(&from0, &want, "patch from gen 0");
-        let want0 = render_live_heatmap(&mut dev, vp(), &g0, None);
-        assert_bit_identical(&base0, &want0, "gen 0 after two patches from it");
+        let want = render_live_heatmap(&mut dev, vp(), &gens[newest], None);
+        for g in 0..newest {
+            let before = render_live_heatmap(&mut dev, vp(), &gens[g], None);
+            let delta = snap.delta_from(snap.len_at(g as u64).unwrap());
+            let filled = appends[g..].iter().filter(|a| !a.is_empty()).count();
+            prop_assert_eq!(delta.chunks, filled);
+            let (patched, out) = patch_live_heatmap(&mut dev, vp(), &before, &delta.batch, 0, None);
+            prop_assert_eq!(out.delta_points, gens[newest].len() - gens[g].len());
+            assert_bit_identical(&patched, &want, &format!("patch from gen {g}"));
+            let want_before = render_live_heatmap(&mut dev, vp(), &gens[g], None);
+            assert_bit_identical(&before, &want_before, &format!("gen {g} after patching from it"));
+        }
     }
 }
 

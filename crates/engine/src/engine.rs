@@ -524,7 +524,8 @@ struct Serving {
 struct RefreshBase<'a> {
     key: CacheKey,
     canvas: Arc<Canvas>,
-    /// Points of `snapshot`'s batch the canvas was rendered from.
+    /// Length of the generation the canvas was rendered from; the
+    /// refresh patches in only `snapshot.delta_from(prefix_len)`.
     prefix_len: usize,
     snapshot: &'a canvas_core::TableSnapshot,
 }
@@ -1028,14 +1029,10 @@ impl QueryEngine {
                 let mut class_span = obs::span(prepared.label, "query");
                 class_span.arg_u64("node", 0);
                 let mut span = obs::span("incremental_patch", "engine");
-                let (canvas, out) = canvas_core::patch_live_heatmap(
-                    dev,
-                    vp,
-                    &base.canvas,
-                    base.snapshot.batch(),
-                    base.prefix_len,
-                    None,
-                );
+                let delta = base.snapshot.delta_from(base.prefix_len);
+                let (canvas, out) =
+                    canvas_core::patch_live_heatmap(dev, vp, &base.canvas, &delta.batch, 0, None);
+                span.arg_u64("delta_chunks", delta.chunks as u64);
                 span.arg_u64("dirty_tiles", out.dirty_tiles as u64);
                 span.arg_u64("total_tiles", out.total_tiles as u64);
                 span.arg_u64("delta_points", out.delta_points as u64);

@@ -315,10 +315,10 @@ impl Query {
                 vec![data.clone()],
             ),
             // The table handle hashes by address (generation + length
-            // disambiguate contents): pin it and the snapshot's batch.
+            // disambiguate contents): pin it and the snapshot's chunks.
             Query::LiveHeatmap { snapshot } => (
                 live_heatmap_fingerprint(snapshot, snapshot.generation()),
-                vec![snapshot.ident_handle(), snapshot.batch().clone()],
+                vec![snapshot.ident_handle(), snapshot.records_handle()],
             ),
         }
     }

@@ -15,6 +15,8 @@
 use canvas_core::prelude::*;
 use canvas_engine::{EngineConfig, Query, QueryEngine, Served};
 use canvas_geom::{BBox, Point};
+use canvas_obs as obs;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 fn extent() -> BBox {
@@ -274,6 +276,55 @@ fn refreshes_do_not_retrigger_recalibration() {
         assert_eq!(engine.metrics().recalibrations, once, "tick {tick}");
     }
     assert_eq!(engine.metrics().computed, 64);
+}
+
+/// A refresh from the newest predecessor patches in the appended chunk
+/// itself: across single-tick refreshes no `incremental_patch` span
+/// reports more than one `delta_chunks`, while a read that skipped a
+/// generation concatenates the two chunks since its predecessor.
+#[test]
+fn single_tick_refreshes_borrow_the_appended_chunk() {
+    let feed = canvas_datagen::trip_feed(&extent(), 1_400, 7, 5);
+    let table = VersionedTable::new("chunks", extent(), feed.batch(0));
+    let engine = engine(64 << 20);
+    let read = || {
+        let q = Query::LiveHeatmap {
+            snapshot: table.snapshot(),
+        };
+        engine.execute(&q, vp()).unwrap().served
+    };
+    // Tracing is process-wide and no other test here toggles it; the
+    // spans other tests record meanwhile are told apart by the thread
+    // that submitted their query.
+    obs::set_tracing(true);
+    assert_eq!(read(), Served::Computed);
+    for tick in 1..=4 {
+        engine.ingest_append(&table, &feed.batch(tick));
+        assert_eq!(read(), Served::Incremental, "tick {tick}");
+    }
+    engine.ingest_append(&table, &feed.batch(5));
+    engine.ingest_append(&table, &feed.batch(6));
+    assert_eq!(read(), Served::Incremental, "two appends, one read");
+    obs::set_tracing(false);
+
+    let records = obs::sink().take();
+    let me = obs::trace::thread_ordinal();
+    let mine: HashSet<u64> = records
+        .iter()
+        .filter(|r| r.name == "execute" && r.thread == me)
+        .map(|r| r.id)
+        .collect();
+    let chunks: Vec<u64> = records
+        .iter()
+        .filter(|r| r.name == "incremental_patch" && mine.contains(&r.query))
+        .map(
+            |r| match r.args.iter().find(|(k, _)| *k == "delta_chunks") {
+                Some((_, obs::trace::ArgValue::U64(n))) => *n,
+                other => panic!("incremental_patch without delta_chunks: {other:?}"),
+            },
+        )
+        .collect();
+    assert_eq!(chunks, vec![1, 1, 1, 1, 2]);
 }
 
 /// Satellite 2's core claim: concurrent appenders racing mixed readers,
