@@ -13,13 +13,13 @@
 //! over batch completion times), scheduler grant accounting, and the
 //! startup calibration of `Policy::min_parallel_items`.
 //!
-//! A fourth section measures **cross-query subplan sharing**: a mixed
+//! A fourth section exercises **cross-query subplan sharing**: a mixed
 //! selection + heatmap workload in which every root plan is distinct
 //! (the whole-plan cache is useless) but plans share interior
 //! canvases (`C_P`, `C_Q`, the blended density canvas). It runs the
-//! identical job list with sharing off and on, records both
-//! throughputs and the sharing counters, and gates `subplan_hits > 0`
-//! with a bit-identity spot check against `Device::cpu`.
+//! job list on one engine, records the sharing counters, and gates
+//! `subplan_hits > 0` with a bit-identity spot check against
+//! `Device::cpu`.
 //!
 //! A fifth section drives the **promoted query classes** — knn,
 //! voronoi, OD selection / flow matrix, spatio-temporal window / time
@@ -352,8 +352,7 @@ fn build_promoted_jobs(smoke: bool) -> Vec<(&'static str, Query, Viewport)> {
 }
 
 /// Drives the job list round-robin across CLIENTS threads (adjacent
-/// jobs — the members of a sharing pair — land on different clients,
-/// so in-flight subscription and shared-cache hits both occur).
+/// jobs — the members of a sharing pair — land on different clients).
 /// Returns the wall seconds.
 fn run_jobs(engine: &QueryEngine, jobs: &[(Query, Viewport)]) -> f64 {
     let t0 = Instant::now();
@@ -441,7 +440,6 @@ fn run_traced_slice(work: &Arc<Workload>, promoted: &[(&'static str, Query, View
         max_queue: 64,
         cache_budget_bytes: 256 << 20,
         calibrate: false,
-        share_subplans: true,
         ..EngineConfig::default()
     });
     let engine = &engine;
@@ -510,11 +508,11 @@ fn main() {
         threads: WORKERS,
         max_concurrent: CLIENTS,
         max_queue: 64,
+        // Scheduler-only configuration: with no cache budget nothing is
+        // kept — neither whole-plan results nor shared subplans — so
+        // this arm isolates the fair-share gate's contribution.
         cache_budget_bytes: 0,
         calibrate: false,
-        // Scheduler-only configuration: subplan sharing stays off so
-        // this arm keeps isolating the fair-share gate's contribution.
-        share_subplans: false,
         ..EngineConfig::default()
     });
     let (nc_wall, _) = run_clients(&work, |_, q, vp| {
@@ -530,7 +528,6 @@ fn main() {
         max_queue: 64,
         cache_budget_bytes: 256 << 20,
         calibrate: true,
-        share_subplans: true,
         ..EngineConfig::default()
     });
     // Result-identity spot check against the locked device (the full
@@ -564,57 +561,27 @@ fn main() {
     let cal = engine.calibration();
     let quantum = engine.shared().pool().policy().pass_quantum;
 
-    // --- 4. Subplan sharing: identical all-distinct-roots job list,
-    //        sharing off vs on. ---
+    // --- 4. Subplan sharing: an all-distinct-roots job list whose
+    //        plans share interior canvases. ---
     let data = match &work.queries[0] {
         Query::SelectPoints { data, .. } => data.clone(),
         _ => unreachable!("workload starts with the selection"),
     };
     let jobs = build_subplan_jobs(smoke, &data);
-    let mk_subplan_engine = |share: bool| {
-        QueryEngine::with_config(EngineConfig {
-            threads: WORKERS,
-            max_concurrent: CLIENTS,
-            max_queue: 64,
-            cache_budget_bytes: 256 << 20,
-            calibrate: false,
-            share_subplans: share,
-            ..EngineConfig::default()
-        })
-    };
-    // ABBA ordering with a fresh engine per run and best-of per arm:
-    // on a quota-throttled container, whichever arm runs later in a
-    // hot process can be penalized 2-3x regardless of configuration; a
-    // single ordered pair would misattribute that to one arm.
-    let mut on_wall = f64::INFINITY;
-    let mut off_wall = f64::INFINITY;
-    let mut engine_on = None;
-    for order in [[true, false], [false, true]] {
-        for share in order {
-            let engine = mk_subplan_engine(share);
-            let wall = run_jobs(&engine, &jobs);
-            if share {
-                on_wall = on_wall.min(wall);
-                engine_on = Some(engine);
-            } else {
-                off_wall = off_wall.min(wall);
-                assert_eq!(
-                    engine.metrics().subplan_hits,
-                    0,
-                    "sharing-off engine must not touch the subplan path"
-                );
-            }
-        }
-    }
-    let engine_on = engine_on.expect("the ABBA loop ran a sharing arm");
-    let subplan_qps_on = jobs.len() as f64 / on_wall;
-    let subplan_qps_off = jobs.len() as f64 / off_wall;
-    let subplan_speedup = subplan_qps_on / subplan_qps_off;
+    let sharing_engine = QueryEngine::with_config(EngineConfig {
+        threads: WORKERS,
+        max_concurrent: CLIENTS,
+        max_queue: 64,
+        cache_budget_bytes: 256 << 20,
+        calibrate: false,
+        ..EngineConfig::default()
+    });
+    run_jobs(&sharing_engine, &jobs);
     // Shared-intermediate results must be bit-identical to Device::cpu:
     // re-ask the first selection+heatmap pair (now served from the
     // sharing cache) against fresh sequential evaluation.
     for (q, vp) in &jobs[..2] {
-        let resp = engine_on.execute(q, *vp).expect("served");
+        let resp = sharing_engine.execute(q, *vp).expect("served");
         let mut dev = Device::cpu();
         let want = q.prepare().execute(&mut dev, *vp);
         assert_eq!(
@@ -624,8 +591,8 @@ fn main() {
         );
         assert_eq!(resp.canvas().cover(), want.canvas().cover());
     }
-    let sm = engine_on.metrics();
-    let sc = engine_on.cache_stats();
+    let sm = sharing_engine.metrics();
+    let sc = sharing_engine.cache_stats();
 
     // --- 5. Promoted query classes: the six non-canvas descriptors as
     //        a mixed workload through one engine, with per-class
@@ -638,7 +605,6 @@ fn main() {
         max_queue: 64,
         cache_budget_bytes: 256 << 20,
         calibrate: false,
-        share_subplans: true,
         ..EngineConfig::default()
     });
     let promoted_jobs: Vec<(Query, Viewport)> = (0..PROMOTED_REPS)
@@ -692,7 +658,6 @@ fn main() {
             max_queue: 64,
             cache_budget_bytes: budget,
             calibrate: false,
-            share_subplans: true,
             ..EngineConfig::default()
         })
     };
@@ -795,7 +760,6 @@ fn main() {
         max_queue: 64,
         cache_budget_bytes: 64 << 20,
         calibrate: false,
-        share_subplans: true,
         slow_query_threshold: std::time::Duration::from_nanos(1),
     });
     for step in 0..2 {
@@ -847,17 +811,8 @@ fn main() {
     let _ = writeln!(json, "  \"served_coalesced\": {},", m.coalesced);
     let _ = writeln!(json, "  \"reuse_rate\": {:.4},", m.reuse_rate());
     let _ = writeln!(json, "  \"subplan_jobs\": {},", jobs.len());
-    let _ = writeln!(json, "  \"subplan_qps_sharing_off\": {subplan_qps_off:.2},");
-    let _ = writeln!(json, "  \"subplan_qps_sharing_on\": {subplan_qps_on:.2},");
-    let _ = writeln!(json, "  \"subplan_sharing_speedup\": {subplan_speedup:.3},");
     let _ = writeln!(json, "  \"subplan_hits\": {},", sm.subplan_hits);
-    let _ = writeln!(
-        json,
-        "  \"subplan_shared_renders_avoided\": {},",
-        sm.shared_renders_avoided
-    );
     let _ = writeln!(json, "  \"subplan_published\": {},", sm.subplan_published);
-    let _ = writeln!(json, "  \"subplan_fallbacks\": {},", sm.subplan_fallbacks);
     let _ = writeln!(
         json,
         "  \"subplan_shared_cache_hit_rate\": {:.4},",

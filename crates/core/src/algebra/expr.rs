@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use super::subplan::SubplanCache;
 use crate::canvas::{AreaSource, Canvas, PointBatch};
 use crate::device::Device;
 use crate::info::BlendFn;
@@ -201,89 +202,74 @@ impl Expr {
 
     /// Executes the plan on a device within the given viewport.
     pub fn eval(&self, dev: &mut Device, vp: Viewport) -> Canvas {
-        self.eval_via(dev, vp, &super::subplan::NullExchange)
+        self.eval_via(dev, vp, None)
     }
 
-    /// Executes the plan with a [`SubplanExchange`](super::subplan::SubplanExchange) consulted at every
-    /// cut point (see
-    /// [`algebra::subplan`](super::subplan)): canvas-producing
-    /// subexpressions another query already rendered are reused, and
-    /// subexpressions this evaluation leads on are published for
-    /// concurrent queries to subscribe to. With the inert
-    /// [`NullExchange`](super::subplan::NullExchange) this is exactly
-    /// [`eval`](Self::eval) — no per-node fingerprinting happens.
+    /// Executes the plan with a [`SubplanCache`] consulted at every cut
+    /// point (see [`algebra::subplan`](super::subplan)): canvas-producing
+    /// subexpressions already in the cache are reused, and the ones this
+    /// evaluation renders are published to it. With `None` this is
+    /// exactly [`eval`](Self::eval) — no per-node fingerprinting happens.
     ///
     /// Sharing is invisible in results: rendering is deterministic, so
-    /// an exchanged canvas is bit-identical to the one this evaluation
-    /// would have produced itself.
+    /// a cached canvas is bit-identical to the one this evaluation would
+    /// have produced itself.
     pub fn eval_via(
         &self,
         dev: &mut Device,
         vp: Viewport,
-        ex: &dyn super::subplan::SubplanExchange,
+        cache: Option<&dyn SubplanCache>,
     ) -> Canvas {
-        let arc = self.eval_node(dev, vp, ex, 0, 0);
-        // The root is never exchanged (depth 0), so this Arc is
-        // private and unwraps without a copy.
+        let arc = self.eval_node(dev, vp, cache, 0, 0);
+        // The root is never shared (depth 0), so this Arc is private
+        // and unwraps without a copy.
         Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone())
     }
 
-    /// One node of the exchange-aware evaluation. Cut points at depth
-    /// ≥ 1 go through the exchange — the root (depth 0) is the whole
-    /// plan, whose identity the engine's result cache already owns.
-    /// `node` is this node's pre-order id within the evaluated plan,
-    /// stamped onto its span so execution-report rows join to plan
-    /// nodes (see [`plan_nodes`](super::fingerprint::plan_nodes)).
+    /// One node of the cache-aware evaluation. Cut points at depth ≥ 1
+    /// go through the cache — the root (depth 0) is the whole plan,
+    /// whose identity the engine's result cache already owns. `node` is
+    /// this node's pre-order id within the evaluated plan, stamped onto
+    /// its span so execution-report rows join to plan nodes (see
+    /// [`plan_nodes`](super::fingerprint::plan_nodes)).
     fn eval_node(
         &self,
         dev: &mut Device,
         vp: Viewport,
-        ex: &dyn super::subplan::SubplanExchange,
+        cache: Option<&dyn SubplanCache>,
         depth: usize,
         node: u64,
     ) -> Arc<Canvas> {
-        use super::subplan::SubplanAccess;
-        if depth > 0 && ex.active() && super::fingerprint::is_cut_point(self) {
-            let fp = super::fingerprint::fingerprint(self);
-            // The acquire may block behind another query's in-flight
-            // render of the same subplan — that wait is the span.
-            let access = {
-                let mut wait = canvas_obs::span("subplan_wait", "algebra");
-                wait.arg_u64("fingerprint", fp.0 as u64);
-                ex.acquire(fp, &vp)
-            };
-            match access {
-                SubplanAccess::Ready(c, src) => {
-                    // A shared hit still gets this node's span — with a
-                    // `src` marker instead of render work — so the
-                    // report row shows *why* the node cost ~nothing.
-                    let mut hit = canvas_obs::span(self.node_name(), "algebra");
-                    hit.arg_u64("node", node);
-                    hit.arg_u64("depth", depth as u64);
-                    hit.arg_u64("bytes", c.size_bytes() as u64);
-                    hit.arg_str("src", || src.as_str().to_string());
-                    return c;
-                }
-                SubplanAccess::Lead(mut lease) => {
-                    let c = Arc::new(self.compute_node(dev, vp, ex, depth, node));
-                    lease.publish(&c);
-                    return c;
-                }
-                SubplanAccess::Compute => {}
-            }
+        let Some(shared) = cache.filter(|_| depth > 0 && super::fingerprint::is_cut_point(self))
+        else {
+            return Arc::new(self.compute_node(dev, vp, cache, depth, node));
+        };
+        let fp = super::fingerprint::fingerprint(self);
+        if let Some(c) = shared.get(fp, &vp) {
+            // A shared hit still gets this node's span — with a `src`
+            // marker instead of render work — so the report row shows
+            // *why* the node cost ~nothing.
+            let mut hit = canvas_obs::span(self.node_name(), "algebra");
+            hit.arg_u64("node", node);
+            hit.arg_u64("depth", depth as u64);
+            hit.arg_u64("bytes", c.size_bytes() as u64);
+            hit.arg_str("src", || "shared_cache".to_string());
+            return c;
         }
-        Arc::new(self.compute_node(dev, vp, ex, depth, node))
+        let c = Arc::new(self.compute_node(dev, vp, cache, depth, node));
+        shared.publish(fp, &vp, &c);
+        c
     }
 
     /// Renders this node from its children (which recurse through the
-    /// exchange). Children take consecutive pre-order id ranges:
+    /// cache). Children take consecutive pre-order id ranges:
     /// `node + 1` for the first child, advancing by each earlier
     /// sibling's [`node_count`](Self::node_count).
     fn compute_node(
         &self,
         dev: &mut Device,
         vp: Viewport,
-        ex: &dyn super::subplan::SubplanExchange,
+        cache: Option<&dyn SubplanCache>,
         depth: usize,
         node: u64,
     ) -> Canvas {
@@ -293,8 +279,8 @@ impl Expr {
         let result = match self {
             Expr::Source(s) => s.render(dev, vp),
             Expr::Blend { op, left, right } => {
-                let l = left.eval_node(dev, vp, ex, depth + 1, node + 1);
-                let r = right.eval_node(dev, vp, ex, depth + 1, node + 1 + left.node_count());
+                let l = left.eval_node(dev, vp, cache, depth + 1, node + 1);
+                let r = right.eval_node(dev, vp, cache, depth + 1, node + 1 + left.node_count());
                 ops::blend(dev, &l, &r, *op)
             }
             Expr::MultiBlend { op, inputs } => {
@@ -302,10 +288,10 @@ impl Expr {
                     Canvas::empty(vp)
                 } else {
                     let mut child = node + 1;
-                    let mut acc = inputs[0].eval_node(dev, vp, ex, depth + 1, child);
+                    let mut acc = inputs[0].eval_node(dev, vp, cache, depth + 1, child);
                     child += inputs[0].node_count();
                     for e in &inputs[1..] {
-                        let c = e.eval_node(dev, vp, ex, depth + 1, child);
+                        let c = e.eval_node(dev, vp, cache, depth + 1, child);
                         child += e.node_count();
                         acc = Arc::new(ops::blend(dev, &acc, &c, *op));
                     }
@@ -313,11 +299,11 @@ impl Expr {
                 }
             }
             Expr::Mask { spec, input } => {
-                let c = input.eval_node(dev, vp, ex, depth + 1, node + 1);
+                let c = input.eval_node(dev, vp, cache, depth + 1, node + 1);
                 ops::mask(dev, &c, spec)
             }
             Expr::GeomTransform { gamma, input } => {
-                let c = input.eval_node(dev, vp, ex, depth + 1, node + 1);
+                let c = input.eval_node(dev, vp, cache, depth + 1, node + 1);
                 ops::transform_positions(dev, &c, gamma, vp)
             }
             Expr::MapScatter {
@@ -326,11 +312,11 @@ impl Expr {
                 combine,
                 input,
             } => {
-                let c = input.eval_node(dev, vp, ex, depth + 1, node + 1);
+                let c = input.eval_node(dev, vp, cache, depth + 1, node + 1);
                 ops::map_scatter(dev, &c, gamma, ops::group_viewport(*groups), *combine)
             }
             Expr::ValueTransform { f, input, .. } => {
-                let c = input.eval_node(dev, vp, ex, depth + 1, node + 1);
+                let c = input.eval_node(dev, vp, cache, depth + 1, node + 1);
                 ops::value_transform(dev, &c, |p, t| f(p, t))
             }
         };

@@ -401,24 +401,6 @@ impl Expr {
 // Per-node fingerprints and cut-point selection (subplan sharing).
 // ---------------------------------------------------------------------
 
-/// One canvas-producing subexpression of a plan, as enumerated by
-/// [`subplans`]. The algebra is closed — *every* node evaluates to a
-/// canvas — so every node is a candidate; `is_cut` marks the ones
-/// worth sharing across queries.
-#[derive(Clone, Copy, Debug)]
-pub struct Subplan {
-    /// Structural fingerprint of the subtree **as given** (fingerprint
-    /// the normalized plan to get cache-consistent identities; the
-    /// root entry then equals the whole-plan [`fingerprint`]).
-    pub fingerprint: Fingerprint,
-    /// The subtree's [`Expr::cost`] heuristic — what a cache hit saves.
-    pub cost: f64,
-    /// Distance from the plan root (0 = the root itself).
-    pub depth: usize,
-    /// Whether this node is a sharing cut point (see [`is_cut_point`]).
-    pub is_cut: bool,
-}
-
 /// Whether a node's rendered canvas is worth publishing for
 /// cross-query sharing. Every node qualifies except
 /// [`SourceSpec::Literal`]: a literal is *already* a materialized
@@ -427,47 +409,11 @@ pub struct Subplan {
 /// (`Circ`/`Rect`/`HS`) still cost a full raster pass and are kept.
 ///
 /// Cut points never break fused chains: the fused runners consult the
-/// exchange only for operand canvases they materialize anyway (see
-/// `ops::chain`), so the streamed≡materialized bit-identity contract
-/// of PR 3 is untouched.
+/// subplan cache only for operand canvases they materialize anyway
+/// (see `ops::chain`), so the streamed≡materialized bit-identity
+/// contract of PR 3 is untouched.
 pub fn is_cut_point(e: &Expr) -> bool {
     !matches!(e, Expr::Source(SourceSpec::Literal(_)))
-}
-
-/// Enumerates every subexpression of `e` bottom-up (post-order, so
-/// children precede parents and the root is last), with its structural
-/// fingerprint, cost, depth, and cut-point flag. This is the
-/// *planning* view of subplan sharing — evaluation consults the same
-/// identities on the fly via
-/// [`Expr::eval_via`](super::Expr::eval_via).
-pub fn subplans(e: &Expr) -> Vec<Subplan> {
-    fn walk_subplans(e: &Expr, depth: usize, out: &mut Vec<Subplan>) {
-        match e {
-            Expr::Source(_) => {}
-            Expr::Blend { left, right, .. } => {
-                walk_subplans(left, depth + 1, out);
-                walk_subplans(right, depth + 1, out);
-            }
-            Expr::MultiBlend { inputs, .. } => {
-                for i in inputs {
-                    walk_subplans(i, depth + 1, out);
-                }
-            }
-            Expr::Mask { input, .. }
-            | Expr::GeomTransform { input, .. }
-            | Expr::MapScatter { input, .. }
-            | Expr::ValueTransform { input, .. } => walk_subplans(input, depth + 1, out),
-        }
-        out.push(Subplan {
-            fingerprint: fingerprint(e),
-            cost: e.cost(),
-            depth,
-            is_cut: is_cut_point(e),
-        });
-    }
-    let mut out = Vec::new();
-    walk_subplans(e, 0, &mut out);
-    out
 }
 
 /// One row of the *report* view of a plan: the pre-order node id the
@@ -664,32 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn subplans_enumerate_bottom_up_with_root_last() {
-        let data = Arc::new(PointBatch::from_points(vec![Point::new(1.0, 1.0)]));
-        let blend = Expr::blend(
-            BlendFn::PointOverArea,
-            Expr::points(data.clone()),
-            Expr::query_polygon(square(0.0, 0.0, 5.0), 1),
-        );
-        let plan = Expr::mask(MaskSpec::PointInAreas(CountCond::Ge(1)), blend.clone());
-        let subs = subplans(&plan);
-        // mask, blend, points, polygon — four canvas-producing nodes.
-        assert_eq!(subs.len(), 4);
-        // Post-order: the root is last, at depth 0, and its fingerprint
-        // IS the whole-plan structural fingerprint.
-        let root = subs.last().unwrap();
-        assert_eq!(root.depth, 0);
-        assert_eq!(root.fingerprint, fingerprint(&plan));
-        // The blend subtree appears with its own structural identity.
-        assert!(subs
-            .iter()
-            .any(|s| s.fingerprint == fingerprint(&blend) && s.depth == 1));
-        // Children precede parents.
-        let pos = |fp: Fingerprint| subs.iter().position(|s| s.fingerprint == fp).unwrap();
-        assert!(pos(fingerprint(&blend)) < pos(fingerprint(&plan)));
-    }
-
-    #[test]
     fn selection_and_heatmap_share_the_blend_subplan() {
         // The motivating case: a selection and a (coarse) heatmap over
         // the same data + query polygon share the blended density
@@ -710,13 +630,16 @@ mod tests {
         );
         let shared = fingerprint(&blend());
         assert_ne!(fingerprint(&selection), fingerprint(&heat));
-        let in_sel = subplans(&selection)
-            .iter()
-            .any(|s| s.fingerprint == shared && s.is_cut);
-        let in_heat = subplans(&heat)
-            .iter()
-            .any(|s| s.fingerprint == shared && s.is_cut);
-        assert!(in_sel && in_heat, "shared blend is a cut point in both");
+        assert!(is_cut_point(&blend()));
+        let interior = |plan: &Expr| {
+            plan_nodes(plan)
+                .iter()
+                .any(|n| n.fingerprint == shared && n.depth > 0)
+        };
+        assert!(
+            interior(&selection) && interior(&heat),
+            "shared blend is an interior node of both"
+        );
     }
 
     #[test]
@@ -730,11 +653,12 @@ mod tests {
         let data = Arc::new(PointBatch::from_points(vec![Point::new(1.0, 1.0)]));
         assert!(is_cut_point(&Expr::points(data.clone())));
         let masked = Expr::mask(MaskSpec::PointInAreas(CountCond::Ge(1)), lit);
-        // The literal leaf is excluded, but the operator above it cuts.
+        // The literal leaf is excluded, but the operator above it cuts;
+        // the report view still lists the literal as a plan node.
         assert!(is_cut_point(&masked));
-        let subs = subplans(&masked);
-        assert_eq!(subs.len(), 2);
-        assert!(!subs[0].is_cut && subs[1].is_cut);
+        let nodes = plan_nodes(&masked);
+        assert_eq!(nodes.len(), 2);
+        assert_eq!(nodes[1].label, "C_lit");
     }
 
     #[test]

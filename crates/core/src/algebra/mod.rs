@@ -26,9 +26,8 @@ pub mod subplan;
 
 pub use expr::{Expr, SourceSpec};
 pub use fingerprint::{
-    fingerprint, is_cut_point, normalize, plan_nodes, subplans, Fingerprint, FingerprintBuilder,
-    PlanNode, Subplan,
+    fingerprint, is_cut_point, normalize, plan_nodes, Fingerprint, FingerprintBuilder, PlanNode,
 };
 pub use planner::{choose_selection_strategy, PlanChoice, SelectionStats, SelectionStrategy};
 pub use rewrite::{flatten_multiblend, fuse_polygon_leaves, optimize};
-pub use subplan::{NullExchange, SubplanAccess, SubplanExchange, SubplanLease, SubplanSource};
+pub use subplan::SubplanCache;

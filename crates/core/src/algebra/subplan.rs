@@ -5,24 +5,20 @@
 //! **intermediates** across operators: a selection and a heatmap over
 //! the same data + viewport both render the same density canvas `C_P`
 //! and the same query-polygon canvas `C_Q`, and should compute each
-//! once. This module defines the narrow interface evaluation uses to
+//! once. [`SubplanCache`] is the narrow interface evaluation uses to
 //! make that possible without the algebra knowing anything about
-//! caches, engines, or threads:
+//! engines or threads. At every *cut point* (a canvas-producing
+//! subexpression worth sharing, see
+//! [`is_cut_point`](super::fingerprint::is_cut_point)) evaluation asks
+//! the cache for the subplan's structural [`Fingerprint`] at the
+//! viewport; on a miss it renders the canvas itself and publishes it.
 //!
-//! * [`SubplanExchange`] — consulted at every *cut point* (a
-//!   canvas-producing subexpression worth sharing, see
-//!   [`is_cut_point`](super::fingerprint::is_cut_point)) with the
-//!   subplan's structural [`Fingerprint`]. The exchange answers with a
-//!   [`SubplanAccess`]:
-//!   [`Ready`](SubplanAccess::Ready) (someone already rendered this —
-//!   use the shared canvas), [`Lead`](SubplanAccess::Lead) (you render
-//!   it, then [`publish`](SubplanLease::publish) so concurrent
-//!   subscribers and the cache see it), or
-//!   [`Compute`](SubplanAccess::Compute) (render privately).
-//! * [`NullExchange`] — the inert implementation every non-engine call
-//!   path uses; it reports [`active`](SubplanExchange::active)` ==
-//!   false` so evaluation skips per-node fingerprinting entirely and
-//!   [`Expr::eval`](super::Expr::eval) stays zero-overhead.
+//! Nothing waits on another query: two evaluations that miss the same
+//! subplan at once both render it, and the later publish replaces the
+//! earlier one. Callers pass the cache as `Option<&dyn SubplanCache>`;
+//! `None` means no sharing, and evaluation then skips per-node
+//! fingerprinting entirely, so [`Expr::eval`](super::Expr::eval) stays
+//! zero-overhead.
 //!
 //! ## Identity and bit-identity contract
 //!
@@ -30,21 +26,9 @@
 //! [`fingerprint`](mod@super::fingerprint): structural hash of the subtree,
 //! datasets by handle, geometry by value, functions by name. Rendering
 //! is deterministic, so any canvas published under a fingerprint is
-//! bit-identical to the canvas the subscriber would have rendered
+//! bit-identical to the canvas a later reader would have rendered
 //! itself — sharing is invisible in results, which is the same
 //! contract the whole-plan cache already makes.
-//!
-//! ## Liveness
-//!
-//! An exchange implementation may *block* in
-//! [`acquire`](SubplanExchange::acquire) (subscribing to another
-//! query's in-flight render). Deadlock-freedom holds structurally:
-//! a leader only acquires subplans strictly *contained* in the subplan
-//! it is computing, so every wait chain descends a strictly shrinking
-//! sequence of subtrees and must terminate. A leader that fails to
-//! publish (panic, shed) must resolve its subscribers with a fallback
-//! signal — they then return [`Compute`](SubplanAccess::Compute) and
-//! render privately rather than hanging or erroring.
 
 use std::sync::Arc;
 
@@ -52,104 +36,36 @@ use super::fingerprint::Fingerprint;
 use crate::canvas::Canvas;
 use canvas_raster::Viewport;
 
-/// The obligation a leading evaluator holds for one subplan: render
-/// the canvas, then [`publish`](Self::publish) it exactly once.
-/// Implementations must treat being dropped **without** a publish
-/// (leader panicked or bailed) as a failure signal to subscribers, so
-/// they fall back to computing privately instead of waiting forever.
-pub trait SubplanLease {
-    /// Hands the rendered canvas to subscribers (and, typically, a
-    /// cache). Called at most once.
-    fn publish(&mut self, canvas: &Arc<Canvas>);
+/// The cache evaluation consults at cut points (see module docs).
+pub trait SubplanCache {
+    /// The canvas published under `(fp, vp)`, if it is still resident.
+    fn get(&self, fp: Fingerprint, vp: &Viewport) -> Option<Arc<Canvas>>;
+
+    /// Offers a freshly rendered canvas for `(fp, vp)` to later readers.
+    fn publish(&self, fp: Fingerprint, vp: &Viewport, canvas: &Arc<Canvas>);
 }
 
-/// Where a [`Ready`](SubplanAccess::Ready) canvas came from — recorded
-/// on the hit's span so execution reports can distinguish a subplan
-/// cache hit from a subscription to another query's in-flight render.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SubplanSource {
-    /// Served from the shared subplan cache.
-    Cache,
-    /// Published by a concurrent leader this acquire subscribed to.
-    Subscribed,
-}
-
-impl SubplanSource {
-    /// The provenance string reports carry (`shared_cache` /
-    /// `subscribed`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SubplanSource::Cache => "shared_cache",
-            SubplanSource::Subscribed => "subscribed",
-        }
-    }
-}
-
-/// The exchange's answer for one subplan (see module docs).
-pub enum SubplanAccess<'a> {
-    /// Render privately; nobody shares this subplan.
-    Compute,
-    /// Already rendered (cached, or a concurrent leader just
-    /// published): use the shared canvas as-is.
-    Ready(Arc<Canvas>, SubplanSource),
-    /// The caller leads: render the subplan, then publish through the
-    /// lease.
-    Lead(Box<dyn SubplanLease + 'a>),
-}
-
-/// The hook evaluation consults at cut points (see module docs).
-/// `acquire` may block while another query finishes rendering the same
-/// subplan.
-pub trait SubplanExchange {
-    /// `false` short-circuits all per-node fingerprinting — the inert
-    /// default path.
-    fn active(&self) -> bool {
-        true
-    }
-
-    /// Probes/claims the subplan identified by `(fp, vp)`.
-    fn acquire(&self, fp: Fingerprint, vp: &Viewport) -> SubplanAccess<'_>;
-}
-
-/// The inert exchange: every subplan is computed privately and nothing
-/// is fingerprinted. [`Expr::eval`](super::Expr::eval) routes through
-/// this.
-pub struct NullExchange;
-
-impl SubplanExchange for NullExchange {
-    fn active(&self) -> bool {
-        false
-    }
-
-    fn acquire(&self, _fp: Fingerprint, _vp: &Viewport) -> SubplanAccess<'_> {
-        SubplanAccess::Compute
-    }
-}
-
-/// Acquire-or-render helper shared by the fused-chain query paths: the
-/// exchange is probed for `fp`; on a miss the canvas is rendered by
-/// `render` and published if this caller holds the lease. The fused
-/// chains use this **only** for operand canvases they materialize
-/// anyway (`C_Q`, the tagged query region) — never for the streamed
-/// tiles themselves, so fusion is never broken by a cut point.
+/// Get-or-render helper shared by the fused-chain query paths: the
+/// cache is probed for `fp`; on a miss the canvas is rendered by
+/// `render` and published. The fused chains use this **only** for
+/// operand canvases they materialize anyway (`C_Q`, the tagged query
+/// region) — never for the streamed tiles themselves, so fusion is
+/// never broken by a cut point.
 pub fn acquire_or_render(
-    ex: &dyn SubplanExchange,
+    cache: Option<&dyn SubplanCache>,
     fp: Fingerprint,
     vp: &Viewport,
     render: impl FnOnce() -> Canvas,
 ) -> Arc<Canvas> {
-    if ex.active() {
-        match ex.acquire(fp, vp) {
-            SubplanAccess::Ready(c, _) => return c,
-            SubplanAccess::Lead(mut lease) => {
-                let c = Arc::new(render());
-                lease.publish(&c);
-                return c;
-            }
-            SubplanAccess::Compute => {}
-        }
+    let Some(cache) = cache else {
+        return Arc::new(render());
+    };
+    if let Some(c) = cache.get(fp, vp) {
+        return c;
     }
-    Arc::new(render())
+    let c = Arc::new(render());
+    cache.publish(fp, vp, &c);
+    c
 }
 
 #[cfg(test)]
@@ -163,37 +79,30 @@ mod tests {
     }
 
     #[test]
-    fn null_exchange_is_inert() {
-        let ex = NullExchange;
-        assert!(!ex.active());
-        assert!(matches!(
-            ex.acquire(Fingerprint(7), &vp()),
-            SubplanAccess::Compute
-        ));
-        let c = acquire_or_render(&ex, Fingerprint(7), &vp(), || Canvas::empty(vp()));
-        assert!(c.is_empty());
+    fn no_cache_renders_privately() {
+        let mut renders = 0;
+        for _ in 0..2 {
+            let c = acquire_or_render(None, Fingerprint(7), &vp(), || {
+                renders += 1;
+                Canvas::empty(vp())
+            });
+            assert!(c.is_empty());
+        }
+        assert_eq!(renders, 2, "without a cache every call renders");
     }
 
-    /// A toy exchange: first acquire leads, later acquires are served
-    /// the published canvas.
+    /// A toy one-slot cache.
     struct Memo {
         slot: RefCell<Option<Arc<Canvas>>>,
     }
 
-    struct MemoLease<'a>(&'a Memo);
-
-    impl SubplanLease for MemoLease<'_> {
-        fn publish(&mut self, canvas: &Arc<Canvas>) {
-            *self.0.slot.borrow_mut() = Some(Arc::clone(canvas));
+    impl SubplanCache for Memo {
+        fn get(&self, _fp: Fingerprint, _vp: &Viewport) -> Option<Arc<Canvas>> {
+            self.slot.borrow().clone()
         }
-    }
 
-    impl SubplanExchange for Memo {
-        fn acquire(&self, _fp: Fingerprint, _vp: &Viewport) -> SubplanAccess<'_> {
-            match &*self.slot.borrow() {
-                Some(c) => SubplanAccess::Ready(Arc::clone(c), SubplanSource::Cache),
-                None => SubplanAccess::Lead(Box::new(MemoLease(self))),
-            }
+        fn publish(&self, _fp: Fingerprint, _vp: &Viewport, canvas: &Arc<Canvas>) {
+            *self.slot.borrow_mut() = Some(Arc::clone(canvas));
         }
     }
 
@@ -203,15 +112,15 @@ mod tests {
             slot: RefCell::new(None),
         };
         let mut renders = 0;
-        let first = acquire_or_render(&memo, Fingerprint(1), &vp(), || {
+        let first = acquire_or_render(Some(&memo), Fingerprint(1), &vp(), || {
             renders += 1;
             Canvas::empty(vp())
         });
-        let second = acquire_or_render(&memo, Fingerprint(1), &vp(), || {
+        let second = acquire_or_render(Some(&memo), Fingerprint(1), &vp(), || {
             renders += 1;
             Canvas::empty(vp())
         });
-        assert_eq!(renders, 1, "second acquire reused the published canvas");
+        assert_eq!(renders, 1, "second call reused the published canvas");
         assert!(Arc::ptr_eq(&first, &second));
     }
 }

@@ -30,16 +30,16 @@
 //!
 //! Cross-query subplan sharing
 //! ([`algebra::subplan`](crate::algebra::subplan)) publishes rendered
-//! intermediates at cut points — but a fused chain, by design, never
-//! materializes its intermediates, so there is nothing to publish
-//! mid-chain and no cut point is ever placed inside one. The only
-//! canvases a chain exchanges are the **operand** canvases it
+//! intermediates to a cache at cut points — but a fused chain, by
+//! design, never materializes its intermediates, so there is nothing to
+//! publish mid-chain and no cut point is ever placed inside one. The
+//! only canvases a chain shares are the **operand** canvases it
 //! materializes anyway (the Blend operands, e.g. the heatmap's `C_Q`
 //! or the choropleth's tagged query region — see
 //! `queries::heatmap::selection_heatmap_via`). Consequently the PR 3
 //! streamed ≡ materialized bit-identity contract is untouched by
 //! sharing: the fused tile flow is byte-for-byte the same whether an
-//! operand was rendered locally or served from the exchange.
+//! operand was rendered locally or served from the cache.
 
 use std::sync::Arc;
 

@@ -21,7 +21,7 @@
 //! plan as separate whole-canvas passes; the equivalence harness
 //! asserts the two are bit-identical at any thread count.
 
-use crate::algebra::subplan::{acquire_or_render, NullExchange, SubplanExchange};
+use crate::algebra::subplan::{acquire_or_render, SubplanCache};
 use crate::algebra::{Expr, FingerprintBuilder};
 use crate::canvas::{AreaSource, Canvas, PointBatch};
 use crate::device::Device;
@@ -55,10 +55,10 @@ pub fn selection_heatmap(
     data: &PointBatch,
     q: &Polygon,
 ) -> ChainOutcome {
-    selection_heatmap_via(dev, vp, data, q, &NullExchange)
+    selection_heatmap_via(dev, vp, data, q, None)
 }
 
-/// [`selection_heatmap`] with a [`SubplanExchange`] for the operand
+/// [`selection_heatmap`] with a [`SubplanCache`] for the operand
 /// canvas the chain materializes anyway: `C_Q`, the rendered query
 /// polygon. Its identity is the structural fingerprint of the
 /// equivalent plan leaf `Expr::query_polygon(q, 1)` — exactly the node
@@ -71,10 +71,12 @@ pub fn selection_heatmap_via(
     vp: Viewport,
     data: &PointBatch,
     q: &Polygon,
-    ex: &dyn SubplanExchange,
+    cache: Option<&dyn SubplanCache>,
 ) -> ChainOutcome {
     let fp = crate::algebra::fingerprint(&Expr::query_polygon(q.clone(), 1));
-    let cq = acquire_or_render(ex, fp, &vp, || render_query_polygon(dev, vp, q.clone(), 1));
+    let cq = acquire_or_render(cache, fp, &vp, || {
+        render_query_polygon(dev, vp, q.clone(), 1)
+    });
     run_points_chain(dev, vp, data, &heat_chain(&cq))
 }
 
@@ -145,10 +147,10 @@ pub fn polygon_density_heatmap(
     table: &AreaSource,
     q: &Polygon,
 ) -> ChainOutcome {
-    polygon_density_heatmap_via(dev, vp, table, q, &NullExchange)
+    polygon_density_heatmap_via(dev, vp, table, q, None)
 }
 
-/// [`polygon_density_heatmap`] with a [`SubplanExchange`] for the
+/// [`polygon_density_heatmap`] with a [`SubplanCache`] for the
 /// tag-rendered query-region canvas (the operand the chain
 /// materializes anyway). The tag canvas is not expressible as a plain
 /// plan leaf, so its identity is a namespaced descriptor fingerprint
@@ -160,11 +162,11 @@ pub fn polygon_density_heatmap_via(
     vp: Viewport,
     table: &AreaSource,
     q: &Polygon,
-    ex: &dyn SubplanExchange,
+    cache: Option<&dyn SubplanCache>,
 ) -> ChainOutcome {
     let mut fb = FingerprintBuilder::new("core/heatmap/query-tag");
     fb.polygon(q);
-    let ctag = acquire_or_render(ex, fb.finish(), &vp, || render_query_tag(dev, vp, q));
+    let ctag = acquire_or_render(cache, fb.finish(), &vp, || render_query_tag(dev, vp, q));
     run_polygons_chain(dev, vp, table, BlendFn::AreaCount, &density_chain(&ctag))
 }
 

@@ -36,16 +36,16 @@ pub fn hull_of_selection(
 }
 
 /// [`hull_of_selection`] over a shared dataset handle with a subplan
-/// exchange: the interior selection render is shared with any concurrent
-/// query over the same handle and constraint.
+/// cache: the interior selection render is shared with any other query
+/// over the same handle and constraint.
 pub fn hull_of_selection_via(
     dev: &mut Device,
     vp: Viewport,
     data: &Arc<PointBatch>,
     q: &Polygon,
-    ex: &dyn crate::algebra::SubplanExchange,
+    cache: Option<&dyn crate::algebra::SubplanCache>,
 ) -> Vec<Point> {
-    let sel = select_points_in_polygon_via(dev, vp, data, q, ex);
+    let sel = select_points_in_polygon_via(dev, vp, data, q, cache);
     hull_of_canvas_points(&sel)
 }
 

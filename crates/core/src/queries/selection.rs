@@ -102,8 +102,8 @@ pub fn select_rendered_points_in_polygon(
 }
 
 /// [`select_points_in_polygon`] with a shared dataset handle and a
-/// [`SubplanExchange`](crate::algebra::SubplanExchange): the selection
-/// plan's interior renders become shareable across concurrent queries.
+/// [`SubplanCache`](crate::algebra::SubplanCache): the selection plan's
+/// interior renders become shareable across queries.
 /// Subplan fingerprints identify datasets by `Arc` address, so this only
 /// pays off when callers pass the *same* handle.
 pub fn select_points_in_polygon_via(
@@ -111,11 +111,11 @@ pub fn select_points_in_polygon_via(
     vp: Viewport,
     data: &Arc<PointBatch>,
     q: &Polygon,
-    ex: &dyn crate::algebra::SubplanExchange,
+    cache: Option<&dyn crate::algebra::SubplanCache>,
 ) -> PointSelection {
     let plan = points_in_polygon_plan(data.clone(), q.clone());
     let plan = crate::algebra::optimize(plan);
-    let canvas = plan.eval_via(dev, vp, ex);
+    let canvas = plan.eval_via(dev, vp, cache);
     PointSelection {
         records: canvas.point_records(),
         canvas,

@@ -59,17 +59,17 @@ pub fn skyline_of_selection(
 }
 
 /// [`skyline_of_selection`] over a shared dataset handle with a subplan
-/// exchange: the interior selection render is shared with any concurrent
-/// query over the same handle and constraint.
+/// cache: the interior selection render is shared with any other query
+/// over the same handle and constraint.
 pub fn skyline_of_selection_via(
     dev: &mut Device,
     vp: Viewport,
     data: &Arc<PointBatch>,
     constraint: &Polygon,
     sites: &[Point],
-    ex: &dyn crate::algebra::SubplanExchange,
+    cache: Option<&dyn crate::algebra::SubplanCache>,
 ) -> Vec<u32> {
-    let sel = select_points_in_polygon_via(dev, vp, data, constraint, ex);
+    let sel = select_points_in_polygon_via(dev, vp, data, constraint, cache);
     skyline_of_canvas_points(&sel, sites)
 }
 

@@ -27,7 +27,11 @@
 //!   after an evaluation ([`CanvasCache::insert`]);
 //! * **shared** entries — rendered *intermediates* published at
 //!   subplan cut points ([`CanvasCache::insert_shared`]), e.g. the
-//!   density canvas a selection and a heatmap both need.
+//!   density canvas a selection and a heatmap both need. This class is
+//!   the whole of cross-query subplan sharing: a query that misses an
+//!   interior renders it and publishes it here, and two queries that
+//!   miss the same interior at once both render it — the later insert
+//!   replaces the earlier, so the key stays resident once.
 //!
 //! The keyspace is deliberately unified: a subplan fingerprint of the
 //! whole plan *is* the whole-plan fingerprint, so a root result can
@@ -126,7 +130,8 @@ pub struct CacheStats {
     pub rejected_oversize: u64,
     /// Bytes currently resident (both classes).
     pub bytes: usize,
-    /// High-water mark of resident bytes.
+    /// High-water mark of resident bytes, taken after each insert's
+    /// evictions (so never above the budget).
     pub peak_bytes: usize,
     /// Entries currently resident (both classes).
     pub entries: usize,
@@ -344,9 +349,10 @@ impl CanvasCache {
         }
         inner.tick += 1;
         let tick = inner.tick;
-        // Re-insert of a live key (e.g. two leaders raced, or a subplan
-        // publish lands on an existing root result): replace; the new
-        // insert's class wins.
+        // Re-insert of a live key (e.g. two leaders raced, two queries
+        // rendered the same subplan concurrently, or a subplan publish
+        // lands on an existing root result): replace; the new insert's
+        // class wins.
         inner.unlink(&key);
         inner.order_mut(class).insert(tick, key);
         let non_canvas = value.as_canvas().is_none();
@@ -371,7 +377,6 @@ impl CanvasCache {
             inner.stats.result_entries += 1;
         }
         inner.stats.insertions += 1;
-        inner.stats.peak_bytes = inner.stats.peak_bytes.max(inner.stats.bytes);
 
         let mut evicted = 0;
         while inner.stats.bytes > inner.budget {
@@ -394,6 +399,9 @@ impl CanvasCache {
             inner.stats.evictions += 1;
             evicted += 1;
         }
+        // After eviction: the mark records what stayed resident, so it
+        // never exceeds the budget.
+        inner.stats.peak_bytes = inner.stats.peak_bytes.max(inner.stats.bytes);
         evicted
     }
 
@@ -481,6 +489,19 @@ mod tests {
         assert_eq!(s.entries, 2);
         assert!(s.bytes <= 2 * one + one / 2);
         assert!(s.peak_bytes >= s.bytes);
+    }
+
+    #[test]
+    fn peak_bytes_never_exceeds_the_budget() {
+        let payload = || QueryResult::Ids(Arc::new(vec![0; 4]));
+        assert_eq!(payload().size_bytes(), 40);
+        let cache = CanvasCache::new(100);
+        for fp in 0..3 {
+            cache.insert(key(fp, &vp(8)), payload(), Vec::new());
+        }
+        let s = cache.stats();
+        assert_eq!((s.evictions, s.bytes), (1, 80));
+        assert!(s.peak_bytes <= 100, "peak {} over budget", s.peak_bytes);
     }
 
     #[test]

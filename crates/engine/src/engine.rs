@@ -32,16 +32,16 @@
 //! state a clean failure leaves: followers resolved with
 //! [`EngineError::LeaderFailed`], permit returned, counters conserved
 //! (`submitted = computed + cache_hits + coalesced +
-//! incremental_refreshes + shed + failed`). The one leader/follower
-//! mechanism (`Flights`) runs twice: keyed by whole-plan fingerprints
-//! (`roots`), and by the subplan fingerprints evaluation consults at
-//! cut points (`interiors`, behind the engine's [`SubplanExchange`]).
+//! incremental_refreshes + shed + failed`). The leader/follower
+//! mechanism (`Flights`) is keyed by whole-plan fingerprints only.
+//! Plan interiors are shared through the cache alone: at every cut
+//! point evaluation probes the engine's [`SubplanCache`], renders on a
+//! miss and publishes — it never waits on another query.
 
 use crate::cache::{CacheKey, CacheStats, CanvasCache, DataPin};
 use crate::query::{Prepared, Query};
 use crate::result::QueryResult;
-use canvas_core::algebra::subplan::{SubplanAccess, SubplanExchange, SubplanLease, SubplanSource};
-use canvas_core::algebra::Fingerprint;
+use canvas_core::algebra::{Fingerprint, SubplanCache};
 use canvas_core::{Canvas, SharedDevice};
 use canvas_obs as obs;
 use canvas_raster::{Calibration, SchedulerStats, Viewport};
@@ -67,12 +67,6 @@ pub struct EngineConfig {
     /// `Policy::min_parallel_items` from it (the static default stays
     /// as fallback).
     pub calibrate: bool,
-    /// Share rendered intermediates *across* queries at subplan
-    /// granularity: cut-point canvases are published to the cache and
-    /// to concurrent queries subscribing to the same in-flight
-    /// subplan (see `canvas_core::algebra::subplan`). Off = PR 4
-    /// whole-plan caching only.
-    pub share_subplans: bool,
     /// Tail-sampling bar of the always-on flight recorder: a query
     /// whose end-to-end service time exceeds this (or that was shed,
     /// failed, or panicked) has its span tree promoted from the
@@ -94,7 +88,6 @@ impl Default for EngineConfig {
             max_queue: 64,
             cache_budget_bytes: 256 << 20,
             calibrate: true,
-            share_subplans: true,
             // An interactive engine's latency budget is ~100ms (the
             // paper's interactivity bar); captures start at 2.5× that
             // so the log holds genuine outliers, not the daily p95.
@@ -270,8 +263,8 @@ impl Flight {
     }
 }
 
-/// A keyed table of in-flight evaluations — the one leader/follower
-/// mechanism, instantiated for whole plans and for subplans.
+/// A keyed table of in-flight whole-plan evaluations — the one
+/// leader/follower mechanism.
 #[derive(Default)]
 struct Flights(Mutex<HashMap<CacheKey, Arc<Flight>>>);
 
@@ -341,23 +334,9 @@ impl Drop for Lead<'_> {
     }
 }
 
-/// The engine's [`SubplanExchange`]: probes the shared cache, then the
-/// interior flights; first-comers lead (and publish through
-/// [`InteriorLease`]), later arrivals subscribe. Created per-execution
-/// so it can carry the query's dataset pins into published entries.
-///
-/// Blocking in `acquire` is deadlock-free: a leader only ever acquires
-/// subplans strictly contained in the one it is rendering, so wait
-/// chains descend strictly shrinking subtrees (see `algebra::subplan`).
-///
-/// Root and interior flights are deliberately **not** bridged while
-/// work is in flight (the unified keyspace kicks in once a render
-/// lands in the cache): a subplan acquirer always holds an admission
-/// permit, but a whole-plan leader may still be *waiting* for one —
-/// subscribing across the tables could park every permit holder behind
-/// a leader that can never be admitted. The cost is one duplicated
-/// render in the narrow window where a whole plan and an identical
-/// interior subplan overlap in flight; correctness is unaffected.
+/// The engine's [`SubplanCache`]: cut-point canvases come from and go
+/// to the shared class of the engine's cache. Created per execution so
+/// published entries carry the query's dataset pins.
 struct Exchange<'e> {
     engine: &'e QueryEngine,
     /// Pins of the whole query — a superset of any subplan's pins
@@ -366,67 +345,19 @@ struct Exchange<'e> {
     pins: &'e [DataPin],
 }
 
-impl SubplanExchange for Exchange<'_> {
-    /// Off = whole-plan caching only: evaluation never consults
-    /// `acquire` and skips per-node fingerprinting.
-    fn active(&self) -> bool {
-        self.engine.cfg.share_subplans
+impl SubplanCache for Exchange<'_> {
+    fn get(&self, fp: Fingerprint, vp: &Viewport) -> Option<Arc<Canvas>> {
+        let canvas = self.engine.cache.get_shared(&CacheKey::new(fp, vp))?;
+        self.engine.metrics_mut().subplan_hits += 1;
+        Some(canvas)
     }
 
-    fn acquire(&self, fp: Fingerprint, vp: &Viewport) -> SubplanAccess<'_> {
-        let engine = self.engine;
-        let key = CacheKey::new(fp, vp);
-        if let Some(canvas) = engine.cache.get_shared(&key) {
-            engine.metrics_mut().subplan_hits += 1;
-            return SubplanAccess::Ready(canvas, SubplanSource::Cache);
-        }
-        match engine.interiors.join(key) {
-            Joined::Lead(lead) => SubplanAccess::Lead(Box::new(InteriorLease {
-                engine,
-                lead,
-                pins: self.pins.to_vec(),
-            })),
-            // Subscribe: park until the leader resolves, then share its
-            // canvas. Failure here is not an error surface: a
-            // subscriber to a failed leader renders privately.
-            Joined::Follow(flight) => match flight.wait() {
-                Ok(QueryResult::Canvas(canvas)) => {
-                    let mut m = engine.metrics_mut();
-                    m.subplan_hits += 1;
-                    m.shared_renders_avoided += 1;
-                    SubplanAccess::Ready(canvas, SubplanSource::Subscribed)
-                }
-                _ => {
-                    engine.metrics_mut().subplan_fallbacks += 1;
-                    SubplanAccess::Compute
-                }
-            },
-        }
-    }
-}
-
-/// A subplan leader's [`SubplanLease`]: publishing caches the canvas
-/// as a shared intermediate and resolves the interior flight; dropping
-/// it unpublished resolves subscribers through [`Lead`]'s drop, and
-/// they fall back to a private render.
-struct InteriorLease<'e> {
-    engine: &'e QueryEngine,
-    lead: Lead<'e>,
-    pins: Vec<DataPin>,
-}
-
-impl SubplanLease for InteriorLease<'_> {
-    fn publish(&mut self, canvas: &Arc<Canvas>) {
-        // Cache first (may be rejected under a tiny budget — the
-        // flight's slot still serves current subscribers), then wake
-        // them.
+    fn publish(&self, fp: Fingerprint, vp: &Viewport, canvas: &Arc<Canvas>) {
         self.engine.cache.insert_shared(
-            self.lead.key,
+            CacheKey::new(fp, vp),
             Arc::clone(canvas),
-            std::mem::take(&mut self.pins),
+            self.pins.to_vec(),
         );
-        self.lead
-            .publish(Ok(QueryResult::Canvas(Arc::clone(canvas))));
         self.engine.metrics_mut().subplan_published += 1;
     }
 }
@@ -593,17 +524,16 @@ pub struct EngineMetrics {
     pub shed: u64,
     pub failed: u64,
     pub peak_queued: usize,
-    /// Subplan acquisitions served without a render — shared-cache
-    /// hits plus in-flight subscriptions (cut-point granularity).
+    /// Cut-point canvases served from the shared subplan cache
+    /// instead of rendered.
     pub subplan_hits: u64,
-    /// The subscription slice of `subplan_hits`: renders avoided by
-    /// latching onto another query's *in-flight* intermediate.
+    /// Always 0: evaluation no longer waits on another query's
+    /// in-flight intermediate, so no render is avoided that way. Kept
+    /// only because the repo benchmark still reads it; a
+    /// benchmark-only follow-up deletes it.
     pub shared_renders_avoided: u64,
     /// Cut-point canvases published for cross-query sharing.
     pub subplan_published: u64,
-    /// Subscriptions resolved by a failed leader — the subscriber
-    /// fell back to rendering privately (correctness is unaffected).
-    pub subplan_fallbacks: u64,
     /// Point batches appended to versioned tables through
     /// [`QueryEngine::ingest_append`] (each bumps its table's
     /// generation and retires that table's cached canvases by key).
@@ -696,12 +626,10 @@ pub struct QueryEngine {
     cache: CanvasCache,
     admission: Admission,
     /// The construction knobs consulted while serving (`max_queue`,
-    /// `share_subplans`, `slow_query_threshold`).
+    /// `slow_query_threshold`).
     cfg: EngineConfig,
     /// In-flight whole-plan evaluations.
     roots: Flights,
-    /// In-flight **subplan** renders (cut-point granularity).
-    interiors: Flights,
     metrics: Mutex<EngineMetrics>,
     /// Named counters + latency histograms, snapshot-able as JSON /
     /// Prometheus ([`QueryEngine::metrics_json`]). The histograms below
@@ -756,7 +684,6 @@ impl QueryEngine {
             admission: Admission::new(cfg.max_concurrent),
             cfg,
             roots: Flights::default(),
-            interiors: Flights::default(),
             metrics: Mutex::new(EngineMetrics::default()),
             registry,
             lat_service,
@@ -1001,9 +928,7 @@ impl QueryEngine {
     /// fair-share ticket: patch `base` forward with only the append
     /// delta's dirty tiles, or run the class's run arm through the
     /// engine's [`Exchange`], so cut-point canvases are reused if
-    /// another query rendered them and published otherwise (a panic
-    /// mid-plan drops any unpublished leases, resolving their
-    /// subscribers with the fallback signal).
+    /// another query already published them and published otherwise.
     fn evaluate(
         &self,
         prepared: &Prepared,
@@ -1021,7 +946,7 @@ impl QueryEngine {
                         engine: self,
                         pins: prepared.pins(),
                     };
-                    return prepared.execute_via(dev, vp, &ex);
+                    return prepared.execute_via(dev, vp, Some(&ex));
                 };
                 // Mirror `execute_via`'s per-class span so the report's
                 // descriptor row (node 0) still joins this submission's
@@ -1148,7 +1073,7 @@ impl QueryEngine {
     /// the process metadata.
     fn sync_registry(&self) {
         let m = self.metrics();
-        let counters: [(&str, u64); 19] = [
+        let counters: [(&str, u64); 17] = [
             ("queries_submitted", m.submitted),
             ("queries_computed", m.computed),
             ("cache_hits", m.cache_hits),
@@ -1157,9 +1082,7 @@ impl QueryEngine {
             ("failed", m.failed),
             ("peak_queued", m.peak_queued as u64),
             ("subplan_hits", m.subplan_hits),
-            ("subplan_shared_renders_avoided", m.shared_renders_avoided),
             ("subplan_published", m.subplan_published),
-            ("subplan_fallbacks", m.subplan_fallbacks),
             ("ingest_appends", m.ingest_appends),
             ("incremental_refreshes", m.incremental_refreshes),
             ("dirty_tiles_redrawn", m.dirty_tiles_redrawn),

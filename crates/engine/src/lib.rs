@@ -22,9 +22,9 @@
 //!                │                (bounded quantum, no whole-query head-of-line);
 //!                │                a live view patches a cached predecessor
 //!                │                generation instead of rendering; every
-//!                │                canvas-producing SUBPLAN goes through the
-//!                │                exchange: reuse a shared intermediate, subscribe
-//!                │                to one in flight, or render-and-publish
+//!                │                canvas-producing SUBPLAN probes the shared
+//!                │                cache: reuse the intermediate, or render it
+//!                │                and publish it (never wait on another query)
 //!                └─ publish       result → cache, followers woken with the same Arc
 //! ```
 //!
@@ -35,16 +35,15 @@
 //!   startup **calibration** of the minimum-work threshold,
 //! * `canvas-core` provides plan **normalization + fingerprinting**
 //!   (`algebra::fingerprint`, per-node with cut-point selection), the
-//!   **subplan exchange hook** (`algebra::subplan`) evaluation
-//!   consults at cut points, and the **shared-state eval path**
+//!   **subplan cache hook** (`algebra::subplan`) evaluation consults
+//!   at cut points, and the **shared-state eval path**
 //!   (`SharedDevice`),
 //! * this crate adds the [`Query`] descriptors — the one description of
 //!   each class: label, identity arm, run arm (`query.rs`, which also
 //!   carries the "adding a query class" recipe) — the budgeted
 //!   [`CanvasCache`] (whole-plan roots + shared subplan intermediates
 //!   in one keyspace), admission control, one in-flight leader/follower
-//!   mechanism run at both whole-plan and subplan granularity, and
-//!   per-query latency/sharing metrics.
+//!   mechanism for whole plans, and per-query latency/sharing metrics.
 //!
 //! Every cached, coalesced, or subplan-shared response is the *same*
 //! `Arc<Canvas>` the original evaluation produced — bit-identical by

@@ -40,8 +40,7 @@
 
 use crate::cache::DataPin;
 use crate::result::QueryResult;
-use canvas_core::algebra::subplan::{NullExchange, SubplanExchange};
-use canvas_core::algebra::{self, Expr, Fingerprint, FingerprintBuilder};
+use canvas_core::algebra::{self, Expr, Fingerprint, FingerprintBuilder, SubplanCache};
 use canvas_core::canvas::{AreaSource, PointBatch};
 use canvas_core::info::BlendFn;
 use canvas_core::ops::{CountCond, MaskSpec, ValueMap};
@@ -453,12 +452,12 @@ impl Prepared {
     /// harnesses can evaluate the *identical* prepared form on a
     /// reference device (`Device::cpu`) for equivalence checks.
     pub fn execute(&self, dev: &mut Device, vp: Viewport) -> QueryResult {
-        self.execute_via(dev, vp, &NullExchange)
+        self.execute_via(dev, vp, None)
     }
 
-    /// Evaluates with a [`SubplanExchange`] consulted at cut points —
-    /// the engine's subplan-sharing entry, and the one **run arm** per
-    /// class. Plans thread the exchange through `Expr::eval_via`; the
+    /// Evaluates with a [`SubplanCache`] consulted at cut points — the
+    /// engine's subplan-sharing entry, and the one **run arm** per
+    /// class. Plans thread the cache through `Expr::eval_via`; the
     /// fused chains consult it only for the operand canvases they
     /// materialize anyway (fusion is never broken by a cut point); the
     /// promoted classes with a shareable interior selection (skyline,
@@ -466,8 +465,8 @@ impl Prepared {
     /// remaining procedures run on the leased device directly (their
     /// interior batches are derived per call, so there is nothing
     /// stable to share). Results are bit-identical to
-    /// [`execute`](Self::execute) regardless of what the exchange
-    /// serves, because rendering is deterministic.
+    /// [`execute`](Self::execute) regardless of what the cache serves,
+    /// because rendering is deterministic.
     ///
     /// Every class but the plan records a per-class trace span
     /// (category `"query"`, named after [`Query::label`]) under the
@@ -480,10 +479,10 @@ impl Prepared {
         &self,
         dev: &mut Device,
         vp: Viewport,
-        ex: &dyn SubplanExchange,
+        cache: Option<&dyn SubplanCache>,
     ) -> QueryResult {
         if let Query::Plan(e) = &self.query {
-            return e.eval_via(dev, vp, ex).into();
+            return e.eval_via(dev, vp, cache).into();
         }
         let mut class_span = obs::span(self.label, "query");
         class_span.arg_u64("node", 0);
@@ -492,12 +491,12 @@ impl Prepared {
                 unreachable!("plans return above")
             }
             Query::SelectionHeatmap { data, q } => {
-                heatmap::selection_heatmap_via(dev, vp, data, q, ex)
+                heatmap::selection_heatmap_via(dev, vp, data, q, cache)
                     .canvas
                     .into()
             }
             Query::PolygonDensity { table, q } => {
-                heatmap::polygon_density_heatmap_via(dev, vp, table, q, ex)
+                heatmap::polygon_density_heatmap_via(dev, vp, table, q, cache)
                     .canvas
                     .into()
             }
@@ -536,28 +535,17 @@ impl Prepared {
                 constraint,
                 sites,
             } => QueryResult::Ids(Arc::new(skyline::skyline_of_selection_via(
-                dev, vp, data, constraint, sites, ex,
+                dev, vp, data, constraint, sites, cache,
             ))),
-            Query::Hull { data, q } => {
-                QueryResult::Hull(Arc::new(hull::hull_of_selection_via(dev, vp, data, q, ex)))
-            }
+            Query::Hull { data, q } => QueryResult::Hull(Arc::new(hull::hull_of_selection_via(
+                dev, vp, data, q, cache,
+            ))),
             Query::LiveHeatmap { snapshot } => {
                 canvas_core::render_live_heatmap(dev, vp, snapshot.batch(), None).into()
             }
         };
         class_span.arg_u64("bytes", result.size_bytes() as u64);
         result
-    }
-
-    /// The canvas-producing subexpressions of a plan-backed query
-    /// (bottom-up; empty for the other classes, whose only exchanged
-    /// canvases are their materialized operands). Exposed for
-    /// introspection and tests.
-    pub fn subplans(&self) -> Vec<algebra::Subplan> {
-        match &self.query {
-            Query::Plan(e) => algebra::subplans(e),
-            _ => Vec::new(),
-        }
     }
 }
 

@@ -147,7 +147,6 @@ fn concurrent_randomized_queries_match_sequential_cpu() {
         max_queue: 64,
         cache_budget_bytes: 64 << 20,
         calibrate: false,
-        share_subplans: true,
         ..EngineConfig::default()
     }));
 
@@ -217,7 +216,6 @@ fn cache_hit_returns_identical_canvas() {
         max_queue: 8,
         cache_budget_bytes: 64 << 20,
         calibrate: false,
-        share_subplans: true,
         ..EngineConfig::default()
     });
     let first = engine.execute(&queries[0], vps[0]).unwrap();
@@ -250,7 +248,6 @@ fn eviction_under_tiny_budget_stays_correct() {
         max_queue: 8,
         cache_budget_bytes: one + one / 2,
         calibrate: false,
-        share_subplans: true,
         ..EngineConfig::default()
     });
     for round in 0..3 {
@@ -288,7 +285,6 @@ fn identical_simultaneous_submissions_deduplicate() {
         max_queue: 16,
         cache_budget_bytes: 64 << 20,
         calibrate: false,
-        share_subplans: true,
         ..EngineConfig::default()
     }));
     let barrier = Arc::new(std::sync::Barrier::new(4));
@@ -326,7 +322,6 @@ fn fair_share_tickets_reach_the_pool_gate() {
         // gate sees sustained multi-ticket traffic.
         cache_budget_bytes: 0,
         calibrate: false,
-        share_subplans: true,
         ..EngineConfig::default()
     }));
     let mut handles = Vec::new();
@@ -401,7 +396,6 @@ fn single_permit_engine() -> Arc<QueryEngine> {
         max_queue: 0,
         cache_budget_bytes: 64 << 20,
         calibrate: false,
-        share_subplans: true,
         ..EngineConfig::default()
     }))
 }

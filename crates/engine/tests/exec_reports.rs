@@ -74,7 +74,6 @@ fn tail_sampled_reports_join_plan_fingerprints_and_span_trees() {
         max_queue: 64,
         cache_budget_bytes: 64 << 20,
         calibrate: false,
-        share_subplans: true,
         // Every query is "slow": the capture path runs for the whole
         // mixed workload, not just a lucky straggler.
         slow_query_threshold: Duration::from_nanos(1),

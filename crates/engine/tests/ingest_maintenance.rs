@@ -34,7 +34,6 @@ fn engine(budget: usize) -> QueryEngine {
         max_queue: 64,
         cache_budget_bytes: budget,
         calibrate: false,
-        share_subplans: true,
         ..EngineConfig::default()
     })
 }

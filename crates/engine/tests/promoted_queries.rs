@@ -78,7 +78,6 @@ fn check_all_paths(q: &Query) -> QueryResult {
         max_queue: 8,
         cache_budget_bytes: 32 << 20,
         calibrate: false,
-        share_subplans: true,
         ..EngineConfig::default()
     });
     let first = engine.execute(q, vp()).expect("served");
@@ -380,7 +379,6 @@ fn promoted_classes_share_one_engine_without_collisions() {
         max_queue: 16,
         cache_budget_bytes: 64 << 20,
         calibrate: false,
-        share_subplans: true,
         ..EngineConfig::default()
     });
     let mut firsts = Vec::new();

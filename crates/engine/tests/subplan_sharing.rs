@@ -1,24 +1,26 @@
 //! Cross-query subplan sharing: correctness and accounting.
 //!
-//! The tentpole claim: a selection and a heatmap over the same dataset
-//! and viewport render their shared intermediates (the density canvas
-//! `C_P`, the query-polygon canvas `C_Q`, the blended canvas) **once**,
-//! whether the second query arrives after the first finished (shared
-//! cache hit) or while it is still rendering (in-flight subscription)
-//! — and sharing is invisible in results: every response stays
-//! bit-identical to a fresh single-threaded `Device::cpu` evaluation.
+//! The claim: a selection and a heatmap over the same dataset and
+//! viewport render their shared intermediates (the density canvas
+//! `C_P`, the query-polygon canvas `C_Q`, the blended canvas) **once**
+//! when the second query arrives after the first published them — and
+//! sharing is invisible in results: every response stays bit-identical
+//! to a fresh single-threaded `Device::cpu` evaluation.
 //!
-//! The failure paths matter as much as the happy path: a subscriber
-//! whose leader panics, or whose published canvas the cache never
-//! admitted (tiny budget — the "evicted mid-subscription" blind spot),
-//! must fall back to a private render, never panic or see a stale
-//! canvas.
+//! Sharing is a cache, not a protocol: a query never waits on another
+//! query's in-flight render of an interior. Two queries that miss the
+//! same interior at once both render it, and the key stays resident
+//! once.
 
+use canvas_core::algebra::{is_cut_point, normalize, plan_nodes, Fingerprint};
 use canvas_core::prelude::*;
+use canvas_core::queries::selection::points_in_polygon_plan;
 use canvas_engine::{EngineConfig, Query, QueryEngine};
 use canvas_geom::{BBox, Point, Polygon};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::Duration;
 
 fn extent() -> BBox {
     BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0))
@@ -52,7 +54,6 @@ fn config(budget: usize) -> EngineConfig {
         max_queue: 64,
         cache_budget_bytes: budget,
         calibrate: false,
-        share_subplans: true,
         ..EngineConfig::default()
     }
 }
@@ -60,8 +61,8 @@ fn config(budget: usize) -> EngineConfig {
 /// The heatmap as an algebra plan sharing the selection's interior:
 /// `V[log](M[texel](B[⊙](C_P, C_Q)))` over the same data + polygon as
 /// `Query::SelectPoints` (which lowers to `M[Mp'](B[⊙](C_P, C_Q))`).
-fn heatmap_plan(data: &Arc<PointBatch>, q: &Polygon) -> Query {
-    Query::Plan(Expr::value_transform(
+fn heatmap_expr(data: &Arc<PointBatch>, q: &Polygon) -> Expr {
+    Expr::value_transform(
         "log",
         Arc::new(|_, mut t: Texel| {
             if let Some(mut p) = t.get(0) {
@@ -78,7 +79,11 @@ fn heatmap_plan(data: &Arc<PointBatch>, q: &Polygon) -> Query {
                 Expr::query_polygon(q.clone(), 1),
             ),
         ),
-    ))
+    )
+}
+
+fn heatmap_plan(data: &Arc<PointBatch>, q: &Polygon) -> Query {
+    Query::Plan(heatmap_expr(data, q))
 }
 
 fn assert_canvas_eq(got: &Canvas, want: &Canvas, ctx: &str) {
@@ -116,18 +121,25 @@ fn selection_then_heatmap_renders_shared_density_once() {
         selection.prepare().fingerprint,
         heatmap.prepare().fingerprint
     );
-    // But their planned cut points overlap — the blend, C_P, and C_Q
-    // subtrees carry identical fingerprints in both plans.
-    let cut_fps = |q: &Query| -> std::collections::HashSet<_> {
-        q.prepare()
-            .subplans()
-            .iter()
-            .filter(|s| s.is_cut && s.depth > 0)
-            .map(|s| s.fingerprint)
+    // But their interiors overlap — the blend, C_P, and C_Q subtrees
+    // carry identical fingerprints in both normalized plans — and the
+    // shared blend is a cut point.
+    let interiors = |e: Expr| -> HashSet<Fingerprint> {
+        plan_nodes(&normalize(e))
+            .into_iter()
+            .filter(|n| n.depth > 0)
+            .map(|n| n.fingerprint)
             .collect()
     };
-    let overlap = cut_fps(&selection).intersection(&cut_fps(&heatmap)).count();
-    assert!(overlap >= 3, "selection and heatmap share ≥ 3 cut points");
+    let selection_expr = points_in_polygon_plan(data.clone(), q.clone());
+    let overlap = interiors(selection_expr.clone())
+        .intersection(&interiors(heatmap_expr(&data, &q)))
+        .count();
+    assert!(overlap >= 3, "selection and heatmap share ≥ 3 interiors");
+    let Expr::Mask { input: blend, .. } = &selection_expr else {
+        unreachable!("the selection plan is a mask over the blend")
+    };
+    assert!(is_cut_point(blend));
 
     let engine = QueryEngine::with_config(config(256 << 20));
     let r_sel = engine.execute(&selection, vp()).unwrap();
@@ -149,7 +161,6 @@ fn selection_then_heatmap_renders_shared_density_once() {
     // Selection published blend + C_P + C_Q; the heatmap published its
     // texel-mask stage above the shared blend.
     assert!(m.subplan_published >= 3, "{m:?}");
-    assert_eq!(m.shared_renders_avoided, 0, "sequential ⇒ no subscription");
     let cs = engine.cache_stats();
     assert!(cs.shared_entries > 0 && cs.shared_bytes > 0, "{cs:?}");
 
@@ -165,7 +176,7 @@ fn selection_then_heatmap_renders_shared_density_once() {
 #[test]
 fn fused_heatmap_shares_the_query_polygon_canvas() {
     // The fused-chain heatmap materializes exactly one operand (C_Q)
-    // and exchanges exactly that: after an algebra-path selection over
+    // and shares exactly that: after an algebra-path selection over
     // the same polygon, the fused heatmap reuses the cached C_Q.
     let data = data();
     let q = district();
@@ -188,43 +199,9 @@ fn fused_heatmap_shares_the_query_polygon_canvas() {
     assert_canvas_eq(r.canvas(), &cpu_reference(&fused, vp()), "fused heatmap");
 }
 
-#[test]
-fn sharing_off_keeps_subplan_counters_silent() {
-    let data = data();
-    let q = district();
-    let engine = QueryEngine::with_config(EngineConfig {
-        share_subplans: false,
-        ..config(256 << 20)
-    });
-    let selection = Query::SelectPoints {
-        data: data.clone(),
-        q: q.clone(),
-    };
-    let r1 = engine.execute(&selection, vp()).unwrap();
-    let r2 = engine.execute(&heatmap_plan(&data, &q), vp()).unwrap();
-    let m = engine.metrics();
-    assert_eq!(
-        (
-            m.subplan_hits,
-            m.subplan_published,
-            m.shared_renders_avoided
-        ),
-        (0, 0, 0),
-        "{m:?}"
-    );
-    assert_eq!(engine.cache_stats().shared_entries, 0);
-    assert_canvas_eq(r1.canvas(), &cpu_reference(&selection, vp()), "selection");
-    assert_canvas_eq(
-        r2.canvas(),
-        &cpu_reference(&heatmap_plan(&data, &q), vp()),
-        "heatmap",
-    );
-}
-
 // ---------------------------------------------------------------------
-// In-flight subscription: the second query latches onto the first's
-// still-rendering intermediate. A gated Value Transform holds the
-// leader inside the shared subplan so the test controls the overlap.
+// Concurrent interiors: a gated Value Transform parks one query inside
+// a shared subplan so the test controls the overlap.
 // ---------------------------------------------------------------------
 
 struct Gate {
@@ -254,17 +231,16 @@ impl Gate {
 }
 
 /// `M[label](V[gated](C_P))` — two different labels give two distinct
-/// root plans sharing the gated `V[gated](C_P)` subplan. The leader
-/// entering the V pass raises `entered`, then parks until the gate
-/// opens (64×64 stays under `min_parallel_items`, so the pass runs
-/// inline on the leader's thread and blocks nobody else). `boom_once`
-/// makes the first evaluation panic after the gate opens.
+/// root plans sharing the `V[gated](C_P)` subplan (functions are
+/// identified by name, so each query may bring its own gate). The
+/// query entering the V pass raises `entered`, then parks until its
+/// gate opens (64×64 stays under `min_parallel_items`, so the pass runs
+/// inline on that query's thread and blocks nobody else).
 fn gated_query(
     data: &Arc<PointBatch>,
     label: &'static str,
     gate: &Arc<Gate>,
     entered: &Arc<AtomicBool>,
-    boom_once: Option<Arc<AtomicBool>>,
 ) -> Query {
     let gate = Arc::clone(gate);
     let entered = Arc::clone(entered);
@@ -275,11 +251,6 @@ fn gated_query(
             Arc::new(move |_, t: Texel| {
                 entered.store(true, Ordering::SeqCst);
                 gate.wait_open();
-                if let Some(fuse) = &boom_once {
-                    if !fuse.swap(true, Ordering::SeqCst) {
-                        panic!("gated subplan leader failed");
-                    }
-                }
                 t
             }),
             Expr::points(data.clone()),
@@ -287,145 +258,53 @@ fn gated_query(
     ))
 }
 
-/// Runs the gated leader/subscriber pair on `engine`; returns the
-/// subscriber's canvas (the leader's result is checked by the caller
-/// via the join handle outcome).
-fn run_gated_pair(
-    engine: &Arc<QueryEngine>,
-    leader_q: Query,
-    follower_q: Query,
-    gate: &Arc<Gate>,
-    entered: &Arc<AtomicBool>,
-) -> (std::thread::Result<Arc<Canvas>>, Arc<Canvas>) {
+#[test]
+fn concurrent_root_renders_a_parked_interior_without_waiting() {
+    let data = data();
+    let gate = Gate::new();
+    let entered = Arc::new(AtomicBool::new(false));
+    let plan_a = gated_query(&data, "keep-a", &gate, &entered);
+    let open = Gate::new();
+    open.open();
+    let plan_b = gated_query(&data, "keep-b", &open, &Arc::new(AtomicBool::new(false)));
+
+    let engine = Arc::new(QueryEngine::with_config(config(256 << 20)));
     let leader = {
-        let engine = Arc::clone(engine);
-        let vp = vp();
-        std::thread::spawn(move || Arc::clone(engine.execute(&leader_q, vp).unwrap().canvas()))
+        let engine = Arc::clone(&engine);
+        let plan_a = plan_a.clone();
+        std::thread::spawn(move || Arc::clone(engine.execute(&plan_a, vp()).unwrap().canvas()))
     };
     // The leader raises `entered` from inside the shared subplan's V
-    // pass — at that point its in-flight entry is registered and stays
-    // pending until the gate opens.
+    // pass: it has published C_P and stays parked until the gate opens.
     while !entered.load(Ordering::SeqCst) {
         std::thread::yield_now();
     }
+    let (tx, rx) = mpsc::channel();
     let follower = {
-        let engine = Arc::clone(engine);
-        let vp = vp();
-        std::thread::spawn(move || Arc::clone(engine.execute(&follower_q, vp).unwrap().canvas()))
+        let engine = Arc::clone(&engine);
+        let plan_b = plan_b.clone();
+        std::thread::spawn(move || {
+            let resp = engine.execute(&plan_b, vp()).unwrap();
+            tx.send(Arc::clone(resp.canvas())).unwrap();
+        })
     };
-    // Give the follower ample time to reach the subplan table and
-    // subscribe (it does no rendering first — prepare + probe only).
-    std::thread::sleep(std::time::Duration::from_millis(200));
+    let follower_canvas = rx.recv_timeout(Duration::from_secs(60));
     gate.open();
-    let leader_result = leader.join();
-    let follower_canvas = follower.join().expect("subscriber must never panic");
-    (leader_result, follower_canvas)
-}
-
-#[test]
-fn concurrent_query_subscribes_to_inflight_subplan() {
-    let data = data();
-    let gate = Gate::new();
-    let entered = Arc::new(AtomicBool::new(false));
-    let plan_a = gated_query(&data, "keep-a", &gate, &entered, None);
-    let plan_b = gated_query(&data, "keep-b", &gate, &entered, None);
-
-    // Baseline: one gated query alone (sharing off) — how much
-    // geometry a single evaluation rasterizes.
-    let gate_open = Gate::new();
-    gate_open.open();
-    let solo = QueryEngine::with_config(EngineConfig {
-        share_subplans: false,
-        ..config(256 << 20)
-    });
-    solo.execute(
-        &gated_query(&data, "keep-a", &gate_open, &entered, None),
-        vp(),
-    )
-    .unwrap();
-    let solo_prims = solo.shared().stats().primitives;
-    entered.store(false, Ordering::SeqCst);
-
-    let engine = Arc::new(QueryEngine::with_config(config(256 << 20)));
-    let (leader_result, follower_canvas) =
-        run_gated_pair(&engine, plan_a.clone(), plan_b.clone(), &gate, &entered);
-    let leader_canvas = leader_result.expect("leader succeeds");
-
-    // Both roots differ, but the gated interior was rendered ONCE:
-    // the pair rasterized exactly what one query alone rasterizes.
-    assert_eq!(
-        engine.shared().stats().primitives,
-        solo_prims,
-        "subscription must avoid re-rendering the shared subplan"
-    );
-    let m = engine.metrics();
-    assert!(m.subplan_hits >= 1, "{m:?}");
-    assert_eq!(m.shared_renders_avoided, 1, "{m:?}");
-    assert_eq!(m.subplan_fallbacks, 0, "{m:?}");
+    let follower_canvas =
+        follower_canvas.expect("a distinct root over a parked interior must not wait for it");
+    let leader_canvas = leader.join().expect("leader succeeds");
+    follower.join().unwrap();
 
     assert_canvas_eq(&leader_canvas, &cpu_reference(&plan_a, vp()), "leader");
     assert_canvas_eq(&follower_canvas, &cpu_reference(&plan_b, vp()), "follower");
-}
 
-#[test]
-fn tiny_budget_subscription_survives_missing_cache_entry() {
-    // The eviction blind spot: with a zero cache budget the published
-    // intermediate is never admitted (the limit case of "evicted the
-    // moment it was inserted, mid-subscription"). The subscriber must
-    // still be served — the in-flight slot hands over the canvas
-    // directly — and a later resubmission recomputes without panicking
-    // or seeing anything stale.
-    let data = data();
-    let gate = Gate::new();
-    let entered = Arc::new(AtomicBool::new(false));
-    let plan_a = gated_query(&data, "keep-a", &gate, &entered, None);
-    let plan_b = gated_query(&data, "keep-b", &gate, &entered, None);
-
-    let engine = Arc::new(QueryEngine::with_config(config(0)));
-    let (leader_result, follower_canvas) =
-        run_gated_pair(&engine, plan_a.clone(), plan_b.clone(), &gate, &entered);
-    let leader_canvas = leader_result.expect("leader succeeds");
-
+    // The follower reused the leader's C_P and rendered V[gated](C_P)
+    // itself; the leader then re-published that key, which replaced the
+    // follower's entry: C_P and V resident once each, plus two roots.
     let m = engine.metrics();
-    assert_eq!(m.shared_renders_avoided, 1, "{m:?}");
+    assert_eq!((m.subplan_hits, m.subplan_published), (1, 3), "{m:?}");
     let cs = engine.cache_stats();
-    assert_eq!(cs.shared_entries, 0, "nothing admitted under budget 0");
-    assert_canvas_eq(&leader_canvas, &cpu_reference(&plan_a, vp()), "leader");
-    assert_canvas_eq(&follower_canvas, &cpu_reference(&plan_b, vp()), "follower");
-
-    // Resubmit: no cache, no in-flight leader — a full private
-    // recompute, still correct.
-    let again = engine.execute(&plan_b, vp()).unwrap();
-    assert_canvas_eq(again.canvas(), &cpu_reference(&plan_b, vp()), "recompute");
-}
-
-#[test]
-fn subscriber_falls_back_when_leader_fails() {
-    // The leader panics inside the shared subplan after the gate
-    // opens; its dropped lease resolves the subscriber with the
-    // fallback signal, and the subscriber renders privately (reusing
-    // the C_P canvas the leader already published) — correct result,
-    // no hang, no panic.
-    let data = data();
-    let gate = Gate::new();
-    let entered = Arc::new(AtomicBool::new(false));
-    let fuse = Arc::new(AtomicBool::new(false));
-    let plan_a = gated_query(&data, "keep-a", &gate, &entered, Some(fuse.clone()));
-    let plan_b = gated_query(&data, "keep-b", &gate, &entered, Some(fuse.clone()));
-
-    let engine = Arc::new(QueryEngine::with_config(config(256 << 20)));
-    let (leader_result, follower_canvas) =
-        run_gated_pair(&engine, plan_a, plan_b.clone(), &gate, &entered);
-    assert!(leader_result.is_err(), "leader's panic propagates to it");
-
-    let m = engine.metrics();
-    assert_eq!(m.subplan_fallbacks, 1, "{m:?}");
-    assert_eq!(m.shared_renders_avoided, 0, "{m:?}");
-    assert_eq!(m.failed, 1, "{m:?}");
-    // The follower's private render still reused the C_P canvas the
-    // leader published before panicking in the V pass.
-    assert!(m.subplan_hits >= 1, "{m:?}");
-    assert_canvas_eq(&follower_canvas, &cpu_reference(&plan_b, vp()), "fallback");
+    assert_eq!((cs.shared_entries, cs.entries), (2, 4), "{cs:?}");
 }
 
 #[test]

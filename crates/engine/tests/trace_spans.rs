@@ -82,7 +82,6 @@ fn concurrent_serving_yields_well_formed_span_trees() {
         max_queue: 64,
         cache_budget_bytes: 64 << 20,
         calibrate: false,
-        share_subplans: true,
         ..EngineConfig::default()
     });
     let (queries, viewports) = workload();

@@ -14,8 +14,8 @@
 //!   evaluator), executor pass counts and streamed-tile counts
 //!   attributed to their nearest enclosing plan node, bytes produced,
 //!   and per-node *provenance* (rendered here vs shared-subplan cache
-//!   hit vs in-flight subscription), plus the engine-station timings
-//!   (queue wait, gate wait, eval). This is EXPLAIN ANALYZE.
+//!   hit), plus the engine-station timings (queue wait, gate wait,
+//!   eval). This is EXPLAIN ANALYZE.
 //!
 //! Reports render as JSON ([`ExecReport::to_json`], machine-checkable
 //! — CI validates one) and as an aligned text tree
@@ -58,8 +58,7 @@ pub struct NodeReport {
     /// Bytes of the canvas/payload this node produced.
     pub bytes: u64,
     /// How this node's result came to be: `plan` (unmeasured),
-    /// `rendered`, `shared_cache` (subplan cache hit), `subscribed`
-    /// (latched onto another query's in-flight render), `cache` /
+    /// `rendered`, `shared_cache` (subplan cache hit), `cache` /
     /// `coalesced` (whole-query hit — no node ran), or `missing`
     /// (measured query, but every span of this node was recycled).
     pub provenance: String,
