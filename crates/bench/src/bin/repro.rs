@@ -1,6 +1,6 @@
 //! `repro` — regenerates every figure of the paper's evaluation
-//! (Section 6) plus the DESIGN.md ablations, printing paper-style tables
-//! and writing CSVs under `results/`.
+//! (Section 6) plus the resolution and blend-plan ablations, printing
+//! paper-style tables and writing CSVs under `results/`.
 //!
 //! ```text
 //! cargo run -p canvas-bench --bin repro --release              # everything

@@ -1,7 +1,9 @@
 //! # canvas-bench
 //!
 //! Experiment harness regenerating every figure of the paper's
-//! evaluation (Section 6) plus the ablations listed in DESIGN.md §4.
+//! evaluation (Section 6) plus two ablations: canvas resolution vs
+//! approximate-mode error, and unfused vs fused blend plans (`repro`'s
+//! `resolution` and `blend` figures).
 //!
 //! Each experiment returns structured [`Measurement`]s with **two**
 //! timings per approach:
@@ -10,8 +12,8 @@
 //!   implementation on the current host,
 //! * `modeled_secs` — the device-cost-model estimate for the hardware
 //!   the paper used (see `canvas_raster::device` for the substitution
-//!   rationale: this container has no GPU and one CPU core, so modeled
-//!   time is what carries the paper's hardware ratios).
+//!   note: the reproduction runs without a GPU, so modeled time is what
+//!   carries the paper's hardware ratios).
 //!
 //! The `repro` binary formats these as the paper's figures and writes
 //! CSVs under `results/`.

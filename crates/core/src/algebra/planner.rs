@@ -11,8 +11,8 @@
 //! * **PIP refinement**: per-point point-in-polygon tests
 //!   (cost ∝ points × constraints × vertices, but no canvas overheads),
 //!
-//! and picks the cheaper. The crossover it finds matches the measured
-//! one in EXPERIMENTS.md: tiny inputs with simple polygons favor direct
+//! and picks the cheaper. The crossover it finds is the one this
+//! module's tests pin: tiny inputs with simple polygons favor direct
 //! refinement; everything else favors the canvas.
 
 use canvas_raster::{DeviceProfile, PipelineStats};

@@ -176,7 +176,7 @@ impl<T: Entry> SortedRun<T> {
     /// keep the pixel. One pass over both runs, written once at exact
     /// capacity, a block at a time: the end of each run's next block
     /// (the entries that go before the other run's head) is found by
-    /// [`block_len`] and the block moved with one copy, so a merge costs
+    /// `block_len` and the block moved with one copy, so a merge costs
     /// O(blocks · log block) compares rather than one per entry.
     pub fn merge(&self, other: &Self, map: impl Fn(&T) -> T) -> Self {
         assert_eq!(

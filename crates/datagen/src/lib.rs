@@ -1,8 +1,8 @@
 //! # canvas-datagen
 //!
 //! Seeded synthetic workloads standing in for the paper's evaluation
-//! data (NYC taxi trips + hand-drawn query polygons — see DESIGN.md §2
-//! for the substitution table):
+//! data (NYC taxi trips + hand-drawn query polygons, neither available
+//! here; [`points`] carries the substitution note):
 //!
 //! * [`points`] — uniform and Gaussian-hotspot point clouds
 //!   (`taxi_pickups` is the standard benchmark workload),

@@ -47,9 +47,9 @@
 //! across many distinct queries, while an evicted root is recomputed
 //! cheaply *from* the surviving interiors. An entry larger than the
 //! whole budget is never admitted. All traffic is counted in
-//! [`CacheStats`] — the serving bench's cache fields read them; root
-//! and shared probes are tallied separately so the root hit rate stays
-//! comparable across PRs.
+//! [`CacheStats`] — the repo benchmark's `engine.*` cache metrics read
+//! them; root and shared probes are tallied separately so the root hit
+//! rate stays comparable across changes.
 
 use crate::result::QueryResult;
 use canvas_core::algebra::Fingerprint;
@@ -610,6 +610,67 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.result_entries, s.result_bytes), (0, 0));
         assert_eq!(s.entries, 1);
+    }
+
+    #[test]
+    fn resident_bytes_identity_holds_through_a_random_mix() {
+        // A seeded mix of root, shared and non-canvas inserts, hits,
+        // removes and oversize rejections at a budget of a few entries.
+        // After every step the gauges equal what is actually resident.
+        let budget = 3 * canvas(16).size_bytes();
+        let cache = CanvasCache::new(budget);
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let mut rejected = 0;
+        for step in 0..2_000 {
+            let k = key(u128::from(next(12)), &vp(16));
+            let side = 8 + 4 * next(3) as u32;
+            match next(6) {
+                0 => {
+                    cache.insert(k, canvas(side), Vec::new());
+                }
+                1 => {
+                    cache.insert_shared(k, canvas(side), Vec::new());
+                }
+                2 => {
+                    let ids = QueryResult::Ids(Arc::new(vec![0; next(4_000) as usize]));
+                    cache.insert(k, ids, Vec::new());
+                }
+                3 => {
+                    cache.get(&k);
+                    cache.get_shared(&k);
+                }
+                4 => {
+                    cache.remove(&k);
+                }
+                _ => {
+                    rejected += 1;
+                    cache.insert(k, canvas(64), Vec::new());
+                }
+            }
+            let inner = cache.lock();
+            let s = inner.stats;
+            let resident = |keep: &dyn Fn(&Entry) -> bool| {
+                let kept = inner.map.values().filter(|e| keep(e));
+                kept.fold((0, 0), |(n, b), e| (n + 1, b + e.value.size_bytes()))
+            };
+            assert_eq!((s.entries, s.bytes), resident(&|_| true), "step {step}");
+            assert!(s.bytes <= budget, "step {step}: {} over {budget}", s.bytes);
+            let shared = resident(&|e| e.class == EntryClass::Shared);
+            assert_eq!((s.shared_entries, s.shared_bytes), shared, "step {step}");
+            let results = resident(&|e| e.value.as_canvas().is_none());
+            assert_eq!((s.result_entries, s.result_bytes), results, "step {step}");
+            assert_eq!(s.rejected_oversize, rejected, "step {step}");
+        }
+        // The mix reached every path it is meant to cover.
+        let s = cache.stats();
+        assert!(s.evictions > 0 && s.hits > 0 && s.shared_hits > 0, "{s:?}");
+        assert!(rejected > 0 && s.insertions > s.evictions, "{s:?}");
     }
 
     #[test]

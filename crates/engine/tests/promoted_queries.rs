@@ -24,6 +24,7 @@ use canvas_geom::hull::convex_hull;
 use canvas_geom::{BBox, Point, Polygon};
 use proptest::prelude::*;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn extent() -> BBox {
     BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0))
@@ -379,7 +380,8 @@ fn promoted_classes_share_one_engine_without_collisions() {
         max_queue: 16,
         cache_budget_bytes: 64 << 20,
         calibrate: false,
-        ..EngineConfig::default()
+        // Every submission is captured, so its span tree can be read.
+        slow_query_threshold: Duration::from_nanos(1),
     });
     let mut firsts = Vec::new();
     for q in &queries {
@@ -396,10 +398,19 @@ fn promoted_classes_share_one_engine_without_collisions() {
     let m = engine.metrics();
     assert_eq!(m.computed, queries.len() as u64);
     assert_eq!(m.cache_hits, queries.len() as u64);
-    // Non-canvas payloads are byte-accounted in the cache.
+    // Non-canvas payloads (every class but voronoi) are byte-accounted
+    // in the cache.
     let cs = engine.cache_stats();
-    assert!(cs.result_entries >= 5, "non-canvas entries tracked: {cs:?}");
+    assert_eq!(cs.result_entries, 7, "non-canvas entries tracked: {cs:?}");
     assert!(cs.result_bytes > 0);
+    // Each computed submission's span tree (the records a trace
+    // exports, collected here from the flight rings) carries exactly
+    // one span named by its class.
+    for entry in &engine.slow_queries()[..queries.len()] {
+        let spans = canvas_obs::flight::collect(entry.query_id);
+        let named = spans.iter().filter(|r| r.name == entry.label).count();
+        assert_eq!(named, 1, "{}: one class span per submission", entry.label);
+    }
     // Per-class latency histograms saw every submission.
     for q in &queries {
         let stats = engine.class_latency(q.label());

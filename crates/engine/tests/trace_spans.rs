@@ -111,6 +111,12 @@ fn concurrent_serving_yields_well_formed_span_trees() {
         "tiny workload must not drop spans"
     );
     assert!(!records.is_empty(), "tracing recorded nothing");
+    // The trace header (`otherData`, written from the sink's metadata)
+    // names the host the engine stamped at construction.
+    let meta = obs::sink().meta();
+    for key in ["simd_backend", "host_cores", "min_parallel_items"] {
+        assert!(meta.iter().any(|(k, _)| k == key), "no {key}");
+    }
 
     let by_id: HashMap<u64, &obs::SpanRecord> = records.iter().map(|r| (r.id, r)).collect();
 

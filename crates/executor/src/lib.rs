@@ -10,8 +10,9 @@
 //! tiny. Before this crate, every parallel pass forked and joined fresh
 //! OS threads (`std::thread::scope`); now passes are dispatched to
 //! parked workers through a condvar — microseconds instead of tens of
-//! microseconds, measured by `bench_baseline`'s
-//! `pool_dispatch_ns_per_pass` vs `scoped_spawn_ns_per_pass`.
+//! microseconds, gated by `perf_gate_pool_dispatch` in the workspace's
+//! `tests/perf_gates.rs` and tracked per workload by the repo
+//! benchmark's `executor.dispatch_us`.
 //!
 //! Four execution shapes, all with the same determinism contract
 //! (outputs merged in item order ⇒ parallel runs are bit-identical to

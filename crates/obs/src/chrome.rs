@@ -180,6 +180,16 @@ mod tests {
         assert!(out.contains("\"thread_name\""));
         // Complete events carrying span/parent ids and escaped args.
         assert!(out.contains("\"ph\": \"X\""));
+        assert!(out.contains("\"name\": \"process_name\""));
+        // Every complete event carries the fields a viewer requires.
+        for event in out.lines().filter(|l| l.contains("\"ph\": \"X\"")) {
+            for key in ["pid", "tid", "ts", "dur", "name", "cat", "args"] {
+                assert!(
+                    event.contains(&format!("\"{key}\": ")),
+                    "{key} missing: {event}"
+                );
+            }
+        }
         assert!(out.contains("\"name\": \"pass\""));
         assert!(out.contains("heatmap \\\"taxi\\\""));
         // Worker span sits in the same pid group as the root.

@@ -34,9 +34,10 @@
 //!
 //! [`set_flight_recording`]`(false)` (or `CANVAS_FLIGHT=off` in the
 //! environment) returns spans to the pre-PR-9 behavior: one relaxed
-//! atomic load when tracing is also off. `bench_serve` measures the
-//! on-vs-off per-span delta and gates the always-on overhead
-//! (`flight_overhead_pct` ≤ 3% of mean service time).
+//! atomic load when tracing is also off. `perf_gate_flight_overhead`
+//! (the workspace's `tests/perf_gates.rs`) measures the on-vs-off
+//! per-span delta and gates the always-on overhead at ≤ 3% of mean
+//! service time.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

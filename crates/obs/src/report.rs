@@ -532,6 +532,43 @@ mod tests {
         assert!(js.contains("\"query\": \"plan\""));
         assert!(js.contains("\"nodes\": ["));
         assert!(js.contains("\"provenance\": \"computed\""));
+        // The stable field names downstream tooling parses: the header,
+        // and every node row's.
+        for key in [
+            "query",
+            "fingerprint",
+            "provenance",
+            "measured",
+            "service_ns",
+            "execute_ns",
+            "queue_wait_ns",
+            "gate_wait_ns",
+            "eval_ns",
+            "simd_backend",
+            "spans_joined",
+            "nodes",
+        ] {
+            assert!(js.contains(&format!("\"{key}\": ")), "report lacks {key}");
+        }
+        let rows = js.split("{\"node\": ").skip(1).collect::<Vec<_>>();
+        assert_eq!(rows.len(), r.nodes.len());
+        for row in rows {
+            for key in [
+                "depth",
+                "label",
+                "fingerprint",
+                "wall_ns",
+                "passes",
+                "tiles",
+                "bytes",
+                "provenance",
+            ] {
+                assert!(
+                    row.contains(&format!("\"{key}\": ")),
+                    "node row lacks {key}"
+                );
+            }
+        }
         let txt = r.to_text();
         assert!(txt.contains("stations:"));
         assert!(txt.contains("B[⊙]"));

@@ -40,10 +40,10 @@
 //! clone). With **both** off, [`span`] performs two relaxed atomic
 //! loads and returns an inert guard whose drop is a no-op — tens of
 //! nanoseconds at worst, cheap enough for per-pass and per-tile
-//! instrumentation to stay compiled in permanently. `bench_serve`
-//! measures the all-off span cost (`obs_overhead_pct`) and the
-//! flight-on increment (`flight_overhead_pct`), both gated ≤ 3% of
-//! mean service time.
+//! instrumentation to stay compiled in permanently.
+//! `perf_gate_flight_overhead` (the workspace's `tests/perf_gates.rs`)
+//! measures the all-off span cost and the flight-on increment and
+//! gates both at ≤ 3% of mean service time.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};

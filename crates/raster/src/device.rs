@@ -1,10 +1,10 @@
 //! Device profiles and the GPU cost model.
 //!
-//! **Substitution note (see DESIGN.md §2).** The paper evaluates on two
-//! physical GPUs — a discrete *Nvidia GTX 1070 Max-Q* and an integrated
-//! *Intel UHD Graphics 630* — inside an i7-8750H laptop. This container
-//! has one CPU core and no GPU, so hardware wall-clock cannot reproduce
-//! those numbers. Instead, every pipeline operation counts its work
+//! **Substitution note.** The paper evaluates on two physical GPUs — a
+//! discrete *Nvidia GTX 1070 Max-Q* and an integrated *Intel UHD
+//! Graphics 630* — inside an i7-8750H laptop. This reproduction runs on
+//! CPU-only hosts, so hardware wall-clock cannot reproduce those
+//! numbers. Instead, every pipeline operation counts its work
 //! ([`PipelineStats`]) and a [`DeviceProfile`] converts the counts into
 //! *modeled* execution time using published throughput figures for each
 //! device. Wall-clock of the software pipeline is reported alongside the

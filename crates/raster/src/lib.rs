@@ -36,8 +36,8 @@
 //!   operators,
 //! * [`stats::PipelineStats`] + [`device::DeviceProfile`] — work
 //!   counting and the calibrated cost model that substitutes for the
-//!   paper's two physical GPUs (see DESIGN.md §2 for the substitution
-//!   rationale).
+//!   paper's two physical GPUs (the [`device`] module docs carry the
+//!   substitution note).
 //!
 //! The executor's minimum-work threshold lives in one place,
 //! [`Policy::min_parallel_items`]: the full-screen band passes and

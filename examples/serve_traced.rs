@@ -20,8 +20,9 @@
 //! ticket, so attribution survives the thread hop.
 //!
 //! Tracing is a process-wide flag costing one relaxed atomic load per
-//! span site when off; `bench_serve` measures that cost and gates it at
-//! ≤ 3% of mean service time (`obs_overhead_pct` in `BENCH_serve.json`).
+//! span site when off; `perf_gate_flight_overhead` in
+//! `tests/perf_gates.rs` measures that cost and gates it at ≤ 3% of
+//! mean service time.
 //!
 //! The run also demonstrates the **flight recorder**: the engine is
 //! configured with a 1 µs slow-query threshold, so every submission is

@@ -19,9 +19,12 @@
 //!   registry, and the Chrome-trace/Perfetto exporter (see
 //!   `docs/OBSERVABILITY.md`).
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory and
-//! the substitution table, and `EXPERIMENTS.md` for paper-vs-measured
-//! results.
+//! See `README.md` for a tour, `docs/ARCHITECTURE.md` for the
+//! crate-by-crate inventory, and `PAPER.md` for the source paper. The
+//! substitutions for what is not available here are noted where they
+//! are made: the GPU cost model in `canvas_raster::device`, the
+//! synthetic taxi data in `canvas_datagen::points`. The `repro` binary
+//! (`crates/bench`) regenerates the paper's evaluation figures.
 
 pub use canvas_baseline as baseline;
 pub use canvas_core as core;
