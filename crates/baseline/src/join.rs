@@ -4,9 +4,8 @@
 //! Section 5.2 contrasts with the RasterJoin-style canvas plan.
 
 use crate::pip::pip_counted;
-use canvas_geom::grid::{GridIndexBuilder, VisitedMask};
+use canvas_geom::grid::{GridIndex, VisitedMask};
 use canvas_geom::polygon::Polygon;
-use canvas_geom::rtree::RTree;
 use canvas_geom::{BBox, Point};
 
 /// Join result: `(point_index, polygon_index)` pairs plus work counter.
@@ -16,43 +15,27 @@ pub struct JoinResult {
     pub edge_tests: u64,
 }
 
-/// Point–polygon join with an R-tree filter over polygon MBRs and PIP
-/// refinement (the classical filter-and-refine pipeline).
-pub fn join_rtree(points: &[Point], polygons: &[Polygon]) -> JoinResult {
-    let tree = RTree::bulk_load(polygons.iter().map(|p| p.bbox()).collect());
-    let mut out = JoinResult::default();
-    let mut candidates = Vec::new();
-    for (i, p) in points.iter().enumerate() {
-        candidates.clear();
-        tree.query_into(&BBox::new(*p, *p), &mut candidates);
-        for &j in &candidates {
-            let (inside, edges) = pip_counted(*p, &polygons[j as usize]);
-            out.edge_tests += edges;
-            if inside {
-                out.pairs.push((i as u32, j));
-            }
-        }
-    }
-    out.pairs.sort_unstable_by_key(|&(p, y)| (y, p));
-    out
-}
-
-/// Point–polygon join with a uniform-grid filter (alternative index; the
-/// paper's related work cites the grid file as the other classic).
+/// Point–polygon join, the classical filter-and-refine pipeline: a
+/// uniform-grid filter over the polygon MBRs (the paper's related work
+/// cites the grid file as a classic index), an exact MBR-contains check,
+/// then PIP refinement of the survivors.
 ///
-/// The polygon MBRs go into the flat CSR [`canvas_geom::grid::GridIndex`];
-/// each point then
-/// probes exactly one cell, whose candidates are a contiguous,
-/// duplicate-free slice — no per-query allocation at all.
-pub fn join_grid(points: &[Point], polygons: &[Polygon], extent: BBox) -> JoinResult {
-    let mut builder = GridIndexBuilder::with_target_occupancy(extent, polygons.len().max(16), 4);
-    for (j, poly) in polygons.iter().enumerate() {
-        builder.insert(j as u32, &poly.bbox());
-    }
-    let grid = builder.build();
+/// The MBRs go into the flat CSR [`GridIndex`]; each point probes
+/// exactly one cell, whose candidates are a contiguous, duplicate-free
+/// slice — no per-query allocation at all. After the MBR check the
+/// refined candidates are exactly the polygons whose MBR contains the
+/// point, so `edge_tests` counts only the refinement an exact MBR
+/// filter leaves. The grid spans the polygons' own extent; `_extent`
+/// is unused.
+pub fn join_grid(points: &[Point], polygons: &[Polygon], _extent: BBox) -> JoinResult {
+    let boxes: Vec<BBox> = polygons.iter().map(Polygon::bbox).collect();
+    let grid = GridIndex::over(boxes.iter().copied());
     let mut out = JoinResult::default();
     for (i, p) in points.iter().enumerate() {
         for &j in grid.query_point(*p) {
+            if !boxes[j as usize].contains(*p) {
+                continue;
+            }
             let (inside, edges) = pip_counted(*p, &polygons[j as usize]);
             out.edge_tests += edges;
             if inside {
@@ -61,7 +44,6 @@ pub fn join_grid(points: &[Point], polygons: &[Polygon], extent: BBox) -> JoinRe
         }
     }
     out.pairs.sort_unstable_by_key(|&(p, y)| (y, p));
-    out.pairs.dedup();
     out
 }
 
@@ -71,18 +53,8 @@ pub fn join_grid(points: &[Point], polygons: &[Polygon], extent: BBox) -> JoinRe
 /// filter deduplicates through a reusable [`VisitedMask`] — the
 /// generation-stamped bitmap replaces the old sort+dedup allocation per
 /// query.
-pub fn join_grid_points_indexed(
-    points: &[Point],
-    polygons: &[Polygon],
-    extent: BBox,
-) -> JoinResult {
-    // Aspect-aware sizing (~1 point per cell): skewed extents get
-    // near-square cells instead of slivers, keeping box queries tight.
-    let mut builder = GridIndexBuilder::with_target_occupancy(extent, points.len().max(1), 1);
-    for (i, &p) in points.iter().enumerate() {
-        builder.insert_point(i as u32, p);
-    }
-    let grid = builder.build();
+pub fn join_grid_points_indexed(points: &[Point], polygons: &[Polygon]) -> JoinResult {
+    let grid = GridIndex::over(points.iter().map(|&p| BBox::new(p, p)));
     let mut out = JoinResult::default();
     let mut visited = VisitedMask::new();
     let mut candidates: Vec<u32> = Vec::new();
@@ -109,7 +81,7 @@ pub fn aggregate_join_baseline(
     weights: &[f32],
     polygons: &[Polygon],
 ) -> (Vec<u64>, Vec<f64>, u64) {
-    let join = join_rtree(points, polygons);
+    let join = join_grid(points, polygons, BBox::EMPTY);
     let mut counts = vec![0u64; polygons.len()];
     let mut sums = vec![0.0f64; polygons.len()];
     for (p, y) in join.pairs {
@@ -159,41 +131,54 @@ mod tests {
         out
     }
 
+    fn extent() -> BBox {
+        BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0))
+    }
+
     #[test]
-    fn rtree_join_matches_brute_force() {
+    fn grid_join_matches_brute_force() {
         let pts = random_points(400, 91);
         let polys = vec![
             square(5.0, 5.0, 30.0),
             square(40.0, 40.0, 35.0),
             square(20.0, 20.0, 40.0),
         ];
-        let got = join_rtree(&pts, &polys);
+        let got = join_grid(&pts, &polys, extent());
         assert_eq!(got.pairs, brute_pairs(&pts, &polys));
         assert!(got.edge_tests > 0);
     }
 
     #[test]
-    fn grid_join_matches_rtree_join() {
+    fn grid_join_refines_exactly_the_mbr_hits() {
+        // Small squares share grid cells without their MBRs meeting:
+        // only (point, polygon) pairs whose MBR holds the point reach
+        // the PIP test, so the edge count is the brute-force MBR
+        // filter's, point for point.
         let pts = random_points(400, 92);
-        let polys = vec![square(10.0, 15.0, 25.0), square(45.0, 50.0, 30.0)];
-        let extent = BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
-        let a = join_rtree(&pts, &polys);
-        let b = join_grid(&pts, &polys, extent);
-        assert_eq!(a.pairs, b.pairs);
+        let polys: Vec<Polygon> = (0..30)
+            .map(|k| square(3.0 * k as f64, 1.7 * k as f64, 4.0))
+            .collect();
+        let got = join_grid(&pts, &polys, extent());
+        assert_eq!(got.pairs, brute_pairs(&pts, &polys));
+        let mut want_edges = 0;
+        for p in &pts {
+            for poly in polys.iter().filter(|poly| poly.bbox().contains(*p)) {
+                want_edges += pip_counted(*p, poly).1;
+            }
+        }
+        assert_eq!(got.edge_tests, want_edges);
     }
 
     #[test]
-    fn point_indexed_grid_join_matches_rtree_join() {
+    fn point_indexed_grid_join_matches_brute_force() {
         let pts = random_points(600, 95);
         let polys = vec![
             square(10.0, 15.0, 25.0),
             square(45.0, 50.0, 30.0),
             square(5.0, 60.0, 38.0), // overlaps the second: shared candidates
         ];
-        let extent = BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
-        let a = join_rtree(&pts, &polys);
-        let b = join_grid_points_indexed(&pts, &polys, extent);
-        assert_eq!(a.pairs, b.pairs);
+        let got = join_grid_points_indexed(&pts, &polys);
+        assert_eq!(got.pairs, brute_pairs(&pts, &polys));
     }
 
     #[test]
@@ -201,7 +186,7 @@ mod tests {
         let pts = random_points(1000, 93);
         // Small disjoint polygons: most points filtered by the index.
         let polys: Vec<Polygon> = (0..10).map(|i| square(10.0 * i as f64, 5.0, 4.0)).collect();
-        let indexed = join_rtree(&pts, &polys);
+        let indexed = join_grid(&pts, &polys, extent());
         // Unindexed nested loop pays for every (point, polygon) pair.
         let mut brute_edges = 0u64;
         for p in &pts {

@@ -9,9 +9,10 @@
 //! * [`gpu::select_gpu_baseline`] — the "traditional GPU" approach
 //!   (\[11\] in the paper): one PIP thread per point, charged to the
 //!   device cost model (see the substitution note in that module),
-//! * [`join`] — classical filter-and-refine joins (R-tree / uniform
-//!   grid) and the join-then-aggregate plan that RasterJoin-style
-//!   aggregation (Section 5.2) is compared with.
+//! * [`join`] — classical filter-and-refine joins (a CSR uniform grid
+//!   over the polygon MBRs, or over the points, then an exact MBR check
+//!   and PIP refinement) and the join-then-aggregate plan that
+//!   RasterJoin-style aggregation (Section 5.2) is compared with.
 //!
 //! All baselines are *exact* and intentionally share the PIP kernel in
 //! [`pip`] so that result equality with the canvas algebra can be
@@ -26,7 +27,5 @@ pub use cpu::{
     select_parallel, select_scalar, select_scalar_bvh, select_scalar_conjunction, BaselineResult,
 };
 pub use gpu::select_gpu_baseline;
-pub use join::{
-    aggregate_join_baseline, join_grid, join_grid_points_indexed, join_rtree, JoinResult,
-};
+pub use join::{aggregate_join_baseline, join_grid, join_grid_points_indexed, JoinResult};
 pub use pip::pip_counted;

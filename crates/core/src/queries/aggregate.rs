@@ -19,7 +19,9 @@ use crate::canvas::{AreaSource, PointBatch};
 use crate::device::Device;
 use crate::info::BlendFn;
 use crate::ops::{group_viewport, map_scatter, CountCond, MaskSpec, ValueMap};
+use canvas_geom::grid::GridIndex;
 use canvas_geom::polygon::Polygon;
+use canvas_geom::BBox;
 use canvas_raster::Viewport;
 
 /// Per-group aggregates from a group-by query.
@@ -227,9 +229,8 @@ fn rasterjoin_kernel(
     dev.pipeline().note_compute_edge_tests(refine_edges);
 }
 
-/// Index-accelerated RasterJoin (ROADMAP "Index-accelerated
-/// aggregation"): [`aggregate_join_rasterjoin`] with an **MBR
-/// pre-filter** served by a CSR grid index over the point side —
+/// Index-accelerated RasterJoin: [`aggregate_join_rasterjoin`] with an
+/// **MBR pre-filter** served by a CSR grid it builds over the points —
 /// polygons whose MBR holds no candidate points are pruned before any
 /// rasterization (their aggregates are exactly zero), so the fragment
 /// kernel only walks polygons that can contribute.
@@ -250,7 +251,6 @@ pub fn aggregate_join_rasterjoin_pruned(
     vp: Viewport,
     points: &PointBatch,
     polygons: &AreaSource,
-    index: &canvas_geom::grid::GridIndex,
 ) -> GroupAggregates {
     let n = polygons.len();
     let mut out = GroupAggregates {
@@ -260,6 +260,7 @@ pub fn aggregate_join_rasterjoin_pruned(
     if n == 0 || points.is_empty() {
         return out;
     }
+    let index = GridIndex::over(points.points.iter().map(|&p| BBox::new(p, p)));
     // Filter step: the grid index returns a superset of the points in
     // each polygon's MBR, so an empty candidate set proves the
     // polygon's aggregates are zero.
@@ -274,7 +275,7 @@ pub fn aggregate_join_rasterjoin_pruned(
     if survivors.is_empty() {
         return out;
     }
-    let mut region = canvas_geom::BBox::EMPTY;
+    let mut region = BBox::EMPTY;
     for &j in &survivors {
         region = region.union(&polygons[j as usize].bbox());
     }
@@ -569,25 +570,13 @@ mod tests {
             // unfiltered kernel walks them all).
             square(60.0, 60.0, 30.0),
         ]);
-        let batch = PointBatch::with_weights(pts.clone(), weights);
-        // Grid index over the point side (what SpatialTable::grid_index
-        // builds for a point table).
-        let extent = pts
-            .iter()
-            .fold(canvas_geom::BBox::EMPTY, |b, p| b.union_point(*p))
-            .inflated(1e-9);
-        let mut builder =
-            canvas_geom::grid::GridIndexBuilder::with_target_occupancy(extent, pts.len().max(1), 2);
-        for (i, p) in pts.iter().enumerate() {
-            builder.insert(i as u32, &canvas_geom::BBox::new(*p, *p));
-        }
-        let index = builder.build();
+        let batch = PointBatch::with_weights(pts, weights);
 
         for threads in [1usize, 3] {
             let mut dev_ref = Device::cpu_parallel(threads);
             let reference = aggregate_join_rasterjoin(&mut dev_ref, vp(), &batch, &polys);
             let mut dev = Device::cpu_parallel(threads);
-            let got = aggregate_join_rasterjoin_pruned(&mut dev, vp(), &batch, &polys, &index);
+            let got = aggregate_join_rasterjoin_pruned(&mut dev, vp(), &batch, &polys);
             assert_eq!(reference.counts, got.counts, "counts at {threads} threads");
             let a: Vec<u64> = reference.sums.iter().map(|s| s.to_bits()).collect();
             let b: Vec<u64> = got.sums.iter().map(|s| s.to_bits()).collect();
@@ -606,16 +595,6 @@ mod tests {
     #[test]
     fn pruned_rasterjoin_all_pruned_and_empty_inputs() {
         let pts = random_points(50, 3);
-        let extent = pts
-            .iter()
-            .fold(canvas_geom::BBox::EMPTY, |b, p| b.union_point(*p))
-            .inflated(1e-9);
-        let mut builder =
-            canvas_geom::grid::GridIndexBuilder::with_target_occupancy(extent, pts.len(), 2);
-        for (i, p) in pts.iter().enumerate() {
-            builder.insert(i as u32, &canvas_geom::BBox::new(*p, *p));
-        }
-        let index = builder.build();
         let far: AreaSource = Arc::new(vec![Polygon::simple(vec![
             Point::new(900.0, 900.0),
             Point::new(910.0, 900.0),
@@ -623,13 +602,8 @@ mod tests {
         ])
         .unwrap()]);
         let mut dev = Device::cpu();
-        let g = aggregate_join_rasterjoin_pruned(
-            &mut dev,
-            vp(),
-            &PointBatch::from_points(pts),
-            &far,
-            &index,
-        );
+        let g =
+            aggregate_join_rasterjoin_pruned(&mut dev, vp(), &PointBatch::from_points(pts), &far);
         assert_eq!(g.counts, vec![0]);
         assert_eq!(g.sums, vec![0.0]);
         // Nothing survived: no polygon rasterization at all.
@@ -639,7 +613,6 @@ mod tests {
             vp(),
             &PointBatch::from_points(vec![]),
             &far,
-            &index,
         );
         assert_eq!(g.counts, vec![0]);
     }

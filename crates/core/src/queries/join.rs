@@ -6,11 +6,15 @@
 //!   masks against it.
 //! * **Type II** `polygons ⋈ polygons` — per candidate pair the same
 //!   `B[⊕]` + `M[My]` test used by polygonal selection of polygons; an
-//!   R-tree MBR filter prunes pairs first (the paper: "can be made more
+//!   MBR filter prunes pairs first (the paper: "can be made more
 //!   efficient if spatial indexes are available").
 //! * **Type III** `points ⋈ points` (distance join) — the RHS becomes a
 //!   collection of circles via the `Circ` utility operator, reducing to
 //!   Type I.
+//!
+//! Types I and II filter through a CSR [`GridIndex`] each builds over
+//! its own inputs — the grid-filter-then-refine pattern — so no caller
+//! chooses or sizes an index.
 
 use std::sync::Arc;
 
@@ -20,26 +24,30 @@ use crate::info::BlendFn;
 use crate::ops::{CountCond, MaskSpec};
 use canvas_geom::grid::{GridIndex, VisitedMask};
 use canvas_geom::polygon::Polygon;
-use canvas_geom::rtree::RTree;
+use canvas_geom::BBox;
 use canvas_raster::Viewport;
 
-/// Shared Type I body: the canvas chain per polygon, with a pluggable
-/// filter step (`keep`) deciding which polygons get canvas work at all.
-/// Both the unpruned and the grid-pruned entry points call this, so the
-/// blend/mask formulation can never drift between them.
-fn join_points_polygons_filtered(
+/// Type I join: all `(point_record, polygon_record)` pairs with the
+/// point inside the polygon (exact). Pairs are sorted by polygon then
+/// point record.
+///
+/// A grid over the points skips every polygon whose MBR cells hold no
+/// point before any canvas work: no polygon render, no full-screen
+/// blend, no mask pass. A point inside a polygon always registers in a
+/// cell its MBR overlaps, so a skipped polygon has no pairs.
+pub fn join_points_polygons(
     dev: &mut Device,
     vp: Viewport,
     points: &PointBatch,
     polygons: &AreaSource,
-    mut keep: impl FnMut(&Polygon) -> bool,
 ) -> Vec<(u32, u32)> {
+    let index = GridIndex::over(points.points.iter().map(|&p| BBox::new(p, p)));
     // Render the point side once; every polygon reuses it (this sharing
     // is what the RasterJoin aggregation plan exploits too).
     let cp = crate::source::render_points(dev, vp, points);
     let mut pairs = Vec::new();
     for (j, poly) in polygons.iter().enumerate() {
-        if !keep(poly) {
+        if index.query_iter(&poly.bbox()).next().is_none() {
             continue;
         }
         let cy = crate::source::render_polygon(dev, vp, polygons, j, j as u32);
@@ -53,70 +61,27 @@ fn join_points_polygons_filtered(
     pairs
 }
 
-/// Type I join: all `(point_record, polygon_record)` pairs with the
-/// point inside the polygon (exact). Pairs are sorted by polygon then
-/// point record.
-pub fn join_points_polygons(
-    dev: &mut Device,
-    vp: Viewport,
-    points: &PointBatch,
-    polygons: &AreaSource,
-) -> Vec<(u32, u32)> {
-    join_points_polygons_filtered(dev, vp, points, polygons, |_| true)
-}
-
-/// [`join_points_polygons`] with CSR-grid candidate pruning: the
-/// caller supplies a [`GridIndex`] over the **point** side (ids =
-/// point record indices, extent covering every point — e.g.
-/// `SpatialTable::grid_index`). Polygons whose MBR cell range holds no
-/// candidate points are skipped before any canvas work: no polygon
-/// render, no full-screen blend, no mask pass. Results are identical
-/// to the unpruned join — a point inside a polygon always registers in
-/// a cell overlapping that polygon's MBR, so pruned polygons provably
-/// contribute no pairs.
-pub fn join_points_polygons_pruned(
-    dev: &mut Device,
-    vp: Viewport,
-    points: &PointBatch,
-    polygons: &AreaSource,
-    point_index: &GridIndex,
-) -> Vec<(u32, u32)> {
-    join_points_polygons_filtered(dev, vp, points, polygons, |poly| {
-        point_index.query_iter(&poly.bbox()).next().is_some()
-    })
-}
-
 /// Type II join: all intersecting `(left_record, right_record)` polygon
-/// pairs (exact). An STR R-tree over the right side prunes candidates.
+/// pairs (exact). A grid over the right side's MBRs serves the filter;
+/// its candidates pass an exact MBR-overlap test before any canvas work,
+/// so only pairs whose MBRs meet are rendered, and the canvas + exact
+/// refinement test decides each of them.
 pub fn join_polygons_polygons(
     dev: &mut Device,
     vp: Viewport,
     left: &AreaSource,
     right: &AreaSource,
 ) -> Vec<(u32, u32)> {
-    let tree = RTree::bulk_load(right.iter().map(|p| p.bbox()).collect());
-    join_polygons_polygons_filtered(dev, vp, left, right, |a, out| {
-        tree.query_into(&a.bbox(), out)
-    })
-}
-
-/// Shared Type II body: per left record, `candidates` fills the
-/// MBR-filter result for the right side (any index may serve it); the
-/// canvas + exact-refinement test then decides each surviving pair.
-/// Single home of the pair test, shared by the R-tree and grid-index
-/// entry points.
-fn join_polygons_polygons_filtered(
-    dev: &mut Device,
-    vp: Viewport,
-    left: &AreaSource,
-    right: &AreaSource,
-    mut candidates: impl FnMut(&Polygon, &mut Vec<u32>),
-) -> Vec<(u32, u32)> {
+    let boxes: Vec<BBox> = right.iter().map(Polygon::bbox).collect();
+    let index = GridIndex::over(boxes.iter().copied());
+    let mut visited = VisitedMask::new();
     let mut pairs = Vec::new();
     let mut cand = Vec::new();
     for (i, a) in left.iter().enumerate() {
+        let a_box = a.bbox();
         cand.clear();
-        candidates(a, &mut cand);
+        index.query_into(&a_box, &mut visited, &mut cand);
+        cand.retain(|&j| boxes[j as usize].intersects(&a_box));
         if cand.is_empty() {
             continue;
         }
@@ -136,25 +101,6 @@ fn join_polygons_polygons_filtered(
     }
     pairs.sort_unstable();
     pairs
-}
-
-/// [`join_polygons_polygons`] with the MBR filter served by a CSR
-/// [`GridIndex`] over the **right** side (ids = right record indices)
-/// instead of an R-tree — the same flat filter-refine structure the
-/// tiled pipeline uses, and the index a `SpatialTable` already carries.
-/// Results are identical: the grid returns an MBR-overlap superset and
-/// the canvas + exact refinement decide membership.
-pub fn join_polygons_polygons_pruned(
-    dev: &mut Device,
-    vp: Viewport,
-    left: &AreaSource,
-    right: &AreaSource,
-    right_index: &GridIndex,
-) -> Vec<(u32, u32)> {
-    let mut visited = VisitedMask::new();
-    join_polygons_polygons_filtered(dev, vp, left, right, |a, out| {
-        right_index.query_into(&a.bbox(), &mut visited, out)
-    })
 }
 
 /// Type III distance join: pairs `(left_record, right_record)` with
@@ -308,43 +254,10 @@ mod tests {
     }
 
     #[test]
-    fn pruned_type1_join_equals_unpruned_and_saves_work() {
-        let mut dev = Device::nvidia();
-        let pts = random_points(300, 23);
-        // Many polygons far from every point: the index must prune them
-        // without changing the result.
-        let mut polys = vec![
-            square(10.0, 10.0, 30.0),
-            square(50.0, 50.0, 40.0),
-            square(25.0, 25.0, 30.0),
-        ];
-        for k in 0..20 {
-            polys.push(square(200.0 + 10.0 * k as f64, 500.0, 5.0));
-        }
-        let polys: AreaSource = Arc::new(polys);
-        let batch = PointBatch::from_points(pts);
-        let want = join_points_polygons(&mut dev, vp(), &batch, &polys);
-        let index = GridIndex::from_points(
-            BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)),
-            16,
-            16,
-            batch.points.iter().enumerate().map(|(i, &p)| (i as u32, p)),
-        );
-        let mut pruned_dev = Device::nvidia();
-        let got = join_points_polygons_pruned(&mut pruned_dev, vp(), &batch, &polys, &index);
-        assert_eq!(got, want);
-        // The pruned plan must have rendered far fewer polygon canvases.
-        assert!(
-            pruned_dev.stats().passes < dev.stats().passes,
-            "pruning saved no passes: {} vs {}",
-            pruned_dev.stats().passes,
-            dev.stats().passes
-        );
-    }
-
-    #[test]
-    fn pruned_type2_join_equals_rtree_filtered() {
-        let mut dev = Device::nvidia();
+    fn type2_join_renders_exactly_the_mbr_overlapping_pairs() {
+        // Right records 1, 4 and 5 sit in grid cells the left MBRs
+        // reach without touching any left MBR: the filter must render
+        // only the pairs whose MBRs meet.
         let left: AreaSource = Arc::new(vec![
             square(5.0, 5.0, 20.0),
             square(60.0, 60.0, 20.0),
@@ -355,19 +268,36 @@ mod tests {
             square(90.0, 90.0, 5.0),
             square(50.0, 10.0, 20.0),
             square(65.0, 65.0, 5.0),
+            square(26.0, 26.0, 2.0),
+            square(81.0, 40.0, 3.0),
         ]);
-        let want = join_polygons_polygons(&mut dev, vp(), &left, &right);
-        let mut builder = canvas_geom::grid::GridIndexBuilder::new(
-            BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)),
-            8,
-            8,
-        );
-        for (j, p) in right.iter().enumerate() {
-            builder.insert(j as u32, &p.bbox());
+        let mut dev = Device::nvidia();
+        let got = join_polygons_polygons(&mut dev, vp(), &left, &right);
+        let mut want = Vec::new();
+        for (i, a) in left.iter().enumerate() {
+            for (j, b) in right.iter().enumerate() {
+                if a.intersects(b) {
+                    want.push((i as u32, j as u32));
+                }
+            }
         }
-        let index = builder.build();
-        let got = join_polygons_polygons_pruned(&mut dev, vp(), &left, &right, &index);
         assert_eq!(got, want);
+        // Brute-force MBR filter: each left record joined alone with
+        // the right records its MBR meets costs what the whole join
+        // spends on that record.
+        let mut brute = Device::nvidia();
+        for (i, a) in left.iter().enumerate() {
+            let near: AreaSource = Arc::new(
+                right
+                    .iter()
+                    .filter(|b| b.bbox().intersects(&a.bbox()))
+                    .cloned()
+                    .collect(),
+            );
+            let one: AreaSource = Arc::new(vec![left[i].clone()]);
+            join_polygons_polygons(&mut brute, vp(), &one, &near);
+        }
+        assert_eq!(dev.stats().passes, brute.stats().passes);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::device::Device;
 use crate::queries::selection;
 use canvas_geom::polygon::Polygon;
 use canvas_geom::wkt::{parse_wkt, WktError};
-use canvas_geom::{BBox, GeomObject, Point, Primitive};
+use canvas_geom::{BBox, GeomObject, Primitive};
 use canvas_raster::Viewport;
 
 /// Errors from table construction and queries.
@@ -22,6 +22,8 @@ use canvas_raster::Viewport;
 pub enum TableError {
     /// WKT input failed to parse (row index + parser error).
     Wkt { row: usize, source: WktError },
+    /// No attribute column has this name.
+    MissingAttr { name: String },
     /// An attribute column's length does not match the table.
     AttrLength {
         name: String,
@@ -37,6 +39,7 @@ impl std::fmt::Display for TableError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TableError::Wkt { row, source } => write!(f, "row {row}: {source}"),
+            TableError::MissingAttr { name } => write!(f, "no attribute named '{name}'"),
             TableError::AttrLength {
                 name,
                 expected,
@@ -143,31 +146,6 @@ impl SpatialTable {
         Viewport::square_pixels(b.inflated(margin), max_dim)
     }
 
-    /// A flat CSR grid index over the records' bounding boxes, sized for
-    /// roughly `items_per_cell` records per cell — the filter-step index
-    /// for candidate pruning before canvas evaluation (e.g. restricting
-    /// a join's polygon side to records whose MBR meets the query MBR).
-    pub fn grid_index(&self, items_per_cell: usize) -> canvas_geom::grid::GridIndex {
-        // An empty table (or a degenerate single-point extent) has an
-        // empty bbox, which the builder rejects; a unit extent gives a
-        // valid, trivially empty index instead.
-        let extent = self.extent().inflated(1e-9);
-        let extent = if extent.is_empty() {
-            BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0))
-        } else {
-            extent
-        };
-        let mut b = canvas_geom::grid::GridIndexBuilder::with_target_occupancy(
-            extent,
-            self.len().max(1),
-            items_per_cell.max(1),
-        );
-        for (i, o) in self.objects.iter().enumerate() {
-            b.insert(i as u32, &o.bbox());
-        }
-        b.build()
-    }
-
     /// The table as a point batch, if every record is a single point.
     /// `weight_attr` selects the weight column (unit weights otherwise).
     pub fn as_points(&self, weight_attr: Option<&str>) -> Result<PointBatch, TableError> {
@@ -181,10 +159,8 @@ impl SpatialTable {
         let weights = match weight_attr {
             Some(name) => self
                 .attr(name)
-                .ok_or_else(|| TableError::AttrLength {
+                .ok_or_else(|| TableError::MissingAttr {
                     name: name.to_string(),
-                    expected: self.len(),
-                    got: 0,
                 })?
                 .to_vec(),
             None => vec![1.0; pts.len()],
@@ -223,67 +199,56 @@ impl SpatialTable {
 
     /// Type I join `self ⋈ polygons` (`self` all points): every
     /// `(point_record, polygon_record)` pair with the point inside the
-    /// polygon. The table's CSR [`grid_index`](Self::grid_index) over
-    /// the point side serves the filter step — polygons whose MBR holds
-    /// no candidate points are pruned before any canvas work.
+    /// polygon ([`join_points_polygons`](crate::queries::join::join_points_polygons),
+    /// whose grid over the points prunes polygons before canvas work).
     pub fn join_points_in_polygons(
         &self,
         dev: &mut Device,
         vp: Viewport,
         polygons: &SpatialTable,
-        items_per_cell: usize,
     ) -> Result<Vec<(u32, u32)>, TableError> {
         let points = self.as_points(None)?;
         let polys = polygons.as_polygons()?;
-        let index = self.grid_index(items_per_cell);
-        Ok(crate::queries::join::join_points_polygons_pruned(
-            dev, vp, &points, &polys, &index,
+        Ok(crate::queries::join::join_points_polygons(
+            dev, vp, &points, &polys,
         ))
     }
 
     /// Type II join `self ⋈ right` (both all polygons): every
-    /// intersecting record pair, with the right table's
-    /// [`grid_index`](Self::grid_index) as the MBR filter.
+    /// intersecting record pair
+    /// ([`join_polygons_polygons`](crate::queries::join::join_polygons_polygons),
+    /// MBR-filtered through a grid over the right side).
     pub fn join_intersecting_polygons(
         &self,
         dev: &mut Device,
         vp: Viewport,
         right: &SpatialTable,
-        items_per_cell: usize,
     ) -> Result<Vec<(u32, u32)>, TableError> {
         let left = self.as_polygons()?;
         let right_polys = right.as_polygons()?;
-        let index = right.grid_index(items_per_cell);
-        Ok(crate::queries::join::join_polygons_polygons_pruned(
+        Ok(crate::queries::join::join_polygons_polygons(
             dev,
             vp,
             &left,
             &right_polys,
-            &index,
         ))
     }
 
-    /// Group-by COUNT/SUM over a Type I join, RasterJoin style, with
-    /// this (point) table's [`grid_index`](Self::grid_index) serving
-    /// the MBR pre-filter: polygons of `polygons` whose MBR holds no
-    /// candidate points are pruned before any rasterization, and the
-    /// density canvas pre-renders through a fused operator chain
-    /// restricted to the surviving polygons' region (ROADMAP
-    /// "Index-accelerated aggregation"). Bit-identical to the
-    /// unfiltered kernel.
+    /// Group-by COUNT/SUM over a Type I join, RasterJoin style
+    /// ([`aggregate_join_rasterjoin_pruned`](crate::queries::aggregate::aggregate_join_rasterjoin_pruned)):
+    /// polygons whose MBR holds no point are pruned before any
+    /// rasterization. Bit-identical to the unfiltered kernel.
     pub fn aggregate_points_in_polygons(
         &self,
         dev: &mut Device,
         vp: Viewport,
         polygons: &SpatialTable,
         weight_attr: Option<&str>,
-        items_per_cell: usize,
     ) -> Result<crate::queries::aggregate::GroupAggregates, TableError> {
         let points = self.as_points(weight_attr)?;
         let polys = polygons.as_polygons()?;
-        let index = self.grid_index(items_per_cell);
         Ok(crate::queries::aggregate::aggregate_join_rasterjoin_pruned(
-            dev, vp, &points, &polys, &index,
+            dev, vp, &points, &polys,
         ))
     }
 
@@ -427,26 +392,52 @@ mod tests {
         t.set_attr("fare", vec![7.5, 2.5]).unwrap();
         let batch = t.as_points(Some("fare")).unwrap();
         assert_eq!(batch.weights, vec![7.5, 2.5]);
-        assert!(t.as_points(Some("missing")).is_err());
+        let err = t.as_points(Some("missing")).unwrap_err();
+        assert!(
+            matches!(&err, TableError::MissingAttr { name } if name == "missing"),
+            "got {err:?}"
+        );
+        assert_eq!(err.to_string(), "no attribute named 'missing'");
     }
 
     #[test]
     fn grid_index_on_empty_and_singleton_tables() {
-        // Regression: empty tables fold to BBox::EMPTY, which the grid
-        // builder rejects — grid_index must not panic.
+        // Regression: an empty side folds to BBox::EMPTY and a single
+        // point to a zero-size extent; the grid each join builds must
+        // take both without panicking.
         let empty = SpatialTable::new();
-        let g = empty.grid_index(4);
-        assert!(g.is_empty());
         let one = SpatialTable::from_wkt_lines("POINT (3 3)").unwrap();
-        let g = one.grid_index(4);
-        assert_eq!(g.len(), 1);
+        let zone = SpatialTable::from_wkt_lines("POLYGON ((1 1, 5 1, 5 5, 1 5, 1 1))").unwrap();
+        let mut dev = Device::cpu();
+        let vp =
+            Viewport::square_pixels(BBox::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)), 64);
+        for (points, want) in [(&empty, vec![]), (&one, vec![(0, 0)])] {
+            let got = points.join_points_in_polygons(&mut dev, vp, &zone).unwrap();
+            assert_eq!(got, want);
+            let agg = points
+                .aggregate_points_in_polygons(&mut dev, vp, &zone, None)
+                .unwrap();
+            assert_eq!(agg.counts, vec![want.len() as u64]);
+        }
+        assert!(one
+            .join_points_in_polygons(&mut dev, vp, &empty)
+            .unwrap()
+            .is_empty());
+        assert!(zone
+            .join_intersecting_polygons(&mut dev, vp, &empty)
+            .unwrap()
+            .is_empty());
+        assert_eq!(
+            zone.join_intersecting_polygons(&mut dev, vp, &zone)
+                .unwrap(),
+            vec![(0, 0)]
+        );
     }
 
     #[test]
     fn table_joins_use_grid_index_and_match_direct_joins() {
-        // Production path for SpatialTable::grid_index: Type I and
-        // Type II joins pruned through the CSR grid agree with the
-        // unpruned query formulations.
+        // The table joins are the query formulations, grid filter
+        // included, over the tables' point and polygon views.
         let mut pts = SpatialTable::new();
         for p in [
             Point::new(2.0, 2.0),
@@ -465,9 +456,7 @@ mod tests {
         let mut dev = Device::nvidia();
         let vp =
             Viewport::square_pixels(BBox::new(Point::new(0.0, 0.0), Point::new(25.0, 25.0)), 128);
-        let got = pts
-            .join_points_in_polygons(&mut dev, vp, &zones, 2)
-            .unwrap();
+        let got = pts.join_points_in_polygons(&mut dev, vp, &zones).unwrap();
         let want = crate::queries::join::join_points_polygons(
             &mut dev,
             vp,
@@ -483,7 +472,7 @@ mod tests {
         )
         .unwrap();
         let got2 = more
-            .join_intersecting_polygons(&mut dev, vp, &zones, 2)
+            .join_intersecting_polygons(&mut dev, vp, &zones)
             .unwrap();
         let want2 = crate::queries::join::join_polygons_polygons(
             &mut dev,
@@ -517,7 +506,7 @@ mod tests {
         let vp =
             Viewport::square_pixels(BBox::new(Point::new(0.0, 0.0), Point::new(25.0, 25.0)), 128);
         let got = pts
-            .aggregate_points_in_polygons(&mut dev, vp, &zones, Some("w"), 2)
+            .aggregate_points_in_polygons(&mut dev, vp, &zones, Some("w"))
             .unwrap();
         let mut dev_ref = Device::cpu();
         let want = crate::queries::aggregate::aggregate_join_rasterjoin(
@@ -533,16 +522,23 @@ mod tests {
 
     #[test]
     fn grid_index_filters_candidates() {
+        // Zones far from every point cost the table join no canvas
+        // work: the grid over the points filters them out.
         let t =
             SpatialTable::from_wkt_lines("POINT (1 1)\nPOINT (9 9)\nPOINT (1.2 0.8)\nPOINT (5 5)")
                 .unwrap();
-        let grid = t.grid_index(1);
-        assert_eq!(grid.len(), 4);
-        // A query near the first cluster must see records 0 and 2 but
-        // can prune the far corner.
-        let q = BBox::new(Point::new(0.0, 0.0), Point::new(2.0, 2.0));
-        let hits = grid.query(&q);
-        assert!(hits.contains(&0) && hits.contains(&2), "hits {hits:?}");
-        assert!(!hits.contains(&1), "far record must be pruned: {hits:?}");
+        let near = "POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))";
+        let far = "POLYGON ((20 20, 22 20, 22 22, 20 22, 20 20))";
+        let vp =
+            Viewport::square_pixels(BBox::new(Point::new(0.0, 0.0), Point::new(25.0, 25.0)), 64);
+        let run = |zones: &str| {
+            let zones = SpatialTable::from_wkt_lines(zones).unwrap();
+            let mut dev = Device::nvidia();
+            let pairs = t.join_points_in_polygons(&mut dev, vp, &zones).unwrap();
+            (pairs, dev.stats().passes)
+        };
+        let (pairs, passes) = run(near);
+        assert_eq!(pairs, vec![(0, 0), (2, 0)]);
+        assert_eq!(run(&format!("{near}\n{far}\n{far}")), (pairs, passes));
     }
 }

@@ -54,10 +54,9 @@
 //!   reproduces the full render's index exactly. The cover plane is
 //!   never touched by point draws.
 //!
-//! The grid index rides along incrementally: the table retains its CSR
-//! [`GridIndexBuilder`] and inserts only the delta points on append —
-//! [`VersionedTable::grid_index`] packs the accumulated items without
-//! re-binning the history.
+//! The table keeps no spatial index of its own: an append stores the
+//! chunk and bumps the generation, nothing more. Readers that filter
+//! spatially build their grid from the snapshot they read.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -65,8 +64,7 @@ use crate::algebra::FingerprintBuilder;
 use crate::canvas::{Canvas, PointBatch};
 use crate::device::Device;
 use crate::info::{BlendFn, Texel};
-use canvas_geom::grid::{GridIndex, GridIndexBuilder};
-use canvas_geom::{BBox, Point};
+use canvas_geom::BBox;
 use canvas_raster::{Backend, OpChain, ValueTag, Viewport};
 
 /// Result of one [`VersionedTable::append`].
@@ -107,8 +105,6 @@ struct State {
     /// generation's prefix length identifies its contents exactly).
     gen_lens: Vec<usize>,
     appends: u64,
-    /// Retained CSR builder: appends insert only the delta points.
-    grid: GridIndexBuilder,
     /// Cached immutable snapshot of the current generation.
     snapshot: Option<TableSnapshot>,
 }
@@ -147,23 +143,13 @@ pub struct VersionedTable {
 }
 
 impl VersionedTable {
-    /// A table over the feed's declared world `extent` (sizes the
-    /// retained grid index; appended points outside it are clamped to
-    /// edge cells) seeded with `base` as generation 0. Its ids are
-    /// replaced by `0..len`; panics when its columns differ in length.
-    pub fn new(name: &str, extent: BBox, mut base: PointBatch) -> Self {
+    /// A table seeded with `base` as generation 0. Its ids are replaced
+    /// by `0..len`; panics when its columns differ in length. `_extent`
+    /// (the feed's declared world) is unused: the table keeps no index
+    /// to size with it.
+    pub fn new(name: &str, _extent: BBox, mut base: PointBatch) -> Self {
         check_columns(name, "base", &base);
         base.ids = (0..base.len() as u32).collect();
-        let extent = extent.inflated(1e-9);
-        let extent = if extent.is_empty() {
-            BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0))
-        } else {
-            extent
-        };
-        let mut grid = GridIndexBuilder::with_target_occupancy(extent, base.len().max(1024), 8);
-        for (i, &p) in base.points.iter().enumerate() {
-            grid.insert(i as u32, &BBox::new(p, p));
-        }
         VersionedTable {
             ident: Arc::new(name.to_string()),
             state: Mutex::new(State {
@@ -171,7 +157,6 @@ impl VersionedTable {
                 chunks: vec![Arc::new(base)],
                 generation: 0,
                 appends: 0,
-                grid,
                 snapshot: None,
             }),
         }
@@ -197,9 +182,6 @@ impl VersionedTable {
         check_columns(self.name(), "appended", batch);
         let mut st = self.lock();
         let base = st.len();
-        for (k, &p) in batch.points.iter().enumerate() {
-            st.grid.insert((base + k) as u32, &BBox::new(p, p));
-        }
         let total = base + batch.len();
         st.chunks.push(Arc::new(PointBatch {
             points: batch.points.clone(),
@@ -253,14 +235,6 @@ impl VersionedTable {
             });
         }
         st.snapshot.clone().expect("populated above")
-    }
-
-    /// Packs the retained (incrementally grown) CSR builder into a
-    /// queryable grid index. Equivalent to rebuilding from scratch over
-    /// the current points — asserted in tests — but appends never
-    /// re-bin the history.
-    pub fn grid_index(&self) -> GridIndex {
-        self.lock().grid.clone().build()
     }
 }
 
@@ -550,6 +524,7 @@ pub fn patch_live_heatmap(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use canvas_geom::Point;
     use proptest::prelude::*;
 
     fn vp(n: u32) -> Viewport {
@@ -729,19 +704,6 @@ mod tests {
         let mut delta = batch(&[(2.0, 2.0), (3.0, 3.0)]);
         delta.weights.pop();
         t.append(&delta);
-    }
-
-    #[test]
-    fn incremental_grid_index_matches_rebuild() {
-        let extent = BBox::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
-        let t = VersionedTable::new("g", extent, batch(&[(1.0, 1.0), (9.0, 9.0)]));
-        t.append(&batch(&[(1.2, 1.1), (5.0, 5.0)]));
-        let got = t.grid_index();
-        assert_eq!(got.len(), 4);
-        let q = BBox::new(Point::new(0.0, 0.0), Point::new(2.0, 2.0));
-        let hits = got.query(&q);
-        assert!(hits.contains(&0) && hits.contains(&2), "hits {hits:?}");
-        assert!(!hits.contains(&1) && !hits.contains(&3), "hits {hits:?}");
     }
 
     #[test]

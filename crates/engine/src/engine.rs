@@ -542,13 +542,9 @@ pub struct EngineMetrics {
     /// canvas instead of re-rendering ([`Served::Incremental`]).
     pub incremental_refreshes: u64,
     /// Tiles redrawn across all incremental refreshes (the O(delta)
-    /// work actually done; compare against `full_renders_avoided` ×
+    /// work actually done; compare against `incremental_refreshes` ×
     /// tiles-per-viewport for the work skipped).
     pub dirty_tiles_redrawn: u64,
-    /// Full O(dataset) renders avoided because a predecessor canvas
-    /// was patchable. **Not** incremented when the predecessor was
-    /// evicted and the engine fell back to a full render.
-    pub full_renders_avoided: u64,
     /// End-to-end latency of successfully served submissions.
     pub service: LatencyStats,
     /// Evaluation-only latency of computed submissions.
@@ -1001,10 +997,7 @@ impl QueryEngine {
                 Served::Computed => m.computed += 1,
                 Served::CacheHit => m.cache_hits += 1,
                 Served::Coalesced => m.coalesced += 1,
-                Served::Incremental => {
-                    m.incremental_refreshes += 1;
-                    m.full_renders_avoided += 1;
-                }
+                Served::Incremental => m.incremental_refreshes += 1,
             }
             m.computed
         };
@@ -1073,7 +1066,7 @@ impl QueryEngine {
     /// the process metadata.
     fn sync_registry(&self) {
         let m = self.metrics();
-        let counters: [(&str, u64); 17] = [
+        let counters: [(&str, u64); 16] = [
             ("queries_submitted", m.submitted),
             ("queries_computed", m.computed),
             ("cache_hits", m.cache_hits),
@@ -1086,7 +1079,6 @@ impl QueryEngine {
             ("ingest_appends", m.ingest_appends),
             ("incremental_refreshes", m.incremental_refreshes),
             ("dirty_tiles_redrawn", m.dirty_tiles_redrawn),
-            ("full_renders_avoided", m.full_renders_avoided),
             // Observability health: tracing-sink drops at its cap,
             // slow-query promotions, and flight-ring loss accounting
             // (normal fast-path recycling vs spans a capture wanted

@@ -1,8 +1,11 @@
 //! Uniform grid spatial index, CSR-packed.
 //!
 //! The classic grid file referenced by the paper's related work (\[40\] in
-//! the paper). Used here as the *filter* step of baseline joins and as a
-//! cheap index option for the blend operator's candidate pruning.
+//! the paper), and the workspace's one spatial *filter* index: every
+//! join (canvas and baseline) and the pruned RasterJoin build one with
+//! [`GridIndex::over`] from their own inputs, then refine the
+//! candidates exactly — the grid-filter-then-refine design of Zhang &
+//! You's multi-core geospatial joins.
 //!
 //! The cell directory is a flat **CSR layout** — one `entries` array of
 //! record ids plus a `cell_offsets` array of length `cells + 1` — built
@@ -113,13 +116,13 @@ impl GridIndexBuilder {
         }
     }
 
-    /// Builder sized for roughly `items_per_cell` items per cell assuming
+    /// Builder sized for roughly `occupancy` items per cell assuming
     /// a uniform distribution of `n` items. Both dimensions use ceiling
     /// division so the realized cell count never falls below the request
     /// (floor division used to under-size tall or wide extents badly —
     /// e.g. a 1:9 aspect could produce a third of the requested cells).
-    pub fn with_target_occupancy(extent: BBox, n: usize, items_per_cell: usize) -> Self {
-        let cells = (n / items_per_cell.max(1)).max(1);
+    pub fn with_target_occupancy(extent: BBox, n: usize, occupancy: usize) -> Self {
+        let cells = (n / occupancy.max(1)).max(1);
         let aspect = (extent.width() / extent.height().max(1e-12)).max(1e-6);
         let ny = ((cells as f64 / aspect).sqrt().ceil() as usize).max(1);
         let nx = cells.div_ceil(ny).max(1);
@@ -204,31 +207,30 @@ pub struct GridIndex {
     len: usize,
 }
 
-impl GridIndex {
-    /// One-shot build from point items.
-    pub fn from_points(
-        extent: BBox,
-        nx: usize,
-        ny: usize,
-        points: impl IntoIterator<Item = (u32, Point)>,
-    ) -> Self {
-        let mut b = GridIndexBuilder::new(extent, nx, ny);
-        for (id, p) in points {
-            b.insert_point(id, p);
-        }
-        b.build()
-    }
+/// Items per cell [`GridIndex::over`] sizes its grid for.
+pub const TARGET_OCCUPANCY: usize = 4;
 
-    /// One-shot build from box items.
-    pub fn from_bboxes<'a>(
-        extent: BBox,
-        nx: usize,
-        ny: usize,
-        boxes: impl IntoIterator<Item = (u32, &'a BBox)>,
-    ) -> Self {
-        let mut b = GridIndexBuilder::new(extent, nx, ny);
-        for (id, bb) in boxes {
-            b.insert(id, bb);
+impl GridIndex {
+    /// The filter index over `boxes`, item `i` getting id `i` (a point
+    /// is its degenerate box). The extent is the boxes' union — the
+    /// unit box when there are none — so every item lands in the cells
+    /// its box covers, and the grid holds about [`TARGET_OCCUPANCY`]
+    /// items per cell.
+    pub fn over(boxes: impl Iterator<Item = BBox> + Clone) -> Self {
+        let (extent, n) = boxes
+            .clone()
+            .fold((BBox::EMPTY, 0), |(e, n), b| (e.union(&b), n + 1));
+        // A tiny pad keeps a single item's (or one row's) zero-size
+        // extent from degenerating the cell aspect.
+        let extent = extent.inflated(1e-9);
+        let extent = if extent.is_empty() {
+            BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0))
+        } else {
+            extent
+        };
+        let mut b = GridIndexBuilder::with_target_occupancy(extent, n, TARGET_OCCUPANCY);
+        for (id, bb) in boxes.enumerate() {
+            b.insert(id as u32, &bb);
         }
         b.build()
     }
@@ -378,13 +380,28 @@ mod tests {
         BBox::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0))
     }
 
+    /// An `nx × ny` grid over [`extent`] holding `points`.
+    fn point_grid(nx: usize, ny: usize, points: &[(u32, Point)]) -> GridIndex {
+        let mut b = GridIndexBuilder::new(extent(), nx, ny);
+        for &(id, p) in points {
+            b.insert_point(id, p);
+        }
+        b.build()
+    }
+
+    /// An `nx × ny` grid over [`extent`] holding one box item.
+    fn box_grid(nx: usize, ny: usize, id: u32, bb: &BBox) -> GridIndex {
+        let mut b = GridIndexBuilder::new(extent(), nx, ny);
+        b.insert(id, bb);
+        b.build()
+    }
+
     #[test]
     fn point_insert_and_query() {
-        let g = GridIndex::from_points(
-            extent(),
+        let g = point_grid(
             10,
             10,
-            [
+            &[
                 (1, Point::new(0.5, 0.5)),
                 (2, Point::new(9.5, 9.5)),
                 (3, Point::new(5.0, 5.0)),
@@ -399,7 +416,7 @@ mod tests {
     #[test]
     fn box_item_spans_cells() {
         let bb = BBox::new(Point::new(2.0, 2.0), Point::new(7.0, 3.0));
-        let g = GridIndex::from_bboxes(extent(), 10, 10, [(7u32, &bb)]);
+        let g = box_grid(10, 10, 7, &bb);
         // The item occupies one entry per covered cell.
         assert_eq!(g.len(), 1);
         assert!(g.num_entries() >= 6);
@@ -415,7 +432,7 @@ mod tests {
     #[test]
     fn query_iter_yields_per_cell_duplicates() {
         let bb = BBox::new(Point::new(1.0, 1.0), Point::new(9.0, 9.0));
-        let g = GridIndex::from_bboxes(extent(), 4, 4, [(3u32, &bb)]);
+        let g = box_grid(4, 4, 3, &bb);
         let raw: Vec<u32> = g.query_iter(&extent()).collect();
         assert!(raw.len() > 1, "item spans many cells");
         assert!(raw.iter().all(|&id| id == 3));
@@ -454,14 +471,14 @@ mod tests {
 
     #[test]
     fn out_of_extent_point_ignored() {
-        let g = GridIndex::from_points(extent(), 4, 4, [(1, Point::new(50.0, 50.0))]);
+        let g = point_grid(4, 4, &[(1, Point::new(50.0, 50.0))]);
         assert_eq!(g.len(), 0);
         assert!(g.query(&extent()).is_empty());
     }
 
     #[test]
     fn boundary_points_clamp_into_grid() {
-        let g = GridIndex::from_points(extent(), 4, 4, [(1, Point::new(10.0, 10.0))]);
+        let g = point_grid(4, 4, &[(1, Point::new(10.0, 10.0))]);
         assert_eq!(g.len(), 1);
         let hits = g.query(&BBox::new(Point::new(9.0, 9.0), Point::new(10.0, 10.0)));
         assert_eq!(hits, vec![1]);
@@ -469,11 +486,10 @@ mod tests {
 
     #[test]
     fn query_point_cell() {
-        let g = GridIndex::from_points(
-            extent(),
+        let g = point_grid(
             2,
             2,
-            [(1, Point::new(1.0, 1.0)), (2, Point::new(9.0, 9.0))],
+            &[(1, Point::new(1.0, 1.0)), (2, Point::new(9.0, 9.0))],
         );
         assert_eq!(g.query_point(Point::new(2.0, 2.0)), &[1]);
         assert_eq!(g.query_point(Point::new(8.0, 8.0)), &[2]);
@@ -501,12 +517,7 @@ mod tests {
                 )
             })
             .collect();
-        let g = GridIndex::from_bboxes(
-            extent(),
-            7,
-            5,
-            boxes.iter().enumerate().map(|(i, b)| (i as u32, b)),
-        );
+        let g = GridIndex::over(boxes.iter().copied());
         assert_eq!(g.len(), 200);
         let mut visited = VisitedMask::new();
         let mut out = Vec::new();
@@ -593,5 +604,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn over_spans_its_items_at_the_target_occupancy() {
+        let pts: Vec<Point> = (0..400)
+            .map(|i| Point::new(-50.0 + (i % 20) as f64, 3.0 + (i / 20) as f64 * 0.5))
+            .collect();
+        let g = GridIndex::over(pts.iter().map(|&p| BBox::new(p, p)));
+        assert_eq!(g.len(), pts.len());
+        let (nx, ny) = g.dims();
+        assert!(nx * ny >= pts.len() / TARGET_OCCUPANCY, "{nx}x{ny}");
+        // Every item, extreme corners included, is found in its own cell.
+        for (i, &p) in pts.iter().enumerate() {
+            assert!(g.query_point(p).contains(&(i as u32)), "point {i} at {p:?}");
+        }
+    }
+
+    #[test]
+    fn over_no_items_or_one_point() {
+        // No items: the unit box, one cell, nothing found.
+        let g = GridIndex::over(std::iter::empty());
+        assert!(g.is_empty());
+        assert_eq!(
+            *g.extent(),
+            BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0))
+        );
+        assert!(g.query(&extent()).is_empty());
+        // One point: a zero-size union, padded into a valid grid.
+        let p = Point::new(3.0, 3.0);
+        let g = GridIndex::over(std::iter::once(BBox::new(p, p)));
+        assert_eq!(g.query_point(p), &[0]);
+        assert_eq!(g.query(&extent()), vec![0]);
     }
 }

@@ -14,8 +14,12 @@
 //! * robust-enough predicates: orientation, point-in-polygon (crossing and
 //!   winding number), segment intersection, distances,
 //! * algorithms: convex hull, Sutherland–Hodgman clipping,
-//! * spatial indexes used by the *baseline* approaches and join filters:
-//!   a uniform [`grid::GridIndex`] and an STR-packed [`rtree::RTree`].
+//! * indexes: the CSR [`grid::GridIndex`] — the one filter index; every
+//!   join and the pruned RasterJoin build it over their own inputs with
+//!   [`GridIndex::over`] — plus an edge BVH ([`bvh::EdgeBvh`], used by
+//!   the `select_scalar_bvh` baseline only) and an STR-packed
+//!   [`rtree::RTree`] that no query path uses any more (the geometry
+//!   tests and the benchmark's index probes still build it).
 //!
 //! Everything here is pure CPU vector geometry; the GPU-friendly raster
 //! representation lives in `canvas-raster` / `canvas-core`.

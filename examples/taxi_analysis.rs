@@ -124,7 +124,7 @@ fn main() {
     }
     let mut dev = Device::cpu_parallel(4);
     let groups = ptab
-        .aggregate_points_in_polygons(&mut dev, vp, &ztab, Some("fare"), 4)
+        .aggregate_points_in_polygons(&mut dev, vp, &ztab, Some("fare"))
         .unwrap();
     let top = groups
         .sums

@@ -1,9 +1,12 @@
 //! Integration: joins and aggregations across the canvas algebra and
 //! the traditional baselines must produce identical answers (Sections
-//! 4.2, 4.3, 5.2).
+//! 4.2, 4.3, 5.2), and every join agrees with brute force on random
+//! inputs (`joins_and_aggregates_match_brute_force`).
 
 use canvas_algebra::prelude::*;
 use canvas_core::queries::{aggregate, join};
+use canvas_core::SpatialTable;
+use proptest::prelude::*;
 use std::sync::Arc;
 
 fn extent() -> BBox {
@@ -26,7 +29,7 @@ fn type1_join_equals_baseline_join() {
         &PointBatch::from_points(pts.clone()),
         &table,
     );
-    let baseline_pairs = canvas_algebra::baseline::join_rtree(&pts, &zones).pairs;
+    let baseline_pairs = canvas_algebra::baseline::join_grid(&pts, &zones, extent()).pairs;
     assert_eq!(canvas_pairs, baseline_pairs);
     assert!(!canvas_pairs.is_empty());
 }
@@ -166,4 +169,153 @@ fn aggregation_resolution_independence() {
     }
     assert_eq!(results[0], results[1]);
     assert_eq!(results[1], results[2]);
+}
+
+/// The oracle's world: points fill `[0, 100)²`, "far" polygons sit in
+/// `[150, 250)²`, and the viewport covers both, so exactness never
+/// depends on clipping.
+fn oracle_vp() -> Viewport {
+    Viewport::square_pixels(
+        BBox::new(Point::new(-20.0, -20.0), Point::new(270.0, 270.0)),
+        128,
+    )
+}
+
+/// One convex quadrilateral per `(x, y, size)`, shifted by `offset`.
+fn quads(specs: &[(f64, f64, f64)], offset: f64) -> Vec<Polygon> {
+    specs
+        .iter()
+        .map(|&(x, y, side)| {
+            let (x, y) = (x + offset, y + offset);
+            Polygon::simple(vec![
+                Point::new(x, y),
+                Point::new(x + side, y + 0.3 * side),
+                Point::new(x + 0.8 * side, y + side),
+                Point::new(x - 0.2 * side, y + 0.6 * side),
+            ])
+            .unwrap()
+        })
+        .collect()
+}
+
+fn pip_pairs(points: &[Point], polys: &[Polygon]) -> Vec<(u32, u32)> {
+    let mut out = Vec::new();
+    for (j, poly) in polys.iter().enumerate() {
+        for (i, &p) in points.iter().enumerate() {
+            if poly.contains_closed(p) {
+                out.push((i as u32, j as u32));
+            }
+        }
+    }
+    out
+}
+
+fn point_table(points: &[Point], weights: &[f32]) -> SpatialTable {
+    let mut t = SpatialTable::new();
+    for &p in points {
+        t.push(GeomObject::point(p));
+    }
+    t.set_attr("w", weights.to_vec()).unwrap();
+    t
+}
+
+fn polygon_table(polys: &[Polygon]) -> SpatialTable {
+    let mut t = SpatialTable::new();
+    for p in polys {
+        t.push(GeomObject::polygon(p.clone()));
+    }
+    t
+}
+
+/// Passes `f` spends on `dev`.
+fn passes<T>(dev: &mut Device, f: impl FnOnce(&mut Device) -> T) -> (T, u64) {
+    let before = dev.stats().passes;
+    let out = f(dev);
+    (out, dev.stats().passes - before)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random point sets against random polygon tables — empty and
+    /// single-record sides included, and polygons beyond every point —
+    /// on one and two threads: Types I, II and III, the table joins and
+    /// the aggregates equal brute force, and far polygons cost the
+    /// Type I join no pass.
+    #[test]
+    fn joins_and_aggregates_match_brute_force(
+        pts in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0, 0.5f32..4.0), 0..80),
+        near in prop::collection::vec((-10.0f64..100.0, -10.0f64..100.0, 2.0f64..40.0), 0..5),
+        far in prop::collection::vec((0.0f64..80.0, 0.0f64..80.0, 2.0f64..20.0), 0..3),
+        probes in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 0..5),
+        radius in 2.0f64..15.0,
+    ) {
+        let points: Vec<Point> = pts.iter().map(|&(x, y, _)| Point::new(x, y)).collect();
+        let weights: Vec<f32> = pts.iter().map(|&(_, _, w)| w).collect();
+        let near = quads(&near, 0.0);
+        let polys: Vec<Polygon> = near.iter().cloned().chain(quads(&far, 150.0)).collect();
+        let probes: Vec<Point> = probes.iter().map(|&(x, y)| Point::new(x, y)).collect();
+        let batch = PointBatch::with_weights(points.clone(), weights.clone());
+        let table: AreaSource = Arc::new(polys.clone());
+        let vp = oracle_vp();
+
+        let mut type1 = pip_pairs(&points, &polys);
+        type1.sort_unstable_by_key(|&(p, y)| (y, p));
+        let mut type2 = Vec::new();
+        for (i, a) in polys.iter().enumerate() {
+            for (j, b) in near.iter().enumerate() {
+                if a.intersects(b) {
+                    type2.push((i as u32, j as u32));
+                }
+            }
+        }
+        let mut type3 = Vec::new();
+        for (j, c) in probes.iter().enumerate() {
+            for (i, p) in points.iter().enumerate() {
+                if p.dist(*c) <= radius {
+                    type3.push((i as u32, j as u32));
+                }
+            }
+        }
+        let mut counts = vec![0u64; polys.len()];
+        let mut sums = vec![0f64; polys.len()];
+        for &(i, j) in &type1 {
+            counts[j as usize] += 1;
+            sums[j as usize] += weights[i as usize] as f64;
+        }
+
+        for threads in [1usize, 2] {
+            let mut dev = if threads == 1 { Device::cpu() } else { Device::cpu_parallel(threads) };
+            let dev = &mut dev;
+            let (got, with_far) = passes(dev, |d| join::join_points_polygons(d, vp, &batch, &table));
+            prop_assert_eq!(&got, &type1, "type I, {} threads", threads);
+            let near_only: AreaSource = Arc::new(near.clone());
+            let (got, near_passes) = passes(dev, |d| join::join_points_polygons(d, vp, &batch, &near_only));
+            // No point reaches a far polygon, so dropping them changes
+            // neither the pairs nor the work.
+            prop_assert_eq!(&got, &type1);
+            prop_assert_eq!(with_far, near_passes, "far polygons cost passes");
+
+            let got = join::join_polygons_polygons(dev, vp, &table, &near_only);
+            prop_assert_eq!(&got, &type2, "type II, {} threads", threads);
+            let got = join::distance_join(dev, vp, &batch, &PointBatch::from_points(probes.clone()), radius);
+            prop_assert_eq!(&got, &type3, "type III, {} threads", threads);
+
+            let (ptab, ytab) = (point_table(&points, &weights), polygon_table(&polys));
+            prop_assert_eq!(&ptab.join_points_in_polygons(dev, vp, &ytab).unwrap(), &type1);
+            prop_assert_eq!(
+                &ytab.join_intersecting_polygons(dev, vp, &polygon_table(&near)).unwrap(),
+                &type2
+            );
+            let full = aggregate::aggregate_join_rasterjoin(dev, vp, &batch, &table);
+            let pruned = aggregate::aggregate_join_rasterjoin_pruned(dev, vp, &batch, &table);
+            let by_table = ptab.aggregate_points_in_polygons(dev, vp, &ytab, Some("w")).unwrap();
+            prop_assert_eq!(&full.counts, &counts, "aggregate counts, {} threads", threads);
+            for (g, want) in full.sums.iter().zip(&sums) {
+                prop_assert!((g - want).abs() <= 1e-4 * want.max(1.0), "sum {} vs {}", g, want);
+            }
+            prop_assert_eq!(&pruned, &full);
+            prop_assert_eq!(&by_table, &full);
+        }
+    }
 }
