@@ -45,12 +45,13 @@ pub trait SubplanCache {
     fn publish(&self, fp: Fingerprint, vp: &Viewport, canvas: &Arc<Canvas>);
 }
 
-/// Get-or-render helper shared by the fused-chain query paths: the
+/// Get-or-render helper shared by the canvas-chain query paths: the
 /// cache is probed for `fp`; on a miss the canvas is rendered by
-/// `render` and published. The fused chains use this **only** for
-/// operand canvases they materialize anyway (`C_Q`, the tagged query
-/// region) — never for the streamed tiles themselves, so fusion is
-/// never broken by a cut point.
+/// `render` and published. The chains use this **only** for canvases
+/// they materialize anyway — their operands (`C_Q`, the tagged query
+/// region) and the `C_Y*` the choropleth starts from — never for the
+/// streamed tiles of a fused run, so fusion is never broken by a cut
+/// point.
 pub fn acquire_or_render(
     cache: Option<&dyn SubplanCache>,
     fp: Fingerprint,

@@ -1,25 +1,32 @@
-//! Fused canvas operator chains — the algebra-level face of
+//! Canvas operator chains — the algebra-level face of
 //! `canvas_raster::OpChain`.
 //!
-//! A [`CanvasChain`] is a linear plan `render(points) → op₁ → … → opₖ`
-//! over full canvases (texel plane + certain-cover plane + boundary
-//! index) whose operators are the *coarse* forms of the algebra:
-//! Value Transform `V[f]`, Blend `B[⊙]` against a materialized operand
-//! canvas, and the texel-level Mask `M[M]`. Executed fused
-//! ([`run_points_chain`]), each rendered tile flows through every
-//! operator on the executor's multi-stage streaming hand-off before it
-//! is blitted — the intermediate canvases of the materialized plan are
-//! never allocated.
+//! A [`CanvasChain`] is a linear plan `source → op₁ → … → opₖ` over full
+//! canvases (texel plane + certain-cover plane + boundary index) whose
+//! operators are the *coarse* forms of the algebra: Value Transform
+//! `V[f]`, Blend `B[⊙]` against a materialized operand canvas, and the
+//! texel-level Mask `M[M]`. A chain starts from one of two places:
 //!
-//! The fused run is **bit-identical** to the materialized operator
-//! sequence ([`run_points_chain_materialized`]) — texel plane, cover
-//! plane, boundary index, sources, *and* pipeline work counters — at
-//! any thread count; `tests/chain_equivalence.rs` asserts this on
-//! random chains. Boundary bookkeeping is replayed after the planes
-//! finish: Blend stages merge the operand's entries (source-remapped)
-//! and Mask stages prune entries of pixels whose texel the mask left
-//! null, read from the fused run's per-stage [`MaskOutcome`](canvas_raster::MaskOutcome) bitmaps —
-//! sparse metadata, never a full intermediate plane.
+//! * **a draw** ([`run_points_chain`], [`run_polygons_chain`]): each
+//!   rendered tile flows through every operator on the executor's
+//!   multi-stage streaming hand-off before it is blitted — the
+//!   intermediate canvases of the materialized plan are never
+//!   allocated;
+//! * **a materialized canvas** ([`run_canvas_chain`]): the input's
+//!   planes are copied once and every operator runs over the copy in
+//!   place, strip by strip — the input may be a canvas another query
+//!   already rendered.
+//!
+//! Every form is **bit-identical** to the materialized operator
+//! sequence ([`run_points_chain_materialized`],
+//! [`apply_chain_materialized`]) — texel plane, cover plane, boundary
+//! index, sources, *and* pipeline work counters — at any thread count;
+//! `tests/chain_equivalence.rs` asserts this on random chains.
+//! Boundary bookkeeping is replayed after the planes finish: Blend
+//! stages merge the operand's entries (source-remapped) and Mask stages
+//! prune entries of pixels whose texel the mask left null, read from
+//! the run's per-stage [`MaskOutcome`] bitmaps — sparse metadata, never
+//! a full intermediate plane.
 //!
 //! The exact point-refinement Mask (`MaskSpec::PointInAreas`) is *not*
 //! chain-fusable: it rewrites texels from boundary-index state, which
@@ -30,16 +37,21 @@
 //!
 //! Cross-query subplan sharing
 //! ([`algebra::subplan`](crate::algebra::subplan)) publishes rendered
-//! intermediates to a cache at cut points — but a fused chain, by
-//! design, never materializes its intermediates, so there is nothing to
-//! publish mid-chain and no cut point is ever placed inside one. The
-//! only canvases a chain shares are the **operand** canvases it
-//! materializes anyway (the Blend operands, e.g. the heatmap's `C_Q`
-//! or the choropleth's tagged query region — see
-//! `queries::heatmap::selection_heatmap_via`). Consequently the PR 3
-//! streamed ≡ materialized bit-identity contract is untouched by
-//! sharing: the fused tile flow is byte-for-byte the same whether an
-//! operand was rendered locally or served from the cache.
+//! intermediates to a cache at cut points. A chain shares through that
+//! cache at its two ends and never in between — its intermediates are
+//! not materialized, so there is nothing to publish mid-chain:
+//!
+//! * its **operands**, the canvases it materializes anyway (the Blend
+//!   operands, e.g. the heatmap's `C_Q` or the choropleth's tagged
+//!   query region);
+//! * its **input**, when the chain starts from a canvas: the selection
+//!   heatmap runs its tail over the `B[⊙](C_P, C_Q)` a selection
+//!   published, and the choropleth runs over the `C_Y*` a zone
+//!   aggregate reads (see `queries::heatmap`).
+//!
+//! Rendering is deterministic, so a shared canvas is bit-identical to
+//! the one the chain would have rendered itself, and the bit-identity
+//! contract above holds whatever the cache served.
 
 use std::sync::Arc;
 
@@ -48,7 +60,7 @@ use crate::device::Device;
 use crate::info::{BlendFn, Texel};
 use crate::ops::mask::MaskSpec;
 use canvas_geom::Point;
-use canvas_raster::{MaskTag, OpChain, ValueTag, Viewport};
+use canvas_raster::{Backend, MaskOutcome, MaskTag, OpChain, ValueTag, Viewport};
 
 /// Boxed location-aware texel rewrite (the Value Transform function).
 pub type ValueFn = Arc<dyn Fn(Point, Texel) -> Texel + Send + Sync>;
@@ -98,11 +110,26 @@ impl std::fmt::Debug for CanvasOp<'_> {
 #[derive(Clone, Debug, Default)]
 pub struct CanvasChain<'a> {
     ops: Vec<CanvasOp<'a>>,
+    /// SIMD backend the lowered kernels run on; `None` is the
+    /// process-wide one (see [`with_backend`](Self::with_backend)).
+    backend: Option<Backend>,
 }
 
 impl<'a> CanvasChain<'a> {
     pub fn new() -> Self {
-        CanvasChain { ops: Vec::new() }
+        CanvasChain {
+            ops: Vec::new(),
+            backend: None,
+        }
+    }
+
+    /// Pins the SIMD backend of the lowered kernels, as
+    /// `OpChain::with_backend` does one level down: tests compare
+    /// forced-scalar against auto dispatch in one process. The
+    /// materialized reference always runs on the process-wide backend.
+    pub fn with_backend(mut self, backend: Backend) -> Self {
+        self.backend = Some(backend);
+        self
     }
 
     /// Appends a Value Transform stage.
@@ -174,8 +201,11 @@ pub struct ChainOutcome {
     pub tiles: usize,
     /// High-water mark of live tile buffers — never exceeds
     /// `Policy::stream_window(workers)` (0 for in-place sequential
-    /// runs).
+    /// runs and for chains over a materialized canvas).
     pub peak_tiles_in_flight: usize,
+    /// Per-Mask-op null bitmaps the boundary replay read (see
+    /// [`MaskOutcome`]).
+    pub masked: MaskOutcome,
 }
 
 /// Asserts every Blend operand canvas shares the run's viewport.
@@ -221,7 +251,10 @@ fn lower_to_raster<'a>(vp: Viewport, chain: &CanvasChain<'a>) -> OpChain<'a, Tex
             CanvasOp::MaskTagged { tag, .. } => raster_chain.mask_tagged(*tag),
         };
     }
-    raster_chain
+    match chain.backend {
+        Some(be) => raster_chain.with_backend(be),
+        None => raster_chain,
+    }
 }
 
 /// Replays the boundary/source bookkeeping of the materialized operator
@@ -230,11 +263,7 @@ fn lower_to_raster<'a>(vp: Viewport, chain: &CanvasChain<'a>) -> OpChain<'a, Tex
 /// entries (source-remapped), Mask stages prune entries of pixels whose
 /// texel the mask left null (read from the fused run's per-stage
 /// bitmaps).
-fn replay_bookkeeping(
-    canvas: &mut Canvas,
-    chain: &CanvasChain<'_>,
-    masked: &canvas_raster::MaskOutcome,
-) {
+fn replay_bookkeeping(canvas: &mut Canvas, chain: &CanvasChain<'_>, masked: &MaskOutcome) {
     let mut mask_ordinal = 0usize;
     for op in chain.ops() {
         match op {
@@ -306,6 +335,7 @@ pub fn run_points_chain(
         canvas,
         tiles: report.tiles,
         peak_tiles_in_flight: report.peak_tiles_in_flight,
+        masked: report.masked,
     }
 }
 
@@ -354,6 +384,34 @@ pub fn run_polygons_chain(
         canvas,
         tiles: report.tiles,
         peak_tiles_in_flight: report.peak_tiles_in_flight,
+        masked: report.masked,
+    }
+}
+
+/// Executes `input → chain` over an already-materialized canvas: the
+/// input's planes are copied once and the chain runs over the copy in
+/// place (`Pipeline::run_chain_texture`, full-width row strips, no
+/// tile copies); the input's index is then carried through the same
+/// bookkeeping replay as a fused run. Bit-identical to
+/// [`apply_chain_materialized`] on the same input at any thread count,
+/// including pipeline stats — so `run_canvas_chain(render(source),
+/// chain)` equals the fused draw-then-chain run of that source.
+pub fn run_canvas_chain(dev: &mut Device, input: &Canvas, chain: &CanvasChain<'_>) -> ChainOutcome {
+    let vp = *input.viewport();
+    assert_operand_viewports(&vp, chain);
+    let mut canvas = input.clone();
+    let raster_chain = lower_to_raster(vp, chain);
+    let report = {
+        let (texels, cover, _) = canvas.planes_mut();
+        dev.pipeline()
+            .run_chain_texture(texels, cover, &raster_chain)
+    };
+    replay_bookkeeping(&mut canvas, chain, &report.masked);
+    ChainOutcome {
+        canvas,
+        tiles: report.tiles,
+        peak_tiles_in_flight: report.peak_tiles_in_flight,
+        masked: report.masked,
     }
 }
 
@@ -372,8 +430,12 @@ pub fn run_polygons_chain_materialized(
 }
 
 /// Applies a chain's operators as separate whole-canvas passes (the
-/// materialized halves of both equivalence harnesses).
-fn apply_chain_materialized(dev: &mut Device, mut c: Canvas, chain: &CanvasChain<'_>) -> Canvas {
+/// materialized halves of the equivalence harnesses).
+pub fn apply_chain_materialized(
+    dev: &mut Device,
+    mut c: Canvas,
+    chain: &CanvasChain<'_>,
+) -> Canvas {
     for op in chain.ops() {
         c = match op {
             CanvasOp::Value(f) => {

@@ -24,7 +24,7 @@ pub mod value;
 
 pub use blend::{blend, multiway_blend};
 pub use chain::{
-    run_points_chain, run_points_chain_materialized, run_polygons_chain,
+    run_canvas_chain, run_points_chain, run_points_chain_materialized, run_polygons_chain,
     run_polygons_chain_materialized, CanvasChain, CanvasOp, ChainOutcome,
 };
 pub use dissect::{dissect, dissect_iter, dissect_par, map_scatter};

@@ -1,79 +1,125 @@
-//! Selection heatmap: the density visualization of a polygonal
-//! selection, executed as one **fused operator chain**.
+//! Heatmaps: the density views of a polygonal selection and of a
+//! polygon table, each a linear **canvas chain** finished by a log
+//! Value Transform.
 //!
-//! The plan is the Section 4.1 selection shape with a Value Transform
-//! finisher:
+//! The selection heatmap is the Section 4.1 selection shape with a
+//! coarse mask and a Value Transform finisher:
 //!
 //! ```text
-//! C_heat ← V[log](M[Mp coarse](B[⊙](C_P, C_Q)))
+//! C_heat ← V[log](M[point ∧ area](B[⊙](C_P, C_Q)))
 //! ```
 //!
-//! All points render into a density canvas, the query polygon masks it
-//! to the selection region (coarse texel level — a heatmap is a
-//! pixel-resolution product, so no exact refinement is needed), and a
+//! All points render into a density canvas and blend with the query
+//! polygon. The mask is the *texel* mask `M[point ∧ area]`: a pixel
+//! survives when it holds a point and lies inside the query polygon at
+//! pixel resolution — a heatmap is a pixel-resolution product, so the
+//! exact point refinement of the selection's `Mp'` is not needed. The
 //! Value Transform rewrites each surviving pixel's intensity to
 //! `ln(1 + count)` so dense pixels don't saturate the color ramp.
 //!
-//! Fused execution ([`run_points_chain`]) streams every rendered tile
-//! through blend → mask → value before it is blitted: the blended and
-//! masked intermediate canvases of the textbook plan are never
-//! materialized. [`selection_heatmap_materialized`] runs the identical
-//! plan as separate whole-canvas passes; the equivalence harness
-//! asserts the two are bit-identical at any thread count.
+//! The chain runs one of two ways, bit-identical in result:
+//!
+//! * **from the draw** ([`run_points_chain`]): every rendered tile
+//!   streams through blend → mask → value before it is blitted, so the
+//!   blended and masked canvases of the textbook plan are never
+//!   materialized;
+//! * **from a shared canvas** ([`run_canvas_chain`]): when a selection
+//!   over the same points and polygon at the same viewport has already
+//!   published `B[⊙](C_P, C_Q)` to the subplan cache, only the tail
+//!   `V[log](M[point ∧ area](·))` runs, over that canvas — no point is
+//!   drawn and no point index is built.
+//!
+//! [`selection_heatmap_materialized`] runs the identical plan as
+//! separate whole-canvas passes; the equivalence harness asserts all
+//! three agree at any thread count.
+//!
+//! The choropleth ([`polygon_density_heatmap`]) is the polygon-table
+//! sibling, `V[log](M[inside ∧ ≥1](B[⊕](C_Y*, C_tag)))`. Its `C_Y*` is the
+//! same `C_Y*[table, ⊕]` plan leaf a zone aggregate renders, so it is
+//! taken from (or published to) the subplan cache, and the chain runs
+//! over it with [`run_canvas_chain`].
 
 use crate::algebra::subplan::{acquire_or_render, SubplanCache};
-use crate::algebra::{Expr, FingerprintBuilder};
+use crate::algebra::{fingerprint, Expr, FingerprintBuilder};
 use crate::canvas::{AreaSource, Canvas, PointBatch};
 use crate::device::Device;
 use crate::info::{BlendFn, Texel};
 use crate::ops::chain::{
-    run_points_chain, run_points_chain_materialized, run_polygons_chain,
+    run_canvas_chain, run_points_chain, run_points_chain_materialized,
     run_polygons_chain_materialized, CanvasChain, ChainOutcome,
 };
-use crate::source::{render_polygon_with, render_query_polygon};
+use crate::queries::selection::points_over_polygon_plan;
+use crate::source::{render_polygon_set, render_polygon_with, render_query_polygon};
 use canvas_geom::polygon::Polygon;
 use canvas_raster::{MaskTag, ValueTag, Viewport};
 use std::sync::Arc;
 
-/// The heatmap chain over a rendered query-polygon canvas. Mask and
-/// value stages are the built-in tagged forms, so every stage of the
-/// fused tile flow runs the dispatched SIMD row kernels.
-fn heat_chain(cq: &Canvas) -> CanvasChain<'_> {
-    CanvasChain::new()
-        .blend(cq, BlendFn::PointOverArea)
+/// Appends the heatmap's tail `V[log](M[point ∧ area](·))` to `chain`.
+/// Mask and value stages are the built-in tagged forms, so every stage
+/// runs the dispatched SIMD row kernels.
+fn heat_tail(chain: CanvasChain<'_>) -> CanvasChain<'_> {
+    chain
         .mask_tagged("point ∧ area", MaskTag::PointAndArea)
         .value_tagged(ValueTag::HeatLog)
 }
 
-/// `C_heat ← V[log](M[Mp coarse](B[⊙](C_P, C_Q)))`, fused (see module
-/// docs). The returned [`ChainOutcome`]'s canvas carries `ln(1 + count)`
-/// in the 0-row's `v2` slot on surviving pixels (raw count stays in
-/// `v1`), alongside the fused run's streaming memory report.
+/// The whole heatmap chain over a rendered query-polygon canvas.
+fn heat_chain(cq: &Canvas) -> CanvasChain<'_> {
+    heat_tail(CanvasChain::new().blend(cq, BlendFn::PointOverArea))
+}
+
+/// `C_heat ← V[log](M[point ∧ area](B[⊙](C_P, C_Q)))`, fused over the
+/// point draw (see module docs). The returned [`ChainOutcome`]'s canvas
+/// carries `ln(1 + count)` in the 0-row's `v2` slot on surviving pixels
+/// (raw count stays in `v1`), alongside the fused run's streaming
+/// memory report.
 pub fn selection_heatmap(
     dev: &mut Device,
     vp: Viewport,
     data: &PointBatch,
     q: &Polygon,
 ) -> ChainOutcome {
-    selection_heatmap_via(dev, vp, data, q, None)
+    fused_selection_heatmap(dev, vp, data, q, None)
 }
 
-/// [`selection_heatmap`] with a [`SubplanCache`] for the operand
-/// canvas the chain materializes anyway: `C_Q`, the rendered query
-/// polygon. Its identity is the structural fingerprint of the
-/// equivalent plan leaf `Expr::query_polygon(q, 1)` — exactly the node
-/// an `Expr`-path selection over the same polygon renders — so a fused
-/// heatmap and an algebra-path selection share one `C_Q` render. The
-/// streamed point tiles themselves are **never** published: fusion is
-/// not broken by a cut point (see `ops::chain`).
+/// [`selection_heatmap`] with a [`SubplanCache`].
+///
+/// The cache is first asked for the selection's blend
+/// `B[⊙](C_P, C_Q)`, under the fingerprint of
+/// [`points_over_polygon_plan`] — the very node a `SelectPoints`
+/// selection over the same `data` handle and polygon evaluates and
+/// publishes. On a hit only the tail runs, over that canvas
+/// ([`run_canvas_chain`]). On a miss the chain runs fused over the
+/// point draw, sharing only its `C_Q` operand (keyed as the plan leaf
+/// `Expr::query_polygon(q, 1)`); the streamed tiles are never
+/// published. Either way the result is bit-identical to
+/// [`selection_heatmap`].
 pub fn selection_heatmap_via(
+    dev: &mut Device,
+    vp: Viewport,
+    data: &Arc<PointBatch>,
+    q: &Polygon,
+    cache: Option<&dyn SubplanCache>,
+) -> ChainOutcome {
+    if let Some(shared) = cache {
+        let fp = fingerprint(&points_over_polygon_plan(data.clone(), q.clone()));
+        if let Some(blend) = shared.get(fp, &vp) {
+            return run_canvas_chain(dev, &blend, &heat_tail(CanvasChain::new()));
+        }
+    }
+    fused_selection_heatmap(dev, vp, data, q, cache)
+}
+
+/// The heatmap fused over the point draw, its `C_Q` operand shared
+/// through `cache`.
+fn fused_selection_heatmap(
     dev: &mut Device,
     vp: Viewport,
     data: &PointBatch,
     q: &Polygon,
     cache: Option<&dyn SubplanCache>,
 ) -> ChainOutcome {
-    let fp = crate::algebra::fingerprint(&Expr::query_polygon(q.clone(), 1));
+    let fp = fingerprint(&Expr::query_polygon(q.clone(), 1));
     let cq = acquire_or_render(cache, fp, &vp, || {
         render_query_polygon(dev, vp, q.clone(), 1)
     });
@@ -93,7 +139,7 @@ pub fn selection_heatmap_materialized(
 }
 
 // ---------------------------------------------------------------------
-// Polygon-density (choropleth) heatmap — the polygon-table fused chain.
+// Polygon-density (choropleth) heatmap — a chain over the table canvas.
 // ---------------------------------------------------------------------
 
 /// Count tag rendered into the query-region canvas: far above any real
@@ -134,13 +180,11 @@ fn render_query_tag(dev: &mut Device, vp: Viewport, q: &Polygon) -> Canvas {
 }
 
 /// Polygon-density heatmap (choropleth) of a polygon table restricted
-/// to a query region, executed as one **fused polygon chain** over
-/// `Pipeline::run_chain_polygons`: the instanced table draw accumulates
-/// per-pixel overlap counts (`B*[⊕](C_Y*)`), and each finished tile
-/// streams through blend-with-the-tagged-query-region → mask → log
-/// value transform before it is blitted — no intermediate canvas is
-/// ever materialized. Surviving pixels carry the polygon overlap count
-/// in the 2-row's `v1` and `ln(1 + count)` in `v2`.
+/// to a query region: the instanced table draw accumulates per-pixel
+/// overlap counts (`C_Y*[table, ⊕]`), then the chain blend with the
+/// tagged query region → mask → log value transform runs over that
+/// canvas ([`run_canvas_chain`]). Surviving pixels carry the polygon
+/// overlap count in the 2-row's `v1` and `ln(1 + count)` in `v2`.
 pub fn polygon_density_heatmap(
     dev: &mut Device,
     vp: Viewport,
@@ -150,13 +194,14 @@ pub fn polygon_density_heatmap(
     polygon_density_heatmap_via(dev, vp, table, q, None)
 }
 
-/// [`polygon_density_heatmap`] with a [`SubplanCache`] for the
-/// tag-rendered query-region canvas (the operand the chain
-/// materializes anyway). The tag canvas is not expressible as a plain
-/// plan leaf, so its identity is a namespaced descriptor fingerprint
-/// over the polygon's vertex values — two choropleths restricted to
-/// the same region share one tag render. The instanced table draw
-/// stays fused and unpublished.
+/// [`polygon_density_heatmap`] with a [`SubplanCache`] for both
+/// operands of the chain's blend. The table canvas is keyed as the plan
+/// leaf `Expr::polygon_set(table, ⊕)` — the `C_Y*` a zone aggregate
+/// over the same table evaluates — so the choropleth and the aggregate
+/// of one viewport render it once. The tag canvas is not expressible as
+/// a plain plan leaf, so its identity is a namespaced descriptor
+/// fingerprint over the polygon's vertex values: two choropleths
+/// restricted to the same region share one tag render.
 pub fn polygon_density_heatmap_via(
     dev: &mut Device,
     vp: Viewport,
@@ -164,10 +209,14 @@ pub fn polygon_density_heatmap_via(
     q: &Polygon,
     cache: Option<&dyn SubplanCache>,
 ) -> ChainOutcome {
+    let fp = fingerprint(&Expr::polygon_set(table.clone(), BlendFn::AreaCount));
+    let zones = acquire_or_render(cache, fp, &vp, || {
+        render_polygon_set(dev, vp, table, BlendFn::AreaCount)
+    });
     let mut fb = FingerprintBuilder::new("core/heatmap/query-tag");
     fb.polygon(q);
     let ctag = acquire_or_render(cache, fb.finish(), &vp, || render_query_tag(dev, vp, q));
-    run_polygons_chain(dev, vp, table, BlendFn::AreaCount, &density_chain(&ctag))
+    run_canvas_chain(dev, &zones, &density_chain(&ctag))
 }
 
 /// The identical choropleth plan executed as separate whole-canvas
@@ -244,6 +293,46 @@ mod tests {
         }
     }
 
+    /// A subplan cache that keeps everything published to it.
+    #[derive(Default)]
+    struct Memo(std::cell::RefCell<Vec<(crate::algebra::Fingerprint, Arc<Canvas>)>>);
+
+    impl SubplanCache for Memo {
+        fn get(&self, fp: crate::algebra::Fingerprint, _: &Viewport) -> Option<Arc<Canvas>> {
+            let entries = self.0.borrow();
+            entries
+                .iter()
+                .find(|(k, _)| *k == fp)
+                .map(|(_, c)| c.clone())
+        }
+
+        fn publish(&self, fp: crate::algebra::Fingerprint, _: &Viewport, canvas: &Arc<Canvas>) {
+            self.0.borrow_mut().push((fp, canvas.clone()));
+        }
+    }
+
+    #[test]
+    fn heatmap_over_a_published_selection_blend_equals_the_fused_run() {
+        let batch = Arc::new(PointBatch::from_points(random_points(600, 9)));
+        for threads in [1usize, 4] {
+            let memo = Memo::default();
+            let mut dev = Device::cpu_parallel(threads);
+            let plan = crate::queries::selection::points_in_polygon_plan(batch.clone(), q());
+            plan.eval_via(&mut dev, vp(), Some(&memo));
+            let drawn = dev.stats().primitives;
+            let shared = selection_heatmap_via(&mut dev, vp(), &batch, &q(), Some(&memo));
+            assert_eq!(dev.stats().primitives, drawn, "the tail draws nothing");
+            let want = selection_heatmap(&mut Device::cpu(), vp(), &batch, &q()).canvas;
+            assert_eq!(shared.canvas.texels(), want.texels(), "threads={threads}");
+            assert_eq!(shared.canvas.cover(), want.cover(), "threads={threads}");
+            assert_eq!(
+                shared.canvas.boundary(),
+                want.boundary(),
+                "threads={threads}"
+            );
+        }
+    }
+
     fn zone_table() -> AreaSource {
         // Overlapping square zones so overlap counts span 0..=3, some
         // crossing the query region's boundary.
@@ -291,13 +380,10 @@ mod tests {
                 max_count = max_count.max(a.v1);
             }
             assert!(max_count >= 2.0, "zones overlap inside the query");
-            // The fused run streamed tiles within the policy window.
-            if threads > 1 {
-                let pool = dev_f.pool();
-                let window = pool.policy().stream_window(pool.worker_count());
-                assert!(fused.peak_tiles_in_flight <= window);
-                assert!(fused.tiles > 0);
-            }
+            // The chain ran in place over the table canvas: row strips,
+            // no tile buffers.
+            assert!(fused.tiles > 0);
+            assert_eq!(fused.peak_tiles_in_flight, 0);
         }
     }
 

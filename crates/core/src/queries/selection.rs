@@ -39,11 +39,19 @@ pub enum MultiPolygon {
 pub fn points_in_polygon_plan(data: Arc<PointBatch>, q: Polygon) -> Expr {
     Expr::mask(
         MaskSpec::PointInAreas(CountCond::Ge(1)),
-        Expr::blend(
-            BlendFn::PointOverArea,
-            Expr::points(data),
-            Expr::query_polygon(q, 1),
-        ),
+        points_over_polygon_plan(data, q),
+    )
+}
+
+/// The blend under the Figure 5 mask, `B[⊙](C_P, C_Q)`: the points
+/// blended over the query polygon. Its fingerprint is the key under
+/// which a selection publishes this canvas and the selection heatmap
+/// looks it up.
+pub fn points_over_polygon_plan(data: Arc<PointBatch>, q: Polygon) -> Expr {
+    Expr::blend(
+        BlendFn::PointOverArea,
+        Expr::points(data),
+        Expr::query_polygon(q, 1),
     )
 }
 

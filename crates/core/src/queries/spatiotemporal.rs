@@ -80,7 +80,9 @@ pub fn select_in_polygon_and_window(
 
 /// Time series of per-window counts inside a region: the classic
 /// taxi-dashboard query ("pickups in this neighborhood per hour").
-/// Returns `num_windows` counts covering `[t_start, t_end)`.
+/// Returns `num_windows` counts covering `[t_start, t_end)`: none for
+/// zero windows, and all zeros for an empty or inverted range (which
+/// holds no timestamp, as in [`select_in_polygon_and_window`]).
 pub fn region_time_series(
     dev: &mut Device,
     vp: Viewport,
@@ -90,9 +92,11 @@ pub fn region_time_series(
     t_end: u32,
     num_windows: u32,
 ) -> Vec<u64> {
-    assert!(t_end > t_start && num_windows > 0);
-    let span = (t_end - t_start) as u64;
     let mut out = vec![0u64; num_windows as usize];
+    if t_end <= t_start || num_windows == 0 {
+        return out;
+    }
+    let span = (t_end - t_start) as u64;
     // One spatial pass over the full range; the temporal GROUP BY then
     // buckets the *exact point entries* of the result canvas by their
     // record timestamps — spatial work is paid once, not per window.

@@ -21,8 +21,8 @@
 //!   datasets by handle (and pinned), query geometry and scalar
 //!   parameters by value;
 //! * its **run arm** ([`Prepared::execute_via`]) — `Expr::eval_via`, a
-//!   fused chain executor (`selection_heatmap`,
-//!   `polygon_density_heatmap`), or a promoted procedure (`knn`,
+//!   canvas chain (`selection_heatmap_via`,
+//!   `polygon_density_heatmap_via`), or a promoted procedure (`knn`,
 //!   `compute_voronoi`, …), wrapped in the [`QueryResult`] kind the
 //!   class answers with.
 //!
@@ -63,9 +63,18 @@ pub enum Query {
     /// `SELECT * FROM data WHERE Location INSIDE q` (Figure 5) — the
     /// result canvas's boundary index carries the selected records.
     SelectPoints { data: Arc<PointBatch>, q: Polygon },
-    /// The fused selection heatmap `V[log](M[Mp](B[⊙](C_P, C_Q)))`.
+    /// The selection heatmap `V[log](M[point ∧ area](B[⊙](C_P, C_Q)))`:
+    /// the coarse texel mask keeps pixels holding a point inside `q`,
+    /// and the value transform writes `ln(1 + count)`. The blend is the
+    /// one `SelectPoints` over the same `data` and `q` evaluates, so
+    /// after that selection at the same viewport only the mask → value
+    /// tail runs; otherwise the chain runs fused over the point draw.
     SelectionHeatmap { data: Arc<PointBatch>, q: Polygon },
-    /// The fused choropleth `V[log](M[…](B[⊕](C_Y*, C_tag)))`.
+    /// The choropleth `V[log](M[inside ∧ ≥1](B[⊕](C_Y*, C_tag)))`: the
+    /// overlap count of `table`'s polygons, kept inside `q`. `C_Y*` is
+    /// the `C_Y*[table, ⊕]` leaf `AggregateByZone` over the same table
+    /// evaluates, shared through the subplan cache; the chain runs over
+    /// it.
     PolygonDensity { table: AreaSource, q: Polygon },
     /// Per-zone aggregation as the Section 4.3 scatter plan:
     /// `D*[γc](M[Mp'](B[⊙](C_P, B*[⊕](C_Y*))))` — the result canvas is
@@ -458,8 +467,9 @@ impl Prepared {
     /// Evaluates with a [`SubplanCache`] consulted at cut points — the
     /// engine's subplan-sharing entry, and the one **run arm** per
     /// class. Plans thread the cache through `Expr::eval_via`; the
-    /// fused chains consult it only for the operand canvases they
-    /// materialize anyway (fusion is never broken by a cut point); the
+    /// canvas chains consult it for the canvases they start from or
+    /// blend with — the selection's blend, the zone table's `C_Y*`,
+    /// the query-polygon operands — never for their streamed tiles; the
     /// promoted classes with a shareable interior selection (skyline,
     /// hull) thread it through their `_via` variants, while the
     /// remaining procedures run on the leased device directly (their

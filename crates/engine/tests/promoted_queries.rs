@@ -307,6 +307,49 @@ proptest! {
     }
 }
 
+/// A time series over zero windows, or over an empty or inverted time
+/// range, is an answer, not a panic: no counts for zero windows, and
+/// `windows` zeros for a range no timestamp falls in (the window query
+/// over such a range selects nothing). Served through the engine, whose
+/// leader would otherwise re-throw the panic to its caller.
+#[test]
+fn region_time_series_degenerate_windows_and_ranges() {
+    let pts = canvas_datagen::taxi_pickups(&extent(), 200, 5);
+    let timestamps = (0..pts.len() as u32).map(|i| i % 24).collect();
+    let data = Arc::new(TemporalPoints::new(pts, timestamps));
+    let q = canvas_datagen::star_polygon(
+        &BBox::new(Point::new(10.0, 10.0), Point::new(90.0, 90.0)),
+        16,
+        0.3,
+        3,
+    );
+    let engine = QueryEngine::with_config(EngineConfig {
+        threads: 2,
+        calibrate: false,
+        ..EngineConfig::default()
+    });
+    for (t0, t1, windows, want) in [
+        (0, 24, 0, vec![]),
+        (12, 12, 4, vec![0; 4]),
+        (20, 4, 3, vec![0; 3]),
+    ] {
+        let query = Query::RegionTimeSeries {
+            data: data.clone(),
+            q: q.clone(),
+            t0,
+            t1,
+            windows,
+        };
+        let resp = engine.execute(&query, vp()).expect("served");
+        assert_eq!(
+            resp.result.as_series().expect("a series").as_slice(),
+            want.as_slice(),
+            "[{t0}, {t1}) over {windows} windows"
+        );
+    }
+    assert_eq!(engine.metrics().failed, 0);
+}
+
 /// Distinct descriptors must not collide in the cache: one engine serves
 /// all six classes over shared datasets and every response stays
 /// attributable to its own query (fingerprint domains are disjoint).

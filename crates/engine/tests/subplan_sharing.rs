@@ -5,15 +5,19 @@
 //! `C_P`, the query-polygon canvas `C_Q`, the blended canvas) **once**
 //! when the second query arrives after the first published them — and
 //! sharing is invisible in results: every response stays bit-identical
-//! to a fresh single-threaded `Device::cpu` evaluation.
+//! to a fresh single-threaded `Device::cpu` evaluation. The linked
+//! views do the same across classes: the selection heatmap finishes
+//! over the selection's blend, and the zone aggregate reads the
+//! choropleth's `C_Y*`.
 //!
 //! Sharing is a cache, not a protocol: a query never waits on another
 //! query's in-flight render of an interior. Two queries that miss the
 //! same interior at once both render it, and the key stays resident
 //! once.
 
-use canvas_core::algebra::{is_cut_point, normalize, plan_nodes, Fingerprint};
+use canvas_core::algebra::{is_cut_point, normalize, plan_nodes, Fingerprint, SubplanCache};
 use canvas_core::prelude::*;
+use canvas_core::queries::heatmap;
 use canvas_core::queries::selection::points_in_polygon_plan;
 use canvas_engine::{EngineConfig, Query, QueryEngine};
 use canvas_geom::{BBox, Point, Polygon};
@@ -174,29 +178,138 @@ fn selection_then_heatmap_renders_shared_density_once() {
 }
 
 #[test]
-fn fused_heatmap_shares_the_query_polygon_canvas() {
-    // The fused-chain heatmap materializes exactly one operand (C_Q)
-    // and shares exactly that: after an algebra-path selection over
-    // the same polygon, the fused heatmap reuses the cached C_Q.
+fn selection_heatmap_finishes_over_the_selections_blend() {
+    // After a selection, the production heatmap reads the selection's
+    // published `B[⊙](C_P, C_Q)` and runs only its mask → value tail:
+    // no point, polygon or tile is rasterized again.
     let data = data();
     let q = district();
     let selection = Query::SelectPoints {
         data: data.clone(),
         q: q.clone(),
     };
-    let fused = Query::SelectionHeatmap {
+    let heatmap = Query::SelectionHeatmap {
         data: data.clone(),
         q: q.clone(),
     };
     let engine = QueryEngine::with_config(config(256 << 20));
     engine.execute(&selection, vp()).unwrap();
     let hits_before = engine.metrics().subplan_hits;
-    let r = engine.execute(&fused, vp()).unwrap();
-    assert!(
-        engine.metrics().subplan_hits > hits_before,
-        "fused heatmap must reuse the selection's C_Q render"
+    let prims_after_selection = engine.shared().stats().primitives;
+    let r = engine.execute(&heatmap, vp()).unwrap();
+    assert_eq!(
+        engine.shared().stats().primitives,
+        prims_after_selection,
+        "the heatmap re-rasterized what the selection had rendered"
     );
-    assert_canvas_eq(r.canvas(), &cpu_reference(&fused, vp()), "fused heatmap");
+    assert_eq!(
+        engine.metrics().subplan_hits,
+        hits_before + 1,
+        "one blend hit"
+    );
+    assert_canvas_eq(r.canvas(), &cpu_reference(&heatmap, vp()), "heatmap");
+}
+
+#[test]
+fn polygon_density_then_aggregate_render_the_zone_canvas_once() {
+    // The choropleth publishes its `C_Y*[zones, ⊕]`; the zone aggregate
+    // at the same viewport reads it instead of drawing the zones again.
+    let data = data();
+    let zones: AreaSource = Arc::new(canvas_datagen::neighborhoods(&extent(), 6, 3));
+    let density = Query::PolygonDensity {
+        table: zones.clone(),
+        q: district(),
+    };
+    let aggregate = Query::AggregateByZone {
+        data: data.clone(),
+        zones: zones.clone(),
+    };
+    let engine = QueryEngine::with_config(config(256 << 20));
+    let r_density = engine.execute(&density, vp()).unwrap();
+    let r_aggregate = engine.execute(&aggregate, vp()).unwrap();
+    let report = r_aggregate.report();
+    let zone_rows: Vec<_> = report
+        .nodes
+        .iter()
+        .filter(|n| n.label.starts_with("C_Y*"))
+        .collect();
+    assert_eq!(zone_rows.len(), 1, "{report:?}");
+    assert_eq!(zone_rows[0].provenance, "shared_cache", "{report:?}");
+
+    assert_canvas_eq(
+        r_density.canvas(),
+        &cpu_reference(&density, vp()),
+        "choropleth",
+    );
+    assert_canvas_eq(
+        r_aggregate.canvas(),
+        &cpu_reference(&aggregate, vp()),
+        "aggregate",
+    );
+}
+
+/// A subplan cache that records the keys probed and published.
+#[derive(Default)]
+struct Recorder {
+    probed: Mutex<Vec<Fingerprint>>,
+    published: Mutex<Vec<Fingerprint>>,
+}
+
+impl SubplanCache for Recorder {
+    fn get(&self, fp: Fingerprint, _: &Viewport) -> Option<Arc<Canvas>> {
+        self.probed.lock().unwrap().push(fp);
+        None
+    }
+
+    fn publish(&self, fp: Fingerprint, _: &Viewport, _: &Arc<Canvas>) {
+        self.published.lock().unwrap().push(fp);
+    }
+}
+
+/// The fingerprint of the node labelled `label` in a query's lowered
+/// plan, as its EXPLAIN skeleton lists it.
+fn plan_node_key(query: &Query, label: &str) -> String {
+    let report = query.prepare().explain();
+    let rows: Vec<_> = report.nodes.iter().filter(|n| n.label == label).collect();
+    assert_eq!(rows.len(), 1, "one `{label}` node: {report:?}");
+    rows[0].fingerprint.clone()
+}
+
+#[test]
+fn linked_views_probe_the_keys_their_siblings_publish() {
+    // Pins the sharing keys to the sibling plans' lowering: if either
+    // plan or either chain's key changes, sharing would silently stop.
+    let data = data();
+    let q = district();
+    let zones: AreaSource = Arc::new(canvas_datagen::neighborhoods(&extent(), 6, 3));
+    let mut dev = Device::cpu();
+
+    let heat = Recorder::default();
+    heatmap::selection_heatmap_via(&mut dev, vp(), &data, &q, Some(&heat));
+    let selection = Query::SelectPoints {
+        data: data.clone(),
+        q: q.clone(),
+    };
+    let blend_key = plan_node_key(&selection, "B[⊙]");
+    let heat_probes = heat.probed.lock().unwrap();
+    assert_eq!(
+        heat_probes[0].to_string(),
+        blend_key,
+        "heatmap probes the blend first"
+    );
+
+    let density = Recorder::default();
+    heatmap::polygon_density_heatmap_via(&mut dev, vp(), &zones, &q, Some(&density));
+    let aggregate = Query::AggregateByZone {
+        data: data.clone(),
+        zones: zones.clone(),
+    };
+    let zone_key = plan_node_key(&aggregate, &format!("C_Y*[{} polygons, ⊕]", zones.len()));
+    let published = density.published.lock().unwrap();
+    assert!(
+        published.iter().any(|fp| fp.to_string() == zone_key),
+        "the choropleth publishes the aggregate's C_Y* leaf: {published:?} vs {zone_key}"
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -88,8 +88,10 @@ impl<P> ChainOp<'_, P> {
 }
 
 /// A linear fused plan `draw → op₁ → … → opₖ` (see module docs).
-/// Built with the chaining constructors, executed by
-/// `Pipeline::run_chain_points` / `Pipeline::run_chain_polygons`.
+/// Built with the chaining constructors, executed after a draw by
+/// `Pipeline::run_chain_points` / `Pipeline::run_chain_polygons`, or
+/// over an already-materialized framebuffer by
+/// `Pipeline::run_chain_texture`.
 pub struct OpChain<'a, P> {
     ops: Vec<ChainOp<'a, P>>,
     /// Nullity test used to record, per Mask op, which pixels hold a
@@ -458,6 +460,25 @@ impl MaskOutcome {
     /// bits instead of walking every texel.
     pub(crate) fn import_tile(&mut self, mask: usize, rect: TileRect, tile: &TileBits) {
         let w = rect.w as usize;
+        if rect.x0 == 0 && rect.w == self.width {
+            // Full-width rows are contiguous in the frame: OR whole
+            // words in at the rect's bit offset. Bits past the tile's
+            // texels are never set, so a spill past the frame's last
+            // word is always zero.
+            let start = rect.y0 as usize * w;
+            let (at, shift) = (start / 64, start % 64);
+            let words = &mut self.stages[mask].words;
+            for (wi, &word) in tile.words.iter().enumerate() {
+                if word == 0 {
+                    continue;
+                }
+                words[at + wi] |= word << shift;
+                if shift != 0 && word >> (64 - shift) != 0 {
+                    words[at + wi + 1] |= word >> (64 - shift);
+                }
+            }
+            return;
+        }
         for (wi, &word) in tile.words.iter().enumerate() {
             if word == 0 {
                 continue;
@@ -479,7 +500,8 @@ impl MaskOutcome {
 #[derive(Debug, Default)]
 pub struct ChainRunReport {
     /// Tiles that flowed through the chain (all tiles when the chain
-    /// has operators; only primitive-carrying tiles for a bare draw).
+    /// has operators; only primitive-carrying tiles for a bare draw;
+    /// the full-width row strips of a `Pipeline::run_chain_texture`).
     pub tiles: usize,
     /// High-water mark of live tiles (claimed-but-unmerged).
     /// The fused-memory contract: never exceeds
@@ -582,5 +604,39 @@ mod tests {
         assert!(out.is_null_after(0, 19));
         assert!(!out.is_null_after(0, 11));
         assert_eq!(out.num_masks(), 1);
+    }
+
+    #[test]
+    fn mask_outcome_imports_full_width_rows_at_any_bit_offset() {
+        // Full-width rects take the word-shift path; every bit must land
+        // where the per-texel path puts it, including words that spill
+        // across a 64-bit boundary and the frame's last word.
+        for (width, height) in [(10u32, 13u32), (64, 5), (100, 7), (33, 40)] {
+            for y0 in 0..height {
+                for h in 1..=(height - y0).min(4) {
+                    let rect = TileRect {
+                        x0: 0,
+                        y0,
+                        w: width,
+                        h,
+                    };
+                    let mut tile = TileBits::new(rect.len());
+                    for li in (0..rect.len()).filter(|li| li % 3 != 1) {
+                        tile.set(li);
+                    }
+                    let mut out = MaskOutcome::new(width, (width * height) as usize, 1);
+                    out.import_tile(0, rect, &tile);
+                    for pixel in 0..width * height {
+                        let (x, y) = (pixel % width, pixel / width);
+                        let want = rect.contains(x, y) && tile.get(rect.local_index(x, y));
+                        assert_eq!(
+                            out.is_null_after(0, pixel),
+                            want,
+                            "{width}x{height} {rect:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -37,6 +37,10 @@
 //! per-pixel blend order is the input primitive order at any thread
 //! count, so every execution is bit-identical by construction.
 //!
+//! A chain can also run without a draw, over a framebuffer that is
+//! already finished ([`Pipeline::run_chain_texture`]): its operators
+//! run in place over full-width row strips, so nothing is copied.
+//!
 //! **Sequential is a pool of one.** When the pipeline's pool has one
 //! thread and the result cannot depend on where tile borders fall, the
 //! same runner uses a one-tile grid whose rect is the whole frame and

@@ -2,14 +2,81 @@
 //! finished textures (the other half of [`Pipeline`]'s surface turns
 //! geometry into texels — see the parent module).
 
-use super::Pipeline;
+use super::{draw_span, Pipeline};
+use crate::chain::{ChainRunReport, MaskOutcome, OpChain};
 use crate::simd::{self, BlendTag, TexelWords, ValueTag};
 use crate::texture::Texture;
+use crate::tile::{TileRect, TILE_SIZE};
 use crate::viewport::Viewport;
 use canvas_geom::Point;
+use canvas_obs as obs;
 use std::sync::Arc;
 
 impl Pipeline {
+    /// Applies `chain` in place over an already-materialized framebuffer
+    /// and its cover plane — a fused chain that starts from a finished
+    /// canvas instead of a draw. Row bands are claimed by the worker
+    /// pool; each band walks strips of whole rows about one tile in size
+    /// and runs every stage on a strip before the next (a full-width
+    /// [`TileRect`], so strips are contiguous in both planes and nothing
+    /// is copied). Per-texel operators make the result bit-identical to
+    /// one full-screen pass per operator at any thread count, and the
+    /// work counters charged are the same as those passes'.
+    pub fn run_chain_texture<P>(
+        &mut self,
+        fb: &mut Texture<P>,
+        cover: &mut Texture<u16>,
+        chain: &OpChain<'_, P>,
+    ) -> ChainRunReport
+    where
+        P: Copy + Default + Send + Sync,
+    {
+        let _span = draw_span("chain_texture", 0, chain.len());
+        chain.assert_operands(fb);
+        assert_eq!(
+            (fb.width(), fb.height()),
+            (cover.width(), cover.height()),
+            "planes must share dimensions"
+        );
+        let w = fb.width() as usize;
+        let strip_rows = ((TILE_SIZE * TILE_SIZE) as usize / w.max(1)).max(1);
+        let strip = strip_rows * w;
+        let bands =
+            self.pool
+                .for_each_band2(w, fb.texels_mut(), cover.texels_mut(), |row0, tex, cov| {
+                    let strips = tex.chunks_mut(strip).zip(cov.chunks_mut(strip));
+                    let mut done = Vec::new();
+                    for (k, (tex, cov)) in strips.enumerate() {
+                        let rect = TileRect {
+                            x0: 0,
+                            y0: (row0 + k * strip_rows) as u32,
+                            w: w as u32,
+                            h: (tex.len() / w) as u32,
+                        };
+                        let mut bits = chain.tile_bits(rect.len());
+                        for s in 0..chain.len() {
+                            let mut op_span = obs::span(chain.ops()[s].label(), "raster");
+                            op_span.arg_u64("tile", rect.y0 as u64);
+                            chain.apply_tile(s, rect, tex, Some(&mut *cov), &mut bits);
+                        }
+                        done.push((rect, bits));
+                    }
+                    done
+                });
+        let mut report = ChainRunReport {
+            masked: MaskOutcome::new(fb.width(), fb.len(), chain.mask_count()),
+            ..ChainRunReport::default()
+        };
+        for (rect, bits) in bands.iter().flatten() {
+            for (m, tb) in bits.iter().enumerate() {
+                report.masked.import_tile(m, *rect, tb);
+            }
+            report.tiles += 1;
+        }
+        chain.charge_stats(&mut self.stats, fb.len());
+        report
+    }
+
     /// Full-screen binary pass `rows(dst_band, src_band)` — the
     /// texture-vs-texture form of the Blend operator (alpha blending of
     /// two rendered canvases in the paper). Band-parallel when the

@@ -13,11 +13,21 @@
 //! for random chains of depth 1–4 with random operators and parameters,
 //! across thread counts {1, 2, 3, 8}. The fused run must additionally
 //! keep at most `Policy::stream_window(workers)` tile buffers live.
+//!
+//! A chain may also start from a materialized canvas
+//! (`run_canvas_chain`): over the render of a point batch or a polygon
+//! table it must equal the materialized passes over that render and
+//! the fused draw-then-chain run, with the SIMD backend auto-dispatched
+//! or forced to scalar.
 
 use canvas_algebra::prelude::*;
-use canvas_core::ops::chain::{run_points_chain, run_points_chain_materialized, CanvasChain};
+use canvas_core::boundary::{AreaEntry, LineEntry, PointEntry};
+use canvas_core::ops::chain::{
+    apply_chain_materialized, run_canvas_chain, run_points_chain, run_points_chain_materialized,
+    run_polygons_chain, CanvasChain, ChainOutcome,
+};
 use canvas_core::queries::heatmap;
-use canvas_raster::{Policy, WorkerPool};
+use canvas_raster::{Backend, Policy, WorkerPool};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -119,6 +129,171 @@ fn render_operands(dev: &mut Device, vp: Viewport, specs: &[OpSpec], seed: u64) 
             canvas_core::source::render_query_polygon(dev, vp, poly, k as u32 + 1)
         })
         .collect()
+}
+
+/// The geometry a chain's first canvas is drawn from.
+enum Source {
+    Points(PointBatch),
+    Polygons(AreaSource),
+}
+
+impl Source {
+    fn generate(polygons: bool, n: usize, seed: u64) -> Source {
+        if !polygons {
+            return Source::Points(PointBatch::from_points(uniform_points(&extent(), n, seed)));
+        }
+        let table = (0..1 + n % 5)
+            .map(|k| {
+                let (x0, y0) = (5.0 + 11.0 * k as f64, 8.0 + 9.0 * k as f64);
+                let mbr = BBox::new(Point::new(x0, y0), Point::new(x0 + 45.0, y0 + 40.0));
+                star_polygon(&mbr, 8 + 2 * k, 0.5, seed + k as u64)
+            })
+            .collect();
+        Source::Polygons(Arc::new(table))
+    }
+
+    /// The materialized render the chain starts from.
+    fn render(&self, dev: &mut Device, vp: Viewport) -> Canvas {
+        match self {
+            Source::Points(batch) => canvas_core::source::render_points(dev, vp, batch),
+            Source::Polygons(table) => {
+                canvas_core::source::render_polygon_set(dev, vp, table, BlendFn::AreaCount)
+            }
+        }
+    }
+
+    /// `render → chain`, fused over the draw.
+    fn fused(&self, dev: &mut Device, vp: Viewport, chain: &CanvasChain<'_>) -> ChainOutcome {
+        match self {
+            Source::Points(batch) => run_points_chain(dev, vp, batch, chain),
+            Source::Polygons(table) => {
+                run_polygons_chain(dev, vp, table, BlendFn::AreaCount, chain)
+            }
+        }
+    }
+}
+
+/// The null pixels after each Mask op of `specs`, one bitmap per mask,
+/// from the materialized prefix ending at that op — the definition the
+/// runners' `MaskOutcome` bitmaps must meet.
+fn materialized_mask_bitmaps(
+    dev: &mut Device,
+    input: &Canvas,
+    specs: &[OpSpec],
+    operands: &[Canvas],
+) -> Vec<Vec<bool>> {
+    let mut bitmaps = Vec::new();
+    for (i, spec) in specs.iter().enumerate() {
+        if let OpSpec::Mask(..) = spec {
+            let prefix = build_chain(&specs[..=i], operands);
+            let c = apply_chain_materialized(dev, input.clone(), &prefix);
+            bitmaps.push(c.texels().texels().iter().map(Texel::is_null).collect());
+        }
+    }
+    bitmaps
+}
+
+fn outcome_bitmaps(out: &ChainOutcome) -> Vec<Vec<bool>> {
+    let pixels = out.canvas.texels().len() as u32;
+    (0..out.masked.num_masks())
+        .map(|m| {
+            (0..pixels)
+                .map(|p| out.masked.is_null_after(m, p))
+                .collect()
+        })
+        .collect()
+}
+
+/// `chain` on `backend`, or on the process-wide backend for `None`.
+fn pinned(chain: CanvasChain<'_>, backend: Option<Backend>) -> CanvasChain<'_> {
+    match backend {
+        Some(be) => chain.with_backend(be),
+        None => chain,
+    }
+}
+
+/// The boundary index as plain sorted entry lists.
+fn entry_lists(c: &Canvas) -> (Vec<PointEntry>, Vec<AreaEntry>, Vec<LineEntry>) {
+    let b = c.boundary();
+    (
+        b.points().copied().collect(),
+        b.areas().to_vec(),
+        b.lines().to_vec(),
+    )
+}
+
+proptest! {
+    // More cases than the block below: strip starts land off 64-bit
+    // word boundaries only at some resolutions and band splits.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A chain over a materialized canvas: `run_canvas_chain(render(s),
+    /// chain)` ≡ the materialized passes over `render(s)` ≡ the fused
+    /// draw-then-chain run of `s`, for point and polygon sources, at
+    /// threads {1, 2, 3, 8}, auto and forced-scalar SIMD — planes,
+    /// sorted boundary lists, per-mask null bitmaps and every pipeline
+    /// work counter.
+    #[test]
+    fn canvas_chain_equals_fused_and_materialized(
+        specs in arb_chain(),
+        polygons in prop::sample::select(vec![false, true]),
+        n in 50usize..400,
+        seed in 0u64..10_000,
+        // 100 px rows put strip starts off 64-bit word boundaries.
+        res in prop::sample::select(vec![64u32, 100, 192]),
+    ) {
+        let source = Source::generate(polygons, n, seed);
+        let vp = Viewport::square_pixels(extent(), res);
+
+        let mut ref_dev = Device::cpu();
+        let ref_operands = render_operands(&mut ref_dev, vp, &specs, seed);
+        let input = source.render(&mut ref_dev, vp);
+        let reference = apply_chain_materialized(
+            &mut ref_dev,
+            input.clone(),
+            &build_chain(&specs, &ref_operands),
+        );
+        let ref_stats = ref_dev.stats();
+        let ref_bitmaps = materialized_mask_bitmaps(&mut ref_dev, &input, &specs, &ref_operands);
+
+        for threads in [1usize, 2, 3, 8] {
+            for backend in [None, Some(Backend::Scalar)] {
+                let ctx = format!("{threads} threads, {backend:?}, chain {specs:?}");
+                let mut dev = Device::cpu_parallel(threads);
+                let operands = render_operands(&mut dev, vp, &specs, seed);
+                let input = source.render(&mut dev, vp);
+                let chain = pinned(build_chain(&specs, &operands), backend);
+                let over = run_canvas_chain(&mut dev, &input, &chain);
+                let over_stats = dev.stats();
+                let mut dev = Device::cpu_parallel(threads);
+                let operands = render_operands(&mut dev, vp, &specs, seed);
+                let chain = pinned(build_chain(&specs, &operands), backend);
+                let fused = source.fused(&mut dev, vp, &chain);
+                let fused_stats = dev.stats();
+
+                prop_assert_eq!(reference.texels(), over.canvas.texels(), "texels: {}", &ctx);
+                prop_assert_eq!(reference.cover(), over.canvas.cover(), "cover: {}", &ctx);
+                prop_assert_eq!(
+                    entry_lists(&reference), entry_lists(&over.canvas), "entries: {}", &ctx
+                );
+                prop_assert_eq!(
+                    reference.area_sources().len(), over.canvas.area_sources().len(),
+                    "sources: {}", &ctx
+                );
+                prop_assert_eq!(&ref_bitmaps, &outcome_bitmaps(&over), "masks: {}", &ctx);
+                prop_assert_eq!(&ref_stats, &over_stats, "stats: {}", &ctx);
+                prop_assert_eq!(over.peak_tiles_in_flight, 0, "no tile buffers: {}", &ctx);
+
+                prop_assert_eq!(fused.canvas.texels(), over.canvas.texels(), "texels: {}", &ctx);
+                prop_assert_eq!(fused.canvas.cover(), over.canvas.cover(), "cover: {}", &ctx);
+                prop_assert_eq!(
+                    entry_lists(&fused.canvas), entry_lists(&over.canvas), "entries: {}", &ctx
+                );
+                prop_assert_eq!(&ref_bitmaps, &outcome_bitmaps(&fused), "masks: {}", &ctx);
+                prop_assert_eq!(&ref_stats, &fused_stats, "stats: {}", &ctx);
+            }
+        }
+    }
 }
 
 proptest! {
