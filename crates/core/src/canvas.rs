@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use crate::boundary::{AreaEntry, BoundaryIndex};
+use crate::boundary::{AreaEntry, BoundaryIndex, PointEntry};
 use crate::info::Texel;
 use canvas_geom::polygon::Polygon;
 use canvas_geom::polyline::Polyline;
@@ -195,10 +195,7 @@ impl Canvas {
     /// Record ids of all surviving point entries — the `SELECT *` result
     /// of point queries (sorted, deduplicated).
     pub fn point_records(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.boundary.points().map(|e| e.record).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        record_ids(self.boundary.points())
     }
 
     /// Sum of point-entry weights (exact SUM aggregations).
@@ -230,6 +227,15 @@ impl Canvas {
         c.texels.set(x, y, texel);
         c
     }
+}
+
+/// Record ids of point entries, sorted and deduplicated — the `SELECT *`
+/// result of a point query, off a result canvas or a bare entry list.
+pub fn record_ids<'a>(entries: impl IntoIterator<Item = &'a PointEntry>) -> Vec<u32> {
+    let mut ids: Vec<u32> = entries.into_iter().map(|e| e.record).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
 /// Index of `src` in a canvas's source table, appending it unless the

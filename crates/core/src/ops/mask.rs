@@ -17,11 +17,26 @@
 //! it rewrites and nothing else: the output's boundary index is
 //! assembled from the input's by one filtering pass
 //! ([`BoundaryIndex::masked`](crate::boundary::BoundaryIndex::masked)).
+//!
+//! ## The entry form of the point selection
+//!
+//! Many queries run `M[Mp(cond)](B[⊙](C_P, C_Q))` only to read the
+//! surviving point entries (a hull, a skyline, an OD transform, a count).
+//! [`point_entries_in_areas`] returns exactly those entries without the
+//! operators: it walks `C_P`'s point run once against `C_Q`'s cover plane
+//! and area run, and decides each entry by the same rule as the mask (one
+//! helper holds it). It writes no plane, merges no index and produces no
+//! canvas, so it costs per point, not per pixel. It is a sequential walk,
+//! not a raster pass, and charges no `PipelineStats` counter. On a GPU it
+//! is one thread per point, gathering the texel of `C_Q` under the point
+//! and refining against the vector polygon when that texel is a boundary
+//! pixel.
 
-use crate::boundary::PointEntry;
+use crate::boundary::{AreaEntry, PointEntry};
 use crate::canvas::Canvas;
 use crate::device::Device;
 use crate::info::Texel;
+use canvas_geom::Point;
 
 /// Condition on a polygon-incidence count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -179,8 +194,7 @@ fn mask_point_in_areas(dev: &mut Device, c: &Canvas, cond: CountCond) -> Canvas 
                     let mut count_kept = 0u32;
                     let mut weight_sum = 0.0f32;
                     for e in here {
-                        let exact = *cov as u32 + c.areas_containing(boundary_areas, e.loc);
-                        if cond.eval(exact) {
+                        if point_in_areas(c, *cov, boundary_areas, e.loc, cond) {
                             kept.push(*e);
                             count_kept += 1;
                             weight_sum += e.weight;
@@ -202,6 +216,54 @@ fn mask_point_in_areas(dev: &mut Device, c: &Canvas, cond: CountCond) -> Canvas 
     // The survivors are already in index order (bands concatenate
     // row-major, entries within a pixel keep their order).
     finish_mask(c, texels, cover, kept_points)
+}
+
+/// The refinement rule of the point-selection mask: a point at `loc`, in
+/// a pixel that `cov` 2-primitives certainly cover and whose
+/// boundary-touching polygons (resolved through `c`) are `areas`, is
+/// kept iff `cond` holds for its exact polygon incidence.
+#[inline]
+fn point_in_areas(c: &Canvas, cov: u16, areas: &[AreaEntry], loc: Point, cond: CountCond) -> bool {
+    cond.eval(cov as u32 + c.areas_containing(areas, loc))
+}
+
+/// The point entries `M[Mp(cond)](B[⊙](points, areas))` keeps, in the
+/// same order, computed without either operator (see module docs).
+///
+/// A point's pixel cover is `points`' plus `areas`' (saturating, as the
+/// blend adds them); its boundary polygons are `areas`' entries at that
+/// pixel, walked row by row with a cursor. `points` is a point canvas:
+/// its entries sit on 0-row texels and it carries no area entries of its
+/// own. Panics when the viewports differ, as [`blend`](super::blend::blend)
+/// does.
+pub fn point_entries_in_areas(points: &Canvas, areas: &Canvas, cond: CountCond) -> Vec<PointEntry> {
+    assert_eq!(
+        points.viewport(),
+        areas.viewport(),
+        "selection operands must share a viewport"
+    );
+    let width = points.viewport().width();
+    let point_cover = points.cover().texels();
+    let area_cover = areas.cover().texels();
+    let index = areas.boundary();
+    let mut kept = Vec::new();
+    let (mut row, mut row_areas) = (0, index.areas_cursor(0));
+    let (mut pixel, mut cov, mut boundary_areas) = (u32::MAX, 0, &[][..]);
+    for e in points.boundary().points() {
+        if e.pixel != pixel {
+            pixel = e.pixel;
+            if pixel / width != row {
+                row = pixel / width;
+                row_areas = index.areas_cursor(row);
+            }
+            cov = point_cover[pixel as usize].saturating_add(area_cover[pixel as usize]);
+            boundary_areas = row_areas.at(pixel);
+        }
+        if point_in_areas(areas, cov, boundary_areas, e.loc, cond) {
+            kept.push(*e);
+        }
+    }
+    kept
 }
 
 /// Assembles a mask's output canvas: the rewritten planes, the

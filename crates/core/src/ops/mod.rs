@@ -12,7 +12,9 @@
 //!
 //! Every operator consumes and produces canvases — the algebra is closed
 //! by construction, which is what lets Section 4's query expressions
-//! compose.
+//! compose. [`mask::point_entries_in_areas`] is the one exit: the point
+//! entries a selection's Blend + Mask would keep, for queries that read
+//! nothing else.
 
 pub mod blend;
 pub mod chain;

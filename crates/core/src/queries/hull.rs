@@ -4,14 +4,17 @@
 //! (convex hull, spatial skyline) may combine the algebra with stored
 //! procedures or dedicated algorithms. Here the hull itself is computed
 //! exactly (Andrew's monotone chain from `canvas-geom`), while the
-//! canvas algebra supplies composition: hull over a *selection's* result
-//! reuses the selection plan unchanged.
+//! canvas algebra supplies composition: the hull of a *selection* reads
+//! the point entries `M[Mp'](B[⊙](C_P, C_Q))` keeps, in the mask's entry
+//! form ([`selected_points`]), over a `C_P` shared with the other plans
+//! over the same dataset handle.
 
 use std::sync::Arc;
 
+use crate::algebra::SubplanCache;
 use crate::canvas::PointBatch;
 use crate::device::Device;
-use crate::queries::selection::{select_points_in_polygon, select_points_in_polygon_via};
+use crate::queries::selection::{selected_points, shared_points_canvas};
 use canvas_geom::hull::convex_hull;
 use canvas_geom::polygon::Polygon;
 use canvas_geom::Point;
@@ -23,34 +26,20 @@ pub fn hull_of_points(data: &PointBatch) -> Vec<Point> {
 }
 
 /// Convex hull of the points selected by a polygonal constraint — a
-/// composed query: `hull(M[Mp'](B[⊙](C_P, C_Q)))`. The exact point
-/// entries of the result canvas feed the hull directly.
+/// composed query: `hull(M[Mp'](B[⊙](C_P, C_Q)))`. `C_P` comes from
+/// `cache` when another query over the same `data` handle and viewport
+/// published it ([`shared_points_canvas`]), and is published otherwise;
+/// `C_Q` is drawn privately and nothing else is rendered. The exact
+/// locations of the selected entries feed the hull directly.
 pub fn hull_of_selection(
-    dev: &mut Device,
-    vp: Viewport,
-    data: &PointBatch,
-    q: &Polygon,
-) -> Vec<Point> {
-    let sel = select_points_in_polygon(dev, vp, data, q);
-    hull_of_canvas_points(&sel)
-}
-
-/// [`hull_of_selection`] over a shared dataset handle with a subplan
-/// cache: the interior selection render is shared with any other query
-/// over the same handle and constraint.
-pub fn hull_of_selection_via(
     dev: &mut Device,
     vp: Viewport,
     data: &Arc<PointBatch>,
     q: &Polygon,
-    cache: Option<&dyn crate::algebra::SubplanCache>,
+    cache: Option<&dyn SubplanCache>,
 ) -> Vec<Point> {
-    let sel = select_points_in_polygon_via(dev, vp, data, q, cache);
-    hull_of_canvas_points(&sel)
-}
-
-fn hull_of_canvas_points(sel: &crate::queries::selection::PointSelection) -> Vec<Point> {
-    let pts: Vec<Point> = sel.canvas.boundary().points().map(|e| e.loc).collect();
+    let cp = shared_points_canvas(dev, vp, data, cache);
+    let pts: Vec<Point> = selected_points(dev, &cp, q).iter().map(|e| e.loc).collect();
     convex_hull(&pts)
 }
 
@@ -103,8 +92,8 @@ mod tests {
             Point::new(25.0, 70.0),
         ])
         .unwrap();
-        let data = PointBatch::from_points(pts.clone());
-        let h = hull_of_selection(&mut dev, vp(), &data, &q);
+        let data = Arc::new(PointBatch::from_points(pts.clone()));
+        let h = hull_of_selection(&mut dev, vp(), &data, &q, None);
         assert!(h.len() >= 3);
         // Hull covers exactly the selected subset...
         for p in pts.iter().filter(|p| q.contains_closed(**p)) {
@@ -120,7 +109,7 @@ mod tests {
     #[test]
     fn hull_of_empty_selection() {
         let mut dev = Device::nvidia();
-        let data = PointBatch::from_points(vec![Point::new(90.0, 90.0)]);
+        let data = Arc::new(PointBatch::from_points(vec![Point::new(90.0, 90.0)]));
         let q = Polygon::simple(vec![
             Point::new(0.0, 0.0),
             Point::new(10.0, 0.0),
@@ -128,7 +117,7 @@ mod tests {
             Point::new(0.0, 10.0),
         ])
         .unwrap();
-        let h = hull_of_selection(&mut dev, vp(), &data, &q);
+        let h = hull_of_selection(&mut dev, vp(), &data, &q, None);
         assert!(h.len() < 3);
     }
 }

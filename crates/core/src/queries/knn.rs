@@ -9,11 +9,16 @@
 //! "Conceptually there is an infinite number of circles, but in practice
 //! a finite number of circles can be created with small increments in
 //! radii up to a maximum radius" — we use a geometric ladder plus an
-//! exact final cut, so the returned neighbors are exact.
+//! exact final cut, so the returned neighbors are exact. Each rung reads
+//! only point entries, so its distance selection runs in the mask's
+//! entry form ([`selected_points`]) with the metric cut on top; no blend
+//! or mask canvas is drawn.
 
-use crate::canvas::PointBatch;
+use crate::boundary::PointEntry;
+use crate::canvas::{record_ids, PointBatch};
 use crate::device::Device;
-use crate::queries::selection::{select_points_within_distance_exact, PointSelection};
+use crate::queries::selection::{ball_cover, selected_points};
+use crate::source::render_points;
 use canvas_geom::{BBox, Point};
 use canvas_raster::Viewport;
 
@@ -50,29 +55,28 @@ pub fn knn(dev: &mut Device, vp: Viewport, data: &PointBatch, x: Point, k: usize
     let r_max = w.min.dist(w.max).max(1e-9);
 
     // The circle ladder C_X: radii r_max/2^i, i = LADDER_STEPS-1 .. 0.
-    // For each circle, the aggregation counts the enclosed points; the
-    // selection at the smallest viable radius is kept and reused below —
-    // no second render of the same circle.
-    let mut chosen: Option<PointSelection> = None;
+    // Each rung is an exact distance selection: the points drawn on the
+    // ball's viewport, read against a circle just containing the ball,
+    // then cut by the true metric. The entries at the smallest viable
+    // radius are kept and reused below — no second render of the same
+    // circle.
+    let mut chosen: Vec<PointEntry> = Vec::new();
     for i in (0..LADDER_STEPS).rev() {
         let r = r_max / (1u32 << i) as f64;
-        let sel = select_points_within_distance_exact(dev, ball_viewport(vp, x, r), data, x, r);
-        if sel.records.len() >= k {
-            chosen = Some(sel);
+        let cp = render_points(dev, ball_viewport(vp, x, r), data);
+        let mut entries = selected_points(dev, &cp, &ball_cover(x, r));
+        entries.retain(|e| e.loc.dist_sq(x) <= r * r);
+        if record_ids(&entries).len() >= k {
+            chosen = entries;
             break;
         }
     }
 
     // Exact cut over the break-iteration selection.
-    let mut candidates: Vec<(f64, u32)> = match &chosen {
-        Some(sel) => sel
-            .canvas
-            .boundary()
-            .points()
-            .map(|e| (e.loc.dist_sq(x), e.record))
-            .collect(),
-        None => Vec::new(),
-    };
+    let mut candidates: Vec<(f64, u32)> = chosen
+        .iter()
+        .map(|e| (e.loc.dist_sq(x), e.record))
+        .collect();
     // Fewer than k points within r_max of x (the ladder never broke, or
     // the ball held duplicates of fewer records): fall back to a scan.
     if candidates.len() < k {
@@ -95,6 +99,7 @@ pub fn knn(dev: &mut Device, vp: Viewport, data: &PointBatch, x: Point, k: usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queries::selection::select_points_within_distance_exact;
     use canvas_geom::BBox;
 
     fn vp() -> Viewport {

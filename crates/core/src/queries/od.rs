@@ -18,11 +18,17 @@
 //! entries of `C_origin` (the hybrid index is precisely the id→vector
 //! link `γd` needs), so the composition stays exact even when several
 //! origins share a pixel.
+//!
+//! Both selections are read only for their point entries, so they run in
+//! the mask's entry form ([`selected_points`]): per stage only `C_Q` is
+//! drawn, never the `B[⊙]` or `M[Mp]` canvas.
 
-use crate::canvas::{Canvas, PointBatch};
+use crate::canvas::{record_ids, AreaSource, Canvas, PointBatch};
 use crate::device::Device;
-use crate::queries::selection::select_rendered_points_in_polygon;
-use crate::source::render_points;
+use crate::ops::mask::point_entries_in_areas;
+use crate::ops::CountCond;
+use crate::queries::selection::selected_points;
+use crate::source::{render_points, render_polygon};
 use canvas_geom::polygon::Polygon;
 use canvas_geom::Point;
 use canvas_raster::Viewport;
@@ -66,9 +72,9 @@ impl TripBatch {
 
 /// Stages 1 and 2 of the plan for one origin constraint:
 /// `C_origin ← M[Mp](B[⊙](C_P, C_Q1))`, then `G[γd]` — each surviving
-/// record moved to its destination. The exact point entries give the
-/// id → destination lookup; the moved set re-renders as a point canvas
-/// (still closed: the output is a canvas). `None` when no origin
+/// record moved to its destination. The selection's point entries give
+/// the id → destination lookup; the moved set re-renders as a point
+/// canvas (still closed: the output is a canvas). `None` when no origin
 /// survives.
 fn moved_survivors(
     dev: &mut Device,
@@ -76,18 +82,17 @@ fn moved_survivors(
     trips: &TripBatch,
     q1: &Polygon,
 ) -> Option<Canvas> {
-    let origin_sel = select_rendered_points_in_polygon(dev, origins, q1);
-    if origin_sel.records.is_empty() {
+    let survivors = selected_points(dev, origins, q1);
+    if survivors.is_empty() {
         return None;
     }
-    let survivors = origin_sel.canvas.boundary();
     let moved = PointBatch {
         points: survivors
-            .points()
+            .iter()
             .map(|e| trips.destinations[e.record as usize])
             .collect(),
-        ids: survivors.points().map(|e| e.record).collect(),
-        weights: survivors.points().map(|e| e.weight).collect(),
+        ids: survivors.iter().map(|e| e.record).collect(),
+        weights: survivors.iter().map(|e| e.weight).collect(),
     };
     Some(render_points(dev, *origins.viewport(), &moved))
 }
@@ -106,8 +111,8 @@ pub fn select_od(
     }
     let origins = render_points(dev, vp, &trips.origin_batch());
     match moved_survivors(dev, &origins, trips, q1) {
-        // Stage 3: blend with C_Q2 and mask again — same operators, reused.
-        Some(moved) => select_rendered_points_in_polygon(dev, &moved, q2).records,
+        // Stage 3: the same selection again, over the moved canvas.
+        Some(moved) => record_ids(&selected_points(dev, &moved, q2)),
         None => Vec::new(),
     }
 }
@@ -116,13 +121,15 @@ pub fn select_od(
 /// destination-zone) pair — the flow matrix used by the OD example
 /// application. Zones are given as polygon tables. The origin canvas
 /// is rendered once, each origin zone's selection (and its moved
-/// survivors' canvas) once, and reused across every destination zone.
+/// survivors' canvas) once, and each destination zone's `C_Q` once, on
+/// first use; every pair is then one entry walk
+/// ([`point_entries_in_areas`]).
 pub fn od_flow_matrix(
     dev: &mut Device,
     vp: Viewport,
     trips: &TripBatch,
-    origin_zones: &crate::canvas::AreaSource,
-    dest_zones: &crate::canvas::AreaSource,
+    origin_zones: &AreaSource,
+    dest_zones: &AreaSource,
 ) -> Vec<Vec<u64>> {
     let no = origin_zones.len();
     let nd = dest_zones.len();
@@ -131,13 +138,15 @@ pub fn od_flow_matrix(
         return matrix;
     }
     let origins = render_points(dev, vp, &trips.origin_batch());
+    let mut dest_canvases: Vec<Option<Canvas>> = vec![None; nd];
     for (i, oz) in origin_zones.iter().enumerate() {
         let Some(moved) = moved_survivors(dev, &origins, trips, oz) else {
             continue;
         };
-        for (j, dz) in dest_zones.iter().enumerate() {
-            let dest_sel = select_rendered_points_in_polygon(dev, &moved, dz);
-            matrix[i][j] = dest_sel.records.len() as u64;
+        for (j, cq) in dest_canvases.iter_mut().enumerate() {
+            let cq = cq.get_or_insert_with(|| render_polygon(dev, vp, dest_zones, j, 1));
+            // Trip ids are unique, so every kept entry is one trip.
+            matrix[i][j] = point_entries_in_areas(&moved, cq, CountCond::Ge(1)).len() as u64;
         }
     }
     matrix

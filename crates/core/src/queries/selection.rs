@@ -5,14 +5,24 @@
 //! points or polygons as data, single or multiple constraint polygons,
 //! and rectangle / half-space / distance constraints (which reduce to
 //! polygonal constraints through the utility operators).
+//!
+//! The `select_*` functions return the result canvas with the records.
+//! Queries that go on to read only the surviving point entries take
+//! [`selected_points`] instead: the same entries, read from `C_P` and
+//! `C_Q` by the mask's entry form
+//! ([`point_entries_in_areas`]), with no blend or mask canvas drawn.
 
 use std::sync::Arc;
 
-use crate::algebra::Expr;
+use crate::algebra::subplan::{acquire_or_render, SubplanCache};
+use crate::algebra::{fingerprint, Expr};
+use crate::boundary::PointEntry;
 use crate::canvas::{AreaSource, Canvas, PointBatch};
 use crate::device::Device;
 use crate::info::BlendFn;
+use crate::ops::mask::point_entries_in_areas;
 use crate::ops::{CountCond, MaskSpec};
+use crate::source::{render_points, render_query_polygon};
 use canvas_geom::polygon::Polygon;
 use canvas_geom::Point;
 use canvas_raster::Viewport;
@@ -70,38 +80,24 @@ pub fn points_in_polygons_plan(data: Arc<PointBatch>, qs: &[Polygon], mode: Mult
             .collect(),
     );
     Expr::mask(
-        cond_to_mask(cond),
+        MaskSpec::PointInAreas(cond),
         Expr::blend(BlendFn::PointOverArea, Expr::points(data), constraint),
     )
 }
 
-fn cond_to_mask(cond: CountCond) -> MaskSpec {
-    MaskSpec::PointInAreas(cond)
-}
-
 /// `SELECT * FROM D_P WHERE Location INSIDE Q` (polygonal selection of
-/// points, Section 4.1; exact via boundary refinement).
+/// points, Section 4.1; exact via boundary refinement). The operator
+/// calls [`points_in_polygon_plan`] evaluates to, made directly, so a
+/// borrowed batch is never copied into a plan leaf.
 pub fn select_points_in_polygon(
     dev: &mut Device,
     vp: Viewport,
     data: &PointBatch,
     q: &Polygon,
 ) -> PointSelection {
-    let cp = crate::source::render_points(dev, vp, data);
-    select_rendered_points_in_polygon(dev, &cp, q)
-}
-
-/// The Figure 5 plan over an already rendered `C_P`: the operator calls
-/// [`points_in_polygon_plan`] evaluates to, made directly — so a
-/// borrowed batch is never copied into a plan leaf, and one `C_P`
-/// serves any number of constraint polygons.
-pub fn select_rendered_points_in_polygon(
-    dev: &mut Device,
-    cp: &Canvas,
-    q: &Polygon,
-) -> PointSelection {
-    let cq = crate::source::render_query_polygon(dev, *cp.viewport(), q.clone(), 1);
-    let merged = crate::ops::blend(dev, cp, &cq, BlendFn::PointOverArea);
+    let cp = render_points(dev, vp, data);
+    let cq = render_query_polygon(dev, vp, q.clone(), 1);
+    let merged = crate::ops::blend(dev, &cp, &cq, BlendFn::PointOverArea);
     let canvas = crate::ops::mask(dev, &merged, &MaskSpec::PointInAreas(CountCond::Ge(1)));
     PointSelection {
         records: canvas.point_records(),
@@ -109,25 +105,31 @@ pub fn select_rendered_points_in_polygon(
     }
 }
 
-/// [`select_points_in_polygon`] with a shared dataset handle and a
-/// [`SubplanCache`](crate::algebra::SubplanCache): the selection plan's
-/// interior renders become shareable across queries.
-/// Subplan fingerprints identify datasets by `Arc` address, so this only
-/// pays off when callers pass the *same* handle.
-pub fn select_points_in_polygon_via(
+/// The point entries of an already rendered `C_P` that lie in `q`: the
+/// entries `M[Mp'](B[⊙](C_P, C_Q))` keeps, in the same order, read by
+/// [`point_entries_in_areas`] from `C_Q` alone. Only `C_Q` is drawn, no
+/// result canvas is built, and one `C_P` serves any number of
+/// constraint polygons. This is the selection of every query that reads
+/// only the surviving points (OD, kNN, time windows, hull, skyline).
+pub fn selected_points(dev: &mut Device, cp: &Canvas, q: &Polygon) -> Vec<PointEntry> {
+    let cq = render_query_polygon(dev, *cp.viewport(), q.clone(), 1);
+    point_entries_in_areas(cp, &cq, CountCond::Ge(1))
+}
+
+/// `C_P` of a shared dataset handle, taken from (or published to)
+/// `cache` under the fingerprint of the plan leaf `Expr::points(data)`:
+/// the `C_P` every plan over the same handle evaluates (a zone
+/// aggregate, a `SelectPoints`), so they all draw the points once per
+/// viewport. Fingerprints identify datasets by `Arc` address, so this
+/// only pays off when callers pass the *same* handle.
+pub fn shared_points_canvas(
     dev: &mut Device,
     vp: Viewport,
     data: &Arc<PointBatch>,
-    q: &Polygon,
-    cache: Option<&dyn crate::algebra::SubplanCache>,
-) -> PointSelection {
-    let plan = points_in_polygon_plan(data.clone(), q.clone());
-    let plan = crate::algebra::optimize(plan);
-    let canvas = plan.eval_via(dev, vp, cache);
-    PointSelection {
-        records: canvas.point_records(),
-        canvas,
-    }
+    cache: Option<&dyn SubplanCache>,
+) -> Arc<Canvas> {
+    let fp = fingerprint(&Expr::points(data.clone()));
+    acquire_or_render(cache, fp, &vp, || render_points(dev, vp, data))
 }
 
 /// Selection with multiple polygonal constraints (Section 5.1): the only
@@ -176,10 +178,15 @@ pub fn select_points_in_halfspace(
     let clipped = canvas_geom::clip::clip_ring_halfplane(&extent_ring, a, b, c);
     match Polygon::simple(clipped) {
         Ok(poly) => select_points_in_polygon(dev, vp, data, &poly),
-        Err(_) => PointSelection {
-            records: Vec::new(),
-            canvas: Canvas::empty(vp),
-        },
+        Err(_) => nothing_selected(vp),
+    }
+}
+
+/// The empty selection over `vp`.
+fn nothing_selected(vp: Viewport) -> PointSelection {
+    PointSelection {
+        records: Vec::new(),
+        canvas: Canvas::empty(vp),
     }
 }
 
@@ -187,6 +194,8 @@ pub fn select_points_in_halfspace(
 /// `Circ` utility canvas. Boundary refinement tests the tessellated
 /// circle polygon; [`select_points_within_distance_exact`] additionally
 /// re-checks the true metric ball so tessellation never leaks error.
+/// A distance that is not positive (negative, zero or NaN) bounds no
+/// area, so it selects nothing.
 pub fn select_points_within_distance(
     dev: &mut Device,
     vp: Viewport,
@@ -194,12 +203,17 @@ pub fn select_points_within_distance(
     center: Point,
     d: f64,
 ) -> PointSelection {
+    if d.is_nan() || d <= 0.0 {
+        return nothing_selected(vp);
+    }
     let circle = Polygon::circle(center, d, crate::ops::utility::CIRCLE_SEGMENTS);
     select_points_in_polygon(dev, vp, data, &circle)
 }
 
 /// Distance selection with a final exact metric filter (cheap: only the
 /// already-selected candidates plus near-boundary points are checked).
+/// A negative or NaN distance selects nothing; distance zero selects
+/// the records exactly at `center`.
 pub fn select_points_within_distance_exact(
     dev: &mut Device,
     vp: Viewport,
@@ -207,17 +221,27 @@ pub fn select_points_within_distance_exact(
     center: Point,
     d: f64,
 ) -> PointSelection {
-    // Slightly inflated tessellated circle so the polygon is a superset
-    // of the metric ball; then exact distance test on candidates.
-    let inflate = d * 1.01;
-    let circle = Polygon::circle(center, inflate, crate::ops::utility::CIRCLE_SEGMENTS);
-    let mut sel = select_points_in_polygon(dev, vp, data, &circle);
+    if d.is_nan() || d < 0.0 {
+        return nothing_selected(vp);
+    }
+    // Candidates in a circle containing the ball (a pixel wide for the
+    // one-point ball of `d = 0`), then the exact distance test.
+    let pixel = vp.world().width() / vp.width() as f64;
+    let radius = if d > 0.0 { d } else { pixel };
+    let mut sel = select_points_in_polygon(dev, vp, data, &ball_cover(center, radius));
     let d2 = d * d;
     sel.canvas
         .boundary_mut()
         .retain_points(|e| e.loc.dist_sq(center) <= d2);
     sel.records = sel.canvas.point_records();
     sel
+}
+
+/// A tessellated circle slightly larger than the metric ball of radius
+/// `d > 0` around `center`, so it contains the whole ball: the candidate
+/// region of an exact distance selection.
+pub(crate) fn ball_cover(center: Point, d: f64) -> Polygon {
+    Polygon::circle(center, d * 1.01, crate::ops::utility::CIRCLE_SEGMENTS)
 }
 
 /// Result of a polygon-selection query.
@@ -351,6 +375,10 @@ mod tests {
         // Coarse canvas on purpose: exactness must come from refinement.
         let sel = select_points_in_polygon(&mut dev, vp(64), &data, &q);
         assert_eq!(sel.records, expected);
+        // The entry form keeps the result canvas's entries.
+        let cp = render_points(&mut dev, vp(64), &data);
+        let entries: Vec<PointEntry> = sel.canvas.boundary().points().copied().collect();
+        assert_eq!(selected_points(&mut dev, &cp, &q), entries);
         assert!(!expected.is_empty());
         assert!(expected.len() < 500);
     }
@@ -461,6 +489,41 @@ mod tests {
             .map(|(i, _)| i as u32)
             .collect();
         assert_eq!(sel.records, expect);
+    }
+
+    #[test]
+    fn negative_or_nan_distance_selects_nothing() {
+        // Regression: a negative radius traced the same circle as its
+        // absolute value and selected the points within |d|.
+        let mut dev = Device::nvidia();
+        let data = PointBatch::from_points(random_points(200, 5));
+        let center = Point::new(50.0, 50.0);
+        for d in [-20.0, f64::NAN] {
+            let sel = select_points_within_distance(&mut dev, vp(64), &data, center, d);
+            assert!(sel.records.is_empty(), "d = {d}");
+            assert!(sel.canvas.is_empty(), "d = {d}");
+            let sel = select_points_within_distance_exact(&mut dev, vp(64), &data, center, d);
+            assert!(sel.records.is_empty(), "d = {d}");
+            assert!(sel.canvas.is_empty(), "d = {d}");
+        }
+    }
+
+    #[test]
+    fn zero_distance_selects_the_points_at_the_center() {
+        // Regression: a zero radius panicked building the circle polygon.
+        let mut dev = Device::nvidia();
+        let center = Point::new(50.0, 50.0);
+        let data = PointBatch::from_points(vec![
+            center,
+            Point::new(50.001, 50.0),
+            center,
+            Point::new(10.0, 10.0),
+        ]);
+        let exact = select_points_within_distance_exact(&mut dev, vp(64), &data, center, 0.0);
+        assert_eq!(exact.records, vec![0, 2]);
+        assert_eq!(exact.canvas.boundary().num_points(), 2);
+        let tessellated = select_points_within_distance(&mut dev, vp(64), &data, center, 0.0);
+        assert!(tessellated.records.is_empty());
     }
 
     #[test]

@@ -7,17 +7,17 @@
 //! beach.)
 //!
 //! Like the convex hull, this composes with the algebra rather than
-//! being expressed in it: the candidate set comes from a canvas
-//! selection, and the dominance test runs on the exact point entries
-//! the result canvas carries.
+//! being expressed in it: the candidate set is a canvas selection read in
+//! the mask's entry form ([`selected_points`]) over a `C_P` shared with
+//! the other plans over the same dataset handle, and the dominance test
+//! runs on the exact point entries it keeps.
 
 use std::sync::Arc;
 
+use crate::algebra::SubplanCache;
 use crate::canvas::PointBatch;
 use crate::device::Device;
-use crate::queries::selection::{
-    select_points_in_polygon, select_points_in_polygon_via, PointSelection,
-};
+use crate::queries::selection::{selected_points, shared_points_canvas};
 use canvas_geom::polygon::Polygon;
 use canvas_geom::Point;
 use canvas_raster::Viewport;
@@ -47,36 +47,22 @@ pub fn skyline(data: &PointBatch, sites: &[Point]) -> Vec<u32> {
 
 /// Spatial skyline restricted to the points selected by a polygonal
 /// constraint — algebra selection composed with the skyline procedure.
+/// `C_P` comes from `cache` when another query over the same `data`
+/// handle and viewport published it ([`shared_points_canvas`]), and is
+/// published otherwise; `C_Q` is drawn privately and nothing else is
+/// rendered.
 pub fn skyline_of_selection(
-    dev: &mut Device,
-    vp: Viewport,
-    data: &PointBatch,
-    constraint: &Polygon,
-    sites: &[Point],
-) -> Vec<u32> {
-    let sel = select_points_in_polygon(dev, vp, data, constraint);
-    skyline_of_canvas_points(&sel, sites)
-}
-
-/// [`skyline_of_selection`] over a shared dataset handle with a subplan
-/// cache: the interior selection render is shared with any other query
-/// over the same handle and constraint.
-pub fn skyline_of_selection_via(
     dev: &mut Device,
     vp: Viewport,
     data: &Arc<PointBatch>,
     constraint: &Polygon,
     sites: &[Point],
-    cache: Option<&dyn crate::algebra::SubplanCache>,
+    cache: Option<&dyn SubplanCache>,
 ) -> Vec<u32> {
-    let sel = select_points_in_polygon_via(dev, vp, data, constraint, cache);
-    skyline_of_canvas_points(&sel, sites)
-}
-
-fn skyline_of_canvas_points(sel: &PointSelection, sites: &[Point]) -> Vec<u32> {
-    let entries = sel.canvas.boundary();
-    let pts: Vec<Point> = entries.points().map(|e| e.loc).collect();
-    let ids: Vec<u32> = entries.points().map(|e| e.record).collect();
+    let cp = shared_points_canvas(dev, vp, data, cache);
+    let entries = selected_points(dev, &cp, constraint);
+    let pts: Vec<Point> = entries.iter().map(|e| e.loc).collect();
+    let ids: Vec<u32> = entries.iter().map(|e| e.record).collect();
     skyline_of(&pts, &ids, sites)
 }
 
@@ -192,8 +178,8 @@ mod tests {
         ])
         .unwrap();
         let sites = vec![Point::new(0.0, 0.0)];
-        let batch = PointBatch::from_points(pts);
-        let sky = skyline_of_selection(&mut dev, extent_vp(), &batch, &constraint, &sites);
+        let batch = Arc::new(PointBatch::from_points(pts));
+        let sky = skyline_of_selection(&mut dev, extent_vp(), &batch, &constraint, &sites, None);
         // Point 2 is excluded by the constraint, so point 0 wins.
         assert_eq!(sky, vec![0]);
     }

@@ -9,11 +9,14 @@
 //! "the optimizer might choose to first filter based on another
 //! attribute, say time, before performing a spatial operation", which is
 //! why the paper benchmarks the un-indexed refinement step). The spatial
-//! part is the unchanged Blend+Mask pipeline.
+//! part is the Blend+Mask selection in its entry form
+//! ([`selected_points`]): both queries read only the surviving point
+//! entries, so only `C_P` and `C_Q` are drawn.
 
-use crate::canvas::PointBatch;
+use crate::canvas::{record_ids, PointBatch};
 use crate::device::Device;
-use crate::queries::selection::select_points_in_polygon;
+use crate::queries::selection::selected_points;
+use crate::source::render_points;
 use canvas_geom::polygon::Polygon;
 use canvas_geom::Point;
 use canvas_raster::Viewport;
@@ -75,7 +78,8 @@ pub fn select_in_polygon_and_window(
     if windowed.is_empty() {
         return Vec::new();
     }
-    select_points_in_polygon(dev, vp, &windowed, q).records
+    let cp = render_points(dev, vp, &windowed);
+    record_ids(&selected_points(dev, &cp, q))
 }
 
 /// Time series of per-window counts inside a region: the classic
@@ -97,16 +101,16 @@ pub fn region_time_series(
         return out;
     }
     let span = (t_end - t_start) as u64;
-    // One spatial pass over the full range; the temporal GROUP BY then
-    // buckets the *exact point entries* of the result canvas by their
-    // record timestamps — spatial work is paid once, not per window.
+    // One spatial selection over the full range; the temporal GROUP BY
+    // then buckets its *exact point entries* by their record timestamps —
+    // spatial work is paid once, not per window.
     let full = data.in_window(t_start, t_end);
     if full.is_empty() {
         return out;
     }
-    let sel = select_points_in_polygon(dev, vp, &full, q);
+    let cp = render_points(dev, vp, &full);
     let last = out.len() - 1;
-    for e in sel.canvas.boundary().points() {
+    for e in selected_points(dev, &cp, q) {
         let t = data.timestamps[e.record as usize];
         let w = ((t - t_start) as u64 * num_windows as u64 / span) as usize;
         out[w.min(last)] += 1;

@@ -470,8 +470,9 @@ impl Prepared {
     /// canvas chains consult it for the canvases they start from or
     /// blend with — the selection's blend, the zone table's `C_Y*`,
     /// the query-polygon operands — never for their streamed tiles; the
-    /// promoted classes with a shareable interior selection (skyline,
-    /// hull) thread it through their `_via` variants, while the
+    /// promoted classes over a shared point handle (skyline, hull) take
+    /// their `C_P` through it — the same key as the `C_P` leaf of a zone
+    /// aggregate or `SelectPoints` plan over that handle — while the
     /// remaining procedures run on the leased device directly (their
     /// interior batches are derived per call, so there is nothing
     /// stable to share). Results are bit-identical to
@@ -544,12 +545,12 @@ impl Prepared {
                 data,
                 constraint,
                 sites,
-            } => QueryResult::Ids(Arc::new(skyline::skyline_of_selection_via(
+            } => QueryResult::Ids(Arc::new(skyline::skyline_of_selection(
                 dev, vp, data, constraint, sites, cache,
             ))),
-            Query::Hull { data, q } => QueryResult::Hull(Arc::new(hull::hull_of_selection_via(
-                dev, vp, data, q, cache,
-            ))),
+            Query::Hull { data, q } => {
+                QueryResult::Hull(Arc::new(hull::hull_of_selection(dev, vp, data, q, cache)))
+            }
             Query::LiveHeatmap { snapshot } => {
                 canvas_core::render_live_heatmap(dev, vp, snapshot.batch(), None).into()
             }

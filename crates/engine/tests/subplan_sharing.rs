@@ -8,7 +8,8 @@
 //! to a fresh single-threaded `Device::cpu` evaluation. The linked
 //! views do the same across classes: the selection heatmap finishes
 //! over the selection's blend, and the zone aggregate reads the
-//! choropleth's `C_Y*`.
+//! choropleth's `C_Y*`, and skyline and hull read the `C_P` a zone
+//! aggregate over the same handle evaluates.
 //!
 //! Sharing is a cache, not a protocol: a query never waits on another
 //! query's in-flight render of an interior. Two queries that miss the
@@ -309,6 +310,108 @@ fn linked_views_probe_the_keys_their_siblings_publish() {
     assert!(
         published.iter().any(|fp| fp.to_string() == zone_key),
         "the choropleth publishes the aggregate's C_Y* leaf: {published:?} vs {zone_key}"
+    );
+}
+
+#[test]
+fn skyline_hull_and_aggregate_draw_the_points_once() {
+    // Skyline and hull read their selection in the mask's entry form over
+    // a `C_P` keyed as the zone aggregate's `C_P` leaf: the three draw the
+    // points once, and hull/skyline publish nothing but that `C_P`.
+    let data = data();
+    let constraint = district();
+    let hull_region = canvas_datagen::star_polygon(
+        &BBox::new(Point::new(30.0, 20.0), Point::new(90.0, 70.0)),
+        16,
+        0.3,
+        9,
+    );
+    let zones: AreaSource = Arc::new(canvas_datagen::neighborhoods(&extent(), 6, 3));
+    let sites = Arc::new(vec![Point::new(20.0, 80.0), Point::new(80.0, 20.0)]);
+    let skyline = Query::Skyline {
+        data: data.clone(),
+        constraint: constraint.clone(),
+        sites: sites.clone(),
+    };
+    let hull = Query::Hull {
+        data: data.clone(),
+        q: hull_region.clone(),
+    };
+    let aggregate = Query::AggregateByZone {
+        data: data.clone(),
+        zones: zones.clone(),
+    };
+    let polygon_prims = |p: &Polygon| 1 + p.holes().len() as u64;
+
+    // What the aggregate publishes on its own (its `C_P` included).
+    let alone = QueryEngine::with_config(config(256 << 20));
+    alone.execute(&aggregate, vp()).unwrap();
+    let aggregate_published = alone.metrics().subplan_published;
+
+    let engine = QueryEngine::with_config(config(256 << 20));
+    let prims = || engine.shared().stats().primitives;
+    let r_sky = engine.execute(&skyline, vp()).unwrap();
+    assert_eq!(
+        prims(),
+        data.len() as u64 + polygon_prims(&constraint),
+        "skyline draws C_P and C_Q"
+    );
+    assert_eq!(
+        engine.metrics().subplan_published,
+        1,
+        "skyline publishes C_P only"
+    );
+    let before = prims();
+    let r_hull = engine.execute(&hull, vp()).unwrap();
+    assert_eq!(
+        prims(),
+        before + polygon_prims(&hull_region),
+        "hull draws its C_Q and reads the points skyline drew"
+    );
+    assert_eq!(
+        engine.metrics().subplan_published,
+        1,
+        "hull publishes nothing"
+    );
+    assert_eq!(engine.metrics().subplan_hits, 1, "hull hits C_P");
+    let before = prims();
+    let r_aggregate = engine.execute(&aggregate, vp()).unwrap();
+    let zone_prims: u64 = zones.iter().map(polygon_prims).sum();
+    assert_eq!(
+        prims(),
+        before + zone_prims,
+        "the aggregate draws only its zones"
+    );
+    // Skyline's `C_P` plus the aggregate's other interiors: exactly what
+    // the aggregate publishes on its own.
+    assert!(aggregate_published > 1);
+    assert_eq!(
+        engine.metrics().subplan_published,
+        aggregate_published,
+        "the aggregate publishes its own interiors, not C_P again"
+    );
+
+    // The key hull and skyline use is the aggregate plan's `C_P` row.
+    let mut dev = Device::cpu();
+    let points_key = plan_node_key(&aggregate, &format!("C_P[{} points]", data.len()));
+    let rec = Recorder::default();
+    queries::skyline::skyline_of_selection(&mut dev, vp(), &data, &constraint, &sites, Some(&rec));
+    queries::hull::hull_of_selection(&mut dev, vp(), &data, &hull_region, Some(&rec));
+    for keys in [&rec.probed, &rec.published] {
+        let keys: Vec<String> = keys.lock().unwrap().iter().map(|k| k.to_string()).collect();
+        assert_eq!(keys, vec![points_key.clone(); 2]);
+    }
+
+    // Sharing is invisible in results.
+    let reference = |q: &Query| q.prepare().execute(&mut Device::cpu(), vp());
+    assert_eq!(r_sky.result.as_ids(), reference(&skyline).as_ids());
+    assert!(!r_sky.result.as_ids().unwrap().is_empty());
+    assert_eq!(r_hull.result.as_hull(), reference(&hull).as_hull());
+    assert!(r_hull.result.as_hull().unwrap().len() >= 3);
+    assert_canvas_eq(
+        r_aggregate.canvas(),
+        &cpu_reference(&aggregate, vp()),
+        "aggregate",
     );
 }
 

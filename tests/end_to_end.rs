@@ -14,7 +14,10 @@ fn extent() -> BBox {
 fn taxi_pipeline_end_to_end() {
     let vp = Viewport::square_pixels(extent(), 256);
     let trips = generate_trips(&extent(), 12_000, 16, 2026);
-    let pickups = PointBatch::with_weights(trips.pickups.clone(), trips.fares.clone());
+    let pickups = Arc::new(PointBatch::with_weights(
+        trips.pickups.clone(),
+        trips.fares.clone(),
+    ));
     let mut dev = Device::nvidia();
 
     // 1. Selection: evening rush near downtown.
@@ -64,7 +67,8 @@ fn taxi_pipeline_end_to_end() {
     assert!((total - 10_000.0).abs() < 1e-6);
 
     // 5. Convex hull of the selected pickups.
-    let hull = canvas_core::queries::hull::hull_of_selection(&mut dev, vp, &pickups, &downtown);
+    let hull =
+        canvas_core::queries::hull::hull_of_selection(&mut dev, vp, &pickups, &downtown, None);
     assert!(hull.len() >= 3);
     for &id in &sel.records {
         assert!(canvas_geom::hull::hull_contains(

@@ -1,9 +1,14 @@
 //! Integration: every selection variant of the canvas algebra must
 //! agree bit-for-bit with the exact CPU baselines on realistic
-//! generated workloads — the exactness contract of paper Section 5.
+//! generated workloads — the exactness contract of paper Section 5. The
+//! mask's entry form (`point_entries_in_areas`) must keep exactly the
+//! entries the dense Blend + Mask keeps, in the same order.
 
 use canvas_algebra::prelude::*;
+use canvas_core::boundary::PointEntry;
+use canvas_core::ops::mask::point_entries_in_areas;
 use canvas_core::queries::selection::{self, MultiPolygon};
+use canvas_geom::polygon::Ring;
 
 fn extent() -> BBox {
     BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0))
@@ -189,4 +194,154 @@ fn device_profile_does_not_change_answers() {
     let a = selection::select_points_in_polygon(&mut nv, vp, &batch, &q);
     let b = selection::select_points_in_polygon(&mut intel, vp, &batch, &q);
     assert_eq!(a.records, b.records);
+}
+
+// ---------------------------------------------------------------------
+// The entry form of the point selection against the dense operators.
+// ---------------------------------------------------------------------
+
+fn device(threads: usize) -> Device {
+    if threads == 1 {
+        Device::cpu()
+    } else {
+        Device::cpu_parallel(threads)
+    }
+}
+
+/// The spec: the point entries `M[Mp(cond)](B[⊙](points, areas))` keeps.
+fn dense_entries(
+    dev: &mut Device,
+    points: &Canvas,
+    areas: &Canvas,
+    cond: CountCond,
+) -> Vec<PointEntry> {
+    let merged = blend(dev, points, areas, BlendFn::PointOverArea);
+    mask(dev, &merged, &MaskSpec::PointInAreas(cond))
+        .boundary()
+        .points()
+        .copied()
+        .collect()
+}
+
+fn ring(pts: &[(f64, f64)]) -> Ring {
+    Ring::new(pts.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap()
+}
+
+/// A quadrilateral with a quadrilateral hole, offset by `(dx, dy)`.
+fn holed_polygon(dx: f64, dy: f64) -> Polygon {
+    let at = |pts: [(f64, f64); 4]| ring(&pts.map(|(x, y)| (x + dx, y + dy)));
+    Polygon::new(
+        at([(10.0, 10.0), (70.0, 12.0), (66.0, 68.0), (12.0, 60.0)]),
+        vec![at([(30.0, 28.0), (48.0, 31.0), (45.0, 49.0), (29.0, 45.0)])],
+    )
+}
+
+/// Seeded points over a box larger than the viewport's world (so some
+/// fall outside it), every seventh one repeated, plus every vertex and
+/// two points on every edge of `polys` — the locations where a
+/// refinement rule that differs anywhere would show.
+fn oracle_batch(seed: u64, n: usize, polys: &[Polygon]) -> PointBatch {
+    let mut state = seed.max(1);
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut pts = Vec::new();
+    for i in 0..n {
+        let p = Point::new(next() * 120.0 - 10.0, next() * 120.0 - 10.0);
+        pts.push(p);
+        if i % 7 == 0 {
+            pts.push(p);
+        }
+    }
+    for poly in polys {
+        for r in std::iter::once(poly.outer()).chain(poly.holes()) {
+            let vs = r.vertices();
+            for (i, &a) in vs.iter().enumerate() {
+                let b = vs[(i + 1) % vs.len()];
+                pts.push(a);
+                pts.push(a + (b - a) * 0.5);
+                pts.push(a + (b - a) * 0.25);
+            }
+        }
+    }
+    let weights = (0..pts.len()).map(|i| (i % 5) as f32 + 0.5).collect();
+    PointBatch::with_weights(pts, weights)
+}
+
+#[test]
+fn point_entries_in_areas_equals_blend_then_mask() {
+    let vp = Viewport::new(extent(), 96, 80);
+    let query = holed_polygon(0.0, 0.0);
+    let table_a: AreaSource = std::sync::Arc::new(vec![
+        holed_polygon(15.0, 20.0),
+        star_polygon(
+            &BBox::new(Point::new(5.0, 5.0), Point::new(60.0, 60.0)),
+            24,
+            0.5,
+            3,
+        ),
+        Polygon::rect(&BBox::new(Point::new(25.0, 25.0), Point::new(75.0, 55.0))),
+    ]);
+    let table_b: AreaSource = std::sync::Arc::new(vec![
+        holed_polygon(25.0, 5.0),
+        Polygon::circle(Point::new(50.0, 50.0), 30.0, 40),
+    ]);
+    let mut polys = vec![query.clone()];
+    polys.extend(table_a.iter().cloned());
+    polys.extend(table_b.iter().cloned());
+    let base = oracle_batch(29, 3_000, &polys);
+    // A small delta (coincident with base points, too) so the patched
+    // canvas keeps its point index as two stacked levels.
+    let delta = oracle_batch(31, 150, &[]);
+    let mut full = base.clone();
+    full.points.extend(&delta.points);
+    full.points.extend(&base.points[..40]);
+    full.ids = (0..full.points.len() as u32).collect();
+    full.weights = vec![1.5; full.points.len()];
+    for threads in [1, 2, 8] {
+        let mut dev = device(threads);
+        let flat = render_points(&mut dev, vp, &full);
+        let prefix = PointBatch {
+            points: full.points[..base.len()].to_vec(),
+            ids: full.ids[..base.len()].to_vec(),
+            weights: full.weights[..base.len()].to_vec(),
+        };
+        let before = render_live_heatmap(&mut dev, vp, &prefix, None);
+        let (layered, _) = patch_live_heatmap(&mut dev, vp, &before, &full, base.len(), None);
+        assert!(
+            layered.boundary().point_levels().len() >= 2,
+            "a layered index"
+        );
+        let cq = render_query_polygon(&mut dev, vp, query.clone(), 1);
+        let ya = render_polygon_set(&mut dev, vp, &table_a, BlendFn::AreaCount);
+        let yb = render_polygon_set(&mut dev, vp, &table_b, BlendFn::AreaCount);
+        let cy = blend(&mut dev, &ya, &yb, BlendFn::AreaCount);
+        let mut conds = vec![CountCond::Ge(1)];
+        for k in 0..=3 {
+            conds.extend([CountCond::Eq(k), CountCond::Ge(k)]);
+        }
+        for (points, pname) in [(&flat, "flat"), (&layered, "layered")] {
+            for (areas, aname) in [(&cq, "C_Q"), (&cy, "C_Y*")] {
+                for &cond in &conds {
+                    let got = point_entries_in_areas(points, areas, cond);
+                    let want = dense_entries(&mut dev, points, areas, cond);
+                    assert_eq!(
+                        got, want,
+                        "{pname} over {aname}, {cond:?}, threads={threads}"
+                    );
+                }
+            }
+        }
+        // The spec is not trivial: some entries are kept, some are not.
+        let kept = point_entries_in_areas(&flat, &cq, CountCond::Ge(1)).len();
+        assert!(
+            kept > 0 && kept < flat.boundary().num_points(),
+            "kept {kept}"
+        );
+        let overlap = point_entries_in_areas(&flat, &cy, CountCond::Ge(3)).len();
+        assert!(overlap > 0, "some points lie in three table polygons");
+    }
 }
