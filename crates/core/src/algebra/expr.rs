@@ -311,10 +311,39 @@ impl Expr {
                 groups,
                 combine,
                 input,
-            } => {
-                let c = input.eval_node(dev, vp, cache, depth + 1, node + 1);
-                ops::map_scatter(dev, &c, gamma, ops::group_viewport(*groups), *combine)
-            }
+            } => match super::planner::entry_sink(self) {
+                // Entry form: the Mask (`node + 1`) and Blend (`node + 2`)
+                // interiors are never computed, cached or published; the
+                // operands keep their pre-order ids, so leaf sharing is
+                // unchanged.
+                Some(sink) => {
+                    let leaves = node + 3;
+                    let points = sink.points.eval_node(dev, vp, cache, depth + 3, leaves);
+                    let areas = sink.areas.eval_node(
+                        dev,
+                        vp,
+                        cache,
+                        depth + 3,
+                        leaves + sink.points.node_count(),
+                    );
+                    let mut walk = canvas_obs::span("mask", "algebra");
+                    walk.arg_u64("node", node + 1);
+                    walk.arg_u64("depth", depth as u64 + 1);
+                    ops::scatter_point_entries_in_areas(
+                        dev,
+                        &points,
+                        &areas,
+                        sink.cond,
+                        gamma,
+                        ops::group_viewport(*groups),
+                        *combine,
+                    )
+                }
+                None => {
+                    let c = input.eval_node(dev, vp, cache, depth + 1, node + 1);
+                    ops::map_scatter(dev, &c, gamma, ops::group_viewport(*groups), *combine)
+                }
+            },
             Expr::ValueTransform { f, input, .. } => {
                 let c = input.eval_node(dev, vp, cache, depth + 1, node + 1);
                 ops::value_transform(dev, &c, |p, t| f(p, t))

@@ -438,7 +438,11 @@ pub struct PlanNode {
 /// Enumerates every node of `e` in pre-order (root first — ids match
 /// the evaluator's span stamping by construction: both assign the
 /// first child `id + 1` and advance by each sibling's
-/// [`Expr::node_count`]).
+/// [`Expr::node_count`]). Rows of nodes the planner runs in another
+/// physical form carry it after the operator label: a Map the planner
+/// runs over point entries ([`entry_sink`](super::planner::entry_sink))
+/// labels its Mask row `… (entries)` — the walk's span lands there —
+/// and its Blend row `B[⊙] (fused)`, which no span reaches.
 pub fn plan_nodes(e: &Expr) -> Vec<PlanNode> {
     fn walk_nodes(e: &Expr, depth: usize, next: &mut u64, out: &mut Vec<PlanNode>) {
         let id = *next;
@@ -460,9 +464,17 @@ pub fn plan_nodes(e: &Expr) -> Vec<PlanNode> {
                     walk_nodes(i, depth + 1, next, out);
                 }
             }
+            Expr::MapScatter { input, .. } => {
+                walk_nodes(input, depth + 1, next, out);
+                // The planner folds the Mask and Blend rows into the
+                // Map's entry walk; their rows say so.
+                if super::planner::entry_sink(e).is_some() {
+                    out[id as usize + 1].label.push_str(" (entries)");
+                    out[id as usize + 2].label.push_str(" (fused)");
+                }
+            }
             Expr::Mask { input, .. }
             | Expr::GeomTransform { input, .. }
-            | Expr::MapScatter { input, .. }
             | Expr::ValueTransform { input, .. } => walk_nodes(input, depth + 1, next, out),
         }
     }
@@ -550,6 +562,38 @@ mod tests {
         // Depths follow the tree shape.
         assert_eq!(nodes[1].depth, 1);
         assert_eq!(nodes[2].depth, 2);
+    }
+
+    #[test]
+    fn plan_nodes_label_the_rows_the_planner_folds() {
+        let data = Arc::new(PointBatch::from_points(vec![Point::new(1.0, 1.0)]));
+        let zones: AreaSource = Arc::new(vec![square(0.0, 0.0, 5.0)]);
+        let aggregate = |right: Expr| {
+            Expr::map_scatter(
+                crate::ops::ValueMap::area_id_slot(),
+                1,
+                BlendFn::Accumulate,
+                Expr::mask(
+                    MaskSpec::PointInAreas(CountCond::Ge(1)),
+                    Expr::blend(BlendFn::PointOverArea, Expr::points(data.clone()), right),
+                ),
+            )
+        };
+        let labels =
+            |e: &Expr| -> Vec<String> { plan_nodes(e).into_iter().map(|n| n.label).collect() };
+        let entry = aggregate(Expr::polygon_set(zones, BlendFn::AreaCount));
+        let rows = labels(&entry);
+        assert_eq!(rows[1], "Mp'[#areas>=1] (entries)");
+        assert_eq!(rows[2], "B[⊙] (fused)");
+        assert_eq!(rows[3], "C_P[1 points]");
+        // Labels only: fingerprints are the plan's.
+        let Expr::MapScatter { input: mask, .. } = &entry else {
+            unreachable!()
+        };
+        assert_eq!(plan_nodes(&entry)[1].fingerprint, fingerprint(mask));
+        // A dense Map keeps the plain labels.
+        let dense = aggregate(Expr::points(data.clone()));
+        assert_eq!(labels(&dense)[1..3], ["Mp'[#areas>=1]", "B[⊙]"]);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! 3. **optimization** — [`rewrite`] transforms plans (multiway-blend
 //!    flattening via associativity, fusing a multiway blend of polygon
 //!    leaves into one instanced draw), and [`Expr::cost`] gives a simple
-//!    pass/fragment cost heuristic for plan comparison.
+//!    pass/fragment cost heuristic for plan comparison; [`planner`]
+//!    picks a node's physical form ([`entry_sink`]: the zone aggregate
+//!    runs over point entries, not planes).
 
 pub mod expr;
 pub mod fingerprint;
@@ -28,6 +30,8 @@ pub use expr::{Expr, SourceSpec};
 pub use fingerprint::{
     fingerprint, is_cut_point, normalize, plan_nodes, Fingerprint, FingerprintBuilder, PlanNode,
 };
-pub use planner::{choose_selection_strategy, PlanChoice, SelectionStats, SelectionStrategy};
+pub use planner::{
+    choose_selection_strategy, entry_sink, EntrySink, PlanChoice, SelectionStats, SelectionStrategy,
+};
 pub use rewrite::{flatten_multiblend, fuse_polygon_leaves, optimize};
 pub use subplan::SubplanCache;

@@ -14,8 +14,86 @@
 //! and picks the cheaper. The crossover it finds is the one this
 //! module's tests pin: tiny inputs with simple polygons favor direct
 //! refinement; everything else favors the canvas.
+//!
+//! ## Physical forms of plan nodes
+//!
+//! The evaluator asks this module which physical form a plan node runs
+//! in. One rule exists: the **entry form of the zone aggregate**. A
+//! `D*[γ]` over `M[Mp(cond)](B[⊙](C_P, R))` reads nothing of the blend
+//! and mask planes but the texels the mask keeps, and those are a
+//! function of the point entries the mask keeps and of `R`'s texel at
+//! their pixel. So whenever no other consumer reads the planes — the
+//! Map is their only reader inside its plan — [`entry_sink`] matches
+//! and the plan runs as one walk over `C_P`'s point run against `R`
+//! ([`scatter_point_entries_in_areas`]): `R` is the filter raster, the
+//! exact test on its boundary pixels the refinement. The blend and mask
+//! planes are never written and never published; every other shape
+//! stays dense.
+//!
+//! The match is structural and narrow on purpose: `C_P` must be a
+//! `Points` source and `R` a source that carries no point entries
+//! (`Polygon`, `PolygonSet`, `Circle`, `Rect`, `HalfSpace`). **Trap:**
+//! if `R` carried point entries (a points source, a literal canvas),
+//! the dense mask would keep them too, but the walk only visits `C_P`'s
+//! run — it would silently lose them.
+//!
+//! [`scatter_point_entries_in_areas`]: crate::ops::mask::scatter_point_entries_in_areas
 
+use super::expr::{Expr, SourceSpec};
+use crate::info::BlendFn;
+use crate::ops::{CountCond, MaskSpec};
 use canvas_raster::{DeviceProfile, PipelineStats};
+
+/// A `D*[γ](M[Mp(cond)](B[⊙](points, areas)))` node the planner runs in
+/// entry form (see module docs): the operands and the mask's condition
+/// (γ, the group count and the combine stay on the node).
+#[derive(Clone, Copy, Debug)]
+pub struct EntrySink<'a> {
+    /// The `C_P` operand: a `Points` source.
+    pub points: &'a Expr,
+    /// The area operand: a source without point entries.
+    pub areas: &'a Expr,
+    pub cond: CountCond,
+}
+
+/// The planner's rule for `MapScatter` nodes: `Some` when `e` runs in
+/// the entry form (see module docs), `None` when it stays dense.
+pub fn entry_sink(e: &Expr) -> Option<EntrySink<'_>> {
+    let Expr::MapScatter { input, .. } = e else {
+        return None;
+    };
+    let Expr::Mask {
+        spec: MaskSpec::PointInAreas(cond),
+        input,
+    } = &**input
+    else {
+        return None;
+    };
+    let Expr::Blend {
+        op: BlendFn::PointOverArea,
+        left,
+        right,
+    } = &**input
+    else {
+        return None;
+    };
+    let points = matches!(**left, Expr::Source(SourceSpec::Points(_)));
+    let areas = matches!(
+        **right,
+        Expr::Source(
+            SourceSpec::Polygon { .. }
+                | SourceSpec::PolygonSet { .. }
+                | SourceSpec::Circle { .. }
+                | SourceSpec::Rect { .. }
+                | SourceSpec::HalfSpace { .. }
+        )
+    );
+    (points && areas).then_some(EntrySink {
+        points: left,
+        areas: right,
+        cond: *cond,
+    })
+}
 
 /// Input statistics the optimizer consults (relational-style metadata).
 #[derive(Clone, Copy, Debug)]
@@ -99,6 +177,76 @@ pub fn choose_selection_strategy(profile: &DeviceProfile, s: &SelectionStats) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::canvas::{Canvas, PointBatch};
+    use crate::ops::ValueMap;
+    use canvas_geom::{BBox, Point, Polygon};
+    use canvas_raster::Viewport;
+    use std::sync::Arc;
+
+    fn aggregate(left: Expr, right: Expr, spec: MaskSpec, op: BlendFn) -> Expr {
+        Expr::map_scatter(
+            ValueMap::area_id_slot(),
+            2,
+            BlendFn::Accumulate,
+            Expr::mask(spec, Expr::blend(op, left, right)),
+        )
+    }
+
+    #[test]
+    fn entry_sink_matches_only_point_free_area_operands() {
+        let data = Arc::new(PointBatch::from_points(vec![Point::new(1.0, 1.0)]));
+        let points = || Expr::points(data.clone());
+        let square = Polygon::rect(&BBox::new(Point::new(0.0, 0.0), Point::new(5.0, 5.0)));
+        let vp = Viewport::new(BBox::new(Point::new(0.0, 0.0), Point::new(8.0, 8.0)), 8, 8);
+        let select = MaskSpec::PointInAreas(CountCond::Eq(2));
+        let areas = [
+            Expr::query_polygon(square.clone(), 1),
+            Expr::polygon_set(Arc::new(vec![square.clone()]), BlendFn::AreaCount),
+            Expr::Source(SourceSpec::Circle {
+                center: Point::new(4.0, 4.0),
+                radius: 2.0,
+                id: 1,
+            }),
+            Expr::Source(SourceSpec::Rect {
+                l1: Point::new(1.0, 1.0),
+                l2: Point::new(3.0, 3.0),
+                id: 1,
+            }),
+            Expr::Source(SourceSpec::HalfSpace {
+                a: 1.0,
+                b: 0.0,
+                c: -4.0,
+                id: 1,
+            }),
+        ];
+        for right in areas {
+            let plan = aggregate(points(), right, select.clone(), BlendFn::PointOverArea);
+            let sink = entry_sink(&plan).expect("entry form");
+            assert_eq!(sink.cond, CountCond::Eq(2));
+            assert!(matches!(sink.points, Expr::Source(SourceSpec::Points(_))));
+        }
+        // Everything else stays dense: a right operand that may carry
+        // point entries (the trap), a literal left, another mask or
+        // blend, and a Map over anything but a mask over a blend.
+        let literal = || Expr::literal(Canvas::empty(vp));
+        let polygon = || Expr::query_polygon(square.clone(), 1);
+        let texel = MaskSpec::Texel("any", Arc::new(|_: &crate::info::Texel| true));
+        let dense = [
+            aggregate(points(), points(), select.clone(), BlendFn::PointOverArea),
+            aggregate(points(), literal(), select.clone(), BlendFn::PointOverArea),
+            aggregate(literal(), polygon(), select.clone(), BlendFn::PointOverArea),
+            aggregate(points(), polygon(), texel, BlendFn::PointOverArea),
+            aggregate(points(), polygon(), select.clone(), BlendFn::Over),
+            Expr::map_scatter(ValueMap::area_id_slot(), 2, BlendFn::Accumulate, points()),
+            Expr::mask(
+                select,
+                Expr::blend(BlendFn::PointOverArea, points(), polygon()),
+            ),
+        ];
+        for plan in &dense {
+            assert!(entry_sink(plan).is_none(), "{plan:?}");
+        }
+    }
 
     fn stats(num_points: u64, num_constraints: u32, avg_vertices: u32) -> SelectionStats {
         SelectionStats {

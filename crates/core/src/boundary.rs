@@ -260,6 +260,15 @@ impl<T: Entry> SortedRun<T> {
         }
     }
 
+    /// The entries of pixel rows `rows` (clamped to the grid): one
+    /// contiguous slice of the run.
+    pub fn row_span(&self, rows: std::ops::Range<u32>) -> &[T] {
+        let last = self.rows.len() - 1;
+        let lo = self.rows[(rows.start as usize).min(last)] as usize;
+        let hi = self.rows[(rows.end as usize).min(last)] as usize;
+        &self.entries[lo..hi.max(lo)]
+    }
+
     /// The entries behind one pixel: a search of that pixel's row only.
     pub fn at(&self, pixel: u32) -> &[T] {
         let row = self.row(pixel / self.width);
@@ -460,6 +469,19 @@ impl<T: Entry> RunStack<T> {
     pub fn iter(&self) -> StackIter<'_, T> {
         StackIter {
             heads: std::array::from_fn(|i| self.levels.get(i).map_or(&[][..], |l| l.as_slice())),
+            levels: self.levels.len(),
+        }
+    }
+
+    /// The entries of pixel rows `rows` in logical order — the part of
+    /// [`iter`](Self::iter) that falls on those rows.
+    pub fn iter_rows(&self, rows: std::ops::Range<u32>) -> StackIter<'_, T> {
+        StackIter {
+            heads: std::array::from_fn(|i| {
+                self.levels
+                    .get(i)
+                    .map_or(&[][..], |l| l.row_span(rows.clone()))
+            }),
             levels: self.levels.len(),
         }
     }
@@ -734,6 +756,11 @@ impl BoundaryIndex {
         self.points.iter()
     }
 
+    /// The point entries of pixel rows `rows` (pixel-sorted).
+    pub fn points_in_rows(&self, rows: std::ops::Range<u32>) -> StackIter<'_, PointEntry> {
+        self.points.iter_rows(rows)
+    }
+
     /// The levels of the point stack, oldest first (see [`RunStack`]).
     pub fn point_levels(&self) -> &[Arc<SortedRun<PointEntry>>] {
         self.points.levels()
@@ -1004,6 +1031,21 @@ mod tests {
         assert_eq!(stack, flat);
         let swapped = RunStack::new(points(&[(5, 10), (2, 2), (9, 3), (0, 4), (5, 1)]));
         assert_ne!(stack, swapped);
+    }
+
+    #[test]
+    fn iter_rows_is_the_part_of_iter_on_those_rows() {
+        let mut stack = RunStack::new(points(&[(5, 1), (2, 2), (9, 3), (0, 4), (14, 5)]));
+        stack.push(points(&[(5, 10)]));
+        assert_eq!(records(stack.iter_rows(0..4)), records(stack.iter()));
+        assert_eq!(records(stack.iter_rows(1..2)), vec![1, 10]);
+        assert_eq!(records(stack.iter_rows(1..3)), vec![1, 10, 3]);
+        assert!(stack.iter_rows(3..3).next().is_none());
+        assert_eq!(
+            records(stack.iter_rows(3..9)),
+            vec![5],
+            "clamped to the grid"
+        );
     }
 
     #[test]

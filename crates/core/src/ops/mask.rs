@@ -31,12 +31,29 @@
 //! is one thread per point, gathering the texel of `C_Q` under the point
 //! and refining against the vector polygon when that texel is a boundary
 //! pixel.
+//!
+//! The entry form has a sink too: [`scatter_point_entries_in_areas`] is
+//! `D*[γ](M[Mp(cond)](B[⊙](C_P, C_Q)))`, the aggregation plans' Map over
+//! the selection, evaluated by the same walk (one private walker serves
+//! both). Each pixel holding entries is decided as the mask decides it,
+//! the texel the mask would leave there goes straight to its group slot,
+//! and no blend, mask or scatter pass runs. Bands of rows walk on the
+//! worker pool and fold in band order, so the result is bit-identical at
+//! any thread count; like the walk it charges no `PipelineStats` counter
+//! and begins no pass. On a GPU it is one thread per point plus an
+//! ordered segmented reduce: each pixel's survivors sum over their
+//! segment of the pixel-sorted run, and the per-pixel texels then fold
+//! into the groups in pixel order.
+
+use std::ops::Range;
 
 use crate::boundary::{AreaEntry, PointEntry};
 use crate::canvas::Canvas;
 use crate::device::Device;
-use crate::info::Texel;
+use crate::info::{BlendFn, Texel};
+use crate::ops::transform::ValueMap;
 use canvas_geom::Point;
+use canvas_raster::Viewport;
 
 /// Condition on a polygon-incidence count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -237,6 +254,161 @@ fn point_in_areas(c: &Canvas, cov: u16, areas: &[AreaEntry], loc: Point, cond: C
 /// own. Panics when the viewports differ, as [`blend`](super::blend::blend)
 /// does.
 pub fn point_entries_in_areas(points: &Canvas, areas: &Canvas, cond: CountCond) -> Vec<PointEntry> {
+    let mut kept = Vec::new();
+    let rows = 0..points.viewport().height();
+    walk_point_entries(points, areas, rows, |at, e| {
+        if point_in_areas(areas, at.cov, at.boundary_areas, e.loc, cond) {
+            kept.push(*e);
+        }
+    });
+    kept
+}
+
+/// `D*[γ](M[Mp(cond)](B[⊙](points, areas)))` into `target_vp`, computed
+/// from the entries without either operator's plane (see module docs):
+/// the group canvas [`map_scatter`](super::map_scatter) over the dense
+/// chain returns, bit for bit.
+///
+/// Each pixel that holds point entries is decided as the mask decides
+/// it. A uniform pixel is kept iff `cond` holds for its cover, with its
+/// blended texel unchanged. A boundary pixel refines every entry and is
+/// kept iff one survives, its `s[0]` rewritten to the survivors' count
+/// and weight sum (summed in entry order, as the mask sums it). The kept
+/// texel goes to `γ(texel)` and folds in with `combine`, in pixel order
+/// — the dense scatter's order, so f32 sums round the same way.
+///
+/// Above the pool's minimum-work threshold the run is cut into row
+/// bands of about equal entry counts, walked on the pool (the calling
+/// thread walks bands too); each returns its `(target, texel)` list and
+/// the caller folds the lists in band order — the ordered merge of the
+/// pool's scatter — so the result is identical at any thread count.
+/// Like [`point_entries_in_areas`] it charges no `PipelineStats`
+/// counter and begins no pass. Panics when the viewports differ.
+pub fn scatter_point_entries_in_areas(
+    dev: &Device,
+    points: &Canvas,
+    areas: &Canvas,
+    cond: CountCond,
+    gamma: &ValueMap,
+    target_vp: Viewport,
+    combine: BlendFn,
+) -> Canvas {
+    let mut out = Canvas::empty(target_vp);
+    let (groups, _, _) = out.planes_mut();
+    let mut apply = |(x, y): (u32, u32), t: Texel| groups.update(x, y, |d| combine.apply(d, t));
+    let height = points.viewport().height();
+    let band = |rows: Range<u32>, emit: &mut dyn FnMut((u32, u32), Texel)| {
+        let mut pixel = PixelSum::default();
+        let mut finish = |p: &PixelSum| {
+            if let Some(t) = p.kept_texel(points, areas, cond) {
+                if let Some(px) = (gamma.f)(&t).and_then(|w| target_vp.world_to_pixel(w)) {
+                    emit(px, t);
+                }
+            }
+        };
+        walk_point_entries(points, areas, rows, |at, e| {
+            if at.pixel != pixel.at.pixel {
+                finish(&pixel);
+                pixel = PixelSum {
+                    at: *at,
+                    ..PixelSum::default()
+                };
+            }
+            if !at.boundary_areas.is_empty()
+                && point_in_areas(areas, at.cov, at.boundary_areas, e.loc, cond)
+            {
+                pixel.kept += 1;
+                pixel.weight += e.weight;
+            }
+        });
+        finish(&pixel);
+    };
+    let pool = dev.pool();
+    let entries = points.boundary().num_points();
+    if !pool.should_parallelize(entries) {
+        band(0..height, &mut apply);
+    } else {
+        // Bands of about equal entry counts: points cluster, rows do not.
+        let bands = pool.threads() * 4;
+        let mut cuts = vec![0];
+        let mut seen = 0;
+        for y in 0..height {
+            seen += points.boundary().points_in_rows(y..y + 1).len();
+            if seen * bands >= entries * cuts.len() || y + 1 == height {
+                cuts.push(y + 1);
+            }
+        }
+        let lists = pool.run_indexed(cuts.len() - 1, |b| {
+            let mut local = Vec::new();
+            band(cuts[b]..cuts[b + 1], &mut |px, t| local.push((px, t)));
+            local
+        });
+        lists.into_iter().flatten().for_each(|(px, t)| apply(px, t));
+    }
+    out
+}
+
+/// Where [`walk_point_entries`] stands: a pixel of `C_P`'s run, its
+/// blended cover, and the area entries behind it.
+#[derive(Clone, Copy)]
+struct EntryPixel<'a> {
+    pixel: u32,
+    cov: u16,
+    boundary_areas: &'a [AreaEntry],
+}
+
+impl Default for EntryPixel<'_> {
+    fn default() -> Self {
+        EntryPixel {
+            pixel: u32::MAX,
+            cov: 0,
+            boundary_areas: &[],
+        }
+    }
+}
+
+/// One pixel's survivors so far, as the sink folds them.
+#[derive(Default)]
+struct PixelSum<'a> {
+    at: EntryPixel<'a>,
+    kept: u32,
+    weight: f32,
+}
+
+impl PixelSum<'_> {
+    /// The texel `M[Mp(cond)](B[⊙](points, areas))` leaves at this
+    /// pixel, or `None` where it leaves ∅ (and before the first pixel).
+    fn kept_texel(&self, points: &Canvas, areas: &Canvas, cond: CountCond) -> Option<Texel> {
+        let i = self.at.pixel as usize;
+        let mut t = BlendFn::PointOverArea.apply(
+            *points.texels().texels().get(i)?,
+            areas.texels().texels()[i],
+        );
+        let mut info = t.get(0)?;
+        if self.at.boundary_areas.is_empty() {
+            return cond.eval(self.at.cov as u32).then_some(t);
+        }
+        if self.kept == 0 {
+            return None;
+        }
+        info.v1 = self.kept as f32;
+        info.v2 = self.weight;
+        t.set(0, info);
+        Some(t)
+    }
+}
+
+/// The one cursor walk over `points`' run behind both entry consumers:
+/// visits every point entry of pixel rows `rows` in run order, with its
+/// pixel's blended cover (`points`' plus `areas`', saturating) and the
+/// area entries `areas` files under that pixel (a row cursor; the run is
+/// never searched).
+fn walk_point_entries<'a>(
+    points: &'a Canvas,
+    areas: &'a Canvas,
+    rows: Range<u32>,
+    mut visit: impl FnMut(&EntryPixel<'a>, &'a PointEntry),
+) {
     assert_eq!(
         points.viewport(),
         areas.viewport(),
@@ -246,24 +418,22 @@ pub fn point_entries_in_areas(points: &Canvas, areas: &Canvas, cond: CountCond) 
     let point_cover = points.cover().texels();
     let area_cover = areas.cover().texels();
     let index = areas.boundary();
-    let mut kept = Vec::new();
-    let (mut row, mut row_areas) = (0, index.areas_cursor(0));
-    let (mut pixel, mut cov, mut boundary_areas) = (u32::MAX, 0, &[][..]);
-    for e in points.boundary().points() {
-        if e.pixel != pixel {
-            pixel = e.pixel;
-            if pixel / width != row {
-                row = pixel / width;
+    let (mut row, mut row_areas) = (rows.start, index.areas_cursor(rows.start));
+    let mut at = EntryPixel::default();
+    for e in points.boundary().points_in_rows(rows) {
+        if e.pixel != at.pixel {
+            if e.pixel / width != row {
+                row = e.pixel / width;
                 row_areas = index.areas_cursor(row);
             }
-            cov = point_cover[pixel as usize].saturating_add(area_cover[pixel as usize]);
-            boundary_areas = row_areas.at(pixel);
+            at = EntryPixel {
+                pixel: e.pixel,
+                cov: point_cover[e.pixel as usize].saturating_add(area_cover[e.pixel as usize]),
+                boundary_areas: row_areas.at(e.pixel),
+            };
         }
-        if point_in_areas(areas, cov, boundary_areas, e.loc, cond) {
-            kept.push(*e);
-        }
+        visit(&at, e);
     }
-    kept
 }
 
 /// Assembles a mask's output canvas: the rewritten planes, the

@@ -12,9 +12,11 @@
 //!
 //! Every operator consumes and produces canvases — the algebra is closed
 //! by construction, which is what lets Section 4's query expressions
-//! compose. [`mask::point_entries_in_areas`] is the one exit: the point
-//! entries a selection's Blend + Mask would keep, for queries that read
-//! nothing else.
+//! compose. The mask's entry form is the one exit:
+//! [`mask::point_entries_in_areas`] returns the point entries a
+//! selection's Blend + Mask would keep, for queries that read nothing
+//! else, and [`mask::scatter_point_entries_in_areas`] is the Map over
+//! them, writing only the group canvas.
 
 pub mod blend;
 pub mod chain;
@@ -30,7 +32,7 @@ pub use chain::{
     run_polygons_chain_materialized, CanvasChain, CanvasOp, ChainOutcome,
 };
 pub use dissect::{dissect, dissect_iter, dissect_par, map_scatter};
-pub use mask::{mask, CountCond, MaskSpec};
+pub use mask::{mask, scatter_point_entries_in_areas, CountCond, MaskSpec};
 pub use transform::{
     group_viewport, transform_by_value, transform_positions, PositionMap, ValueMap,
 };

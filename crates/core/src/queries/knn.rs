@@ -43,9 +43,10 @@ fn ball_viewport(vp: Viewport, x: Point, r: f64) -> Viewport {
 /// neighbors of `x` (ties broken by record id, mirroring the paper's
 /// total-order assumption via infinitesimal perturbation).
 ///
-/// Returns record ids ordered by increasing distance.
+/// Returns record ids ordered by increasing distance; none for a
+/// non-finite `x` (as a NaN distance selects nothing).
 pub fn knn(dev: &mut Device, vp: Viewport, data: &PointBatch, x: Point, k: usize) -> Vec<u32> {
-    if k == 0 || data.is_empty() {
+    if k == 0 || data.is_empty() || !x.x.is_finite() || !x.y.is_finite() {
         return Vec::new();
     }
     let k = k.min(data.len());
@@ -59,12 +60,16 @@ pub fn knn(dev: &mut Device, vp: Viewport, data: &PointBatch, x: Point, k: usize
     // ball's viewport, read against a circle just containing the ball,
     // then cut by the true metric. The entries at the smallest viable
     // radius are kept and reused below — no second render of the same
-    // circle.
+    // circle. A rung whose circle cannot be tessellated (the radius
+    // rounds away against a far `x`) selects nothing.
     let mut chosen: Vec<PointEntry> = Vec::new();
     for i in (0..LADDER_STEPS).rev() {
         let r = r_max / (1u32 << i) as f64;
+        let Some(cover) = ball_cover(x, r) else {
+            continue;
+        };
         let cp = render_points(dev, ball_viewport(vp, x, r), data);
-        let mut entries = selected_points(dev, &cp, &ball_cover(x, r));
+        let mut entries = selected_points(dev, &cp, &cover);
         entries.retain(|e| e.loc.dist_sq(x) <= r * r);
         if record_ids(&entries).len() >= k {
             chosen = entries;
@@ -224,6 +229,43 @@ mod tests {
             knn_passes < 2 * per,
             "chosen radius rendered twice: {knn_passes} passes vs {per} per selection"
         );
+    }
+
+    #[test]
+    fn knn_of_a_non_finite_point_is_empty() {
+        // Regression: a NaN query point gave the ball a NaN viewport and
+        // panicked the selection's viewport check.
+        let mut dev = Device::nvidia();
+        let batch = PointBatch::from_points(random_points(50, 12));
+        for x in [
+            Point::new(f64::NAN, 50.0),
+            Point::new(50.0, f64::NAN),
+            Point::new(f64::INFINITY, 50.0),
+            Point::new(50.0, f64::NEG_INFINITY),
+        ] {
+            assert!(knn(&mut dev, vp(), &batch, x, 3).is_empty(), "{x:?}");
+        }
+    }
+
+    #[test]
+    fn knn_of_a_far_point_falls_back_to_the_exact_scan() {
+        // Regression: at 1e16 the ball's circle rounds to a point and
+        // its tessellation panicked; now that rung selects nothing and
+        // the ladder falls through to the exact scan.
+        let mut dev = Device::nvidia();
+        let pts = random_points(60, 13);
+        let batch = PointBatch::from_points(pts.clone());
+        for x in [
+            Point::new(1e16, 50.0),
+            Point::new(-3e17, 1e17),
+            Point::new(1e300, 0.0),
+            Point::new(1e12, 1e12),
+        ] {
+            for k in [1, 3, 60] {
+                let got = knn(&mut dev, vp(), &batch, x, k);
+                assert_eq!(got, brute_knn(&pts, x, k), "x = {x:?}, k = {k}");
+            }
+        }
     }
 
     #[test]

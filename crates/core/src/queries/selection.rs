@@ -228,7 +228,8 @@ pub fn select_points_within_distance_exact(
     // one-point ball of `d = 0`), then the exact distance test.
     let pixel = vp.world().width() / vp.width() as f64;
     let radius = if d > 0.0 { d } else { pixel };
-    let mut sel = select_points_in_polygon(dev, vp, data, &ball_cover(center, radius));
+    let cover = ball_cover(center, radius).expect("circle with positive radius");
+    let mut sel = select_points_in_polygon(dev, vp, data, &cover);
     let d2 = d * d;
     sel.canvas
         .boundary_mut()
@@ -239,9 +240,10 @@ pub fn select_points_within_distance_exact(
 
 /// A tessellated circle slightly larger than the metric ball of radius
 /// `d > 0` around `center`, so it contains the whole ball: the candidate
-/// region of an exact distance selection.
-pub(crate) fn ball_cover(center: Point, d: f64) -> Polygon {
-    Polygon::circle(center, d * 1.01, crate::ops::utility::CIRCLE_SEGMENTS)
+/// region of an exact distance selection. `None` when the circle cannot
+/// be tessellated: `d` rounds away against `center`'s magnitude.
+pub(crate) fn ball_cover(center: Point, d: f64) -> Option<Polygon> {
+    Polygon::try_circle(center, d * 1.01, crate::ops::utility::CIRCLE_SEGMENTS).ok()
 }
 
 /// Result of a polygon-selection query.

@@ -78,7 +78,14 @@ pub enum Query {
     PolygonDensity { table: AreaSource, q: Polygon },
     /// Per-zone aggregation as the Section 4.3 scatter plan:
     /// `D*[γc](M[Mp'](B[⊙](C_P, B*[⊕](C_Y*))))` — the result canvas is
-    /// the group-slot canvas (zone id → slot).
+    /// the group-slot canvas (zone id → slot). The planner runs the plan
+    /// in the mask's entry form (`algebra::planner::entry_sink`): `C_P`
+    /// and `C_Y*` are evaluated (or taken from the subplan cache — a
+    /// `SelectPoints` over the same handle and a `PolygonDensity` over
+    /// the same table publish them), then one walk of `C_P`'s point run
+    /// folds each kept pixel's texel into its zone slot; no blend or
+    /// mask canvas is drawn or published. EXPLAIN labels the folded rows
+    /// `Mp'[#areas>=1] (entries)` and `B[⊙] (fused)`.
     AggregateByZone {
         data: Arc<PointBatch>,
         zones: AreaSource,

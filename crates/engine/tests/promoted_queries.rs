@@ -350,6 +350,54 @@ fn region_time_series_degenerate_windows_and_ranges() {
     assert_eq!(engine.metrics().failed, 0);
 }
 
+/// kNN around a non-finite or far query point is an answer, not a
+/// panic: no neighbours for NaN / ±∞, and the exact scan's neighbours
+/// for a point so far out that the ladder's circles round to points.
+/// Served through the engine, whose leader would otherwise fail with
+/// `LeaderFailed`.
+#[test]
+fn knn_non_finite_and_far_query_points() {
+    let pts = canvas_datagen::taxi_pickups(&extent(), 300, 8);
+    let data = Arc::new(PointBatch::from_points(pts.clone()));
+    let engine = QueryEngine::with_config(EngineConfig {
+        threads: 2,
+        calibrate: false,
+        ..EngineConfig::default()
+    });
+    for (x, k) in [
+        (Point::new(f64::NAN, 50.0), 3),
+        (Point::new(50.0, f64::INFINITY), 3),
+        (Point::new(1e16, 50.0), 3),
+        (Point::new(-1e17, 1e17), 5),
+    ] {
+        let query = Query::Knn {
+            data: data.clone(),
+            x,
+            k,
+        };
+        let resp = engine.execute(&query, vp()).expect("served");
+        let mut want: Vec<(f64, u32)> = pts
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.dist_sq(x), i as u32))
+            .filter(|(d, _)| !d.is_nan())
+            .collect();
+        want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        want.truncate(if x.x.is_finite() && x.y.is_finite() {
+            k as usize
+        } else {
+            0
+        });
+        let want: Vec<u32> = want.into_iter().map(|(_, id)| id).collect();
+        assert_eq!(
+            resp.result.as_ids().expect("ids").as_slice(),
+            want.as_slice(),
+            "{x:?}"
+        );
+    }
+    assert_eq!(engine.metrics().failed, 0);
+}
+
 /// Distinct descriptors must not collide in the cache: one engine serves
 /// all six classes over shared datasets and every response stays
 /// attributable to its own query (fingerprint domains are disjoint).

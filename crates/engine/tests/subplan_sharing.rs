@@ -249,6 +249,61 @@ fn polygon_density_then_aggregate_render_the_zone_canvas_once() {
     );
 }
 
+#[test]
+fn linked_views_leave_the_aggregate_nothing_to_draw() {
+    // The selection publishes `C_P`, the choropleth `C_Y*`; the zone
+    // aggregate after them at the same viewport reads both and walks
+    // the entries: it rasterizes nothing and publishes nothing.
+    let data = data();
+    let zones: AreaSource = Arc::new(canvas_datagen::neighborhoods(&extent(), 6, 3));
+    let engine = QueryEngine::with_config(config(256 << 20));
+    engine
+        .execute(
+            &Query::SelectPoints {
+                data: data.clone(),
+                q: district(),
+            },
+            vp(),
+        )
+        .unwrap();
+    engine
+        .execute(
+            &Query::PolygonDensity {
+                table: zones.clone(),
+                q: district(),
+            },
+            vp(),
+        )
+        .unwrap();
+    let prims = engine.shared().stats().primitives;
+    let published = engine.metrics().subplan_published;
+    let aggregate = Query::AggregateByZone {
+        data: data.clone(),
+        zones: zones.clone(),
+    };
+    let r = engine.execute(&aggregate, vp()).unwrap();
+    assert_eq!(
+        engine.shared().stats().primitives,
+        prims,
+        "the aggregate drew nothing"
+    );
+    assert_eq!(
+        engine.metrics().subplan_published,
+        published,
+        "the aggregate published nothing"
+    );
+    let report = r.report();
+    for label in ["C_P", "C_Y*"] {
+        let row = report
+            .nodes
+            .iter()
+            .find(|n| n.label.starts_with(label))
+            .unwrap();
+        assert_eq!(row.provenance, "shared_cache", "{label}: {report:?}");
+    }
+    assert_canvas_eq(r.canvas(), &cpu_reference(&aggregate, vp()), "aggregate");
+}
+
 /// A subplan cache that records the keys probed and published.
 #[derive(Default)]
 struct Recorder {
@@ -382,9 +437,28 @@ fn skyline_hull_and_aggregate_draw_the_points_once() {
         before + zone_prims,
         "the aggregate draws only its zones"
     );
-    // Skyline's `C_P` plus the aggregate's other interiors: exactly what
-    // the aggregate publishes on its own.
-    assert!(aggregate_published > 1);
+    // Skyline's `C_P` plus the aggregate's other interior: exactly what
+    // the aggregate publishes on its own — its two leaves, `C_P` and
+    // `C_Y*`; the entry form computes no mask or blend to publish.
+    assert_eq!(aggregate_published, 2, "the aggregate publishes its leaves");
+    let alone = Recorder::default();
+    aggregate
+        .prepare()
+        .execute_via(&mut Device::cpu(), vp(), Some(&alone));
+    let mut published: Vec<String> = alone
+        .published
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|k| k.to_string())
+        .collect();
+    published.sort();
+    let mut leaves = vec![
+        plan_node_key(&aggregate, &format!("C_P[{} points]", data.len())),
+        plan_node_key(&aggregate, &format!("C_Y*[{} polygons, ⊕]", zones.len())),
+    ];
+    leaves.sort();
+    assert_eq!(published, leaves, "the aggregate publishes C_P and C_Y*");
     assert_eq!(
         engine.metrics().subplan_published,
         aggregate_published,

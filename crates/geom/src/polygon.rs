@@ -138,6 +138,13 @@ impl Polygon {
     /// Regular polygon approximating a circle (used by the `Circ` utility
     /// operator; the paper renders circles as polygons too).
     pub fn circle(center: Point, radius: f64, segments: usize) -> Self {
+        Polygon::try_circle(center, radius, segments).expect("circle with positive radius")
+    }
+
+    /// [`circle`](Self::circle) as a value: `Err` where the tessellation
+    /// has no area — a zero radius, or a radius that rounds away against
+    /// the centre's magnitude.
+    pub fn try_circle(center: Point, radius: f64, segments: usize) -> Result<Self, PolygonError> {
         let n = segments.max(8);
         let verts = (0..n)
             .map(|i| {
@@ -145,7 +152,7 @@ impl Polygon {
                 center + Point::new(t.cos(), t.sin()) * radius
             })
             .collect();
-        Polygon::simple(verts).expect("circle with positive radius")
+        Polygon::simple(verts)
     }
 
     pub fn outer(&self) -> &Ring {

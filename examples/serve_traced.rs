@@ -28,7 +28,10 @@
 //! configured with a 1 µs slow-query threshold, so every submission is
 //! tail-sampled into `QueryEngine::slow_queries()` with a measured
 //! EXPLAIN ANALYZE report, and the slowest capture's annotated plan
-//! tree is printed at the end (`ExecReport::to_text`).
+//! tree is printed at the end (`ExecReport::to_text`). The example
+//! asserts that every captured report reconciles (node walls within the
+//! execute span) and that the zone aggregate's shows the planner's entry
+//! form (`Mp'[#areas>=1] (entries)`).
 
 use canvas_algebra::engine::{EngineConfig, Query, QueryEngine};
 use canvas_algebra::obs;
@@ -135,6 +138,35 @@ fn main() {
     // Print the slowest capture's annotated plan tree.
     let slow = engine.slow_queries();
     println!("\ntail-sampled slow queries: {} captured", slow.len());
+    // Every report reconciles: exclusive node walls never exceed the
+    // query's execute span. The zone aggregate ran in the planner's
+    // entry form, and its report names the folded `Mp'` row.
+    for entry in &slow {
+        let r = &entry.report;
+        let node_walls: u64 = r.nodes.iter().map(|n| n.wall_ns).sum();
+        assert!(
+            node_walls <= r.execute_ns,
+            "{}: node walls {node_walls} ns exceed execute {} ns",
+            entry.label,
+            r.execute_ns
+        );
+    }
+    let aggregates: Vec<_> = slow
+        .iter()
+        .filter(|e| e.label == "aggregate_by_zone")
+        .collect();
+    assert!(!aggregates.is_empty(), "the aggregate was captured");
+    for entry in aggregates {
+        assert!(
+            entry
+                .report
+                .nodes
+                .iter()
+                .any(|n| n.label == "Mp'[#areas>=1] (entries)"),
+            "the aggregate report shows the entry form:\n{}",
+            entry.report.to_text()
+        );
+    }
     if let Some(worst) = slow.iter().max_by_key(|e| e.service_ns) {
         println!(
             "slowest: {} ({}, {:.2} ms)\n",

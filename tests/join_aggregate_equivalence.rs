@@ -4,6 +4,7 @@
 //! inputs (`joins_and_aggregates_match_brute_force`).
 
 use canvas_algebra::prelude::*;
+use canvas_core::algebra::SourceSpec;
 use canvas_core::queries::{aggregate, join};
 use canvas_core::SpatialTable;
 use proptest::prelude::*;
@@ -317,5 +318,271 @@ proptest! {
             prop_assert_eq!(&pruned, &full);
             prop_assert_eq!(&by_table, &full);
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The zone aggregate's entry form against the dense chain.
+// ---------------------------------------------------------------------
+
+/// The spec: `D*[γc](M[Mp(cond)](B[⊙](cp, r)))` composed by hand from
+/// the public operators — the dense chain the planner's entry form
+/// replaces.
+fn dense_aggregate(
+    cp: &Canvas,
+    r: &Canvas,
+    cond: CountCond,
+    groups: u32,
+    combine: BlendFn,
+) -> Canvas {
+    let mut dev = Device::cpu();
+    let merged = blend(&mut dev, cp, r, BlendFn::PointOverArea);
+    let kept = mask(&mut dev, &merged, &MaskSpec::PointInAreas(cond));
+    map_scatter(
+        &mut dev,
+        &kept,
+        &ValueMap::area_id_slot(),
+        group_viewport(groups),
+        combine,
+    )
+}
+
+fn aggregate_plan(left: Expr, right: Expr, cond: CountCond, groups: u32, combine: BlendFn) -> Expr {
+    Expr::map_scatter(
+        ValueMap::area_id_slot(),
+        groups,
+        combine,
+        Expr::mask(
+            MaskSpec::PointInAreas(cond),
+            Expr::blend(BlendFn::PointOverArea, left, right),
+        ),
+    )
+}
+
+fn assert_same_canvas(got: &Canvas, want: &Canvas, ctx: &str) {
+    assert_eq!(got.viewport(), want.viewport(), "{ctx}: viewport");
+    // Bit for bit: compare the f32 patterns, not the values.
+    let bits = |c: &Canvas| -> Vec<[u32; 7]> {
+        c.texels()
+            .texels()
+            .iter()
+            .map(|t| {
+                let d = |i: usize| {
+                    t.get(i)
+                        .map_or([0; 2], |d| [d.v1.to_bits(), d.v2.to_bits()])
+                };
+                let id = |i: usize| t.get(i).map_or(u32::MAX, |d| d.id);
+                let [a, b] = d(0);
+                let [c2, d2] = d(2);
+                [id(0), a, b, id(2), c2, d2, t.has(1) as u32]
+            })
+            .collect()
+    };
+    assert_eq!(bits(got), bits(want), "{ctx}: texel bits differ");
+    assert_eq!(got.texels(), want.texels(), "{ctx}: texel planes differ");
+    assert_eq!(got.cover(), want.cover(), "{ctx}: cover planes differ");
+    assert_eq!(got.boundary(), want.boundary(), "{ctx}: indexes differ");
+}
+
+/// Serves one canvas under one key: a layered `C_P` for the points leaf.
+struct ServeOne(Fingerprint, Arc<Canvas>);
+
+impl canvas_core::algebra::SubplanCache for ServeOne {
+    fn get(&self, fp: Fingerprint, _: &Viewport) -> Option<Arc<Canvas>> {
+        (fp == self.0).then(|| Arc::clone(&self.1))
+    }
+
+    fn publish(&self, _: Fingerprint, _: &Viewport, _: &Arc<Canvas>) {}
+}
+
+/// A quadrilateral with a quadrilateral hole, its corner at `(x, y)`.
+fn holed_zone(x: f64, y: f64, side: f64) -> Polygon {
+    let ring = |pts: [(f64, f64); 4]| {
+        canvas_geom::polygon::Ring::new(
+            pts.iter()
+                .map(|&(u, v)| Point::new(x + u * side, y + v * side))
+                .collect(),
+        )
+        .unwrap()
+    };
+    Polygon::new(
+        ring([(0.0, 0.0), (1.0, 0.05), (0.95, 1.0), (0.02, 0.9)]),
+        vec![ring([(0.3, 0.3), (0.7, 0.32), (0.66, 0.7), (0.28, 0.64)])],
+    )
+}
+
+/// Clustered points over `[0, 100)²` — many share a pixel, so boundary
+/// pixels hold several survivors — with weights mixing magnitudes whose
+/// f32 sums round differently by summation order.
+fn clustered_batch(seed: u64, n: usize) -> PointBatch {
+    let mut state = seed.max(1);
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let magnitudes = [1.0f32, 3.0e-8, 16_777_216.0, 0.1, 7.0, 1.0e-3, 0.3];
+    let (mut points, mut weights) = (Vec::new(), Vec::new());
+    for _ in 0..n {
+        let p = Point::new(next() * 100.0, next() * 100.0);
+        for _ in 0..1 + (next() * 4.0) as usize {
+            points.push(p + Point::new(next() * 1.5, next() * 1.5));
+            weights.push(magnitudes[(next() * magnitudes.len() as f64) as usize]);
+        }
+    }
+    PointBatch::with_weights(points, weights)
+}
+
+#[test]
+fn zone_aggregate_entry_form_equals_the_dense_chain() {
+    let vp = oracle_vp();
+    // Overlapping quads, a holed zone overlapping them, and one zone
+    // beyond every point.
+    let mut zones = quads(
+        &[
+            (10.0, 10.0, 45.0),
+            (30.0, 25.0, 50.0),
+            (5.0, 50.0, 40.0),
+            (60.0, 5.0, 30.0),
+        ],
+        0.0,
+    );
+    zones.push(holed_zone(20.0, 15.0, 60.0));
+    zones.push(holed_zone(180.0, 180.0, 40.0));
+    let table: AreaSource = Arc::new(zones.clone());
+    let groups = zones.len() as u32;
+    let rights = [
+        ("C_Y*", Expr::polygon_set(table.clone(), BlendFn::AreaCount)),
+        ("C_Y", Expr::polygon_record(table.clone(), 4, 2)),
+        (
+            "Circ",
+            Expr::Source(SourceSpec::Circle {
+                center: Point::new(50.0, 45.0),
+                radius: 33.0,
+                id: 3,
+            }),
+        ),
+        (
+            "Rect",
+            Expr::Source(SourceSpec::Rect {
+                l1: Point::new(12.3, 20.7),
+                l2: Point::new(77.1, 64.9),
+                id: 1,
+            }),
+        ),
+        (
+            "HS",
+            Expr::Source(SourceSpec::HalfSpace {
+                a: 1.0,
+                b: 0.7,
+                c: -90.0,
+                id: 5,
+            }),
+        ),
+    ];
+    let mut conds = Vec::new();
+    for k in 0..=3 {
+        conds.extend([CountCond::Eq(k), CountCond::Ge(k)]);
+    }
+    let data = Arc::new(clustered_batch(97, 900));
+    // A 2-level `C_P`: the live heatmap of a prefix, patched with the
+    // rest (the live path stacks the delta as a second level).
+    let split = data.len() - data.len() / 6;
+    let prefix = PointBatch {
+        points: data.points[..split].to_vec(),
+        ids: data.ids[..split].to_vec(),
+        weights: data.weights[..split].to_vec(),
+    };
+    let mut dev = Device::cpu();
+    let before = render_live_heatmap(&mut dev, vp, &prefix, None);
+    let (layered, _) = patch_live_heatmap(&mut dev, vp, &before, &data, split, None);
+    assert_eq!(layered.boundary().point_levels().len(), 2, "a layered C_P");
+    let layered = Arc::new(layered);
+    let flat = Arc::new(render_points(&mut dev, vp, &data));
+    let points_key = Expr::points(data.clone()).fingerprint();
+
+    let mut kept_somewhere = false;
+    for threads in [1usize, 2, 3, 8] {
+        let mut dev = if threads == 1 {
+            Device::cpu()
+        } else {
+            Device::cpu_parallel(threads)
+        };
+        // Walk in bands on the pool however small the run is.
+        dev.pool().set_min_work_override(1);
+        for (name, right) in &rights {
+            let r = right.eval(&mut Device::cpu(), vp);
+            for &cond in &conds {
+                for combine in [BlendFn::Accumulate, BlendFn::PointAccumulate] {
+                    let plan = aggregate_plan(
+                        Expr::points(data.clone()),
+                        right.clone(),
+                        cond,
+                        groups,
+                        combine,
+                    );
+                    assert!(canvas_core::algebra::entry_sink(&plan).is_some());
+                    for (cp, layout) in [(&flat, "flat"), (&layered, "layered")] {
+                        let ctx = format!(
+                            "{layout} C_P over {name}, {cond:?}, {combine:?}, threads={threads}"
+                        );
+                        let serve = ServeOne(points_key, Arc::clone(cp));
+                        let before = dev.stats();
+                        let got = plan.eval_via(&mut dev, vp, Some(&serve));
+                        let work = dev.stats().delta(&before);
+                        assert_eq!(work.scatter_reads, 0, "{ctx}: no scatter pass");
+                        let want = dense_aggregate(cp, &r, cond, groups, combine);
+                        assert_same_canvas(&got, &want, &ctx);
+                        kept_somewhere |= !want.is_empty();
+                    }
+                }
+            }
+        }
+    }
+    assert!(kept_somewhere, "the spec is not trivially empty");
+}
+
+#[test]
+fn rejected_shapes_stay_dense() {
+    let vp = oracle_vp();
+    let zones: AreaSource = Arc::new(quads(&[(10.0, 10.0, 45.0), (30.0, 25.0, 50.0)], 0.0));
+    let data = Arc::new(clustered_batch(5, 300));
+    let other = Arc::new(clustered_batch(6, 300));
+    let mut dev = Device::cpu();
+    let cp = render_points(&mut dev, vp, &data);
+    let cy = render_polygon_set(&mut dev, vp, &zones, BlendFn::AreaCount);
+    // A right operand carrying point entries (the trap: the dense mask
+    // keeps them, the walk would not see them), and a literal left.
+    let other_points = render_points(&mut dev, vp, &other);
+    let with_points = blend(&mut dev, &other_points, &cy, BlendFn::Over);
+    let cases = [
+        (
+            "points in the right operand",
+            Expr::points(data.clone()),
+            Expr::literal(with_points.clone()),
+            &cp,
+            &with_points,
+        ),
+        (
+            "literal left operand",
+            Expr::literal(cp.clone()),
+            Expr::polygon_set(zones.clone(), BlendFn::AreaCount),
+            &cp,
+            &cy,
+        ),
+    ];
+    for (name, left, right, cp, r) in cases {
+        let plan = aggregate_plan(left, right, CountCond::Ge(1), 2, BlendFn::Accumulate);
+        assert!(canvas_core::algebra::entry_sink(&plan).is_none(), "{name}");
+        let before = dev.stats();
+        let got = plan.eval(&mut dev, vp);
+        assert!(
+            dev.stats().delta(&before).scatter_reads > 0,
+            "{name}: the dense scatter ran"
+        );
+        let want = dense_aggregate(cp, r, CountCond::Ge(1), 2, BlendFn::Accumulate);
+        assert_same_canvas(&got, &want, name);
+        assert!(!want.is_empty(), "{name}: non-trivial");
     }
 }
