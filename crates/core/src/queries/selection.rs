@@ -212,8 +212,9 @@ pub fn select_points_within_distance(
 
 /// Distance selection with a final exact metric filter (cheap: only the
 /// already-selected candidates plus near-boundary points are checked).
-/// A negative or NaN distance selects nothing; distance zero selects
-/// the records exactly at `center`.
+/// A negative or NaN distance selects nothing, and so does a centre
+/// that is not finite; distance zero selects the records exactly at
+/// `center`.
 pub fn select_points_within_distance_exact(
     dev: &mut Device,
     vp: Viewport,
@@ -221,14 +222,17 @@ pub fn select_points_within_distance_exact(
     center: Point,
     d: f64,
 ) -> PointSelection {
-    if d.is_nan() || d < 0.0 {
+    if d.is_nan() || d < 0.0 || !center.x.is_finite() || !center.y.is_finite() {
         return nothing_selected(vp);
     }
     // Candidates in a circle containing the ball (a pixel wide for the
-    // one-point ball of `d = 0`), then the exact distance test.
+    // one-point ball of `d = 0`), then the exact distance test. A radius
+    // that rounds away against the centre's magnitude has no circle; the
+    // whole viewport is then the candidate region, and the exact test
+    // alone decides.
     let pixel = vp.world().width() / vp.width() as f64;
     let radius = if d > 0.0 { d } else { pixel };
-    let cover = ball_cover(center, radius).expect("circle with positive radius");
+    let cover = ball_cover(center, radius).unwrap_or_else(|| Polygon::rect(vp.world()));
     let mut sel = select_points_in_polygon(dev, vp, data, &cover);
     let d2 = d * d;
     sel.canvas
@@ -526,6 +530,28 @@ mod tests {
         assert_eq!(exact.canvas.boundary().num_points(), 2);
         let tessellated = select_points_within_distance(&mut dev, vp(64), &data, center, 0.0);
         assert!(tessellated.records.is_empty());
+    }
+
+    #[test]
+    fn exact_distance_of_a_far_or_non_finite_centre_matches_a_scan() {
+        // Regression: a centre far enough that the cover circle rounds
+        // away (or a NaN one) panicked with "circle with positive radius".
+        let mut dev = Device::nvidia();
+        let pts = random_points(300, 77);
+        let data = PointBatch::from_points(pts.clone());
+        for center in [Point::new(1e16, 50.0), Point::new(f64::NAN, 50.0)] {
+            for d in [0.0, 1.0, 2e16] {
+                let sel = select_points_within_distance_exact(&mut dev, vp(64), &data, center, d);
+                let finite = center.x.is_finite() && center.y.is_finite();
+                let expect: Vec<u32> = pts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| finite && p.dist_sq(center) <= d * d)
+                    .map(|(i, _)| i as u32)
+                    .collect();
+                assert_eq!(sel.records, expect, "center {center:?}, d = {d}");
+            }
+        }
     }
 
     #[test]

@@ -50,13 +50,71 @@
 //! [`CacheStats`] — the repo benchmark's `engine.*` cache metrics read
 //! them; root and shared probes are tallied separately so the root hit
 //! rate stays comparable across changes.
+//!
+//! ## Entries live with their viewport
+//!
+//! The budget alone keeps canvases nobody reads again: an exploration
+//! walk never revisits a viewport, yet its interiors and first-touch
+//! roots sat in the cache until the budget pushed them out. So the
+//! cache also tracks a **viewport window** — the K most recently
+//! *computed-at* viewports ([`CanvasCache::new`]). An insert of
+//! either class and a shared probe (both happen only while a query
+//! evaluates at that viewport) move their viewport to the front; a
+//! root probe never does, so a repeat question answered from the cache
+//! does no window work. When a viewport falls out of the window, its
+//! entries **retire** ([`CacheStats::retired`], not `evictions`: the
+//! budget did not force them out):
+//!
+//! * every shared interior at that viewport — an interior serves the
+//!   sibling views rendered at its viewport, and those evaluations are
+//!   over once the viewport is cold;
+//! * every **unprotected** root at that viewport.
+//!
+//! Roots must earn their place, as in 2Q's doorkeeper (Johnson &
+//! Shasha, VLDB 1994). A root enters **on probation**, so "compute,
+//! then re-ask at the same viewport" still hits while the viewport is
+//! warm. A root-traffic hit **protects** it ([`CacheStats::promoted`]);
+//! a protected root never retires and leaves only under budget
+//! pressure. An unprotected root that retires leaves its key in a
+//! bounded FIFO **ghost set** (the last 1,024 such keys), and a later
+//! insert of a ghost key enters protected: a client that cycles more
+//! viewports than the window holds gets its working set in on the
+//! second visit. A root the engine can patch forward (an incremental
+//! refresh finds its predecessor generation by key) enters protected
+//! too, or every append would re-render in full.
+//!
+//! The engine sets K to its admission permit count
+//! (`EngineConfig::max_concurrent`): at most K evaluations run at once,
+//! each at one viewport, so the window holds every viewport a running
+//! evaluation can still publish to or probe. K is derived, not a knob.
+//! A window twice as wide keeps a whole extra step of interiors (a
+//! 512² step publishes ~55 MiB of them). Budget eviction is unchanged:
+//! roots LRU first, interiors only once no root remains.
+//!
+//! Measured on a 2-vCPU host with the repo benchmark (`--seed 7`,
+//! K = 2, medians of alternating runs against the budget-only cache);
+//! every result digest and work counter unchanged:
+//!
+//! | workload | `peak_rss_mb` | `engine.cache_peak_mb` | budget evictions |
+//! |---|---|---|---|
+//! | `analytics_batch` | 338 → 53 | 237 → 16 | 0 → 0 |
+//! | `explore_cold` | 375 → 236 | 252 → 168 | 299 → 0 |
+//! | `dashboard_revisit` | 208 → 159 | 126 → 71–74 | 0 → 0 |
+//! | `live_ingest` | 121 → 121 | 7.9 → 7.9 | 0 → 0 |
+//!
+//! Entries are indexed by viewport, so retiring a viewport costs the
+//! entries it unlinks, not a scan of the map; their values are dropped
+//! after the cache lock is released.
 
 use crate::result::QueryResult;
 use canvas_core::algebra::Fingerprint;
 use canvas_core::Canvas;
 use canvas_raster::Viewport;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
+
+/// How many retired probationary root keys the ghost set remembers.
+const GHOST_CAPACITY: usize = 1024;
 
 /// A type-erased keep-alive handle. Fingerprints identify big datasets
 /// by `Arc` address, so every cache entry pins the dataset handles its
@@ -114,6 +172,10 @@ pub enum EntryClass {
 /// ([`CanvasCache::get`]) and shared subplan probes
 /// ([`CanvasCache::get_shared`]) are tallied separately; byte/entry
 /// gauges cover both classes, with the shared slice broken out.
+///
+/// Every accepted insert leaves the cache exactly once, so
+/// `insertions == entries + evictions + retired + removed + replaced`
+/// holds at every snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Root (whole-plan) probe hits.
@@ -124,8 +186,19 @@ pub struct CacheStats {
     pub shared_hits: u64,
     /// Shared (subplan) probe misses.
     pub shared_misses: u64,
+    /// Accepted inserts (both classes).
     pub insertions: u64,
+    /// Entries pushed out by the byte budget.
     pub evictions: u64,
+    /// Entries unlinked because their viewport left the window (shared
+    /// interiors and unprotected roots; module docs).
+    pub retired: u64,
+    /// Entries taken out by [`CanvasCache::remove`].
+    pub removed: u64,
+    /// Entries superseded by a later insert of the same key.
+    pub replaced: u64,
+    /// Probationary roots protected by a root-traffic hit.
+    pub promoted: u64,
     /// Insertions refused because the entry alone exceeds the budget.
     pub rejected_oversize: u64,
     /// Bytes currently resident (both classes).
@@ -176,6 +249,60 @@ struct Entry {
     /// Recency stamp; also the entry's key in its class's order map.
     tick: u64,
     class: EntryClass,
+    /// A root that earned its place (module docs); never retires.
+    protected: bool,
+}
+
+impl Entry {
+    /// Whether the entry leaves when its viewport leaves the window.
+    fn retires(&self) -> bool {
+        self.class == EntryClass::Shared || !self.protected
+    }
+}
+
+/// The K most recently computed-at viewports, oldest first.
+struct Window {
+    len: usize,
+    recent: VecDeque<ViewportKey>,
+}
+
+impl Window {
+    /// Makes `vp` the most recent viewport; returns the one that fell
+    /// out of the window, if any.
+    fn advance(&mut self, vp: ViewportKey) -> Option<ViewportKey> {
+        if self.recent.back() == Some(&vp) {
+            return None;
+        }
+        if let Some(i) = self.recent.iter().position(|&v| v == vp) {
+            self.recent.remove(i);
+        }
+        self.recent.push_back(vp);
+        if self.recent.len() > self.len {
+            self.recent.pop_front()
+        } else {
+            None
+        }
+    }
+}
+
+/// Bounded FIFO of retired probationary root keys.
+#[derive(Default)]
+struct Ghosts {
+    fifo: VecDeque<CacheKey>,
+    keys: HashSet<CacheKey>,
+}
+
+impl Ghosts {
+    fn remember(&mut self, key: CacheKey) {
+        if !self.keys.insert(key) {
+            return;
+        }
+        self.fifo.push_back(key);
+        if self.fifo.len() > GHOST_CAPACITY {
+            let oldest = self.fifo.pop_front().expect("over capacity");
+            self.keys.remove(&oldest);
+        }
+    }
 }
 
 struct Inner {
@@ -187,6 +314,11 @@ struct Inner {
     /// interiors (module docs).
     root_order: BTreeMap<u64, CacheKey>,
     shared_order: BTreeMap<u64, CacheKey>,
+    window: Window,
+    /// The entries that retire with their viewport ([`Entry::retires`]),
+    /// by viewport.
+    retiring: HashMap<ViewportKey, HashSet<Fingerprint>>,
+    ghosts: Ghosts,
     stats: CacheStats,
 }
 
@@ -198,11 +330,38 @@ impl Inner {
         }
     }
 
-    /// Unlinks an entry from the map, its order index, and the byte
-    /// gauges (shared slice included). Does not count an eviction.
+    /// Links a new entry into the map, its order index, the viewport
+    /// index and the byte gauges. The key must not be live.
+    fn link(&mut self, key: CacheKey, entry: Entry) {
+        self.order_mut(entry.class).insert(entry.tick, key);
+        if entry.retires() {
+            self.retiring
+                .entry(key.viewport)
+                .or_default()
+                .insert(key.fingerprint);
+        }
+        self.stats.bytes += entry.bytes;
+        self.stats.entries += 1;
+        if entry.class == EntryClass::Shared {
+            self.stats.shared_bytes += entry.bytes;
+            self.stats.shared_entries += 1;
+        }
+        if entry.value.as_canvas().is_none() {
+            self.stats.result_bytes += entry.bytes;
+            self.stats.result_entries += 1;
+        }
+        self.map.insert(key, entry);
+    }
+
+    /// Unlinks an entry from the map, its order index, the viewport
+    /// index and the byte gauges (shared slice included). Counts
+    /// nothing else: the caller says why the entry left.
     fn unlink(&mut self, key: &CacheKey) -> Option<Entry> {
         let entry = self.map.remove(key)?;
         self.order_mut(entry.class).remove(&entry.tick);
+        if entry.retires() {
+            self.unindex(key);
+        }
         self.stats.bytes -= entry.bytes;
         self.stats.entries -= 1;
         if entry.class == EntryClass::Shared {
@@ -214,6 +373,35 @@ impl Inner {
             self.stats.result_entries -= 1;
         }
         Some(entry)
+    }
+
+    fn unindex(&mut self, key: &CacheKey) {
+        if let Some(fps) = self.retiring.get_mut(&key.viewport) {
+            fps.remove(&key.fingerprint);
+            if fps.is_empty() {
+                self.retiring.remove(&key.viewport);
+            }
+        }
+    }
+
+    /// Moves `vp` to the front of the window and retires the entries of
+    /// the viewport that fell out, into `dropped`.
+    fn advance(&mut self, vp: ViewportKey, dropped: &mut Vec<Entry>) {
+        let Some(cold) = self.window.advance(vp) else {
+            return;
+        };
+        for fingerprint in self.retiring.remove(&cold).unwrap_or_default() {
+            let key = CacheKey {
+                fingerprint,
+                viewport: cold,
+            };
+            let entry = self.unlink(&key).expect("viewport index/map in sync");
+            if entry.class == EntryClass::Root {
+                self.ghosts.remember(key);
+            }
+            self.stats.retired += 1;
+            dropped.push(entry);
+        }
     }
 }
 
@@ -229,7 +417,8 @@ impl Inner {
 /// use canvas_raster::Viewport;
 /// use std::sync::Arc;
 ///
-/// let cache = CanvasCache::new(1 << 20); // 1 MiB byte budget
+/// // A 1 MiB byte budget; entries live with the last 2 viewports.
+/// let cache = CanvasCache::new(1 << 20, 2);
 /// let vp = Viewport::new(
 ///     BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0)),
 ///     8,
@@ -239,7 +428,7 @@ impl Inner {
 /// assert!(cache.get(&key).is_none());
 ///
 /// let canvas = Arc::new(Canvas::empty(vp));
-/// cache.insert(key, Arc::clone(&canvas), Vec::new());
+/// cache.insert(key, Arc::clone(&canvas), Vec::new(), false);
 /// // A hit returns the same shared payload — bit-identity for free.
 /// assert!(Arc::ptr_eq(cache.get(&key).unwrap().canvas(), &canvas));
 /// assert_eq!(cache.stats().hits, 1);
@@ -250,9 +439,12 @@ pub struct CanvasCache {
 
 impl CanvasCache {
     /// A cache holding at most `budget_bytes` of canvas planes
-    /// (`Canvas::size_bytes`). A budget of 0 disables caching — every
-    /// probe misses, every insert is rejected.
-    pub fn new(budget_bytes: usize) -> Self {
+    /// (`Canvas::size_bytes`), whose retirable entries live with the
+    /// `viewports` (at least 1) most recently computed-at viewports
+    /// (module docs). The engine passes its admission permit count. A
+    /// budget of 0 disables caching — every probe misses, every insert
+    /// is rejected.
+    pub fn new(budget_bytes: usize, viewports: usize) -> Self {
         CanvasCache {
             inner: Mutex::new(Inner {
                 budget: budget_bytes,
@@ -260,6 +452,12 @@ impl CanvasCache {
                 map: HashMap::new(),
                 root_order: BTreeMap::new(),
                 shared_order: BTreeMap::new(),
+                window: Window {
+                    len: viewports.max(1),
+                    recent: VecDeque::new(),
+                },
+                retiring: HashMap::new(),
+                ghosts: Ghosts::default(),
                 stats: CacheStats::default(),
             }),
         }
@@ -273,14 +471,16 @@ impl CanvasCache {
 
     /// Probes the cache as **root** traffic, refreshing the entry's
     /// recency on a hit. Either entry class can satisfy the probe (one
-    /// keyspace — module docs).
+    /// keyspace — module docs). A hit protects a probationary root; the
+    /// probe never advances the viewport window.
     pub fn get(&self, key: &CacheKey) -> Option<QueryResult> {
         self.probe(key, EntryClass::Root)
     }
 
     /// Probes the cache as **shared subplan** traffic (counted in
     /// `shared_hits`/`shared_misses`, so interior probes never skew
-    /// the root hit rate). Either entry class can satisfy the probe.
+    /// the root hit rate), and advances the viewport window to the
+    /// key's viewport. Either entry class can satisfy the probe.
     ///
     /// Subplan intermediates are always canvases; the fingerprint
     /// domains of the non-canvas query classes are disjoint from plan
@@ -292,46 +492,67 @@ impl CanvasCache {
     }
 
     fn probe(&self, key: &CacheKey, traffic: EntryClass) -> Option<QueryResult> {
+        let mut dropped = Vec::new();
         let mut inner = self.lock();
+        if traffic == EntryClass::Shared {
+            inner.advance(key.viewport, &mut dropped);
+        }
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                let old = std::mem::replace(&mut entry.tick, tick);
-                let class = entry.class;
-                let value = entry.value.clone();
-                inner.order_mut(class).remove(&old);
-                inner.order_mut(class).insert(tick, *key);
-                match traffic {
-                    EntryClass::Root => inner.stats.hits += 1,
-                    EntryClass::Shared => inner.stats.shared_hits += 1,
-                }
-                Some(value)
+        let Some(entry) = inner.map.get_mut(key) else {
+            match traffic {
+                EntryClass::Root => inner.stats.misses += 1,
+                EntryClass::Shared => inner.stats.shared_misses += 1,
             }
-            None => {
-                match traffic {
-                    EntryClass::Root => inner.stats.misses += 1,
-                    EntryClass::Shared => inner.stats.shared_misses += 1,
-                }
-                None
-            }
+            return None;
+        };
+        let old = std::mem::replace(&mut entry.tick, tick);
+        let class = entry.class;
+        let value = entry.value.clone();
+        let promote = traffic == EntryClass::Root && class == EntryClass::Root && !entry.protected;
+        entry.protected |= promote;
+        inner.order_mut(class).remove(&old);
+        inner.order_mut(class).insert(tick, *key);
+        match traffic {
+            EntryClass::Root => inner.stats.hits += 1,
+            EntryClass::Shared => inner.stats.shared_hits += 1,
         }
+        if promote {
+            inner.unindex(key);
+            inner.stats.promoted += 1;
+        }
+        Some(value)
     }
 
     /// Inserts (or refreshes) a **root** (whole-plan) entry, then
     /// evicts until the budget holds. `pins` are the dataset handles
     /// the key's fingerprint identified by address (see [`DataPin`]).
     /// Accepts any [`QueryResult`] payload (an `Arc<Canvas>` converts
-    /// implicitly). Returns the number of evictions this insert caused.
-    pub fn insert(&self, key: CacheKey, value: impl Into<QueryResult>, pins: Vec<DataPin>) -> u64 {
-        self.insert_classed(key, value.into(), pins, EntryClass::Root)
+    /// implicitly). A `patchable` result — one a later generation is
+    /// patched forward from — enters protected; so does a key the ghost
+    /// set remembers; any other root enters on probation (module docs).
+    /// Returns the number of evictions this insert caused.
+    pub fn insert(
+        &self,
+        key: CacheKey,
+        value: impl Into<QueryResult>,
+        pins: Vec<DataPin>,
+        patchable: bool,
+    ) -> u64 {
+        self.insert_classed(key, value.into(), pins, EntryClass::Root, patchable)
     }
 
     /// Inserts a **shared subplan** intermediate (always a canvas) —
     /// lower eviction priority than roots, bytes broken out in
     /// [`CacheStats::shared_bytes`]. Returns the evictions caused.
     pub fn insert_shared(&self, key: CacheKey, canvas: Arc<Canvas>, pins: Vec<DataPin>) -> u64 {
-        self.insert_classed(key, QueryResult::Canvas(canvas), pins, EntryClass::Shared)
+        self.insert_classed(
+            key,
+            QueryResult::Canvas(canvas),
+            pins,
+            EntryClass::Shared,
+            false,
+        )
     }
 
     fn insert_classed(
@@ -340,23 +561,31 @@ impl CanvasCache {
         value: QueryResult,
         pins: Vec<DataPin>,
         class: EntryClass,
+        patchable: bool,
     ) -> u64 {
         let bytes = value.size_bytes();
+        // Unlinked entries are dropped after the guard below: freeing
+        // canvas planes is not the cache lock's work.
+        let mut dropped = Vec::new();
         let mut inner = self.lock();
+        inner.advance(key.viewport, &mut dropped);
         if bytes > inner.budget {
             inner.stats.rejected_oversize += 1;
             return 0;
         }
         inner.tick += 1;
         let tick = inner.tick;
+        let protected =
+            class == EntryClass::Root && (patchable || inner.ghosts.keys.contains(&key));
         // Re-insert of a live key (e.g. two leaders raced, two queries
         // rendered the same subplan concurrently, or a subplan publish
         // lands on an existing root result): replace; the new insert's
-        // class wins.
-        inner.unlink(&key);
-        inner.order_mut(class).insert(tick, key);
-        let non_canvas = value.as_canvas().is_none();
-        inner.map.insert(
+        // class and protection win.
+        if let Some(old) = inner.unlink(&key) {
+            inner.stats.replaced += 1;
+            dropped.push(old);
+        }
+        inner.link(
             key,
             Entry {
                 value,
@@ -364,18 +593,9 @@ impl CanvasCache {
                 bytes,
                 tick,
                 class,
+                protected,
             },
         );
-        inner.stats.bytes += bytes;
-        inner.stats.entries += 1;
-        if class == EntryClass::Shared {
-            inner.stats.shared_bytes += bytes;
-            inner.stats.shared_entries += 1;
-        }
-        if non_canvas {
-            inner.stats.result_bytes += bytes;
-            inner.stats.result_entries += 1;
-        }
         inner.stats.insertions += 1;
 
         let mut evicted = 0;
@@ -395,7 +615,7 @@ impl CanvasCache {
                 debug_assert!(inner.map.len() == 1, "only the newcomer may remain");
                 break;
             };
-            inner.unlink(&lru_key).expect("order/map in sync");
+            dropped.push(inner.unlink(&lru_key).expect("order/map in sync"));
             inner.stats.evictions += 1;
             evicted += 1;
         }
@@ -405,12 +625,19 @@ impl CanvasCache {
         evicted
     }
 
-    /// Removes one entry outright (not counted as an eviction — the
-    /// caller is retiring a superseded result, e.g. a predecessor
-    /// generation's canvas after an incremental refresh published its
-    /// successor). Returns whether the key was live.
+    /// Removes one entry outright (counted in [`CacheStats::removed`],
+    /// not as an eviction — the caller is retiring a superseded result,
+    /// e.g. a predecessor generation's canvas after an incremental
+    /// refresh published its successor). Returns whether the key was
+    /// live.
     pub fn remove(&self, key: &CacheKey) -> bool {
-        self.lock().unlink(key).is_some()
+        let entry = {
+            let mut inner = self.lock();
+            let entry = inner.unlink(key);
+            inner.stats.removed += u64::from(entry.is_some());
+            entry
+        };
+        entry.is_some()
     }
 
     pub fn stats(&self) -> CacheStats {
@@ -446,11 +673,11 @@ mod tests {
 
     #[test]
     fn hit_returns_same_arc_and_counts() {
-        let cache = CanvasCache::new(1 << 20);
+        let cache = CanvasCache::new(1 << 20, 1);
         let c = canvas(8);
         let k = key(1, &vp(8));
         assert!(cache.get(&k).is_none());
-        cache.insert(k, Arc::clone(&c), Vec::new());
+        cache.insert(k, Arc::clone(&c), Vec::new(), false);
         let hit = cache.get(&k).expect("hit");
         assert!(Arc::ptr_eq(hit.canvas(), &c));
         let s = cache.stats();
@@ -460,11 +687,11 @@ mod tests {
 
     #[test]
     fn distinct_viewports_are_distinct_entries() {
-        let cache = CanvasCache::new(1 << 20);
+        let cache = CanvasCache::new(1 << 20, 1);
         let k8 = key(1, &vp(8));
         let k16 = key(1, &vp(16));
         assert_ne!(k8, k16);
-        cache.insert(k8, canvas(8), Vec::new());
+        cache.insert(k8, canvas(8), Vec::new(), false);
         assert!(cache.get(&k16).is_none());
         assert!(cache.get(&k8).is_some());
     }
@@ -473,13 +700,13 @@ mod tests {
     fn lru_eviction_under_tiny_budget() {
         let one = canvas(16).size_bytes();
         // Room for two entries, not three.
-        let cache = CanvasCache::new(2 * one + one / 2);
+        let cache = CanvasCache::new(2 * one + one / 2, 1);
         let keys: Vec<CacheKey> = (0..3).map(|i| key(i, &vp(16))).collect();
-        cache.insert(keys[0], canvas(16), Vec::new());
-        cache.insert(keys[1], canvas(16), Vec::new());
+        cache.insert(keys[0], canvas(16), Vec::new(), false);
+        cache.insert(keys[1], canvas(16), Vec::new(), false);
         // Touch 0 so 1 is the LRU.
         assert!(cache.get(&keys[0]).is_some());
-        let evicted = cache.insert(keys[2], canvas(16), Vec::new());
+        let evicted = cache.insert(keys[2], canvas(16), Vec::new(), false);
         assert_eq!(evicted, 1);
         assert!(cache.get(&keys[1]).is_none(), "LRU entry evicted");
         assert!(cache.get(&keys[0]).is_some());
@@ -495,9 +722,9 @@ mod tests {
     fn peak_bytes_never_exceeds_the_budget() {
         let payload = || QueryResult::Ids(Arc::new(vec![0; 4]));
         assert_eq!(payload().size_bytes(), 40);
-        let cache = CanvasCache::new(100);
+        let cache = CanvasCache::new(100, 1);
         for fp in 0..3 {
-            cache.insert(key(fp, &vp(8)), payload(), Vec::new());
+            cache.insert(key(fp, &vp(8)), payload(), Vec::new(), false);
         }
         let s = cache.stats();
         assert_eq!((s.evictions, s.bytes), (1, 80));
@@ -508,9 +735,9 @@ mod tests {
     fn one_keyspace_across_classes() {
         // A root result satisfies a shared probe and vice versa, with
         // traffic tallied per probe kind.
-        let cache = CanvasCache::new(1 << 20);
+        let cache = CanvasCache::new(1 << 20, 1);
         let k = key(5, &vp(8));
-        cache.insert(k, canvas(8), Vec::new());
+        cache.insert(k, canvas(8), Vec::new(), false);
         assert!(cache.get_shared(&k).is_some());
         let k2 = key(6, &vp(8));
         cache.insert_shared(k2, canvas(8), Vec::new());
@@ -527,12 +754,12 @@ mod tests {
     fn eviction_prefers_roots_over_shared_interiors() {
         let one = canvas(16).size_bytes();
         // Room for two entries, not three.
-        let cache = CanvasCache::new(2 * one + one / 2);
+        let cache = CanvasCache::new(2 * one + one / 2, 1);
         let shared_k = key(100, &vp(16));
         cache.insert_shared(shared_k, canvas(16), Vec::new());
-        cache.insert(key(1, &vp(16)), canvas(16), Vec::new());
+        cache.insert(key(1, &vp(16)), canvas(16), Vec::new(), false);
         // The shared interior is the LRU, but the *root* must go.
-        let evicted = cache.insert(key(2, &vp(16)), canvas(16), Vec::new());
+        let evicted = cache.insert(key(2, &vp(16)), canvas(16), Vec::new(), false);
         assert_eq!(evicted, 1);
         assert!(cache.get(&key(1, &vp(16))).is_none(), "LRU root evicted");
         assert!(
@@ -545,7 +772,7 @@ mod tests {
     #[test]
     fn shared_interiors_evict_lru_once_no_root_remains() {
         let one = canvas(16).size_bytes();
-        let cache = CanvasCache::new(2 * one + one / 2);
+        let cache = CanvasCache::new(2 * one + one / 2, 1);
         let keys: Vec<CacheKey> = (0..3).map(|i| key(i, &vp(16))).collect();
         cache.insert_shared(keys[0], canvas(16), Vec::new());
         cache.insert_shared(keys[1], canvas(16), Vec::new());
@@ -565,10 +792,10 @@ mod tests {
         // Shared interiors fill the budget; inserting a root evicts
         // shared LRU entries, never the just-inserted root itself.
         let one = canvas(16).size_bytes();
-        let cache = CanvasCache::new(2 * one + one / 2);
+        let cache = CanvasCache::new(2 * one + one / 2, 1);
         cache.insert_shared(key(10, &vp(16)), canvas(16), Vec::new());
         cache.insert_shared(key(11, &vp(16)), canvas(16), Vec::new());
-        let evicted = cache.insert(key(1, &vp(16)), canvas(16), Vec::new());
+        let evicted = cache.insert(key(1, &vp(16)), canvas(16), Vec::new(), false);
         assert_eq!(evicted, 1);
         assert!(cache.get(&key(1, &vp(16))).is_some(), "newcomer resident");
         assert!(cache.get_shared(&key(10, &vp(16))).is_none());
@@ -577,13 +804,13 @@ mod tests {
 
     #[test]
     fn reinsert_across_classes_keeps_accounting_consistent() {
-        let cache = CanvasCache::new(1 << 20);
+        let cache = CanvasCache::new(1 << 20, 1);
         let k = key(3, &vp(16));
         let bytes = canvas(16).size_bytes();
         cache.insert_shared(k, canvas(16), Vec::new());
         assert_eq!(cache.stats().shared_bytes, bytes);
         // Same key re-published as a root: class flips, bytes counted once.
-        cache.insert(k, canvas(16), Vec::new());
+        cache.insert(k, canvas(16), Vec::new(), false);
         let s = cache.stats();
         assert_eq!(s.entries, 1);
         assert_eq!(s.bytes, bytes);
@@ -593,11 +820,11 @@ mod tests {
 
     #[test]
     fn non_canvas_payloads_ride_the_same_budget() {
-        let cache = CanvasCache::new(1 << 20);
+        let cache = CanvasCache::new(1 << 20, 1);
         let k = key(7, &vp(8));
         let ids = QueryResult::Ids(Arc::new(vec![1, 2, 3]));
         let bytes = ids.size_bytes();
-        cache.insert(k, ids.clone(), Vec::new());
+        cache.insert(k, ids.clone(), Vec::new(), false);
         let hit = cache.get(&k).expect("hit");
         assert!(hit.ptr_eq(&ids), "hit is the same shared allocation");
         let s = cache.stats();
@@ -606,7 +833,7 @@ mod tests {
         // A shared probe never yields a derived payload.
         assert!(cache.get_shared(&k).is_none());
         // Replacing with a canvas clears the non-canvas slice.
-        cache.insert(k, canvas(8), Vec::new());
+        cache.insert(k, canvas(8), Vec::new(), false);
         let s = cache.stats();
         assert_eq!((s.result_entries, s.result_bytes), (0, 0));
         assert_eq!(s.entries, 1);
@@ -614,11 +841,15 @@ mod tests {
 
     #[test]
     fn resident_bytes_identity_holds_through_a_random_mix() {
-        // A seeded mix of root, shared and non-canvas inserts, hits,
-        // removes and oversize rejections at a budget of a few entries.
-        // After every step the gauges equal what is actually resident.
+        // A seeded mix of root (probationary and patchable), shared and
+        // non-canvas inserts, hits (which promote), removes and oversize
+        // rejections over four viewports, at a budget of a few entries
+        // and a window of two viewports (so entries also retire). After
+        // every step the gauges equal what is actually resident, every
+        // accepted insert is accounted for, and only the window's
+        // viewports hold entries that retire.
         let budget = 3 * canvas(16).size_bytes();
-        let cache = CanvasCache::new(budget);
+        let cache = CanvasCache::new(budget, 2);
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = |n: u64| {
             seed ^= seed << 13;
@@ -627,19 +858,19 @@ mod tests {
             seed % n
         };
         let mut rejected = 0;
-        for step in 0..2_000 {
-            let k = key(u128::from(next(12)), &vp(16));
+        for step in 0..4_000 {
+            let k = key(u128::from(next(12)), &at(next(4) as u32));
             let side = 8 + 4 * next(3) as u32;
             match next(6) {
                 0 => {
-                    cache.insert(k, canvas(side), Vec::new());
+                    cache.insert(k, canvas(side), Vec::new(), next(8) == 0);
                 }
                 1 => {
                     cache.insert_shared(k, canvas(side), Vec::new());
                 }
                 2 => {
                     let ids = QueryResult::Ids(Arc::new(vec![0; next(4_000) as usize]));
-                    cache.insert(k, ids, Vec::new());
+                    cache.insert(k, ids, Vec::new(), false);
                 }
                 3 => {
                     cache.get(&k);
@@ -650,7 +881,7 @@ mod tests {
                 }
                 _ => {
                     rejected += 1;
-                    cache.insert(k, canvas(64), Vec::new());
+                    cache.insert(k, canvas(64), Vec::new(), false);
                 }
             }
             let inner = cache.lock();
@@ -666,18 +897,183 @@ mod tests {
             let results = resident(&|e| e.value.as_canvas().is_none());
             assert_eq!((s.result_entries, s.result_bytes), results, "step {step}");
             assert_eq!(s.rejected_oversize, rejected, "step {step}");
+            assert!(conserved(&s), "step {step}: {s:?}");
+            // The viewport index lists exactly the entries that retire,
+            // and only at viewports inside the window.
+            let window = &inner.window.recent;
+            let retiring: Vec<&CacheKey> = inner
+                .map
+                .keys()
+                .filter(|k| inner.map[k].retires())
+                .collect();
+            let indexed: usize = inner.retiring.values().map(HashSet::len).sum();
+            assert_eq!(indexed, retiring.len(), "step {step}");
+            for k in retiring {
+                assert!(
+                    inner.retiring[&k.viewport].contains(&k.fingerprint),
+                    "step {step}"
+                );
+                assert!(window.contains(&k.viewport), "step {step}: cold entry");
+            }
+            assert!(inner.ghosts.fifo.len() <= GHOST_CAPACITY);
+            assert_eq!(inner.ghosts.fifo.len(), inner.ghosts.keys.len());
         }
         // The mix reached every path it is meant to cover.
         let s = cache.stats();
         assert!(s.evictions > 0 && s.hits > 0 && s.shared_hits > 0, "{s:?}");
+        assert!(s.retired > 0 && s.promoted > 0, "{s:?}");
+        assert!(s.removed > 0 && s.replaced > 0, "{s:?}");
         assert!(rejected > 0 && s.insertions > s.evictions, "{s:?}");
+    }
+
+    fn conserved(s: &CacheStats) -> bool {
+        s.insertions == s.entries as u64 + s.evictions + s.retired + s.removed + s.replaced
+    }
+
+    /// Distinct viewports of one grid size: the `i`-th world box.
+    fn at(i: u32) -> Viewport {
+        let x = f64::from(i) * 10.0;
+        Viewport::new(
+            BBox::new(Point::new(x, 0.0), Point::new(x + 10.0, 10.0)),
+            8,
+            8,
+        )
+    }
+
+    #[test]
+    fn a_window_of_one_retires_the_previous_viewport() {
+        let cache = CanvasCache::new(1 << 20, 1);
+        let (a, b) = (at(0), at(1));
+        cache.insert(key(1, &a), canvas(8), Vec::new(), false);
+        cache.insert_shared(key(2, &a), canvas(8), Vec::new());
+        // The re-ask at a warm viewport still hits (and promotes).
+        cache.insert(key(3, &a), canvas(8), Vec::new(), false);
+        assert!(cache.get(&key(1, &a)).is_some());
+        cache.insert(key(1, &b), canvas(8), Vec::new(), false);
+        // `a` went cold: its interior and its probationary root retired,
+        // the root that was asked again stayed.
+        // (Root probes check: they never move the window.)
+        assert!(cache.get(&key(2, &a)).is_none());
+        assert!(cache.get(&key(3, &a)).is_none());
+        assert!(cache.get(&key(1, &a)).is_some());
+        let s = cache.stats();
+        assert_eq!((s.retired, s.evictions, s.promoted), (2, 0, 1));
+        assert_eq!(s.entries, 2);
+        assert!(conserved(&s), "{s:?}");
+    }
+
+    #[test]
+    fn a_window_of_two_keeps_the_last_two_viewports() {
+        let cache = CanvasCache::new(1 << 20, 2);
+        let vps: Vec<Viewport> = (0..4).map(at).collect();
+        for vp in &vps[..3] {
+            cache.insert_shared(key(1, vp), canvas(8), Vec::new());
+        }
+        // The third viewport pushed the first out; the second stays.
+        // (Root probes check: they never move the window, and a root
+        // hit does not protect an interior.)
+        assert!(cache.get(&key(1, &vps[0])).is_none());
+        assert!(cache.get(&key(1, &vps[1])).is_some());
+        // A shared probe makes `vps[1]` the most recent, so the fourth
+        // viewport retires `vps[2]`.
+        assert!(cache.get_shared(&key(1, &vps[1])).is_some());
+        cache.insert_shared(key(1, &vps[3]), canvas(8), Vec::new());
+        assert!(cache.get(&key(1, &vps[2])).is_none());
+        assert!(cache.get(&key(1, &vps[1])).is_some());
+        assert!(cache.get(&key(1, &vps[3])).is_some());
+        let s = cache.stats();
+        assert_eq!((s.retired, s.entries, s.shared_bytes), (2, 2, s.bytes));
+        assert!(conserved(&s), "{s:?}");
+    }
+
+    #[test]
+    fn a_root_hit_promotes_once() {
+        let cache = CanvasCache::new(1 << 20, 1);
+        let k = key(1, &at(0));
+        cache.insert(k, canvas(8), Vec::new(), false);
+        assert!(cache.get(&k).is_some());
+        assert!(cache.get(&k).is_some());
+        assert_eq!(cache.stats().promoted, 1);
+        // A root hit on a shared interior does not protect it.
+        let shared = key(2, &at(0));
+        cache.insert_shared(shared, canvas(8), Vec::new());
+        assert!(cache.get(&shared).is_some());
+        cache.insert(key(1, &at(1)), canvas(8), Vec::new(), false);
+        assert!(
+            cache.get(&k).is_some(),
+            "protected root outlives its viewport"
+        );
+        assert!(cache.get(&shared).is_none(), "interior retired");
+        let s = cache.stats();
+        assert_eq!((s.promoted, s.retired), (1, 1));
+    }
+
+    #[test]
+    fn a_ghost_key_is_readmitted_protected() {
+        let cache = CanvasCache::new(1 << 20, 1);
+        let (a, b) = (at(0), at(1));
+        let k = key(1, &a);
+        cache.insert(k, canvas(8), Vec::new(), false);
+        cache.insert(key(1, &b), canvas(8), Vec::new(), false);
+        assert!(cache.get(&k).is_none(), "first visit retired");
+        // Second visit: the recomputed root enters protected, so it
+        // survives the walk moving on again.
+        cache.insert(k, canvas(8), Vec::new(), false);
+        cache.insert(key(1, &b), canvas(8), Vec::new(), false);
+        assert!(cache.get(&k).is_some());
+        // `b`'s root took the same path: retired once, readmitted
+        // protected. Nothing was promoted by a hit.
+        let s = cache.stats();
+        assert_eq!((s.retired, s.promoted, s.replaced), (2, 0, 0));
+        assert!(conserved(&s), "{s:?}");
+    }
+
+    #[test]
+    fn a_patchable_root_enters_protected() {
+        let cache = CanvasCache::new(1 << 20, 1);
+        let k = key(1, &at(0));
+        cache.insert(k, canvas(8), Vec::new(), true);
+        for i in 1..4 {
+            cache.insert(key(1, &at(i)), canvas(8), Vec::new(), false);
+        }
+        assert!(cache.get(&k).is_some(), "patch base outlived its viewport");
+        // Removing the patched predecessor is still an explicit remove.
+        assert!(cache.remove(&k));
+        let s = cache.stats();
+        assert_eq!((s.retired, s.removed, s.promoted), (2, 1, 0));
+        assert!(conserved(&s), "{s:?}");
+    }
+
+    #[test]
+    fn shared_probes_advance_the_window_and_root_probes_do_not() {
+        let cache = CanvasCache::new(1 << 20, 2);
+        let vps: Vec<Viewport> = (0..5).map(at).collect();
+        cache.insert_shared(key(1, &vps[0]), canvas(8), Vec::new());
+        cache.insert_shared(key(1, &vps[1]), canvas(8), Vec::new());
+        // A root hit at `vps[0]` and a root miss at `vps[4]` leave the
+        // window as it was: `vps[0]` is still the oldest.
+        assert!(cache.get(&key(1, &vps[0])).is_some());
+        assert!(cache.get(&key(1, &vps[4])).is_none());
+        assert_eq!(cache.stats().retired, 0);
+        cache.insert_shared(key(1, &vps[2]), canvas(8), Vec::new());
+        assert_eq!(cache.stats().retired, 1);
+        assert!(cache.get(&key(1, &vps[0])).is_none());
+        // A shared probe, even a miss, refreshes `vps[1]`, so the next
+        // viewport retires `vps[2]` instead.
+        assert!(cache.get_shared(&key(9, &vps[1])).is_none());
+        cache.insert_shared(key(1, &vps[3]), canvas(8), Vec::new());
+        assert!(cache.get(&key(1, &vps[1])).is_some());
+        assert!(cache.get(&key(1, &vps[2])).is_none());
+        let s = cache.stats();
+        assert_eq!((s.retired, s.promoted), (2, 0));
+        assert!(conserved(&s), "{s:?}");
     }
 
     #[test]
     fn oversize_and_zero_budget_reject() {
-        let cache = CanvasCache::new(0);
+        let cache = CanvasCache::new(0, 1);
         let k = key(9, &vp(8));
-        assert_eq!(cache.insert(k, canvas(8), Vec::new()), 0);
+        assert_eq!(cache.insert(k, canvas(8), Vec::new(), false), 0);
         assert!(cache.get(&k).is_none());
         let s = cache.stats();
         assert_eq!(s.rejected_oversize, 1);

@@ -57,11 +57,19 @@ pub struct EngineConfig {
     /// Concurrent executors of the shared worker pool (1 = inline).
     pub threads: usize,
     /// Queries evaluating simultaneously; more wait at admission.
+    /// Also the width of the cache's viewport window: each evaluation
+    /// runs at one viewport, so the cache keeps interiors and
+    /// probationary roots for the `max_concurrent` most recently
+    /// computed-at viewports and retires them once their viewport
+    /// falls out (see [`CanvasCache::new`]).
     pub max_concurrent: usize,
     /// Submissions allowed to wait at admission before the engine
     /// sheds load.
     pub max_queue: usize,
-    /// Canvas cache budget in bytes; 0 disables caching.
+    /// Canvas cache budget in bytes; 0 disables caching. The budget
+    /// caps what stays resident; entries usually leave earlier, when
+    /// their viewport leaves the window (`max_concurrent`), unless
+    /// they are protected roots — asked again, or patchable.
     pub cache_budget_bytes: usize,
     /// Measure pool dispatch latency at startup and derive
     /// `Policy::min_parallel_items` from it (the static default stays
@@ -676,7 +684,7 @@ impl QueryEngine {
         let lat_queue_wait = registry.histogram("queue_wait_ns");
         let engine = QueryEngine {
             shared,
-            cache: CanvasCache::new(cfg.cache_budget_bytes),
+            cache: CanvasCache::new(cfg.cache_budget_bytes, cfg.max_concurrent),
             admission: Admission::new(cfg.max_concurrent),
             cfg,
             roots: Flights::default(),
@@ -877,9 +885,14 @@ impl QueryEngine {
         // fingerprints identify datasets by Arc address, so a cached
         // result must keep those addresses alive (a freed-and-reused
         // allocation could otherwise alias a different dataset onto an
-        // old key).
-        self.cache
-            .insert(key, result.clone(), prepared.pins().to_vec());
+        // old key). A result the next generation is patched forward
+        // from enters protected, so it outlives its viewport's window.
+        self.cache.insert(
+            key,
+            result.clone(),
+            prepared.pins().to_vec(),
+            prepared.refresh().is_some(),
+        );
         let how = match &base {
             Some(base) => {
                 // The patched predecessor is superseded: retire its

@@ -42,7 +42,7 @@
 //!   each class: label, identity arm, run arm (`query.rs`, which also
 //!   carries the "adding a query class" recipe) — the budgeted
 //!   [`CanvasCache`] (whole-plan roots + shared subplan intermediates
-//!   in one keyspace), admission control, one in-flight leader/follower
+//!   in one keyspace, retired with their viewport), admission control, one in-flight leader/follower
 //!   mechanism for whole plans, and per-query latency/sharing metrics.
 //!
 //! Every cached, coalesced, or subplan-shared response is the *same*

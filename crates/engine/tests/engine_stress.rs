@@ -277,6 +277,73 @@ fn eviction_under_tiny_budget_stays_correct() {
 }
 
 #[test]
+fn a_pan_walk_keeps_only_the_last_two_viewports_resident() {
+    // Two admission permits make a window of two viewports: once the
+    // walk has moved on, a viewport's interiors and its never re-asked
+    // roots retire. The live heatmap is left out: a patchable root
+    // enters protected and outlives its viewport on purpose.
+    let (queries, _) = workload();
+    let queries = &queries[..6];
+    let walk: Vec<Viewport> = (0..8)
+        .map(|i| {
+            let x = 5.0 * f64::from(i);
+            Viewport::new(
+                BBox::new(Point::new(x, 10.0), Point::new(x + 50.0, 60.0)),
+                64,
+                64,
+            )
+        })
+        .collect();
+    let config = EngineConfig {
+        threads: 2,
+        max_concurrent: 2,
+        max_queue: 8,
+        cache_budget_bytes: 64 << 20,
+        calibrate: false,
+        ..EngineConfig::default()
+    };
+    // What one viewport's step leaves in a cache that sees nothing else.
+    let alone: Vec<usize> = walk
+        .iter()
+        .map(|vp| {
+            let engine = QueryEngine::with_config(config);
+            for q in queries {
+                engine.execute(q, *vp).unwrap();
+            }
+            engine.cache_stats().bytes
+        })
+        .collect();
+    let engine = QueryEngine::with_config(config);
+    for (i, vp) in walk.iter().enumerate() {
+        for (qi, q) in queries.iter().enumerate() {
+            let resp = engine.execute(q, *vp).unwrap();
+            let mut dev = Device::cpu();
+            let want = q.prepare().execute(&mut dev, *vp);
+            assert_canvas_eq(
+                resp.canvas(),
+                want.canvas(),
+                &format!("step {i}, query {qi}"),
+            );
+        }
+        let last_two = alone[i] + if i > 0 { alone[i - 1] } else { 0 };
+        let cs = engine.cache_stats();
+        assert!(
+            cs.bytes <= last_two,
+            "step {i}: {} > {last_two}: {cs:?}",
+            cs.bytes
+        );
+    }
+    let cs = engine.cache_stats();
+    assert_eq!(cs.evictions, 0, "{cs:?}");
+    assert!(cs.retired > 0, "{cs:?}");
+    assert_eq!(
+        cs.insertions,
+        cs.entries as u64 + cs.evictions + cs.retired + cs.removed + cs.replaced,
+        "{cs:?}"
+    );
+}
+
+#[test]
 fn identical_simultaneous_submissions_deduplicate() {
     let (queries, vps) = workload();
     let engine = Arc::new(QueryEngine::with_config(EngineConfig {

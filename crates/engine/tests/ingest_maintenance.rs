@@ -231,6 +231,63 @@ fn evicted_predecessor_falls_back_to_full_render() {
     assert_eq!(m.dirty_tiles_redrawn, 0);
 }
 
+#[test]
+fn live_views_cycled_past_the_window_stay_incremental() {
+    // Two admission permits keep a window of two viewports, and three
+    // live views take turns. Each view's canvas is its next tick's
+    // patch base: it enters the cache protected, so it survives its
+    // viewport going cold and every tick patches instead of rendering.
+    let feed = canvas_datagen::trip_feed(&extent(), 1_500, 5, 19);
+    let table = VersionedTable::new("cycled", extent(), feed.batch(0));
+    let engine = QueryEngine::with_config(EngineConfig {
+        threads: 2,
+        max_concurrent: 2,
+        max_queue: 64,
+        cache_budget_bytes: 64 << 20,
+        calibrate: false,
+        ..EngineConfig::default()
+    });
+    let views: Vec<Viewport> = [(0.0, 0.0), (50.0, 0.0), (25.0, 50.0)]
+        .iter()
+        .map(|&(x, y)| {
+            Viewport::new(
+                BBox::new(Point::new(x, y), Point::new(x + 50.0, y + 50.0)),
+                64,
+                64,
+            )
+        })
+        .collect();
+    for tick in 0..5 {
+        if tick > 0 {
+            engine.ingest_append(&table, &feed.batch(tick));
+        }
+        let snapshot = table.snapshot();
+        for (i, vp) in views.iter().enumerate() {
+            let resp = engine
+                .execute(
+                    &Query::LiveHeatmap {
+                        snapshot: snapshot.clone(),
+                    },
+                    *vp,
+                )
+                .unwrap();
+            let want = if tick == 0 {
+                Served::Computed
+            } else {
+                Served::Incremental
+            };
+            assert_eq!(resp.served, want, "tick {tick}, view {i}");
+            let mut dev = Device::cpu();
+            let full = render_live_heatmap(&mut dev, *vp, snapshot.batch(), None);
+            assert_canvas_eq(resp.canvas(), &full, &format!("tick {tick}, view {i}"));
+        }
+    }
+    assert_eq!(engine.metrics().incremental_refreshes, 12);
+    // Each patched predecessor was removed; one base per view is left.
+    let cs = engine.cache_stats();
+    assert_eq!((cs.entries, cs.removed, cs.retired), (3, 12, 0), "{cs:?}");
+}
+
 /// Load-aware recalibration runs once per 64 *computed* responses. An
 /// incremental refresh leaves `computed` where it was, so refreshes
 /// while it stands on a multiple of 64 must not re-time the kernel.

@@ -304,6 +304,76 @@ fn linked_views_leave_the_aggregate_nothing_to_draw() {
     assert_canvas_eq(r.canvas(), &cpu_reference(&aggregate, vp()), "aggregate");
 }
 
+#[test]
+fn linked_views_share_the_same_interiors_under_a_one_viewport_window() {
+    // One admission permit keeps interiors for one viewport only. The
+    // four linked views, run view after view at one viewport and then
+    // at a second, draw and share exactly what they do under a window
+    // wide enough to retire nothing.
+    let data = data();
+    let zones: AreaSource = Arc::new(canvas_datagen::neighborhoods(&extent(), 6, 3));
+    let views = [
+        Query::SelectPoints {
+            data: data.clone(),
+            q: district(),
+        },
+        Query::SelectionHeatmap {
+            data: data.clone(),
+            q: district(),
+        },
+        Query::PolygonDensity {
+            table: zones.clone(),
+            q: district(),
+        },
+        Query::AggregateByZone {
+            data: data.clone(),
+            zones: zones.clone(),
+        },
+    ];
+    let wide = QueryEngine::with_config(config(256 << 20));
+    let narrow = QueryEngine::with_config(EngineConfig {
+        max_concurrent: 1,
+        ..config(256 << 20)
+    });
+    let pan = Viewport::new(
+        BBox::new(Point::new(10.0, 10.0), Point::new(90.0, 90.0)),
+        64,
+        64,
+    );
+    let work = |engine: &QueryEngine| {
+        let m = engine.metrics();
+        (
+            m.subplan_hits,
+            m.subplan_published,
+            engine.shared().stats().primitives,
+        )
+    };
+    for vp in [vp(), pan] {
+        let mut report = None;
+        for view in &views {
+            let got = narrow.execute(view, vp).unwrap();
+            let want = wide.execute(view, vp).unwrap();
+            assert_eq!(work(&narrow), work(&wide), "{}", view.label());
+            assert_canvas_eq(got.canvas(), want.canvas(), view.label());
+            assert_canvas_eq(got.canvas(), &cpu_reference(view, vp), view.label());
+            report = Some(got.report());
+        }
+        // The aggregate, last, read both leaves its siblings published.
+        let report = report.unwrap();
+        for label in ["C_P", "C_Y*"] {
+            let row = report
+                .nodes
+                .iter()
+                .find(|n| n.label.starts_with(label))
+                .unwrap();
+            assert_eq!(row.provenance, "shared_cache", "{label}: {report:?}");
+        }
+    }
+    // The first viewport's interiors retired in the narrow window only.
+    assert!(narrow.cache_stats().retired > 0);
+    assert_eq!(wide.cache_stats().retired, 0);
+}
+
 /// A subplan cache that records the keys probed and published.
 #[derive(Default)]
 struct Recorder {

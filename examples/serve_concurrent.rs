@@ -4,7 +4,10 @@
 //! submits a mix of selection, heatmap, choropleth, and aggregation
 //! queries; the engine deduplicates identical work, answers repeats
 //! from the budgeted canvas cache, and interleaves the rest fairly on
-//! one shared worker pool.
+//! one shared worker pool. Two admission permits make the cache keep
+//! the two most recently computed-at viewports; the clients walk
+//! three, so entries of a viewport that goes cold retire. The example
+//! asserts the cache's accounting at the end.
 //!
 //! ```text
 //! cargo run --release --example serve_concurrent
@@ -27,10 +30,12 @@ fn main() {
         7,
     );
 
-    let engine = Arc::new(QueryEngine::with_config(EngineConfig {
+    let config = EngineConfig {
         threads: 4,
+        max_concurrent: 2,
         ..EngineConfig::default()
-    }));
+    };
+    let engine = Arc::new(QueryEngine::with_config(config));
     if let Some(c) = engine.calibration() {
         println!(
             "calibrated min_parallel_items = {} (dispatch {:.1}µs/pass, {:.2}ns/texel)",
@@ -114,10 +119,22 @@ fn main() {
         m.reuse_rate() * 100.0
     );
     println!(
-        "  cache: {} entries, {:.1} MiB resident, {} evictions",
+        "  cache: {} entries, {:.1} MiB resident, {} evictions, {} retired, {} promoted",
         cs.entries,
         cs.bytes as f64 / (1 << 20) as f64,
-        cs.evictions
+        cs.evictions,
+        cs.retired,
+        cs.promoted,
+    );
+    assert!(cs.bytes <= config.cache_budget_bytes, "over budget: {cs:?}");
+    assert_eq!(
+        cs.insertions,
+        cs.entries as u64 + cs.evictions + cs.retired + cs.removed + cs.replaced,
+        "every insert leaves the cache once: {cs:?}"
+    );
+    assert!(
+        cs.retired > 0,
+        "three viewports through a window of two: {cs:?}"
     );
     println!(
         "  scheduler: {} pass grants, {} handovers, fairness {:?}",
