@@ -83,12 +83,28 @@
 //! refresh finds its predecessor generation by key) enters protected
 //! too, or every append would re-render in full.
 //!
-//! The engine sets K to its admission permit count
-//! (`EngineConfig::max_concurrent`): at most K evaluations run at once,
-//! each at one viewport, so the window holds every viewport a running
-//! evaluation can still publish to or probe. K is derived, not a knob.
-//! A window twice as wide keeps a whole extra step of interiors (a
-//! 512² step publishes ~55 MiB of them). Budget eviction is unchanged:
+//! An evaluation **holds** its viewport from admission until its root
+//! is published (`CanvasCache::hold`): a held viewport that falls out
+//! of the window keeps its entries, and they retire when the last hold
+//! on it is released (unless the viewport is back in the window by
+//! then). So another client moving the window on never takes the
+//! interiors out from under an evaluation that is still running.
+//!
+//! Between two evaluations nothing is held, and the window is a
+//! recency heuristic. The engine sets K to its admission permit count
+//! (`EngineConfig::max_concurrent`) on the argument that each running
+//! evaluation sits at one viewport, so K clients that each stay at one
+//! viewport for a step's sibling views keep every interior they share.
+//! A client whose next sibling view arrives only after others have
+//! computed at K other viewports recomputes what it would have read.
+//! That concurrent argument is **unverified by the repo benchmark**:
+//! every benchmark workload that computes has a single client, and the
+//! one two-client workload (`dashboard_revisit`) computes nothing in
+//! its timed laps. Only the engine test
+//! `engine_stress.rs::two_clients_panning_in_step_share_as_much_as_a_wide_window`
+//! runs two clients, and in lockstep. K is derived, not a knob. A
+//! window twice as wide keeps a whole extra step of interiors (a 512²
+//! step publishes ~55 MiB of them). Budget eviction is unchanged:
 //! roots LRU first, interiors only once no root remains.
 //!
 //! Measured on a 2-vCPU host with the repo benchmark (`--seed 7`,
@@ -102,8 +118,8 @@
 //! | `dashboard_revisit` | 208 → 159 | 126 → 71–74 | 0 → 0 |
 //! | `live_ingest` | 121 → 121 | 7.9 → 7.9 | 0 → 0 |
 //!
-//! Entries are indexed by viewport, so retiring a viewport costs the
-//! entries it unlinks, not a scan of the map; their values are dropped
+//! Retiring a viewport scans the map for its entries (tens of entries,
+//! at most once per viewport change); the unlinked values are dropped
 //! after the cache lock is released.
 
 use crate::result::QueryResult;
@@ -315,9 +331,9 @@ struct Inner {
     root_order: BTreeMap<u64, CacheKey>,
     shared_order: BTreeMap<u64, CacheKey>,
     window: Window,
-    /// The entries that retire with their viewport ([`Entry::retires`]),
-    /// by viewport.
-    retiring: HashMap<ViewportKey, HashSet<Fingerprint>>,
+    /// Viewports with a running evaluation ([`Hold`]), by hold count.
+    /// Their entries do not retire until the last hold is released.
+    held: HashMap<ViewportKey, usize>,
     ghosts: Ghosts,
     stats: CacheStats,
 }
@@ -330,16 +346,10 @@ impl Inner {
         }
     }
 
-    /// Links a new entry into the map, its order index, the viewport
-    /// index and the byte gauges. The key must not be live.
+    /// Links a new entry into the map, its order index and the byte
+    /// gauges. The key must not be live.
     fn link(&mut self, key: CacheKey, entry: Entry) {
         self.order_mut(entry.class).insert(entry.tick, key);
-        if entry.retires() {
-            self.retiring
-                .entry(key.viewport)
-                .or_default()
-                .insert(key.fingerprint);
-        }
         self.stats.bytes += entry.bytes;
         self.stats.entries += 1;
         if entry.class == EntryClass::Shared {
@@ -353,15 +363,12 @@ impl Inner {
         self.map.insert(key, entry);
     }
 
-    /// Unlinks an entry from the map, its order index, the viewport
-    /// index and the byte gauges (shared slice included). Counts
-    /// nothing else: the caller says why the entry left.
+    /// Unlinks an entry from the map, its order index and the byte
+    /// gauges (shared slice included). Counts nothing else: the caller
+    /// says why the entry left.
     fn unlink(&mut self, key: &CacheKey) -> Option<Entry> {
         let entry = self.map.remove(key)?;
         self.order_mut(entry.class).remove(&entry.tick);
-        if entry.retires() {
-            self.unindex(key);
-        }
         self.stats.bytes -= entry.bytes;
         self.stats.entries -= 1;
         if entry.class == EntryClass::Shared {
@@ -375,32 +382,54 @@ impl Inner {
         Some(entry)
     }
 
-    fn unindex(&mut self, key: &CacheKey) {
-        if let Some(fps) = self.retiring.get_mut(&key.viewport) {
-            fps.remove(&key.fingerprint);
-            if fps.is_empty() {
-                self.retiring.remove(&key.viewport);
-            }
+    /// Moves `vp` to the front of the window and retires the viewport
+    /// that fell out, unless an evaluation still holds it.
+    fn advance(&mut self, vp: ViewportKey, dropped: &mut Vec<Entry>) {
+        match self.window.advance(vp) {
+            Some(cold) if !self.held.contains_key(&cold) => self.retire(cold, dropped),
+            _ => {}
         }
     }
 
-    /// Moves `vp` to the front of the window and retires the entries of
-    /// the viewport that fell out, into `dropped`.
-    fn advance(&mut self, vp: ViewportKey, dropped: &mut Vec<Entry>) {
-        let Some(cold) = self.window.advance(vp) else {
-            return;
-        };
-        for fingerprint in self.retiring.remove(&cold).unwrap_or_default() {
-            let key = CacheKey {
-                fingerprint,
-                viewport: cold,
-            };
-            let entry = self.unlink(&key).expect("viewport index/map in sync");
+    /// Unlinks the entries at `vp` that retire with it, into `dropped`.
+    fn retire(&mut self, vp: ViewportKey, dropped: &mut Vec<Entry>) {
+        let cold: Vec<CacheKey> = self
+            .map
+            .iter()
+            .filter(|(k, e)| k.viewport == vp && e.retires())
+            .map(|(k, _)| *k)
+            .collect();
+        for key in cold {
+            let entry = self.unlink(&key).expect("key taken from the map");
             if entry.class == EntryClass::Root {
                 self.ghosts.remember(key);
             }
             self.stats.retired += 1;
             dropped.push(entry);
+        }
+    }
+}
+
+/// Keeps one viewport's entries from retiring while an evaluation runs
+/// there ([`CanvasCache::hold`]). Dropping it releases the viewport:
+/// the last release of a viewport that left the window retires its
+/// entries then.
+pub(crate) struct Hold<'c> {
+    cache: &'c CanvasCache,
+    vp: ViewportKey,
+}
+
+impl Drop for Hold<'_> {
+    fn drop(&mut self) {
+        let mut dropped = Vec::new();
+        let mut inner = self.cache.lock();
+        let count = inner.held.get_mut(&self.vp).expect("a hold is counted");
+        *count -= 1;
+        if *count == 0 {
+            inner.held.remove(&self.vp);
+            if !inner.window.recent.contains(&self.vp) {
+                inner.retire(self.vp, &mut dropped);
+            }
         }
     }
 }
@@ -456,7 +485,7 @@ impl CanvasCache {
                     len: viewports.max(1),
                     recent: VecDeque::new(),
                 },
-                retiring: HashMap::new(),
+                held: HashMap::new(),
                 ghosts: Ghosts::default(),
                 stats: CacheStats::default(),
             }),
@@ -467,6 +496,15 @@ impl CanvasCache {
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Marks an evaluation running at `vp` until the returned guard is
+    /// dropped: while any hold on `vp` is live, leaving the window does
+    /// not retire its entries (module docs). Holds do not move the
+    /// window.
+    pub(crate) fn hold(&self, vp: ViewportKey) -> Hold<'_> {
+        *self.lock().held.entry(vp).or_default() += 1;
+        Hold { cache: self, vp }
     }
 
     /// Probes the cache as **root** traffic, refreshing the entry's
@@ -517,10 +555,7 @@ impl CanvasCache {
             EntryClass::Root => inner.stats.hits += 1,
             EntryClass::Shared => inner.stats.shared_hits += 1,
         }
-        if promote {
-            inner.unindex(key);
-            inner.stats.promoted += 1;
-        }
+        inner.stats.promoted += u64::from(promote);
         Some(value)
     }
 
@@ -568,11 +603,11 @@ impl CanvasCache {
         // canvas planes is not the cache lock's work.
         let mut dropped = Vec::new();
         let mut inner = self.lock();
-        inner.advance(key.viewport, &mut dropped);
         if bytes > inner.budget {
             inner.stats.rejected_oversize += 1;
             return 0;
         }
+        inner.advance(key.viewport, &mut dropped);
         inner.tick += 1;
         let tick = inner.tick;
         let protected =
@@ -842,14 +877,16 @@ mod tests {
     #[test]
     fn resident_bytes_identity_holds_through_a_random_mix() {
         // A seeded mix of root (probationary and patchable), shared and
-        // non-canvas inserts, hits (which promote), removes and oversize
-        // rejections over four viewports, at a budget of a few entries
-        // and a window of two viewports (so entries also retire). After
-        // every step the gauges equal what is actually resident, every
-        // accepted insert is accounted for, and only the window's
-        // viewports hold entries that retire.
+        // non-canvas inserts, hits (which promote), removes, viewport
+        // holds and releases, and oversize rejections over four
+        // viewports, at a budget of a few entries and a window of two
+        // viewports (so entries also retire). After every step the
+        // gauges equal what is actually resident, every accepted insert
+        // is accounted for, and entries that retire sit only at the
+        // window's viewports or at held ones.
         let budget = 3 * canvas(16).size_bytes();
         let cache = CanvasCache::new(budget, 2);
+        let mut holds = Vec::new();
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = |n: u64| {
             seed ^= seed << 13;
@@ -861,7 +898,7 @@ mod tests {
         for step in 0..4_000 {
             let k = key(u128::from(next(12)), &at(next(4) as u32));
             let side = 8 + 4 * next(3) as u32;
-            match next(6) {
+            match next(7) {
                 0 => {
                     cache.insert(k, canvas(side), Vec::new(), next(8) == 0);
                 }
@@ -878,6 +915,13 @@ mod tests {
                 }
                 4 => {
                     cache.remove(&k);
+                }
+                5 => {
+                    if next(2) == 0 {
+                        holds.push(cache.hold(k.viewport));
+                    } else if !holds.is_empty() {
+                        holds.swap_remove(next(holds.len() as u64) as usize);
+                    }
                 }
                 _ => {
                     rejected += 1;
@@ -898,23 +942,13 @@ mod tests {
             assert_eq!((s.result_entries, s.result_bytes), results, "step {step}");
             assert_eq!(s.rejected_oversize, rejected, "step {step}");
             assert!(conserved(&s), "step {step}: {s:?}");
-            // The viewport index lists exactly the entries that retire,
-            // and only at viewports inside the window.
-            let window = &inner.window.recent;
-            let retiring: Vec<&CacheKey> = inner
-                .map
-                .keys()
-                .filter(|k| inner.map[k].retires())
-                .collect();
-            let indexed: usize = inner.retiring.values().map(HashSet::len).sum();
-            assert_eq!(indexed, retiring.len(), "step {step}");
-            for k in retiring {
-                assert!(
-                    inner.retiring[&k.viewport].contains(&k.fingerprint),
-                    "step {step}"
-                );
-                assert!(window.contains(&k.viewport), "step {step}: cold entry");
+            for (k, e) in &inner.map {
+                let warm = inner.window.recent.contains(&k.viewport)
+                    || inner.held.contains_key(&k.viewport);
+                assert!(warm || !e.retires(), "step {step}: cold entry");
             }
+            let held: usize = inner.held.values().sum();
+            assert_eq!(held, holds.len(), "step {step}");
             assert!(inner.ghosts.fifo.len() <= GHOST_CAPACITY);
             assert_eq!(inner.ghosts.fifo.len(), inner.ghosts.keys.len());
         }
@@ -924,6 +958,8 @@ mod tests {
         assert!(s.retired > 0 && s.promoted > 0, "{s:?}");
         assert!(s.removed > 0 && s.replaced > 0, "{s:?}");
         assert!(rejected > 0 && s.insertions > s.evictions, "{s:?}");
+        drop(holds);
+        assert!(cache.lock().held.is_empty());
     }
 
     fn conserved(s: &CacheStats) -> bool {
@@ -1067,6 +1103,45 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.retired, s.promoted), (2, 0));
         assert!(conserved(&s), "{s:?}");
+    }
+
+    #[test]
+    fn a_held_viewport_retires_once_its_last_hold_is_released() {
+        let cache = CanvasCache::new(1 << 20, 1);
+        let (a, b, c) = (at(0), at(1), at(2));
+        let resident = |k: CacheKey| cache.lock().map.contains_key(&k);
+        let first = cache.hold(ViewportKey::from(&a));
+        let second = cache.hold(ViewportKey::from(&a));
+        cache.insert_shared(key(1, &a), canvas(8), Vec::new());
+        cache.insert(key(2, &a), canvas(8), Vec::new(), false);
+        // Other evaluations move the window past `a` while `a`'s runs:
+        // `a` keeps its entries, the unheld `b` retires as usual.
+        cache.insert_shared(key(1, &b), canvas(8), Vec::new());
+        cache.insert_shared(key(1, &c), canvas(8), Vec::new());
+        assert!(resident(key(1, &a)) && resident(key(2, &a)));
+        assert!(!resident(key(1, &b)));
+        drop(first);
+        assert!(resident(key(1, &a)), "one evaluation still runs at `a`");
+        drop(second);
+        assert!(!resident(key(1, &a)) && !resident(key(2, &a)));
+        // Releasing a viewport inside the window retires nothing.
+        drop(cache.hold(ViewportKey::from(&c)));
+        assert!(resident(key(1, &c)));
+        let s = cache.stats();
+        assert_eq!((s.retired, s.entries), (3, 1));
+        assert!(conserved(&s), "{s:?}");
+        assert!(cache.lock().held.is_empty());
+    }
+
+    #[test]
+    fn a_rejected_insert_does_not_move_the_window() {
+        let cache = CanvasCache::new(canvas(8).size_bytes(), 1);
+        let k = key(1, &at(0));
+        cache.insert_shared(k, canvas(8), Vec::new());
+        cache.insert_shared(key(1, &at(1)), canvas(64), Vec::new());
+        let s = cache.stats();
+        assert_eq!((s.rejected_oversize, s.retired), (1, 0));
+        assert!(cache.get(&k).is_some());
     }
 
     #[test]

@@ -57,11 +57,14 @@ pub struct EngineConfig {
     /// Concurrent executors of the shared worker pool (1 = inline).
     pub threads: usize,
     /// Queries evaluating simultaneously; more wait at admission.
-    /// Also the width of the cache's viewport window: each evaluation
-    /// runs at one viewport, so the cache keeps interiors and
-    /// probationary roots for the `max_concurrent` most recently
-    /// computed-at viewports and retires them once their viewport
-    /// falls out (see [`CanvasCache::new`]).
+    /// Also the width of the cache's viewport window: the cache keeps
+    /// interiors and probationary roots for the `max_concurrent` most
+    /// recently computed-at viewports, plus any viewport an evaluation
+    /// is running at, and retires them once their viewport falls out
+    /// (see [`CanvasCache::new`]). The width rests on each evaluation
+    /// running at one viewport; that this suits several concurrent
+    /// clients is unverified by the benchmark, whose computing
+    /// workloads are single-client.
     pub max_concurrent: usize,
     /// Submissions allowed to wait at admission before the engine
     /// sheds load.
@@ -862,6 +865,10 @@ impl QueryEngine {
                 return Err(e);
             }
         };
+        // Until this evaluation's root is published, its viewport's
+        // interiors stay resident however far other evaluations move
+        // the cache's viewport window.
+        let hold = self.cache.hold(key.viewport);
 
         // Station 5: execute — patch a cached predecessor generation
         // when there is one, run the class's run arm otherwise. The
@@ -903,6 +910,7 @@ impl QueryEngine {
             }
             None => Served::Computed,
         };
+        drop(hold);
         lead.publish(Ok(result.clone()));
         Ok(Serving {
             result,

@@ -344,6 +344,98 @@ fn a_pan_walk_keeps_only_the_last_two_viewports_resident() {
 }
 
 #[test]
+fn two_clients_panning_in_step_share_as_much_as_a_wide_window() {
+    // Two clients pan side by side over disjoint viewports in lockstep:
+    // each runs the linked views at its step's viewport, then waits for
+    // the other. Under two admission permits (a window of two
+    // viewports) they share exactly the interiors, and draw exactly the
+    // primitives, that they do under a window wide enough to retire
+    // nothing: two clients that each stay at one viewport are the
+    // traffic the window width is derived for. Free-running clients are
+    // not pinned: between two of a client's views the window is a
+    // recency heuristic (cache module docs).
+    let (queries, _) = workload();
+    let queries = &queries[..6];
+    let walk = |y: f64| -> Vec<Viewport> {
+        (0..6)
+            .map(|i| {
+                let x = 5.0 * f64::from(i);
+                Viewport::new(
+                    BBox::new(Point::new(x, y), Point::new(x + 50.0, y + 50.0)),
+                    64,
+                    64,
+                )
+            })
+            .collect()
+    };
+    let config = |max_concurrent| EngineConfig {
+        threads: 2,
+        max_concurrent,
+        max_queue: 8,
+        cache_budget_bytes: 64 << 20,
+        calibrate: false,
+        ..EngineConfig::default()
+    };
+    let narrow = QueryEngine::with_config(config(2));
+    let wide = QueryEngine::with_config(config(64));
+    let work = |engine: &QueryEngine| {
+        let m = engine.metrics();
+        (
+            m.subplan_hits,
+            m.subplan_published,
+            engine.shared().stats().primitives,
+        )
+    };
+    // The client threads only record; every assertion runs after the
+    // scope, so a failure cannot strand the other client at a barrier.
+    let barrier = Barrier::new(2);
+    let per_step = std::sync::Mutex::new(Vec::new());
+    let responses: Vec<Vec<_>> = std::thread::scope(|s| {
+        let clients: Vec<_> = [walk(5.0), walk(45.0)]
+            .into_iter()
+            .map(|walk| {
+                let (narrow, wide, barrier, per_step) = (&narrow, &wide, &barrier, &per_step);
+                s.spawn(move || {
+                    let mut got = Vec::new();
+                    for vp in walk {
+                        for q in queries {
+                            got.push((q, vp, narrow.execute(q, vp)));
+                            let _ = wide.execute(q, vp);
+                        }
+                        if barrier.wait().is_leader() {
+                            per_step.lock().unwrap().push((work(narrow), work(wide)));
+                        }
+                        barrier.wait();
+                    }
+                    got
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    for (c, got) in responses.into_iter().enumerate() {
+        for (i, (q, vp, resp)) in got.into_iter().enumerate() {
+            let want = q.prepare().execute(&mut Device::cpu(), vp);
+            let ctx = format!("client {c}, submission {i}");
+            assert_canvas_eq(resp.unwrap().canvas(), want.canvas(), &ctx);
+        }
+    }
+    let per_step = per_step.into_inner().unwrap();
+    assert_eq!(per_step.len(), 6);
+    for (step, (narrow, wide)) in per_step.iter().enumerate() {
+        assert_eq!(narrow, wide, "step {step}: (hits, published, primitives)");
+    }
+    assert!(per_step[5].0 .0 > 0, "the linked views share interiors");
+    let (n, w) = (narrow.cache_stats(), wide.cache_stats());
+    assert!(n.retired > 0 && w.retired == 0, "{n:?} / {w:?}");
+    assert_eq!(
+        n.insertions,
+        n.entries as u64 + n.evictions + n.retired + n.removed + n.replaced,
+        "{n:?}"
+    );
+}
+
+#[test]
 fn identical_simultaneous_submissions_deduplicate() {
     let (queries, vps) = workload();
     let engine = Arc::new(QueryEngine::with_config(EngineConfig {
