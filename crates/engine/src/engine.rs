@@ -58,10 +58,10 @@ pub struct EngineConfig {
     pub threads: usize,
     /// Queries evaluating simultaneously; more wait at admission.
     /// Also the width of the cache's viewport window: the cache keeps
-    /// interiors and probationary roots for the `max_concurrent` most
-    /// recently computed-at viewports, plus any viewport an evaluation
-    /// is running at, and retires them once their viewport falls out
-    /// (see [`CanvasCache::new`]). The width rests on each evaluation
+    /// interiors for the `max_concurrent` most recently computed-at
+    /// viewports, plus any viewport an evaluation is running at, and
+    /// retires them once their viewport falls out (see
+    /// [`CanvasCache::new`]). The width rests on each evaluation
     /// running at one viewport; that this suits several concurrent
     /// clients is unverified by the benchmark, whose computing
     /// workloads are single-client.
@@ -70,9 +70,11 @@ pub struct EngineConfig {
     /// sheds load.
     pub max_queue: usize,
     /// Canvas cache budget in bytes; 0 disables caching. The budget
-    /// caps what stays resident; entries usually leave earlier, when
-    /// their viewport leaves the window (`max_concurrent`), unless
-    /// they are protected roots — asked again, or patchable.
+    /// caps what stays resident; entries usually leave earlier:
+    /// interiors when their viewport leaves the window
+    /// (`max_concurrent`), roots never asked again once they outgrow a
+    /// quarter of the budget at cold viewports. Protected roots —
+    /// asked again, or patchable — leave only under budget pressure.
     pub cache_budget_bytes: usize,
     /// Measure pool dispatch latency at startup and derive
     /// `Policy::min_parallel_items` from it (the static default stays
@@ -893,7 +895,7 @@ impl QueryEngine {
         // result must keep those addresses alive (a freed-and-reused
         // allocation could otherwise alias a different dataset onto an
         // old key). A result the next generation is patched forward
-        // from enters protected, so it outlives its viewport's window.
+        // from enters protected, so probation never retires it.
         self.cache.insert(
             key,
             result.clone(),

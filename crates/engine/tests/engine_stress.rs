@@ -279,9 +279,10 @@ fn eviction_under_tiny_budget_stays_correct() {
 #[test]
 fn a_pan_walk_keeps_only_the_last_two_viewports_resident() {
     // Two admission permits make a window of two viewports: once the
-    // walk has moved on, a viewport's interiors and its never re-asked
-    // roots retire. The live heatmap is left out: a patchable root
-    // enters protected and outlives its viewport on purpose.
+    // walk has moved on, a viewport's interiors retire, and its never
+    // re-asked roots retire once probation outgrows its quarter of the
+    // budget. The live heatmap is left out: a patchable root enters
+    // protected and outlives its viewport on purpose.
     let (queries, _) = workload();
     let queries = &queries[..6];
     let walk: Vec<Viewport> = (0..8)
@@ -294,23 +295,27 @@ fn a_pan_walk_keeps_only_the_last_two_viewports_resident() {
             )
         })
         .collect();
+    // Probation holds about two viewports' roots: the walk overflows it.
+    let budget = 8 << 20;
     let config = EngineConfig {
         threads: 2,
         max_concurrent: 2,
         max_queue: 8,
-        cache_budget_bytes: 64 << 20,
+        cache_budget_bytes: budget,
         calibrate: false,
         ..EngineConfig::default()
     };
-    // What one viewport's step leaves in a cache that sees nothing else.
-    let alone: Vec<usize> = walk
+    // What one viewport's step leaves in a cache that sees nothing
+    // else: (interior bytes, root bytes).
+    let alone: Vec<(usize, usize)> = walk
         .iter()
         .map(|vp| {
             let engine = QueryEngine::with_config(config);
             for q in queries {
                 engine.execute(q, *vp).unwrap();
             }
-            engine.cache_stats().bytes
+            let cs = engine.cache_stats();
+            (cs.shared_bytes, cs.bytes - cs.shared_bytes)
         })
         .collect();
     let engine = QueryEngine::with_config(config);
@@ -325,17 +330,25 @@ fn a_pan_walk_keeps_only_the_last_two_viewports_resident() {
                 &format!("step {i}, query {qi}"),
             );
         }
-        let last_two = alone[i] + if i > 0 { alone[i - 1] } else { 0 };
+        let last_two = |f: fn(&(usize, usize)) -> usize| {
+            f(&alone[i]) + if i > 0 { f(&alone[i - 1]) } else { 0 }
+        };
         let cs = engine.cache_stats();
+        assert!(cs.shared_bytes <= last_two(|a| a.0), "step {i}: {cs:?}");
+        // Nothing was asked twice, so every root is on probation: it
+        // fits its share of the budget, or only warm roots are left.
+        let roots = cs.bytes - cs.shared_bytes;
         assert!(
-            cs.bytes <= last_two,
-            "step {i}: {} > {last_two}: {cs:?}",
-            cs.bytes
+            roots <= (budget / 4).max(last_two(|a| a.1)),
+            "step {i}: {roots} root bytes: {cs:?}"
         );
     }
     let cs = engine.cache_stats();
     assert_eq!(cs.evictions, 0, "{cs:?}");
-    assert!(cs.retired > 0, "{cs:?}");
+    assert!(
+        cs.entries - cs.shared_entries < walk.len() * queries.len(),
+        "cold roots retired: {cs:?}"
+    );
     assert_eq!(
         cs.insertions,
         cs.entries as u64 + cs.evictions + cs.retired + cs.removed + cs.replaced,

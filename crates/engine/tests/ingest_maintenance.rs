@@ -234,19 +234,13 @@ fn evicted_predecessor_falls_back_to_full_render() {
 #[test]
 fn live_views_cycled_past_the_window_stay_incremental() {
     // Two admission permits keep a window of two viewports, and three
-    // live views take turns. Each view's canvas is its next tick's
-    // patch base: it enters the cache protected, so it survives its
-    // viewport going cold and every tick patches instead of rendering.
+    // live views take turns. Probation (a quarter of the budget) holds
+    // only one of their canvases, so a probationary base would retire
+    // once its viewport went cold. Each view's canvas is its next
+    // tick's patch base: it enters the cache protected, so it survives
+    // and every tick patches instead of rendering.
     let feed = canvas_datagen::trip_feed(&extent(), 1_500, 5, 19);
     let table = VersionedTable::new("cycled", extent(), feed.batch(0));
-    let engine = QueryEngine::with_config(EngineConfig {
-        threads: 2,
-        max_concurrent: 2,
-        max_queue: 64,
-        cache_budget_bytes: 64 << 20,
-        calibrate: false,
-        ..EngineConfig::default()
-    });
     let views: Vec<Viewport> = [(0.0, 0.0), (50.0, 0.0), (25.0, 50.0)]
         .iter()
         .map(|&(x, y)| {
@@ -257,6 +251,15 @@ fn live_views_cycled_past_the_window_stay_incremental() {
             )
         })
         .collect();
+    let one = render_live_heatmap(&mut Device::cpu(), views[0], &feed.batch(0), None).size_bytes();
+    let engine = QueryEngine::with_config(EngineConfig {
+        threads: 2,
+        max_concurrent: 2,
+        max_queue: 64,
+        cache_budget_bytes: 5 * one,
+        calibrate: false,
+        ..EngineConfig::default()
+    });
     for tick in 0..5 {
         if tick > 0 {
             engine.ingest_append(&table, &feed.batch(tick));
@@ -286,6 +289,7 @@ fn live_views_cycled_past_the_window_stay_incremental() {
     // Each patched predecessor was removed; one base per view is left.
     let cs = engine.cache_stats();
     assert_eq!((cs.entries, cs.removed, cs.retired), (3, 12, 0), "{cs:?}");
+    assert_eq!(cs.evictions, 0, "{cs:?}");
 }
 
 /// Load-aware recalibration runs once per 64 *computed* responses. An
