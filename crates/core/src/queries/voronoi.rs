@@ -1,7 +1,7 @@
 //! Voronoi diagram as a stored procedure (paper Section 4.5).
 //!
-//! `ComputeVoronoi` builds the diagram incrementally with nothing but the
-//! Value Transform operator: for each site `i`, the pass
+//! The paper builds the diagram incrementally with nothing but the Value
+//! Transform operator: for each site `i`, the pass
 //!
 //! ```text
 //! f(x, y, s)[2] = (i, d², 0)              if s = ∅
@@ -14,13 +14,21 @@
 //! nearest site — the discrete Voronoi diagram (the classic GPU
 //! technique the paper maps onto its algebra).
 //!
+//! The per-site passes are independent per texel, so `ComputeVoronoi`
+//! runs them as one `V` pass whose kernel folds every site in input
+//! order at each texel: the same `(d² as f32, id)` comparisons, the same
+//! canvas, one full-screen pass instead of one per site.
+//!
 //! Exactly-equidistant locations go to the smaller site id, so the
 //! diagram is the pointwise minimum over `(d², id)` — a function of the
-//! site set alone, independent of the insertion order.
+//! site set alone, independent of the insertion order. A site with a
+//! non-finite coordinate owns no location (its distance is +∞ or NaN
+//! everywhere, and NaN has no place in a minimum); without a finite site
+//! the diagram is empty.
 
 use crate::canvas::Canvas;
 use crate::device::Device;
-use crate::info::{DimInfo, Texel};
+use crate::info::Texel;
 use crate::ops::value_transform;
 use canvas_geom::Point;
 use canvas_raster::Viewport;
@@ -28,28 +36,28 @@ use canvas_raster::Viewport;
 /// Computes the discrete Voronoi diagram of `sites` over the viewport.
 ///
 /// The returned canvas stores, at every location, `s[2] = (site, d², 0)`
-/// for the nearest site.
+/// for the nearest site, where `site` is the index into `sites`.
 pub fn compute_voronoi(dev: &mut Device, vp: Viewport, sites: &[Point]) -> Canvas {
-    let mut canvas = Canvas::empty(vp);
-    for (i, site) in sites.iter().enumerate() {
-        let site = *site;
-        let id = i as u32;
-        canvas = value_transform(dev, &canvas, move |p, s| {
+    let sites: Vec<(u32, Point)> = (0u32..)
+        .zip(sites.iter().copied())
+        .filter(|(_, q)| q.x.is_finite() && q.y.is_finite())
+        .collect();
+    let Some((&(id0, site0), rest)) = sites.split_first() else {
+        return Canvas::empty(vp);
+    };
+    value_transform(dev, &Canvas::empty(vp), |p, _| {
+        let mut owner = (p.dist_sq(site0) as f32, id0);
+        for &(id, site) in rest {
             let d2 = p.dist_sq(site) as f32;
-            match s.get(2) {
-                None => Texel::area(id, d2, 0.0),
-                // Strictly closer owners keep their claim; exact ties go
-                // to the smaller site id (pointwise min over (d², id)).
-                Some(cur) if cur.v1 < d2 || (cur.v1 == d2 && cur.id < id) => {
-                    let mut t = Texel::null();
-                    t.set(2, DimInfo::new(cur.id, cur.v1, 0.0));
-                    t
-                }
-                Some(_) => Texel::area(id, d2, 0.0),
+            // Strictly closer owners keep their claim; exact ties go to
+            // the smaller site id (pointwise min over (d², id)).
+            let (v1, cur) = owner;
+            if !(v1 < d2 || (v1 == d2 && cur < id)) {
+                owner = (d2, id);
             }
-        });
-    }
-    canvas
+        }
+        Texel::area(owner.1, owner.0, 0.0)
+    })
 }
 
 /// Nearest site of a world point according to the diagram canvas.
@@ -84,6 +92,33 @@ mod tests {
             n,
             n,
         )
+    }
+
+    /// The spec: the paper's incremental construction, one `V` pass per
+    /// finite site in input order (the procedure `compute_voronoi` ran
+    /// before it folded the sites into one pass).
+    fn per_site_passes(dev: &mut Device, vp: Viewport, sites: &[Point]) -> Canvas {
+        let mut canvas = Canvas::empty(vp);
+        for (i, site) in sites.iter().enumerate() {
+            if !(site.x.is_finite() && site.y.is_finite()) {
+                continue;
+            }
+            let site = *site;
+            let id = i as u32;
+            canvas = value_transform(dev, &canvas, move |p, s| {
+                let d2 = p.dist_sq(site) as f32;
+                match s.get(2) {
+                    None => Texel::area(id, d2, 0.0),
+                    Some(cur) if cur.v1 < d2 || (cur.v1 == d2 && cur.id < id) => {
+                        let mut t = Texel::null();
+                        t.set(2, crate::info::DimInfo::new(cur.id, cur.v1, 0.0));
+                        t
+                    }
+                    Some(_) => Texel::area(id, d2, 0.0),
+                }
+            });
+        }
+        canvas
     }
 
     fn brute_nearest(sites: &[Point], p: Point) -> u32 {
@@ -187,6 +222,81 @@ mod tests {
                 assert_eq!(a, 2 - b, "relabel mismatch at ({x},{y})");
             }
         }
+    }
+
+    #[test]
+    fn one_pass_equals_the_per_site_passes() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let non_finite = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for round in 0..24 {
+            // Sites on a 5-unit grid over a 20-pixel viewport: pixel
+            // centers sit on the grid's half-steps, so bisectors of
+            // neighbouring sites pass through them (exact ties).
+            let n = 1 + below(12) as usize;
+            let mut sites: Vec<Point> = (0..n)
+                .map(|_| Point::new(below(21) as f64 * 5.0, below(21) as f64 * 5.0))
+                .collect();
+            if round % 2 == 1 {
+                sites.push(sites[below(n as u64) as usize]); // coincident
+            }
+            if round % 3 == 0 {
+                let i = below(sites.len() as u64) as usize;
+                sites[i].x = non_finite[below(3) as usize];
+            }
+            let mut spec_dev = Device::cpu();
+            let want = per_site_passes(&mut spec_dev, vp(20), &sites);
+            for threads in [1, 2, 8] {
+                let mut dev = Device::cpu_parallel(threads);
+                dev.pool().set_min_work_override(1);
+                let got = compute_voronoi(&mut dev, vp(20), &sites);
+                assert_eq!(
+                    got.texels(),
+                    want.texels(),
+                    "round {round}, {threads} threads"
+                );
+                assert_eq!(got.cover(), want.cover());
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_sites_own_nothing_in_either_order() {
+        let mut dev = Device::nvidia();
+        let a = Point::new(30.0, 40.0);
+        let bad = Point::new(f64::NAN, 50.0);
+        let first = compute_voronoi(&mut dev, vp(16), &[a, bad]);
+        let second = compute_voronoi(&mut dev, vp(16), &[bad, a]);
+        let owner =
+            |c: &Canvas, sites: [Point; 2], x, y| sites[c.texel(x, y).get(2).unwrap().id as usize];
+        for y in 0..16 {
+            for x in 0..16 {
+                assert_eq!(owner(&first, [a, bad], x, y), a);
+                assert_eq!(owner(&second, [bad, a], x, y), a);
+            }
+        }
+        let inf = Point::new(f64::INFINITY, 0.0);
+        assert!(compute_voronoi(&mut dev, vp(16), &[bad, inf]).is_empty());
+    }
+
+    #[test]
+    fn one_pass_per_diagram() {
+        let mut dev = Device::nvidia();
+        let sites = [
+            Point::new(10.0, 10.0),
+            Point::new(60.0, 20.0),
+            Point::new(40.0, 90.0),
+        ];
+        let before = dev.stats();
+        let _ = compute_voronoi(&mut dev, vp(16), &sites);
+        let after = dev.stats();
+        assert_eq!(after.passes - before.passes, 1);
+        assert_eq!(after.fullscreen_texels - before.fullscreen_texels, 16 * 16);
     }
 
     #[test]

@@ -4,12 +4,18 @@
 use crate::point::Point;
 
 /// Convex hull of a point set, returned as a CCW ring without a repeated
-/// closing vertex. Collinear boundary points are dropped.
+/// closing vertex. Collinear boundary points are dropped, and so are
+/// points with a non-finite coordinate (a NaN has no place in the sort,
+/// and an infinite point has no finite hull).
 ///
 /// Returns fewer than 3 points when the input is degenerate (empty,
 /// single point, or all collinear).
 pub fn convex_hull(points: &[Point]) -> Vec<Point> {
-    let mut pts: Vec<Point> = points.to_vec();
+    let mut pts: Vec<Point> = points
+        .iter()
+        .copied()
+        .filter(|p| p.x.is_finite() && p.y.is_finite())
+        .collect();
     pts.sort_by(|a, b| {
         a.x.partial_cmp(&b.x)
             .unwrap_or(std::cmp::Ordering::Equal)
@@ -120,6 +126,35 @@ mod tests {
         ];
         let h = convex_hull(&pts);
         assert_eq!(h.len(), 3);
+    }
+
+    #[test]
+    fn non_finite_points_are_dropped() {
+        let mut state = 7u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // Regression: a NaN made the sort's comparator inconsistent, and
+        // the standard sort panics on that.
+        let mut pts: Vec<Point> = (0..1000).map(|_| Point::new(next(), next())).collect();
+        for (i, p) in pts.iter_mut().enumerate() {
+            if i % 7 == 0 {
+                p.x = f64::NAN;
+            } else if i % 11 == 0 {
+                p.y = f64::INFINITY;
+            }
+        }
+        let kept: Vec<Point> = pts
+            .iter()
+            .copied()
+            .filter(|p| p.x.is_finite() && p.y.is_finite())
+            .collect();
+        let h = convex_hull(&pts);
+        assert_eq!(h, convex_hull(&kept));
+        assert!(h.len() >= 3 && kept.iter().all(|p| hull_contains(&h, *p)));
     }
 
     #[test]
