@@ -5,7 +5,11 @@
 //! canvases (texel plane + certain-cover plane + boundary index) whose
 //! operators are the *coarse* forms of the algebra: Value Transform
 //! `V[f]`, Blend `B[⊙]` against a materialized operand canvas, and the
-//! texel-level Mask `M[M]`. A chain starts from one of two places:
+//! texel-level Mask `M[M]`. Each is a built-in kernel — a `ValueTag`,
+//! a `BlendFn`, a `MaskTag` — lowered to the raster layer's SIMD row
+//! kernels; arbitrary functions stay at the algebra level
+//! (`Expr::ValueTransform`, `MaskSpec::Texel`), which evaluates them
+//! as materialized passes. A chain starts from one of two places:
 //!
 //! * **a draw** ([`run_points_chain`], [`run_polygons_chain`]): each
 //!   rendered tile flows through every operator on the executor's
@@ -59,49 +63,34 @@ use crate::canvas::{Canvas, PointBatch};
 use crate::device::Device;
 use crate::info::{BlendFn, Texel};
 use crate::ops::mask::MaskSpec;
-use canvas_geom::Point;
 use canvas_raster::{Backend, MaskOutcome, MaskTag, OpChain, ValueTag, Viewport};
-
-/// Boxed location-aware texel rewrite (the Value Transform function).
-pub type ValueFn = Arc<dyn Fn(Point, Texel) -> Texel + Send + Sync>;
-/// Boxed texel keep-predicate (the coarse Mask set).
-pub type TexelPred = Arc<dyn Fn(&Texel) -> bool + Send + Sync>;
 
 /// One operator of a canvas chain.
 #[derive(Clone)]
 pub enum CanvasOp<'a> {
-    /// `V[f]` — per-location texel rewrite.
-    Value(ValueFn),
-    /// `V[f]` for a built-in transform — semantically a [`CanvasOp::Value`],
-    /// but lowered to the dispatched SIMD row kernel instead of a
-    /// per-texel closure.
+    /// `V[f]` for a built-in transform, lowered to the dispatched SIMD
+    /// row kernel.
     ValueTagged(ValueTag),
     /// `B[⊙]` — blend with a materialized operand canvas: texels
     /// through the blend function, covers by saturating addition,
     /// boundary entries merged with source remapping.
     Blend { other: &'a Canvas, op: BlendFn },
-    /// Coarse `M[M]` — texel-level mask: failing texels nulled, cover
-    /// zeroed, boundary entries of nulled pixels pruned.
-    Mask {
-        label: &'static str,
-        pred: TexelPred,
-    },
-    /// Coarse `M[M]` for a built-in predicate — semantically a
-    /// [`CanvasOp::Mask`], lowered to the SIMD row kernel.
+    /// Coarse `M[M]` for a built-in predicate, lowered to the SIMD row
+    /// kernel: failing texels nulled, cover zeroed, boundary entries of
+    /// nulled pixels pruned.
     MaskTagged { label: &'static str, tag: MaskTag },
 }
 
 impl std::fmt::Debug for CanvasOp<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Tagged ops print identically to their closure forms so plan
-        // strings (and the subplan-sharing cache keys derived from
-        // them) are stable across the lowering choice.
+        // A value stage prints as `V[f]` and a mask by its label, as
+        // the algebra's operators do, so plan strings (and the
+        // subplan-sharing cache keys derived from them) name the
+        // operator, not its kernel.
         match self {
-            CanvasOp::Value(_) | CanvasOp::ValueTagged(_) => write!(f, "V[f]"),
+            CanvasOp::ValueTagged(_) => write!(f, "V[f]"),
             CanvasOp::Blend { op, .. } => write!(f, "B[{op:?}]"),
-            CanvasOp::Mask { label, .. } | CanvasOp::MaskTagged { label, .. } => {
-                write!(f, "M[{label}]")
-            }
+            CanvasOp::MaskTagged { label, .. } => write!(f, "M[{label}]"),
         }
     }
 }
@@ -132,28 +121,9 @@ impl<'a> CanvasChain<'a> {
         self
     }
 
-    /// Appends a Value Transform stage.
-    pub fn value(mut self, f: impl Fn(Point, Texel) -> Texel + Send + Sync + 'static) -> Self {
-        self.ops.push(CanvasOp::Value(Arc::new(f)));
-        self
-    }
-
     /// Appends a Blend stage against a materialized operand canvas.
     pub fn blend(mut self, other: &'a Canvas, op: BlendFn) -> Self {
         self.ops.push(CanvasOp::Blend { other, op });
-        self
-    }
-
-    /// Appends a coarse texel-level Mask stage.
-    pub fn mask(
-        mut self,
-        label: &'static str,
-        pred: impl Fn(&Texel) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        self.ops.push(CanvasOp::Mask {
-            label,
-            pred: Arc::new(pred),
-        });
         self
     }
 
@@ -223,15 +193,10 @@ fn assert_operand_viewports(vp: &Viewport, chain: &CanvasChain<'_>) {
 
 /// Lowers the canvas-level operators to raster tile kernels (shared by
 /// the point and polygon fused runners — one lowering, one semantics).
-fn lower_to_raster<'a>(vp: Viewport, chain: &CanvasChain<'a>) -> OpChain<'a, Texel> {
-    let mut raster_chain: OpChain<'a, Texel> =
-        OpChain::new().with_null_test(|t: &Texel| t.is_null());
+fn lower_to_raster<'a>(chain: &CanvasChain<'a>) -> OpChain<'a, Texel> {
+    let mut raster_chain: OpChain<'a, Texel> = OpChain::new();
     for op in chain.ops() {
         raster_chain = match op {
-            CanvasOp::Value(f) => {
-                let f = Arc::clone(f);
-                raster_chain.map(move |x, y, t| f(vp.pixel_center(x, y), t))
-            }
             CanvasOp::ValueTagged(tag) => raster_chain.map_tagged(*tag),
             // Built-in blends always take the SIMD row kernel: the
             // kernel is bit-identical to `BlendFn::apply` (asserted in
@@ -240,14 +205,8 @@ fn lower_to_raster<'a>(vp: Viewport, chain: &CanvasChain<'a>) -> OpChain<'a, Tex
             CanvasOp::Blend { other, op } => {
                 raster_chain.blend_tagged(other.texels(), Some(other.cover()), op.tag())
             }
-            CanvasOp::Mask { pred, .. } => {
-                let pred = Arc::clone(pred);
-                // Null texels stay null (the materialized mask only
-                // tests non-null texels).
-                raster_chain.mask(move |_, _, t: &Texel| t.is_null() || pred(t))
-            }
-            // The tagged mask kernel bakes in the same lowered
-            // semantics (null passes, failing texels nulled).
+            // The mask kernel bakes in the materialized mask's semantics:
+            // null texels pass, failing texels are nulled.
             CanvasOp::MaskTagged { tag, .. } => raster_chain.mask_tagged(*tag),
         };
     }
@@ -267,7 +226,7 @@ fn replay_bookkeeping(canvas: &mut Canvas, chain: &CanvasChain<'_>, masked: &Mas
     let mut mask_ordinal = 0usize;
     for op in chain.ops() {
         match op {
-            CanvasOp::Value(_) | CanvasOp::ValueTagged(_) => {}
+            CanvasOp::ValueTagged(_) => {}
             CanvasOp::Blend { other, .. } => {
                 // Same merge the materialized Blend performs.
                 let area_remap: Vec<u16> = other
@@ -284,7 +243,7 @@ fn replay_bookkeeping(canvas: &mut Canvas, chain: &CanvasChain<'_>, masked: &Mas
                     .boundary_mut()
                     .merge_in(other.boundary(), &area_remap, &line_remap);
             }
-            CanvasOp::Mask { .. } | CanvasOp::MaskTagged { .. } => {
+            CanvasOp::MaskTagged { .. } => {
                 let ordinal = mask_ordinal;
                 canvas
                     .boundary_mut()
@@ -308,7 +267,7 @@ pub fn run_points_chain(
     assert_operand_viewports(&vp, chain);
     let mut canvas = Canvas::empty(vp);
     dev.pipeline().note_upload(batch.upload_bytes());
-    let raster_chain = lower_to_raster(vp, chain);
+    let raster_chain = lower_to_raster(chain);
 
     let ids = &batch.ids;
     let weights = &batch.weights;
@@ -359,7 +318,7 @@ pub fn run_polygons_chain(
     let source = canvas.add_area_source(table.clone());
     let upload: u64 = table.iter().map(|p| (p.num_vertices() * 16) as u64).sum();
     dev.pipeline().note_upload(upload);
-    let raster_chain = lower_to_raster(vp, chain);
+    let raster_chain = lower_to_raster(chain);
 
     let (boundary, report) = {
         let (texels, cover, _) = canvas.planes_mut();
@@ -400,7 +359,7 @@ pub fn run_canvas_chain(dev: &mut Device, input: &Canvas, chain: &CanvasChain<'_
     let vp = *input.viewport();
     assert_operand_viewports(&vp, chain);
     let mut canvas = input.clone();
-    let raster_chain = lower_to_raster(vp, chain);
+    let raster_chain = lower_to_raster(chain);
     let report = {
         let (texels, cover, _) = canvas.planes_mut();
         dev.pipeline()
@@ -438,15 +397,8 @@ pub fn apply_chain_materialized(
 ) -> Canvas {
     for op in chain.ops() {
         c = match op {
-            CanvasOp::Value(f) => {
-                let f = Arc::clone(f);
-                crate::ops::value::value_transform(dev, &c, move |p, t| f(p, t))
-            }
             CanvasOp::ValueTagged(tag) => crate::ops::value::value_transform_tagged(dev, &c, *tag),
             CanvasOp::Blend { other, op } => crate::ops::blend::blend(dev, &c, other, *op),
-            CanvasOp::Mask { label, pred } => {
-                crate::ops::mask::mask(dev, &c, &MaskSpec::Texel(label, Arc::clone(pred)))
-            }
             // Materialized form of the tagged mask: the ordinary texel
             // mask over the kernel's raw predicate — same keep-set.
             CanvasOp::MaskTagged { label, tag } => {
@@ -483,7 +435,7 @@ pub fn run_points_chain_materialized(
 mod tests {
     use super::*;
     use crate::source::render_query_polygon;
-    use canvas_geom::{BBox, Polygon};
+    use canvas_geom::{BBox, Point, Polygon};
 
     fn vp(n: u32) -> Viewport {
         Viewport::new(
@@ -519,14 +471,8 @@ mod tests {
             fn mk(cq: &Canvas) -> CanvasChain<'_> {
                 CanvasChain::new()
                     .blend(cq, BlendFn::PointOverArea)
-                    .mask("point ∧ area", |t: &Texel| t.has(0) && t.has(2))
-                    .value(|_, mut t| {
-                        if let Some(mut p) = t.get(0) {
-                            p.v2 = p.v2 * 2.0 + 1.0;
-                            t.set(0, p);
-                        }
-                        t
-                    })
+                    .mask_tagged("point ∧ area", MaskTag::PointAndArea)
+                    .value_tagged(ValueTag::HeatLog)
             }
             let fused = run_points_chain(&mut dev_f, vp(16), &pts(), &mk(&cq_f));
             let want = run_points_chain_materialized(&mut dev_m, vp(16), &pts(), &mk(&cq_m));
@@ -567,14 +513,8 @@ mod tests {
         ]);
         fn mk() -> CanvasChain<'static> {
             CanvasChain::new()
-                .mask("dense", |t: &Texel| t.get(2).is_some_and(|a| a.v1 >= 2.0))
-                .value(|_, mut t| {
-                    if let Some(mut a) = t.get(2) {
-                        a.v2 = a.v1 * 10.0;
-                        t.set(2, a);
-                    }
-                    t
-                })
+                .mask_tagged("dense", MaskTag::AreaV1Above { threshold: 1.5 })
+                .value_tagged(ValueTag::DensityLog { tag: 1.0 })
         }
         for threads in [1usize, 3] {
             let mut dev_f = Device::cpu_parallel(threads);
@@ -595,11 +535,12 @@ mod tests {
                 "threads={threads}"
             );
             assert_eq!(dev_f.stats(), dev_m.stats(), "stats at {threads} threads");
-            // Only the overlap region (count 2) survives the mask.
+            // Only the overlap region (count 2) survives the mask, and
+            // the value stage untags its count by one.
             for (_, _, t) in fused.canvas.non_null() {
                 let a = t.get(2).unwrap();
-                assert!(a.v1 >= 2.0);
-                assert_eq!(a.v2, a.v1 * 10.0);
+                assert_eq!(a.v1, 1.0);
+                assert_eq!(a.v2, 2.0f32.ln());
             }
             assert!(!fused.canvas.is_empty());
         }
@@ -610,8 +551,8 @@ mod tests {
         let c = Canvas::empty(vp(8));
         let chain = CanvasChain::new()
             .blend(&c, BlendFn::Over)
-            .mask("m", |_| true)
-            .value(|_, t| t);
+            .mask_tagged("m", MaskTag::PointAndArea)
+            .value_tagged(ValueTag::HeatLog);
         assert_eq!(chain.plan(), "points → B[Over] → M[m] → V[f]");
         assert_eq!(chain.len(), 3);
         assert!(!chain.is_empty());

@@ -235,17 +235,11 @@ fn rasterjoin_kernel(
 /// rasterization (their aggregates are exactly zero), so the fragment
 /// kernel only walks polygons that can contribute.
 ///
-/// The density **pre-render goes through a fused chain**
-/// ([`run_points_chain`](crate::ops::chain::run_points_chain)): a Value
-/// stage nulls density texels outside the surviving polygons' union
-/// MBR (inflated by one pixel) *in-stream*, tile by tile, so the
-/// restricted density canvas never exists in an intermediate
-/// materialized form. This is safe for exactness: interior fragments
-/// read the density texel only at pixels whose **center** lies inside
-/// their polygon — hence inside the union MBR, where the Value stage is
-/// the identity — and boundary fragments refine against the exact
-/// point entries, which the chain keeps untouched. Bit-identical
-/// aggregates to the unfiltered kernel (asserted in tests).
+/// The density canvas is the unfiltered plan's own `B*[+](C_P)`
+/// ([`render_points`](crate::source::render_points)): only the pruned
+/// polygons' fragments are skipped, so the aggregates are bit-identical
+/// to the unfiltered kernel's and the passes and full-screen texels
+/// charged are the same (both asserted in tests).
 pub fn aggregate_join_rasterjoin_pruned(
     dev: &mut Device,
     vp: Viewport,
@@ -275,24 +269,7 @@ pub fn aggregate_join_rasterjoin_pruned(
     if survivors.is_empty() {
         return out;
     }
-    let mut region = BBox::EMPTY;
-    for &j in &survivors {
-        region = region.union(&polygons[j as usize].bbox());
-    }
-    // One pixel of slack so floating-point edge cases at the MBR rim
-    // can never clip a pixel center the kernel reads.
-    let pixel_pad = (vp.world().width() / vp.width().max(1) as f64)
-        .max(vp.world().height() / vp.height().max(1) as f64);
-    let region = region.inflated(pixel_pad);
-    let chain = crate::ops::chain::CanvasChain::new().value(move |p, t| {
-        if region.contains(p) {
-            t
-        } else {
-            crate::info::Texel::null()
-        }
-    });
-    let density = crate::ops::chain::run_points_chain(dev, vp, points, &chain).canvas;
-
+    let density = crate::source::render_points(dev, vp, points);
     rasterjoin_kernel(dev, vp, &density, polygons, Some(&survivors), &mut out);
     out
 }
@@ -550,9 +527,8 @@ mod tests {
 
     #[test]
     fn pruned_rasterjoin_equals_unfiltered() {
-        // The MBR pre-filter (grid index over the point side) plus the
-        // chain-restricted density pre-render must reproduce the
-        // unfiltered kernel bit-for-bit — including polygons whose MBR
+        // The MBR pre-filter (grid index over the point side) must
+        // reproduce the unfiltered kernel bit-for-bit — including polygons whose MBR
         // holds no points at all (pruned, exactly zero).
         // Points concentrated in the lower-left quadrant so an
         // in-viewport polygon can still be point-free (prunable).
@@ -582,6 +558,14 @@ mod tests {
             let b: Vec<u64> = got.sums.iter().map(|s| s.to_bits()).collect();
             assert_eq!(a, b, "sums diverge at {threads} threads");
             assert_eq!(got.counts[3], 0, "pruned polygon aggregates to zero");
+            // The pre-filter only skips fragments: the density render
+            // is the unfiltered plan's, with no extra full-screen pass.
+            assert_eq!(dev.stats().passes, dev_ref.stats().passes, "passes");
+            assert_eq!(
+                dev.stats().fullscreen_texels,
+                dev_ref.stats().fullscreen_texels,
+                "full-screen texels"
+            );
             // The pre-filter must cut real work: fewer fragments walked.
             assert!(
                 dev.stats().fragments < dev_ref.stats().fragments,

@@ -49,7 +49,7 @@ pub fn dominates(a: Point, b: Point, sites: &[Point]) -> bool {
 }
 
 /// Spatial skyline of a whole point set: record ids of non-dominated
-/// points, sorted and deduplicated. None without sites.
+/// points, sorted and deduplicated. None without a finite site.
 pub fn skyline(data: &PointBatch, sites: &[Point]) -> Vec<u32> {
     skyline_of(&data.points, &data.ids, sites)
 }
@@ -76,23 +76,24 @@ pub fn skyline_of_selection(
 }
 
 fn skyline_of(pts: &[Point], ids: &[u32], sites: &[Point]) -> Vec<u32> {
-    if sites.is_empty() {
-        return Vec::new();
-    }
     // A non-finite site puts every point at the same +∞ or NaN, which
-    // never decides dominance; without a finite site nothing dominates.
+    // never decides dominance, so it counts as no site: without a
+    // finite site the query has no sites and no answer.
     let sites: Vec<Point> = sites
         .iter()
         .copied()
         .filter(|q| q.x.is_finite() && q.y.is_finite())
         .collect();
     let k = sites.len();
+    if k == 0 {
+        return Vec::new();
+    }
     let mut out = Vec::new();
     let mut rest = Vec::with_capacity(pts.len());
     for (i, p) in pts.iter().enumerate() {
         // A NaN coordinate makes every distance NaN: the point neither
         // dominates nor is dominated.
-        if k == 0 || p.x.is_nan() || p.y.is_nan() {
+        if p.x.is_nan() || p.y.is_nan() {
             out.push(ids[i]);
         } else {
             rest.push(i);
@@ -204,9 +205,10 @@ mod tests {
     }
 
     /// The spec: the block-nested loop `skyline_of` ran before the
-    /// sorted sweep — every point tested against every other.
+    /// sorted sweep — every point tested against every other — with no
+    /// answer when no site is finite.
     fn block_nested_loop(pts: &[Point], ids: &[u32], sites: &[Point]) -> Vec<u32> {
-        if sites.is_empty() {
+        if !sites.iter().any(|q| q.x.is_finite() && q.y.is_finite()) {
             return Vec::new();
         }
         let mut out = Vec::new();
@@ -371,5 +373,20 @@ mod tests {
         assert!(skyline(&batch, &[Point::ORIGIN]).is_empty());
         let batch = PointBatch::from_points(vec![Point::new(1.0, 1.0)]);
         assert!(skyline(&batch, &[]).is_empty());
+    }
+
+    #[test]
+    fn no_finite_site_is_no_site() {
+        // Non-finite sites never decide dominance, so a list of only
+        // such sites answers as the empty list does: no point.
+        let batch = PointBatch::from_points(vec![Point::new(1.0, 1.0), Point::new(2.0, 5.0)]);
+        for q in [
+            Point::new(f64::NAN, 0.0),
+            Point::new(0.0, f64::INFINITY),
+            Point::new(f64::NEG_INFINITY, f64::NAN),
+        ] {
+            assert_eq!(skyline(&batch, &[q]), skyline(&batch, &[]), "site {q:?}");
+            assert!(skyline(&batch, &[q, q]).is_empty(), "site {q:?} twice");
+        }
     }
 }

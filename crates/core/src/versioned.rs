@@ -404,9 +404,7 @@ impl TableSnapshot {
 /// path to the same backend to exercise the dispatch axis without
 /// process-global state).
 fn heatmap_chain<'a>(backend: Option<Backend>) -> OpChain<'a, Texel> {
-    let chain: OpChain<'_, Texel> = OpChain::new()
-        .with_null_test(|t: &Texel| t.is_null())
-        .map_tagged(ValueTag::HeatLog);
+    let chain: OpChain<'_, Texel> = OpChain::new().map_tagged(ValueTag::HeatLog);
     match backend {
         Some(be) => chain.with_backend(be),
         None => chain,

@@ -14,24 +14,21 @@
 //! instant, and the blit into the output framebuffer happens exactly
 //! once per tile, after the last operator.
 //!
-//! Every operator kernel is a pure per-texel function, so the fused
-//! run is **bit-identical** to the materialized sequence of full-screen
-//! passes (and to the sequential `Device::cpu` run) at any thread
-//! count; `tests/chain_equivalence.rs` asserts this on random chains.
+//! Every operator is a built-in kernel named by a tag — a
+//! [`ValueTag`], [`BlendTag`] or [`MaskTag`] — run by the dispatched
+//! SIMD row kernels of [`crate::simd`]. A chain holds tags and operand
+//! textures, never a closure: it is pure data, the form a backend other
+//! than the CPU tile runner could lower. Every kernel is a pure
+//! per-texel function, so the fused run is **bit-identical** to the
+//! materialized sequence of full-screen passes (and to the sequential
+//! `Device::cpu` run) at any thread count; `tests/chain_equivalence.rs`
+//! asserts this on random chains.
 
 use crate::simd::{self, Backend, BlendTag, MaskTag, TexelWords, ValueTag};
 use crate::stats::PipelineStats;
 use crate::texture::Texture;
 use crate::tile::TileRect;
 
-/// Boxed per-texel rewrite of a custom [`ChainOp::Map`] stage.
-pub type MapFn<'a, P> = Box<dyn Fn(u32, u32, P) -> P + Sync + 'a>;
-/// Boxed binary blend function of a custom [`ChainOp::Blend`] stage.
-pub type BlendOpFn<'a, P> = Box<dyn Fn(P, P) -> P + Sync + 'a>;
-/// Boxed keep-predicate of a custom [`ChainOp::Mask`] stage.
-pub type MaskPred<'a, P> = Box<dyn Fn(u32, u32, &P) -> bool + Sync + 'a>;
-/// Boxed nullity test (see [`OpChain::with_null_test`]).
-type NullTest<'a, P> = Box<dyn Fn(&P) -> bool + Sync + 'a>;
 /// Row dispatcher of a built-in Map: texel row.
 type MapRows<P> = fn(Backend, ValueTag, &mut [P]);
 /// Row dispatcher of a built-in Blend: destination row, operand row.
@@ -40,21 +37,15 @@ type BlendRows<P> = fn(Backend, BlendTag, &mut [P], &[P]);
 /// null bitmap.
 type MaskRows<P> = fn(Backend, MaskTag, &mut [P], Option<&mut [u16]>, &mut [u64]);
 
-/// The per-texel kernel of one operator: a built-in function carried as
-/// an op *tag* plus the monomorphized SIMD row dispatcher captured by
-/// the `*_tagged` builder (where `P: TexelWords` is known), or the one
-/// closure form for arbitrary user functions.
-pub enum Kernel<Tag, Rows, Custom> {
-    BuiltIn { tag: Tag, rows: Rows },
-    Custom(Custom),
-}
-
-/// One post-draw operator of a fused chain.
+/// One post-draw operator of a fused chain. Its kernel is a built-in
+/// function carried as an op `tag` plus the monomorphized SIMD row
+/// dispatcher `rows` captured by the `*_tagged` builder (where
+/// `P: TexelWords` is known).
 pub enum ChainOp<'a, P> {
     /// Per-texel rewrite — the Value Transform `V[f]`. Equivalent to a
     /// materialized `Pipeline::par_map_texels` pass. Built-in
     /// transforms are position-independent.
-    Map(Kernel<ValueTag, MapRows<P>, MapFn<'a, P>>),
+    Map { tag: ValueTag, rows: MapRows<P> },
     /// Pixel-wise blend with an already-materialized input texture —
     /// the Blend `B[⊙]` against an operand canvas. Equivalent to a
     /// materialized `Pipeline::blend_into_tagged` pass; when
@@ -64,25 +55,25 @@ pub enum ChainOp<'a, P> {
     Blend {
         src: &'a Texture<P>,
         src_cover: Option<&'a Texture<u16>>,
-        f: Kernel<BlendTag, BlendRows<P>, BlendOpFn<'a, P>>,
+        tag: BlendTag,
+        rows: BlendRows<P>,
     },
-    /// Per-texel keep-predicate — the coarse Mask `M[M]`. Texels
-    /// failing the predicate are nulled to `P::default()` and their
-    /// cover zeroed. Equivalent to a materialized
-    /// `Pipeline::map_planes` pass. A built-in predicate
-    /// implements the lowered canvas semantics directly (null texels
-    /// pass; failures nulled, cover zeroed, word-0 nullity recorded),
-    /// so it assumes the chain's null test is plain texel nullity.
-    Mask(Kernel<MaskTag, MaskRows<P>, MaskPred<'a, P>>),
+    /// Per-texel keep-predicate — the coarse Mask `M[M]`, with the
+    /// lowered canvas semantics: null texels pass, failing texels are
+    /// nulled to `P::default()` and their cover zeroed, and the op
+    /// records which pixels hold a null texel (word-0 presence 0)
+    /// afterwards. Equivalent to a materialized `Pipeline::map_planes`
+    /// pass.
+    Mask { tag: MaskTag, rows: MaskRows<P> },
 }
 
 impl<P> ChainOp<'_, P> {
     /// Short label for plan printing / debugging.
     pub fn label(&self) -> &'static str {
         match self {
-            ChainOp::Map(_) => "V[f]",
+            ChainOp::Map { .. } => "V[f]",
             ChainOp::Blend { .. } => "B[⊙]",
-            ChainOp::Mask(_) => "M[M]",
+            ChainOp::Mask { .. } => "M[M]",
         }
     }
 }
@@ -94,11 +85,6 @@ impl<P> ChainOp<'_, P> {
 /// `Pipeline::run_chain_texture`.
 pub struct OpChain<'a, P> {
     ops: Vec<ChainOp<'a, P>>,
-    /// Nullity test used to record, per Mask op, which pixels hold a
-    /// null texel **after** that op (the exact set a materialized Mask
-    /// pass would prune boundary entries for). Without it, only texels
-    /// the Mask itself nulled are recorded.
-    null_test: Option<NullTest<'a, P>>,
     /// SIMD backend override for the tagged kernels; `None` uses the
     /// process-wide [`simd::active_backend`]. Tests pin this to compare
     /// forced-scalar against auto dispatch in one process.
@@ -116,53 +102,15 @@ impl<'a, P> OpChain<'a, P> {
     pub fn new() -> Self {
         OpChain {
             ops: Vec::new(),
-            null_test: None,
             backend: None,
         }
     }
 
-    /// Appends a Value Transform stage.
-    pub fn map(mut self, f: impl Fn(u32, u32, P) -> P + Sync + 'a) -> Self {
-        self.ops.push(ChainOp::Map(Kernel::Custom(Box::new(f))));
-        self
-    }
-
-    /// Appends a Blend stage against a materialized input texture.
-    pub fn blend(mut self, src: &'a Texture<P>, f: impl Fn(P, P) -> P + Sync + 'a) -> Self {
-        self.ops.push(ChainOp::Blend {
-            src,
-            src_cover: None,
-            f: Kernel::Custom(Box::new(f)),
-        });
-        self
-    }
-
-    /// Appends a Blend stage that also merges the operand's cover plane
-    /// (saturating add — the canvas Blend contract).
-    pub fn blend_with_cover(
-        mut self,
-        src: &'a Texture<P>,
-        src_cover: &'a Texture<u16>,
-        f: impl Fn(P, P) -> P + Sync + 'a,
-    ) -> Self {
-        self.ops.push(ChainOp::Blend {
-            src,
-            src_cover: Some(src_cover),
-            f: Kernel::Custom(Box::new(f)),
-        });
-        self
-    }
-
-    /// Appends a coarse Mask stage.
-    pub fn mask(mut self, pred: impl Fn(u32, u32, &P) -> bool + Sync + 'a) -> Self {
-        self.ops.push(ChainOp::Mask(Kernel::Custom(Box::new(pred))));
-        self
-    }
-
-    /// Sets the nullity test recorded after each Mask op (see
-    /// [`MaskOutcome`]).
-    pub fn with_null_test(mut self, f: impl Fn(&P) -> bool + Sync + 'a) -> Self {
-        self.null_test = Some(Box::new(f));
+    /// Ignored: every Mask op is a built-in kernel that records word-0
+    /// nullity (the canvas `is_null`), so there is no null test to
+    /// set. Kept only because the repo benchmark still calls it; a
+    /// benchmark-only follow-up stops calling it and then deletes it.
+    pub fn with_null_test(self, _is_null: impl Fn(&P) -> bool + Sync + 'a) -> Self {
         self
     }
 
@@ -185,10 +133,10 @@ impl<'a, P> OpChain<'a, P> {
     where
         P: TexelWords,
     {
-        self.ops.push(ChainOp::Map(Kernel::BuiltIn {
+        self.ops.push(ChainOp::Map {
             tag,
             rows: simd::value_rows_with::<P>,
-        }));
+        });
         self
     }
 
@@ -207,26 +155,23 @@ impl<'a, P> OpChain<'a, P> {
         self.ops.push(ChainOp::Blend {
             src,
             src_cover,
-            f: Kernel::BuiltIn {
-                tag,
-                rows: simd::blend_rows_with::<P>,
-            },
+            tag,
+            rows: simd::blend_rows_with::<P>,
         });
         self
     }
 
     /// Appends a coarse Mask stage for a built-in predicate, lowered to
-    /// the SIMD row kernel. Assumes the chain's nullity notion is
-    /// word-0 presence (the canvas `is_null`), which lowered chains
-    /// always use.
+    /// the SIMD row kernel. Its null bitmap records word-0 presence
+    /// (the canvas `is_null`).
     pub fn mask_tagged(mut self, tag: MaskTag) -> Self
     where
         P: TexelWords,
     {
-        self.ops.push(ChainOp::Mask(Kernel::BuiltIn {
+        self.ops.push(ChainOp::Mask {
             tag,
             rows: simd::mask_rows_with::<P>,
-        }));
+        });
         self
     }
 
@@ -265,7 +210,7 @@ impl<'a, P> OpChain<'a, P> {
     fn mask_ordinal(&self, op_idx: usize) -> usize {
         self.ops[..op_idx]
             .iter()
-            .filter(|op| matches!(op, ChainOp::Mask(_)))
+            .filter(|op| matches!(op, ChainOp::Mask { .. }))
             .count()
     }
 
@@ -277,7 +222,7 @@ impl<'a, P> OpChain<'a, P> {
     pub(crate) fn charge_stats(&self, stats: &mut PipelineStats, texels: usize) {
         for op in &self.ops {
             let (planes, blend_planes) = match op {
-                ChainOp::Map(_) | ChainOp::Mask(_) => (1, 0),
+                ChainOp::Map { .. } | ChainOp::Mask { .. } => (1, 0),
                 ChainOp::Blend { src_cover, .. } => {
                     let planes = 1 + src_cover.is_some() as u64;
                     (planes, planes)
@@ -327,38 +272,24 @@ impl<'a, P: Copy + Default> OpChain<'a, P> {
         op_idx: usize,
         rect: TileRect,
         tex: &mut [P],
-        mut cov: Option<&mut [u16]>,
+        cov: Option<&mut [u16]>,
         bits: &mut [TileBits],
     ) {
-        // Row-wise iteration: pixel coordinates advance by increments
-        // instead of a div/mod pair per texel (these loops are the hot
-        // kernels of every streamed tile).
         let w = rect.w as usize;
         let be = self.resolved_backend();
         match &self.ops[op_idx] {
             // Built-in value transforms are position-independent, so
             // the whole contiguous tile buffer is one row.
-            ChainOp::Map(Kernel::BuiltIn { tag, rows }) => rows(be, *tag, tex),
-            ChainOp::Map(Kernel::Custom(f)) => {
-                for (r, row) in tex.chunks_mut(w).enumerate() {
-                    let y = rect.y0 + r as u32;
-                    for (c, t) in row.iter_mut().enumerate() {
-                        *t = f(rect.x0 + c as u32, y, *t);
-                    }
-                }
-            }
-            ChainOp::Blend { src, src_cover, f } => {
+            ChainOp::Map { tag, rows } => rows(be, *tag, tex),
+            ChainOp::Blend {
+                src,
+                src_cover,
+                tag,
+                rows,
+            } => {
                 for (r, row) in tex.chunks_mut(w).enumerate() {
                     let base = src.index(rect.x0, rect.y0 + r as u32);
-                    let srow = &src.texels()[base..base + w];
-                    match f {
-                        Kernel::BuiltIn { tag, rows } => rows(be, *tag, row, srow),
-                        Kernel::Custom(f) => {
-                            for (t, s) in row.iter_mut().zip(srow) {
-                                *t = f(*t, *s);
-                            }
-                        }
-                    }
+                    rows(be, *tag, row, &src.texels()[base..base + w]);
                 }
                 if let (Some(sc), Some(cov)) = (src_cover, cov) {
                     for (r, row) in cov.chunks_mut(w).enumerate() {
@@ -367,33 +298,9 @@ impl<'a, P: Copy + Default> OpChain<'a, P> {
                     }
                 }
             }
-            ChainOp::Mask(Kernel::BuiltIn { tag, rows }) => {
+            ChainOp::Mask { tag, rows } => {
                 let ordinal = self.mask_ordinal(op_idx);
                 rows(be, *tag, tex, cov, &mut bits[ordinal].words);
-            }
-            ChainOp::Mask(Kernel::Custom(pred)) => {
-                let tile_bits = &mut bits[self.mask_ordinal(op_idx)];
-                let mut li = 0usize;
-                for (r, row) in tex.chunks_mut(w).enumerate() {
-                    let y = rect.y0 + r as u32;
-                    for (c, t) in row.iter_mut().enumerate() {
-                        let keep = pred(rect.x0 + c as u32, y, t);
-                        if !keep {
-                            *t = P::default();
-                            if let Some(cov) = cov.as_deref_mut() {
-                                cov[li] = 0;
-                            }
-                        }
-                        let null_after = match &self.null_test {
-                            Some(is_null) => is_null(t),
-                            None => !keep,
-                        };
-                        if null_after {
-                            tile_bits.set(li);
-                        }
-                        li += 1;
-                    }
-                }
             }
         }
     }
@@ -515,6 +422,7 @@ pub struct ChainRunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::tests::T10;
 
     #[test]
     fn tile_bits_set_get() {
@@ -529,13 +437,13 @@ mod tests {
 
     #[test]
     fn chain_builder_counts_ops() {
-        let src: Texture<u32> = Texture::new(4, 4);
+        let src: Texture<T10> = Texture::new(4, 4);
         let chain = OpChain::new()
-            .map(|_, _, t| t + 1)
-            .blend(&src, |d, s| d + s)
-            .mask(|_, _, &t| t > 0)
-            .map(|_, _, t| t * 2)
-            .mask(|_, _, &t| t < 100);
+            .map_tagged(ValueTag::HeatLog)
+            .blend_tagged(&src, None, BlendTag::Over)
+            .mask_tagged(MaskTag::PointAndArea)
+            .map_tagged(ValueTag::DensityLog { tag: 1.0 })
+            .mask_tagged(MaskTag::AreaV1Above { threshold: 2.0 });
         assert_eq!(chain.len(), 5);
         assert_eq!(chain.mask_count(), 2);
         assert!(!chain.blends_cover());
@@ -548,42 +456,72 @@ mod tests {
 
     #[test]
     fn apply_tile_matches_fullscreen_semantics() {
-        // One 4x4 tile at offset (4, 2) of an 8x8 "framebuffer".
+        // One 4x4 tile at offset (4, 2) of an 8x8 "framebuffer": every
+        // op on the tile must equal the same scalar row kernel run over
+        // the whole frame, so the blend reads its operand at the tile's
+        // offset and the mask records local bits.
         let rect = TileRect {
             x0: 4,
             y0: 2,
             w: 4,
             h: 4,
         };
-        let mut src: Texture<u32> = Texture::new(8, 8);
+        let mut frame: Texture<T10> = Texture::new(8, 8);
+        let mut src: Texture<T10> = Texture::new(8, 8);
+        let mut src_cov: Texture<u16> = Texture::new(8, 8);
         for y in 0..8 {
             for x in 0..8 {
-                src.set(x, y, 100 + 10 * y + x);
+                let mut t = [0u32; 10];
+                (t[0], t[1], t[2]) = (0b001, x, ((x + 8 * y) as f32).to_bits());
+                frame.set(x, y, T10(t));
+                let mut t = [0u32; 10];
+                t[0] = if (x + y) % 2 == 0 { 0b100 } else { 0b010 };
+                (t[7], t[8]) = (y, (x as f32 * 0.5 + 1.0).to_bits());
+                src.set(x, y, T10(t));
+                src_cov.set(x, y, ((x + y) % 4) as u16);
             }
         }
         let chain = OpChain::new()
-            .map(|x, y, t: u32| t + x + y)
-            .blend(&src, |d, s| d + s)
-            .mask(|_, _, &t| t.is_multiple_of(2));
-        let mut tex = vec![1u32; 16];
+            .blend_tagged(&src, Some(&src_cov), BlendTag::PointOverArea)
+            .mask_tagged(MaskTag::PointAndArea)
+            .map_tagged(ValueTag::HeatLog);
+        let mut tex: Vec<T10> = (0..16)
+            .map(|li| frame.get(4 + li % 4, 2 + li / 4))
+            .collect();
         let mut cov = vec![3u16; 16];
         let mut bits = vec![TileBits::new(16)];
         for op in 0..chain.len() {
             chain.apply_tile(op, rect, &mut tex, Some(&mut cov), &mut bits);
         }
+
+        let be = Backend::Scalar;
+        let mut frame_cov = vec![3u16; 64];
+        let mut frame_bits = [0u64];
+        simd::blend_rows_with(
+            be,
+            BlendTag::PointOverArea,
+            frame.texels_mut(),
+            src.texels(),
+        );
+        simd::cover_add_rows_with(be, &mut frame_cov, src_cov.texels());
+        let mask = MaskTag::PointAndArea;
+        simd::mask_rows_with(
+            be,
+            mask,
+            frame.texels_mut(),
+            Some(&mut frame_cov),
+            &mut frame_bits,
+        );
+        simd::value_rows_with(be, ValueTag::HeatLog, frame.texels_mut());
         for li in 0..16 {
-            let x = 4 + (li % 4) as u32;
-            let y = 2 + (li / 4) as u32;
-            let expect = 1 + x + y + src.get(x, y);
-            if expect.is_multiple_of(2) {
-                assert_eq!(tex[li], expect);
-                assert_eq!(cov[li], 3);
-                assert!(!bits[0].get(li));
-            } else {
-                assert_eq!(tex[li], 0, "masked texel nulled at ({x},{y})");
-                assert_eq!(cov[li], 0, "masked cover zeroed at ({x},{y})");
-                assert!(bits[0].get(li));
-            }
+            let (x, y) = (4 + (li % 4) as u32, 2 + (li / 4) as u32);
+            let pixel = (y * 8 + x) as usize;
+            assert_eq!(tex[li], frame.get(x, y), "texel at ({x},{y})");
+            assert_eq!(cov[li], frame_cov[pixel], "cover at ({x},{y})");
+            let nulled = frame_bits[0] >> pixel & 1 == 1;
+            assert_eq!(bits[0].get(li), nulled, "null bit at ({x},{y})");
+            // Odd pixels lose their operand's 2-row and are masked out.
+            assert_eq!(nulled, (x + y) % 2 == 1, "masked at ({x},{y})");
         }
     }
 

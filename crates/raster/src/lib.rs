@@ -23,7 +23,8 @@
 //!   patch is one job shape run by one runner), full-screen passes and
 //!   scatter passes, with programmable fragment shading and blending,
 //! * [`chain::OpChain`] — the per-texel operators a job's tiles flow
-//!   through before their single blit,
+//!   through before their single blit, each a built-in [`simd`] kernel
+//!   named by a tag,
 //! * [`tile`] — the fixed 64×64 tile decomposition: primitives are
 //!   binned to tiles and each tile is rasterized independently on a
 //!   **persistent worker pool** (the `canvas-executor` crate — spawned

@@ -1206,6 +1206,8 @@ fn emit_polyline_fragments(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::tests::T10;
+    use crate::simd::BlendTag;
     use canvas_executor::Policy;
 
     fn vp10() -> Viewport {
@@ -1490,19 +1492,41 @@ mod tests {
         }
     }
 
+    /// A point texel of count `v1`, and the draw blend summing counts.
+    fn count(v1: f32) -> T10 {
+        let mut t = T10::default();
+        (t.0[0], t.0[2]) = (1, v1.to_bits());
+        t
+    }
+
+    fn add_counts(d: T10, s: T10) -> T10 {
+        count(f32::from_bits(d.0[2]) + f32::from_bits(s.0[2]))
+    }
+
     #[test]
     fn chain_on_empty_draw_still_runs_operators() {
         // 0 primitives: the draw contributes nothing, but the chain's
         // full-screen operators must still rewrite every texel.
+        let mut operand: Texture<T10> = Texture::new(150, 100);
+        for (i, t) in operand.texels_mut().iter_mut().enumerate() {
+            *t = count(i as f32 + 1.0);
+        }
         for threads in [1usize, 4] {
             let vp = vp_big();
-            let mut fb: Texture<u32> = Texture::new(150, 100);
+            let mut fb: Texture<T10> = Texture::new(150, 100);
             let mut pt = Pipeline::new();
             pt.set_threads(threads);
-            let chain = OpChain::new().map(|x, y, _| x + 100 * y + 1);
-            let report =
-                pt.run_chain_points(&vp, &mut fb, None, &[], |_, _| 0u32, |d, s| d + s, &chain);
-            assert!(fb.iter().all(|(x, y, t)| t == x + 100 * y + 1));
+            let chain = OpChain::new().blend_tagged(&operand, None, BlendTag::Over);
+            let report = pt.run_chain_points(
+                &vp,
+                &mut fb,
+                None,
+                &[],
+                |_, _| count(1.0),
+                add_counts,
+                &chain,
+            );
+            assert_eq!(fb, operand, "threads={threads}");
             assert_eq!(pt.stats().fragments, 0);
             if threads > 1 {
                 assert_eq!(report.tiles, TileGrid::new(150, 100).num_tiles());
@@ -1515,18 +1539,29 @@ mod tests {
         // A canvas smaller than one tile exercises the 1-tile streaming
         // path end to end.
         let vp = vp10();
-        let pts = vec![Point::new(2.5, 2.5), Point::new(7.5, 7.5)];
-        let mut want: Texture<u32> = Texture::new(10, 10);
+        let pts = vec![
+            Point::new(2.5, 2.5),
+            Point::new(2.5, 2.5),
+            Point::new(7.5, 7.5),
+        ];
+        let mut want: Texture<T10> = Texture::new(10, 10);
         let mut pm = Pipeline::new();
-        pm.draw_points_tiled(&vp, &mut want, &pts, |_, _| 1, |d, s| d + s);
-        pm.par_map_texels(&mut want, |_, _, t| t * 10 + 1);
+        pm.draw_points_tiled(&vp, &mut want, &pts, |_, _| count(1.0), add_counts);
+        simd::value_rows_with(Backend::Scalar, ValueTag::HeatLog, want.texels_mut());
         for threads in [1usize, 3] {
-            let mut fb: Texture<u32> = Texture::new(10, 10);
+            let mut fb: Texture<T10> = Texture::new(10, 10);
             let mut pt = Pipeline::new();
             pt.set_threads(threads);
-            let chain = OpChain::new().map(|_, _, t: u32| t * 10 + 1);
-            let report =
-                pt.run_chain_points(&vp, &mut fb, None, &pts, |_, _| 1, |d, s| d + s, &chain);
+            let chain = OpChain::new().map_tagged(ValueTag::HeatLog);
+            let report = pt.run_chain_points(
+                &vp,
+                &mut fb,
+                None,
+                &pts,
+                |_, _| count(1.0),
+                add_counts,
+                &chain,
+            );
             assert_eq!(want, fb, "threads={threads}");
             assert!(report.peak_tiles_in_flight <= 1);
         }

@@ -1255,13 +1255,14 @@ pub fn per_texel_probe_ns<P: TexelWords>() -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// A bare ten-word texel satisfying the layout contract.
+    /// A bare ten-word texel satisfying the layout contract (the chain
+    /// and pipeline tests run the tagged kernels on it too).
     #[repr(C)]
     #[derive(Clone, Copy, Debug, Default, PartialEq)]
-    struct T10([u32; TEXEL_WORDS]);
+    pub(crate) struct T10(pub(crate) [u32; TEXEL_WORDS]);
 
     // SAFETY: repr(C) [u32; 10] is 40 bytes, align 4, no padding, and
     // every bit pattern is valid.

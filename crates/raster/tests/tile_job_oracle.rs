@@ -52,13 +52,13 @@ impl Source {
     }
 }
 
-/// One chain operator: a built-in kernel (`Some(tag)` / `tagged`) or
-/// the custom closure of its kind.
+/// One chain operator: a built-in kernel and, for a blend, whether it
+/// merges the operand's cover plane.
 #[derive(Clone, Copy, Debug)]
 enum Op {
-    Map(Option<ValueTag>),
-    Blend { tagged: bool, cover: bool },
-    Mask(Option<MaskTag>),
+    Map(ValueTag),
+    Blend { tag: BlendTag, cover: bool },
+    Mask(MaskTag),
 }
 
 fn is_null(t: &T10) -> bool {
@@ -82,43 +82,14 @@ fn shade(dim: usize, record: u32, f: Frag) -> T10 {
     T10(t)
 }
 
-fn map_custom(x: u32, y: u32, mut t: T10) -> T10 {
-    t.0[9] = t.0[9].wrapping_mul(31).wrapping_add(x ^ (y << 8));
+fn map1(tag: ValueTag, mut t: T10) -> T10 {
+    simd::value_rows_with(Backend::Scalar, tag, std::slice::from_mut(&mut t));
     t
-}
-
-fn blend_custom(mut d: T10, s: T10) -> T10 {
-    d.0[0] |= s.0[0] & 0b010;
-    d.0[5] = d.0[5].wrapping_add(s.0[5]);
-    d
-}
-
-fn mask_custom(x: u32, y: u32, t: &T10) -> bool {
-    !(x + y + t.0[0]).is_multiple_of(3)
-}
-
-fn map_op(tag: Option<ValueTag>, x: u32, y: u32, mut t: T10) -> T10 {
-    match tag {
-        Some(tag) => simd::value_rows_with(Backend::Scalar, tag, std::slice::from_mut(&mut t)),
-        None => t = map_custom(x, y, t),
-    }
-    t
-}
-
-fn blend_op(tagged: bool, d: T10, s: T10) -> T10 {
-    if tagged {
-        blend1(BlendTag::Over, d, s)
-    } else {
-        blend_custom(d, s)
-    }
 }
 
 /// The lowered mask semantics of a built-in predicate: null passes.
-fn keep_op(tag: Option<MaskTag>, x: u32, y: u32, t: &T10) -> bool {
-    match tag {
-        Some(tag) => is_null(t) || simd::mask_pred(tag, t),
-        None => mask_custom(x, y, t),
-    }
+fn keep(tag: MaskTag, t: &T10) -> bool {
+    is_null(t) || simd::mask_pred(tag, t)
 }
 
 /// Everything a tile job produces that a caller can observe.
@@ -215,16 +186,15 @@ fn reference(src: &Source, ops: &[Op], operand: &Texture<T10>, op_cov: &Texture<
         o.stats.fullscreen_texels += planes * n as u64;
         let mut null_after = Vec::new();
         for i in 0..n {
-            let (x, y, s) = (i as u32 % W, i as u32 / W, operand.texels()[i]);
             match op {
-                Op::Map(tag) => o.tex[i] = map_op(tag, x, y, o.tex[i]),
-                Op::Blend { tagged, cover } => {
-                    o.tex[i] = blend_op(tagged, o.tex[i], s);
+                Op::Map(tag) => o.tex[i] = map1(tag, o.tex[i]),
+                Op::Blend { tag, cover } => {
+                    o.tex[i] = blend1(tag, o.tex[i], operand.texels()[i]);
                     o.cov[i] = o.cov[i].saturating_add(if cover { op_cov.texels()[i] } else { 0 });
                     o.stats.blend_ops += planes;
                 }
                 Op::Mask(tag) => {
-                    if !keep_op(tag, x, y, &o.tex[i]) {
+                    if !keep(tag, &o.tex[i]) {
                         (o.tex[i], o.cov[i]) = (T10::default(), 0);
                     }
                     null_after.push(is_null(&o.tex[i]));
@@ -247,19 +217,12 @@ fn pipeline(
     operand: &Texture<T10>,
     op_cov: &Texture<u16>,
 ) -> Outcome {
-    let mut chain: OpChain<'_, T10> = OpChain::new().with_null_test(is_null);
+    let mut chain: OpChain<'_, T10> = OpChain::new();
     for &op in ops {
         chain = match op {
-            Op::Map(Some(tag)) => chain.map_tagged(tag),
-            Op::Map(None) => chain.map(map_custom),
-            Op::Blend {
-                tagged: true,
-                cover,
-            } => chain.blend_tagged(operand, cover.then_some(op_cov), BlendTag::Over),
-            Op::Blend { cover: true, .. } => chain.blend_with_cover(operand, op_cov, blend_custom),
-            Op::Blend { .. } => chain.blend(operand, blend_custom),
-            Op::Mask(Some(tag)) => chain.mask_tagged(tag),
-            Op::Mask(None) => chain.mask(mask_custom),
+            Op::Map(tag) => chain.map_tagged(tag),
+            Op::Blend { tag, cover } => chain.blend_tagged(operand, cover.then_some(op_cov), tag),
+            Op::Mask(tag) => chain.mask_tagged(tag),
         };
     }
     let vp = vp();
@@ -375,17 +338,22 @@ fn arb_source() -> impl Strategy<Value = Source> {
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    (0u32..8, 0u32..2).prop_map(|(k, cover)| match k {
-        0 => Op::Map(Some(ValueTag::HeatLog)),
-        1 => Op::Map(Some(ValueTag::DensityLog { tag: 1.0 })),
-        2 => Op::Map(None),
-        3 | 4 => Op::Blend {
-            tagged: k == 3,
+    const BLENDS: [BlendTag; 5] = [
+        BlendTag::Over,
+        BlendTag::PointOverArea,
+        BlendTag::AreaCount,
+        BlendTag::Accumulate,
+        BlendTag::PointAccumulate,
+    ];
+    (0u32..6, 0usize..5, 0.0f32..2.0, 0u32..2).prop_map(|(k, blend, p, cover)| match k {
+        0 => Op::Map(ValueTag::HeatLog),
+        1 => Op::Map(ValueTag::DensityLog { tag: p }),
+        2 | 3 => Op::Blend {
+            tag: BLENDS[blend],
             cover: cover == 1,
         },
-        5 => Op::Mask(Some(MaskTag::PointAndArea)),
-        6 => Op::Mask(Some(MaskTag::AreaV1Above { threshold: 1.5 })),
-        _ => Op::Mask(None),
+        4 => Op::Mask(MaskTag::PointAndArea),
+        _ => Op::Mask(MaskTag::AreaV1Above { threshold: p }),
     })
 }
 

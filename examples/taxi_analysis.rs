@@ -1,7 +1,7 @@
 //! Taxi-trip analytics: the paper's motivating workload (Section 6) on
 //! synthetic data — polygonal selection of pickups, a multi-polygon
-//! disjunction, and distance-based selection, with baseline
-//! cross-checks.
+//! disjunction, distance-based selection and a per-zone aggregate, with
+//! baseline cross-checks.
 //!
 //! ```text
 //! cargo run --release --example taxi_analysis
@@ -126,6 +126,23 @@ fn main() {
     let groups = ptab
         .aggregate_points_in_polygons(&mut dev, vp, &ztab, Some("fare"))
         .unwrap();
+    // Scalar check: every in-viewport pickup counts (and adds its fare)
+    // in each zone whose closed region contains it.
+    for (z, zone) in zones.iter().enumerate() {
+        let (mut count, mut fares) = (0u64, 0.0f64);
+        for (p, fare) in trips.pickups.iter().zip(&trips.fares) {
+            if vp.world_to_pixel(*p).is_some() && zone.contains_closed(*p) {
+                count += 1;
+                fares += *fare as f64;
+            }
+        }
+        assert_eq!(groups.counts[z], count, "zone {z} pickups");
+        let sum = groups.sums[z];
+        assert!(
+            (sum - fares).abs() <= 1e-3 * fares.max(1.0),
+            "zone {z} fares: {sum} vs {fares}"
+        );
+    }
     let top = groups
         .sums
         .iter()

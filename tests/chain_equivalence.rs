@@ -10,7 +10,8 @@
 //! 1. the materialized plan (one whole-canvas pass per operator), and
 //! 2. the sequential `Device::cpu` reference,
 //!
-//! for random chains of depth 1–4 with random operators and parameters,
+//! for random chains of depth 1–4 of built-in operators (every value,
+//! blend and mask kernel) with random parameters,
 //! across thread counts {1, 2, 3, 8}. The fused run must additionally
 //! keep at most `Policy::stream_window(workers)` tile buffers live.
 //!
@@ -27,7 +28,7 @@ use canvas_core::ops::chain::{
     run_polygons_chain, CanvasChain, ChainOutcome,
 };
 use canvas_core::queries::heatmap;
-use canvas_raster::{Backend, Policy, WorkerPool};
+use canvas_raster::{Backend, MaskTag, Policy, ValueTag, WorkerPool};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -40,32 +41,35 @@ fn extent() -> BBox {
 /// by the device under test for stats parity).
 #[derive(Clone, Copy, Debug)]
 enum OpSpec {
-    /// Value Transform variant + parameter.
-    Value(u8, f32),
-    /// Blend with the k-th operand polygon canvas, via blend-fn variant.
-    Blend(u8),
-    /// Coarse texel mask variant + parameter.
-    Mask(u8, f32),
+    /// A built-in Value Transform.
+    Value(ValueTag),
+    /// Blend with the next operand polygon canvas.
+    Blend(BlendFn),
+    /// A built-in coarse texel mask.
+    Mask(MaskTag),
 }
 
-fn blend_fn(variant: u8) -> BlendFn {
-    match variant % 4 {
-        0 => BlendFn::Over,
-        1 => BlendFn::PointOverArea,
-        2 => BlendFn::PointAccumulate,
-        _ => BlendFn::Accumulate,
-    }
-}
+const BLENDS: [BlendFn; 5] = [
+    BlendFn::Over,
+    BlendFn::PointOverArea,
+    BlendFn::AreaCount,
+    BlendFn::Accumulate,
+    BlendFn::PointAccumulate,
+];
 
-/// Strategy: a random chain of depth 1–4 (the shim has no `prop_oneof`,
-/// so kind and variant fold into one integer: kind = k % 3,
-/// variant = k / 3).
+/// Strategy: a random chain of depth 1–4 over every built-in kernel,
+/// with a random `DensityLog` tag and `AreaV1Above` threshold (the shim
+/// has no `prop_oneof`, so the operator folds into one integer). Area
+/// counts start at 1 and four tags stay under 2, so `ln(1 + v1)` never
+/// sees an argument below 0 — a NaN texel would never compare equal.
 fn arb_chain() -> impl Strategy<Value = Vec<OpSpec>> {
     prop::collection::vec(
-        (0u8..12, 0.5f32..4.0).prop_map(|(k, p)| match k % 3 {
-            0 => OpSpec::Value(k / 3, p),
-            1 => OpSpec::Blend(k / 3),
-            _ => OpSpec::Mask(k / 3, p),
+        (0usize..9, 0.5f32..4.0).prop_map(|(k, p)| match k {
+            0 => OpSpec::Value(ValueTag::HeatLog),
+            1 => OpSpec::Value(ValueTag::DensityLog { tag: p / 8.0 }),
+            2 => OpSpec::Mask(MaskTag::PointAndArea),
+            3 => OpSpec::Mask(MaskTag::AreaV1Above { threshold: p }),
+            _ => OpSpec::Blend(BLENDS[k - 4]),
         }),
         1..5,
     )
@@ -78,37 +82,14 @@ fn build_chain<'a>(specs: &[OpSpec], operands: &'a [Canvas]) -> CanvasChain<'a> 
     let mut next_operand = 0usize;
     for spec in specs {
         chain = match *spec {
-            OpSpec::Value(0, p) => chain.value(move |_, mut t| {
-                if let Some(mut d) = t.get(0) {
-                    d.v2 *= p;
-                    t.set(0, d);
-                }
-                t
-            }),
-            OpSpec::Value(1, p) => chain.value(move |loc, mut t| {
-                if !t.is_null() {
-                    let mut d = t.get(0).unwrap_or_default();
-                    d.v2 = (loc.x * 0.25 + loc.y) as f32 + p;
-                    t.set(0, d);
-                }
-                t
-            }),
-            // A *nulling* value transform: stresses the interaction of
-            // later masks with pixels a value stage already nulled.
-            OpSpec::Value(_, p) => chain.value(move |_, t| match t.get(0) {
-                Some(d) if d.v1 < p => Texel::null(),
-                _ => t,
-            }),
-            OpSpec::Blend(v) => {
+            OpSpec::Value(tag) => chain.value_tagged(tag),
+            OpSpec::Blend(op) => {
                 let c = &operands[next_operand];
                 next_operand += 1;
-                chain.blend(c, blend_fn(v))
+                chain.blend(c, op)
             }
-            OpSpec::Mask(0, _) => chain.mask("has-point", |t: &Texel| t.has(0)),
-            OpSpec::Mask(1, _) => chain.mask("has-area", |t: &Texel| t.has(2)),
-            OpSpec::Mask(_, p) => chain.mask("count>=k", move |t: &Texel| {
-                t.get(0).map(|d| d.v1 >= p).unwrap_or(false)
-            }),
+            OpSpec::Mask(tag @ MaskTag::PointAndArea) => chain.mask_tagged("point∧area", tag),
+            OpSpec::Mask(tag) => chain.mask_tagged("area>k", tag),
         };
     }
     chain
@@ -386,9 +367,9 @@ fn chain_empty_draw_equivalence() {
     let vp = Viewport::square_pixels(extent(), 128);
     let batch = PointBatch::from_points(vec![]);
     let specs = [
-        OpSpec::Value(1, 2.0),
-        OpSpec::Blend(0),
-        OpSpec::Mask(1, 1.0),
+        OpSpec::Value(ValueTag::DensityLog { tag: 2.0 }),
+        OpSpec::Blend(BlendFn::Over),
+        OpSpec::Mask(MaskTag::AreaV1Above { threshold: 0.5 }),
     ];
 
     let mut ref_dev = Device::cpu();
@@ -415,9 +396,9 @@ fn chain_single_tile_canvas_equivalence() {
     let vp = Viewport::square_pixels(extent(), 32); // < 64-pixel tile
     let batch = PointBatch::from_points(uniform_points(&extent(), 120, 11));
     let specs = [
-        OpSpec::Blend(1),
-        OpSpec::Mask(0, 1.0),
-        OpSpec::Value(0, 3.0),
+        OpSpec::Blend(BlendFn::PointOverArea),
+        OpSpec::Mask(MaskTag::PointAndArea),
+        OpSpec::Value(ValueTag::HeatLog),
     ];
 
     let mut ref_dev = Device::cpu();
@@ -450,7 +431,10 @@ fn chain_single_tile_canvas_equivalence() {
 fn chain_window_zero_policy_clamped_not_deadlocked() {
     let vp = Viewport::square_pixels(extent(), 128);
     let batch = PointBatch::from_points(uniform_points(&extent(), 300, 23));
-    let specs = [OpSpec::Blend(2), OpSpec::Mask(2, 2.0)];
+    let specs = [
+        OpSpec::Blend(BlendFn::AreaCount),
+        OpSpec::Mask(MaskTag::AreaV1Above { threshold: 0.5 }),
+    ];
 
     let mut ref_dev = Device::cpu();
     let operands = render_operands(&mut ref_dev, vp, &specs, 5);
