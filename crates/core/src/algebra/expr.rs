@@ -298,10 +298,25 @@ impl Expr {
                     Arc::try_unwrap(acc).unwrap_or_else(|a| (*a).clone())
                 }
             }
-            Expr::Mask { spec, input } => {
-                let c = input.eval_node(dev, vp, cache, depth + 1, node + 1);
-                ops::mask(dev, &c, spec)
-            }
+            Expr::Mask { spec, input } => match super::planner::selection_sink(self) {
+                // Entry form: the Blend interior (`node + 1`) is never
+                // computed, cached or published; this node's span times
+                // the walk.
+                Some(sink) => {
+                    let (points, areas) = sink_operands(&sink, dev, vp, cache, depth + 2, node + 2);
+                    ops::select_point_entries_in_areas(
+                        dev,
+                        &points,
+                        &areas,
+                        ops::PixelRule::PointInAreas(sink.cond),
+                        None,
+                    )
+                }
+                None => {
+                    let c = input.eval_node(dev, vp, cache, depth + 1, node + 1);
+                    ops::mask(dev, &c, spec)
+                }
+            },
             Expr::GeomTransform { gamma, input } => {
                 let c = input.eval_node(dev, vp, cache, depth + 1, node + 1);
                 ops::transform_positions(dev, &c, gamma, vp)
@@ -317,15 +332,7 @@ impl Expr {
                 // operands keep their pre-order ids, so leaf sharing is
                 // unchanged.
                 Some(sink) => {
-                    let leaves = node + 3;
-                    let points = sink.points.eval_node(dev, vp, cache, depth + 3, leaves);
-                    let areas = sink.areas.eval_node(
-                        dev,
-                        vp,
-                        cache,
-                        depth + 3,
-                        leaves + sink.points.node_count(),
-                    );
+                    let (points, areas) = sink_operands(&sink, dev, vp, cache, depth + 3, node + 3);
                     let mut walk = canvas_obs::span("mask", "algebra");
                     walk.arg_u64("node", node + 1);
                     walk.arg_u64("depth", depth as u64 + 1);
@@ -477,6 +484,24 @@ impl Expr {
             Expr::ValueTransform { input, .. } => 1.0 + input.cost(),
         }
     }
+}
+
+/// Evaluates an entry-form selection's two operands through the cache,
+/// at the pre-order ids and depth they hold in the plan: `C_P` at
+/// `node`, the area source after it.
+fn sink_operands(
+    sink: &super::planner::EntrySink<'_>,
+    dev: &mut Device,
+    vp: Viewport,
+    cache: Option<&dyn SubplanCache>,
+    depth: usize,
+    node: u64,
+) -> (Arc<Canvas>, Arc<Canvas>) {
+    let points = sink.points.eval_node(dev, vp, cache, depth, node);
+    let areas = sink
+        .areas
+        .eval_node(dev, vp, cache, depth, node + sink.points.node_count());
+    (points, areas)
 }
 
 impl std::fmt::Debug for Expr {

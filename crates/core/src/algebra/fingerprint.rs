@@ -439,10 +439,11 @@ pub struct PlanNode {
 /// the evaluator's span stamping by construction: both assign the
 /// first child `id + 1` and advance by each sibling's
 /// [`Expr::node_count`]). Rows of nodes the planner runs in another
-/// physical form carry it after the operator label: a Map the planner
-/// runs over point entries ([`entry_sink`](super::planner::entry_sink))
-/// labels its Mask row `… (entries)` — the walk's span lands there —
-/// and its Blend row `B[⊙] (fused)`, which no span reaches.
+/// physical form carry it after the operator label: a selection the
+/// planner runs over point entries
+/// ([`selection_sink`](super::planner::selection_sink), alone or under
+/// a Map) labels its Mask row `… (entries)` — the walk's span lands
+/// there — and its Blend row `B[⊙] (fused)`, which no span reaches.
 pub fn plan_nodes(e: &Expr) -> Vec<PlanNode> {
     fn walk_nodes(e: &Expr, depth: usize, next: &mut u64, out: &mut Vec<PlanNode>) {
         let id = *next;
@@ -464,16 +465,16 @@ pub fn plan_nodes(e: &Expr) -> Vec<PlanNode> {
                     walk_nodes(i, depth + 1, next, out);
                 }
             }
-            Expr::MapScatter { input, .. } => {
+            Expr::Mask { input, .. } => {
                 walk_nodes(input, depth + 1, next, out);
-                // The planner folds the Mask and Blend rows into the
-                // Map's entry walk; their rows say so.
-                if super::planner::entry_sink(e).is_some() {
-                    out[id as usize + 1].label.push_str(" (entries)");
-                    out[id as usize + 2].label.push_str(" (fused)");
+                // The planner runs the Mask as an entry walk with the
+                // Blend folded in; the rows say so.
+                if super::planner::selection_sink(e).is_some() {
+                    out[id as usize].label.push_str(" (entries)");
+                    out[id as usize + 1].label.push_str(" (fused)");
                 }
             }
-            Expr::Mask { input, .. }
+            Expr::MapScatter { input, .. }
             | Expr::GeomTransform { input, .. }
             | Expr::ValueTransform { input, .. } => walk_nodes(input, depth + 1, next, out),
         }
@@ -594,6 +595,36 @@ mod tests {
         // A dense Map keeps the plain labels.
         let dense = aggregate(Expr::points(data.clone()));
         assert_eq!(labels(&dense)[1..3], ["Mp'[#areas>=1]", "B[⊙]"]);
+    }
+
+    #[test]
+    fn plan_nodes_label_the_selection_the_planner_walks() {
+        // `SelectPoints`' plan: its root Mask is the walk, its Blend is
+        // folded into it.
+        let data = Arc::new(PointBatch::from_points(vec![Point::new(1.0, 1.0)]));
+        let select = |right: Expr| {
+            Expr::mask(
+                MaskSpec::PointInAreas(CountCond::Ge(1)),
+                Expr::blend(BlendFn::PointOverArea, Expr::points(data.clone()), right),
+            )
+        };
+        let labels =
+            |e: &Expr| -> Vec<String> { plan_nodes(e).into_iter().map(|n| n.label).collect() };
+        let entry = select(Expr::query_polygon(square(0.0, 0.0, 5.0), 1));
+        assert_eq!(
+            labels(&entry),
+            [
+                "Mp'[#areas>=1] (entries)",
+                "B[⊙] (fused)",
+                "C_P[1 points]",
+                "C_Y[record 0, id 1]"
+            ]
+        );
+        // Labels only: the root's fingerprint is the plan's.
+        assert_eq!(plan_nodes(&entry)[0].fingerprint, fingerprint(&entry));
+        // A selection over a point canvas stays dense.
+        let dense = select(Expr::points(data.clone()));
+        assert_eq!(labels(&dense)[..2], ["Mp'[#areas>=1]", "B[⊙]"]);
     }
 
     #[test]

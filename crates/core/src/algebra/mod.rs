@@ -31,7 +31,8 @@ pub use fingerprint::{
     fingerprint, is_cut_point, normalize, plan_nodes, Fingerprint, FingerprintBuilder, PlanNode,
 };
 pub use planner::{
-    choose_selection_strategy, entry_sink, EntrySink, PlanChoice, SelectionStats, SelectionStrategy,
+    choose_selection_strategy, entry_sink, selection_sink, EntrySink, PlanChoice, SelectionStats,
+    SelectionStrategy,
 };
 pub use rewrite::{flatten_multiblend, fuse_polygon_leaves, optimize};
 pub use subplan::SubplanCache;

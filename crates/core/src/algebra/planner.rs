@@ -18,17 +18,23 @@
 //! ## Physical forms of plan nodes
 //!
 //! The evaluator asks this module which physical form a plan node runs
-//! in. One rule exists: the **entry form of the zone aggregate**. A
-//! `D*[γ]` over `M[Mp(cond)](B[⊙](C_P, R))` reads nothing of the blend
-//! and mask planes but the texels the mask keeps, and those are a
-//! function of the point entries the mask keeps and of `R`'s texel at
-//! their pixel. So whenever no other consumer reads the planes — the
-//! Map is their only reader inside its plan — [`entry_sink`] matches
-//! and the plan runs as one walk over `C_P`'s point run against `R`
-//! ([`scatter_point_entries_in_areas`]): `R` is the filter raster, the
-//! exact test on its boundary pixels the refinement. The blend and mask
-//! planes are never written and never published; every other shape
-//! stays dense.
+//! in. One shape has an **entry form**: the selection
+//! `M[Mp(cond)](B[⊙](C_P, R))`. Its canvas is null everywhere except at
+//! pixels holding a point the mask keeps, and what it holds there is a
+//! function of those points and of `R`'s texel at their pixel. So the
+//! planner runs it as one walk over `C_P`'s point run against `R`: `R`
+//! is the filter raster, the exact test on its boundary pixels the
+//! refinement. Two sinks finish the walk:
+//!
+//! * [`selection_sink`] matches the Mask node itself; the walk writes
+//!   only the kept pixels and entries into an empty canvas
+//!   ([`select_point_entries_in_areas`]);
+//! * [`entry_sink`] matches a `D*[γ]` over that Mask; the walk folds
+//!   each kept pixel's texel into its group slot
+//!   ([`scatter_point_entries_in_areas`]).
+//!
+//! Either way the blend plane is never written, probed or published,
+//! and the mask plane is never written. Every other shape stays dense.
 //!
 //! The match is structural and narrow on purpose: `C_P` must be a
 //! `Points` source and `R` a source that carries no point entries
@@ -37,6 +43,7 @@
 //! the dense mask would keep them too, but the walk only visits `C_P`'s
 //! run — it would silently lose them.
 //!
+//! [`select_point_entries_in_areas`]: crate::ops::mask::select_point_entries_in_areas
 //! [`scatter_point_entries_in_areas`]: crate::ops::mask::scatter_point_entries_in_areas
 
 use super::expr::{Expr, SourceSpec};
@@ -44,9 +51,8 @@ use crate::info::BlendFn;
 use crate::ops::{CountCond, MaskSpec};
 use canvas_raster::{DeviceProfile, PipelineStats};
 
-/// A `D*[γ](M[Mp(cond)](B[⊙](points, areas)))` node the planner runs in
-/// entry form (see module docs): the operands and the mask's condition
-/// (γ, the group count and the combine stay on the node).
+/// A selection `M[Mp(cond)](B[⊙](points, areas))` the planner runs in
+/// entry form (see module docs): the operands and the mask's condition.
 #[derive(Clone, Copy, Debug)]
 pub struct EntrySink<'a> {
     /// The `C_P` operand: a `Points` source.
@@ -56,16 +62,14 @@ pub struct EntrySink<'a> {
     pub cond: CountCond,
 }
 
-/// The planner's rule for `MapScatter` nodes: `Some` when `e` runs in
-/// the entry form (see module docs), `None` when it stays dense.
-pub fn entry_sink(e: &Expr) -> Option<EntrySink<'_>> {
-    let Expr::MapScatter { input, .. } = e else {
-        return None;
-    };
+/// The planner's rule for `Mask` nodes: `Some` when `e` is a selection
+/// that runs in the entry form and writes its canvas from the walk
+/// (see module docs), `None` when it stays dense.
+pub fn selection_sink(e: &Expr) -> Option<EntrySink<'_>> {
     let Expr::Mask {
         spec: MaskSpec::PointInAreas(cond),
         input,
-    } = &**input
+    } = e
     else {
         return None;
     };
@@ -93,6 +97,16 @@ pub fn entry_sink(e: &Expr) -> Option<EntrySink<'_>> {
         areas: right,
         cond: *cond,
     })
+}
+
+/// The planner's rule for `MapScatter` nodes: `Some` when `e` maps a
+/// [`selection_sink`] selection, which then folds into the group slots
+/// (see module docs), `None` when it stays dense.
+pub fn entry_sink(e: &Expr) -> Option<EntrySink<'_>> {
+    let Expr::MapScatter { input, .. } = e else {
+        return None;
+    };
+    selection_sink(input)
 }
 
 /// Input statistics the optimizer consults (relational-style metadata).
@@ -192,6 +206,14 @@ mod tests {
         )
     }
 
+    /// The Mask under a Map.
+    fn selection(plan: &Expr) -> &Expr {
+        match plan {
+            Expr::MapScatter { input, .. } => input,
+            other => other,
+        }
+    }
+
     #[test]
     fn entry_sink_matches_only_point_free_area_operands() {
         let data = Arc::new(PointBatch::from_points(vec![Point::new(1.0, 1.0)]));
@@ -224,6 +246,12 @@ mod tests {
             let sink = entry_sink(&plan).expect("entry form");
             assert_eq!(sink.cond, CountCond::Eq(2));
             assert!(matches!(sink.points, Expr::Source(SourceSpec::Points(_))));
+            // The Mask under the Map is the canvas sink's match; the Map
+            // itself is not a Mask.
+            let mask = selection(&plan);
+            let canvas = selection_sink(mask).expect("canvas form");
+            assert!(std::ptr::eq(canvas.areas, sink.areas));
+            assert!(selection_sink(&plan).is_none());
         }
         // Everything else stays dense: a right operand that may carry
         // point entries (the trap), a literal left, another mask or
@@ -246,6 +274,13 @@ mod tests {
         for plan in &dense {
             assert!(entry_sink(plan).is_none(), "{plan:?}");
         }
+        // The canvas sink keeps the same trap: every dense Map's Mask
+        // stays dense, and only the bare selection (last) matches.
+        let (bare, maps) = dense.split_last().unwrap();
+        for plan in maps {
+            assert!(selection_sink(selection(plan)).is_none(), "{plan:?}");
+        }
+        assert_eq!(selection_sink(bare).unwrap().cond, CountCond::Eq(2));
     }
 
     fn stats(num_points: u64, num_constraints: u32, avg_vertices: u32) -> SelectionStats {

@@ -34,8 +34,9 @@
 //!
 //! The exact point-refinement Mask (`MaskSpec::PointInAreas`) is *not*
 //! chain-fusable: it rewrites texels from boundary-index state, which
-//! is global. Queries needing it (selection) fuse the coarse prefix
-//! and finish with the materialized refinement mask.
+//! is global. The selection runs it as the mask's entry walk instead
+//! (`ops::mask`), and so does the selection heatmap, whose output is
+//! null wherever no point lies: neither is a chain.
 //!
 //! ## Chains and subplan sharing
 //!
@@ -46,12 +47,10 @@
 //! not materialized, so there is nothing to publish mid-chain:
 //!
 //! * its **operands**, the canvases it materializes anyway (the Blend
-//!   operands, e.g. the heatmap's `C_Q` or the choropleth's tagged
-//!   query region);
-//! * its **input**, when the chain starts from a canvas: the selection
-//!   heatmap runs its tail over the `B[⊙](C_P, C_Q)` a selection
-//!   published, and the choropleth runs over the `C_Y*` a zone
-//!   aggregate reads (see `queries::heatmap`).
+//!   operands, e.g. the choropleth's tagged query region);
+//! * its **input**, when the chain starts from a canvas: the choropleth
+//!   runs over the `C_Y*` a zone aggregate reads (see
+//!   `queries::heatmap`).
 //!
 //! Rendering is deterministic, so a shared canvas is bit-identical to
 //! the one the chain would have rendered itself, and the bit-identity

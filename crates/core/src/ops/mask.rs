@@ -20,40 +20,46 @@
 //!
 //! ## The entry form of the point selection
 //!
-//! Many queries run `M[Mp(cond)](B[⊙](C_P, C_Q))` only to read the
-//! surviving point entries (a hull, a skyline, an OD transform, a count).
-//! [`point_entries_in_areas`] returns exactly those entries without the
-//! operators: it walks `C_P`'s point run once against `C_Q`'s cover plane
-//! and area run, and decides each entry by the same rule as the mask (one
-//! helper holds it). It writes no plane, merges no index and produces no
-//! canvas, so it costs per point, not per pixel. It is a sequential walk,
-//! not a raster pass, and charges no `PipelineStats` counter. On a GPU it
-//! is one thread per point, gathering the texel of `C_Q` under the point
-//! and refining against the vector polygon when that texel is a boundary
-//! pixel.
+//! `M[Mp(cond)](B[⊙](C_P, R))`, with `R` a point-free area canvas, is
+//! null everywhere except at pixels that hold a kept point, so it need
+//! not cost per pixel. One private walker visits `C_P`'s point run once
+//! against `R`'s cover plane and area run, and decides each entry and
+//! each pixel by the mask's rule (one helper holds it). Three consumers
+//! share it:
 //!
-//! The entry form has a sink too: [`scatter_point_entries_in_areas`] is
-//! `D*[γ](M[Mp(cond)](B[⊙](C_P, C_Q)))`, the aggregation plans' Map over
-//! the selection, evaluated by the same walk (one private walker serves
-//! both). Each pixel holding entries is decided as the mask decides it,
-//! the texel the mask would leave there goes straight to its group slot,
-//! and no blend, mask or scatter pass runs. Bands of rows walk on the
-//! worker pool and fold in band order, so the result is bit-identical at
-//! any thread count; like the walk it charges no `PipelineStats` counter
-//! and begins no pass. On a GPU it is one thread per point plus an
-//! ordered segmented reduce: each pixel's survivors sum over their
-//! segment of the pixel-sorted run, and the per-pixel texels then fold
-//! into the groups in pixel order.
+//! * [`point_entries_in_areas`] returns the surviving entries, for the
+//!   queries that read nothing else (a hull, a skyline, an OD
+//!   transform, a count);
+//! * [`select_point_entries_in_areas`] is the canvas sink: it writes the
+//!   kept pixels (texel and cover), the kept entries and `R`'s area
+//!   entries at kept pixels into an empty canvas — the whole selection
+//!   canvas, with no blend or mask plane. With the coarse rule
+//!   `M[point ∧ area]` and a `V[log]` finisher it is also the selection
+//!   heatmap;
+//! * [`scatter_point_entries_in_areas`] is
+//!   `D*[γ](M[Mp(cond)](B[⊙](C_P, R)))`, the aggregation plans' Map over
+//!   the selection: each kept pixel's texel goes straight to its group
+//!   slot, with no blend, mask or scatter pass.
+//!
+//! All three cut the run into row bands of about equal entry counts
+//! (one private cutter) and walk them on the worker pool above its
+//! minimum-work threshold; band outputs concatenate (or fold) in row
+//! order, so results are bit-identical at any thread count. None writes
+//! a full plane pass, so none charges a `PipelineStats` counter or
+//! begins a pass. On a GPU the walk is one thread per point entry,
+//! gathering `R`'s texel under the point and refining against the
+//! vector polygon when that texel is a boundary pixel; the sum per
+//! pixel is an ordered segmented reduce over the pixel-sorted run.
 
 use std::ops::Range;
+use std::sync::Mutex;
 
-use crate::boundary::{AreaEntry, PointEntry};
+use crate::boundary::{AreaEntry, BoundaryIndex, PointEntry, SortedRun};
 use crate::canvas::Canvas;
 use crate::device::Device;
 use crate::info::{BlendFn, Texel};
 use crate::ops::transform::ValueMap;
-use canvas_geom::Point;
-use canvas_raster::Viewport;
+use canvas_raster::{MaskTag, ValueTag, Viewport};
 
 /// Condition on a polygon-incidence count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -163,7 +169,7 @@ fn mask_texel(dev: &mut Device, c: &Canvas, pred: impl Fn(&Texel) -> bool + Sync
 
 /// The point-selection mask with exact refinement, band-parallel over
 /// the split texel + cover planes: every band runs the per-pixel test
-/// (and the exact boundary refinement where needed) independently,
+/// (the sinks' rule, [`PixelSum::kept_texel`]) independently,
 /// collecting its surviving point entries locally; bands concatenate in
 /// row-major order, so the result is identical at any thread count.
 /// Within a pixel row the input's point and area entries are walked by
@@ -174,6 +180,7 @@ fn mask_point_in_areas(dev: &mut Device, c: &Canvas, cond: CountCond) -> Canvas 
     let mut cover = c.cover().clone();
     let width = c.viewport().width();
     let index = c.boundary();
+    let rule = PixelRule::PointInAreas(cond);
     let kept_points =
         dev.pipeline()
             .map_planes(&mut texels, &mut cover, |y, row, row_cover, kept| {
@@ -183,50 +190,26 @@ fn mask_point_in_areas(dev: &mut Device, c: &Canvas, cond: CountCond) -> Canvas 
                     if t.is_null() {
                         continue;
                     }
-                    if !t.has(0) {
-                        // No point here: the selection result only keeps
-                        // intersection pixels.
-                        *cov = 0;
-                        *t = Texel::null();
-                        continue;
-                    }
                     let pixel = y * width + x as u32;
-                    let here = points.at(pixel);
-                    let boundary_areas = areas.at(pixel);
-                    if boundary_areas.is_empty() {
-                        // Uniform pixel: the certain-cover count is the exact
-                        // polygon incidence for every location in the pixel.
-                        if cond.eval(*cov as u32) {
-                            for level in here.slices() {
-                                kept.extend_from_slice(level);
-                            }
-                        } else {
-                            *cov = 0;
-                            *t = Texel::null();
-                        }
-                        continue;
-                    }
-                    // Boundary pixel: refine each exact point location
-                    // against the vector polygons (paper Section 5).
-                    let mut count_kept = 0u32;
-                    let mut weight_sum = 0.0f32;
-                    for e in here {
-                        if point_in_areas(c, *cov, boundary_areas, e.loc, cond) {
+                    let at = EntryPixel {
+                        pixel,
+                        cov: *cov,
+                        boundary_areas: areas.at(pixel),
+                    };
+                    let mut sum = PixelSum::starting(&at, kept.len());
+                    for e in points.at(pixel) {
+                        if rule.keeps_entry(c, &at, e) {
                             kept.push(*e);
-                            count_kept += 1;
-                            weight_sum += e.weight;
+                            sum.count(e);
                         }
                     }
-                    if count_kept == 0 {
-                        *cov = 0;
-                        *t = Texel::null();
-                    } else {
-                        // Rewrite s[0] with the refined count / weight sum so
-                        // downstream aggregation scatters stay exact.
-                        let mut info = t.get(0).expect("checked above");
-                        info.v1 = count_kept as f32;
-                        info.v2 = weight_sum;
-                        t.set(0, info);
+                    match sum.kept_texel(*t, rule) {
+                        Some(k) => *t = k,
+                        None => {
+                            kept.truncate(sum.first);
+                            *t = Texel::null();
+                            *cov = 0;
+                        }
                     }
                 }
             });
@@ -235,13 +218,38 @@ fn mask_point_in_areas(dev: &mut Device, c: &Canvas, cond: CountCond) -> Canvas 
     finish_mask(c, texels, cover, kept_points)
 }
 
-/// The refinement rule of the point-selection mask: a point at `loc`, in
-/// a pixel that `cov` 2-primitives certainly cover and whose
-/// boundary-touching polygons (resolved through `c`) are `areas`, is
-/// kept iff `cond` holds for its exact polygon incidence.
-#[inline]
-fn point_in_areas(c: &Canvas, cov: u16, areas: &[AreaEntry], loc: Point, cond: CountCond) -> bool {
-    cond.eval(cov as u32 + c.areas_containing(areas, loc))
+/// Which pixels of `B[⊙](points, areas)` that hold point entries the
+/// canvas sink [`select_point_entries_in_areas`] keeps, and which of
+/// their entries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PixelRule {
+    /// The selection mask `M[Mp(cond)]`: each entry is kept by its exact
+    /// polygon incidence, and a pixel with a survivor keeps its texel,
+    /// `s[0]` refined to the survivors on boundary pixels.
+    PointInAreas(CountCond),
+    /// The heatmap's coarse mask `M[point ∧ area]`
+    /// ([`MaskTag::PointAndArea`]): a pixel whose blended texel holds a
+    /// point and an area keeps the texel and every entry, unrefined.
+    PointAndArea,
+}
+
+impl PixelRule {
+    /// Whether the entry `e` at `at` survives, before its pixel is
+    /// decided: the refinement rule of the point-selection mask. A point
+    /// in a pixel that `at.cov` 2-primitives certainly cover, whose
+    /// boundary-touching polygons (resolved through `areas`) are
+    /// `at.boundary_areas`, is kept iff `cond` holds for its exact
+    /// polygon incidence. [`PixelRule::PointAndArea`] keeps every entry,
+    /// and drops them with the pixel.
+    #[inline]
+    fn keeps_entry(self, areas: &Canvas, at: &EntryPixel<'_>, e: &PointEntry) -> bool {
+        match self {
+            PixelRule::PointInAreas(cond) => {
+                cond.eval(at.cov as u32 + areas.areas_containing(at.boundary_areas, e.loc))
+            }
+            PixelRule::PointAndArea => true,
+        }
+    }
 }
 
 /// The point entries `M[Mp(cond)](B[⊙](points, areas))` keeps, in the
@@ -251,17 +259,102 @@ fn point_in_areas(c: &Canvas, cov: u16, areas: &[AreaEntry], loc: Point, cond: C
 /// blend adds them); its boundary polygons are `areas`' entries at that
 /// pixel, walked row by row with a cursor. `points` is a point canvas:
 /// its entries sit on 0-row texels and it carries no area entries of its
-/// own. Panics when the viewports differ, as [`blend`](super::blend::blend)
-/// does.
-pub fn point_entries_in_areas(points: &Canvas, areas: &Canvas, cond: CountCond) -> Vec<PointEntry> {
-    let mut kept = Vec::new();
-    let rows = 0..points.viewport().height();
-    walk_point_entries(points, areas, rows, |at, e| {
-        if point_in_areas(areas, at.cov, at.boundary_areas, e.loc, cond) {
-            kept.push(*e);
-        }
+/// own. Bands of rows walk on the pool above its minimum-work threshold
+/// and concatenate in row order, so the result is the same at any thread
+/// count. Panics when the viewports differ, as
+/// [`blend`](super::blend::blend) does.
+pub fn point_entries_in_areas(
+    dev: &Device,
+    points: &Canvas,
+    areas: &Canvas,
+    cond: CountCond,
+) -> Vec<PointEntry> {
+    let rule = PixelRule::PointInAreas(cond);
+    let bands = entry_bands(dev, points);
+    let lists = dev.pool().run_indexed(bands.len(), |b| {
+        let mut kept = Vec::new();
+        walk_point_entries(points, areas, bands[b].clone(), |at, e| {
+            if rule.keeps_entry(areas, at, e) {
+                kept.push(*e);
+            }
+        });
+        kept
     });
-    kept
+    lists.concat()
+}
+
+/// The canvas `M(B[⊙](points, areas))` for the mask `rule` names,
+/// finished by the value transform `value` when one is given, written
+/// from the entries without either operator's plane (see module docs):
+/// the dense chain's canvas, bit for bit, wherever no null texel of the
+/// blend carries cover (a point-free area source never does).
+///
+/// Each pixel holding point entries is decided by the mask's rule
+/// (`PixelSum::kept_texel`). A kept pixel gets its texel (through
+/// `value`) and blended cover; its kept entries join the point run in
+/// run order, and `areas`' area entries at it join the area run under
+/// the source indexes the blend registers. Every other pixel stays
+/// null with zero cover. `areas` carries no line entries (no polygon
+/// source does). Bands of rows (see [`point_entries_in_areas`]) write
+/// their own rows of the two planes, and their entry lists concatenate
+/// in row order, so the result is identical at any thread count.
+/// Charges no `PipelineStats` counter and begins no pass. Panics when
+/// the viewports differ.
+pub fn select_point_entries_in_areas(
+    dev: &Device,
+    points: &Canvas,
+    areas: &Canvas,
+    rule: PixelRule,
+    value: Option<ValueTag>,
+) -> Canvas {
+    assert!(areas.boundary().lines().is_empty(), "no line entries");
+    let vp = *points.viewport();
+    let width = vp.width() as usize;
+    let mut out = Canvas::empty(vp);
+    // `points` registers no source of its own, so the blend's tables are
+    // `areas`' (registration deduplicates shared tables).
+    let remap: Vec<u16> = (areas.area_sources().iter())
+        .map(|s| out.add_area_source(s.clone()))
+        .collect();
+    let bands = entry_bands(dev, points);
+    let (texels, cover, _) = out.planes_mut();
+    let (mut texels, mut cover) = (texels.texels_mut(), cover.texels_mut());
+    let mut band_planes = Vec::with_capacity(bands.len());
+    for rows in &bands {
+        let len = rows.len() * width;
+        let (t, c);
+        (t, texels) = std::mem::take(&mut texels).split_at_mut(len);
+        (c, cover) = std::mem::take(&mut cover).split_at_mut(len);
+        band_planes.push(Mutex::new((t, c)));
+    }
+    let lists = dev.pool().run_indexed(bands.len(), |b| {
+        let mut planes = band_planes[b].lock().unwrap_or_else(|e| e.into_inner());
+        let (texels, cover) = &mut *planes;
+        let first = bands[b].start as usize * width;
+        let (mut kept, mut kept_areas) = (Vec::new(), Vec::new());
+        let keep = |at: &EntryPixel<'_>, mut t: Texel| {
+            if let Some(tag) = value {
+                canvas_raster::simd::value_rows(tag, std::slice::from_mut(&mut t));
+            }
+            texels[at.pixel as usize - first] = t;
+            cover[at.pixel as usize - first] = at.cov;
+            kept_areas.extend(at.boundary_areas.iter().map(|e| AreaEntry {
+                source: remap[e.source as usize],
+                ..*e
+            }));
+        };
+        decide_pixels(points, areas, bands[b].clone(), rule, Some(&mut kept), keep);
+        (kept, kept_areas)
+    });
+    drop(band_planes);
+    let (kept, kept_areas): (Vec<_>, Vec<_>) = lists.into_iter().unzip();
+    let (w, h) = (vp.width(), vp.height());
+    *out.boundary_mut() = BoundaryIndex::from_runs(
+        SortedRun::from_sorted(w, h, kept.concat()),
+        SortedRun::from_sorted(w, h, kept_areas.concat()),
+        SortedRun::new(w, h),
+    );
+    out
 }
 
 /// `D*[γ](M[Mp(cond)](B[⊙](points, areas)))` into `target_vp`, computed
@@ -270,18 +363,12 @@ pub fn point_entries_in_areas(points: &Canvas, areas: &Canvas, cond: CountCond) 
 /// chain returns, bit for bit.
 ///
 /// Each pixel that holds point entries is decided as the mask decides
-/// it. A uniform pixel is kept iff `cond` holds for its cover, with its
-/// blended texel unchanged. A boundary pixel refines every entry and is
-/// kept iff one survives, its `s[0]` rewritten to the survivors' count
-/// and weight sum (summed in entry order, as the mask sums it). The kept
-/// texel goes to `γ(texel)` and folds in with `combine`, in pixel order
-/// — the dense scatter's order, so f32 sums round the same way.
-///
-/// Above the pool's minimum-work threshold the run is cut into row
-/// bands of about equal entry counts, walked on the pool (the calling
-/// thread walks bands too); each returns its `(target, texel)` list and
-/// the caller folds the lists in band order — the ordered merge of the
-/// pool's scatter — so the result is identical at any thread count.
+/// it (`PixelSum::kept_texel`). The kept texel goes to `γ(texel)` and
+/// folds in with `combine`, in pixel order — the dense scatter's order,
+/// so f32 sums round the same way. Bands of rows (see
+/// [`point_entries_in_areas`]) each return their `(target, texel)` list
+/// and the caller folds the lists in band order — the ordered merge of
+/// the pool's scatter — so the result is identical at any thread count.
 /// Like [`point_entries_in_areas`] it charges no `PipelineStats`
 /// counter and begins no pass. Panics when the viewports differ.
 pub fn scatter_point_entries_in_areas(
@@ -293,59 +380,48 @@ pub fn scatter_point_entries_in_areas(
     target_vp: Viewport,
     combine: BlendFn,
 ) -> Canvas {
-    let mut out = Canvas::empty(target_vp);
-    let (groups, _, _) = out.planes_mut();
-    let mut apply = |(x, y): (u32, u32), t: Texel| groups.update(x, y, |d| combine.apply(d, t));
-    let height = points.viewport().height();
-    let band = |rows: Range<u32>, emit: &mut dyn FnMut((u32, u32), Texel)| {
-        let mut pixel = PixelSum::default();
-        let mut finish = |p: &PixelSum| {
-            if let Some(t) = p.kept_texel(points, areas, cond) {
-                if let Some(px) = (gamma.f)(&t).and_then(|w| target_vp.world_to_pixel(w)) {
-                    emit(px, t);
-                }
-            }
-        };
-        walk_point_entries(points, areas, rows, |at, e| {
-            if at.pixel != pixel.at.pixel {
-                finish(&pixel);
-                pixel = PixelSum {
-                    at: *at,
-                    ..PixelSum::default()
-                };
-            }
-            if !at.boundary_areas.is_empty()
-                && point_in_areas(areas, at.cov, at.boundary_areas, e.loc, cond)
-            {
-                pixel.kept += 1;
-                pixel.weight += e.weight;
+    let rule = PixelRule::PointInAreas(cond);
+    let bands = entry_bands(dev, points);
+    let lists = dev.pool().run_indexed(bands.len(), |b| {
+        let mut local = Vec::new();
+        decide_pixels(points, areas, bands[b].clone(), rule, None, |_, t| {
+            if let Some(px) = (gamma.f)(&t).and_then(|w| target_vp.world_to_pixel(w)) {
+                local.push((px, t));
             }
         });
-        finish(&pixel);
-    };
+        local
+    });
+    let mut out = Canvas::empty(target_vp);
+    let groups = out.texels_mut();
+    for ((x, y), t) in lists.into_iter().flatten() {
+        groups.update(x, y, |d| combine.apply(d, t));
+    }
+    out
+}
+
+/// The row bands every entry walker cuts `points`' run into: about
+/// equal entry counts (points cluster, rows do not), four per pool
+/// thread — or one band of every row below the pool's minimum-work
+/// threshold, walked on the calling thread. The bands tile the rows in
+/// order, so outputs concatenated band by band do not depend on the
+/// cut.
+fn entry_bands(dev: &Device, points: &Canvas) -> Vec<Range<u32>> {
+    let height = points.viewport().height();
     let pool = dev.pool();
     let entries = points.boundary().num_points();
-    if !pool.should_parallelize(entries) {
-        band(0..height, &mut apply);
-    } else {
-        // Bands of about equal entry counts: points cluster, rows do not.
+    let mut cuts = vec![0];
+    if pool.should_parallelize(entries) {
         let bands = pool.threads() * 4;
-        let mut cuts = vec![0];
         let mut seen = 0;
-        for y in 0..height {
+        for y in 0..height.saturating_sub(1) {
             seen += points.boundary().points_in_rows(y..y + 1).len();
-            if seen * bands >= entries * cuts.len() || y + 1 == height {
+            if seen * bands >= entries * cuts.len() {
                 cuts.push(y + 1);
             }
         }
-        let lists = pool.run_indexed(cuts.len() - 1, |b| {
-            let mut local = Vec::new();
-            band(cuts[b]..cuts[b + 1], &mut |px, t| local.push((px, t)));
-            local
-        });
-        lists.into_iter().flatten().for_each(|(px, t)| apply(px, t));
     }
-    out
+    cuts.push(height);
+    cuts.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
 /// Where [`walk_point_entries`] stands: a pixel of `C_P`'s run, its
@@ -367,24 +443,50 @@ impl Default for EntryPixel<'_> {
     }
 }
 
-/// One pixel's survivors so far, as the sink folds them.
+/// One pixel's survivors so far, as the sinks and the dense mask fold
+/// them.
 #[derive(Default)]
 struct PixelSum<'a> {
     at: EntryPixel<'a>,
+    /// Where this pixel's survivors start in the caller's list.
+    first: usize,
     kept: u32,
     weight: f32,
 }
 
-impl PixelSum<'_> {
-    /// The texel `M[Mp(cond)](B[⊙](points, areas))` leaves at this
-    /// pixel, or `None` where it leaves ∅ (and before the first pixel).
-    fn kept_texel(&self, points: &Canvas, areas: &Canvas, cond: CountCond) -> Option<Texel> {
-        let i = self.at.pixel as usize;
-        let mut t = BlendFn::PointOverArea.apply(
-            *points.texels().texels().get(i)?,
-            areas.texels().texels()[i],
-        );
+impl<'a> PixelSum<'a> {
+    fn starting(at: &EntryPixel<'a>, first: usize) -> Self {
+        PixelSum {
+            at: *at,
+            first,
+            ..PixelSum::default()
+        }
+    }
+
+    /// Counts a survivor; weights sum in entry order.
+    fn count(&mut self, e: &PointEntry) {
+        self.kept += 1;
+        self.weight += e.weight;
+    }
+
+    /// The texel the mask `rule` leaves at this pixel, whose blended
+    /// texel is `t`, or `None` where it leaves ∅: the one statement of
+    /// what the dense mask and the sinks keep.
+    ///
+    /// A texel without a point is never kept. Under
+    /// [`PixelRule::PointInAreas`] a uniform pixel is kept iff `cond`
+    /// holds for its cover, with its texel unchanged; a boundary pixel is
+    /// kept iff an entry survived, its `s[0]` rewritten to the survivors'
+    /// count and weight sum. Under [`PixelRule::PointAndArea`] the texel
+    /// is kept iff it also holds an area.
+    fn kept_texel(&self, mut t: Texel, rule: PixelRule) -> Option<Texel> {
         let mut info = t.get(0)?;
+        let cond = match rule {
+            PixelRule::PointAndArea => {
+                return canvas_raster::simd::mask_pred(MaskTag::PointAndArea, &t).then_some(t)
+            }
+            PixelRule::PointInAreas(cond) => cond,
+        };
         if self.at.boundary_areas.is_empty() {
             return cond.eval(self.at.cov as u32).then_some(t);
         }
@@ -398,7 +500,46 @@ impl PixelSum<'_> {
     }
 }
 
-/// The one cursor walk over `points`' run behind both entry consumers:
+/// Decides the pixels of `points`' run in rows `rows`, in run order, as
+/// the sinks see `M(B[⊙](points, areas))` under `rule`: each pixel's
+/// surviving entries join `kept` (when given), and `keep` gets every
+/// kept pixel with its texel ([`PixelSum::kept_texel`] of the blended
+/// texel); a dropped pixel's entries leave `kept` again.
+fn decide_pixels<'a>(
+    points: &'a Canvas,
+    areas: &'a Canvas,
+    rows: Range<u32>,
+    rule: PixelRule,
+    mut kept: Option<&mut Vec<PointEntry>>,
+    mut keep: impl FnMut(&EntryPixel<'a>, Texel),
+) {
+    // `None` before the first pixel, too.
+    let blended = |i: usize| {
+        let t = *points.texels().texels().get(i)?;
+        Some(BlendFn::PointOverArea.apply(t, areas.texels().texels()[i]))
+    };
+    let mut finish = |sum: &PixelSum<'a>, kept: &mut Option<&mut Vec<PointEntry>>| {
+        let t = blended(sum.at.pixel as usize).and_then(|t| sum.kept_texel(t, rule));
+        match t {
+            Some(t) => keep(&sum.at, t),
+            None => kept.iter_mut().for_each(|k| k.truncate(sum.first)),
+        }
+    };
+    let mut sum = PixelSum::default();
+    walk_point_entries(points, areas, rows, |at, e| {
+        if at.pixel != sum.at.pixel {
+            finish(&sum, &mut kept);
+            sum = PixelSum::starting(at, kept.as_ref().map_or(0, |k| k.len()));
+        }
+        if rule.keeps_entry(areas, at, e) {
+            sum.count(e);
+            kept.iter_mut().for_each(|k| k.push(*e));
+        }
+    });
+    finish(&sum, &mut kept);
+}
+
+/// The one cursor walk over `points`' run behind every entry consumer:
 /// visits every point entry of pixel rows `rows` in run order, with its
 /// pixel's blended cover (`points`' plus `areas`', saturating) and the
 /// area entries `areas` files under that pixel (a row cursor; the run is

@@ -15,8 +15,10 @@
 //! compose. The mask's entry form is the one exit:
 //! [`mask::point_entries_in_areas`] returns the point entries a
 //! selection's Blend + Mask would keep, for queries that read nothing
-//! else, and [`mask::scatter_point_entries_in_areas`] is the Map over
-//! them, writing only the group canvas.
+//! else; [`mask::select_point_entries_in_areas`] writes the selection's
+//! canvas from them, touching only the kept pixels; and
+//! [`mask::scatter_point_entries_in_areas`] is the Map over them,
+//! writing only the group canvas.
 
 pub mod blend;
 pub mod chain;
@@ -32,7 +34,10 @@ pub use chain::{
     run_polygons_chain_materialized, CanvasChain, CanvasOp, ChainOutcome,
 };
 pub use dissect::{dissect, dissect_iter, dissect_par, map_scatter};
-pub use mask::{mask, scatter_point_entries_in_areas, CountCond, MaskSpec};
+pub use mask::{
+    mask, scatter_point_entries_in_areas, select_point_entries_in_areas, CountCond, MaskSpec,
+    PixelRule,
+};
 pub use transform::{
     group_viewport, transform_by_value, transform_positions, PositionMap, ValueMap,
 };

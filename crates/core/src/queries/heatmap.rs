@@ -1,6 +1,5 @@
 //! Heatmaps: the density views of a polygonal selection and of a
-//! polygon table, each a linear **canvas chain** finished by a log
-//! Value Transform.
+//! polygon table, each finished by a log Value Transform.
 //!
 //! The selection heatmap is the Section 4.1 selection shape with a
 //! coarse mask and a Value Transform finisher:
@@ -9,29 +8,24 @@
 //! C_heat ← V[log](M[point ∧ area](B[⊙](C_P, C_Q)))
 //! ```
 //!
-//! All points render into a density canvas and blend with the query
-//! polygon. The mask is the *texel* mask `M[point ∧ area]`: a pixel
-//! survives when it holds a point and lies inside the query polygon at
-//! pixel resolution — a heatmap is a pixel-resolution product, so the
-//! exact point refinement of the selection's `Mp'` is not needed. The
-//! Value Transform rewrites each surviving pixel's intensity to
+//! The mask is the *texel* mask `M[point ∧ area]`: a pixel survives
+//! when it holds a point and lies inside the query polygon at pixel
+//! resolution — a heatmap is a pixel-resolution product, so the exact
+//! point refinement of the selection's `Mp'` is not needed. The Value
+//! Transform rewrites each surviving pixel's intensity to
 //! `ln(1 + count)` so dense pixels don't saturate the color ramp.
 //!
-//! The chain runs one of two ways, bit-identical in result:
-//!
-//! * **from the draw** ([`run_points_chain`]): every rendered tile
-//!   streams through blend → mask → value before it is blitted, so the
-//!   blended and masked canvases of the textbook plan are never
-//!   materialized;
-//! * **from a shared canvas** ([`run_canvas_chain`]): when a selection
-//!   over the same points and polygon at the same viewport has already
-//!   published `B[⊙](C_P, C_Q)` to the subplan cache, only the tail
-//!   `V[log](M[point ∧ area](·))` runs, over that canvas — no point is
-//!   drawn and no point index is built.
-//!
-//! [`selection_heatmap_materialized`] runs the identical plan as
-//! separate whole-canvas passes; the equivalence harness asserts all
-//! three agree at any thread count.
+//! Every surviving pixel holds a point, so the plan runs as the mask's
+//! entry walk ([`select_point_entries_in_areas`] with
+//! [`PixelRule::PointAndArea`] and [`ValueTag::HeatLog`]): one pass
+//! over `C_P`'s point run against `C_Q` writes the kept pixels, their
+//! entries and `C_Q`'s area entries there into an empty canvas — no
+//! blend, mask or value pass over the planes. With a subplan cache both
+//! operands are the plan leaves a `SelectPoints` over the same handle
+//! and polygon evaluates, so after that selection the heatmap draws
+//! nothing. [`selection_heatmap_materialized`] runs the identical plan
+//! as separate whole-canvas passes, the reference the equivalence
+//! harnesses hold the walk to.
 //!
 //! The choropleth ([`polygon_density_heatmap`]) is the polygon-table
 //! sibling, `V[log](M[inside ∧ ≥1](B[⊕](C_Y*, C_tag)))`. Its `C_Y*` is the
@@ -45,89 +39,54 @@ use crate::canvas::{AreaSource, Canvas, PointBatch};
 use crate::device::Device;
 use crate::info::{BlendFn, Texel};
 use crate::ops::chain::{
-    run_canvas_chain, run_points_chain, run_points_chain_materialized,
-    run_polygons_chain_materialized, CanvasChain, ChainOutcome,
+    run_canvas_chain, run_points_chain_materialized, run_polygons_chain_materialized, CanvasChain,
+    ChainOutcome,
 };
-use crate::queries::selection::points_over_polygon_plan;
-use crate::source::{render_polygon_set, render_polygon_with, render_query_polygon};
+use crate::ops::mask::{select_point_entries_in_areas, PixelRule};
+use crate::queries::selection::shared_points_canvas;
+use crate::source::{render_points, render_polygon_set, render_polygon_with, render_query_polygon};
 use canvas_geom::polygon::Polygon;
 use canvas_raster::{MaskTag, ValueTag, Viewport};
 use std::sync::Arc;
 
-/// Appends the heatmap's tail `V[log](M[point ∧ area](·))` to `chain`.
-/// Mask and value stages are the built-in tagged forms, so every stage
-/// runs the dispatched SIMD row kernels.
-fn heat_tail(chain: CanvasChain<'_>) -> CanvasChain<'_> {
-    chain
-        .mask_tagged("point ∧ area", MaskTag::PointAndArea)
-        .value_tagged(ValueTag::HeatLog)
+/// `C_heat ← V[log](M[point ∧ area](B[⊙](C_P, C_Q)))` by the entry walk
+/// (see module docs). Surviving pixels carry `ln(1 + count)` in the
+/// 0-row's `v2` slot (raw count stays in `v1`).
+pub fn selection_heatmap(dev: &mut Device, vp: Viewport, data: &PointBatch, q: &Polygon) -> Canvas {
+    let cp = render_points(dev, vp, data);
+    let cq = render_query_polygon(dev, vp, q.clone(), 1);
+    heat_walk(dev, &cp, &cq)
 }
 
-/// The whole heatmap chain over a rendered query-polygon canvas.
-fn heat_chain(cq: &Canvas) -> CanvasChain<'_> {
-    heat_tail(CanvasChain::new().blend(cq, BlendFn::PointOverArea))
-}
-
-/// `C_heat ← V[log](M[point ∧ area](B[⊙](C_P, C_Q)))`, fused over the
-/// point draw (see module docs). The returned [`ChainOutcome`]'s canvas
-/// carries `ln(1 + count)` in the 0-row's `v2` slot on surviving pixels
-/// (raw count stays in `v1`), alongside the fused run's streaming
-/// memory report.
-pub fn selection_heatmap(
-    dev: &mut Device,
-    vp: Viewport,
-    data: &PointBatch,
-    q: &Polygon,
-) -> ChainOutcome {
-    fused_selection_heatmap(dev, vp, data, q, None)
-}
-
-/// [`selection_heatmap`] with a [`SubplanCache`].
-///
-/// The cache is first asked for the selection's blend
-/// `B[⊙](C_P, C_Q)`, under the fingerprint of
-/// [`points_over_polygon_plan`] — the very node a `SelectPoints`
-/// selection over the same `data` handle and polygon evaluates and
-/// publishes. On a hit only the tail runs, over that canvas
-/// ([`run_canvas_chain`]). On a miss the chain runs fused over the
-/// point draw, sharing only its `C_Q` operand (keyed as the plan leaf
-/// `Expr::query_polygon(q, 1)`); the streamed tiles are never
-/// published. Either way the result is bit-identical to
-/// [`selection_heatmap`].
+/// [`selection_heatmap`] with a [`SubplanCache`] for both operands:
+/// `C_P` under the plan leaf `Expr::points(data)`
+/// ([`shared_points_canvas`]) and `C_Q` under
+/// `Expr::query_polygon(q, 1)` — the leaves of the `SelectPoints` plan
+/// over the same handle and polygon. Bit-identical to
+/// [`selection_heatmap`] whatever the cache serves.
 pub fn selection_heatmap_via(
     dev: &mut Device,
     vp: Viewport,
     data: &Arc<PointBatch>,
     q: &Polygon,
     cache: Option<&dyn SubplanCache>,
-) -> ChainOutcome {
-    if let Some(shared) = cache {
-        let fp = fingerprint(&points_over_polygon_plan(data.clone(), q.clone()));
-        if let Some(blend) = shared.get(fp, &vp) {
-            return run_canvas_chain(dev, &blend, &heat_tail(CanvasChain::new()));
-        }
-    }
-    fused_selection_heatmap(dev, vp, data, q, cache)
-}
-
-/// The heatmap fused over the point draw, its `C_Q` operand shared
-/// through `cache`.
-fn fused_selection_heatmap(
-    dev: &mut Device,
-    vp: Viewport,
-    data: &PointBatch,
-    q: &Polygon,
-    cache: Option<&dyn SubplanCache>,
-) -> ChainOutcome {
+) -> Canvas {
+    let cp = shared_points_canvas(dev, vp, data, cache);
     let fp = fingerprint(&Expr::query_polygon(q.clone(), 1));
     let cq = acquire_or_render(cache, fp, &vp, || {
         render_query_polygon(dev, vp, q.clone(), 1)
     });
-    run_points_chain(dev, vp, data, &heat_chain(&cq))
+    heat_walk(dev, &cp, &cq)
+}
+
+/// The heatmap over its two operands, as the entry walk.
+fn heat_walk(dev: &Device, cp: &Canvas, cq: &Canvas) -> Canvas {
+    let heat = Some(ValueTag::HeatLog);
+    select_point_entries_in_areas(dev, cp, cq, PixelRule::PointAndArea, heat)
 }
 
 /// The identical plan executed as separate whole-canvas operator
-/// passes — the materialized reference for the equivalence harness.
+/// passes — the materialized reference for the equivalence harnesses.
 pub fn selection_heatmap_materialized(
     dev: &mut Device,
     vp: Viewport,
@@ -135,7 +94,11 @@ pub fn selection_heatmap_materialized(
     q: &Polygon,
 ) -> Canvas {
     let cq = render_query_polygon(dev, vp, q.clone(), 1);
-    run_points_chain_materialized(dev, vp, data, &heat_chain(&cq))
+    let chain = CanvasChain::new()
+        .blend(&cq, BlendFn::PointOverArea)
+        .mask_tagged("point ∧ area", MaskTag::PointAndArea)
+        .value_tagged(ValueTag::HeatLog);
+    run_points_chain_materialized(dev, vp, data, &chain)
 }
 
 // ---------------------------------------------------------------------
@@ -276,16 +239,15 @@ mod tests {
             let mut dev_m = Device::cpu_parallel(threads);
             let fused = selection_heatmap(&mut dev_f, vp(), &batch, &q());
             let want = selection_heatmap_materialized(&mut dev_m, vp(), &batch, &q());
-            assert_eq!(fused.canvas.texels(), want.texels(), "threads={threads}");
-            assert_eq!(fused.canvas.cover(), want.cover(), "threads={threads}");
-            assert_eq!(
-                fused.canvas.boundary().points().collect::<Vec<_>>(),
-                want.boundary().points().collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-            assert_eq!(dev_f.stats(), dev_m.stats(), "stats at {threads} threads");
+            assert_eq!(fused.texels(), want.texels(), "threads={threads}");
+            assert_eq!(fused.cover(), want.cover(), "threads={threads}");
+            assert_eq!(fused.boundary(), want.boundary(), "threads={threads}");
+            assert_eq!(fused.area_sources().len(), want.area_sources().len());
+            // The walk runs no pass: only the two operand draws count.
+            assert!(dev_f.stats().passes < dev_m.stats().passes);
+            assert_eq!(dev_f.stats().fullscreen_texels, 0);
             // Heat values are log-scaled counts on surviving pixels.
-            for (_, _, t) in fused.canvas.non_null() {
+            for (_, _, t) in fused.non_null() {
                 let p = t.get(0).expect("surviving pixels carry the 0-row");
                 assert_eq!(p.v2, (1.0 + p.v1).ln());
                 assert!(t.has(2), "surviving pixels lie inside the query");
@@ -312,24 +274,27 @@ mod tests {
     }
 
     #[test]
-    fn heatmap_over_a_published_selection_blend_equals_the_fused_run() {
+    fn heatmap_after_a_selection_draws_nothing() {
+        // The selection publishes its `C_P` and `C_Q` leaves; the heatmap
+        // over the same handle and polygon reads both.
         let batch = Arc::new(PointBatch::from_points(random_points(600, 9)));
         for threads in [1usize, 4] {
             let memo = Memo::default();
             let mut dev = Device::cpu_parallel(threads);
             let plan = crate::queries::selection::points_in_polygon_plan(batch.clone(), q());
             plan.eval_via(&mut dev, vp(), Some(&memo));
-            let drawn = dev.stats().primitives;
-            let shared = selection_heatmap_via(&mut dev, vp(), &batch, &q(), Some(&memo));
-            assert_eq!(dev.stats().primitives, drawn, "the tail draws nothing");
-            let want = selection_heatmap(&mut Device::cpu(), vp(), &batch, &q()).canvas;
-            assert_eq!(shared.canvas.texels(), want.texels(), "threads={threads}");
-            assert_eq!(shared.canvas.cover(), want.cover(), "threads={threads}");
             assert_eq!(
-                shared.canvas.boundary(),
-                want.boundary(),
-                "threads={threads}"
+                memo.0.borrow().len(),
+                2,
+                "the selection publishes C_P and C_Q"
             );
+            let before = dev.stats();
+            let shared = selection_heatmap_via(&mut dev, vp(), &batch, &q(), Some(&memo));
+            assert_eq!(dev.stats(), before, "the heatmap draws nothing");
+            let want = selection_heatmap(&mut Device::cpu(), vp(), &batch, &q());
+            assert_eq!(shared.texels(), want.texels(), "threads={threads}");
+            assert_eq!(shared.cover(), want.cover(), "threads={threads}");
+            assert_eq!(shared.boundary(), want.boundary(), "threads={threads}");
         }
     }
 
@@ -408,7 +373,7 @@ mod tests {
         let batch = PointBatch::from_points(vec![Point::new(2.0, 2.0), Point::new(95.0, 95.0)]);
         let mut dev = Device::cpu();
         let heat = selection_heatmap(&mut dev, vp(), &batch, &q());
-        assert!(heat.canvas.is_empty());
-        assert_eq!(heat.canvas.boundary().num_points(), 0, "entries pruned");
+        assert!(heat.is_empty());
+        assert_eq!(heat.boundary().num_points(), 0, "entries pruned");
     }
 }

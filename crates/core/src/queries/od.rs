@@ -146,7 +146,7 @@ pub fn od_flow_matrix(
         for (j, cq) in dest_canvases.iter_mut().enumerate() {
             let cq = cq.get_or_insert_with(|| render_polygon(dev, vp, dest_zones, j, 1));
             // Trip ids are unique, so every kept entry is one trip.
-            matrix[i][j] = point_entries_in_areas(&moved, cq, CountCond::Ge(1)).len() as u64;
+            matrix[i][j] = point_entries_in_areas(dev, &moved, cq, CountCond::Ge(1)).len() as u64;
         }
     }
     matrix

@@ -7,10 +7,12 @@
 //! polygonal constraints through the utility operators).
 //!
 //! The `select_*` functions return the result canvas with the records.
-//! Queries that go on to read only the surviving point entries take
-//! [`selected_points`] instead: the same entries, read from `C_P` and
-//! `C_Q` by the mask's entry form
-//! ([`point_entries_in_areas`]), with no blend or mask canvas drawn.
+//! The single-polygon selection writes it by the mask's entry form
+//! ([`select_point_entries_in_areas`]): only the kept pixels and
+//! entries, with no blend or mask plane. Queries that go on to read
+//! only the surviving point entries take [`selected_points`] instead:
+//! the same entries, read from `C_P` and `C_Q` by
+//! [`point_entries_in_areas`], with no canvas written at all.
 
 use std::sync::Arc;
 
@@ -20,7 +22,7 @@ use crate::boundary::PointEntry;
 use crate::canvas::{AreaSource, Canvas, PointBatch};
 use crate::device::Device;
 use crate::info::BlendFn;
-use crate::ops::mask::point_entries_in_areas;
+use crate::ops::mask::{point_entries_in_areas, select_point_entries_in_areas, PixelRule};
 use crate::ops::{CountCond, MaskSpec};
 use crate::source::{render_points, render_query_polygon};
 use canvas_geom::polygon::Polygon;
@@ -49,19 +51,11 @@ pub enum MultiPolygon {
 pub fn points_in_polygon_plan(data: Arc<PointBatch>, q: Polygon) -> Expr {
     Expr::mask(
         MaskSpec::PointInAreas(CountCond::Ge(1)),
-        points_over_polygon_plan(data, q),
-    )
-}
-
-/// The blend under the Figure 5 mask, `B[⊙](C_P, C_Q)`: the points
-/// blended over the query polygon. Its fingerprint is the key under
-/// which a selection publishes this canvas and the selection heatmap
-/// looks it up.
-pub fn points_over_polygon_plan(data: Arc<PointBatch>, q: Polygon) -> Expr {
-    Expr::blend(
-        BlendFn::PointOverArea,
-        Expr::points(data),
-        Expr::query_polygon(q, 1),
+        Expr::blend(
+            BlendFn::PointOverArea,
+            Expr::points(data),
+            Expr::query_polygon(q, 1),
+        ),
     )
 }
 
@@ -87,8 +81,10 @@ pub fn points_in_polygons_plan(data: Arc<PointBatch>, qs: &[Polygon], mode: Mult
 
 /// `SELECT * FROM D_P WHERE Location INSIDE Q` (polygonal selection of
 /// points, Section 4.1; exact via boundary refinement). The operator
-/// calls [`points_in_polygon_plan`] evaluates to, made directly, so a
-/// borrowed batch is never copied into a plan leaf.
+/// calls [`points_in_polygon_plan`] evaluates to, made directly — the
+/// planner runs that plan's Mask as the entry walk
+/// ([`select_point_entries_in_areas`]) — so a borrowed batch is never
+/// copied into a plan leaf.
 pub fn select_points_in_polygon(
     dev: &mut Device,
     vp: Viewport,
@@ -97,8 +93,8 @@ pub fn select_points_in_polygon(
 ) -> PointSelection {
     let cp = render_points(dev, vp, data);
     let cq = render_query_polygon(dev, vp, q.clone(), 1);
-    let merged = crate::ops::blend(dev, &cp, &cq, BlendFn::PointOverArea);
-    let canvas = crate::ops::mask(dev, &merged, &MaskSpec::PointInAreas(CountCond::Ge(1)));
+    let rule = PixelRule::PointInAreas(CountCond::Ge(1));
+    let canvas = select_point_entries_in_areas(dev, &cp, &cq, rule, None);
     PointSelection {
         records: canvas.point_records(),
         canvas,
@@ -113,7 +109,7 @@ pub fn select_points_in_polygon(
 /// only the surviving points (OD, kNN, time windows, hull, skyline).
 pub fn selected_points(dev: &mut Device, cp: &Canvas, q: &Polygon) -> Vec<PointEntry> {
     let cq = render_query_polygon(dev, *cp.viewport(), q.clone(), 1);
-    point_entries_in_areas(cp, &cq, CountCond::Ge(1))
+    point_entries_in_areas(dev, cp, &cq, CountCond::Ge(1))
 }
 
 /// `C_P` of a shared dataset handle, taken from (or published to)

@@ -21,8 +21,8 @@
 //!   datasets by handle (and pinned), query geometry and scalar
 //!   parameters by value;
 //! * its **run arm** ([`Prepared::execute_via`]) — `Expr::eval_via`, a
-//!   canvas chain (`selection_heatmap_via`,
-//!   `polygon_density_heatmap_via`), or a promoted procedure (`knn`,
+//!   heatmap (`selection_heatmap_via`'s entry walk,
+//!   `polygon_density_heatmap_via`'s canvas chain), or a promoted procedure (`knn`,
 //!   `compute_voronoi`, …), wrapped in the [`QueryResult`] kind the
 //!   class answers with.
 //!
@@ -61,14 +61,21 @@ pub enum Query {
     /// A raw algebra plan; evaluates to its canvas.
     Plan(Expr),
     /// `SELECT * FROM data WHERE Location INSIDE q` (Figure 5) — the
-    /// result canvas's boundary index carries the selected records.
+    /// result canvas's boundary index carries the selected records. The
+    /// planner runs the plan's Mask as the entry walk
+    /// (`algebra::planner::selection_sink`): `C_P` and `C_Q` are
+    /// evaluated (or taken from the subplan cache), then one walk of
+    /// `C_P`'s point run writes only the kept pixels and entries; no
+    /// blend or mask plane is drawn or published. EXPLAIN labels the
+    /// rows `Mp'[#areas>=1] (entries)` and `B[⊙] (fused)`.
     SelectPoints { data: Arc<PointBatch>, q: Polygon },
     /// The selection heatmap `V[log](M[point ∧ area](B[⊙](C_P, C_Q)))`:
     /// the coarse texel mask keeps pixels holding a point inside `q`,
-    /// and the value transform writes `ln(1 + count)`. The blend is the
-    /// one `SelectPoints` over the same `data` and `q` evaluates, so
-    /// after that selection at the same viewport only the mask → value
-    /// tail runs; otherwise the chain runs fused over the point draw.
+    /// and the value transform writes `ln(1 + count)`. It runs as the
+    /// mask's entry walk over `C_P` and `C_Q`, the leaves `SelectPoints`
+    /// over the same `data` and `q` evaluates: after that selection at
+    /// the same viewport both come from the subplan cache and the
+    /// heatmap draws nothing.
     SelectionHeatmap { data: Arc<PointBatch>, q: Polygon },
     /// The choropleth `V[log](M[inside ∧ ≥1](B[⊕](C_Y*, C_tag)))`: the
     /// overlap count of `table`'s polygons, kept inside `q`. `C_Y*` is
@@ -79,12 +86,13 @@ pub enum Query {
     /// Per-zone aggregation as the Section 4.3 scatter plan:
     /// `D*[γc](M[Mp'](B[⊙](C_P, B*[⊕](C_Y*))))` — the result canvas is
     /// the group-slot canvas (zone id → slot). The planner runs the plan
-    /// in the mask's entry form (`algebra::planner::entry_sink`): `C_P`
-    /// and `C_Y*` are evaluated (or taken from the subplan cache — a
-    /// `SelectPoints` over the same handle and a `PolygonDensity` over
-    /// the same table publish them), then one walk of `C_P`'s point run
-    /// folds each kept pixel's texel into its zone slot; no blend or
-    /// mask canvas is drawn or published. EXPLAIN labels the folded rows
+    /// in the mask's entry form, as it runs `SelectPoints`
+    /// (`algebra::planner::entry_sink`): `C_P` and `C_Y*` are evaluated
+    /// (or taken from the subplan cache — a `SelectPoints` over the
+    /// same handle and a `PolygonDensity` over the same table publish
+    /// them), then one walk of `C_P`'s point run folds each kept
+    /// pixel's texel into its zone slot; no blend or mask canvas is
+    /// drawn or published. EXPLAIN labels the folded rows
     /// `Mp'[#areas>=1] (entries)` and `B[⊙] (fused)`.
     AggregateByZone {
         data: Arc<PointBatch>,
@@ -509,9 +517,7 @@ impl Prepared {
                 unreachable!("plans return above")
             }
             Query::SelectionHeatmap { data, q } => {
-                heatmap::selection_heatmap_via(dev, vp, data, q, cache)
-                    .canvas
-                    .into()
+                heatmap::selection_heatmap_via(dev, vp, data, q, cache).into()
             }
             Query::PolygonDensity { table, q } => {
                 heatmap::polygon_density_heatmap_via(dev, vp, table, q, cache)

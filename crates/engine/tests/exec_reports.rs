@@ -140,24 +140,27 @@ fn tail_sampled_reports_join_plan_fingerprints_and_span_trees() {
         assert_eq!(measured.label, plain.label);
     }
 
-    // The zone aggregate runs in the planner's entry form: its report
-    // names the folded rows, and the walk's wall lands on the `Mp'` row.
-    let aggregate = slow
-        .iter()
-        .find(|e| e.label == "aggregate_by_zone")
-        .expect("aggregate capture");
-    let r = &aggregate.report;
-    let row = |suffix: &str| {
-        r.nodes
+    // The zone aggregate and the selection run in the planner's entry
+    // form: their reports name the folded rows, and the walk's wall
+    // lands on the `Mp'` row.
+    for label in ["aggregate_by_zone", "select_points"] {
+        let entry = slow
             .iter()
-            .find(|n| n.label.ends_with(suffix))
-            .unwrap_or_else(|| panic!("no `{suffix}` row: {r:?}"))
-    };
-    assert_eq!(row("(entries)").label, "Mp'[#areas>=1] (entries)");
-    assert!(row("(entries)").wall_ns > 0, "the walk's wall: {r:?}");
-    assert_eq!(row("(fused)").label, "B[⊙] (fused)");
-    assert_eq!(row("(fused)").wall_ns, 0, "no blend ran");
-    assert!(r.nodes.iter().map(|n| n.wall_ns).sum::<u64>() <= r.execute_ns);
+            .find(|e| e.label == label)
+            .unwrap_or_else(|| panic!("{label} capture"));
+        let r = &entry.report;
+        let row = |suffix: &str| {
+            r.nodes
+                .iter()
+                .find(|n| n.label.ends_with(suffix))
+                .unwrap_or_else(|| panic!("no `{suffix}` row: {r:?}"))
+        };
+        assert_eq!(row("(entries)").label, "Mp'[#areas>=1] (entries)");
+        assert!(row("(entries)").wall_ns > 0, "the walk's wall: {r:?}");
+        assert_eq!(row("(fused)").label, "B[⊙] (fused)");
+        assert_eq!(row("(fused)").wall_ns, 0, "no blend ran: {r:?}");
+        assert!(r.nodes.iter().map(|n| n.wall_ns).sum::<u64>() <= r.execute_ns);
+    }
 
     // A resubmission is a cache hit; its on-demand report says so on
     // every row, with zero passes (nothing re-ran).

@@ -2,21 +2,24 @@
 //!
 //! The claim: a selection and a heatmap over the same dataset and
 //! viewport render their shared intermediates (the density canvas
-//! `C_P`, the query-polygon canvas `C_Q`, the blended canvas) **once**
-//! when the second query arrives after the first published them — and
-//! sharing is invisible in results: every response stays bit-identical
-//! to a fresh single-threaded `Device::cpu` evaluation. The linked
-//! views do the same across classes: the selection heatmap finishes
-//! over the selection's blend, and the zone aggregate reads the
-//! choropleth's `C_Y*`, and skyline and hull read the `C_P` a zone
-//! aggregate over the same handle evaluates.
+//! `C_P` and the query-polygon canvas `C_Q`) **once** when the second
+//! query arrives after the first published them — and sharing is
+//! invisible in results: every response stays bit-identical to a fresh
+//! single-threaded `Device::cpu` evaluation. The selection runs its
+//! blend folded into the mask's entry walk, so its leaves are what it
+//! publishes. The linked views do the same across classes: the
+//! selection heatmap walks the selection's `C_P` and `C_Q`, the zone
+//! aggregate reads the choropleth's `C_Y*`, and skyline and hull read
+//! the `C_P` a zone aggregate over the same handle evaluates.
 //!
 //! Sharing is a cache, not a protocol: a query never waits on another
 //! query's in-flight render of an interior. Two queries that miss the
 //! same interior at once both render it, and the key stays resident
 //! once.
 
-use canvas_core::algebra::{is_cut_point, normalize, plan_nodes, Fingerprint, SubplanCache};
+use canvas_core::algebra::{
+    is_cut_point, normalize, plan_nodes, selection_sink, Fingerprint, SubplanCache,
+};
 use canvas_core::prelude::*;
 use canvas_core::queries::heatmap;
 use canvas_core::queries::selection::points_in_polygon_plan;
@@ -113,6 +116,9 @@ fn cpu_reference(q: &Query, vp: Viewport) -> Arc<Canvas> {
 
 #[test]
 fn selection_then_heatmap_renders_shared_density_once() {
+    // Since the selection runs as the mask's entry walk it computes and
+    // publishes its two leaves, not its blend; a heatmap plan over the
+    // same data and polygon reads both leaves and draws nothing.
     let data = data();
     let q = district();
     let selection = Query::SelectPoints {
@@ -126,9 +132,9 @@ fn selection_then_heatmap_renders_shared_density_once() {
         selection.prepare().fingerprint,
         heatmap.prepare().fingerprint
     );
-    // But their interiors overlap — the blend, C_P, and C_Q subtrees
-    // carry identical fingerprints in both normalized plans — and the
-    // shared blend is a cut point.
+    // Their interiors overlap structurally (blend, C_P, C_Q), but the
+    // selection's blend is folded into its walk: the leaves are the
+    // interiors it evaluates.
     let interiors = |e: Expr| -> HashSet<Fingerprint> {
         plan_nodes(&normalize(e))
             .into_iter()
@@ -141,20 +147,23 @@ fn selection_then_heatmap_renders_shared_density_once() {
         .intersection(&interiors(heatmap_expr(&data, &q)))
         .count();
     assert!(overlap >= 3, "selection and heatmap share ≥ 3 interiors");
-    let Expr::Mask { input: blend, .. } = &selection_expr else {
-        unreachable!("the selection plan is a mask over the blend")
-    };
-    assert!(is_cut_point(blend));
+    let sink = selection_sink(&selection_expr).expect("the selection walks entries");
+    assert!(is_cut_point(sink.points) && is_cut_point(sink.areas));
 
     let engine = QueryEngine::with_config(config(256 << 20));
     let r_sel = engine.execute(&selection, vp()).unwrap();
     let prims_after_selection = engine.shared().stats().primitives;
     assert!(prims_after_selection > 0, "selection rasterized geometry");
+    assert_eq!(
+        engine.metrics().subplan_published,
+        2,
+        "the selection publishes C_P and C_Q"
+    );
 
     let r_heat = engine.execute(&heatmap, vp()).unwrap();
-    // The heatmap's interior blend is the selection's interior blend:
-    // served from the shared cache, so the heatmap rasterized NOTHING
-    // new — the shared density canvas was rendered exactly once.
+    // The heatmap's leaves are the selection's: served from the shared
+    // cache, so the heatmap rasterized NOTHING new — the shared density
+    // canvas was rendered exactly once.
     assert_eq!(
         engine.shared().stats().primitives,
         prims_after_selection,
@@ -162,9 +171,9 @@ fn selection_then_heatmap_renders_shared_density_once() {
     );
 
     let m = engine.metrics();
-    assert!(m.subplan_hits >= 1, "blend subplan must hit: {m:?}");
-    // Selection published blend + C_P + C_Q; the heatmap published its
-    // texel-mask stage above the shared blend.
+    assert_eq!(m.subplan_hits, 2, "both leaves hit: {m:?}");
+    // The heatmap published its blend and texel-mask stages above the
+    // shared leaves.
     assert!(m.subplan_published >= 3, "{m:?}");
     let cs = engine.cache_stats();
     assert!(cs.shared_entries > 0 && cs.shared_bytes > 0, "{cs:?}");
@@ -179,10 +188,10 @@ fn selection_then_heatmap_renders_shared_density_once() {
 }
 
 #[test]
-fn selection_heatmap_finishes_over_the_selections_blend() {
-    // After a selection, the production heatmap reads the selection's
-    // published `B[⊙](C_P, C_Q)` and runs only its mask → value tail:
-    // no point, polygon or tile is rasterized again.
+fn selection_heatmap_reads_the_selections_leaves() {
+    // After a selection, the production heatmap walks the selection's
+    // published `C_P` and `C_Q`: no point, polygon or tile is
+    // rasterized again, and nothing new is published.
     let data = data();
     let q = district();
     let selection = Query::SelectPoints {
@@ -195,7 +204,7 @@ fn selection_heatmap_finishes_over_the_selections_blend() {
     };
     let engine = QueryEngine::with_config(config(256 << 20));
     engine.execute(&selection, vp()).unwrap();
-    let hits_before = engine.metrics().subplan_hits;
+    let before = engine.metrics();
     let prims_after_selection = engine.shared().stats().primitives;
     let r = engine.execute(&heatmap, vp()).unwrap();
     assert_eq!(
@@ -203,10 +212,15 @@ fn selection_heatmap_finishes_over_the_selections_blend() {
         prims_after_selection,
         "the heatmap re-rasterized what the selection had rendered"
     );
+    let after = engine.metrics();
     assert_eq!(
-        engine.metrics().subplan_hits,
-        hits_before + 1,
-        "one blend hit"
+        after.subplan_hits,
+        before.subplan_hits + 2,
+        "C_P and C_Q hit"
+    );
+    assert_eq!(
+        after.subplan_published, before.subplan_published,
+        "nothing new published"
     );
     assert_canvas_eq(r.canvas(), &cpu_reference(&heatmap, vp()), "heatmap");
 }
@@ -410,19 +424,29 @@ fn linked_views_probe_the_keys_their_siblings_publish() {
     let zones: AreaSource = Arc::new(canvas_datagen::neighborhoods(&extent(), 6, 3));
     let mut dev = Device::cpu();
 
+    // The heatmap's operands are the selection plan's two leaves.
     let heat = Recorder::default();
     heatmap::selection_heatmap_via(&mut dev, vp(), &data, &q, Some(&heat));
     let selection = Query::SelectPoints {
         data: data.clone(),
         q: q.clone(),
     };
-    let blend_key = plan_node_key(&selection, "B[⊙]");
-    let heat_probes = heat.probed.lock().unwrap();
-    assert_eq!(
-        heat_probes[0].to_string(),
-        blend_key,
-        "heatmap probes the blend first"
-    );
+    let leaf_keys = [
+        plan_node_key(&selection, &format!("C_P[{} points]", data.len())),
+        plan_node_key(&selection, "C_Y[record 0, id 1]"),
+    ];
+    let heat_probes: Vec<String> = heat
+        .probed
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|fp| fp.to_string())
+        .collect();
+    assert_eq!(heat_probes, leaf_keys, "heatmap probes C_P, then C_Q");
+    let heat_published: Vec<String> = (heat.published.lock().unwrap().iter())
+        .map(|fp| fp.to_string())
+        .collect();
+    assert_eq!(heat_published, leaf_keys, "and publishes them on a miss");
 
     let density = Recorder::default();
     heatmap::polygon_density_heatmap_via(&mut dev, vp(), &zones, &q, Some(&density));

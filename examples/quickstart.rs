@@ -48,11 +48,17 @@ fn main() {
     for &id in &result.records {
         println!("  restaurant {id} at {}", restaurants[id as usize]);
     }
+    // The canvas answer is exact: it equals a scalar point-in-polygon scan.
+    let scan: Vec<u32> = (0..restaurants.len() as u32)
+        .filter(|&i| neighborhood.contains_closed(restaurants[i as usize]))
+        .collect();
+    assert_eq!(result.records, scan, "selection ≡ scalar scan");
 
     // The result is a canvas — still a first-class algebra value: count
     // it with an aggregation over the same result.
     let count = queries::aggregate::count_points_in_polygon(&mut dev, vp, &data, &neighborhood);
     println!("COUNT(*) = {count}");
+    assert_eq!(count, scan.len() as u64, "COUNT(*) ≡ scalar scan");
 
     println!(
         "\npipeline work: {} fragments, {} full-screen texels, modeled GPU time {:.3} ms",

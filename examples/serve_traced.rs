@@ -30,8 +30,9 @@
 //! EXPLAIN ANALYZE report, and the slowest capture's annotated plan
 //! tree is printed at the end (`ExecReport::to_text`). The example
 //! asserts that every captured report reconciles (node walls within the
-//! execute span) and that the zone aggregate's shows the planner's entry
-//! form (`Mp'[#areas>=1] (entries)`).
+//! execute span) and that the zone aggregate's and the selection's show
+//! the planner's entry form (`Mp'[#areas>=1] (entries)` over
+//! `B[⊙] (fused)`).
 
 use canvas_algebra::engine::{EngineConfig, Query, QueryEngine};
 use canvas_algebra::obs;
@@ -139,8 +140,9 @@ fn main() {
     let slow = engine.slow_queries();
     println!("\ntail-sampled slow queries: {} captured", slow.len());
     // Every report reconciles: exclusive node walls never exceed the
-    // query's execute span. The zone aggregate ran in the planner's
-    // entry form, and its report names the folded `Mp'` row.
+    // query's execute span. The zone aggregate and the selection ran in
+    // the planner's entry form, and their reports name the folded `Mp'`
+    // and `B[⊙]` rows.
     for entry in &slow {
         let r = &entry.report;
         let node_walls: u64 = r.nodes.iter().map(|n| n.wall_ns).sum();
@@ -151,21 +153,18 @@ fn main() {
             r.execute_ns
         );
     }
-    let aggregates: Vec<_> = slow
-        .iter()
-        .filter(|e| e.label == "aggregate_by_zone")
-        .collect();
-    assert!(!aggregates.is_empty(), "the aggregate was captured");
-    for entry in aggregates {
-        assert!(
-            entry
-                .report
-                .nodes
-                .iter()
-                .any(|n| n.label == "Mp'[#areas>=1] (entries)"),
-            "the aggregate report shows the entry form:\n{}",
-            entry.report.to_text()
-        );
+    for label in ["aggregate_by_zone", "select_points"] {
+        let captured: Vec<_> = slow.iter().filter(|e| e.label == label).collect();
+        assert!(!captured.is_empty(), "{label} was captured");
+        for entry in captured {
+            let rows = &entry.report.nodes;
+            assert!(
+                rows.iter().any(|n| n.label == "Mp'[#areas>=1] (entries)")
+                    && rows.iter().any(|n| n.label == "B[⊙] (fused)"),
+                "the {label} report shows the entry form:\n{}",
+                entry.report.to_text()
+            );
+        }
     }
     if let Some(worst) = slow.iter().max_by_key(|e| e.service_ns) {
         println!(

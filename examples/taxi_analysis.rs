@@ -84,28 +84,29 @@ fn main() {
     assert!((revenue - expect).abs() < 1e-2 * expect.max(1.0));
     println!("[4] total fare revenue inside the polygon: ${revenue:.2}");
 
-    // --- 5. Pickup-density heatmap as a fused operator chain ------------
-    // render → blend → mask → value executes as ONE streamed tile pass:
-    // the blended/masked intermediate canvases are never materialized,
-    // and at most the policy window of tile buffers is live.
+    // --- 5. Pickup-density heatmap as the selection's entry walk ------
+    // V[log](M[point ∧ area](B[⊙](C_P, C_Q))) is null except at pixels
+    // holding a pickup, so one walk of the pickups writes exactly those
+    // pixels: no blend, mask or value pass over the canvas.
     let mut dev = Device::cpu_parallel(4);
     let t0 = Instant::now();
     let heat = canvas_core::queries::heatmap::selection_heatmap(&mut dev, vp, &pickups, &q);
-    let fused_wall = t0.elapsed();
-    let window = dev.pool().policy().stream_window(dev.pool().worker_count());
-    assert!(heat.peak_tiles_in_flight <= window);
+    let walk_wall = t0.elapsed();
     let mut dev_m = Device::cpu_parallel(4);
     let want =
         canvas_core::queries::heatmap::selection_heatmap_materialized(&mut dev_m, vp, &pickups, &q);
-    assert_eq!(heat.canvas.texels(), want.texels(), "fused ≡ materialized");
+    assert_eq!(heat.texels(), want.texels(), "walk ≡ materialized");
+    assert_eq!(heat.cover(), want.cover(), "walk ≡ materialized");
     let hottest = heat
-        .canvas
         .non_null()
         .filter_map(|(x, y, t)| t.get(0).map(|d| (x, y, d.v1)))
         .max_by(|a, b| a.2.total_cmp(&b.2));
     println!(
-        "[5] fused heatmap chain: {} tiles streamed, peak {} live (window {window}), wall {:?}",
-        heat.tiles, heat.peak_tiles_in_flight, fused_wall
+        "[5] heatmap walk: {} hot pixels, {} full-screen texels (materialized: {}), wall {:?}",
+        heat.non_null_count(),
+        dev.stats().fullscreen_texels,
+        dev_m.stats().fullscreen_texels,
+        walk_wall
     );
     if let Some((x, y, c)) = hottest {
         println!("    hottest pixel ({x}, {y}) holds {c} pickups");

@@ -3,10 +3,13 @@
 //! 4.2, 4.3, 5.2), and every join agrees with brute force on random
 //! inputs (`joins_and_aggregates_match_brute_force`).
 
+mod common;
+
 use canvas_algebra::prelude::*;
 use canvas_core::algebra::SourceSpec;
 use canvas_core::queries::{aggregate, join};
 use canvas_core::SpatialTable;
+use common::assert_same_canvas;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -357,31 +360,6 @@ fn aggregate_plan(left: Expr, right: Expr, cond: CountCond, groups: u32, combine
             Expr::blend(BlendFn::PointOverArea, left, right),
         ),
     )
-}
-
-fn assert_same_canvas(got: &Canvas, want: &Canvas, ctx: &str) {
-    assert_eq!(got.viewport(), want.viewport(), "{ctx}: viewport");
-    // Bit for bit: compare the f32 patterns, not the values.
-    let bits = |c: &Canvas| -> Vec<[u32; 7]> {
-        c.texels()
-            .texels()
-            .iter()
-            .map(|t| {
-                let d = |i: usize| {
-                    t.get(i)
-                        .map_or([0; 2], |d| [d.v1.to_bits(), d.v2.to_bits()])
-                };
-                let id = |i: usize| t.get(i).map_or(u32::MAX, |d| d.id);
-                let [a, b] = d(0);
-                let [c2, d2] = d(2);
-                [id(0), a, b, id(2), c2, d2, t.has(1) as u32]
-            })
-            .collect()
-    };
-    assert_eq!(bits(got), bits(want), "{ctx}: texel bits differ");
-    assert_eq!(got.texels(), want.texels(), "{ctx}: texel planes differ");
-    assert_eq!(got.cover(), want.cover(), "{ctx}: cover planes differ");
-    assert_eq!(got.boundary(), want.boundary(), "{ctx}: indexes differ");
 }
 
 /// Serves one canvas under one key: a layered `C_P` for the points leaf.

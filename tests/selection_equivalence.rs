@@ -1,14 +1,25 @@
 //! Integration: every selection variant of the canvas algebra must
 //! agree bit-for-bit with the exact CPU baselines on realistic
 //! generated workloads — the exactness contract of paper Section 5. The
-//! mask's entry form (`point_entries_in_areas`) must keep exactly the
-//! entries the dense Blend + Mask keeps, in the same order.
+//! mask's entry form must equal the dense Blend + Mask it replaces: the
+//! walk (`point_entries_in_areas`) keeps exactly the entries the dense
+//! operators keep, in the same order, and the canvas sink
+//! (`select_point_entries_in_areas`, and the selection heatmap built on
+//! it) writes the dense operators' whole canvas, bit for bit.
+
+mod common;
 
 use canvas_algebra::prelude::*;
+use canvas_core::algebra::{selection_sink, SourceSpec};
 use canvas_core::boundary::PointEntry;
-use canvas_core::ops::mask::point_entries_in_areas;
+use canvas_core::ops::chain::{apply_chain_materialized, CanvasChain};
+use canvas_core::ops::mask::{point_entries_in_areas, select_point_entries_in_areas, PixelRule};
+use canvas_core::queries::heatmap;
 use canvas_core::queries::selection::{self, MultiPolygon};
 use canvas_geom::polygon::Ring;
+use canvas_raster::{MaskTag, ValueTag};
+use common::assert_same_canvas;
+use std::sync::Arc;
 
 fn extent() -> BBox {
     BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0))
@@ -303,6 +314,8 @@ fn point_entries_in_areas_equals_blend_then_mask() {
     full.weights = vec![1.5; full.points.len()];
     for threads in [1, 2, 8] {
         let mut dev = device(threads);
+        // Walk in bands on the pool however small the run is.
+        dev.pool().set_min_work_override(1);
         let flat = render_points(&mut dev, vp, &full);
         let prefix = PointBatch {
             points: full.points[..base.len()].to_vec(),
@@ -326,7 +339,7 @@ fn point_entries_in_areas_equals_blend_then_mask() {
         for (points, pname) in [(&flat, "flat"), (&layered, "layered")] {
             for (areas, aname) in [(&cq, "C_Q"), (&cy, "C_Y*")] {
                 for &cond in &conds {
-                    let got = point_entries_in_areas(points, areas, cond);
+                    let got = point_entries_in_areas(&dev, points, areas, cond);
                     let want = dense_entries(&mut dev, points, areas, cond);
                     assert_eq!(
                         got, want,
@@ -336,12 +349,205 @@ fn point_entries_in_areas_equals_blend_then_mask() {
             }
         }
         // The spec is not trivial: some entries are kept, some are not.
-        let kept = point_entries_in_areas(&flat, &cq, CountCond::Ge(1)).len();
+        let kept = point_entries_in_areas(&dev, &flat, &cq, CountCond::Ge(1)).len();
         assert!(
             kept > 0 && kept < flat.boundary().num_points(),
             "kept {kept}"
         );
-        let overlap = point_entries_in_areas(&flat, &cy, CountCond::Ge(3)).len();
+        let overlap = point_entries_in_areas(&dev, &flat, &cy, CountCond::Ge(3)).len();
         assert!(overlap > 0, "some points lie in three table polygons");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The canvas sink against the dense operators, whole canvases.
+// ---------------------------------------------------------------------
+
+/// The premise of writing the sparse canvas into an empty one: the
+/// dense operators never leave cover under a null texel.
+fn assert_no_cover_under_null(c: &Canvas, ctx: &str) {
+    let planes = c.texels().texels().iter().zip(c.cover().texels());
+    for (i, (t, cov)) in planes.enumerate() {
+        assert!(
+            !t.is_null() || *cov == 0,
+            "{ctx}: cover {cov} under a null texel at {i}"
+        );
+    }
+}
+
+/// Flat and 2-level layered point canvases of `full` (its first `split`
+/// points drawn, the rest patched on as a second level).
+fn flat_and_layered(
+    dev: &mut Device,
+    vp: Viewport,
+    full: &PointBatch,
+    split: usize,
+) -> [Canvas; 2] {
+    let prefix = PointBatch {
+        points: full.points[..split].to_vec(),
+        ids: full.ids[..split].to_vec(),
+        weights: full.weights[..split].to_vec(),
+    };
+    let before = render_live_heatmap(dev, vp, &prefix, None);
+    let (layered, _) = patch_live_heatmap(dev, vp, &before, full, split, None);
+    assert!(
+        layered.boundary().point_levels().len() >= 2,
+        "a layered index"
+    );
+    [render_points(dev, vp, full), layered]
+}
+
+/// Every area source the planner's sink accepts, over holed polygons
+/// and overlapping tables.
+fn sink_area_sources(query: &Polygon) -> Vec<(&'static str, Expr)> {
+    let table: AreaSource = Arc::new(vec![
+        holed_polygon(15.0, 20.0),
+        holed_polygon(25.0, 5.0),
+        star_polygon(
+            &BBox::new(Point::new(5.0, 5.0), Point::new(60.0, 60.0)),
+            24,
+            0.5,
+            3,
+        ),
+        Polygon::circle(Point::new(50.0, 50.0), 30.0, 40),
+    ]);
+    vec![
+        ("Polygon", Expr::query_polygon(query.clone(), 1)),
+        ("PolygonSet", Expr::polygon_set(table, BlendFn::AreaCount)),
+        (
+            "Circle",
+            Expr::Source(SourceSpec::Circle {
+                center: Point::new(48.0, 52.0),
+                radius: 31.0,
+                id: 3,
+            }),
+        ),
+        (
+            "Rect",
+            Expr::Source(SourceSpec::Rect {
+                l1: Point::new(12.3, 20.7),
+                l2: Point::new(77.1, 64.9),
+                id: 1,
+            }),
+        ),
+        (
+            "HalfSpace",
+            Expr::Source(SourceSpec::HalfSpace {
+                a: 1.0,
+                b: 0.7,
+                c: -90.0,
+                id: 5,
+            }),
+        ),
+    ]
+}
+
+#[test]
+fn selection_canvas_equals_blend_then_mask() {
+    let vp = Viewport::new(extent(), 96, 80);
+    let query = holed_polygon(0.0, 0.0);
+    let rights = sink_area_sources(&query);
+    let full = oracle_batch(41, 3_000, &[query.clone(), holed_polygon(15.0, 20.0)]);
+    let data = Arc::new(full.clone());
+    let mut conds = vec![];
+    for k in 0..=3 {
+        conds.extend([CountCond::Eq(k), CountCond::Ge(k)]);
+    }
+    let (mut kept, mut dropped) = (false, false);
+    for threads in [1, 2, 8] {
+        let mut dev = device(threads);
+        dev.pool().set_min_work_override(1);
+        let points = flat_and_layered(&mut dev, vp, &full, full.len() - 200);
+        for (name, right) in &rights {
+            let r = right.eval(&mut dev, vp);
+            for &cond in &conds {
+                for (cp, layout) in points.iter().zip(["flat", "layered"]) {
+                    let ctx = format!("{layout} C_P over {name}, {cond:?}, threads={threads}");
+                    let merged = blend(&mut dev, cp, &r, BlendFn::PointOverArea);
+                    let want = mask(&mut dev, &merged, &MaskSpec::PointInAreas(cond));
+                    assert_no_cover_under_null(&merged, &ctx);
+                    assert_no_cover_under_null(&want, &ctx);
+                    let before = dev.stats();
+                    let got = select_point_entries_in_areas(
+                        &dev,
+                        cp,
+                        &r,
+                        PixelRule::PointInAreas(cond),
+                        None,
+                    );
+                    assert_eq!(dev.stats(), before, "{ctx}: the walk charges nothing");
+                    assert_same_canvas(&got, &want, &ctx);
+                    kept |= !want.is_empty();
+                    dropped |= want.boundary().num_points() < cp.boundary().num_points();
+                }
+                // The planner takes the same walk for the plan.
+                let plan = Expr::mask(
+                    MaskSpec::PointInAreas(cond),
+                    Expr::blend(
+                        BlendFn::PointOverArea,
+                        Expr::points(data.clone()),
+                        right.clone(),
+                    ),
+                );
+                assert!(selection_sink(&plan).is_some());
+                let merged = blend(&mut dev, &points[0], &r, BlendFn::PointOverArea);
+                let want = mask(&mut dev, &merged, &MaskSpec::PointInAreas(cond));
+                let got = plan.eval(&mut dev, vp);
+                assert_same_canvas(&got, &want, &format!("plan over {name}, {cond:?}"));
+            }
+        }
+        // `select_points_in_polygon` makes the plan's calls directly.
+        let cq = render_query_polygon(&mut dev, vp, query.clone(), 1);
+        let merged = blend(&mut dev, &points[0], &cq, BlendFn::PointOverArea);
+        let want = mask(&mut dev, &merged, &MaskSpec::PointInAreas(CountCond::Ge(1)));
+        let got = selection::select_points_in_polygon(&mut dev, vp, &full, &query);
+        assert_same_canvas(&got.canvas, &want, "select_points_in_polygon");
+        assert_eq!(got.records, want.point_records());
+    }
+    assert!(
+        kept && dropped,
+        "the spec keeps some points and drops others"
+    );
+}
+
+#[test]
+fn selection_heatmap_equals_the_materialized_plan() {
+    let vp = Viewport::new(extent(), 96, 80);
+    let queries = [
+        holed_polygon(0.0, 0.0),
+        star_polygon(
+            &BBox::new(Point::new(15.0, 10.0), Point::new(85.0, 80.0)),
+            17,
+            0.55,
+            5,
+        ),
+    ];
+    for q in &queries {
+        let full = oracle_batch(43, 3_000, std::slice::from_ref(q));
+        let want = heatmap::selection_heatmap_materialized(&mut Device::cpu(), vp, &full, q);
+        assert_no_cover_under_null(&want, "heatmap spec");
+        assert!(!want.is_empty(), "the spec keeps pixels");
+        for threads in [1, 2, 8] {
+            let mut dev = device(threads);
+            dev.pool().set_min_work_override(1);
+            let got = heatmap::selection_heatmap(&mut dev, vp, &full, q);
+            assert_same_canvas(&got, &want, &format!("heatmap, threads={threads}"));
+            // The walk over a layered `C_P` equals the chain over it.
+            let [_, layered] = flat_and_layered(&mut dev, vp, &full, full.len() - 200);
+            let cq = render_query_polygon(&mut dev, vp, q.clone(), 1);
+            let heat = CanvasChain::new()
+                .blend(&cq, BlendFn::PointOverArea)
+                .mask_tagged("point ∧ area", MaskTag::PointAndArea)
+                .value_tagged(ValueTag::HeatLog);
+            let spec = apply_chain_materialized(&mut dev, layered.clone(), &heat);
+            let got = select_point_entries_in_areas(
+                &dev,
+                &layered,
+                &cq,
+                PixelRule::PointAndArea,
+                Some(ValueTag::HeatLog),
+            );
+            assert_same_canvas(&got, &spec, &format!("layered heatmap, threads={threads}"));
+        }
     }
 }
