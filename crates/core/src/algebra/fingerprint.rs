@@ -408,10 +408,10 @@ impl Expr {
 /// would spend cache bytes to save nothing. Cheap utility sources
 /// (`Circ`/`Rect`/`HS`) still cost a full raster pass and are kept.
 ///
-/// Cut points never break fused chains: a chain consults the subplan
-/// cache only for canvases it materializes anyway — its operands, or
-/// the canvas it starts from (see `ops::chain`) — so the
-/// streamed≡materialized bit-identity contract is untouched.
+/// Cut points never break chains: a chain consults the subplan cache
+/// only for canvases it materializes anyway — its operands, or the
+/// canvas it starts from (see `ops::chain`) — so the chain ≡
+/// materialized bit-identity contract is untouched.
 pub fn is_cut_point(e: &Expr) -> bool {
     !matches!(e, Expr::Source(SourceSpec::Literal(_)))
 }

@@ -203,18 +203,6 @@ impl Canvas {
         self.boundary.points().map(|e| e.weight as f64).sum()
     }
 
-    /// Distinct record ids present in the 2-primitive rows of non-∅
-    /// texels (coarse candidate set for polygon queries).
-    pub fn area_records(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self
-            .non_null()
-            .filter_map(|(_, _, t)| t.get(2).map(|a| a.id))
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
     /// Byte size of the texel + cover planes (modeled video memory).
     pub fn size_bytes(&self) -> usize {
         self.texels.size_bytes() + self.cover.size_bytes()

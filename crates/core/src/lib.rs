@@ -77,10 +77,9 @@ pub mod prelude {
     pub use crate::info::{BlendFn, DimInfo, Texel};
     pub use crate::ops::{
         blend, circle_canvas, dissect, dissect_iter, dissect_par, group_viewport, halfspace_canvas,
-        map_scatter, mask, multiway_blend, rect_canvas, run_canvas_chain, run_points_chain,
-        run_points_chain_materialized, run_polygons_chain, run_polygons_chain_materialized,
-        transform_by_value, transform_positions, value_transform, CanvasChain, CanvasOp,
-        ChainOutcome, CountCond, MaskSpec, PositionMap, ValueMap,
+        map_scatter, mask, multiway_blend, rect_canvas, run_canvas_chain, transform_by_value,
+        transform_positions, value_transform, CanvasChain, CanvasOp, CountCond, MaskSpec,
+        PositionMap, ValueMap,
     };
     pub use crate::queries;
     pub use crate::source::{

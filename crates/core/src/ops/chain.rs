@@ -1,7 +1,7 @@
 //! Canvas operator chains — the algebra-level face of
 //! `canvas_raster::OpChain`.
 //!
-//! A [`CanvasChain`] is a linear plan `source → op₁ → … → opₖ` over full
+//! A [`CanvasChain`] is a linear plan `input → op₁ → … → opₖ` over full
 //! canvases (texel plane + certain-cover plane + boundary index) whose
 //! operators are the *coarse* forms of the algebra: Value Transform
 //! `V[f]`, Blend `B[⊙]` against a materialized operand canvas, and the
@@ -9,28 +9,27 @@
 //! a `BlendFn`, a `MaskTag` — lowered to the raster layer's SIMD row
 //! kernels; arbitrary functions stay at the algebra level
 //! (`Expr::ValueTransform`, `MaskSpec::Texel`), which evaluates them
-//! as materialized passes. A chain starts from one of two places:
+//! as materialized passes.
 //!
-//! * **a draw** ([`run_points_chain`], [`run_polygons_chain`]): each
-//!   rendered tile flows through every operator on the executor's
-//!   multi-stage streaming hand-off before it is blitted — the
-//!   intermediate canvases of the materialized plan are never
-//!   allocated;
-//! * **a materialized canvas** ([`run_canvas_chain`]): the input's
-//!   planes are copied once and every operator runs over the copy in
-//!   place, strip by strip — the input may be a canvas another query
-//!   already rendered.
+//! A chain runs over a finished canvas ([`run_canvas_chain`]), as the
+//! paper composes operators over canvases it first renders: the
+//! input's planes are copied once and every operator runs over the
+//! copy in place, strip by strip. The input may be a canvas another
+//! query already rendered. The run is **bit-identical** to the
+//! materialized operator sequence ([`apply_chain_materialized`]) —
+//! texel plane, cover plane, boundary index, sources, *and* pipeline
+//! work counters — at any thread count; `tests/chain_equivalence.rs`
+//! asserts this on random chains. Boundary bookkeeping is replayed
+//! after the planes finish: Blend stages merge the operand's entries
+//! (source-remapped) and Mask stages prune entries of pixels whose
+//! texel the mask left null, read from the run's per-stage
+//! [`MaskOutcome`] bitmaps — sparse metadata, never a full
+//! intermediate plane.
 //!
-//! Every form is **bit-identical** to the materialized operator
-//! sequence ([`run_points_chain_materialized`],
-//! [`apply_chain_materialized`]) — texel plane, cover plane, boundary
-//! index, sources, *and* pipeline work counters — at any thread count;
-//! `tests/chain_equivalence.rs` asserts this on random chains.
-//! Boundary bookkeeping is replayed after the planes finish: Blend
-//! stages merge the operand's entries (source-remapped) and Mask stages
-//! prune entries of pixels whose texel the mask left null, read from
-//! the run's per-stage [`MaskOutcome`] bitmaps — sparse metadata, never
-//! a full intermediate plane.
+//! The one draw fused with a chain lives a layer down
+//! (`Pipeline::run_chain_points`, whose tiles stream through the
+//! operators before their blit): the live heatmap's point draw
+//! finished by `V[HeatLog]` (`source::draw_points`).
 //!
 //! The exact point-refinement Mask (`MaskSpec::PointInAreas`) is *not*
 //! chain-fusable: it rewrites texels from boundary-index state, which
@@ -48,9 +47,8 @@
 //!
 //! * its **operands**, the canvases it materializes anyway (the Blend
 //!   operands, e.g. the choropleth's tagged query region);
-//! * its **input**, when the chain starts from a canvas: the choropleth
-//!   runs over the `C_Y*` a zone aggregate reads (see
-//!   `queries::heatmap`).
+//! * its **input**: the choropleth runs over the `C_Y*` a zone
+//!   aggregate reads (see `queries::heatmap`).
 //!
 //! Rendering is deterministic, so a shared canvas is bit-identical to
 //! the one the chain would have rendered itself, and the bit-identity
@@ -58,7 +56,7 @@
 
 use std::sync::Arc;
 
-use crate::canvas::{Canvas, PointBatch};
+use crate::canvas::Canvas;
 use crate::device::Device;
 use crate::info::{BlendFn, Texel};
 use crate::ops::mask::MaskSpec;
@@ -83,8 +81,7 @@ pub enum CanvasOp<'a> {
 impl std::fmt::Debug for CanvasOp<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // A value stage prints as `V[f]` and a mask by its label, as
-        // the algebra's operators do, so plan strings (and the
-        // subplan-sharing cache keys derived from them) name the
+        // the algebra's operators do: a printed chain names the
         // operator, not its kernel.
         match self {
             CanvasOp::ValueTagged(_) => write!(f, "V[f]"),
@@ -94,7 +91,7 @@ impl std::fmt::Debug for CanvasOp<'_> {
     }
 }
 
-/// A linear fused canvas plan (see module docs).
+/// A linear canvas plan (see module docs).
 #[derive(Clone, Debug, Default)]
 pub struct CanvasChain<'a> {
     ops: Vec<CanvasOp<'a>>,
@@ -141,40 +138,6 @@ impl<'a> CanvasChain<'a> {
     pub fn ops(&self) -> &[CanvasOp<'a>] {
         &self.ops
     }
-
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Plan label, e.g. `points → B[PointOverArea] → M[inside] → V[f]`.
-    pub fn plan(&self) -> String {
-        let mut s = String::from("points");
-        for op in &self.ops {
-            s.push_str(" → ");
-            s.push_str(&format!("{op:?}"));
-        }
-        s
-    }
-}
-
-/// Result of a fused chain run: the canvas plus the streaming memory
-/// report the fused-execution contract is asserted against.
-#[derive(Debug)]
-pub struct ChainOutcome {
-    pub canvas: Canvas,
-    /// Tiles that flowed through the fused pipeline.
-    pub tiles: usize,
-    /// High-water mark of live tile buffers — never exceeds
-    /// `Policy::stream_window(workers)` (0 for in-place sequential
-    /// runs and for chains over a materialized canvas).
-    pub peak_tiles_in_flight: usize,
-    /// Per-Mask-op null bitmaps the boundary replay read (see
-    /// [`MaskOutcome`]).
-    pub masked: MaskOutcome,
 }
 
 /// Asserts every Blend operand canvas shares the run's viewport.
@@ -190,8 +153,7 @@ fn assert_operand_viewports(vp: &Viewport, chain: &CanvasChain<'_>) {
     }
 }
 
-/// Lowers the canvas-level operators to raster tile kernels (shared by
-/// the point and polygon fused runners — one lowering, one semantics).
+/// Lowers the canvas-level operators to the raster layer's row kernels.
 fn lower_to_raster<'a>(chain: &CanvasChain<'a>) -> OpChain<'a, Texel> {
     let mut raster_chain: OpChain<'a, Texel> = OpChain::new();
     for op in chain.ops() {
@@ -199,8 +161,8 @@ fn lower_to_raster<'a>(chain: &CanvasChain<'a>) -> OpChain<'a, Texel> {
             CanvasOp::ValueTagged(tag) => raster_chain.map_tagged(*tag),
             // Built-in blends always take the SIMD row kernel: the
             // kernel is bit-identical to `BlendFn::apply` (asserted in
-            // `info::tests`), so the streamed ≡ materialized contract
-            // is unchanged by the lowering.
+            // `info::tests`), so the chain ≡ materialized contract is
+            // unchanged by the lowering.
             CanvasOp::Blend { other, op } => {
                 raster_chain.blend_tagged(other.texels(), Some(other.cover()), op.tag())
             }
@@ -219,8 +181,7 @@ fn lower_to_raster<'a>(chain: &CanvasChain<'a>) -> OpChain<'a, Texel> {
 /// sequence against the finished planes — sparse metadata only, no
 /// intermediate plane is ever touched. Blend stages merge the operand's
 /// entries (source-remapped), Mask stages prune entries of pixels whose
-/// texel the mask left null (read from the fused run's per-stage
-/// bitmaps).
+/// texel the mask left null (read from the run's per-stage bitmaps).
 fn replay_bookkeeping(canvas: &mut Canvas, chain: &CanvasChain<'_>, masked: &MaskOutcome) {
     let mut mask_ordinal = 0usize;
     for op in chain.ops() {
@@ -253,108 +214,13 @@ fn replay_bookkeeping(canvas: &mut Canvas, chain: &CanvasChain<'_>, masked: &Mas
     }
 }
 
-/// Executes `render(points) → chain` fused: one streamed tile pass,
-/// no intermediate canvases (see module docs). Bit-identical to
-/// [`run_points_chain_materialized`] at any thread count, including
-/// pipeline stats.
-pub fn run_points_chain(
-    dev: &mut Device,
-    vp: Viewport,
-    batch: &PointBatch,
-    chain: &CanvasChain<'_>,
-) -> ChainOutcome {
-    assert_operand_viewports(&vp, chain);
-    let mut canvas = Canvas::empty(vp);
-    dev.pipeline().note_upload(batch.upload_bytes());
-    let raster_chain = lower_to_raster(chain);
-
-    let ids = &batch.ids;
-    let weights = &batch.weights;
-    let report = {
-        let (texels, cover, _) = canvas.planes_mut();
-        dev.pipeline().run_chain_points(
-            &vp,
-            texels,
-            Some(cover),
-            &batch.points,
-            |i, _| Texel::point(ids[i as usize], 1.0, weights[i as usize]),
-            |d, s| BlendFn::PointAccumulate.apply(d, s),
-            &raster_chain,
-        )
-    };
-
-    // Exact point entries, then the operator bookkeeping replay (see
-    // `replay_bookkeeping`).
-    *canvas.boundary_mut() =
-        crate::source::point_index(&vp, &batch.points, &batch.ids, &batch.weights);
-    replay_bookkeeping(&mut canvas, chain, &report.masked);
-
-    ChainOutcome {
-        canvas,
-        tiles: report.tiles,
-        peak_tiles_in_flight: report.peak_tiles_in_flight,
-        masked: report.masked,
-    }
-}
-
-/// Executes `render(polygon table) → chain` fused — the polygon-table
-/// sibling of [`run_points_chain`], built on
-/// `Pipeline::run_chain_polygons`: the instanced tiled polygon draw
-/// (texels + certain-cover + boundary entries, internal blend
-/// `draw_blend` — the fused `B*[⊕]` of a whole-table render) streams
-/// each finished tile through every chain operator before the single
-/// blit. Bit-identical to [`run_polygons_chain_materialized`] at any
-/// thread count, including pipeline stats.
-pub fn run_polygons_chain(
-    dev: &mut Device,
-    vp: Viewport,
-    table: &crate::canvas::AreaSource,
-    draw_blend: BlendFn,
-    chain: &CanvasChain<'_>,
-) -> ChainOutcome {
-    assert_operand_viewports(&vp, chain);
-    let mut canvas = Canvas::empty(vp);
-    let source = canvas.add_area_source(table.clone());
-    let upload: u64 = table.iter().map(|p| (p.num_vertices() * 16) as u64).sum();
-    dev.pipeline().note_upload(upload);
-    let raster_chain = lower_to_raster(chain);
-
-    let (boundary, report) = {
-        let (texels, cover, _) = canvas.planes_mut();
-        dev.pipeline().run_chain_polygons(
-            &vp,
-            texels,
-            cover,
-            table,
-            true,
-            |record, _| Texel::area(record, 1.0, 0.0),
-            |d, s| draw_blend.apply(d, s),
-            &raster_chain,
-        )
-    };
-
-    // One area entry per conservative boundary fragment, then the
-    // operator replay.
-    *canvas.boundary_mut() = crate::source::area_index(&vp, source, &boundary, |record| record);
-    replay_bookkeeping(&mut canvas, chain, &report.masked);
-
-    ChainOutcome {
-        canvas,
-        tiles: report.tiles,
-        peak_tiles_in_flight: report.peak_tiles_in_flight,
-        masked: report.masked,
-    }
-}
-
-/// Executes `input → chain` over an already-materialized canvas: the
-/// input's planes are copied once and the chain runs over the copy in
-/// place (`Pipeline::run_chain_texture`, full-width row strips, no
-/// tile copies); the input's index is then carried through the same
-/// bookkeeping replay as a fused run. Bit-identical to
-/// [`apply_chain_materialized`] on the same input at any thread count,
-/// including pipeline stats — so `run_canvas_chain(render(source),
-/// chain)` equals the fused draw-then-chain run of that source.
-pub fn run_canvas_chain(dev: &mut Device, input: &Canvas, chain: &CanvasChain<'_>) -> ChainOutcome {
+/// Executes `input → chain` over a finished canvas: the input's
+/// planes are copied once and the chain runs over the copy in place
+/// (`Pipeline::run_chain_texture`, full-width row strips, no tile
+/// copies); the input's index is then carried through the bookkeeping
+/// replay. Bit-identical to [`apply_chain_materialized`] on the same
+/// input at any thread count, including pipeline stats.
+pub fn run_canvas_chain(dev: &mut Device, input: &Canvas, chain: &CanvasChain<'_>) -> Canvas {
     let vp = *input.viewport();
     assert_operand_viewports(&vp, chain);
     let mut canvas = input.clone();
@@ -365,30 +231,12 @@ pub fn run_canvas_chain(dev: &mut Device, input: &Canvas, chain: &CanvasChain<'_
             .run_chain_texture(texels, cover, &raster_chain)
     };
     replay_bookkeeping(&mut canvas, chain, &report.masked);
-    ChainOutcome {
-        canvas,
-        tiles: report.tiles,
-        peak_tiles_in_flight: report.peak_tiles_in_flight,
-        masked: report.masked,
-    }
+    canvas
 }
 
-/// The materialized reference for [`run_polygons_chain`]: the identical
-/// plan executed as `render_polygon_set` followed by one whole-canvas
-/// operator pass per stage.
-pub fn run_polygons_chain_materialized(
-    dev: &mut Device,
-    vp: Viewport,
-    table: &crate::canvas::AreaSource,
-    draw_blend: BlendFn,
-    chain: &CanvasChain<'_>,
-) -> Canvas {
-    let c = crate::source::render_polygon_set(dev, vp, table, draw_blend);
-    apply_chain_materialized(dev, c, chain)
-}
-
-/// Applies a chain's operators as separate whole-canvas passes (the
-/// materialized halves of the equivalence harnesses).
+/// Applies a chain's operators as separate whole-canvas passes: the
+/// materialized reference [`run_canvas_chain`] is held to, and the
+/// plan-comparison baseline.
 pub fn apply_chain_materialized(
     dev: &mut Device,
     mut c: Canvas,
@@ -416,24 +264,11 @@ pub fn apply_chain_materialized(
     c
 }
 
-/// The materialized reference: the identical plan executed as separate
-/// whole-canvas operator passes (one intermediate canvas per step).
-/// Exists for the streamed≡materialized equivalence harness and as the
-/// plan-comparison baseline.
-pub fn run_points_chain_materialized(
-    dev: &mut Device,
-    vp: Viewport,
-    batch: &PointBatch,
-    chain: &CanvasChain<'_>,
-) -> Canvas {
-    let c = crate::source::render_points(dev, vp, batch);
-    apply_chain_materialized(dev, c, chain)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::render_query_polygon;
+    use crate::canvas::PointBatch;
+    use crate::source::{render_points, render_polygon_set, render_query_polygon};
     use canvas_geom::{BBox, Point, Polygon};
 
     fn vp(n: u32) -> Viewport {
@@ -463,9 +298,9 @@ mod tests {
         ])
         .unwrap();
         for threads in [1usize, 3] {
-            let mut dev_f = Device::cpu_parallel(threads);
+            let mut dev_c = Device::cpu_parallel(threads);
             let mut dev_m = Device::cpu_parallel(threads);
-            let cq_f = render_query_polygon(&mut dev_f, vp(16), q.clone(), 1);
+            let cq_c = render_query_polygon(&mut dev_c, vp(16), q.clone(), 1);
             let cq_m = render_query_polygon(&mut dev_m, vp(16), q.clone(), 1);
             fn mk(cq: &Canvas) -> CanvasChain<'_> {
                 CanvasChain::new()
@@ -473,22 +308,24 @@ mod tests {
                     .mask_tagged("point ∧ area", MaskTag::PointAndArea)
                     .value_tagged(ValueTag::HeatLog)
             }
-            let fused = run_points_chain(&mut dev_f, vp(16), &pts(), &mk(&cq_f));
-            let want = run_points_chain_materialized(&mut dev_m, vp(16), &pts(), &mk(&cq_m));
-            assert_eq!(fused.canvas.texels(), want.texels(), "threads={threads}");
-            assert_eq!(fused.canvas.cover(), want.cover(), "threads={threads}");
+            let cp_c = render_points(&mut dev_c, vp(16), &pts());
+            let got = run_canvas_chain(&mut dev_c, &cp_c, &mk(&cq_c));
+            let cp_m = render_points(&mut dev_m, vp(16), &pts());
+            let want = apply_chain_materialized(&mut dev_m, cp_m, &mk(&cq_m));
+            assert_eq!(got.texels(), want.texels(), "threads={threads}");
+            assert_eq!(got.cover(), want.cover(), "threads={threads}");
             assert_eq!(
-                fused.canvas.boundary().points().collect::<Vec<_>>(),
+                got.boundary().points().collect::<Vec<_>>(),
                 want.boundary().points().collect::<Vec<_>>(),
                 "threads={threads}"
             );
             assert_eq!(
-                fused.canvas.boundary().areas(),
+                got.boundary().areas(),
                 want.boundary().areas(),
                 "threads={threads}"
             );
-            assert_eq!(fused.canvas.area_sources().len(), want.area_sources().len());
-            assert_eq!(dev_f.stats(), dev_m.stats(), "stats at {threads} threads");
+            assert_eq!(got.area_sources().len(), want.area_sources().len());
+            assert_eq!(dev_c.stats(), dev_m.stats(), "stats at {threads} threads");
         }
     }
 
@@ -516,32 +353,28 @@ mod tests {
                 .value_tagged(ValueTag::DensityLog { tag: 1.0 })
         }
         for threads in [1usize, 3] {
-            let mut dev_f = Device::cpu_parallel(threads);
+            let mut dev_c = Device::cpu_parallel(threads);
             let mut dev_m = Device::cpu_parallel(threads);
-            let fused = run_polygons_chain(&mut dev_f, vp(16), &table, BlendFn::AreaCount, &mk());
-            let want = run_polygons_chain_materialized(
-                &mut dev_m,
-                vp(16),
-                &table,
-                BlendFn::AreaCount,
-                &mk(),
-            );
-            assert_eq!(fused.canvas.texels(), want.texels(), "threads={threads}");
-            assert_eq!(fused.canvas.cover(), want.cover(), "threads={threads}");
+            let zones_c = render_polygon_set(&mut dev_c, vp(16), &table, BlendFn::AreaCount);
+            let got = run_canvas_chain(&mut dev_c, &zones_c, &mk());
+            let zones_m = render_polygon_set(&mut dev_m, vp(16), &table, BlendFn::AreaCount);
+            let want = apply_chain_materialized(&mut dev_m, zones_m, &mk());
+            assert_eq!(got.texels(), want.texels(), "threads={threads}");
+            assert_eq!(got.cover(), want.cover(), "threads={threads}");
             assert_eq!(
-                fused.canvas.boundary().areas(),
+                got.boundary().areas(),
                 want.boundary().areas(),
                 "threads={threads}"
             );
-            assert_eq!(dev_f.stats(), dev_m.stats(), "stats at {threads} threads");
+            assert_eq!(dev_c.stats(), dev_m.stats(), "stats at {threads} threads");
             // Only the overlap region (count 2) survives the mask, and
             // the value stage untags its count by one.
-            for (_, _, t) in fused.canvas.non_null() {
+            for (_, _, t) in got.non_null() {
                 let a = t.get(2).unwrap();
                 assert_eq!(a.v1, 1.0);
                 assert_eq!(a.v2, 2.0f32.ln());
             }
-            assert!(!fused.canvas.is_empty());
+            assert!(!got.is_empty());
         }
     }
 
@@ -552,9 +385,7 @@ mod tests {
             .blend(&c, BlendFn::Over)
             .mask_tagged("m", MaskTag::PointAndArea)
             .value_tagged(ValueTag::HeatLog);
-        assert_eq!(chain.plan(), "points → B[Over] → M[m] → V[f]");
-        assert_eq!(chain.len(), 3);
-        assert!(!chain.is_empty());
+        assert_eq!(format!("{:?}", chain.ops()), "[B[Over], M[m], V[f]]");
     }
 
     #[test]
@@ -563,6 +394,7 @@ mod tests {
         let other = Canvas::empty(vp(8));
         let chain = CanvasChain::new().blend(&other, BlendFn::Over);
         let mut dev = Device::cpu();
-        let _ = run_points_chain(&mut dev, vp(16), &pts(), &chain);
+        let input = render_points(&mut dev, vp(16), &pts());
+        let _ = run_canvas_chain(&mut dev, &input, &chain);
     }
 }

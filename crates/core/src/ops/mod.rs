@@ -29,10 +29,7 @@ pub mod utility;
 pub mod value;
 
 pub use blend::{blend, multiway_blend};
-pub use chain::{
-    run_canvas_chain, run_points_chain, run_points_chain_materialized, run_polygons_chain,
-    run_polygons_chain_materialized, CanvasChain, CanvasOp, ChainOutcome,
-};
+pub use chain::{run_canvas_chain, CanvasChain, CanvasOp};
 pub use dissect::{dissect, dissect_iter, dissect_par, map_scatter};
 pub use mask::{
     mask, scatter_point_entries_in_areas, select_point_entries_in_areas, CountCond, MaskSpec,

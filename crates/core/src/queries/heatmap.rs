@@ -38,10 +38,7 @@ use crate::algebra::{fingerprint, Expr, FingerprintBuilder};
 use crate::canvas::{AreaSource, Canvas, PointBatch};
 use crate::device::Device;
 use crate::info::{BlendFn, Texel};
-use crate::ops::chain::{
-    run_canvas_chain, run_points_chain_materialized, run_polygons_chain_materialized, CanvasChain,
-    ChainOutcome,
-};
+use crate::ops::chain::{apply_chain_materialized, run_canvas_chain, CanvasChain};
 use crate::ops::mask::{select_point_entries_in_areas, PixelRule};
 use crate::queries::selection::shared_points_canvas;
 use crate::source::{render_points, render_polygon_set, render_polygon_with, render_query_polygon};
@@ -98,7 +95,8 @@ pub fn selection_heatmap_materialized(
         .blend(&cq, BlendFn::PointOverArea)
         .mask_tagged("point ∧ area", MaskTag::PointAndArea)
         .value_tagged(ValueTag::HeatLog);
-    run_points_chain_materialized(dev, vp, data, &chain)
+    let cp = render_points(dev, vp, data);
+    apply_chain_materialized(dev, cp, &chain)
 }
 
 // ---------------------------------------------------------------------
@@ -148,30 +146,23 @@ fn render_query_tag(dev: &mut Device, vp: Viewport, q: &Polygon) -> Canvas {
 /// tagged query region → mask → log value transform runs over that
 /// canvas ([`run_canvas_chain`]). Surviving pixels carry the polygon
 /// overlap count in the 2-row's `v1` and `ln(1 + count)` in `v2`.
+///
+/// With a [`SubplanCache`], both operands of the chain's blend are
+/// shared. The table canvas is keyed as the plan leaf
+/// `Expr::polygon_set(table, ⊕)` — the `C_Y*` a zone aggregate over
+/// the same table evaluates — so the choropleth and the aggregate of
+/// one viewport render it once. The tag canvas is not expressible as a
+/// plain plan leaf, so its identity is a namespaced descriptor
+/// fingerprint over the polygon's vertex values: two choropleths
+/// restricted to the same region share one tag render. The result is
+/// bit-identical whatever the cache serves.
 pub fn polygon_density_heatmap(
     dev: &mut Device,
     vp: Viewport,
     table: &AreaSource,
     q: &Polygon,
-) -> ChainOutcome {
-    polygon_density_heatmap_via(dev, vp, table, q, None)
-}
-
-/// [`polygon_density_heatmap`] with a [`SubplanCache`] for both
-/// operands of the chain's blend. The table canvas is keyed as the plan
-/// leaf `Expr::polygon_set(table, ⊕)` — the `C_Y*` a zone aggregate
-/// over the same table evaluates — so the choropleth and the aggregate
-/// of one viewport render it once. The tag canvas is not expressible as
-/// a plain plan leaf, so its identity is a namespaced descriptor
-/// fingerprint over the polygon's vertex values: two choropleths
-/// restricted to the same region share one tag render.
-pub fn polygon_density_heatmap_via(
-    dev: &mut Device,
-    vp: Viewport,
-    table: &AreaSource,
-    q: &Polygon,
     cache: Option<&dyn SubplanCache>,
-) -> ChainOutcome {
+) -> Canvas {
     let fp = fingerprint(&Expr::polygon_set(table.clone(), BlendFn::AreaCount));
     let zones = acquire_or_render(cache, fp, &vp, || {
         render_polygon_set(dev, vp, table, BlendFn::AreaCount)
@@ -192,7 +183,8 @@ pub fn polygon_density_heatmap_materialized(
     q: &Polygon,
 ) -> Canvas {
     let ctag = render_query_tag(dev, vp, q);
-    run_polygons_chain_materialized(dev, vp, table, BlendFn::AreaCount, &density_chain(&ctag))
+    let zones = render_polygon_set(dev, vp, table, BlendFn::AreaCount);
+    apply_chain_materialized(dev, zones, &density_chain(&ctag))
 }
 
 #[cfg(test)]
@@ -324,31 +316,27 @@ mod tests {
         for threads in [1usize, 4] {
             let mut dev_f = Device::cpu_parallel(threads);
             let mut dev_m = Device::cpu_parallel(threads);
-            let fused = polygon_density_heatmap(&mut dev_f, vp(), &table, &q());
+            let fused = polygon_density_heatmap(&mut dev_f, vp(), &table, &q(), None);
             let want = polygon_density_heatmap_materialized(&mut dev_m, vp(), &table, &q());
-            assert_eq!(fused.canvas.texels(), want.texels(), "threads={threads}");
-            assert_eq!(fused.canvas.cover(), want.cover(), "threads={threads}");
+            assert_eq!(fused.texels(), want.texels(), "threads={threads}");
+            assert_eq!(fused.cover(), want.cover(), "threads={threads}");
             assert_eq!(
-                fused.canvas.boundary().areas(),
+                fused.boundary().areas(),
                 want.boundary().areas(),
                 "threads={threads}"
             );
             assert_eq!(dev_f.stats(), dev_m.stats(), "stats at {threads} threads");
             // Surviving pixels: inside the query region, ≥1 zone,
             // log-scaled density; the tag never leaks out.
-            assert!(!fused.canvas.is_empty());
+            assert!(!fused.is_empty());
             let mut max_count = 0.0f32;
-            for (_, _, t) in fused.canvas.non_null() {
+            for (_, _, t) in fused.non_null() {
                 let a = t.get(2).expect("2-row survives");
                 assert!(a.v1 >= 1.0 && a.v1 < QUERY_TAG);
                 assert_eq!(a.v2, (1.0 + a.v1).ln());
                 max_count = max_count.max(a.v1);
             }
             assert!(max_count >= 2.0, "zones overlap inside the query");
-            // The chain ran in place over the table canvas: row strips,
-            // no tile buffers.
-            assert!(fused.tiles > 0);
-            assert_eq!(fused.peak_tiles_in_flight, 0);
         }
     }
 
@@ -363,8 +351,8 @@ mod tests {
         ])
         .unwrap()]);
         let mut dev = Device::cpu();
-        let heat = polygon_density_heatmap(&mut dev, vp(), &table, &q());
-        assert!(heat.canvas.is_empty());
+        let heat = polygon_density_heatmap(&mut dev, vp(), &table, &q(), None);
+        assert!(heat.is_empty());
     }
 
     #[test]

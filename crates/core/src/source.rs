@@ -14,9 +14,8 @@ use crate::boundary::{AreaEntry, BoundaryIndex, LineEntry, PointEntry, SortedRun
 use crate::canvas::{AreaSource, Canvas, LineSource, PointBatch};
 use crate::device::Device;
 use crate::info::{BlendFn, Texel};
-use crate::ops::chain::{run_points_chain, run_polygons_chain, CanvasChain};
 use canvas_geom::polygon::Polygon;
-use canvas_raster::Viewport;
+use canvas_raster::{OpChain, Viewport};
 
 /// Renders a point batch into one canvas.
 ///
@@ -24,18 +23,46 @@ use canvas_raster::Viewport;
 /// pixel accumulate through [`BlendFn::PointAccumulate`], so the pixel's
 /// `v1` is the point count and `v2` the weight sum — exactly the
 /// encodings of Sections 4.1/4.3. Exact locations go to the boundary
-/// index (points always need them). This is the empty-chain case of
-/// [`run_points_chain`].
+/// index (points always need them).
 pub fn render_points(dev: &mut Device, vp: Viewport, batch: &PointBatch) -> Canvas {
-    run_points_chain(dev, vp, batch, &CanvasChain::new()).canvas
+    draw_points(dev, vp, batch, &OpChain::new())
+}
+
+/// The one point draw: the tiled point render of [`render_points`],
+/// each finished tile streamed through `chain` before its blit
+/// (`Pipeline::run_chain_points`), then the point index. The live
+/// heatmap passes its `V[HeatLog]` chain; a bare render the empty one.
+pub(crate) fn draw_points(
+    dev: &mut Device,
+    vp: Viewport,
+    batch: &PointBatch,
+    chain: &OpChain<'_, Texel>,
+) -> Canvas {
+    let mut canvas = Canvas::empty(vp);
+    dev.pipeline().note_upload(batch.upload_bytes());
+    let (ids, weights) = (&batch.ids, &batch.weights);
+    {
+        let (texels, cover, _) = canvas.planes_mut();
+        dev.pipeline().run_chain_points(
+            &vp,
+            texels,
+            Some(cover),
+            &batch.points,
+            |i, _| Texel::point(ids[i as usize], 1.0, weights[i as usize]),
+            |d, s| BlendFn::PointAccumulate.apply(d, s),
+            chain,
+        );
+    }
+    *canvas.boundary_mut() = point_index(&vp, &batch.points, ids, weights);
+    canvas
 }
 
 /// The point entries of a point render: the exact entry of every
 /// in-viewport point (the paper stores "the actual location of the
 /// points" per pixel, for refinement and result extraction), scattered
-/// straight from the batch columns into pixel order. Shared by every
-/// point render (`ops::chain::run_points_chain`, the live heatmap) and
-/// by live patches, which pass the appended suffix of each column.
+/// straight from the batch columns into pixel order. Shared by the
+/// point draw ([`draw_points`]) and by live patches, which pass the
+/// appended suffix of each column.
 pub(crate) fn point_run(
     vp: &Viewport,
     points: &[canvas_geom::Point],
@@ -55,7 +82,7 @@ pub(crate) fn point_run(
 }
 
 /// The index of a point render: [`point_run`] and nothing else.
-pub(crate) fn point_index(
+fn point_index(
     vp: &Viewport,
     points: &[canvas_geom::Point],
     ids: &[u32],
@@ -69,7 +96,7 @@ pub(crate) fn point_index(
 /// The index of a polygon draw: one area entry per conservative
 /// boundary fragment `(record, pixel)` the draw reported, filed under
 /// `source` with the record `record_of` names.
-pub(crate) fn area_index(
+fn area_index(
     vp: &Viewport,
     source: u16,
     fragments: &[(u32, u32)],
@@ -112,39 +139,60 @@ pub fn render_polygon_with(
     texel: Texel,
     conservative: bool,
 ) -> Canvas {
-    let mut canvas = Canvas::empty(vp);
-    let source = canvas.add_area_source(table.clone());
-    let poly = &table[record];
-    dev.pipeline()
-        .note_upload((poly.num_vertices() * 16) as u64);
-
-    let boundary = {
-        let (texels, cover, _) = canvas.planes_mut();
-        dev.pipeline().draw_polygons_tiled(
-            &vp,
-            texels,
-            cover,
-            std::slice::from_ref(poly),
-            conservative,
-            |_, _| texel,
-            |d, s| d.over(s),
-        )
-    };
-    *canvas.boundary_mut() = area_index(&vp, source, &boundary, |_| record as u32);
-    canvas
+    let (record, shade) = (Some(record), |_| texel);
+    draw_areas(dev, vp, table, record, conservative, shade, Texel::over)
 }
 
 /// Renders *all* polygons of a table into one canvas, blending with the
 /// given function — the fused `B*[⊕](C_Q)` of Section 5.1 (multi-polygon
-/// constraints) executed as a single instanced draw: the empty-chain
-/// case of [`run_polygons_chain`].
+/// constraints) executed as a single instanced draw.
 pub fn render_polygon_set(
     dev: &mut Device,
     vp: Viewport,
     table: &AreaSource,
     blend: BlendFn,
 ) -> Canvas {
-    run_polygons_chain(dev, vp, table, blend, &CanvasChain::new()).canvas
+    let shade = |record| Texel::area(record, 1.0, 0.0);
+    draw_areas(dev, vp, table, None, true, shade, |d, s| blend.apply(d, s))
+}
+
+/// The one polygon-table draw: `record`'s polygon, or the whole table
+/// for `None`, drawn in one instanced tiled pass
+/// (`Pipeline::draw_polygons_tiled`) that shades each fragment with
+/// `shade(record)` and merges through `blend`, then indexed under the
+/// table as one area source.
+fn draw_areas(
+    dev: &mut Device,
+    vp: Viewport,
+    table: &AreaSource,
+    record: Option<usize>,
+    conservative: bool,
+    shade: impl Fn(u32) -> Texel + Sync,
+    blend: impl Fn(Texel, Texel) -> Texel + Sync,
+) -> Canvas {
+    let mut canvas = Canvas::empty(vp);
+    let source = canvas.add_area_source(table.clone());
+    let polys = match record {
+        Some(r) => std::slice::from_ref(&table[r]),
+        None => &table[..],
+    };
+    let upload = polys.iter().map(|p| (p.num_vertices() * 16) as u64).sum();
+    dev.pipeline().note_upload(upload);
+    let boundary = {
+        let (texels, cover, _) = canvas.planes_mut();
+        dev.pipeline().draw_polygons_tiled(
+            &vp,
+            texels,
+            cover,
+            polys,
+            conservative,
+            |i, _| shade(i),
+            blend,
+        )
+    };
+    let record_of = |i: u32| record.map_or(i, |r| r as u32);
+    *canvas.boundary_mut() = area_index(&vp, source, &boundary, record_of);
+    canvas
 }
 
 /// Renders a polyline table into one canvas (1-primitives; supercover

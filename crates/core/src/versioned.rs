@@ -422,26 +422,7 @@ pub fn render_live_heatmap(
     batch: &PointBatch,
     backend: Option<Backend>,
 ) -> Canvas {
-    let mut canvas = Canvas::empty(vp);
-    dev.pipeline().note_upload(batch.upload_bytes());
-    let chain = heatmap_chain(backend);
-    let ids = &batch.ids;
-    let weights = &batch.weights;
-    {
-        let (texels, cover, _) = canvas.planes_mut();
-        dev.pipeline().run_chain_points(
-            &vp,
-            texels,
-            Some(cover),
-            &batch.points,
-            |i, _| Texel::point(ids[i as usize], 1.0, weights[i as usize]),
-            |d, s| BlendFn::PointAccumulate.apply(d, s),
-            &chain,
-        );
-    }
-    *canvas.boundary_mut() =
-        crate::source::point_index(&vp, &batch.points, &batch.ids, &batch.weights);
-    canvas
+    crate::source::draw_points(dev, vp, batch, &heatmap_chain(backend))
 }
 
 /// Incremental maintenance of a live heatmap: the canvas of the full

@@ -22,9 +22,9 @@
 //!   parameters by value;
 //! * its **run arm** ([`Prepared::execute_via`]) — `Expr::eval_via`, a
 //!   heatmap (`selection_heatmap_via`'s entry walk,
-//!   `polygon_density_heatmap_via`'s canvas chain), or a promoted procedure (`knn`,
-//!   `compute_voronoi`, …), wrapped in the [`QueryResult`] kind the
-//!   class answers with.
+//!   `polygon_density_heatmap`'s canvas chain), or a promoted procedure
+//!   (`knn`, `compute_voronoi`, …), wrapped in the [`QueryResult`] kind
+//!   the class answers with.
 //!
 //! ## Adding a query class
 //!
@@ -482,12 +482,14 @@ impl Prepared {
     /// Evaluates with a [`SubplanCache`] consulted at cut points — the
     /// engine's subplan-sharing entry, and the one **run arm** per
     /// class. Plans thread the cache through `Expr::eval_via`; the
-    /// canvas chains consult it for the canvases they start from or
-    /// blend with — the selection's blend, the zone table's `C_Y*`,
-    /// the query-polygon operands — never for their streamed tiles; the
-    /// promoted classes over a shared point handle (skyline, hull) take
-    /// their `C_P` through it — the same key as the `C_P` leaf of a zone
-    /// aggregate or `SelectPoints` plan over that handle — while the
+    /// heatmaps consult it for the canvases they read — the selection
+    /// heatmap for the `C_P` and `C_Q` leaves its entry walk reads, the
+    /// choropleth for the zone table's `C_Y*` its chain starts from and
+    /// the tagged query region it blends with — never for a chain's
+    /// intermediates; the promoted classes over a shared point handle
+    /// (skyline, hull) take their `C_P` through it — the same key as the
+    /// `C_P` leaf of a zone aggregate or `SelectPoints` plan over that
+    /// handle — while the
     /// remaining procedures run on the leased device directly (their
     /// interior batches are derived per call, so there is nothing
     /// stable to share). Results are bit-identical to
@@ -520,9 +522,7 @@ impl Prepared {
                 heatmap::selection_heatmap_via(dev, vp, data, q, cache).into()
             }
             Query::PolygonDensity { table, q } => {
-                heatmap::polygon_density_heatmap_via(dev, vp, table, q, cache)
-                    .canvas
-                    .into()
+                heatmap::polygon_density_heatmap(dev, vp, table, q, cache).into()
             }
             Query::Knn { data, x, k } => {
                 QueryResult::Ids(Arc::new(knn::knn(dev, vp, data, *x, *k as usize)))

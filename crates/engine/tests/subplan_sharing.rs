@@ -449,7 +449,7 @@ fn linked_views_probe_the_keys_their_siblings_publish() {
     assert_eq!(heat_published, leaf_keys, "and publishes them on a miss");
 
     let density = Recorder::default();
-    heatmap::polygon_density_heatmap_via(&mut dev, vp(), &zones, &q, Some(&density));
+    heatmap::polygon_density_heatmap(&mut dev, vp(), &zones, &q, Some(&density));
     let aggregate = Query::AggregateByZone {
         data: data.clone(),
         zones: zones.clone(),

@@ -9,7 +9,8 @@
 //! job's source produces one finished tile at a time, and the
 //! executor's multi-stage streaming hand-off
 //! (`WorkerPool::run_streaming_chain`) flows each tile through every
-//! downstream operator while later tiles are still rendering. Intermediate canvases are never materialized — at most
+//! downstream operator while later tiles are still rendering.
+//! Intermediate canvases are never materialized — at most
 //! `Policy::stream_window(workers)` tile buffers are live at any
 //! instant, and the blit into the output framebuffer happens exactly
 //! once per tile, after the last operator.
@@ -21,8 +22,9 @@
 //! than the CPU tile runner could lower. Every kernel is a pure
 //! per-texel function, so the fused run is **bit-identical** to the
 //! materialized sequence of full-screen passes (and to the sequential
-//! `Device::cpu` run) at any thread count; `tests/chain_equivalence.rs`
-//! asserts this on random chains.
+//! `Device::cpu` run) at any thread count; `tests/tile_job_oracle.rs`
+//! asserts this on random chains, and that the streamed run keeps
+//! within the window.
 
 use crate::simd::{self, Backend, BlendTag, MaskTag, TexelWords, ValueTag};
 use crate::stats::PipelineStats;
@@ -79,10 +81,9 @@ impl<P> ChainOp<'_, P> {
 }
 
 /// A linear fused plan `draw → op₁ → … → opₖ` (see module docs).
-/// Built with the chaining constructors, executed after a draw by
-/// `Pipeline::run_chain_points` / `Pipeline::run_chain_polygons`, or
-/// over an already-materialized framebuffer by
-/// `Pipeline::run_chain_texture`.
+/// Built with the chaining constructors, executed after a point draw
+/// by `Pipeline::run_chain_points`, or over an already-materialized
+/// framebuffer by `Pipeline::run_chain_texture`.
 pub struct OpChain<'a, P> {
     ops: Vec<ChainOp<'a, P>>,
     /// SIMD backend override for the tagged kernels; `None` uses the
@@ -336,7 +337,7 @@ impl TileBits {
 /// null immediately **after** the Mask op ran. This is exactly the
 /// pixel set whose boundary entries a materialized Mask pass would
 /// prune, so canvas callers replay their boundary bookkeeping against
-/// the fused run without ever materializing the intermediate planes.
+/// the chain run without ever materializing the intermediate planes.
 #[derive(Clone, Debug, Default)]
 pub struct MaskOutcome {
     width: u32,
@@ -349,11 +350,6 @@ impl MaskOutcome {
             width,
             stages: (0..masks).map(|_| TileBits::new(pixels)).collect(),
         }
-    }
-
-    /// Number of Mask ops the run contained.
-    pub fn num_masks(&self) -> usize {
-        self.stages.len()
     }
 
     /// True when the texel at row-major `pixel` was null right after
@@ -541,7 +537,6 @@ mod tests {
         assert!(out.is_null_after(0, 10));
         assert!(out.is_null_after(0, 19));
         assert!(!out.is_null_after(0, 11));
-        assert_eq!(out.num_masks(), 1);
     }
 
     #[test]

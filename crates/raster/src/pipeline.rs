@@ -29,8 +29,8 @@
 //!
 //! A bare draw ([`Pipeline::draw_points_tiled`] and siblings) is
 //! touched tiles × the empty chain; a fused chain
-//! ([`Pipeline::run_chain_points`], [`Pipeline::run_chain_polygons`])
-//! is all tiles × the chain; an incremental patch
+//! ([`Pipeline::run_chain_points`], the one draw with operators) is
+//! all tiles × the chain; an incremental patch
 //! ([`Pipeline::patch_points_tiled`]) is touched tiles × a one-operator
 //! chain — so a full render is a patch of an empty predecessor with
 //! every tile dirty. Tiles are merged in row-major tile order and the
@@ -360,10 +360,17 @@ impl Pipeline {
     /// Tile-parallel batched polygon draw — a whole polygon table in
     /// **one** pass (a single instanced draw call, how a GPU renders a
     /// polygon table), fused with the canvas bookkeeping every render
-    /// path needs: interior fragments raise the certain-`cover` plane,
-    /// conservative boundary fragments are returned as
+    /// path needs. Each polygon (outer ring minus holes) emits every
+    /// covered pixel exactly once: conservative boundary coverage of
+    /// every ring edge first (`boundary = true` fragments — the pixels
+    /// the mask operator later refines against the exact vector data),
+    /// then the scanline interior fill at pixel centers for pixels the
+    /// boundary did not claim. Interior fragments raise the
+    /// certain-`cover` plane; boundary fragments are returned as
     /// `(record, pixel)` pairs (in deterministic tile-major,
-    /// record-minor order) for the caller's boundary index.
+    /// record-minor order) for the caller's boundary index. With
+    /// `conservative = false` only center-sampled coverage is produced
+    /// (the paper's "approximate result suffices" mode).
     #[allow(clippy::too_many_arguments)]
     pub fn draw_polygons_tiled<P, S, B>(
         &mut self,
@@ -380,55 +387,15 @@ impl Pipeline {
         S: Fn(u32, Frag) -> P + Sync,
         B: Fn(P, P) -> P + Sync,
     {
-        self.run_chain_polygons(
-            vp,
-            fb,
-            cover,
-            polys,
-            conservative,
-            shade,
-            blend,
-            &OpChain::new(),
-        )
-        .0
-    }
-
-    /// Fused `draw(polygons) → chain` execution — the polygon-table
-    /// sibling of [`run_chain_points`](Self::run_chain_points). Each
-    /// polygon (outer ring minus holes) emits every covered pixel
-    /// exactly once: conservative boundary coverage of every ring edge
-    /// first (`boundary = true` fragments — the pixels the mask
-    /// operator later refines against the exact vector data), then the
-    /// scanline interior fill at pixel centers for pixels the boundary
-    /// did not claim. With `conservative = false` only center-sampled
-    /// coverage is produced (the paper's "approximate result suffices"
-    /// mode). Returns the boundary list alongside the chain report.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_chain_polygons<P, S, B>(
-        &mut self,
-        vp: &Viewport,
-        fb: &mut Texture<P>,
-        cover: &mut Texture<u16>,
-        polys: &[Polygon],
-        conservative: bool,
-        shade: S,
-        blend: B,
-        chain: &OpChain<'_, P>,
-    ) -> (Vec<(u32, u32)>, ChainRunReport)
-    where
-        P: Copy + Default + Send + Sync,
-        S: Fn(u32, Frag) -> P + Sync,
-        B: Fn(P, P) -> P + Sync,
-    {
         let source = PolygonSource {
             polys,
             conservative,
             shade,
             blend,
         };
-        let job = TileJob::draw("draw_polygons", vp, source, chain);
-        let done = self.run_tile_job(&job, fb, Some(cover));
-        (done.drawn.boundary, done.chain)
+        let chain = OpChain::new();
+        let job = TileJob::draw("draw_polygons", vp, source, &chain);
+        self.run_tile_job(&job, fb, Some(cover)).drawn.boundary
     }
 
     /// Tile-parallel polyline table draw with supercover (conservative)

@@ -855,11 +855,6 @@ pub fn blend_rows_with<P: TexelWords>(backend: Backend, tag: BlendTag, dst: &mut
     }
 }
 
-/// [`blend_rows_with`] on the process-wide [`active_backend`].
-pub fn blend_rows<P: TexelWords>(tag: BlendTag, dst: &mut [P], src: &[P]) {
-    blend_rows_with(active_backend(), tag, dst, src)
-}
-
 // ---------------------------------------------------------------------
 // Value kernels
 // ---------------------------------------------------------------------
@@ -1125,11 +1120,6 @@ pub fn cover_add_rows_with(backend: Backend, dst: &mut [u16], src: &[u16]) {
     }
 }
 
-/// [`cover_add_rows_with`] on the process-wide [`active_backend`].
-pub fn cover_add_rows(dst: &mut [u16], src: &[u16]) {
-    cover_add_rows_with(active_backend(), dst, src)
-}
-
 /// Saturating `+1` across a cover span (scanline fill coverage).
 pub fn cover_inc_with(backend: Backend, dst: &mut [u16]) {
     match backend {
@@ -1205,12 +1195,6 @@ unsafe fn any_equals_x86(hay: &[u32], needle: u32) -> bool {
         i += 1;
     }
     false
-}
-
-/// Fills a texel row with one value (span fill of shaded texels).
-pub fn fill_rows_with<P: TexelWords>(backend: Backend, dst: &mut [P], value: P) {
-    let _ = backend;
-    dst.fill(value);
 }
 
 // ---------------------------------------------------------------------

@@ -8,8 +8,8 @@
 //! the scalar reference *computes* as NaN need only be a NaN (payloads
 //! of summed NaNs are outside the contract; see the `simd` module
 //! docs). These properties fuzz that promise directly on the kernels,
-//! then on the fused chain pipeline across thread counts and dispatch
-//! modes.
+//! then on a draw and the chain over its frame across thread counts
+//! and dispatch modes.
 
 use canvas_geom::{BBox, Point, Polygon};
 use canvas_raster::{
@@ -247,7 +247,8 @@ fn summed_nans_with_distinct_payloads_stay_nan() {
     }
 }
 
-/// One full fused-chain run; returns every observable output.
+/// One polygon draw and the chain over its frame; returns every
+/// observable output.
 #[allow(clippy::type_complexity)]
 fn run_chain(
     threads: usize,
@@ -279,7 +280,7 @@ fn run_chain(
     pl.set_threads(threads);
     let mut fb: Texture<T10> = Texture::new(w, h);
     let mut cover: Texture<u16> = Texture::new(w, h);
-    let (mut boundary, report) = pl.run_chain_polygons(
+    let mut boundary = pl.draw_polygons_tiled(
         &vp,
         &mut fb,
         &mut cover,
@@ -294,8 +295,8 @@ fn run_chain(
             T10(t)
         },
         |d: T10, s: T10| if d.0[0] == 0 { s } else { d },
-        &chain,
     );
+    let report = pl.run_chain_texture(&mut fb, &mut cover, &chain);
     // Emission order is tile-dependent; the pixel sets must match.
     boundary.sort_unstable();
     let nulls: Vec<bool> = (0..w * h)
@@ -316,9 +317,10 @@ proptest! {
     // gets a smaller case budget than the kernel-row properties.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The fused chain produces bit-identical planes, cover, boundary
-    /// pixel sets, mask bitmaps, and work stats at every thread count,
-    /// under forced-scalar and auto dispatch alike.
+    /// A polygon draw and the chain over its frame produce
+    /// bit-identical planes, cover, boundary pixel sets, mask bitmaps,
+    /// and work stats at every thread count, under forced-scalar and
+    /// auto dispatch alike.
     #[test]
     fn chain_polygons_equivalent_across_threads_and_dispatch(
         n in 3usize..12,

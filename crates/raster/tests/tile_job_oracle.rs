@@ -3,7 +3,10 @@
 //! reference that rasterizes primitive by primitive with the
 //! `rasterize_*` kernels and applies each chain operator as a plain
 //! full-frame loop. Texel plane, cover plane, boundary list, mask
-//! bitmaps and every work counter must be equal.
+//! bitmaps and every work counter must be equal, and a streamed
+//! `run_chain_points` must keep within the policy's tile window. A
+//! polygon table's chain runs over its finished draw
+//! (`run_chain_texture`), held to the same reference.
 
 use canvas_geom::{BBox, Point, Polygon, Polyline, Ring, Segment};
 use canvas_raster::rasterize::{
@@ -243,7 +246,16 @@ fn pipeline(
                 None
             } else {
                 let cover = Some(&mut cover);
-                Some(pl.run_chain_points(&vp, &mut fb, cover, pts, shade, blend(0), &chain))
+                let report = pl.run_chain_points(&vp, &mut fb, cover, pts, shade, blend(0), &chain);
+                // The streamed run keeps at most the policy's window of
+                // tile buffers live.
+                let window = pl.pool().policy().stream_window(pl.pool().worker_count());
+                assert!(
+                    report.peak_tiles_in_flight <= window,
+                    "peak {} tiles exceeds window {window} at {threads} threads",
+                    report.peak_tiles_in_flight
+                );
+                Some(report)
             };
             (Vec::new(), report)
         }
@@ -253,24 +265,14 @@ fn pipeline(
             (boundary, None)
         }
         Source::Polygons(polys, conservative) => {
+            // A polygon table has no fused chain: its chain runs over
+            // the finished draw.
             let (shade, cons) = (|r, f| shade(2, r, f), *conservative);
-            if ops.is_empty() {
-                let boundary =
-                    pl.draw_polygons_tiled(&vp, &mut fb, &mut cover, polys, cons, shade, blend(2));
-                (boundary, None)
-            } else {
-                let (boundary, report) = pl.run_chain_polygons(
-                    &vp,
-                    &mut fb,
-                    &mut cover,
-                    polys,
-                    cons,
-                    shade,
-                    blend(2),
-                    &chain,
-                );
-                (boundary, Some(report))
-            }
+            let boundary =
+                pl.draw_polygons_tiled(&vp, &mut fb, &mut cover, polys, cons, shade, blend(2));
+            let report =
+                (!ops.is_empty()).then(|| pl.run_chain_texture(&mut fb, &mut cover, &chain));
+            (boundary, report)
         }
     };
     boundary.sort_unstable();
@@ -378,7 +380,8 @@ proptest! {
 
     /// source × chain × tile set × threads ≡ the reference. A bare draw
     /// (depth 0) visits touched tiles, a chain all of them; polylines
-    /// have no chained entry point, so they always draw bare.
+    /// have no chained entry point, so they always draw bare, and a
+    /// polygon table's chain runs over its finished frame.
     #[test]
     fn tile_jobs_match_reference(src in arb_source(), ops in prop::collection::vec(arb_op(), 0..4)) {
         let ops = if matches!(src, Source::Polylines(_)) { Vec::new() } else { ops };

@@ -1,36 +1,29 @@
-//! Streamed ≡ materialized equivalence harness for fused operator
+//! Chain ≡ materialized equivalence harness for canvas operator
 //! chains.
 //!
-//! The fused-execution contract (PR "Fused streaming operator chains"):
-//! running `render(points) → op₁ → … → opₖ` tile-streamed through the
-//! executor's multi-stage hand-off produces **bit-identical** canvases
-//! — texel plane, certain-cover plane, boundary index — *and* identical
-//! pipeline work counters, compared against
+//! A chain runs over a finished canvas (`run_canvas_chain`): the
+//! input's planes are copied once and every operator runs over the
+//! copy in place. Over the render of a point batch or a polygon table
+//! it must produce **bit-identical** canvases — texel plane,
+//! certain-cover plane, boundary index — *and* identical pipeline work
+//! counters, compared against the materialized plan (one whole-canvas
+//! pass per operator) on the sequential `Device::cpu`, for random
+//! chains of depth 1–4 of built-in operators (every value, blend and
+//! mask kernel) with random parameters, across thread counts
+//! {1, 2, 3, 8}, with the SIMD backend auto-dispatched or forced to
+//! scalar.
 //!
-//! 1. the materialized plan (one whole-canvas pass per operator), and
-//! 2. the sequential `Device::cpu` reference,
-//!
-//! for random chains of depth 1–4 of built-in operators (every value,
-//! blend and mask kernel) with random parameters,
-//! across thread counts {1, 2, 3, 8}. The fused run must additionally
-//! keep at most `Policy::stream_window(workers)` tile buffers live.
-//!
-//! A chain may also start from a materialized canvas
-//! (`run_canvas_chain`): over the render of a point batch or a polygon
-//! table it must equal the materialized passes over that render and
-//! the fused draw-then-chain run, with the SIMD backend auto-dispatched
-//! or forced to scalar.
+//! The one draw fused with a chain, `Pipeline::run_chain_points`, is
+//! held to its reference (and to the streaming window) one layer down,
+//! in `crates/raster/tests/tile_job_oracle.rs`.
 
 mod common;
 
 use canvas_algebra::prelude::*;
 use canvas_core::boundary::{AreaEntry, LineEntry, PointEntry};
-use canvas_core::ops::chain::{
-    apply_chain_materialized, run_canvas_chain, run_points_chain, run_points_chain_materialized,
-    run_polygons_chain, CanvasChain, ChainOutcome,
-};
+use canvas_core::ops::chain::{apply_chain_materialized, run_canvas_chain, CanvasChain};
 use canvas_core::queries::heatmap;
-use canvas_raster::{Backend, MaskTag, Policy, ValueTag, WorkerPool};
+use canvas_raster::{Backend, MaskTag, ValueTag};
 use common::texel_bits;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -146,47 +139,6 @@ impl Source {
             }
         }
     }
-
-    /// `render → chain`, fused over the draw.
-    fn fused(&self, dev: &mut Device, vp: Viewport, chain: &CanvasChain<'_>) -> ChainOutcome {
-        match self {
-            Source::Points(batch) => run_points_chain(dev, vp, batch, chain),
-            Source::Polygons(table) => {
-                run_polygons_chain(dev, vp, table, BlendFn::AreaCount, chain)
-            }
-        }
-    }
-}
-
-/// The null pixels after each Mask op of `specs`, one bitmap per mask,
-/// from the materialized prefix ending at that op — the definition the
-/// runners' `MaskOutcome` bitmaps must meet.
-fn materialized_mask_bitmaps(
-    dev: &mut Device,
-    input: &Canvas,
-    specs: &[OpSpec],
-    operands: &[Canvas],
-) -> Vec<Vec<bool>> {
-    let mut bitmaps = Vec::new();
-    for (i, spec) in specs.iter().enumerate() {
-        if let OpSpec::Mask(..) = spec {
-            let prefix = build_chain(&specs[..=i], operands);
-            let c = apply_chain_materialized(dev, input.clone(), &prefix);
-            bitmaps.push(c.texels().texels().iter().map(Texel::is_null).collect());
-        }
-    }
-    bitmaps
-}
-
-fn outcome_bitmaps(out: &ChainOutcome) -> Vec<Vec<bool>> {
-    let pixels = out.canvas.texels().len() as u32;
-    (0..out.masked.num_masks())
-        .map(|m| {
-            (0..pixels)
-                .map(|p| out.masked.is_null_after(m, p))
-                .collect()
-        })
-        .collect()
 }
 
 /// `chain` on `backend`, or on the process-wide backend for `None`.
@@ -213,13 +165,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// A chain over a materialized canvas: `run_canvas_chain(render(s),
-    /// chain)` ≡ the materialized passes over `render(s)` ≡ the fused
-    /// draw-then-chain run of `s`, for point and polygon sources, at
-    /// threads {1, 2, 3, 8}, auto and forced-scalar SIMD — planes,
-    /// sorted boundary lists, per-mask null bitmaps and every pipeline
-    /// work counter.
+    /// chain)` ≡ the materialized passes over `render(s)` on
+    /// `Device::cpu`, for point and polygon sources, at threads
+    /// {1, 2, 3, 8}, auto and forced-scalar SIMD — planes, sorted
+    /// boundary lists, sources and every pipeline work counter.
     #[test]
-    fn canvas_chain_equals_fused_and_materialized(
+    fn canvas_chain_equals_materialized(
         specs in arb_chain(),
         polygons in prop::sample::select(vec![false, true]),
         n in 50usize..400,
@@ -233,13 +184,9 @@ proptest! {
         let mut ref_dev = Device::cpu();
         let ref_operands = render_operands(&mut ref_dev, vp, &specs, seed);
         let input = source.render(&mut ref_dev, vp);
-        let reference = apply_chain_materialized(
-            &mut ref_dev,
-            input.clone(),
-            &build_chain(&specs, &ref_operands),
-        );
+        let reference =
+            apply_chain_materialized(&mut ref_dev, input, &build_chain(&specs, &ref_operands));
         let ref_stats = ref_dev.stats();
-        let ref_bitmaps = materialized_mask_bitmaps(&mut ref_dev, &input, &specs, &ref_operands);
 
         for threads in [1usize, 2, 3, 8] {
             for backend in [None, Some(Backend::Scalar)] {
@@ -249,39 +196,20 @@ proptest! {
                 let input = source.render(&mut dev, vp);
                 let chain = pinned(build_chain(&specs, &operands), backend);
                 let over = run_canvas_chain(&mut dev, &input, &chain);
-                let over_stats = dev.stats();
-                let mut dev = Device::cpu_parallel(threads);
-                let operands = render_operands(&mut dev, vp, &specs, seed);
-                let chain = pinned(build_chain(&specs, &operands), backend);
-                let fused = source.fused(&mut dev, vp, &chain);
-                let fused_stats = dev.stats();
 
                 prop_assert_eq!(
-                    texel_bits(reference.texels()), texel_bits(over.canvas.texels()),
+                    texel_bits(reference.texels()), texel_bits(over.texels()),
                     "texels: {}", &ctx
                 );
-                prop_assert_eq!(reference.cover(), over.canvas.cover(), "cover: {}", &ctx);
+                prop_assert_eq!(reference.cover(), over.cover(), "cover: {}", &ctx);
                 prop_assert_eq!(
-                    entry_lists(&reference), entry_lists(&over.canvas), "entries: {}", &ctx
+                    entry_lists(&reference), entry_lists(&over), "entries: {}", &ctx
                 );
                 prop_assert_eq!(
-                    reference.area_sources().len(), over.canvas.area_sources().len(),
+                    reference.area_sources().len(), over.area_sources().len(),
                     "sources: {}", &ctx
                 );
-                prop_assert_eq!(&ref_bitmaps, &outcome_bitmaps(&over), "masks: {}", &ctx);
-                prop_assert_eq!(&ref_stats, &over_stats, "stats: {}", &ctx);
-                prop_assert_eq!(over.peak_tiles_in_flight, 0, "no tile buffers: {}", &ctx);
-
-                prop_assert_eq!(
-                    texel_bits(fused.canvas.texels()), texel_bits(over.canvas.texels()),
-                    "texels: {}", &ctx
-                );
-                prop_assert_eq!(fused.canvas.cover(), over.canvas.cover(), "cover: {}", &ctx);
-                prop_assert_eq!(
-                    entry_lists(&fused.canvas), entry_lists(&over.canvas), "entries: {}", &ctx
-                );
-                prop_assert_eq!(&ref_bitmaps, &outcome_bitmaps(&fused), "masks: {}", &ctx);
-                prop_assert_eq!(&ref_stats, &fused_stats, "stats: {}", &ctx);
+                prop_assert_eq!(&ref_stats, &dev.stats(), "stats: {}", &ctx);
             }
         }
     }
@@ -289,60 +217,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The tentpole invariant: random chains, streamed vs materialized
-    /// vs `Device::cpu`, bit-identical planes + boundary + stats across
-    /// threads {1, 2, 3, 8}; fused peak live tiles within the window.
-    #[test]
-    fn chain_streamed_equals_materialized_across_threads(
-        specs in arb_chain(),
-        n in 50usize..400,
-        seed in 0u64..10_000,
-        res in prop::sample::select(vec![64u32, 128, 192]),
-    ) {
-        let batch = PointBatch::from_points(uniform_points(&extent(), n, seed));
-        let vp = Viewport::square_pixels(extent(), res);
-
-        // Sequential materialized reference (Device::cpu).
-        let mut ref_dev = Device::cpu();
-        let ref_operands = render_operands(&mut ref_dev, vp, &specs, seed);
-        let reference =
-            run_points_chain_materialized(&mut ref_dev, vp, &batch, &build_chain(&specs, &ref_operands));
-        let ref_stats = ref_dev.stats();
-
-        for threads in [1usize, 2, 3, 8] {
-            let mut dev = Device::cpu_parallel(threads);
-            let operands = render_operands(&mut dev, vp, &specs, seed);
-            let fused = run_points_chain(&mut dev, vp, &batch, &build_chain(&specs, &operands));
-            prop_assert_eq!(
-                texel_bits(reference.texels()), texel_bits(fused.canvas.texels()),
-                "texels diverge: {} threads, chain {:?}", threads, &specs
-            );
-            prop_assert_eq!(
-                reference.cover(), fused.canvas.cover(),
-                "cover diverges: {} threads, chain {:?}", threads, &specs
-            );
-            prop_assert_eq!(
-                reference.boundary(), fused.canvas.boundary(),
-                "boundary diverges: {} threads, chain {:?}", threads, &specs
-            );
-            prop_assert_eq!(
-                reference.area_sources().len(), fused.canvas.area_sources().len(),
-                "sources diverge: {} threads", threads
-            );
-            prop_assert_eq!(
-                &ref_stats, &dev.stats(),
-                "stats diverge: {} threads, chain {:?}", threads, &specs
-            );
-            let pool = dev.pool();
-            let window = pool.policy().stream_window(pool.worker_count());
-            prop_assert!(
-                fused.peak_tiles_in_flight <= window,
-                "peak {} tiles exceeds window {} at {} threads",
-                fused.peak_tiles_in_flight, window, threads
-            );
-        }
-    }
 
     /// The heatmap query (the selection's entry walk) agrees with its
     /// materialized plan on random inputs and thread counts, the walk
@@ -372,8 +246,29 @@ proptest! {
     }
 }
 
-/// Edge case: an empty draw (0 primitives) must still run every chain
-/// operator over the whole canvas, identically on every path.
+/// `chain` over the render of `batch`, on `dev`, with the Blend
+/// operands `specs` names rendered by `dev` (for stats parity).
+fn chain_over_points(
+    dev: &mut Device,
+    vp: Viewport,
+    batch: &PointBatch,
+    specs: &[OpSpec],
+    seed: u64,
+    materialized: bool,
+) -> Canvas {
+    let operands = render_operands(dev, vp, specs, seed);
+    let input = canvas_core::source::render_points(dev, vp, batch);
+    let chain = build_chain(specs, &operands);
+    if materialized {
+        apply_chain_materialized(dev, input, &chain)
+    } else {
+        run_canvas_chain(dev, &input, &chain)
+    }
+}
+
+/// Edge case: the render of an empty batch (0 primitives) must still
+/// run every chain operator over the whole canvas, identically on
+/// every path.
 #[test]
 fn chain_empty_draw_equivalence() {
     let vp = Viewport::square_pixels(extent(), 128);
@@ -385,24 +280,22 @@ fn chain_empty_draw_equivalence() {
     ];
 
     let mut ref_dev = Device::cpu();
-    let operands = render_operands(&mut ref_dev, vp, &specs, 7);
-    let reference =
-        run_points_chain_materialized(&mut ref_dev, vp, &batch, &build_chain(&specs, &operands));
+    let reference = chain_over_points(&mut ref_dev, vp, &batch, &specs, 7, true);
     for threads in [1usize, 3, 8] {
         let mut dev = Device::cpu_parallel(threads);
-        let operands = render_operands(&mut dev, vp, &specs, 7);
-        let fused = run_points_chain(&mut dev, vp, &batch, &build_chain(&specs, &operands));
+        let got = chain_over_points(&mut dev, vp, &batch, &specs, 7, false);
         assert_eq!(
             texel_bits(reference.texels()),
-            texel_bits(fused.canvas.texels()),
+            texel_bits(got.texels()),
             "{threads} threads"
         );
-        assert_eq!(reference.cover(), fused.canvas.cover(), "{threads} threads");
+        assert_eq!(reference.cover(), got.cover(), "{threads} threads");
         assert_eq!(ref_dev.stats(), dev.stats(), "{threads} threads");
     }
 }
 
-/// Edge case: a canvas smaller than one tile (single-tile streaming).
+/// Edge case: a canvas smaller than one tile, so a chain runs over
+/// one strip shorter than a tile.
 #[test]
 fn chain_single_tile_canvas_equivalence() {
     let vp = Viewport::square_pixels(extent(), 32); // < 64-pixel tile
@@ -414,63 +307,21 @@ fn chain_single_tile_canvas_equivalence() {
     ];
 
     let mut ref_dev = Device::cpu();
-    let operands = render_operands(&mut ref_dev, vp, &specs, 3);
-    let reference =
-        run_points_chain_materialized(&mut ref_dev, vp, &batch, &build_chain(&specs, &operands));
+    let reference = chain_over_points(&mut ref_dev, vp, &batch, &specs, 3, true);
     for threads in [1usize, 2, 8] {
         let mut dev = Device::cpu_parallel(threads);
-        let operands = render_operands(&mut dev, vp, &specs, 3);
-        let fused = run_points_chain(&mut dev, vp, &batch, &build_chain(&specs, &operands));
+        let got = chain_over_points(&mut dev, vp, &batch, &specs, 3, false);
         assert_eq!(
             texel_bits(reference.texels()),
-            texel_bits(fused.canvas.texels()),
+            texel_bits(got.texels()),
             "{threads} threads"
         );
-        assert_eq!(
-            reference.boundary(),
-            fused.canvas.boundary(),
-            "{threads} threads"
-        );
-        assert!(fused.peak_tiles_in_flight <= 1, "one tile total");
+        assert_eq!(reference.boundary(), got.boundary(), "{threads} threads");
         assert_eq!(ref_dev.stats(), dev.stats(), "{threads} threads");
     }
 }
 
-/// Edge case: a (mis)configured streaming window of 0 is clamped to 1
-/// and the fused chain still completes with identical results — the
-/// claim gate must serialize, not deadlock.
-#[test]
-fn chain_window_zero_policy_clamped_not_deadlocked() {
-    let vp = Viewport::square_pixels(extent(), 128);
-    let batch = PointBatch::from_points(uniform_points(&extent(), 300, 23));
-    let specs = [
-        OpSpec::Blend(BlendFn::AreaCount),
-        OpSpec::Mask(MaskTag::AreaV1Above { threshold: 0.5 }),
-    ];
-
-    let mut ref_dev = Device::cpu();
-    let operands = render_operands(&mut ref_dev, vp, &specs, 5);
-    let reference =
-        run_points_chain_materialized(&mut ref_dev, vp, &batch, &build_chain(&specs, &operands));
-
-    let mut dev = Device::cpu_parallel(4);
-    let policy = Policy {
-        stream_window_per_worker: 0,
-        ..*dev.pool().policy()
-    };
-    dev.pipeline()
-        .set_pool(Arc::new(WorkerPool::with_policy(4, policy)));
-    assert_eq!(
-        dev.pool().policy().stream_window(dev.pool().worker_count()),
-        1
-    );
-    let operands = render_operands(&mut dev, vp, &specs, 5);
-    let fused = run_points_chain(&mut dev, vp, &batch, &build_chain(&specs, &operands));
-    assert_eq!(
-        texel_bits(reference.texels()),
-        texel_bits(fused.canvas.texels())
-    );
-    assert_eq!(reference.cover(), fused.canvas.cover());
-    assert_eq!(reference.boundary(), fused.canvas.boundary());
-    assert_eq!(fused.peak_tiles_in_flight, 1, "window 1 ⇒ one live tile");
-}
+// A streaming window of 0 is clamped to 1 and a streamed chain still
+// completes: `canvas_executor`'s `streaming_window_one_completes`
+// asserts it on the executor's streaming hand-off, the only layer that
+// streams tiles.
