@@ -28,8 +28,9 @@
 //!   the cache.
 //!
 //! Functions are identified **by name**: `V[f]` nodes hash their
-//! `name`, `D*[γ]` nodes their `γ.name`, and closure-backed mask specs
-//! their label (`MaskSpec::Texel`). Two semantically different
+//! `name`, `D*[γ]` nodes their `γ.name` plus the value γ closes over
+//! (`γ.param`: a constant target by value, a lookup table by handle),
+//! and closure-backed mask specs their label (`MaskSpec::Texel`). Two semantically different
 //! functions registered under one name will collide — the same
 //! contract plan diagrams already rely on, now load-bearing: name your
 //! functions uniquely. Closure-backed `PositionMap::Custom` transforms
@@ -44,7 +45,7 @@ use std::sync::Arc;
 
 use super::expr::{Expr, SourceSpec};
 use crate::info::BlendFn;
-use crate::ops::{CountCond, MaskSpec, PositionMap};
+use crate::ops::{CountCond, MapParam, MaskSpec, PositionMap};
 use canvas_geom::polygon::Polygon;
 use canvas_geom::Point;
 
@@ -374,6 +375,19 @@ fn walk(e: &Expr, mix: &mut Mix) {
         } => {
             mix.tag(15);
             mix.str(gamma.name);
+            match &gamma.param {
+                MapParam::None => mix.tag(60),
+                MapParam::Point(p) => {
+                    mix.tag(61);
+                    mix.float(p.x);
+                    mix.float(p.y);
+                }
+                MapParam::Table(t) => {
+                    mix.tag(62);
+                    mix.ptr(Arc::as_ptr(t));
+                    mix.word(t.len() as u64);
+                }
+            }
             mix.word(*groups as u64);
             blend_tag(*combine, mix);
             walk(input, mix);
@@ -471,7 +485,9 @@ pub fn plan_nodes(e: &Expr) -> Vec<PlanNode> {
                 // Blend folded in; the rows say so.
                 if super::planner::selection_sink(e).is_some() {
                     out[id as usize].label.push_str(" (entries)");
-                    out[id as usize + 1].label.push_str(" (fused)");
+                    out[id as usize + 1]
+                        .label
+                        .push_str(canvas_obs::report::FOLDED);
                 }
             }
             Expr::MapScatter { input, .. }

@@ -49,9 +49,8 @@ pub trait SubplanCache {
 /// cache is probed for `fp`; on a miss the canvas is rendered by
 /// `render` and published. The chains use this **only** for canvases
 /// they materialize anyway — their operands (`C_Q`, the tagged query
-/// region) and the `C_Y*` the choropleth starts from — never for the
-/// streamed tiles of a fused run, so fusion is never broken by a cut
-/// point.
+/// region) and the `C_Y*` the choropleth starts from — never for a
+/// chain's intermediates, so a chain is never broken by a cut point.
 pub fn acquire_or_render(
     cache: Option<&dyn SubplanCache>,
     fp: Fingerprint,

@@ -26,9 +26,9 @@
 //! [`MaskOutcome`] bitmaps — sparse metadata, never a full
 //! intermediate plane.
 //!
-//! The one draw fused with a chain lives a layer down
-//! (`Pipeline::run_chain_points`, whose tiles stream through the
-//! operators before their blit): the live heatmap's point draw
+//! The one point draw followed by a chain lives a layer down
+//! (`Pipeline::run_chain_points`: the draw, then the same in-place
+//! pass over its finished planes): the live heatmap's point draw
 //! finished by `V[HeatLog]` (`source::draw_points`).
 //!
 //! The exact point-refinement Mask (`MaskSpec::PointInAreas`) is *not*
@@ -216,21 +216,20 @@ fn replay_bookkeeping(canvas: &mut Canvas, chain: &CanvasChain<'_>, masked: &Mas
 
 /// Executes `input → chain` over a finished canvas: the input's
 /// planes are copied once and the chain runs over the copy in place
-/// (`Pipeline::run_chain_texture`, full-width row strips, no tile
-/// copies); the input's index is then carried through the bookkeeping
-/// replay. Bit-identical to [`apply_chain_materialized`] on the same
+/// (`Pipeline::run_chain_texture`, full-width row strips); the input's
+/// index is then carried through the bookkeeping replay. Bit-identical to [`apply_chain_materialized`] on the same
 /// input at any thread count, including pipeline stats.
 pub fn run_canvas_chain(dev: &mut Device, input: &Canvas, chain: &CanvasChain<'_>) -> Canvas {
     let vp = *input.viewport();
     assert_operand_viewports(&vp, chain);
     let mut canvas = input.clone();
     let raster_chain = lower_to_raster(chain);
-    let report = {
+    let masked = {
         let (texels, cover, _) = canvas.planes_mut();
         dev.pipeline()
-            .run_chain_texture(texels, cover, &raster_chain)
+            .run_chain_texture(texels, Some(cover), &raster_chain)
     };
-    replay_bookkeeping(&mut canvas, chain, &report.masked);
+    replay_bookkeeping(&mut canvas, chain, &masked);
     canvas
 }
 

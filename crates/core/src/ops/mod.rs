@@ -36,7 +36,7 @@ pub use mask::{
     PixelRule,
 };
 pub use transform::{
-    group_viewport, transform_by_value, transform_positions, PositionMap, ValueMap,
+    group_viewport, transform_by_value, transform_positions, MapParam, PositionMap, ValueMap,
 };
 pub use utility::{circle_canvas, circle_canvas_with_segments, halfspace_canvas, rect_canvas};
 pub use value::value_transform;

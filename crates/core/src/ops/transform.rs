@@ -139,7 +139,19 @@ pub type ValueMapFn = Arc<dyn Fn(&Texel) -> Option<Point> + Send + Sync>;
 #[derive(Clone)]
 pub struct ValueMap {
     pub name: &'static str,
+    /// The value `f` closes over, folded into plan fingerprints beside
+    /// `name` (two constants share a name, not a result).
+    pub param: MapParam,
     pub f: ValueMapFn,
+}
+
+/// What a [`ValueMap`]'s function closes over, as plan identity sees
+/// it: a point by value, a lookup table by handle (like a dataset).
+#[derive(Clone, Debug)]
+pub enum MapParam {
+    None,
+    Point(Point),
+    Table(Arc<Vec<Point>>),
 }
 
 impl ValueMap {
@@ -149,6 +161,7 @@ impl ValueMap {
     pub fn area_id_slot() -> Self {
         ValueMap {
             name: "γc: s[2].id → slot",
+            param: MapParam::None,
             f: Arc::new(|t: &Texel| t.get(2).map(|a| Point::new(a.id as f64 + 0.5, 0.5))),
         }
     }
@@ -158,6 +171,7 @@ impl ValueMap {
     pub fn to_constant(target: Point) -> Self {
         ValueMap {
             name: "γ0: const",
+            param: MapParam::Point(target),
             f: Arc::new(move |t: &Texel| if t.is_null() { None } else { Some(target) }),
         }
     }
@@ -167,6 +181,7 @@ impl ValueMap {
     pub fn point_id_lookup(name: &'static str, table: Arc<Vec<Point>>) -> Self {
         ValueMap {
             name,
+            param: MapParam::Table(Arc::clone(&table)),
             f: Arc::new(move |t: &Texel| t.get(0).map(|p| table[p.id as usize])),
         }
     }

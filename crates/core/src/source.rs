@@ -29,7 +29,7 @@ pub fn render_points(dev: &mut Device, vp: Viewport, batch: &PointBatch) -> Canv
 }
 
 /// The one point draw: the tiled point render of [`render_points`],
-/// each finished tile streamed through `chain` before its blit
+/// then `chain` in place over the finished planes
 /// (`Pipeline::run_chain_points`), then the point index. The live
 /// heatmap passes its `V[HeatLog]` chain; a bare render the empty one.
 pub(crate) fn draw_points(

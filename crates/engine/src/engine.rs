@@ -739,7 +739,7 @@ impl QueryEngine {
     ///
     /// Each call records a per-query span tree — `execute → prepare →
     /// cache_probe → inflight_wait → admission_wait → eval → …` down
-    /// through the executor's pass and tile-stream spans — under its
+    /// through the executor's pass and per-tile raster spans — under its
     /// own query track, into the always-on flight rings (and, when
     /// `canvas_obs::set_tracing` is enabled, the tracing sink too; see
     /// `docs/OBSERVABILITY.md`). On completion the service time is

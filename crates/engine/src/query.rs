@@ -364,7 +364,8 @@ impl std::fmt::Debug for Query {
 }
 
 /// Collects the handles a plan's fingerprint identifies **by address**
-/// (point batches, literal canvases, unnamed custom transforms) so a
+/// (point batches, literal canvases, unnamed custom transforms, value
+/// maps' lookup tables) so a
 /// cache entry can pin them — see [`DataPin`].
 fn collect_pins(e: &Expr, out: &mut Vec<DataPin>) {
     use canvas_core::algebra::SourceSpec;
@@ -391,7 +392,13 @@ fn collect_pins(e: &Expr, out: &mut Vec<DataPin>) {
             }
             collect_pins(input, out);
         }
-        Expr::MapScatter { input, .. } => collect_pins(input, out),
+        Expr::MapScatter { gamma, input, .. } => {
+            if let canvas_core::ops::MapParam::Table(t) = &gamma.param {
+                // A lookup table is hashed by handle: pin it.
+                out.push(t.clone());
+            }
+            collect_pins(input, out);
+        }
         Expr::ValueTransform { input, .. } => collect_pins(input, out),
     }
 }

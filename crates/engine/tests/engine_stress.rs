@@ -500,7 +500,9 @@ fn fair_share_tickets_reach_the_pool_gate() {
     for client in 0..3usize {
         let engine = Arc::clone(&engine);
         let queries = queries.clone();
-        let vp = vps[0];
+        // 96×96 is four 64×64 tiles, so every draw claims its tiles in
+        // a pooled pass (a one-tile frame's draw runs inline).
+        let vp = vps[2];
         handles.push(std::thread::spawn(move || {
             for i in 0..4 {
                 let q = &queries[(client + i) % queries.len()];

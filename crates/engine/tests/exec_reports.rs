@@ -159,6 +159,9 @@ fn tail_sampled_reports_join_plan_fingerprints_and_span_trees() {
         assert!(row("(entries)").wall_ns > 0, "the walk's wall: {r:?}");
         assert_eq!(row("(fused)").label, "B[⊙] (fused)");
         assert_eq!(row("(fused)").wall_ns, 0, "no blend ran: {r:?}");
+        // Folded, not lost: no span was expected, so the row keeps the
+        // plan's provenance and `missing` still means recycled spans.
+        assert_eq!(row("(fused)").provenance, "plan", "{r:?}");
         assert!(r.nodes.iter().map(|n| n.wall_ns).sum::<u64>() <= r.execute_ns);
     }
 

@@ -738,3 +738,46 @@ fn mixed_class_eviction_under_tiny_budget_stays_correct() {
     let m = engine.metrics();
     assert!(m.subplan_published > 0, "{m:?}");
 }
+
+#[test]
+fn value_maps_fingerprint_the_values_they_close_over() {
+    // `γ0` to two different constants: same name, different results.
+    // Each plan must be its own cache identity, or the engine serves
+    // the first plan's canvas for the second.
+    let data = data();
+    let collapse = |target: Point| {
+        Expr::map_scatter(
+            ValueMap::to_constant(target),
+            2,
+            BlendFn::Accumulate,
+            Expr::points(data.clone()),
+        )
+    };
+    let (left, right) = (
+        collapse(Point::new(0.5, 0.5)),
+        collapse(Point::new(1.5, 0.5)),
+    );
+    assert_ne!(left.fingerprint(), right.fingerprint());
+    // A lookup table is identified by handle, as datasets are.
+    let lookup = |table: &Arc<Vec<Point>>| {
+        Expr::map_scatter(
+            ValueMap::point_id_lookup("γd", table.clone()),
+            2,
+            BlendFn::Accumulate,
+            Expr::points(data.clone()),
+        )
+    };
+    let (t1, t2) = (
+        Arc::new(vec![Point::new(0.5, 0.5)]),
+        Arc::new(vec![Point::new(0.5, 0.5)]),
+    );
+    assert_ne!(lookup(&t1).fingerprint(), lookup(&t2).fingerprint());
+    assert_eq!(lookup(&t1).fingerprint(), lookup(&t1).fingerprint());
+
+    let engine = QueryEngine::with_config(config(256 << 20));
+    for plan in [left, right] {
+        let served = engine.execute(&Query::Plan(plan.clone()), vp()).unwrap();
+        let want = plan.eval(&mut Device::cpu(), vp());
+        assert_canvas_eq(served.canvas(), &want, "collapse to a constant");
+    }
+}

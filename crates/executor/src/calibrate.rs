@@ -214,9 +214,6 @@ mod tests {
             );
         }
         // Other knobs are untouched.
-        assert_eq!(
-            pool.policy().stream_window_per_worker,
-            Policy::default().stream_window_per_worker
-        );
+        assert_eq!(pool.policy().pass_quantum, Policy::default().pass_quantum);
     }
 }

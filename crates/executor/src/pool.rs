@@ -373,71 +373,6 @@ impl WorkerPool {
         }
     }
 
-    /// Like [`run_pass`](Self::run_pass) but the calling thread runs
-    /// `caller` (e.g. a streaming merge loop) instead of participating
-    /// in `worker_f`. `caller` must do its own panic catching and
-    /// return the outcome so the pass can quiesce before unwinding.
-    /// Requires at least one background worker.
-    pub(crate) fn run_split_pass<F: Fn() + Sync>(
-        &self,
-        worker_f: &F,
-        caller: impl FnOnce() -> std::thread::Result<()>,
-    ) {
-        assert!(
-            !self.handles.is_empty(),
-            "split pass needs background workers"
-        );
-        let ticket = CURRENT_TICKET.with(|c| c.get());
-        let _gate = {
-            let mut wait = obs::span("gate_wait", "executor");
-            wait.arg_u64("ticket", ticket);
-            self.pass_gate.acquire(ticket, self.policy.pass_quantum)
-        };
-        let mut pass_span = obs::span("split_pass", "executor");
-        pass_span.arg_u64("ticket", ticket);
-        unsafe fn call_erased<F: Fn()>(ctx: *const ()) {
-            (*(ctx as *const F))()
-        }
-        {
-            let mut st = self
-                .shared
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            st.job = Some(Job {
-                call: call_erased::<F>,
-                ctx: worker_f as *const F as *const (),
-                obs: obs::trace::current_ctx(),
-            });
-            st.epoch += 1;
-            st.remaining = self.handles.len();
-            self.shared.work_ready.notify_all();
-        }
-        let caller_outcome = caller();
-        let worker_panicked = {
-            let mut st = self
-                .shared
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            while st.remaining > 0 {
-                st = self
-                    .shared
-                    .work_done
-                    .wait(st)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            st.job = None;
-            std::mem::replace(&mut st.panicked, false)
-        };
-        if let Err(payload) = caller_outcome {
-            resume_unwind(payload);
-        }
-        if worker_panicked {
-            panic!("executor pool worker panicked");
-        }
-    }
-
     /// Runs `f(0..n)` across the pool and returns the results **in item
     /// order**. Items are claimed dynamically (atomic counter), results
     /// are written straight into their slot — no post-pass sort.
@@ -467,6 +402,27 @@ impl WorkerPool {
         // The pass returned without panicking, so all n slots are
         // initialized.
         slots.into_vec()
+    }
+
+    /// [`run_indexed`](Self::run_indexed) over owned items: runs
+    /// `f(i, items[i])` once per item, dynamically claimed, and returns
+    /// the results in item order. Items can be disjoint `&mut` views
+    /// (a tile's row segments), so workers write in place without
+    /// sharing a raw buffer.
+    pub fn run_claimed<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        self.run_indexed(slots.len(), |i| {
+            let item = slots[i]
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .take();
+            f(i, item.expect("each item is claimed once"))
+        })
     }
 
     /// Chunk-claiming iteration: the range `0..n` is cut into
@@ -703,6 +659,21 @@ mod tests {
         assert_eq!(pool.run_indexed(100, |i| i * i), seq);
         assert_eq!(pool.run_indexed(0, |i| i), Vec::<usize>::new());
         assert_eq!(pool.run_indexed(1, |i| i + 5), vec![5]);
+    }
+
+    #[test]
+    fn run_claimed_hands_each_item_out_once_and_keeps_order() {
+        // Disjoint `&mut` chunks of one buffer, written in place.
+        for threads in [1usize, 4] {
+            let pool = WorkerPool::new(threads);
+            let mut buf = vec![0u32; 100];
+            let sums = pool.run_claimed(buf.chunks_mut(7).collect(), |i, chunk: &mut [u32]| {
+                chunk.iter_mut().for_each(|v| *v = i as u32);
+                chunk.len()
+            });
+            assert_eq!(sums.iter().sum::<usize>(), 100);
+            assert!(buf.iter().enumerate().all(|(j, &v)| v == (j / 7) as u32));
+        }
     }
 
     // Worker liveness is asserted per pool — every live worker holds one

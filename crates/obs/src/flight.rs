@@ -47,8 +47,8 @@ use crate::report::ExecReport;
 use crate::trace::SpanRecord;
 
 /// Per-thread ring capacity in span records. Sized to hold the full
-/// span tree of a large streamed query on that thread (a 2048² chain
-/// streams ~1k tiles → ~2k tile spans spread across the worker rings)
+/// span tree of a large query on that thread (a 2048² draw rasterizes
+/// ~1k tiles → ~1k tile spans spread across the worker rings)
 /// while keeping the always-on footprint at a few hundred KiB per
 /// thread.
 pub const FLIGHT_RING_CAPACITY: usize = 4096;
@@ -332,7 +332,7 @@ mod tests {
             // Overflow this thread's ring so early children recycle.
             for _ in 0..(FLIGHT_RING_CAPACITY + 64) {
                 let parent = span("pass", "executor");
-                let _inner = span("tile_produce", "executor");
+                let _inner = span("tile_raster", "raster");
                 drop(parent);
             }
             root.query()

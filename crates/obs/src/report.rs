@@ -11,7 +11,7 @@
 //!   [`flight`](crate::flight) rings or a tracing capture), folded
 //!   into the skeleton by [`ExecReport::measure`]: per-node exclusive
 //!   wall time (node spans carry a `node` id argument stamped by the
-//!   evaluator), executor pass counts and streamed-tile counts
+//!   evaluator), executor pass counts and rasterized-tile counts
 //!   attributed to their nearest enclosing plan node, bytes produced,
 //!   and per-node *provenance* (rendered here vs shared-subplan cache
 //!   hit), plus the engine-station timings (queue wait, gate wait,
@@ -30,6 +30,11 @@ use std::collections::HashMap;
 
 use crate::metrics::json_string;
 use crate::trace::{ArgValue, SpanRecord};
+
+/// Label suffix of a plan row the planner folded into another node's
+/// physical form (`B[⊙] (fused)`): no span reaches it, so a measured
+/// report keeps its provenance `plan` instead of calling it `missing`.
+pub const FOLDED: &str = " (fused)";
 
 /// One plan-node row of an [`ExecReport`] (see module docs).
 #[derive(Clone, Debug, Default)]
@@ -50,17 +55,18 @@ pub struct NodeReport {
     /// (so rows sum to ≤ the root `execute` span instead of
     /// double-counting ancestors).
     pub wall_ns: u64,
-    /// Executor passes (`pass` + `split_pass`) dispatched under this
-    /// node.
+    /// Executor passes (`pass`) dispatched under this node.
     pub passes: u64,
-    /// Tiles streamed (`tile_produce`) under this node.
+    /// Tiles rasterized (`tile_raster`) under this node.
     pub tiles: u64,
     /// Bytes of the canvas/payload this node produced.
     pub bytes: u64,
-    /// How this node's result came to be: `plan` (unmeasured),
-    /// `rendered`, `shared_cache` (subplan cache hit), `cache` /
-    /// `coalesced` (whole-query hit — no node ran), or `missing`
-    /// (measured query, but every span of this node was recycled).
+    /// How this node's result came to be: `plan` (unmeasured, or a
+    /// row the planner folded into another node's form — its label
+    /// ends in [`FOLDED`]), `rendered`, `shared_cache` (subplan cache
+    /// hit), `cache` / `coalesced` (whole-query hit — no node ran), or
+    /// `missing` (measured query, but every span of this node was
+    /// recycled).
     pub provenance: String,
 }
 
@@ -174,14 +180,13 @@ impl ExecReport {
             }
         }
 
-        // Executor work attribution: passes and streamed tiles roll up
-        // to the nearest enclosing plan node (root row when the work
-        // ran outside any stamped node — e.g. the fused-chain
-        // runners' interior draws).
+        // Executor work attribution: passes and rasterized tiles roll
+        // up to the nearest enclosing plan node (root row when the work
+        // ran outside any stamped node).
         for r in &spans {
             let target = match r.name {
-                "pass" | "split_pass" => 0,
-                "tile_produce" => 1,
+                "pass" => 0,
+                "tile_raster" => 1,
                 _ => continue,
             };
             let node = nearest_node_ancestor(r, &by_id, &node_of_span).unwrap_or(0);
@@ -202,7 +207,8 @@ impl ExecReport {
             }
         } else {
             for row in &mut self.nodes {
-                if row.provenance.is_empty() || row.provenance == "plan" {
+                let folded = row.label.ends_with(FOLDED);
+                if row.provenance.is_empty() || (row.provenance == "plan" && !folded) {
                     row.provenance = "missing".to_string();
                 }
             }
@@ -470,8 +476,8 @@ mod tests {
             ),
             span(15, 14, 10, "gate_wait", 30, vec![]),
             span(16, 14, 10, "pass", 500, vec![]),
-            span(17, 16, 10, "tile_produce", 5, vec![]),
-            span(18, 16, 10, "tile_produce", 5, vec![]),
+            span(17, 16, 10, "tile_raster", 5, vec![]),
+            span(18, 16, 10, "tile_raster", 5, vec![]),
             // A different query's span must not join.
             span(30, 0, 30, "execute", 77, vec![]),
         ]
@@ -587,5 +593,11 @@ mod tests {
         let r = skeleton().measure(10, &only_root);
         assert_eq!(r.nodes[0].provenance, "rendered");
         assert_eq!(r.nodes[1].provenance, "missing");
+        // A row the planner folded is reached by no span and stays
+        // `plan`.
+        let mut folded = skeleton();
+        folded.nodes[1].label.push_str(FOLDED);
+        let r = folded.measure(10, &only_root);
+        assert_eq!(r.nodes[1].provenance, "plan");
     }
 }

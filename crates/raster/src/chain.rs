@@ -1,30 +1,23 @@
-//! Fused streaming operator chains (`draw → [op]*` plans).
+//! Operator chains (`[op]*` over a finished framebuffer).
 //!
 //! The algebra composes canvas operators — Value Transform, Blend,
 //! Mask — into query plans, but executing them one whole-canvas pass at
-//! a time materializes a full intermediate framebuffer between every
-//! operator. An [`OpChain`] instead describes the post-draw operators
-//! of a linear plan as **tile-granular kernels** — the *chain* of a
-//! tile job (source × chain × tile set, see [`crate::pipeline`]): the
-//! job's source produces one finished tile at a time, and the
-//! executor's multi-stage streaming hand-off
-//! (`WorkerPool::run_streaming_chain`) flows each tile through every
-//! downstream operator while later tiles are still rendering.
-//! Intermediate canvases are never materialized — at most
-//! `Policy::stream_window(workers)` tile buffers are live at any
-//! instant, and the blit into the output framebuffer happens exactly
-//! once per tile, after the last operator.
+//! a time sweeps the planes once per operator. An [`OpChain`] instead
+//! describes the operators of a linear plan as one in-place pass
+//! (`Pipeline::run_chain_texture`): each band of full-width row
+//! strips, about one tile in size, runs every operator before the next
+//! strip, so a strip stays in cache across the chain and no
+//! intermediate canvas is materialized.
 //!
 //! Every operator is a built-in kernel named by a tag — a
 //! [`ValueTag`], [`BlendTag`] or [`MaskTag`] — run by the dispatched
 //! SIMD row kernels of [`crate::simd`]. A chain holds tags and operand
 //! textures, never a closure: it is pure data, the form a backend other
-//! than the CPU tile runner could lower. Every kernel is a pure
-//! per-texel function, so the fused run is **bit-identical** to the
-//! materialized sequence of full-screen passes (and to the sequential
-//! `Device::cpu` run) at any thread count; `tests/tile_job_oracle.rs`
-//! asserts this on random chains, and that the streamed run keeps
-//! within the window.
+//! than the CPU runner could lower. Every kernel is a pure per-texel
+//! function, so the chain run is **bit-identical** to the materialized
+//! sequence of full-screen passes (and to the sequential `Device::cpu`
+//! run) at any thread count; `tests/tile_job_oracle.rs` asserts this
+//! on random chains.
 
 use crate::simd::{self, Backend, BlendTag, MaskTag, TexelWords, ValueTag};
 use crate::stats::PipelineStats;
@@ -39,7 +32,7 @@ type BlendRows<P> = fn(Backend, BlendTag, &mut [P], &[P]);
 /// null bitmap.
 type MaskRows<P> = fn(Backend, MaskTag, &mut [P], Option<&mut [u16]>, &mut [u64]);
 
-/// One post-draw operator of a fused chain. Its kernel is a built-in
+/// One operator of a chain. Its kernel is a built-in
 /// function carried as an op `tag` plus the monomorphized SIMD row
 /// dispatcher `rows` captured by the `*_tagged` builder (where
 /// `P: TexelWords` is known).
@@ -80,10 +73,10 @@ impl<P> ChainOp<'_, P> {
     }
 }
 
-/// A linear fused plan `draw → op₁ → … → opₖ` (see module docs).
-/// Built with the chaining constructors, executed after a point draw
-/// by `Pipeline::run_chain_points`, or over an already-materialized
-/// framebuffer by `Pipeline::run_chain_texture`.
+/// A linear plan `op₁ → … → opₖ` over a finished framebuffer (see
+/// module docs). Built with the chaining constructors and executed by
+/// `Pipeline::run_chain_texture` (after a point draw:
+/// `Pipeline::run_chain_points`).
 pub struct OpChain<'a, P> {
     ops: Vec<ChainOp<'a, P>>,
     /// SIMD backend override for the tagged kernels; `None` uses the
@@ -99,7 +92,7 @@ impl<P> Default for OpChain<'_, P> {
 }
 
 impl<'a, P> OpChain<'a, P> {
-    /// The empty chain: a plain tiled draw.
+    /// The empty chain.
     pub fn new() -> Self {
         OpChain {
             ops: Vec::new(),
@@ -120,12 +113,6 @@ impl<'a, P> OpChain<'a, P> {
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = Some(backend);
         self
-    }
-
-    /// The backend the built-in stages (and the span-fill fast path in
-    /// the pipeline) will run on.
-    pub(crate) fn resolved_backend(&self) -> Backend {
-        self.backend.unwrap_or_else(simd::active_backend)
     }
 
     /// Appends a Value Transform stage for a built-in transform,
@@ -216,9 +203,9 @@ impl<'a, P> OpChain<'a, P> {
     }
 
     /// Charges the deterministic work counters of the operator stages
-    /// over `texels` visited texels — identical to running the
-    /// equivalent materialized full-screen passes, and independent of
-    /// thread count. A canvas Blend is one pass over the texel planes
+    /// over `texels` texels — identical to running the equivalent
+    /// materialized full-screen passes, and independent of thread
+    /// count. A canvas Blend is one pass over the texel planes
     /// plus (when covers merge) one over the cover planes.
     pub(crate) fn charge_stats(&self, stats: &mut PipelineStats, texels: usize) {
         for op in &self.ops {
@@ -235,7 +222,7 @@ impl<'a, P> OpChain<'a, P> {
         }
     }
 
-    /// Fresh null bitmaps for one tile of `len` texels, one per Mask op.
+    /// Fresh null bitmaps for one strip of `len` texels, one per Mask op.
     pub(crate) fn tile_bits(&self, len: usize) -> Vec<TileBits> {
         (0..self.mask_count()).map(|_| TileBits::new(len)).collect()
     }
@@ -262,12 +249,10 @@ impl<'a, P: Copy + Default> OpChain<'a, P> {
         }
     }
 
-    /// Applies op `op_idx` to one tile in place: `tex`/`cov` are the
-    /// tile's row-major local buffers for `rect`. Mask ops record their
-    /// post-op null pixels into `bits[mask_ordinal]` (local bitset).
-    ///
-    /// This is the one tile-granular kernel of the tile-job runner: a
-    /// sequential run applies it to a single framebuffer-sized rect.
+    /// Applies op `op_idx` to one rect in place: `tex`/`cov` are the
+    /// rect's row-major buffers (a full-width row strip of the planes).
+    /// Mask ops record their post-op null pixels into
+    /// `bits[mask_ordinal]` (local bitset).
     pub(crate) fn apply_tile(
         &self,
         op_idx: usize,
@@ -277,7 +262,7 @@ impl<'a, P: Copy + Default> OpChain<'a, P> {
         bits: &mut [TileBits],
     ) {
         let w = rect.w as usize;
-        let be = self.resolved_backend();
+        let be = self.backend.unwrap_or_else(simd::active_backend);
         match &self.ops[op_idx] {
             // Built-in value transforms are position-independent, so
             // the whole contiguous tile buffer is one row.
@@ -307,7 +292,7 @@ impl<'a, P: Copy + Default> OpChain<'a, P> {
     }
 }
 
-/// A per-tile bitset (one bit per texel of the tile, row-major local
+/// A per-strip bitset (one bit per texel of the rect, row-major local
 /// order) carrying a Mask op's post-op null pixels to the merge.
 #[derive(Clone, Debug)]
 pub(crate) struct TileBits {
@@ -397,22 +382,6 @@ impl MaskOutcome {
             }
         }
     }
-}
-
-/// Outcome of a fused chain run.
-#[derive(Debug, Default)]
-pub struct ChainRunReport {
-    /// Tiles that flowed through the chain (all tiles when the chain
-    /// has operators; only primitive-carrying tiles for a bare draw;
-    /// the full-width row strips of a `Pipeline::run_chain_texture`).
-    pub tiles: usize,
-    /// High-water mark of live tiles (claimed-but-unmerged).
-    /// The fused-memory contract: never exceeds
-    /// `Policy::stream_window(workers)`; 0 for sequential in-place
-    /// runs, which hold no tile buffers at all.
-    pub peak_tiles_in_flight: usize,
-    /// Per-Mask-op nulled-pixel bitmaps (see [`MaskOutcome`]).
-    pub masked: MaskOutcome,
 }
 
 #[cfg(test)]

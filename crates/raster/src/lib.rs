@@ -18,21 +18,20 @@
 //! * [`viewport::Viewport`] — the projection/viewport transform,
 //! * [`rasterize`] — point / supercover-line / scanline-fill coverage
 //!   kernels,
-//! * [`pipeline::Pipeline`] — **tile jobs** (primitive source ×
-//!   [`OpChain`] × tile set: every draw, fused chain and incremental
-//!   patch is one job shape run by one runner), full-screen passes and
-//!   scatter passes, with programmable fragment shading and blending,
-//! * [`chain::OpChain`] — the per-texel operators a job's tiles flow
-//!   through before their single blit, each a built-in [`simd`] kernel
+//! * [`pipeline::Pipeline`] — **tile jobs** (every draw and
+//!   incremental patch is one primitive source rasterized tile by tile
+//!   in place by one runner), full-screen passes and scatter passes,
+//!   with programmable fragment shading and blending,
+//! * [`chain::OpChain`] — per-texel operators run in one in-place pass
+//!   over a finished framebuffer, each a built-in [`simd`] kernel
 //!   named by a tag,
 //! * [`tile`] — the fixed 64×64 tile decomposition: primitives are
-//!   binned to tiles and each tile is rasterized independently on a
-//!   **persistent worker pool** (the `canvas-executor` crate — spawned
-//!   once per `Device`, parked between passes, joined on drop), with
-//!   finished tiles streamed through a bounded channel and merged in
-//!   fixed tile order so results are bit-identical at any thread count
-//!   and peak memory stays capped at huge resolutions. A one-thread
-//!   pool runs the same jobs on a one-tile grid,
+//!   binned to tiles and each tile is rasterized independently, writing
+//!   its own row segments of the planes, on a **persistent worker
+//!   pool** (the `canvas-executor` crate — spawned once per `Device`,
+//!   parked between passes, joined on drop); per-tile outputs merge in
+//!   fixed tile order, so results are bit-identical at any thread
+//!   count. A one-thread pool runs the same draws on a one-tile grid,
 //! * [`simd`] — runtime-dispatched row kernels behind the built-in
 //!   operators,
 //! * [`stats::PipelineStats`] + [`device::DeviceProfile`] — work
@@ -41,11 +40,11 @@
 //!   substitution note).
 //!
 //! The executor's minimum-work threshold lives in one place,
-//! [`Policy::min_parallel_items`]: the full-screen band passes and
-//! `scatter_shared` — whose per-item cost is a texel — consult it
-//! through `WorkerPool::should_parallelize`; tile jobs carry coarse
-//! items of known cost (a tile, a binning chunk), so they gate only on
-//! trivial sizes.
+//! [`Policy::min_parallel_items`]: the full-screen band passes,
+//! `scatter_shared` and point binning — whose per-item cost is a texel
+//! or a point — consult it through `WorkerPool::should_parallelize`;
+//! tile rasterization claims coarse items (a tile), so it gates only
+//! on trivial sizes.
 
 pub mod chain;
 pub mod device;
@@ -60,7 +59,7 @@ pub mod viewport;
 pub use canvas_executor::{
     live_worker_count, Calibration, Policy, SchedulerStats, TicketId, WorkerPool,
 };
-pub use chain::{ChainOp, ChainRunReport, MaskOutcome, OpChain};
+pub use chain::{ChainOp, MaskOutcome, OpChain};
 pub use device::DeviceProfile;
 pub use pipeline::{Frag, PatchReport, Pipeline};
 pub use simd::{Backend, BlendTag, MaskTag, TexelWords, ValueTag};

@@ -10,52 +10,50 @@
 //! | per-pixel parallel test (mask)      | [`Pipeline::par_map_texels`], [`Pipeline::map_planes`] |
 //! | vertex scatter (transform feedback) | [`Pipeline::scatter_shared`] |
 //!
-//! # Tile jobs: source × chain × tile set
+//! # Tile jobs
 //!
 //! Everything that turns geometry into texels is one job shape run by
-//! one private runner:
+//! one private runner: a **source** — a point batch, a polygon table or
+//! a polyline table (statically dispatched) — that charges its
+//! vertex/primitive counters, bins itself to the 64×64 tiles its
+//! primitives can touch, and rasterizes one bin straight into that
+//! tile's rows of the framebuffer and cover planes. Every fragment is
+//! shaded by a caller-supplied closure and merged through a
+//! caller-supplied *blend function* — the programmable blend
+//! `⊙ : S³ × S³ → S³` of the algebra — in input primitive order.
 //!
-//! * a **source** — a point batch, a polygon table or a polyline table
-//!   (statically dispatched) that charges its vertex/primitive
-//!   counters, bins itself to the 64×64 tiles its primitives can touch,
-//!   and rasterizes one bin into one tile's buffers. Every fragment is
-//!   shaded by a caller-supplied closure and merged through a
-//!   caller-supplied *blend function* — the programmable blend
-//!   `⊙ : S³ × S³ → S³` of the algebra — in input primitive order;
-//! * an [`OpChain`] of per-texel operators each finished tile flows
-//!   through before its single blit (empty for a bare draw);
-//! * a **tile set** — every tile (a chain's operators are full-screen
-//!   passes) or only the tiles that received a primitive.
+//! The runner cuts the planes into each touched tile's row segments
+//! (disjoint safe borrows, [`TileGrid::tile_rows`]) and rasterizes
+//! every touched tile in place in one dynamically claimed pool pass
+//! ([`WorkerPool::run_claimed`]); the per-tile outputs (fragment
+//! counts, boundary lists) fold in row-major tile order. Tile rects
+//! are disjoint and the per-pixel blend order is the input primitive
+//! order at any thread count, so every execution is bit-identical by
+//! construction. Untouched tiles are never read or written.
 //!
-//! A bare draw ([`Pipeline::draw_points_tiled`] and siblings) is
-//! touched tiles × the empty chain; a fused chain
-//! ([`Pipeline::run_chain_points`], the one draw with operators) is
-//! all tiles × the chain; an incremental patch
-//! ([`Pipeline::patch_points_tiled`]) is touched tiles × a one-operator
-//! chain — so a full render is a patch of an empty predecessor with
-//! every tile dirty. Tiles are merged in row-major tile order and the
-//! per-pixel blend order is the input primitive order at any thread
-//! count, so every execution is bit-identical by construction.
-//!
-//! A chain can also run without a draw, over a framebuffer that is
-//! already finished ([`Pipeline::run_chain_texture`]): its operators
-//! run in place over full-width row strips, so nothing is copied.
+//! Per-pixel operators are separate full-screen passes over the
+//! finished planes, as in the paper's Section 5: a chain
+//! ([`Pipeline::run_chain_texture`]) runs in place over full-width row
+//! strips, and [`Pipeline::run_chain_points`] is the point draw
+//! followed by that pass. An incremental patch
+//! ([`Pipeline::patch_points_tiled`]) blends a delta into its touched
+//! tiles and re-applies its value kernel to exactly those tiles' rows,
+//! in the same claimed pass.
 //!
 //! **Sequential is a pool of one.** When the pipeline's pool has one
-//! thread and the result cannot depend on where tile borders fall, the
-//! same runner uses a one-tile grid whose rect is the whole frame and
-//! whose buffers are the framebuffer and cover planes themselves — no
-//! binning, no tile copies.
+//! thread and the result cannot depend on where tile borders fall (a
+//! draw, not a patch), the same runner runs on a one-tile grid whose
+//! rect is the whole frame — no binning.
 //!
 //! All work is counted in [`PipelineStats`] for the device cost model.
 
-use crate::chain::{ChainRunReport, MaskOutcome, OpChain, TileBits};
+use crate::chain::{MaskOutcome, OpChain};
 use crate::rasterize::{
     rasterize_line_supercover, rasterize_point, rasterize_polygon_fill_rect_spans,
 };
 use crate::simd::{self, Backend, TexelWords, ValueTag};
 use crate::stats::PipelineStats;
-use crate::texture::{RawTexels, Texture};
+use crate::texture::Texture;
 use crate::tile::{TileGrid, TileRect};
 use crate::viewport::Viewport;
 use canvas_executor::WorkerPool;
@@ -69,11 +67,10 @@ mod passes;
 
 /// Opens a draw-level trace span tagged with the active SIMD backend
 /// and workload shape (no-op unless tracing is enabled).
-fn draw_span(name: &'static str, primitives: usize, chain_ops: usize) -> obs::Span {
+fn draw_span(name: &'static str, primitives: usize) -> obs::Span {
     let mut span = obs::span(name, "raster");
     if span.is_recording() {
         span.arg_u64("primitives", primitives as u64);
-        span.arg_u64("chain_ops", chain_ops as u64);
         span.arg_str("simd_backend", || simd::active_backend().name().to_string());
     }
     span
@@ -96,9 +93,7 @@ pub struct Frag {
 pub struct PatchReport {
     /// Tiles that received at least one delta point and were redrawn.
     pub dirty_tiles: usize,
-    /// Total tiles of the grid the patch ran on: the framebuffer's
-    /// 64×64 grid, or 1 when a patch without a value kernel — a bare
-    /// draw — ran on a one-thread pipeline's whole-frame tile.
+    /// Total tiles of the framebuffer's 64×64 grid.
     pub total_tiles: usize,
     /// In-viewport delta points blended.
     pub fragments: u64,
@@ -265,19 +260,22 @@ impl Pipeline {
         S: Fn(u32, Point) -> P + Sync,
         B: Fn(P, P) -> P + Sync,
     {
-        self.run_chain_points(vp, fb, None, points, shade, blend, &OpChain::new());
+        let source = PointSource {
+            points,
+            shade,
+            blend,
+        };
+        let grid = self.draw_grid(vp);
+        self.run_tile_job("draw_points", vp, &source, grid, fb, None, |_| {});
     }
 
-    /// Fused `draw(points) → chain` execution (see [`OpChain`]): the
-    /// tiled point draw streams each finished tile through every chain
-    /// operator before it is blitted — intermediate canvases are never
-    /// materialized, and at most `Policy::stream_window(workers)` tile
-    /// buffers are live (reported in the returned [`ChainRunReport`]).
-    ///
-    /// Bit-identical to the materialized sequence (tiled draw, then one
-    /// full-screen pass per operator) at any thread count, including
-    /// the work counters. `cover` carries the run's certain-cover plane
-    /// when the chain merges covers (canvas Blend) or masks.
+    /// `draw(points) → chain`: the point draw, then `chain` in place
+    /// over the finished planes ([`run_chain_texture`](Self::run_chain_texture);
+    /// nothing when the chain is empty). Bit-identical to one
+    /// full-screen pass per operator after the draw at any thread
+    /// count, work counters included. `cover` carries the run's
+    /// certain-cover plane when the chain merges covers (canvas Blend)
+    /// or masks.
     #[allow(clippy::too_many_arguments)]
     pub fn run_chain_points<P, S, B>(
         &mut self,
@@ -288,27 +286,26 @@ impl Pipeline {
         shade: S,
         blend: B,
         chain: &OpChain<'_, P>,
-    ) -> ChainRunReport
+    ) -> MaskOutcome
     where
         P: Copy + Default + Send + Sync,
         S: Fn(u32, Point) -> P + Sync,
         B: Fn(P, P) -> P + Sync,
     {
-        let source = PointSource {
-            points,
-            shade,
-            blend,
-        };
-        let job = TileJob::draw("draw_points", vp, source, chain);
-        self.run_tile_job(&job, fb, cover).chain
+        self.draw_points_tiled(vp, fb, points, shade, blend);
+        if chain.is_empty() {
+            return MaskOutcome::default();
+        }
+        self.run_chain_texture(fb, cover, chain)
     }
 
     /// Incremental dirty-tile point patch: bins the (small) `points`
-    /// delta to tiles, replays the blend only on tiles that received a
-    /// point, and — when `value` is given — re-applies that pointwise
-    /// value kernel over each dirty tile's texels. Clean tiles are
-    /// never read or written, so a patch costs O(delta + dirty tiles),
-    /// not O(framebuffer), and the counters say so.
+    /// delta to the 64×64 tiles, replays the blend only on tiles that
+    /// received a point, and — when `value` is given — re-applies that
+    /// pointwise value kernel to each dirty tile's rows right after its
+    /// blend, in the same claimed pass. Clean tiles are never read or
+    /// written, so a patch costs O(delta + dirty tiles), not
+    /// O(framebuffer), and the counters say so.
     ///
     /// This is the maintenance half of the streaming-ingest path: given
     /// a framebuffer produced by a full `draw → value` run over a point
@@ -338,18 +335,17 @@ impl Pipeline {
             shade,
             blend,
         };
-        let chain = match value {
-            Some((be, tag)) => OpChain::new().map_tagged(tag).with_backend(be),
-            None => OpChain::new(),
-        };
-        let job = TileJob {
-            span: "patch_points",
-            vp,
-            source,
-            chain: &chain,
-            tiles: TileSet::Touched,
-        };
-        let done = self.run_tile_job(&job, fb, None);
+        let grid = TileGrid::new(vp.width(), vp.height());
+        let done = self.run_tile_job("patch_points", vp, &source, grid, fb, None, |row| {
+            if let Some((be, tag)) = value {
+                simd::value_rows_with(be, tag, row);
+            }
+        });
+        // The value kernel costs one pass over the dirty tiles' texels.
+        if value.is_some() && done.visited_tiles > 0 {
+            self.stats.passes += 1;
+            self.stats.fullscreen_texels += done.visited_texels as u64;
+        }
         PatchReport {
             dirty_tiles: done.visited_tiles,
             total_tiles: done.total_tiles,
@@ -393,9 +389,10 @@ impl Pipeline {
             shade,
             blend,
         };
-        let chain = OpChain::new();
-        let job = TileJob::draw("draw_polygons", vp, source, &chain);
-        self.run_tile_job(&job, fb, Some(cover)).drawn.boundary
+        let grid = self.draw_grid(vp);
+        let cover = Some(cover);
+        let done = self.run_tile_job("draw_polygons", vp, &source, grid, fb, cover, |_| {});
+        done.drawn.boundary
     }
 
     /// Tile-parallel polyline table draw with supercover (conservative)
@@ -420,180 +417,99 @@ impl Pipeline {
             shade,
             blend,
         };
-        let chain = OpChain::new();
-        let job = TileJob::draw("draw_polylines", vp, source, &chain);
-        self.run_tile_job(&job, fb, None).drawn.boundary
+        let grid = self.draw_grid(vp);
+        let done = self.run_tile_job("draw_polylines", vp, &source, grid, fb, None, |_| {});
+        done.drawn.boundary
     }
 
     // ------------------------------------------------------------------
     // The tile-job runner.
     // ------------------------------------------------------------------
 
-    /// Runs one tile job into `fb` (and `cover`): bin, then per visited
-    /// tile read rect → rasterize the bin → chain stages → blit, merged
-    /// in row-major tile order.
+    /// The grid a draw runs on: the frame's 64×64 tiles, or on a pool
+    /// of one the whole frame as a single tile.
+    fn draw_grid(&self, vp: &Viewport) -> TileGrid {
+        let (w, h) = (vp.width(), vp.height());
+        if self.pool.threads() == 1 {
+            TileGrid::with_tile_size(w, h, w.max(h).max(1))
+        } else {
+            TileGrid::new(w, h)
+        }
+    }
+
+    /// Runs one tile job into `fb` (and `cover`, when the source writes
+    /// it): bin to `grid` (not on a one-tile grid), then rasterize every
+    /// touched tile in place in one claimed pool pass, `finish` run over
+    /// each visited tile's texel rows after its rasterization, and fold
+    /// the per-tile outputs in row-major tile order.
+    #[allow(clippy::too_many_arguments)]
     fn run_tile_job<P, S>(
         &mut self,
-        job: &TileJob<'_, P, S>,
+        span: &'static str,
+        vp: &Viewport,
+        source: &S,
+        grid: TileGrid,
         fb: &mut Texture<P>,
         cover: Option<&mut Texture<u16>>,
+        finish: impl Fn(&mut [P]) + Sync,
     ) -> TileJobReport
     where
         P: Copy + Default + Send + Sync,
         S: TileSource<P>,
     {
-        let &TileJob {
-            vp,
-            ref source,
-            chain,
-            tiles,
-            ..
-        } = job;
         self.begin_pass();
-        let _draw_span = draw_span(job.span, source.charge(&mut self.stats), chain.len());
-        chain.assert_operands(fb);
-        assert!(
-            !chain.blends_cover() || cover.is_some(),
-            "chain blends cover planes but the run has no cover plane"
-        );
-        // Only carry (copy in/out) the cover plane when the draw or
-        // some op can actually change it — a Value-only point chain
-        // would otherwise pay a full extra plane copy per run for
-        // provably untouched covers.
-        let cover =
-            cover.filter(|_| S::WRITES_COVER || chain.blends_cover() || chain.mask_count() > 0);
+        let _draw_span = draw_span(span, source.charge(&mut self.stats));
         let pool = Arc::clone(&self.pool);
         let cx = TileCtx {
             vp,
             stamps: &self.stamps,
-            be: chain.resolved_backend(),
+            be: simd::active_backend(),
         };
-        let apply_op = |s: usize,
-                        t: usize,
-                        rect: TileRect,
-                        tex: &mut [P],
-                        cov: Option<&mut [u16]>,
-                        bits: &mut [TileBits]| {
-            let mut op_span = obs::span(chain.ops()[s].label(), "raster");
-            op_span.arg_u64("tile", t as u64);
-            chain.apply_tile(s, rect, tex, cov, bits);
-        };
-        let mut done = TileJobReport::default();
-        done.chain.masked = MaskOutcome::new(fb.width(), fb.len(), chain.mask_count());
-        let mut visited_texels = 0usize;
-        let mut merge = |rect: TileRect, out: TileOut, bits: &[TileBits]| {
-            for (m, tb) in bits.iter().enumerate() {
-                done.chain.masked.import_tile(m, rect, tb);
+        // A one-tile grid rasterizes every primitive unbinned, and is
+        // visited only if it received a fragment.
+        let bins = (grid.num_tiles() > 1).then(|| source.bin(vp, &grid, &pool));
+        let work: Vec<usize> = (0..grid.num_tiles())
+            .filter(|&t| bins.as_ref().is_none_or(|b| !b[t].is_empty()))
+            .collect();
+        let mut cov_rows = cover
+            .filter(|_| S::WRITES_COVER)
+            .map(|c| grid.tile_rows(c.texels_mut(), &work).into_iter());
+        let tiles: Vec<TilePlanes<'_, P>> = grid
+            .tile_rows(fb.texels_mut(), &work)
+            .into_iter()
+            .zip(&work)
+            .map(|(tex, &t)| TilePlanes {
+                rect: grid.rect(t),
+                tex,
+                cov: cov_rows.as_mut().and_then(Iterator::next),
+            })
+            .collect();
+        let outs = pool.run_claimed(tiles, |k, mut tile| {
+            let mut tile_span = obs::span("tile_raster", "raster");
+            tile_span.arg_u64("tile", work[k] as u64);
+            let bin = bins.as_ref().map(|b| &b[work[k]][..]);
+            let out = source.rasterize(&cx, bin, &mut tile);
+            let visited = bins.is_some() || out.fragments > 0;
+            if visited {
+                tile.tex.iter_mut().for_each(|row| finish(row));
             }
+            visited.then_some(out)
+        });
+        let mut done = TileJobReport {
+            total_tiles: grid.num_tiles(),
+            ..TileJobReport::default()
+        };
+        for (&t, out) in work.iter().zip(outs) {
+            let Some(out) = out else { continue };
             done.drawn.boundary.extend(out.boundary);
             done.drawn.fragments += out.fragments;
             done.drawn.boundary_fragments += out.boundary_fragments;
             done.visited_tiles += 1;
-            visited_texels += rect.len();
-        };
-        // An incremental job — `Touched` with operators, a patch —
-        // promises O(delta + touched tiles): its operators run on
-        // exactly the touched 64×64 tiles and its delta is small by
-        // contract, so it neither takes the pool-of-one's whole-frame
-        // tile nor fans its binning out.
-        let incremental = tiles == TileSet::Touched && !chain.is_empty();
-        if pool.threads() == 1 && !incremental {
-            let rect = TileRect::frame(fb.width(), fb.height());
-            let mut cov = cover.map(|c| c.texels_mut());
-            let out = source.rasterize(&cx, None, rect, fb.texels_mut(), cov.as_deref_mut());
-            let mut bits = chain.tile_bits(rect.len());
-            for s in 0..chain.len() {
-                apply_op(s, 0, rect, fb.texels_mut(), cov.as_deref_mut(), &mut bits);
-            }
-            done.total_tiles = 1;
-            // An untouched frame was not visited.
-            if tiles == TileSet::All || out.fragments > 0 {
-                merge(rect, out, &bits);
-            }
-        } else {
-            let grid = TileGrid::new(vp.width(), vp.height());
-            let bin_chunks = if incremental { 1 } else { pool.threads() };
-            let bins = source.bin(vp, &grid, &pool, bin_chunks);
-            let work: Vec<usize> = (0..grid.num_tiles())
-                .filter(|&t| tiles == TileSet::All || !bins[t].is_empty())
-                .collect();
-            // Streaming merge: workers rasterize tiles, flow them
-            // through the chain stages (any executor may advance any
-            // finished tile) and blit them; this thread folds their
-            // results in fixed tile order. Peak memory holds O(streaming
-            // window) tile buffers instead of every tile at once.
-            // SAFETY of the shared views: tile rects are disjoint, and
-            // a tile is read by its producer and written back by the
-            // executor of its last step, which the streaming channel's
-            // mutex orders after every earlier step (see `RawTexels`).
-            let shared = RawTexels::new(fb);
-            let shared_cover = cover.map(RawTexels::new);
-            struct Tile<P> {
-                t: usize,
-                tex: Vec<P>,
-                cov: Option<Vec<u16>>,
-                bits: Vec<TileBits>,
-                out: TileOut,
-            }
-            // Writes a finished tile back and frees its buffers.
-            let blit = |j: &mut Tile<P>| {
-                let rect = grid.rect(j.t);
-                unsafe { shared.write_rect(rect.x0, rect.y0, rect.w, rect.h, &j.tex) };
-                if let (Some(sc), Some(cov)) = (&shared_cover, &j.cov) {
-                    unsafe { sc.write_rect(rect.x0, rect.y0, rect.w, rect.h, cov) };
-                }
-                (j.tex, j.cov) = (Vec::new(), None);
-            };
-            let produce = |wi: usize| -> Tile<P> {
-                let t = work[wi];
-                let rect = grid.rect(t);
-                let mut tex = unsafe { shared.read_rect(rect.x0, rect.y0, rect.w, rect.h) };
-                let mut cov = shared_cover
-                    .as_ref()
-                    .map(|sc| unsafe { sc.read_rect(rect.x0, rect.y0, rect.w, rect.h) });
-                let out = source.rasterize(&cx, Some(&bins[t]), rect, &mut tex, cov.as_deref_mut());
-                let bits = chain.tile_bits(rect.len());
-                let mut tile = Tile {
-                    t,
-                    tex,
-                    cov,
-                    bits,
-                    out,
-                };
-                if chain.is_empty() {
-                    blit(&mut tile);
-                }
-                tile
-            };
-            type StageFn<'c, J> = Box<dyn Fn(usize, &mut J) + Sync + 'c>;
-            let stage_fns: Vec<StageFn<'_, Tile<P>>> = (0..chain.len())
-                .map(|s| {
-                    let (grid, apply_op, blit) = (&grid, &apply_op, &blit);
-                    Box::new(move |_: usize, j: &mut Tile<P>| {
-                        let rect = grid.rect(j.t);
-                        apply_op(s, j.t, rect, &mut j.tex, j.cov.as_deref_mut(), &mut j.bits);
-                        if s + 1 == chain.len() {
-                            blit(j);
-                        }
-                    }) as StageFn<'_, Tile<P>>
-                })
-                .collect();
-            let stage_refs: Vec<canvas_executor::ChainStage<'_, Tile<P>>> =
-                stage_fns.iter().map(|b| &**b).collect();
-            let stream = pool.run_streaming_chain(work.len(), produce, &stage_refs, |_, j| {
-                merge(grid.rect(j.t), j.out, &j.bits);
-            });
-            done.total_tiles = grid.num_tiles();
-            done.chain.tiles = stream.items;
-            done.chain.peak_tiles_in_flight = stream.peak_in_flight;
+            done.visited_texels += grid.rect(t).len();
         }
         self.stats.fragments += done.drawn.fragments;
         self.stats.boundary_fragments += done.drawn.boundary_fragments;
         self.stats.blend_ops += done.drawn.fragments;
-        // Chain stages cost the texels of the tiles actually visited.
-        if done.visited_tiles > 0 {
-            chain.charge_stats(&mut self.stats, visited_texels);
-        }
         done
     }
 
@@ -703,50 +619,8 @@ impl Pipeline {
 }
 
 // ----------------------------------------------------------------------
-// Tile-job vocabulary: tile sets, sources, fragment emitters.
+// Tile-job vocabulary: sources, tile planes, fragment emitters.
 // ----------------------------------------------------------------------
-
-/// Which tiles of the grid a job visits.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TileSet {
-    /// Only tiles that received a primitive; the rest are never read
-    /// or written.
-    Touched,
-    /// Every tile (a chain's operators are full-screen passes, so
-    /// empty tiles still change).
-    All,
-}
-
-/// One tile job: primitive source × operator chain × tile set (see
-/// module docs) — the whole description of a draw, for this runner or
-/// any other backend.
-struct TileJob<'a, P, S> {
-    /// Span name of the job (docs/OBSERVABILITY.md).
-    span: &'static str,
-    vp: &'a Viewport,
-    source: S,
-    chain: &'a OpChain<'a, P>,
-    tiles: TileSet,
-}
-
-impl<'a, P, S> TileJob<'a, P, S> {
-    /// `draw(source) → chain`: a bare draw only touches tiles with
-    /// primitives, a chain's operators visit every tile.
-    fn draw(span: &'static str, vp: &'a Viewport, source: S, chain: &'a OpChain<'a, P>) -> Self {
-        let tiles = if chain.is_empty() {
-            TileSet::Touched
-        } else {
-            TileSet::All
-        };
-        TileJob {
-            span,
-            vp,
-            source,
-            chain,
-            tiles,
-        }
-    }
-}
 
 /// What rasterizing one bin into one tile produced — and, summed over
 /// its tiles, a whole job.
@@ -763,8 +637,25 @@ struct TileOut {
 struct TileJobReport {
     drawn: TileOut,
     visited_tiles: usize,
+    visited_texels: usize,
     total_tiles: usize,
-    chain: ChainRunReport,
+}
+
+/// One tile's rows of the output planes, written in place: `tex[r]`
+/// (and `cov[r]`) is row `rect.y0 + r` from column `rect.x0` on,
+/// `rect.w` long.
+struct TilePlanes<'p, P> {
+    rect: TileRect,
+    tex: Vec<&'p mut [P]>,
+    cov: Option<Vec<&'p mut [u16]>>,
+}
+
+impl<P> TilePlanes<'_, P> {
+    /// The texel at frame pixel `(x, y)` of this tile.
+    #[inline]
+    fn texel(&mut self, x: u32, y: u32) -> &mut P {
+        &mut self.tex[(y - self.rect.y0) as usize][(x - self.rect.x0) as usize]
+    }
 }
 
 /// Job-wide context of a tile's rasterization.
@@ -784,23 +675,15 @@ trait TileSource<P>: Sync {
     /// them all charged to `stats`.
     fn charge(&self, stats: &mut PipelineStats) -> usize;
     /// Per tile of `grid`, the primitives that can touch it, in input
-    /// order; a source that scans may fan out over `chunks` chunks.
-    fn bin(
-        &self,
-        vp: &Viewport,
-        grid: &TileGrid,
-        pool: &WorkerPool,
-        chunks: usize,
-    ) -> Vec<Vec<Self::Item>>;
+    /// order; a source that scans may fan out over the pool.
+    fn bin(&self, vp: &Viewport, grid: &TileGrid, pool: &WorkerPool) -> Vec<Vec<Self::Item>>;
     /// Rasterizes `bin` (`None`: every primitive — the one-tile grid)
-    /// clipped to `clip` into that tile's row-major local buffers.
+    /// clipped to the tile's rect, in place into its planes.
     fn rasterize(
         &self,
         cx: &TileCtx<'_>,
         bin: Option<&[Self::Item]>,
-        clip: TileRect,
-        tex: &mut [P],
-        cov: Option<&mut [u16]>,
+        tile: &mut TilePlanes<'_, P>,
     ) -> TileOut;
 }
 
@@ -826,16 +709,16 @@ where
         self.points.len()
     }
 
-    fn bin(
-        &self,
-        vp: &Viewport,
-        grid: &TileGrid,
-        pool: &WorkerPool,
-        chunks: usize,
-    ) -> Vec<Vec<Self::Item>> {
-        // Chunk-parallel binning; chunks merge in input order so every
-        // tile sees its points in global input order.
+    fn bin(&self, vp: &Viewport, grid: &TileGrid, pool: &WorkerPool) -> Vec<Vec<Self::Item>> {
+        // Chunk-parallel binning above the pool's minimum work (a
+        // patch's small delta bins inline); chunks merge in input order
+        // so every tile sees its points in global input order.
         let points = self.points;
+        let chunks = if pool.should_parallelize(points.len()) {
+            pool.threads()
+        } else {
+            1
+        };
         let chunk_size = points.len().div_ceil(chunks).max(1);
         // Workers emit (tile, x, y, idx) so the sequential merge is a
         // plain push and the per-tile pass never recomputes coordinates.
@@ -861,14 +744,12 @@ where
         &self,
         cx: &TileCtx<'_>,
         bin: Option<&[Self::Item]>,
-        clip: TileRect,
-        tex: &mut [P],
-        _cov: Option<&mut [u16]>,
+        tile: &mut TilePlanes<'_, P>,
     ) -> TileOut {
         let mut fragments = 0u64;
         let mut put = |x: u32, y: u32, i: u32| {
-            let li = clip.local_index(x, y);
-            tex[li] = (self.blend)(tex[li], (self.shade)(i, self.points[i as usize]));
+            let t = tile.texel(x, y);
+            *t = (self.blend)(*t, (self.shade)(i, self.points[i as usize]));
             fragments += 1;
         };
         match bin {
@@ -956,7 +837,7 @@ where
         self.polys.len()
     }
 
-    fn bin(&self, vp: &Viewport, grid: &TileGrid, _: &WorkerPool, _: usize) -> Vec<Vec<u32>> {
+    fn bin(&self, vp: &Viewport, grid: &TileGrid, _: &WorkerPool) -> Vec<Vec<u32>> {
         bin_by_bbox(vp, grid, self.polys.iter().map(Polygon::bbox))
     }
 
@@ -964,33 +845,36 @@ where
         &self,
         cx: &TileCtx<'_>,
         bin: Option<&[u32]>,
-        clip: TileRect,
-        tex: &mut [P],
-        cov: Option<&mut [u16]>,
+        tile: &mut TilePlanes<'_, P>,
     ) -> TileOut {
         let mut out = TileOut::default();
-        let cov = cov.expect("polygon draws carry the cover plane");
-        let (width, conservative) = (cx.vp.width(), self.conservative);
+        let (width, conservative, clip) = (cx.vp.width(), self.conservative, tile.rect);
         let (n, record) = bin_records(bin, self.polys.len());
         for_each_stamped(cx, n, clip, |k, stamps, gen| {
             let pi = record(k);
             let poly = &self.polys[pi as usize];
             emit_polygon_fragments(cx, poly, clip, stamps, gen, conservative, |e| match e {
-                Emit::Boundary { x, y, li } => {
+                Emit::Boundary { x, y } => {
                     let boundary = true;
-                    tex[li] = (self.blend)(tex[li], (self.shade)(pi, Frag { x, y, boundary }));
+                    let t = tile.texel(x, y);
+                    *t = (self.blend)(*t, (self.shade)(pi, Frag { x, y, boundary }));
                     out.boundary.push((pi, y * width + x));
                     out.fragments += 1;
                     out.boundary_fragments += 1;
                 }
                 // The blend stays scalar left-to-right; the cover
                 // increment runs as a SIMD row kernel.
-                Emit::Interior { y, x0, li0, n } => {
+                Emit::Interior { y, x0, n } => {
                     let boundary = false;
-                    for (t, x) in tex[li0..li0 + n].iter_mut().zip(x0..) {
+                    let (r, c) = ((y - clip.y0) as usize, (x0 - clip.x0) as usize);
+                    for (t, x) in tile.tex[r][c..c + n].iter_mut().zip(x0..) {
                         *t = (self.blend)(*t, (self.shade)(pi, Frag { x, y, boundary }));
                     }
-                    simd::cover_inc_with(cx.be, &mut cov[li0..li0 + n]);
+                    let cov = tile
+                        .cov
+                        .as_mut()
+                        .expect("polygon draws carry the cover plane");
+                    simd::cover_inc_with(cx.be, &mut cov[r][c..c + n]);
                     out.fragments += n as u64;
                 }
             });
@@ -1022,7 +906,7 @@ where
         self.lines.len()
     }
 
-    fn bin(&self, vp: &Viewport, grid: &TileGrid, _: &WorkerPool, _: usize) -> Vec<Vec<u32>> {
+    fn bin(&self, vp: &Viewport, grid: &TileGrid, _: &WorkerPool) -> Vec<Vec<u32>> {
         bin_by_bbox(vp, grid, self.lines.iter().map(Polyline::bbox))
     }
 
@@ -1030,19 +914,18 @@ where
         &self,
         cx: &TileCtx<'_>,
         bin: Option<&[u32]>,
-        clip: TileRect,
-        tex: &mut [P],
-        _cov: Option<&mut [u16]>,
+        tile: &mut TilePlanes<'_, P>,
     ) -> TileOut {
         let mut out = TileOut::default();
-        let width = cx.vp.width();
+        let (width, clip) = (cx.vp.width(), tile.rect);
         let (n, record) = bin_records(bin, self.lines.len());
         for_each_stamped(cx, n, clip, |k, stamps, gen| {
             let li = record(k);
             let line = &self.lines[li as usize];
-            emit_polyline_fragments(cx.vp, line, clip, stamps, gen, |x, y, i| {
+            emit_polyline_fragments(cx.vp, line, clip, stamps, gen, |x, y| {
                 let boundary = true;
-                tex[i] = (self.blend)(tex[i], (self.shade)(li, Frag { x, y, boundary }));
+                let t = tile.texel(x, y);
+                *t = (self.blend)(*t, (self.shade)(li, Frag { x, y, boundary }));
                 out.boundary.push((li, y * width + x));
                 out.fragments += 1;
             });
@@ -1053,18 +936,12 @@ where
     }
 }
 
-/// Fragments of one polygon, as the emitter reports them. `li` indexes
-/// the clip rect's row-major local buffers.
+/// Fragments of one polygon, as the emitter reports them.
 enum Emit {
     /// One conservative boundary pixel.
-    Boundary { x: u32, y: u32, li: usize },
+    Boundary { x: u32, y: u32 },
     /// A scanline run of `n` interior pixels starting at `(x0, y)`.
-    Interior {
-        y: u32,
-        x0: u32,
-        li0: usize,
-        n: usize,
-    },
+    Interior { y: u32, x0: u32, n: usize },
 }
 
 /// True when the supercover of segment `a..b` can touch `clip`:
@@ -1075,18 +952,17 @@ fn segment_touches(vp: &Viewport, clip: TileRect, a: Point, b: Point) -> bool {
         .is_some_and(|(x0, y0, x1, y1)| clip.intersects_range(x0, y0, x1, y1))
 }
 
-/// Stamps pixel `(x, y)` for generation `gen`; its local index on the
-/// first visit inside `clip`, `None` otherwise.
+/// Stamps pixel `(x, y)` for generation `gen`; true on the first visit
+/// inside `clip`. Stamps are indexed tile-locally.
 #[inline]
-fn stamp_once(clip: TileRect, stamps: &mut [u32], gen: u32, x: u32, y: u32) -> Option<usize> {
+fn stamp_once(clip: TileRect, stamps: &mut [u32], gen: u32, x: u32, y: u32) -> bool {
     if !clip.contains(x, y) {
-        return None;
+        return false;
     }
     let li = clip.local_index(x, y);
-    (stamps[li] != gen).then(|| {
-        stamps[li] = gen;
-        li
-    })
+    let first = stamps[li] != gen;
+    stamps[li] = gen;
+    first
 }
 
 /// The polygon fragment emitter: every pixel of `poly` (outer ring
@@ -1107,8 +983,8 @@ fn emit_polygon_fragments(
     for edge in poly.edges().filter(|_| conservative) {
         if segment_touches(vp, clip, edge.a, edge.b) {
             rasterize_line_supercover(vp, edge.a, edge.b, |x, y| {
-                if let Some(li) = stamp_once(clip, stamps, gen, x, y) {
-                    sink(Emit::Boundary { x, y, li });
+                if stamp_once(clip, stamps, gen, x, y) {
+                    sink(Emit::Boundary { x, y });
                 }
             });
         }
@@ -1124,12 +1000,7 @@ fn emit_polygon_fragments(
             // the per-pixel dedup test disappears.
             simd::fill_u32_with(be, span, gen);
             let n = span.len();
-            return sink(Emit::Interior {
-                y,
-                x0: first,
-                li0,
-                n,
-            });
+            return sink(Emit::Interior { y, x0: first, n });
         }
         // Otherwise emit the unstamped runs between stamped pixels.
         let mut c = 0;
@@ -1140,8 +1011,8 @@ fn emit_polygon_fragments(
                 c += 1;
             }
             if c > start {
-                let (x0, li0, n) = (first + start as u32, li0 + start, c - start);
-                sink(Emit::Interior { y, x0, li0, n });
+                let (x0, n) = (first + start as u32, c - start);
+                sink(Emit::Interior { y, x0, n });
             }
             c += 1;
         }
@@ -1149,21 +1020,20 @@ fn emit_polygon_fragments(
 }
 
 /// The polyline fragment emitter: every pixel the segments of `line`
-/// touch inside `clip` (supercover), exactly once, as
-/// `sink(x, y, local index)`.
+/// touch inside `clip` (supercover), exactly once, as `sink(x, y)`.
 fn emit_polyline_fragments(
     vp: &Viewport,
     line: &Polyline,
     clip: TileRect,
     stamps: &mut [u32],
     gen: u32,
-    mut sink: impl FnMut(u32, u32, usize),
+    mut sink: impl FnMut(u32, u32),
 ) {
     for seg in line.segments() {
         if segment_touches(vp, clip, seg.a, seg.b) {
             rasterize_line_supercover(vp, seg.a, seg.b, |x, y| {
-                if let Some(li) = stamp_once(clip, stamps, gen, x, y) {
-                    sink(x, y, li);
+                if stamp_once(clip, stamps, gen, x, y) {
+                    sink(x, y);
                 }
             });
         }
@@ -1484,7 +1354,7 @@ mod tests {
             let mut pt = Pipeline::new();
             pt.set_threads(threads);
             let chain = OpChain::new().blend_tagged(&operand, None, BlendTag::Over);
-            let report = pt.run_chain_points(
+            pt.run_chain_points(
                 &vp,
                 &mut fb,
                 None,
@@ -1495,16 +1365,13 @@ mod tests {
             );
             assert_eq!(fb, operand, "threads={threads}");
             assert_eq!(pt.stats().fragments, 0);
-            if threads > 1 {
-                assert_eq!(report.tiles, TileGrid::new(150, 100).num_tiles());
-            }
         }
     }
 
     #[test]
     fn chain_on_single_tile_canvas() {
-        // A canvas smaller than one tile exercises the 1-tile streaming
-        // path end to end.
+        // A canvas smaller than one tile: the multi-thread draw runs on
+        // a one-tile 64×64 grid, unbinned, like the pool of one.
         let vp = vp10();
         let pts = vec![
             Point::new(2.5, 2.5),
@@ -1520,7 +1387,7 @@ mod tests {
             let mut pt = Pipeline::new();
             pt.set_threads(threads);
             let chain = OpChain::new().map_tagged(ValueTag::HeatLog);
-            let report = pt.run_chain_points(
+            pt.run_chain_points(
                 &vp,
                 &mut fb,
                 None,
@@ -1530,7 +1397,6 @@ mod tests {
                 &chain,
             );
             assert_eq!(want, fb, "threads={threads}");
-            assert!(report.peak_tiles_in_flight <= 1);
         }
     }
 }

@@ -3,7 +3,7 @@
 //! geometry into texels — see the parent module).
 
 use super::{draw_span, Pipeline};
-use crate::chain::{ChainRunReport, MaskOutcome, OpChain};
+use crate::chain::{MaskOutcome, OpChain};
 use crate::simd::{self, BlendTag, TexelWords, ValueTag};
 use crate::texture::Texture;
 use crate::tile::{TileRect, TILE_SIZE};
@@ -14,67 +14,82 @@ use std::sync::Arc;
 
 impl Pipeline {
     /// Applies `chain` in place over an already-materialized framebuffer
-    /// and its cover plane — a fused chain that starts from a finished
-    /// canvas instead of a draw. Row bands are claimed by the worker
-    /// pool; each band walks strips of whole rows about one tile in size
-    /// and runs every stage on a strip before the next (a full-width
-    /// [`TileRect`], so strips are contiguous in both planes and nothing
-    /// is copied). Per-texel operators make the result bit-identical to
-    /// one full-screen pass per operator at any thread count, and the
-    /// work counters charged are the same as those passes'.
+    /// and, when given, its cover plane (a chain that merges covers or
+    /// masks needs it). Row bands are claimed by the worker pool; each
+    /// band walks strips of whole rows about one tile in size and runs
+    /// every stage on a strip before the next (a full-width
+    /// [`TileRect`], so strips are contiguous in both planes and
+    /// nothing is copied). Per-texel operators make the result
+    /// bit-identical to one full-screen pass per operator at any thread
+    /// count, and the work counters charged are the same as those
+    /// passes'.
     pub fn run_chain_texture<P>(
         &mut self,
         fb: &mut Texture<P>,
-        cover: &mut Texture<u16>,
+        cover: Option<&mut Texture<u16>>,
         chain: &OpChain<'_, P>,
-    ) -> ChainRunReport
+    ) -> MaskOutcome
     where
         P: Copy + Default + Send + Sync,
     {
-        let _span = draw_span("chain_texture", 0, chain.len());
+        let mut span = draw_span("chain_texture", 0);
+        span.arg_u64("chain_ops", chain.len() as u64);
         chain.assert_operands(fb);
-        assert_eq!(
-            (fb.width(), fb.height()),
-            (cover.width(), cover.height()),
-            "planes must share dimensions"
+        assert!(
+            !chain.blends_cover() || cover.is_some(),
+            "chain blends cover planes but the run has no cover plane"
         );
-        let w = fb.width() as usize;
+        let (w, n) = (fb.width() as usize, fb.len());
         let strip_rows = ((TILE_SIZE * TILE_SIZE) as usize / w.max(1)).max(1);
         let strip = strip_rows * w;
-        let bands =
-            self.pool
-                .for_each_band2(w, fb.texels_mut(), cover.texels_mut(), |row0, tex, cov| {
-                    let strips = tex.chunks_mut(strip).zip(cov.chunks_mut(strip));
-                    let mut done = Vec::new();
-                    for (k, (tex, cov)) in strips.enumerate() {
-                        let rect = TileRect {
-                            x0: 0,
-                            y0: (row0 + k * strip_rows) as u32,
-                            w: w as u32,
-                            h: (tex.len() / w) as u32,
-                        };
-                        let mut bits = chain.tile_bits(rect.len());
-                        for s in 0..chain.len() {
-                            let mut op_span = obs::span(chain.ops()[s].label(), "raster");
-                            op_span.arg_u64("tile", rect.y0 as u64);
-                            chain.apply_tile(s, rect, tex, Some(&mut *cov), &mut bits);
-                        }
-                        done.push((rect, bits));
-                    }
-                    done
-                });
-        let mut report = ChainRunReport {
-            masked: MaskOutcome::new(fb.width(), fb.len(), chain.mask_count()),
-            ..ChainRunReport::default()
+        let band = |row0: usize, tex: &mut [P], mut cov: Option<&mut [u16]>| {
+            let mut done = Vec::new();
+            for (k, tex) in tex.chunks_mut(strip).enumerate() {
+                let rect = TileRect {
+                    x0: 0,
+                    y0: (row0 + k * strip_rows) as u32,
+                    w: w as u32,
+                    h: (tex.len() / w) as u32,
+                };
+                let mut cov = cov
+                    .as_mut()
+                    .map(|c| &mut c[k * strip..k * strip + tex.len()]);
+                let mut bits = chain.tile_bits(rect.len());
+                for s in 0..chain.len() {
+                    let mut op_span = obs::span(chain.ops()[s].label(), "raster");
+                    op_span.arg_u64("tile", rect.y0 as u64);
+                    chain.apply_tile(s, rect, tex, cov.as_deref_mut(), &mut bits);
+                }
+                done.push((rect, bits));
+            }
+            done
         };
+        let bands = match cover {
+            Some(c) => {
+                assert_eq!(
+                    (fb.width(), fb.height()),
+                    (c.width(), c.height()),
+                    "planes must share dimensions"
+                );
+                let cov = c.texels_mut();
+                self.pool
+                    .for_each_band2(w, fb.texels_mut(), cov, |r, t, c| band(r, t, Some(c)))
+            }
+            // A zero-sized stand-in plane: no allocation, no cover rows.
+            None => self
+                .pool
+                .for_each_band2(w, fb.texels_mut(), &mut vec![(); n], |r, t, _| {
+                    band(r, t, None)
+                }),
+        };
+        let mut masked = MaskOutcome::new(fb.width(), n, chain.mask_count());
         for (rect, bits) in bands.iter().flatten() {
             for (m, tb) in bits.iter().enumerate() {
-                report.masked.import_tile(m, *rect, tb);
+                masked.import_tile(m, *rect, tb);
             }
-            report.tiles += 1;
         }
-        chain.charge_stats(&mut self.stats, fb.len());
-        report
+        chain.charge_stats(&mut self.stats, n);
+        masked
     }
 
     /// Full-screen binary pass `rows(dst_band, src_band)` — the
@@ -215,14 +230,16 @@ impl Pipeline {
     ///
     /// This realizes the value-dependent Geometric Transform
     /// `G[γ : S³ → R²]` — on a GPU this is a point-sprite re-render or
-    /// transform feedback, with blending resolving collisions. Source
-    /// bands are claimed by workers, which evaluate `target` (the
-    /// expensive part: the value-form γ) and emit `(dst_pixel, value)`
-    /// write lists; the calling thread applies the blends **in source
-    /// row-major order** through the streaming merge, so the
-    /// destination is bit-identical at any thread count. In-flight
-    /// write lists are bounded by the pool's streaming window; below
-    /// the minimum-work threshold the blends are applied directly.
+    /// transform feedback, with blending resolving collisions. The
+    /// source runs in rounds: in each round every executor evaluates
+    /// `target` (the expensive part: the value-form γ) over one chunk
+    /// and emits a `(dst_pixel, value)` write list, then the calling
+    /// thread applies that round's lists in source order before the
+    /// next round starts. The blends therefore run **in source
+    /// row-major order**, so the destination is bit-identical at any
+    /// thread count, and at most one round of write lists (a quarter
+    /// of the source) is live. Below the minimum-work threshold the
+    /// blends are applied directly.
     pub fn scatter_shared<P, T, B>(
         &mut self,
         src: &Texture<P>,
@@ -258,18 +275,19 @@ impl Pipeline {
                 }
             }
         } else {
-            // A few chunks per executor so the merge pipeline stays fed.
-            let chunk = n.div_ceil(pool.threads() * 4).max(1);
-            pool.run_streaming(
-                n.div_ceil(chunk),
-                |ci| {
-                    let lo = ci * chunk;
+            // Four rounds of one chunk per executor.
+            let threads = pool.threads();
+            let chunk = n.div_ceil(threads * 4).max(1);
+            let chunks = n.div_ceil(chunk);
+            for first in (0..chunks).step_by(threads) {
+                let lists = pool.run_indexed(threads.min(chunks - first), |k| {
+                    let lo = (first + k) * chunk;
                     (lo..(lo + chunk).min(n))
                         .filter_map(|i| Some((land(i)?, texels[i])))
                         .collect::<Vec<_>>()
-                },
-                |_, local| local.into_iter().for_each(|(px, v)| apply(px, v)),
-            );
+                });
+                lists.into_iter().flatten().for_each(|(px, v)| apply(px, v));
+            }
         }
         self.stats.scatter_writes += writes;
         self.stats.blend_ops += writes;

@@ -27,7 +27,7 @@
 //! Pointwise kernels (blend, value, mask) are order-free — each output
 //! texel depends only on the corresponding input texel(s) — so the
 //! vector paths must be **bit-identical** to the scalar reference, not
-//! merely close. This extends the repo's streamed ≡ materialized ≡
+//! merely close. This extends the repo's chained ≡ materialized ≡
 //! sequential equivalence oracle with a fourth axis: SIMD ≡ scalar.
 //! The contract, word by word: **every lane is bit-identical to the
 //! scalar result whenever that result is not a NaN, and is a NaN on

@@ -124,90 +124,6 @@ impl<P: Copy + Default> Texture<P> {
     pub fn size_bytes(&self) -> usize {
         self.texels.len() * std::mem::size_of::<P>()
     }
-
-    /// Copies the rectangle `[x0, x0+w) × [y0, y0+h)` into a flat
-    /// row-major buffer of length `w * h` (tile copy-in).
-    pub fn read_rect(&self, x0: u32, y0: u32, w: u32, h: u32) -> Vec<P> {
-        debug_assert!(x0 + w <= self.width && y0 + h <= self.height);
-        let mut out = Vec::with_capacity((w as usize) * (h as usize));
-        for y in y0..y0 + h {
-            let row = self.index(x0, y);
-            out.extend_from_slice(&self.texels[row..row + w as usize]);
-        }
-        out
-    }
-
-    /// Writes a flat row-major buffer of length `w * h` back into the
-    /// rectangle `[x0, x0+w) × [y0, y0+h)` (tile copy-out).
-    pub fn write_rect(&mut self, x0: u32, y0: u32, w: u32, h: u32, src: &[P]) {
-        debug_assert!(x0 + w <= self.width && y0 + h <= self.height);
-        debug_assert_eq!(src.len(), (w as usize) * (h as usize));
-        for (ry, y) in (y0..y0 + h).enumerate() {
-            let dst_row = self.index(x0, y);
-            let src_row = ry * w as usize;
-            self.texels[dst_row..dst_row + w as usize]
-                .copy_from_slice(&src[src_row..src_row + w as usize]);
-        }
-    }
-}
-
-/// Unsynchronized shared view of a texture's texel buffer for the
-/// streaming tile merge: producers `read_rect` their own tile while the
-/// merger `write_rect`s tiles that already finished, concurrently.
-///
-/// Soundness rests on the tile protocol, not on types: tile rects are
-/// pairwise disjoint, a tile's texels are read only by its producer,
-/// and the merger writes a tile only after that producer finished
-/// (ordered by the streaming channel's mutex). Every texel therefore
-/// sees at most one read followed by one happens-before-ordered write.
-pub(crate) struct RawTexels<P> {
-    ptr: *mut P,
-    width: usize,
-    #[cfg(debug_assertions)]
-    len: usize,
-}
-
-unsafe impl<P: Send> Send for RawTexels<P> {}
-unsafe impl<P: Send + Sync> Sync for RawTexels<P> {}
-
-impl<P: Copy + Default> RawTexels<P> {
-    /// Captures the buffer of `t`. The caller must not touch `t`
-    /// through any other path while this view is shared with workers.
-    pub(crate) fn new(t: &mut Texture<P>) -> Self {
-        RawTexels {
-            width: t.width() as usize,
-            #[cfg(debug_assertions)]
-            len: t.len(),
-            ptr: t.texels_mut().as_mut_ptr(),
-        }
-    }
-
-    /// Copies the rectangle into a flat row-major buffer (tile
-    /// copy-in). SAFETY: no concurrent writer may touch this rect.
-    pub(crate) unsafe fn read_rect(&self, x0: u32, y0: u32, w: u32, h: u32) -> Vec<P> {
-        let mut out = Vec::with_capacity((w as usize) * (h as usize));
-        for y in y0..y0 + h {
-            let base = (y as usize) * self.width + x0 as usize;
-            #[cfg(debug_assertions)]
-            debug_assert!(base + w as usize <= self.len);
-            out.extend_from_slice(std::slice::from_raw_parts(self.ptr.add(base), w as usize));
-        }
-        out
-    }
-
-    /// Writes a flat row-major buffer back into the rectangle (tile
-    /// copy-out). SAFETY: no concurrent reader or writer may touch
-    /// this rect.
-    pub(crate) unsafe fn write_rect(&self, x0: u32, y0: u32, w: u32, h: u32, src: &[P]) {
-        debug_assert_eq!(src.len(), (w as usize) * (h as usize));
-        for (ry, y) in (y0..y0 + h).enumerate() {
-            let base = (y as usize) * self.width + x0 as usize;
-            #[cfg(debug_assertions)]
-            debug_assert!(base + w as usize <= self.len);
-            let row = &src[ry * w as usize..(ry + 1) * w as usize];
-            std::ptr::copy_nonoverlapping(row.as_ptr(), self.ptr.add(base), w as usize);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -273,27 +189,5 @@ mod tests {
     fn size_bytes() {
         let t: Texture<u64> = Texture::new(8, 8);
         assert_eq!(t.size_bytes(), 64 * 8);
-    }
-
-    #[test]
-    fn rect_roundtrip() {
-        let mut t: Texture<u32> = Texture::new(8, 6);
-        for y in 0..6 {
-            for x in 0..8 {
-                t.set(x, y, 100 * y + x);
-            }
-        }
-        let tile = t.read_rect(2, 1, 3, 4);
-        assert_eq!(tile.len(), 12);
-        assert_eq!(tile[0], 102); // (2, 1)
-        assert_eq!(tile[3], 202); // (2, 2)
-        let mut copy = t.clone();
-        let doubled: Vec<u32> = tile.iter().map(|v| v * 2).collect();
-        copy.write_rect(2, 1, 3, 4, &doubled);
-        assert_eq!(copy.get(2, 1), 204);
-        assert_eq!(copy.get(4, 4), 2 * t.get(4, 4));
-        // Outside the rect untouched.
-        assert_eq!(copy.get(0, 0), 0);
-        assert_eq!(copy.get(7, 5), t.get(7, 5));
     }
 }

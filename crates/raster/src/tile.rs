@@ -118,6 +118,36 @@ impl TileGrid {
         }
     }
 
+    /// The row segments of the listed tiles (ascending indexes) in a
+    /// row-major plane of this grid's frame: `out[k][r]` is row
+    /// `rect(tiles[k]).y0 + r` of tile `tiles[k]`, `rect(tiles[k]).w`
+    /// long. The segments are disjoint borrows, so each tile can be
+    /// written in place by a different worker.
+    pub fn tile_rows<'p, T>(&self, plane: &'p mut [T], tiles: &[usize]) -> Vec<Vec<&'p mut [T]>> {
+        assert_eq!(
+            plane.len(),
+            self.width as usize * self.height as usize,
+            "plane must match the grid's frame"
+        );
+        let mut slot = vec![None; self.num_tiles()];
+        for (k, &t) in tiles.iter().enumerate() {
+            slot[t] = Some(k);
+        }
+        let mut out: Vec<Vec<&'p mut [T]>> = tiles.iter().map(|_| Vec::new()).collect();
+        for (y, mut row) in plane.chunks_mut(self.width.max(1) as usize).enumerate() {
+            let first = (y as u32 / self.tile * self.tiles_x) as usize;
+            for k in &slot[first..first + self.tiles_x as usize] {
+                let n = row.len().min(self.tile as usize);
+                let (segment, rest) = std::mem::take(&mut row).split_at_mut(n);
+                row = rest;
+                if let Some(k) = *k {
+                    out[k].push(segment);
+                }
+            }
+        }
+        out
+    }
+
     /// Tile index containing pixel `(x, y)`.
     #[inline]
     pub fn tile_of(&self, x: u32, y: u32) -> usize {
@@ -166,6 +196,24 @@ mod tests {
             }
         }
         assert!(covered.iter().all(|&c| c == 1), "tiles must partition");
+    }
+
+    #[test]
+    fn tile_rows_cut_the_listed_tiles_out_of_the_plane() {
+        for (w, h) in [(1u32, 1u32), (64, 64), (65, 1), (100, 70), (129, 130)] {
+            let g = TileGrid::with_tile_size(w, h, 32);
+            let tiles: Vec<usize> = (0..g.num_tiles()).filter(|t| t % 3 != 1).collect();
+            let mut plane: Vec<(u32, u32)> = (0..w * h).map(|i| (i % w, i / w)).collect();
+            let rows = g.tile_rows(&mut plane, &tiles);
+            for (&t, rows) in tiles.iter().zip(&rows) {
+                let r = g.rect(t);
+                assert_eq!(rows.len(), r.h as usize, "{w}x{h} tile {t}");
+                for (dy, row) in rows.iter().enumerate() {
+                    let want: Vec<_> = (r.x0..r.x0 + r.w).map(|x| (x, r.y0 + dy as u32)).collect();
+                    assert_eq!(**row, want[..], "{w}x{h} tile {t} row {dy}");
+                }
+            }
+        }
     }
 
     #[test]

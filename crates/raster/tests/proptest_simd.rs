@@ -1,5 +1,5 @@
 //! SIMD ≡ scalar bit-identity properties — the fourth axis of the
-//! repo's streamed ≡ materialized ≡ sequential equivalence oracle.
+//! repo's chained ≡ materialized ≡ sequential equivalence oracle.
 //!
 //! The row kernels (`canvas_raster::simd`) promise that every vector
 //! backend produces the *same bits* as the scalar reference — `-0.0`,
@@ -296,12 +296,10 @@ fn run_chain(
         },
         |d: T10, s: T10| if d.0[0] == 0 { s } else { d },
     );
-    let report = pl.run_chain_texture(&mut fb, &mut cover, &chain);
+    let masked = pl.run_chain_texture(&mut fb, Some(&mut cover), &chain);
     // Emission order is tile-dependent; the pixel sets must match.
     boundary.sort_unstable();
-    let nulls: Vec<bool> = (0..w * h)
-        .map(|p| report.masked.is_null_after(0, p))
-        .collect();
+    let nulls: Vec<bool> = (0..w * h).map(|p| masked.is_null_after(0, p)).collect();
     let st = pl.stats();
     (
         fb,

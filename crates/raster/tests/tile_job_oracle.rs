@@ -1,12 +1,16 @@
-//! One oracle for the one tile-job runner: every public draw, fused
-//! chain and patch entry point, at threads {1, 2, 3, 5}, against a
-//! reference that rasterizes primitive by primitive with the
-//! `rasterize_*` kernels and applies each chain operator as a plain
-//! full-frame loop. Texel plane, cover plane, boundary list, mask
-//! bitmaps and every work counter must be equal, and a streamed
-//! `run_chain_points` must keep within the policy's tile window. A
-//! polygon table's chain runs over its finished draw
-//! (`run_chain_texture`), held to the same reference.
+//! One oracle for the one tile-job runner: every public draw, chain
+//! and patch entry point, at threads {1, 2, 3, 5} × SIMD auto/scalar
+//! chain kernels, on viewports drawn from {1×1, 64×64, 65×1, 129×130,
+//! 150×100} (one tile, exactly one aligned tile, a single-row plane,
+//! ragged edge tiles in both axes), against a reference that
+//! rasterizes primitive by primitive with the `rasterize_*` kernels
+//! and applies each chain operator as a plain full-frame loop. Tiles
+//! are written in place through their row segments, so these sizes
+//! are where a misplaced segment would show. Texel plane, cover plane,
+//! boundary list, mask bitmaps and every work counter must be equal.
+//! A point draw's chain (`run_chain_points`) and a polygon table's
+//! chain (`run_chain_texture` over its finished draw) are both held to
+//! the same reference.
 
 use canvas_geom::{BBox, Point, Polygon, Polyline, Ring, Segment};
 use canvas_raster::rasterize::{
@@ -14,7 +18,7 @@ use canvas_raster::rasterize::{
 };
 use canvas_raster::{
     simd, Backend, BlendTag, Frag, MaskTag, OpChain, Pipeline, PipelineStats, TexelWords, Texture,
-    ValueTag, Viewport,
+    TileGrid, ValueTag, Viewport,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -28,13 +32,13 @@ struct T10([u32; 10]);
 // no padding, no niches. Word 0 is the presence mask.
 unsafe impl TexelWords for T10 {}
 
-/// 3×2 tiles of 64 px with clipped edge tiles.
-const W: u32 = 150;
-const H: u32 = 100;
+/// Viewport sizes in pixels: one partial tile, one exact tile, a
+/// single row, and ragged edge tiles in both axes (3×2 and 3×3 tiles).
+const DIMS: [(u32, u32); 5] = [(1, 1), (64, 64), (65, 1), (129, 130), (150, 100)];
 
-fn vp() -> Viewport {
+fn vp((w, h): (u32, u32)) -> Viewport {
     let world = BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
-    Viewport::new(world, W, H)
+    Viewport::new(world, w, h)
 }
 
 #[derive(Clone, Debug)]
@@ -162,7 +166,8 @@ fn primitive(vp: &Viewport, src: &Source, rec: usize) -> (usize, usize, usize, F
 /// The reference: immediate-mode rasterization, primitive by primitive,
 /// then one plain full-frame loop per operator.
 fn reference(src: &Source, ops: &[Op], operand: &Texture<T10>, op_cov: &Texture<u16>) -> Outcome {
-    let (vp, n) = (vp(), (W * H) as usize);
+    let (vp, (w, h)) = (vp(dims(operand)), dims(operand));
+    let n = (w * h) as usize;
     let mut o = Outcome::default();
     (o.tex, o.cov, o.stats.passes) = (vec![T10::default(); n], vec![0; n], 1);
     for rec in 0..src.len() {
@@ -172,13 +177,13 @@ fn reference(src: &Source, ops: &[Op], operand: &Texture<T10>, op_cov: &Texture<
         o.stats.fragments += frags.len() as u64;
         o.stats.blend_ops += frags.len() as u64;
         for (x, y, boundary) in frags {
-            let i = (y * W + x) as usize;
+            let i = (y * w + x) as usize;
             let src = shade(dim, rec as u32, Frag { x, y, boundary });
             o.tex[i] = blend1(DRAW_BLEND[dim], o.tex[i], src);
             o.stats.boundary_fragments += boundary as u64;
             match (dim, boundary) {
                 (0, _) => {}
-                (_, true) => o.boundary.push((rec as u32, y * W + x)),
+                (_, true) => o.boundary.push((rec as u32, y * w + x)),
                 (_, false) => o.cov[i] = o.cov[i].saturating_add(1),
             }
         }
@@ -212,15 +217,16 @@ fn reference(src: &Source, ops: &[Op], operand: &Texture<T10>, op_cov: &Texture<
     o
 }
 
-/// The same job through the pipeline's public entry points.
+/// The same job through the pipeline's public entry points, chain
+/// kernels on backend `be`.
 fn pipeline(
-    threads: usize,
+    (threads, be): (usize, Backend),
     src: &Source,
     ops: &[Op],
     operand: &Texture<T10>,
     op_cov: &Texture<u16>,
 ) -> Outcome {
-    let mut chain: OpChain<'_, T10> = OpChain::new();
+    let mut chain: OpChain<'_, T10> = OpChain::new().with_backend(be);
     for &op in ops {
         chain = match op {
             Op::Map(tag) => chain.map_tagged(tag),
@@ -228,10 +234,10 @@ fn pipeline(
             Op::Mask(tag) => chain.mask_tagged(tag),
         };
     }
-    let vp = vp();
+    let (vp, (w, h)) = (vp(dims(operand)), dims(operand));
     let mut pl = Pipeline::new();
     pl.set_threads(threads);
-    let (mut fb, mut cover) = (Texture::<T10>::new(W, H), Texture::<u16>::new(W, H));
+    let (mut fb, mut cover) = (Texture::<T10>::new(w, h), Texture::<u16>::new(w, h));
     let blend = |dim: usize| move |d, s| blend1(DRAW_BLEND[dim], d, s);
     let (mut boundary, report) = match src {
         Source::Points(pts) => {
@@ -246,16 +252,7 @@ fn pipeline(
                 None
             } else {
                 let cover = Some(&mut cover);
-                let report = pl.run_chain_points(&vp, &mut fb, cover, pts, shade, blend(0), &chain);
-                // The streamed run keeps at most the policy's window of
-                // tile buffers live.
-                let window = pl.pool().policy().stream_window(pl.pool().worker_count());
-                assert!(
-                    report.peak_tiles_in_flight <= window,
-                    "peak {} tiles exceeds window {window} at {threads} threads",
-                    report.peak_tiles_in_flight
-                );
-                Some(report)
+                Some(pl.run_chain_points(&vp, &mut fb, cover, pts, shade, blend(0), &chain))
             };
             (Vec::new(), report)
         }
@@ -265,13 +262,12 @@ fn pipeline(
             (boundary, None)
         }
         Source::Polygons(polys, conservative) => {
-            // A polygon table has no fused chain: its chain runs over
-            // the finished draw.
+            // A polygon table's chain runs over the finished draw.
             let (shade, cons) = (|r, f| shade(2, r, f), *conservative);
             let boundary =
                 pl.draw_polygons_tiled(&vp, &mut fb, &mut cover, polys, cons, shade, blend(2));
             let report =
-                (!ops.is_empty()).then(|| pl.run_chain_texture(&mut fb, &mut cover, &chain));
+                (!ops.is_empty()).then(|| pl.run_chain_texture(&mut fb, Some(&mut cover), &chain));
             (boundary, report)
         }
     };
@@ -279,8 +275,8 @@ fn pipeline(
     let masks = ops.iter().filter(|op| matches!(op, Op::Mask(_))).count();
     let nulls = (0..masks)
         .map(|m| {
-            let masked = &report.as_ref().expect("masks imply a chain run").masked;
-            (0..W * H).map(|p| masked.is_null_after(m, p)).collect()
+            let masked = report.as_ref().expect("masks imply a chain run");
+            (0..w * h).map(|p| masked.is_null_after(m, p)).collect()
         })
         .collect();
     Outcome {
@@ -359,9 +355,22 @@ fn arb_op() -> impl Strategy<Value = Op> {
     })
 }
 
-/// Blend operand planes with every presence pattern and finite values.
-fn operands() -> (Texture<T10>, Texture<u16>) {
-    let (mut tex, mut cov) = (Texture::<T10>::new(W, H), Texture::<u16>::new(W, H));
+/// The viewport size of a run: its blend operand's.
+fn dims(operand: &Texture<T10>) -> (u32, u32) {
+    (operand.width(), operand.height())
+}
+
+/// Every thread count × chain backend a run is repeated at.
+fn runs() -> impl Iterator<Item = (usize, Backend)> {
+    [1usize, 2, 3, 5]
+        .into_iter()
+        .flat_map(|t| [(t, Backend::Scalar), (t, simd::active_backend())])
+}
+
+/// `w × h` blend operand planes with every presence pattern and finite
+/// values.
+fn operands((w, h): (u32, u32)) -> (Texture<T10>, Texture<u16>) {
+    let (mut tex, mut cov) = (Texture::<T10>::new(w, h), Texture::<u16>::new(w, h));
     for (i, (t, c)) in tex
         .texels_mut()
         .iter_mut()
@@ -378,22 +387,27 @@ fn operands() -> (Texture<T10>, Texture<u16>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// source × chain × tile set × threads ≡ the reference. A bare draw
-    /// (depth 0) visits touched tiles, a chain all of them; polylines
-    /// have no chained entry point, so they always draw bare, and a
-    /// polygon table's chain runs over its finished frame.
+    /// source × chain × viewport × threads × backend ≡ the reference.
+    /// A draw writes only its touched tiles, a chain then runs over the
+    /// whole finished frame; polylines have no chained entry point, so
+    /// they always draw bare.
     #[test]
-    fn tile_jobs_match_reference(src in arb_source(), ops in prop::collection::vec(arb_op(), 0..4)) {
+    fn tile_jobs_match_reference(
+        src in arb_source(),
+        ops in prop::collection::vec(arb_op(), 0..4),
+        dim in 0..DIMS.len(),
+    ) {
         let ops = if matches!(src, Source::Polylines(_)) { Vec::new() } else { ops };
-        let (operand, op_cov) = operands();
+        let (operand, op_cov) = operands(DIMS[dim]);
         let want = reference(&src, &ops, &operand, &op_cov);
-        for threads in [1usize, 2, 3, 5] {
-            let got = pipeline(threads, &src, &ops, &operand, &op_cov);
-            prop_assert_eq!(&got.tex, &want.tex, "texels: {} threads, ops {:?}", threads, &ops);
-            prop_assert_eq!(&got.cov, &want.cov, "cover: {} threads, ops {:?}", threads, &ops);
-            prop_assert_eq!(&got.boundary, &want.boundary, "boundary: {} threads", threads);
-            prop_assert_eq!(&got.nulls, &want.nulls, "mask outcome: {} threads, ops {:?}", threads, &ops);
-            prop_assert_eq!(got.stats, want.stats, "stats: {} threads, ops {:?}", threads, &ops);
+        for run in runs() {
+            let got = pipeline(run, &src, &ops, &operand, &op_cov);
+            let ctx = format!("{:?} at {:?} (threads, backend), ops {:?}", DIMS[dim], run, &ops);
+            prop_assert_eq!(&got.tex, &want.tex, "texels: {}", ctx);
+            prop_assert_eq!(&got.cov, &want.cov, "cover: {}", ctx);
+            prop_assert_eq!(&got.boundary, &want.boundary, "boundary: {}", ctx);
+            prop_assert_eq!(&got.nulls, &want.nulls, "mask outcome: {}", ctx);
+            prop_assert_eq!(got.stats, want.stats, "stats: {}", ctx);
         }
     }
 
@@ -401,26 +415,27 @@ proptest! {
     /// dirty: patching an all-default framebuffer with the whole point
     /// set equals `run_chain_points` with the same one-op chain.
     #[test]
-    fn patch_of_empty_frame_equals_full_render(pts in prop::collection::vec(arb_point(), 0..400)) {
-        let vp = vp();
+    fn patch_of_empty_frame_equals_full_render(
+        pts in prop::collection::vec(arb_point(), 0..400),
+        dim in 0..DIMS.len(),
+    ) {
+        let ((w, h), vp) = (DIMS[dim], vp(DIMS[dim]));
         let shade = |r: u32, _: Point| shade(0, r, Frag { x: 1, y: 2, boundary: true });
         let blend = |d, s| blend1(BlendTag::PointAccumulate, d, s);
-        for threads in [1usize, 2, 3, 5] {
-            for be in [Backend::Scalar, simd::active_backend()] {
-                let mut pl = Pipeline::new();
-                pl.set_threads(threads);
-                let chain = OpChain::new().map_tagged(ValueTag::HeatLog).with_backend(be);
-                let mut full = Texture::<T10>::new(W, H);
-                pl.run_chain_points(&vp, &mut full, None, &pts, shade, blend, &chain);
-                let drawn = pl.stats().fragments;
-                let mut patched = Texture::<T10>::new(W, H);
-                let report = pl.patch_points_tiled(&vp, &mut patched, &pts, shade, blend, Some((be, ValueTag::HeatLog)));
-                prop_assert_eq!(&patched, &full, "{} threads, backend {:?}", threads, be);
-                prop_assert_eq!(report.fragments, drawn);
-                prop_assert_eq!(report.total_tiles, 6);
-                let touched: HashSet<(u32, u32)> = pts.iter().filter_map(|&p| vp.world_to_pixel(p)).map(|(x, y)| (x / 64, y / 64)).collect();
-                prop_assert_eq!(report.dirty_tiles, touched.len());
-            }
+        for (threads, be) in runs() {
+            let mut pl = Pipeline::new();
+            pl.set_threads(threads);
+            let chain = OpChain::new().map_tagged(ValueTag::HeatLog).with_backend(be);
+            let mut full = Texture::<T10>::new(w, h);
+            pl.run_chain_points(&vp, &mut full, None, &pts, shade, blend, &chain);
+            let drawn = pl.stats().fragments;
+            let mut patched = Texture::<T10>::new(w, h);
+            let report = pl.patch_points_tiled(&vp, &mut patched, &pts, shade, blend, Some((be, ValueTag::HeatLog)));
+            prop_assert_eq!(&patched, &full, "{:?}: {} threads, backend {:?}", (w, h), threads, be);
+            prop_assert_eq!(report.fragments, drawn);
+            prop_assert_eq!(report.total_tiles, TileGrid::new(w, h).num_tiles());
+            let touched: HashSet<(u32, u32)> = pts.iter().filter_map(|&p| vp.world_to_pixel(p)).map(|(x, y)| (x / 64, y / 64)).collect();
+            prop_assert_eq!(report.dirty_tiles, touched.len());
         }
     }
 }

@@ -12,8 +12,8 @@
 //! Each query is its own process-level track ("query N"), so the
 //! engine stations (`prepare` → `cache_probe` → `admission_wait` →
 //! `eval`), the executor's pass dispatch (`gate_wait` → `pass` →
-//! `pass_worker`), the tile-stream stages (`tile_produce` /
-//! `tile_stage`), and the per-operator raster spans (`V[f]`, `B[⊙]`,
+//! `pass_worker`), the tile jobs' per-tile rasterization
+//! (`tile_raster`), and the per-operator raster spans (`V[f]`, `B[⊙]`,
 //! `M[M]`) nest visibly under the query's `execute` root. Worker-thread
 //! spans appear on their own thread rows within the query's track —
 //! the trace context rides the same job hand-off as the fair-gate

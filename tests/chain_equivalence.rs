@@ -13,9 +13,9 @@
 //! {1, 2, 3, 8}, with the SIMD backend auto-dispatched or forced to
 //! scalar.
 //!
-//! The one draw fused with a chain, `Pipeline::run_chain_points`, is
-//! held to its reference (and to the streaming window) one layer down,
-//! in `crates/raster/tests/tile_job_oracle.rs`.
+//! The point draw followed by a chain, `Pipeline::run_chain_points`, is
+//! held to its reference one layer down, in
+//! `crates/raster/tests/tile_job_oracle.rs`.
 
 mod common;
 
@@ -320,8 +320,3 @@ fn chain_single_tile_canvas_equivalence() {
         assert_eq!(ref_dev.stats(), dev.stats(), "{threads} threads");
     }
 }
-
-// A streaming window of 0 is clamped to 1 and a streamed chain still
-// completes: `canvas_executor`'s `streaming_window_one_completes`
-// asserts it on the executor's streaming hand-off, the only layer that
-// streams tiles.

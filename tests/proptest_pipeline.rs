@@ -184,8 +184,8 @@ proptest! {
     /// Executor-pool determinism across the operators parallelized on
     /// the persistent pool: Value Transform (band-parallel full-screen
     /// pass), Map/scatter (pool-parallel γ evaluation with in-order
-    /// blend apply), and the streaming tiled draws (bounded-channel
-    /// tile merge). Texel/cover/boundary planes and the pipeline stats
+    /// blend apply), and the tiled draws (each tile rasterized in place
+    /// by a claimed pool item). Texel/cover/boundary planes and the pipeline stats
     /// must be **bit-identical** across thread counts {1, 2, 3, 8}.
     /// Resolution 256² sits at the pool's minimum-work threshold, so
     /// the parallel code paths genuinely engage.
