@@ -6,9 +6,9 @@ use super::subplan::SubplanCache;
 use crate::canvas::{AreaSource, Canvas, PointBatch};
 use crate::device::Device;
 use crate::info::BlendFn;
-use crate::ops::{self, MaskSpec, PositionMap, ValueMap};
+use crate::ops::{self, MaskSpec, PositionMap, ValueFn, ValueMap};
 use canvas_geom::polygon::Polygon;
-use canvas_raster::Viewport;
+use canvas_raster::{ValueTag, Viewport};
 
 /// A canvas source: the leaves of a plan. Sources hold *vector* data and
 /// are rendered on demand when the plan executes (paper Section 5:
@@ -43,6 +43,10 @@ pub enum SourceSpec {
     HalfSpace { a: f64, b: f64, c: f64, id: u32 },
     /// An already-materialized canvas (sub-query result).
     Literal(Arc<Canvas>),
+    /// A query region with the count tag, `C_tag`
+    /// ([`render_query_tag`](crate::source::render_query_tag)): the
+    /// choropleth's constraint encoded in the 2-row count.
+    QueryTag(Polygon),
 }
 
 impl SourceSpec {
@@ -59,6 +63,7 @@ impl SourceSpec {
             SourceSpec::Rect { .. } => "Rect[l1,l2]".to_string(),
             SourceSpec::HalfSpace { a, b, c, .. } => format!("HS[{a},{b},{c}]"),
             SourceSpec::Literal(_) => "C_lit".to_string(),
+            SourceSpec::QueryTag(_) => "C_tag".to_string(),
         }
     }
 
@@ -79,6 +84,7 @@ impl SourceSpec {
                 ops::halfspace_canvas(dev, vp, *a, *b, *c, *id)
             }
             SourceSpec::Literal(c) => (**c).clone(),
+            SourceSpec::QueryTag(q) => crate::source::render_query_tag(dev, vp, q),
         }
     }
 }
@@ -116,10 +122,9 @@ pub enum Expr {
         combine: BlendFn,
         input: Box<Expr>,
     },
-    /// `V[f](input)` with a named function.
+    /// `V[f](input)`.
     ValueTransform {
-        name: &'static str,
-        f: Arc<dyn Fn(canvas_geom::Point, crate::info::Texel) -> crate::info::Texel + Send + Sync>,
+        f: ValueFn,
         input: Box<Expr>,
     },
 }
@@ -145,6 +150,10 @@ impl Expr {
 
     pub fn polygon_set(table: AreaSource, blend: BlendFn) -> Expr {
         Expr::Source(SourceSpec::PolygonSet { table, blend })
+    }
+
+    pub fn query_tag(poly: Polygon) -> Expr {
+        Expr::Source(SourceSpec::QueryTag(poly))
     }
 
     pub fn literal(c: Canvas) -> Expr {
@@ -186,14 +195,17 @@ impl Expr {
         }
     }
 
-    pub fn value_transform(
-        name: &'static str,
-        f: Arc<dyn Fn(canvas_geom::Point, crate::info::Texel) -> crate::info::Texel + Send + Sync>,
-        input: Expr,
-    ) -> Expr {
+    pub fn value_transform(name: &'static str, f: ops::value::TexelFn, input: Expr) -> Expr {
         Expr::ValueTransform {
-            name,
-            f,
+            f: ValueFn::Named(name, f),
+            input: Box::new(input),
+        }
+    }
+
+    /// `V[tag](input)` for a built-in transform.
+    pub fn value_tagged(tag: ValueTag, input: Expr) -> Expr {
+        Expr::ValueTransform {
+            f: ValueFn::Tagged(tag),
             input: Box::new(input),
         }
     }
@@ -262,9 +274,10 @@ impl Expr {
     }
 
     /// Renders this node from its children (which recurse through the
-    /// cache). Children take consecutive pre-order id ranges:
-    /// `node + 1` for the first child, advancing by each earlier
-    /// sibling's [`node_count`](Self::node_count).
+    /// cache), in the physical form the planner picks for it
+    /// ([`planner`](super::planner)). Children take consecutive
+    /// pre-order id ranges: `node + 1` for the first child, advancing
+    /// by each earlier sibling's [`node_count`](Self::node_count).
     fn compute_node(
         &self,
         dev: &mut Device,
@@ -277,40 +290,32 @@ impl Expr {
         node_span.arg_u64("node", node);
         node_span.arg_u64("depth", depth as u64);
         let result = match self {
+            // Chain form: the kernel nodes it folds are never computed,
+            // cached or published; the input and the Blend operands
+            // keep their pre-order ids.
+            _ if super::planner::kernel_node(self).is_some() => {
+                let mut chain = (Vec::new(), Vec::new());
+                let input = self.eval_tail(dev, vp, cache, depth, node, &mut chain);
+                let operands: Vec<&Canvas> = chain.1.iter().map(|c| &**c).collect();
+                ops::chain::run_chain(dev, &input, &chain.0, &operands)
+            }
             Expr::Source(s) => s.render(dev, vp),
-            Expr::Blend { op, left, right } => {
-                let l = left.eval_node(dev, vp, cache, depth + 1, node + 1);
-                let r = right.eval_node(dev, vp, cache, depth + 1, node + 1 + left.node_count());
-                ops::blend(dev, &l, &r, *op)
-            }
-            Expr::MultiBlend { op, inputs } => {
-                if inputs.is_empty() {
-                    Canvas::empty(vp)
-                } else {
-                    let mut child = node + 1;
-                    let mut acc = inputs[0].eval_node(dev, vp, cache, depth + 1, child);
-                    child += inputs[0].node_count();
-                    for e in &inputs[1..] {
-                        let c = e.eval_node(dev, vp, cache, depth + 1, child);
-                        child += e.node_count();
-                        acc = Arc::new(ops::blend(dev, &acc, &c, *op));
-                    }
-                    Arc::try_unwrap(acc).unwrap_or_else(|a| (*a).clone())
+            // A multiway Blend of fewer than two inputs.
+            Expr::MultiBlend { inputs, .. } => match inputs.first() {
+                Some(e) => {
+                    let c = e.eval_node(dev, vp, cache, depth + 1, node + 1);
+                    Arc::try_unwrap(c).unwrap_or_else(|a| (*a).clone())
                 }
-            }
+                None => Canvas::empty(vp),
+            },
+            Expr::Blend { .. } => unreachable!("a Blend is a kernel node"),
             Expr::Mask { spec, input } => match super::planner::selection_sink(self) {
                 // Entry form: the Blend interior (`node + 1`) is never
                 // computed, cached or published; this node's span times
                 // the walk.
                 Some(sink) => {
                     let (points, areas) = sink_operands(&sink, dev, vp, cache, depth + 2, node + 2);
-                    ops::select_point_entries_in_areas(
-                        dev,
-                        &points,
-                        &areas,
-                        ops::PixelRule::PointInAreas(sink.cond),
-                        None,
-                    )
+                    ops::select_point_entries_in_areas(dev, &points, &areas, sink.rule, None)
                 }
                 None => {
                     let c = input.eval_node(dev, vp, cache, depth + 1, node + 1);
@@ -333,14 +338,12 @@ impl Expr {
                 // unchanged.
                 Some(sink) => {
                     let (points, areas) = sink_operands(&sink, dev, vp, cache, depth + 3, node + 3);
-                    let mut walk = canvas_obs::span("mask", "algebra");
-                    walk.arg_u64("node", node + 1);
-                    walk.arg_u64("depth", depth as u64 + 1);
+                    let _walk = walk_span(depth + 1, node + 1);
                     ops::scatter_point_entries_in_areas(
                         dev,
                         &points,
                         &areas,
-                        sink.cond,
+                        sink.rule,
                         gamma,
                         ops::group_viewport(*groups),
                         *combine,
@@ -351,13 +354,52 @@ impl Expr {
                     ops::map_scatter(dev, &c, gamma, ops::group_viewport(*groups), *combine)
                 }
             },
-            Expr::ValueTransform { f, input, .. } => {
-                let c = input.eval_node(dev, vp, cache, depth + 1, node + 1);
-                ops::value_transform(dev, &c, |p, t| f(p, t))
-            }
+            Expr::ValueTransform { f, input } => match (super::planner::value_sink(self), f) {
+                // Entry form finished by the value kernel: as under a
+                // Map, the Mask and Blend interiors are never computed.
+                (Some((sink, tag)), _) => {
+                    let (points, areas) = sink_operands(&sink, dev, vp, cache, depth + 3, node + 3);
+                    let _walk = walk_span(depth + 1, node + 1);
+                    ops::select_point_entries_in_areas(dev, &points, &areas, sink.rule, Some(tag))
+                }
+                (None, ValueFn::Named(_, f)) => {
+                    let c = input.eval_node(dev, vp, cache, depth + 1, node + 1);
+                    ops::value_transform(dev, &c, |p, t| f(p, t))
+                }
+                (None, ValueFn::Tagged(_)) => unreachable!("a built-in V is a kernel node"),
+            },
         };
         node_span.arg_u64("bytes", result.size_bytes() as u64);
         result
+    }
+
+    /// Walks a chain from its top kernel node down (see
+    /// [`kernel_node`](super::planner::kernel_node)): evaluates the
+    /// canvas it rewrites through the cache and returns it, pushing onto
+    /// `chain` the kernels bottom-up and each Blend operand, evaluated
+    /// through the cache at its pre-order id, in run order.
+    fn eval_tail(
+        &self,
+        dev: &mut Device,
+        vp: Viewport,
+        cache: Option<&dyn SubplanCache>,
+        depth: usize,
+        node: u64,
+        chain: &mut (Vec<ops::ChainKernel>, Vec<Arc<Canvas>>),
+    ) -> Arc<Canvas> {
+        let Some((kernel, input, rest)) = super::planner::kernel_node(self) else {
+            return self.eval_node(dev, vp, cache, depth, node);
+        };
+        let canvas = input.eval_tail(dev, vp, cache, depth + 1, node + 1, chain);
+        let mut at = node + 1 + input.node_count();
+        for e in rest {
+            chain.1.push(e.eval_node(dev, vp, cache, depth + 1, at));
+            at += e.node_count();
+        }
+        chain
+            .0
+            .extend(std::iter::repeat_n(kernel, rest.len().max(1)));
+        canvas
     }
 
     /// Span name for this node's operator (trace taxonomy, cat
@@ -378,14 +420,53 @@ impl Expr {
     /// pre-order id arithmetic both the evaluator and
     /// [`plan_nodes`](super::fingerprint::plan_nodes) rely on.
     pub fn node_count(&self) -> u64 {
-        1 + match self {
-            Expr::Source(_) => 0,
-            Expr::Blend { left, right, .. } => left.node_count() + right.node_count(),
-            Expr::MultiBlend { inputs, .. } => inputs.iter().map(Expr::node_count).sum(),
+        let mut n = 1;
+        self.for_each_child(|c| n += c.node_count());
+        n
+    }
+
+    /// Calls `f` on each operand subplan in pre-order: a Blend's left
+    /// before its right, a multiway Blend's inputs in order. The first
+    /// is the canvas a kernel node rewrites.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+        match self {
+            Expr::Source(_) => {}
+            Expr::Blend { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Expr::MultiBlend { inputs, .. } => inputs.iter().for_each(f),
             Expr::Mask { input, .. }
             | Expr::GeomTransform { input, .. }
             | Expr::MapScatter { input, .. }
-            | Expr::ValueTransform { input, .. } => input.node_count(),
+            | Expr::ValueTransform { input, .. } => f(input),
+        }
+    }
+
+    /// This node with each operand subplan replaced by `f` of it (the
+    /// recursion step of the rewrite rules).
+    pub fn map_children(self, mut f: impl FnMut(Expr) -> Expr) -> Expr {
+        match self {
+            leaf @ Expr::Source(_) => leaf,
+            Expr::Blend { op, left, right } => {
+                let left = f(*left);
+                Expr::blend(op, left, f(*right))
+            }
+            Expr::MultiBlend { op, inputs } => {
+                Expr::multi_blend(op, inputs.into_iter().map(f).collect())
+            }
+            Expr::Mask { spec, input } => Expr::mask(spec, f(*input)),
+            Expr::GeomTransform { gamma, input } => Expr::geom_transform(gamma, f(*input)),
+            Expr::MapScatter {
+                gamma,
+                groups,
+                combine,
+                input,
+            } => Expr::map_scatter(gamma, groups, combine, f(*input)),
+            Expr::ValueTransform { f: value, input } => Expr::ValueTransform {
+                f: value,
+                input: Box::new(f(*input)),
+            },
         }
     }
 
@@ -404,7 +485,10 @@ impl Expr {
             Expr::MapScatter { gamma, groups, .. } => {
                 format!("D*[{}] → {groups} groups", gamma.name)
             }
-            Expr::ValueTransform { name, .. } => format!("V[{name}]"),
+            Expr::ValueTransform { f, .. } => match f {
+                ValueFn::Tagged(tag) => format!("V[{tag:?}]"),
+                ValueFn::Named(name, _) => format!("V[{name}]"),
+            },
         }
     }
 
@@ -419,48 +503,8 @@ impl Expr {
     }
 
     fn plan_into(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
-        match self {
-            Expr::Source(s) => {
-                out.push_str(&format!("{pad}{}\n", s.label()));
-            }
-            Expr::Blend { op, left, right } => {
-                out.push_str(&format!("{pad}B[{}]\n", op.symbol()));
-                left.plan_into(out, depth + 1);
-                right.plan_into(out, depth + 1);
-            }
-            Expr::MultiBlend { op, inputs } => {
-                out.push_str(&format!(
-                    "{pad}B*[{}] ({} inputs)\n",
-                    op.symbol(),
-                    inputs.len()
-                ));
-                for e in inputs {
-                    e.plan_into(out, depth + 1);
-                }
-            }
-            Expr::Mask { spec, input } => {
-                out.push_str(&format!("{pad}{}\n", spec.label()));
-                input.plan_into(out, depth + 1);
-            }
-            Expr::GeomTransform { gamma, input } => {
-                out.push_str(&format!("{pad}G[{}]\n", gamma.label()));
-                input.plan_into(out, depth + 1);
-            }
-            Expr::MapScatter {
-                gamma,
-                groups,
-                input,
-                ..
-            } => {
-                out.push_str(&format!("{pad}D*[{}] → {groups} groups\n", gamma.name));
-                input.plan_into(out, depth + 1);
-            }
-            Expr::ValueTransform { name, input, .. } => {
-                out.push_str(&format!("{pad}V[{name}]\n"));
-                input.plan_into(out, depth + 1);
-            }
-        }
+        out.push_str(&format!("{}{}\n", "  ".repeat(depth), self.node_label()));
+        self.for_each_child(|c| c.plan_into(out, depth + 1));
     }
 
     // ----- cost heuristic --------------------------------------------------
@@ -484,6 +528,16 @@ impl Expr {
             Expr::ValueTransform { input, .. } => 1.0 + input.cost(),
         }
     }
+}
+
+/// The span of an entry walk its Mask node (`node`, one below a Map or
+/// Value Transform) never opens itself: the report's Mask row is where
+/// the walk's time lands.
+fn walk_span(depth: usize, node: u64) -> canvas_obs::Span {
+    let mut walk = canvas_obs::span("mask", "algebra");
+    walk.arg_u64("node", node);
+    walk.arg_u64("depth", depth as u64);
+    walk
 }
 
 /// Evaluates an entry-form selection's two operands through the cache,

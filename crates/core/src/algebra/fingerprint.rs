@@ -27,7 +27,11 @@
 //!   client that rebuilds the same query polygon each frame still hits
 //!   the cache.
 //!
-//! Functions are identified **by name**: `V[f]` nodes hash their
+//! Built-in kernels are identified **by value**: a `V[tag]` node
+//! (`ValueFn::Tagged`) or `M[tag]` node (`MaskSpec::Tagged`) hashes its
+//! tag with its parameters (a `DensityLog` offset, an `AreaV1Above`
+//! threshold), so two plans that differ only in one never share a key.
+//! Closures are identified **by name**: `V[f]` closure nodes hash their
 //! `name`, `D*[γ]` nodes their `γ.name` plus the value γ closes over
 //! (`γ.param`: a constant target by value, a lookup table by handle),
 //! and closure-backed mask specs their label (`MaskSpec::Texel`). Two semantically different
@@ -45,9 +49,10 @@ use std::sync::Arc;
 
 use super::expr::{Expr, SourceSpec};
 use crate::info::BlendFn;
-use crate::ops::{CountCond, MapParam, MaskSpec, PositionMap};
+use crate::ops::{CountCond, MapParam, MaskSpec, PositionMap, ValueFn};
 use canvas_geom::polygon::Polygon;
 use canvas_geom::Point;
+use canvas_raster::{MaskTag, ValueTag};
 
 /// A 128-bit structural plan identity (see module docs).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -121,10 +126,9 @@ impl Mix {
 }
 
 /// Incremental fingerprint construction for identities that are *not*
-/// `Expr` plans (e.g. the engine's fused-chain query descriptors),
-/// under the same contract: datasets by [`handle`](Self::handle),
-/// geometry by [`polygon`](Self::polygon) value, functions by
-/// [`text`](Self::text) name. The `domain` string namespaces the
+/// `Expr` plans (the engine's procedure classes), under the same
+/// contract: datasets by [`handle`](Self::handle), geometry by
+/// [`polygon`](Self::polygon) value. The `domain` string namespaces the
 /// identity so different descriptor kinds can never collide with each
 /// other or with plan fingerprints.
 pub struct FingerprintBuilder {
@@ -141,11 +145,6 @@ impl FingerprintBuilder {
 
     pub fn word(&mut self, w: u64) -> &mut Self {
         self.mix.word(w);
-        self
-    }
-
-    pub fn text(&mut self, s: &str) -> &mut Self {
-        self.mix.str(s);
         self
     }
 
@@ -183,13 +182,6 @@ impl FingerprintBuilder {
             self.mix.float(p.x);
             self.mix.float(p.y);
         }
-        self
-    }
-
-    /// Folds in a whole plan (the structural hash of the given form —
-    /// normalize first for syntax-insensitive identity).
-    pub fn plan(&mut self, e: &Expr) -> &mut Self {
-        walk(e, &mut self.mix);
         self
     }
 
@@ -299,6 +291,10 @@ fn source(s: &SourceSpec, mix: &mut Mix) {
             mix.tag(7);
             mix.ptr(Arc::as_ptr(c));
         }
+        SourceSpec::QueryTag(q) => {
+            mix.tag(8);
+            polygon_content(q, mix);
+        }
     }
 }
 
@@ -308,21 +304,16 @@ fn walk(e: &Expr, mix: &mut Mix) {
             mix.tag(10);
             source(s, mix);
         }
-        Expr::Blend { op, left, right } => {
+        Expr::Blend { op, .. } => {
             mix.tag(11);
             blend_tag(*op, mix);
-            walk(left, mix);
-            walk(right, mix);
         }
         Expr::MultiBlend { op, inputs } => {
             mix.tag(12);
             blend_tag(*op, mix);
             mix.word(inputs.len() as u64);
-            for i in inputs {
-                walk(i, mix);
-            }
         }
-        Expr::Mask { spec, input } => {
+        Expr::Mask { spec, .. } => {
             mix.tag(13);
             match spec {
                 MaskSpec::PointInAreas(c) => {
@@ -337,10 +328,14 @@ fn walk(e: &Expr, mix: &mut Mix) {
                     mix.tag(42);
                     mix.str(label);
                 }
+                MaskSpec::Tagged(MaskTag::PointAndArea) => mix.tag(43),
+                MaskSpec::Tagged(MaskTag::AreaV1Above { threshold }) => {
+                    mix.tag(44);
+                    mix.word(threshold.to_bits() as u64);
+                }
             }
-            walk(input, mix);
         }
-        Expr::GeomTransform { gamma, input } => {
+        Expr::GeomTransform { gamma, .. } => {
             mix.tag(14);
             match gamma {
                 PositionMap::Translate(d) => {
@@ -365,13 +360,12 @@ fn walk(e: &Expr, mix: &mut Mix) {
                     mix.ptr(Arc::as_ptr(f));
                 }
             }
-            walk(input, mix);
         }
         Expr::MapScatter {
             gamma,
             groups,
             combine,
-            input,
+            ..
         } => {
             mix.tag(15);
             mix.str(gamma.name);
@@ -390,14 +384,21 @@ fn walk(e: &Expr, mix: &mut Mix) {
             }
             mix.word(*groups as u64);
             blend_tag(*combine, mix);
-            walk(input, mix);
         }
-        Expr::ValueTransform { name, input, .. } => {
-            mix.tag(16);
-            mix.str(name);
-            walk(input, mix);
-        }
+        Expr::ValueTransform { f, .. } => match f {
+            ValueFn::Named(name, _) => {
+                mix.tag(16);
+                mix.str(name);
+            }
+            ValueFn::Tagged(ValueTag::HeatLog) => mix.tag(17),
+            ValueFn::Tagged(ValueTag::DensityLog { tag }) => {
+                mix.tag(18);
+                mix.word(tag.to_bits() as u64);
+            }
+        },
     }
+    // Children after the node's own words, in pre-order.
+    e.for_each_child(|c| walk(c, mix));
 }
 
 impl Expr {
@@ -456,47 +457,36 @@ pub struct PlanNode {
 /// physical form carry it after the operator label: a selection the
 /// planner runs over point entries
 /// ([`selection_sink`](super::planner::selection_sink), alone or under
-/// a Map) labels its Mask row `… (entries)` — the walk's span lands
-/// there — and its Blend row `B[⊙] (fused)`, which no span reaches.
+/// a Map or a Value Transform) labels its Mask row `… (entries)` — the
+/// walk's span lands there — and its Blend row `B[⊙] (fused)`, which no
+/// span reaches; so does every kernel node a chain folds into the one
+/// above it ([`kernel_node`](super::planner::kernel_node)).
 pub fn plan_nodes(e: &Expr) -> Vec<PlanNode> {
-    fn walk_nodes(e: &Expr, depth: usize, next: &mut u64, out: &mut Vec<PlanNode>) {
-        let id = *next;
-        *next += 1;
+    fn walk_nodes(e: &Expr, depth: usize, folded: bool, out: &mut Vec<PlanNode>) {
+        let id = out.len();
+        let mut label = e.node_label();
+        if folded {
+            label.push_str(canvas_obs::report::FOLDED);
+        }
         out.push(PlanNode {
-            id,
+            id: id as u64,
             depth,
-            label: e.node_label(),
+            label,
             fingerprint: fingerprint(e),
         });
-        match e {
-            Expr::Source(_) => {}
-            Expr::Blend { left, right, .. } => {
-                walk_nodes(left, depth + 1, next, out);
-                walk_nodes(right, depth + 1, next, out);
-            }
-            Expr::MultiBlend { inputs, .. } => {
-                for i in inputs {
-                    walk_nodes(i, depth + 1, next, out);
-                }
-            }
-            Expr::Mask { input, .. } => {
-                walk_nodes(input, depth + 1, next, out);
-                // The planner runs the Mask as an entry walk with the
-                // Blend folded in; the rows say so.
-                if super::planner::selection_sink(e).is_some() {
-                    out[id as usize].label.push_str(" (entries)");
-                    out[id as usize + 1]
-                        .label
-                        .push_str(canvas_obs::report::FOLDED);
-                }
-            }
-            Expr::MapScatter { input, .. }
-            | Expr::GeomTransform { input, .. }
-            | Expr::ValueTransform { input, .. } => walk_nodes(input, depth + 1, next, out),
+        // A kernel node over a kernel node folds it into its chain.
+        let kernel = super::planner::kernel_node;
+        let mut fold = kernel(e).is_some_and(|(_, input, _)| kernel(input).is_some());
+        e.for_each_child(|c| walk_nodes(c, depth + 1, std::mem::take(&mut fold), out));
+        // The planner runs a selection's Mask as an entry walk with the
+        // Blend folded in; the rows say so.
+        if super::planner::selection_sink(e).is_some() {
+            out[id].label.push_str(" (entries)");
+            out[id + 1].label.push_str(canvas_obs::report::FOLDED);
         }
     }
     let mut out = Vec::new();
-    walk_nodes(e, 0, &mut 0, &mut out);
+    walk_nodes(e, 0, false, &mut out);
     out
 }
 

@@ -17,8 +17,10 @@
 //!    flattening via associativity, fusing a multiway blend of polygon
 //!    leaves into one instanced draw), and [`Expr::cost`] gives a simple
 //!    pass/fragment cost heuristic for plan comparison; [`planner`]
-//!    picks a node's physical form ([`entry_sink`]: the zone aggregate
-//!    runs over point entries, not planes).
+//!    picks a node's physical form (the entry sinks: selections, the
+//!    selection heatmap and the zone aggregate run over point entries,
+//!    not planes; [`kernel_node`]: stacked pixel-local kernels, such as
+//!    the choropleth's, run as one in-place chain).
 
 pub mod expr;
 pub mod fingerprint;
@@ -31,8 +33,8 @@ pub use fingerprint::{
     fingerprint, is_cut_point, normalize, plan_nodes, Fingerprint, FingerprintBuilder, PlanNode,
 };
 pub use planner::{
-    choose_selection_strategy, entry_sink, selection_sink, EntrySink, PlanChoice, SelectionStats,
-    SelectionStrategy,
+    choose_selection_strategy, entry_sink, kernel_node, selection_sink, value_sink, EntrySink,
+    PlanChoice, SelectionStats, SelectionStrategy,
 };
 pub use rewrite::{flatten_multiblend, fuse_polygon_leaves, optimize};
 pub use subplan::SubplanCache;

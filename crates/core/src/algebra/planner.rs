@@ -19,22 +19,26 @@
 //!
 //! The evaluator asks this module which physical form a plan node runs
 //! in. One shape has an **entry form**: the selection
-//! `M[Mp(cond)](B[⊙](C_P, R))`. Its canvas is null everywhere except at
-//! pixels holding a point the mask keeps, and what it holds there is a
-//! function of those points and of `R`'s texel at their pixel. So the
-//! planner runs it as one walk over `C_P`'s point run against `R`: `R`
-//! is the filter raster, the exact test on its boundary pixels the
-//! refinement. Two sinks finish the walk:
+//! `M(B[⊙](C_P, R))` under the exact point mask `Mp(cond)` or the
+//! heatmaps' coarse `M[point ∧ area]`. Its canvas is null everywhere
+//! except at pixels holding a point the mask keeps, and what it holds
+//! there is a function of those points and of `R`'s texel at their
+//! pixel. So the planner runs it as one walk over `C_P`'s point run
+//! against `R`: `R` is the filter raster, the exact test on its
+//! boundary pixels the refinement. Three sinks finish the walk:
 //!
 //! * [`selection_sink`] matches the Mask node itself; the walk writes
 //!   only the kept pixels and entries into an empty canvas
 //!   ([`select_point_entries_in_areas`]);
+//! * [`value_sink`] matches a built-in `V[tag]` over that Mask; the
+//!   same walk runs the value kernel on each kept texel (the selection
+//!   heatmap);
 //! * [`entry_sink`] matches a `D*[γ]` over that Mask; the walk folds
 //!   each kept pixel's texel into its group slot
 //!   ([`scatter_point_entries_in_areas`]).
 //!
 //! Either way the blend plane is never written, probed or published,
-//! and the mask plane is never written. Every other shape stays dense.
+//! and the mask plane is never written.
 //!
 //! The match is structural and narrow on purpose: `C_P` must be a
 //! `Points` source and `R` a source that carries no point entries
@@ -43,35 +47,49 @@
 //! the dense mask would keep them too, but the walk only visits `C_P`'s
 //! run — it would silently lose them.
 //!
+//! The other form is the **chain** ([`kernel_node`]): a pixel-local
+//! kernel node — a built-in `V[tag]` or `M[tag]`, or a `B` / `B*` whose
+//! other inputs are evaluated as operands — runs in place over a copy
+//! of the canvas it rewrites (`ops::chain::run_chain`), and a stack of
+//! them on one canvas runs as one such pass, with no intermediate
+//! canvas. The choropleth
+//! `V[log](M[inside ∧ ≥1](B*[⊕](C_Y*, C_tag)))` is one: its `B[⊕]` is
+//! `B*[⊕]` in normal form (`⊕` is associative), and the tag leaf is
+//! its own source kind, so polygon-leaf fusion never folds it into the
+//! table. A sink ends a stack: the sink is the chain's input. Every
+//! other node stays dense.
+//!
 //! [`select_point_entries_in_areas`]: crate::ops::mask::select_point_entries_in_areas
 //! [`scatter_point_entries_in_areas`]: crate::ops::mask::scatter_point_entries_in_areas
 
 use super::expr::{Expr, SourceSpec};
 use crate::info::BlendFn;
-use crate::ops::{CountCond, MaskSpec};
-use canvas_raster::{DeviceProfile, PipelineStats};
+use crate::ops::chain::ChainKernel;
+use crate::ops::{MaskSpec, PixelRule, ValueFn};
+use canvas_raster::{DeviceProfile, MaskTag, PipelineStats, ValueTag};
 
-/// A selection `M[Mp(cond)](B[⊙](points, areas))` the planner runs in
-/// entry form (see module docs): the operands and the mask's condition.
+/// A selection `M(B[⊙](points, areas))` the planner runs in entry form
+/// (see module docs): the operands and the mask's pixel rule.
 #[derive(Clone, Copy, Debug)]
 pub struct EntrySink<'a> {
     /// The `C_P` operand: a `Points` source.
     pub points: &'a Expr,
     /// The area operand: a source without point entries.
     pub areas: &'a Expr,
-    pub cond: CountCond,
+    pub rule: PixelRule,
 }
 
 /// The planner's rule for `Mask` nodes: `Some` when `e` is a selection
 /// that runs in the entry form and writes its canvas from the walk
 /// (see module docs), `None` when it stays dense.
 pub fn selection_sink(e: &Expr) -> Option<EntrySink<'_>> {
-    let Expr::Mask {
-        spec: MaskSpec::PointInAreas(cond),
-        input,
-    } = e
-    else {
+    let Expr::Mask { spec, input } = e else {
         return None;
+    };
+    let rule = match spec {
+        MaskSpec::PointInAreas(cond) => PixelRule::PointInAreas(*cond),
+        MaskSpec::Tagged(MaskTag::PointAndArea) => PixelRule::PointAndArea,
+        _ => return None,
     };
     let Expr::Blend {
         op: BlendFn::PointOverArea,
@@ -95,8 +113,24 @@ pub fn selection_sink(e: &Expr) -> Option<EntrySink<'_>> {
     (points && areas).then_some(EntrySink {
         points: left,
         areas: right,
-        cond: *cond,
+        rule,
     })
+}
+
+/// The planner's rule for `ValueTransform` nodes: `Some` when `e` is a
+/// built-in `V[tag]` over a [`selection_sink`] selection, which the
+/// walk finishes with the value kernel (see module docs). Value
+/// kernels leave null texels null, so transforming only the kept
+/// pixels is the whole transform.
+pub fn value_sink(e: &Expr) -> Option<(EntrySink<'_>, ValueTag)> {
+    let Expr::ValueTransform {
+        f: ValueFn::Tagged(tag),
+        input,
+    } = e
+    else {
+        return None;
+    };
+    Some((selection_sink(input)?, *tag))
 }
 
 /// The planner's rule for `MapScatter` nodes: `Some` when `e` maps a
@@ -107,6 +141,38 @@ pub fn entry_sink(e: &Expr) -> Option<EntrySink<'_>> {
         return None;
     };
     selection_sink(input)
+}
+
+/// The planner's chain rule: for a pixel-local kernel node — a built-in
+/// `V[tag]` or `M[tag]`, or a `B` / `B*` of two or more inputs — its
+/// kernel, the canvas it rewrites (its first input) and the operands
+/// its Blend kernels read, in order; `None` for any other node and for
+/// a sink. A kernel node runs as a chain over its input, and a kernel
+/// node over a kernel node folds the one below into its chain (see
+/// module docs).
+pub fn kernel_node(e: &Expr) -> Option<(ChainKernel, &Expr, &[Expr])> {
+    if selection_sink(e).is_some() || value_sink(e).is_some() {
+        return None;
+    }
+    match e {
+        Expr::ValueTransform {
+            f: ValueFn::Tagged(tag),
+            input,
+        } => Some((ChainKernel::Value(*tag), input, &[])),
+        Expr::Mask {
+            spec: MaskSpec::Tagged(tag),
+            input,
+        } => Some((ChainKernel::Mask(*tag), input, &[])),
+        Expr::Blend { op, left, right } => Some((
+            ChainKernel::Blend(*op),
+            left,
+            std::slice::from_ref(&**right),
+        )),
+        Expr::MultiBlend { op, inputs } if inputs.len() >= 2 => {
+            Some((ChainKernel::Blend(*op), &inputs[0], &inputs[1..]))
+        }
+        _ => None,
+    }
 }
 
 /// Input statistics the optimizer consults (relational-style metadata).
@@ -192,7 +258,7 @@ pub fn choose_selection_strategy(profile: &DeviceProfile, s: &SelectionStats) ->
 mod tests {
     use super::*;
     use crate::canvas::{Canvas, PointBatch};
-    use crate::ops::ValueMap;
+    use crate::ops::{CountCond, ValueMap};
     use canvas_geom::{BBox, Point, Polygon};
     use canvas_raster::Viewport;
     use std::sync::Arc;
@@ -244,7 +310,7 @@ mod tests {
         for right in areas {
             let plan = aggregate(points(), right, select.clone(), BlendFn::PointOverArea);
             let sink = entry_sink(&plan).expect("entry form");
-            assert_eq!(sink.cond, CountCond::Eq(2));
+            assert_eq!(sink.rule, PixelRule::PointInAreas(CountCond::Eq(2)));
             assert!(matches!(sink.points, Expr::Source(SourceSpec::Points(_))));
             // The Mask under the Map is the canvas sink's match; the Map
             // itself is not a Mask.
@@ -280,7 +346,53 @@ mod tests {
         for plan in maps {
             assert!(selection_sink(selection(plan)).is_none(), "{plan:?}");
         }
-        assert_eq!(selection_sink(bare).unwrap().cond, CountCond::Eq(2));
+        let rule = selection_sink(bare).unwrap().rule;
+        assert_eq!(rule, PixelRule::PointInAreas(CountCond::Eq(2)));
+    }
+
+    #[test]
+    fn heatmap_plans_take_the_walk_and_the_chain() {
+        let data = Arc::new(PointBatch::from_points(vec![Point::new(1.0, 1.0)]));
+        let square = Polygon::rect(&BBox::new(Point::new(0.0, 0.0), Point::new(5.0, 5.0)));
+        let zones = Arc::new(vec![square.clone()]);
+        // The selection heatmap: the coarse mask is a sink's rule and
+        // the value kernel finishes the walk.
+        let heat = crate::queries::heatmap::selection_heatmap_plan(data.clone(), square.clone());
+        let (sink, tag) = value_sink(&heat).expect("walk form");
+        assert_eq!(
+            (sink.rule, tag),
+            (PixelRule::PointAndArea, ValueTag::HeatLog)
+        );
+        assert!(kernel_node(&heat).is_none(), "a sink is no chain");
+        // The choropleth, normalized as the engine runs it: `B[⊕]`
+        // flattens into `B*[⊕]`, the tag leaf is not fused into the
+        // table, and the three kernel nodes run as one chain over C_Y*.
+        let density =
+            crate::algebra::normalize(crate::queries::heatmap::polygon_density_plan(zones, square));
+        let Expr::ValueTransform { input: mask, .. } = &density else {
+            unreachable!()
+        };
+        let Expr::Mask { input: multi, .. } = &**mask else {
+            unreachable!()
+        };
+        let (kernel, table, operands) = kernel_node(multi).expect("B*[⊕] is a kernel");
+        assert_eq!(kernel, ChainKernel::Blend(BlendFn::AreaCount));
+        assert!(matches!(table, Expr::Source(SourceSpec::PolygonSet { .. })));
+        assert!(matches!(operands, [Expr::Source(SourceSpec::QueryTag(_))]));
+        let tag = crate::source::QUERY_TAG;
+        let kernels = [&density, mask].map(|e| kernel_node(e).unwrap().0);
+        assert_eq!(
+            kernels,
+            [
+                ChainKernel::Value(ValueTag::DensityLog { tag }),
+                ChainKernel::Mask(MaskTag::AreaV1Above { threshold: tag }),
+            ]
+        );
+        // The chain stops at its input, and a closure is no kernel.
+        assert!(kernel_node(table).is_none());
+        assert!(kernel_node(&Expr::multi_blend(BlendFn::Over, vec![(**mask).clone()])).is_none());
+        let named = Expr::value_transform("id", Arc::new(|_, t| t), (**mask).clone());
+        assert!(kernel_node(&named).is_none());
     }
 
     fn stats(num_points: u64, num_constraints: u32, avg_vertices: u32) -> SelectionStats {

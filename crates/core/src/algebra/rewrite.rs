@@ -33,11 +33,6 @@ pub fn flatten_multiblend(e: Expr) -> Expr {
             collect(op, flatten_multiblend(*right), &mut inputs);
             Expr::MultiBlend { op, inputs }
         }
-        Expr::Blend { op, left, right } => Expr::Blend {
-            op,
-            left: Box::new(flatten_multiblend(*left)),
-            right: Box::new(flatten_multiblend(*right)),
-        },
         Expr::MultiBlend { op, inputs } if op.is_associative() => {
             let mut out = Vec::new();
             for i in inputs {
@@ -45,35 +40,7 @@ pub fn flatten_multiblend(e: Expr) -> Expr {
             }
             Expr::MultiBlend { op, inputs: out }
         }
-        Expr::MultiBlend { op, inputs } => Expr::MultiBlend {
-            op,
-            inputs: inputs.into_iter().map(flatten_multiblend).collect(),
-        },
-        Expr::Mask { spec, input } => Expr::Mask {
-            spec,
-            input: Box::new(flatten_multiblend(*input)),
-        },
-        Expr::GeomTransform { gamma, input } => Expr::GeomTransform {
-            gamma,
-            input: Box::new(flatten_multiblend(*input)),
-        },
-        Expr::MapScatter {
-            gamma,
-            groups,
-            combine,
-            input,
-        } => Expr::MapScatter {
-            gamma,
-            groups,
-            combine,
-            input: Box::new(flatten_multiblend(*input)),
-        },
-        Expr::ValueTransform { name, f, input } => Expr::ValueTransform {
-            name,
-            f,
-            input: Box::new(flatten_multiblend(*input)),
-        },
-        leaf @ Expr::Source(_) => leaf,
+        other => other.map_children(flatten_multiblend),
     }
 }
 
@@ -130,42 +97,10 @@ pub fn fuse_polygon_leaves(e: Expr) -> Expr {
             };
             match all_same_table {
                 Some(table) => Expr::Source(SourceSpec::PolygonSet { table, blend: op }),
-                None => Expr::MultiBlend {
-                    op,
-                    inputs: inputs.into_iter().map(fuse_polygon_leaves).collect(),
-                },
+                None => Expr::MultiBlend { op, inputs }.map_children(fuse_polygon_leaves),
             }
         }
-        Expr::Blend { op, left, right } => Expr::Blend {
-            op,
-            left: Box::new(fuse_polygon_leaves(*left)),
-            right: Box::new(fuse_polygon_leaves(*right)),
-        },
-        Expr::Mask { spec, input } => Expr::Mask {
-            spec,
-            input: Box::new(fuse_polygon_leaves(*input)),
-        },
-        Expr::GeomTransform { gamma, input } => Expr::GeomTransform {
-            gamma,
-            input: Box::new(fuse_polygon_leaves(*input)),
-        },
-        Expr::MapScatter {
-            gamma,
-            groups,
-            combine,
-            input,
-        } => Expr::MapScatter {
-            gamma,
-            groups,
-            combine,
-            input: Box::new(fuse_polygon_leaves(*input)),
-        },
-        Expr::ValueTransform { name, f, input } => Expr::ValueTransform {
-            name,
-            f,
-            input: Box::new(fuse_polygon_leaves(*input)),
-        },
-        leaf @ Expr::Source(_) => leaf,
+        other => other.map_children(fuse_polygon_leaves),
     }
 }
 

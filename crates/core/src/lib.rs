@@ -77,9 +77,9 @@ pub mod prelude {
     pub use crate::info::{BlendFn, DimInfo, Texel};
     pub use crate::ops::{
         blend, circle_canvas, dissect, dissect_iter, dissect_par, group_viewport, halfspace_canvas,
-        map_scatter, mask, multiway_blend, rect_canvas, run_canvas_chain, transform_by_value,
-        transform_positions, value_transform, CanvasChain, CanvasOp, CountCond, MaskSpec,
-        PositionMap, ValueMap,
+        map_scatter, mask, multiway_blend, rect_canvas, run_chain, transform_by_value,
+        transform_positions, value_transform, ChainKernel, CountCond, MaskSpec, PositionMap,
+        ValueFn, ValueMap,
     };
     pub use crate::queries;
     pub use crate::source::{

@@ -1,30 +1,28 @@
-//! Canvas operator chains — the algebra-level face of
+//! Canvas operator chains: pixel-local kernels run as one in-place
+//! pass over a finished canvas — the algebra-level face of
 //! `canvas_raster::OpChain`.
 //!
-//! A [`CanvasChain`] is a linear plan `input → op₁ → … → opₖ` over full
-//! canvases (texel plane + certain-cover plane + boundary index) whose
-//! operators are the *coarse* forms of the algebra: Value Transform
-//! `V[f]`, Blend `B[⊙]` against a materialized operand canvas, and the
-//! texel-level Mask `M[M]`. Each is a built-in kernel — a `ValueTag`,
-//! a `BlendFn`, a `MaskTag` — lowered to the raster layer's SIMD row
-//! kernels; arbitrary functions stay at the algebra level
-//! (`Expr::ValueTransform`, `MaskSpec::Texel`), which evaluates them
-//! as materialized passes.
+//! A chain is how the planner runs a plan's tail of kernel nodes
+//! (`algebra::planner::kernel_node`): built-in Value Transforms
+//! `V[tag]`, coarse Masks `M[tag]`, and Blends `B[⊙]` against evaluated
+//! operand canvases, each a [`ChainKernel`] lowered to the raster
+//! layer's SIMD row kernels. Closure-backed nodes (`ValueFn::Named`,
+//! `MaskSpec::Texel`) are not kernels; they run dense, one
+//! materialized pass each.
 //!
-//! A chain runs over a finished canvas ([`run_canvas_chain`]), as the
-//! paper composes operators over canvases it first renders: the
-//! input's planes are copied once and every operator runs over the
-//! copy in place, strip by strip. The input may be a canvas another
-//! query already rendered. The run is **bit-identical** to the
-//! materialized operator sequence ([`apply_chain_materialized`]) —
-//! texel plane, cover plane, boundary index, sources, *and* pipeline
-//! work counters — at any thread count; `tests/chain_equivalence.rs`
-//! asserts this on random chains. Boundary bookkeeping is replayed
-//! after the planes finish: Blend stages merge the operand's entries
-//! (source-remapped) and Mask stages prune entries of pixels whose
-//! texel the mask left null, read from the run's per-stage
-//! [`MaskOutcome`] bitmaps — sparse metadata, never a full
-//! intermediate plane.
+//! [`run_chain`] copies the input's planes once and runs every kernel
+//! over the copy in place, strip by strip
+//! (`Pipeline::run_chain_texture`, full-width row strips). The input
+//! may be a canvas another query already rendered. The run is
+//! **bit-identical** to the materialized operator sequence
+//! ([`apply_chain_materialized`]) — texel plane, cover plane, boundary
+//! index, sources, *and* pipeline work counters — at any thread count;
+//! `tests/chain_equivalence.rs` asserts this on random plans. Boundary
+//! bookkeeping is replayed after the planes finish: Blend kernels merge
+//! the operand's entries (source-remapped) and Mask kernels prune
+//! entries of pixels whose texel the mask left null, read from the
+//! run's per-mask [`MaskOutcome`](canvas_raster::MaskOutcome) bitmaps —
+//! sparse metadata, never a full intermediate plane.
 //!
 //! The one point draw followed by a chain lives a layer down
 //! (`Pipeline::run_chain_points`: the draw, then the same in-place
@@ -32,178 +30,106 @@
 //! finished by `V[HeatLog]` (`source::draw_points`).
 //!
 //! The exact point-refinement Mask (`MaskSpec::PointInAreas`) is *not*
-//! chain-fusable: it rewrites texels from boundary-index state, which
-//! is global. The selection runs it as the mask's entry walk instead
+//! a kernel: it rewrites texels from boundary-index state, which is
+//! global. The selection runs it as the mask's entry walk instead
 //! (`ops::mask`), and so does the selection heatmap, whose output is
 //! null wherever no point lies: neither is a chain.
 //!
 //! ## Chains and subplan sharing
 //!
-//! Cross-query subplan sharing
-//! ([`algebra::subplan`](crate::algebra::subplan)) publishes rendered
-//! intermediates to a cache at cut points. A chain shares through that
-//! cache at its two ends and never in between — its intermediates are
-//! not materialized, so there is nothing to publish mid-chain:
-//!
-//! * its **operands**, the canvases it materializes anyway (the Blend
-//!   operands, e.g. the choropleth's tagged query region);
-//! * its **input**: the choropleth runs over the `C_Y*` a zone
-//!   aggregate reads (see `queries::heatmap`).
-//!
-//! Rendering is deterministic, so a shared canvas is bit-identical to
-//! the one the chain would have rendered itself, and the bit-identity
-//! contract above holds whatever the cache served.
-
-use std::sync::Arc;
+//! A chain shares through the subplan cache
+//! ([`algebra::subplan`](crate::algebra::subplan)) at its two ends and
+//! never in between: the evaluator takes its input and its Blend
+//! operands through the cache as the plan nodes they are (the
+//! choropleth's `C_Y*` is the zone aggregate's leaf), and the folded
+//! kernel nodes are never materialized, so there is nothing to publish
+//! mid-chain. Rendering is deterministic, so a shared canvas is
+//! bit-identical to the one the chain would have rendered itself, and
+//! the bit-identity contract above holds whatever the cache served.
 
 use crate::canvas::Canvas;
 use crate::device::Device;
 use crate::info::{BlendFn, Texel};
 use crate::ops::mask::MaskSpec;
-use canvas_raster::{Backend, MaskOutcome, MaskTag, OpChain, ValueTag, Viewport};
+use canvas_raster::{MaskTag, OpChain, ValueTag};
 
-/// One operator of a canvas chain.
-#[derive(Clone)]
-pub enum CanvasOp<'a> {
-    /// `V[f]` for a built-in transform, lowered to the dispatched SIMD
-    /// row kernel.
-    ValueTagged(ValueTag),
-    /// `B[⊙]` — blend with a materialized operand canvas: texels
-    /// through the blend function, covers by saturating addition,
-    /// boundary entries merged with source remapping.
-    Blend { other: &'a Canvas, op: BlendFn },
-    /// Coarse `M[M]` for a built-in predicate, lowered to the SIMD row
-    /// kernel: failing texels nulled, cover zeroed, boundary entries of
-    /// nulled pixels pruned.
-    MaskTagged { label: &'static str, tag: MaskTag },
+/// One pixel-local kernel of a chain: what a built-in plan node lowers
+/// to.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ChainKernel {
+    /// `V[tag]`: the built-in transform's row kernel.
+    Value(ValueTag),
+    /// Coarse `M[tag]`: failing texels nulled, cover zeroed, boundary
+    /// entries of nulled pixels pruned.
+    Mask(MaskTag),
+    /// `B[⊙]` with the chain's next operand canvas: texels through the
+    /// blend function, covers by saturating addition, boundary entries
+    /// merged with source remapping.
+    Blend(BlendFn),
 }
 
-impl std::fmt::Debug for CanvasOp<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // A value stage prints as `V[f]` and a mask by its label, as
-        // the algebra's operators do: a printed chain names the
-        // operator, not its kernel.
-        match self {
-            CanvasOp::ValueTagged(_) => write!(f, "V[f]"),
-            CanvasOp::Blend { op, .. } => write!(f, "B[{op:?}]"),
-            CanvasOp::MaskTagged { label, .. } => write!(f, "M[{label}]"),
-        }
-    }
-}
-
-/// A linear canvas plan (see module docs).
-#[derive(Clone, Debug, Default)]
-pub struct CanvasChain<'a> {
-    ops: Vec<CanvasOp<'a>>,
-    /// SIMD backend the lowered kernels run on; `None` is the
-    /// process-wide one (see [`with_backend`](Self::with_backend)).
-    backend: Option<Backend>,
-}
-
-impl<'a> CanvasChain<'a> {
-    pub fn new() -> Self {
-        CanvasChain {
-            ops: Vec::new(),
-            backend: None,
-        }
-    }
-
-    /// Pins the SIMD backend of the lowered kernels, as
-    /// `OpChain::with_backend` does one level down: tests compare
-    /// forced-scalar against auto dispatch in one process. The
-    /// materialized reference always runs on the process-wide backend.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Appends a Blend stage against a materialized operand canvas.
-    pub fn blend(mut self, other: &'a Canvas, op: BlendFn) -> Self {
-        self.ops.push(CanvasOp::Blend { other, op });
-        self
-    }
-
-    /// Appends a built-in Value Transform stage (SIMD-lowered).
-    pub fn value_tagged(mut self, tag: ValueTag) -> Self {
-        self.ops.push(CanvasOp::ValueTagged(tag));
-        self
-    }
-
-    /// Appends a built-in coarse Mask stage (SIMD-lowered).
-    pub fn mask_tagged(mut self, label: &'static str, tag: MaskTag) -> Self {
-        self.ops.push(CanvasOp::MaskTagged { label, tag });
-        self
-    }
-
-    pub fn ops(&self) -> &[CanvasOp<'a>] {
-        &self.ops
-    }
-}
-
-/// Asserts every Blend operand canvas shares the run's viewport.
-fn assert_operand_viewports(vp: &Viewport, chain: &CanvasChain<'_>) {
-    for op in chain.ops() {
-        if let CanvasOp::Blend { other, .. } = op {
-            assert_eq!(
-                other.viewport(),
-                vp,
-                "chain blend operands must share a viewport"
-            );
-        }
-    }
-}
-
-/// Lowers the canvas-level operators to the raster layer's row kernels.
-fn lower_to_raster<'a>(chain: &CanvasChain<'a>) -> OpChain<'a, Texel> {
-    let mut raster_chain: OpChain<'a, Texel> = OpChain::new();
-    for op in chain.ops() {
-        raster_chain = match op {
-            CanvasOp::ValueTagged(tag) => raster_chain.map_tagged(*tag),
+/// Runs `kernels` in order over a copy of `input`'s planes (see module
+/// docs); each Blend kernel reads the next of `operands`. Bit-identical
+/// to [`apply_chain_materialized`] on the same input at any thread
+/// count, including pipeline stats. Panics when an operand's viewport
+/// differs from the input's, or when there are fewer operands than
+/// Blend kernels.
+pub fn run_chain(
+    dev: &mut Device,
+    input: &Canvas,
+    kernels: &[ChainKernel],
+    operands: &[&Canvas],
+) -> Canvas {
+    let vp = input.viewport();
+    let same = operands.iter().all(|o| o.viewport() == vp);
+    assert!(same, "chain blend operands must share a viewport");
+    let mut next = operands.iter();
+    let mut raster_chain: OpChain<'_, Texel> = OpChain::new();
+    for k in kernels {
+        raster_chain = match *k {
+            ChainKernel::Value(tag) => raster_chain.map_tagged(tag),
             // Built-in blends always take the SIMD row kernel: the
             // kernel is bit-identical to `BlendFn::apply` (asserted in
             // `info::tests`), so the chain ≡ materialized contract is
             // unchanged by the lowering.
-            CanvasOp::Blend { other, op } => {
-                raster_chain.blend_tagged(other.texels(), Some(other.cover()), op.tag())
+            ChainKernel::Blend(op) => {
+                let o = next.next().expect("one operand per Blend kernel");
+                raster_chain.blend_tagged(o.texels(), Some(o.cover()), op.tag())
             }
-            // The mask kernel bakes in the materialized mask's semantics:
-            // null texels pass, failing texels are nulled.
-            CanvasOp::MaskTagged { tag, .. } => raster_chain.mask_tagged(*tag),
+            // The mask kernel bakes in the materialized mask's
+            // semantics: null texels pass, failing texels are nulled.
+            ChainKernel::Mask(tag) => raster_chain.mask_tagged(tag),
         };
     }
-    match chain.backend {
-        Some(be) => raster_chain.with_backend(be),
-        None => raster_chain,
-    }
-}
-
-/// Replays the boundary/source bookkeeping of the materialized operator
-/// sequence against the finished planes — sparse metadata only, no
-/// intermediate plane is ever touched. Blend stages merge the operand's
-/// entries (source-remapped), Mask stages prune entries of pixels whose
-/// texel the mask left null (read from the run's per-stage bitmaps).
-fn replay_bookkeeping(canvas: &mut Canvas, chain: &CanvasChain<'_>, masked: &MaskOutcome) {
-    let mut mask_ordinal = 0usize;
-    for op in chain.ops() {
-        match op {
-            CanvasOp::ValueTagged(_) => {}
-            CanvasOp::Blend { other, .. } => {
-                // Same merge the materialized Blend performs.
-                let area_remap: Vec<u16> = other
-                    .area_sources()
-                    .iter()
+    let mut canvas = input.clone();
+    let masked = {
+        let (texels, cover, _) = canvas.planes_mut();
+        dev.pipeline()
+            .run_chain_texture(texels, Some(cover), &raster_chain)
+    };
+    // Replay the materialized sequence's boundary/source bookkeeping
+    // against the finished planes — sparse metadata only, no
+    // intermediate plane is ever touched: Blend kernels merge the
+    // operand's entries (source-remapped), Mask kernels prune entries
+    // of pixels whose texel the mask left null (the run's per-mask
+    // bitmaps).
+    let (mut next, mut mask_ordinal) = (operands.iter(), 0usize);
+    for k in kernels {
+        match k {
+            ChainKernel::Value(_) => {}
+            ChainKernel::Blend(_) => {
+                let other = next.next().expect("one operand per Blend kernel");
+                let area_remap: Vec<u16> = (other.area_sources().iter())
                     .map(|s| canvas.add_area_source(s.clone()))
                     .collect();
-                let line_remap: Vec<u16> = other
-                    .line_sources()
-                    .iter()
+                let line_remap: Vec<u16> = (other.line_sources().iter())
                     .map(|s| canvas.add_line_source(s.clone()))
                     .collect();
                 canvas
                     .boundary_mut()
                     .merge_in(other.boundary(), &area_remap, &line_remap);
             }
-            CanvasOp::MaskTagged { .. } => {
+            ChainKernel::Mask(_) => {
                 let ordinal = mask_ordinal;
                 canvas
                     .boundary_mut()
@@ -212,52 +138,27 @@ fn replay_bookkeeping(canvas: &mut Canvas, chain: &CanvasChain<'_>, masked: &Mas
             }
         }
     }
-}
-
-/// Executes `input → chain` over a finished canvas: the input's
-/// planes are copied once and the chain runs over the copy in place
-/// (`Pipeline::run_chain_texture`, full-width row strips); the input's
-/// index is then carried through the bookkeeping replay. Bit-identical to [`apply_chain_materialized`] on the same
-/// input at any thread count, including pipeline stats.
-pub fn run_canvas_chain(dev: &mut Device, input: &Canvas, chain: &CanvasChain<'_>) -> Canvas {
-    let vp = *input.viewport();
-    assert_operand_viewports(&vp, chain);
-    let mut canvas = input.clone();
-    let raster_chain = lower_to_raster(chain);
-    let masked = {
-        let (texels, cover, _) = canvas.planes_mut();
-        dev.pipeline()
-            .run_chain_texture(texels, Some(cover), &raster_chain)
-    };
-    replay_bookkeeping(&mut canvas, chain, &masked);
     canvas
 }
 
-/// Applies a chain's operators as separate whole-canvas passes: the
-/// materialized reference [`run_canvas_chain`] is held to, and the
-/// plan-comparison baseline.
+/// Applies the kernels as separate whole-canvas passes, each Blend
+/// reading the next of `operands`: the materialized reference
+/// [`run_chain`] is held to, and the plan-comparison baseline.
 pub fn apply_chain_materialized(
     dev: &mut Device,
     mut c: Canvas,
-    chain: &CanvasChain<'_>,
+    kernels: &[ChainKernel],
+    operands: &[&Canvas],
 ) -> Canvas {
-    for op in chain.ops() {
-        c = match op {
-            CanvasOp::ValueTagged(tag) => crate::ops::value::value_transform_tagged(dev, &c, *tag),
-            CanvasOp::Blend { other, op } => crate::ops::blend::blend(dev, &c, other, *op),
-            // Materialized form of the tagged mask: the ordinary texel
-            // mask over the kernel's raw predicate — same keep-set.
-            CanvasOp::MaskTagged { label, tag } => {
-                let tag = *tag;
-                crate::ops::mask::mask(
-                    dev,
-                    &c,
-                    &MaskSpec::Texel(
-                        label,
-                        Arc::new(move |t: &Texel| canvas_raster::simd::mask_pred(tag, t)),
-                    ),
-                )
+    let mut next = operands.iter();
+    for k in kernels {
+        c = match *k {
+            ChainKernel::Value(tag) => crate::ops::value::value_transform_tagged(dev, &c, tag),
+            ChainKernel::Blend(op) => {
+                let other = next.next().expect("one operand per Blend kernel");
+                crate::ops::blend::blend(dev, &c, other, op)
             }
+            ChainKernel::Mask(tag) => crate::ops::mask::mask(dev, &c, &MaskSpec::Tagged(tag)),
         };
     }
     c
@@ -269,6 +170,8 @@ mod tests {
     use crate::canvas::PointBatch;
     use crate::source::{render_points, render_polygon_set, render_query_polygon};
     use canvas_geom::{BBox, Point, Polygon};
+    use canvas_raster::Viewport;
+    use std::sync::Arc;
 
     fn vp(n: u32) -> Viewport {
         Viewport::new(
@@ -301,16 +204,15 @@ mod tests {
             let mut dev_m = Device::cpu_parallel(threads);
             let cq_c = render_query_polygon(&mut dev_c, vp(16), q.clone(), 1);
             let cq_m = render_query_polygon(&mut dev_m, vp(16), q.clone(), 1);
-            fn mk(cq: &Canvas) -> CanvasChain<'_> {
-                CanvasChain::new()
-                    .blend(cq, BlendFn::PointOverArea)
-                    .mask_tagged("point ∧ area", MaskTag::PointAndArea)
-                    .value_tagged(ValueTag::HeatLog)
-            }
+            let heat = [
+                ChainKernel::Blend(BlendFn::PointOverArea),
+                ChainKernel::Mask(MaskTag::PointAndArea),
+                ChainKernel::Value(ValueTag::HeatLog),
+            ];
             let cp_c = render_points(&mut dev_c, vp(16), &pts());
-            let got = run_canvas_chain(&mut dev_c, &cp_c, &mk(&cq_c));
+            let got = run_chain(&mut dev_c, &cp_c, &heat, &[&cq_c]);
             let cp_m = render_points(&mut dev_m, vp(16), &pts());
-            let want = apply_chain_materialized(&mut dev_m, cp_m, &mk(&cq_m));
+            let want = apply_chain_materialized(&mut dev_m, cp_m, &heat, &[&cq_m]);
             assert_eq!(got.texels(), want.texels(), "threads={threads}");
             assert_eq!(got.cover(), want.cover(), "threads={threads}");
             assert_eq!(
@@ -346,18 +248,17 @@ mod tests {
             ])
             .unwrap(),
         ]);
-        fn mk() -> CanvasChain<'static> {
-            CanvasChain::new()
-                .mask_tagged("dense", MaskTag::AreaV1Above { threshold: 1.5 })
-                .value_tagged(ValueTag::DensityLog { tag: 1.0 })
-        }
+        let dense = [
+            ChainKernel::Mask(MaskTag::AreaV1Above { threshold: 1.5 }),
+            ChainKernel::Value(ValueTag::DensityLog { tag: 1.0 }),
+        ];
         for threads in [1usize, 3] {
             let mut dev_c = Device::cpu_parallel(threads);
             let mut dev_m = Device::cpu_parallel(threads);
             let zones_c = render_polygon_set(&mut dev_c, vp(16), &table, BlendFn::AreaCount);
-            let got = run_canvas_chain(&mut dev_c, &zones_c, &mk());
+            let got = run_chain(&mut dev_c, &zones_c, &dense, &[]);
             let zones_m = render_polygon_set(&mut dev_m, vp(16), &table, BlendFn::AreaCount);
-            let want = apply_chain_materialized(&mut dev_m, zones_m, &mk());
+            let want = apply_chain_materialized(&mut dev_m, zones_m, &dense, &[]);
             assert_eq!(got.texels(), want.texels(), "threads={threads}");
             assert_eq!(got.cover(), want.cover(), "threads={threads}");
             assert_eq!(
@@ -379,21 +280,31 @@ mod tests {
 
     #[test]
     fn plan_label_prints_ops() {
-        let c = Canvas::empty(vp(8));
-        let chain = CanvasChain::new()
-            .blend(&c, BlendFn::Over)
-            .mask_tagged("m", MaskTag::PointAndArea)
-            .value_tagged(ValueTag::HeatLog);
-        assert_eq!(format!("{:?}", chain.ops()), "[B[Over], M[m], V[f]]");
+        // The kernel nodes a chain runs print by their tags, as plan
+        // data, not as opaque functions.
+        let c = || crate::algebra::Expr::literal(Canvas::empty(vp(8)));
+        let plan = crate::algebra::Expr::value_tagged(
+            ValueTag::HeatLog,
+            crate::algebra::Expr::mask(
+                MaskSpec::Tagged(MaskTag::PointAndArea),
+                crate::algebra::Expr::blend(BlendFn::Over, c(), c()),
+            ),
+        );
+        let diagram = plan.plan();
+        let labels: Vec<&str> = diagram.lines().map(str::trim).collect();
+        assert_eq!(
+            labels,
+            ["V[HeatLog]", "M[PointAndArea]", "B[∪]", "C_lit", "C_lit"]
+        );
     }
 
     #[test]
     #[should_panic(expected = "share a viewport")]
     fn mismatched_blend_viewport_panics() {
         let other = Canvas::empty(vp(8));
-        let chain = CanvasChain::new().blend(&other, BlendFn::Over);
         let mut dev = Device::cpu();
         let input = render_points(&mut dev, vp(16), &pts());
-        let _ = run_canvas_chain(&mut dev, &input, &chain);
+        let blend = [ChainKernel::Blend(BlendFn::Over)];
+        let _ = run_chain(&mut dev, &input, &blend, &[&other]);
     }
 }

@@ -93,6 +93,10 @@ pub enum MaskSpec {
     /// (Section 4.1). Coarse (texel-level); record-level exact
     /// refinement is done by the polygon-selection query.
     AreaCount(CountCond),
+    /// A built-in coarse predicate (the heatmaps' `M[point ∧ area]`,
+    /// `M[inside ∧ ≥1]`): plan data, fingerprinted by value, and a
+    /// kernel the planner can run in a chain or an entry walk.
+    Tagged(MaskTag),
     /// Arbitrary texel predicate (no refinement) for custom queries;
     /// the string names the condition in plan diagrams.
     Texel(
@@ -106,6 +110,7 @@ impl std::fmt::Debug for MaskSpec {
         match self {
             MaskSpec::PointInAreas(c) => write!(f, "PointInAreas({c:?})"),
             MaskSpec::AreaCount(c) => write!(f, "AreaCount({c:?})"),
+            MaskSpec::Tagged(tag) => write!(f, "Tagged({tag:?})"),
             MaskSpec::Texel(name, _) => write!(f, "Texel({name})"),
         }
     }
@@ -119,6 +124,7 @@ impl MaskSpec {
             MaskSpec::PointInAreas(CountCond::Ge(k)) => format!("Mp'[#areas>={k}]"),
             MaskSpec::AreaCount(CountCond::Eq(k)) => format!("My[count={k}]"),
             MaskSpec::AreaCount(CountCond::Ge(k)) => format!("My[count>={k}]"),
+            MaskSpec::Tagged(tag) => format!("M[{tag:?}]"),
             MaskSpec::Texel(name, _) => format!("M[{name}]"),
         }
     }
@@ -134,6 +140,10 @@ pub fn mask(dev: &mut Device, c: &Canvas, spec: &MaskSpec) -> Canvas {
             mask_texel(dev, c, move |t| {
                 t.get(2).map(|a| cond.eval(a.v1 as u32)).unwrap_or(false)
             })
+        }
+        MaskSpec::Tagged(tag) => {
+            let tag = *tag;
+            mask_texel(dev, c, move |t| canvas_raster::simd::mask_pred(tag, t))
         }
         MaskSpec::Texel(_, f) => {
             let f = f.clone();
@@ -357,8 +367,9 @@ pub fn select_point_entries_in_areas(
     out
 }
 
-/// `D*[γ](M[Mp(cond)](B[⊙](points, areas)))` into `target_vp`, computed
-/// from the entries without either operator's plane (see module docs):
+/// `D*[γ](M(B[⊙](points, areas)))` into `target_vp` for the mask `rule`
+/// names, computed from the entries without either operator's plane
+/// (see module docs):
 /// the group canvas [`map_scatter`](super::map_scatter) over the dense
 /// chain returns, bit for bit.
 ///
@@ -375,12 +386,11 @@ pub fn scatter_point_entries_in_areas(
     dev: &Device,
     points: &Canvas,
     areas: &Canvas,
-    cond: CountCond,
+    rule: PixelRule,
     gamma: &ValueMap,
     target_vp: Viewport,
     combine: BlendFn,
 ) -> Canvas {
-    let rule = PixelRule::PointInAreas(cond);
     let bands = entry_bands(dev, points);
     let lists = dev.pool().run_indexed(bands.len(), |b| {
         let mut local = Vec::new();

@@ -29,7 +29,7 @@ pub mod utility;
 pub mod value;
 
 pub use blend::{blend, multiway_blend};
-pub use chain::{run_canvas_chain, CanvasChain, CanvasOp};
+pub use chain::{run_chain, ChainKernel};
 pub use dissect::{dissect, dissect_iter, dissect_par, map_scatter};
 pub use mask::{
     mask, scatter_point_entries_in_areas, select_point_entries_in_areas, CountCond, MaskSpec,
@@ -39,4 +39,4 @@ pub use transform::{
     group_viewport, transform_by_value, transform_positions, MapParam, PositionMap, ValueMap,
 };
 pub use utility::{circle_canvas, circle_canvas_with_segments, halfspace_canvas, rect_canvas};
-pub use value::value_transform;
+pub use value::{value_transform, ValueFn};

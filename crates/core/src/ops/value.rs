@@ -5,10 +5,27 @@
 //! current value. The Voronoi stored procedure (Section 4.5) is built
 //! entirely from this operator.
 
+use std::sync::Arc;
+
 use crate::canvas::Canvas;
 use crate::device::Device;
 use crate::info::Texel;
 use canvas_geom::Point;
+use canvas_raster::ValueTag;
+
+/// A per-texel function `f(location, texel)` of a Value Transform.
+pub type TexelFn = Arc<dyn Fn(Point, Texel) -> Texel + Send + Sync>;
+
+/// The function of a Value Transform plan node `V[f]`.
+#[derive(Clone)]
+pub enum ValueFn {
+    /// A built-in transform (the heatmaps' `ln(1 + count)` finishers):
+    /// plan data, fingerprinted by value, and a kernel the planner can
+    /// run in a chain or an entry walk.
+    Tagged(ValueTag),
+    /// A closure, named in plan diagrams and identified by that name.
+    Named(&'static str, TexelFn),
+}
 
 /// `C' = V[f](C)`. The function receives the *world* coordinates of each
 /// location (pixel center under discretization) and its current value.
@@ -36,11 +53,7 @@ pub fn value_transform(
 /// (identical work counters) running the dispatched row kernel of
 /// `canvas_raster::simd` instead of a per-texel closure. Built-in
 /// transforms are location-independent, so no pixel-center plumbing.
-pub fn value_transform_tagged(
-    dev: &mut Device,
-    c: &Canvas,
-    tag: canvas_raster::ValueTag,
-) -> Canvas {
+pub fn value_transform_tagged(dev: &mut Device, c: &Canvas, tag: ValueTag) -> Canvas {
     let mut out = c.clone();
     {
         let (texels, _, _) = out.planes_mut();

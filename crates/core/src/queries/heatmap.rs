@@ -1,5 +1,8 @@
 //! Heatmaps: the density views of a polygonal selection and of a
-//! polygon table, each finished by a log Value Transform.
+//! polygon table, each finished by a log Value Transform. Both are
+//! plans ([`selection_heatmap_plan`], [`polygon_density_plan`]); the
+//! engine serves them as `Query::Plan`s, and the planner picks their
+//! physical forms.
 //!
 //! The selection heatmap is the Section 4.1 selection shape with a
 //! coarse mask and a Value Transform finisher:
@@ -8,82 +11,84 @@
 //! C_heat ← V[log](M[point ∧ area](B[⊙](C_P, C_Q)))
 //! ```
 //!
-//! The mask is the *texel* mask `M[point ∧ area]`: a pixel survives
-//! when it holds a point and lies inside the query polygon at pixel
-//! resolution — a heatmap is a pixel-resolution product, so the exact
-//! point refinement of the selection's `Mp'` is not needed. The Value
-//! Transform rewrites each surviving pixel's intensity to
+//! The mask is the *texel* mask `M[point ∧ area]`
+//! ([`MaskTag::PointAndArea`]): a pixel survives when it holds a point
+//! and lies inside the query polygon at pixel resolution — a heatmap is
+//! a pixel-resolution product, so the exact point refinement of the
+//! selection's `Mp'` is not needed. The Value Transform
+//! ([`ValueTag::HeatLog`]) rewrites each surviving pixel's intensity to
 //! `ln(1 + count)` so dense pixels don't saturate the color ramp.
 //!
-//! Every surviving pixel holds a point, so the plan runs as the mask's
-//! entry walk ([`select_point_entries_in_areas`] with
-//! [`PixelRule::PointAndArea`] and [`ValueTag::HeatLog`]): one pass
-//! over `C_P`'s point run against `C_Q` writes the kept pixels, their
-//! entries and `C_Q`'s area entries there into an empty canvas — no
-//! blend, mask or value pass over the planes. With a subplan cache both
-//! operands are the plan leaves a `SelectPoints` over the same handle
-//! and polygon evaluates, so after that selection the heatmap draws
-//! nothing. [`selection_heatmap_materialized`] runs the identical plan
-//! as separate whole-canvas passes, the reference the equivalence
-//! harnesses hold the walk to.
+//! Every surviving pixel holds a point, so the planner runs the plan as
+//! the mask's entry walk finished by the value kernel
+//! (`algebra::planner::value_sink`): one pass over `C_P`'s point run
+//! against `C_Q` writes the kept pixels, their entries and `C_Q`'s area
+//! entries there into an empty canvas — no blend, mask or value pass
+//! over the planes. `C_P` and `C_Q` are the leaves a `SelectPoints`
+//! over the same handle and polygon evaluates, so after that selection
+//! the heatmap draws nothing.
 //!
-//! The choropleth ([`polygon_density_heatmap`]) is the polygon-table
-//! sibling, `V[log](M[inside ∧ ≥1](B[⊕](C_Y*, C_tag)))`. Its `C_Y*` is the
-//! same `C_Y*[table, ⊕]` plan leaf a zone aggregate renders, so it is
-//! taken from (or published to) the subplan cache, and the chain runs
-//! over it with [`run_canvas_chain`].
+//! The choropleth is the polygon-table sibling:
+//!
+//! ```text
+//! C_density ← V[log](M[inside ∧ ≥1](B[⊕](C_Y*, C_tag)))
+//! ```
+//!
+//! `C_tag` renders the query region with a count tag far above any
+//! overlap count ([`QUERY_TAG`]), so after the `⊕` blend a pixel's
+//! count decomposes as `inside_query · QUERY_TAG + polygon_count`; the
+//! mask keeps counts above the tag and the value transform subtracts it
+//! before the log. The planner runs the three kernel nodes as one
+//! in-place chain over `C_Y*` (`algebra::planner::kernel_node`), the
+//! same `C_Y*[table, ⊕]` leaf a zone aggregate reads.
+//!
+//! [`selection_heatmap_materialized`] and
+//! [`polygon_density_heatmap_materialized`] run the identical plans as
+//! separate whole-canvas passes: the references the equivalence
+//! harnesses hold the planner's forms to.
 
-use crate::algebra::subplan::{acquire_or_render, SubplanCache};
-use crate::algebra::{fingerprint, Expr, FingerprintBuilder};
+use crate::algebra::Expr;
 use crate::canvas::{AreaSource, Canvas, PointBatch};
 use crate::device::Device;
-use crate::info::{BlendFn, Texel};
-use crate::ops::chain::{apply_chain_materialized, run_canvas_chain, CanvasChain};
-use crate::ops::mask::{select_point_entries_in_areas, PixelRule};
-use crate::queries::selection::shared_points_canvas;
-use crate::source::{render_points, render_polygon_set, render_polygon_with, render_query_polygon};
+use crate::info::BlendFn;
+use crate::ops::chain::{apply_chain_materialized, ChainKernel};
+use crate::ops::mask::{select_point_entries_in_areas, MaskSpec, PixelRule};
+use crate::source::{
+    render_points, render_polygon_set, render_query_polygon, render_query_tag, QUERY_TAG,
+};
 use canvas_geom::polygon::Polygon;
 use canvas_raster::{MaskTag, ValueTag, Viewport};
 use std::sync::Arc;
 
-/// `C_heat ← V[log](M[point ∧ area](B[⊙](C_P, C_Q)))` by the entry walk
-/// (see module docs). Surviving pixels carry `ln(1 + count)` in the
-/// 0-row's `v2` slot (raw count stays in `v1`).
+/// `C_heat ← V[log](M[point ∧ area](B[⊙](C_P, C_Q)))` over `data` and
+/// the query polygon `q` (see module docs). Surviving pixels carry
+/// `ln(1 + count)` in the 0-row's `v2` slot (raw count stays in `v1`).
+pub fn selection_heatmap_plan(data: Arc<PointBatch>, q: Polygon) -> Expr {
+    Expr::value_tagged(
+        ValueTag::HeatLog,
+        Expr::mask(
+            MaskSpec::Tagged(MaskTag::PointAndArea),
+            Expr::blend(
+                BlendFn::PointOverArea,
+                Expr::points(data),
+                Expr::query_polygon(q, 1),
+            ),
+        ),
+    )
+}
+
+/// [`selection_heatmap_plan`]'s canvas over a borrowed batch: `C_P` and
+/// `C_Q` drawn, then the entry walk the planner runs the plan as.
 pub fn selection_heatmap(dev: &mut Device, vp: Viewport, data: &PointBatch, q: &Polygon) -> Canvas {
     let cp = render_points(dev, vp, data);
     let cq = render_query_polygon(dev, vp, q.clone(), 1);
-    heat_walk(dev, &cp, &cq)
-}
-
-/// [`selection_heatmap`] with a [`SubplanCache`] for both operands:
-/// `C_P` under the plan leaf `Expr::points(data)`
-/// ([`shared_points_canvas`]) and `C_Q` under
-/// `Expr::query_polygon(q, 1)` — the leaves of the `SelectPoints` plan
-/// over the same handle and polygon. Bit-identical to
-/// [`selection_heatmap`] whatever the cache serves.
-pub fn selection_heatmap_via(
-    dev: &mut Device,
-    vp: Viewport,
-    data: &Arc<PointBatch>,
-    q: &Polygon,
-    cache: Option<&dyn SubplanCache>,
-) -> Canvas {
-    let cp = shared_points_canvas(dev, vp, data, cache);
-    let fp = fingerprint(&Expr::query_polygon(q.clone(), 1));
-    let cq = acquire_or_render(cache, fp, &vp, || {
-        render_query_polygon(dev, vp, q.clone(), 1)
-    });
-    heat_walk(dev, &cp, &cq)
-}
-
-/// The heatmap over its two operands, as the entry walk.
-fn heat_walk(dev: &Device, cp: &Canvas, cq: &Canvas) -> Canvas {
     let heat = Some(ValueTag::HeatLog);
-    select_point_entries_in_areas(dev, cp, cq, PixelRule::PointAndArea, heat)
+    select_point_entries_in_areas(dev, &cp, &cq, PixelRule::PointAndArea, heat)
 }
 
-/// The identical plan executed as separate whole-canvas operator
-/// passes — the materialized reference for the equivalence harnesses.
+/// The selection heatmap plan executed as separate whole-canvas
+/// operator passes — the materialized reference for the equivalence
+/// harnesses.
 pub fn selection_heatmap_materialized(
     dev: &mut Device,
     vp: Viewport,
@@ -91,91 +96,40 @@ pub fn selection_heatmap_materialized(
     q: &Polygon,
 ) -> Canvas {
     let cq = render_query_polygon(dev, vp, q.clone(), 1);
-    let chain = CanvasChain::new()
-        .blend(&cq, BlendFn::PointOverArea)
-        .mask_tagged("point ∧ area", MaskTag::PointAndArea)
-        .value_tagged(ValueTag::HeatLog);
     let cp = render_points(dev, vp, data);
-    apply_chain_materialized(dev, cp, &chain)
+    let heat = [
+        ChainKernel::Blend(BlendFn::PointOverArea),
+        ChainKernel::Mask(MaskTag::PointAndArea),
+        ChainKernel::Value(ValueTag::HeatLog),
+    ];
+    apply_chain_materialized(dev, cp, &heat, &[&cq])
 }
 
-// ---------------------------------------------------------------------
-// Polygon-density (choropleth) heatmap — a chain over the table canvas.
-// ---------------------------------------------------------------------
-
-/// Count tag rendered into the query-region canvas: far above any real
-/// overlap count (f32 holds integers exactly to 2²⁴), so after the
-/// `⊕` blend a pixel's 2-row count decomposes as
-/// `inside_query · TAG + polygon_count`. This is the canvas-algebra
-/// trick of encoding a constraint in the value rows — the same coarse
-/// (texel-level) resolution argument as the selection heatmap applies:
-/// a heatmap is a pixel-resolution product.
-const QUERY_TAG: f32 = (1u32 << 20) as f32;
-
-/// The choropleth chain over a tag-rendered query-region canvas:
-/// `V[log](M[inside ∧ dense](B[⊕](C_Y*, C_tag)))`.
-fn density_chain(ctag: &Canvas) -> CanvasChain<'_> {
-    CanvasChain::new()
-        .blend(ctag, BlendFn::AreaCount)
-        .mask_tagged(
-            "inside query ∧ ≥1 polygon",
-            MaskTag::AreaV1Above {
+/// The choropleth of `table` restricted to the query region `q`,
+/// `V[log](M[inside ∧ ≥1](B*[⊕](C_Y*, C_tag)))` (see module docs),
+/// built in normal form: `⊕` is associative, so normalization would
+/// turn `B[⊕]` into this `B*[⊕]`. Surviving pixels carry the polygon
+/// overlap count in the 2-row's `v1` and `ln(1 + count)` in `v2`.
+pub fn polygon_density_plan(table: AreaSource, q: Polygon) -> Expr {
+    Expr::value_tagged(
+        ValueTag::DensityLog { tag: QUERY_TAG },
+        Expr::mask(
+            MaskSpec::Tagged(MaskTag::AreaV1Above {
                 threshold: QUERY_TAG,
-            },
-        )
-        .value_tagged(ValueTag::DensityLog { tag: QUERY_TAG })
-}
-
-/// Renders the query region with the count tag (id `u32::MAX` so it can
-/// never shadow a table record id).
-fn render_query_tag(dev: &mut Device, vp: Viewport, q: &Polygon) -> Canvas {
-    let table: AreaSource = Arc::new(vec![q.clone()]);
-    render_polygon_with(
-        dev,
-        vp,
-        &table,
-        0,
-        Texel::area(u32::MAX, QUERY_TAG, 0.0),
-        true,
+            }),
+            Expr::multi_blend(
+                BlendFn::AreaCount,
+                vec![
+                    Expr::polygon_set(table, BlendFn::AreaCount),
+                    Expr::query_tag(q),
+                ],
+            ),
+        ),
     )
 }
 
-/// Polygon-density heatmap (choropleth) of a polygon table restricted
-/// to a query region: the instanced table draw accumulates per-pixel
-/// overlap counts (`C_Y*[table, ⊕]`), then the chain blend with the
-/// tagged query region → mask → log value transform runs over that
-/// canvas ([`run_canvas_chain`]). Surviving pixels carry the polygon
-/// overlap count in the 2-row's `v1` and `ln(1 + count)` in `v2`.
-///
-/// With a [`SubplanCache`], both operands of the chain's blend are
-/// shared. The table canvas is keyed as the plan leaf
-/// `Expr::polygon_set(table, ⊕)` — the `C_Y*` a zone aggregate over
-/// the same table evaluates — so the choropleth and the aggregate of
-/// one viewport render it once. The tag canvas is not expressible as a
-/// plain plan leaf, so its identity is a namespaced descriptor
-/// fingerprint over the polygon's vertex values: two choropleths
-/// restricted to the same region share one tag render. The result is
-/// bit-identical whatever the cache serves.
-pub fn polygon_density_heatmap(
-    dev: &mut Device,
-    vp: Viewport,
-    table: &AreaSource,
-    q: &Polygon,
-    cache: Option<&dyn SubplanCache>,
-) -> Canvas {
-    let fp = fingerprint(&Expr::polygon_set(table.clone(), BlendFn::AreaCount));
-    let zones = acquire_or_render(cache, fp, &vp, || {
-        render_polygon_set(dev, vp, table, BlendFn::AreaCount)
-    });
-    let mut fb = FingerprintBuilder::new("core/heatmap/query-tag");
-    fb.polygon(q);
-    let ctag = acquire_or_render(cache, fb.finish(), &vp, || render_query_tag(dev, vp, q));
-    run_canvas_chain(dev, &zones, &density_chain(&ctag))
-}
-
-/// The identical choropleth plan executed as separate whole-canvas
-/// operator passes — the materialized reference for the equivalence
-/// harness.
+/// The choropleth plan executed as separate whole-canvas operator
+/// passes — the materialized reference for the equivalence harnesses.
 pub fn polygon_density_heatmap_materialized(
     dev: &mut Device,
     vp: Viewport,
@@ -184,12 +138,20 @@ pub fn polygon_density_heatmap_materialized(
 ) -> Canvas {
     let ctag = render_query_tag(dev, vp, q);
     let zones = render_polygon_set(dev, vp, table, BlendFn::AreaCount);
-    apply_chain_materialized(dev, zones, &density_chain(&ctag))
+    let density = [
+        ChainKernel::Blend(BlendFn::AreaCount),
+        ChainKernel::Mask(MaskTag::AreaV1Above {
+            threshold: QUERY_TAG,
+        }),
+        ChainKernel::Value(ValueTag::DensityLog { tag: QUERY_TAG }),
+    ];
+    apply_chain_materialized(dev, zones, &density, &[&ctag])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::{normalize, SubplanCache};
     use canvas_geom::{BBox, Point};
 
     fn vp() -> Viewport {
@@ -281,7 +243,8 @@ mod tests {
                 "the selection publishes C_P and C_Q"
             );
             let before = dev.stats();
-            let shared = selection_heatmap_via(&mut dev, vp(), &batch, &q(), Some(&memo));
+            let plan = selection_heatmap_plan(batch.clone(), q());
+            let shared = plan.eval_via(&mut dev, vp(), Some(&memo));
             assert_eq!(dev.stats(), before, "the heatmap draws nothing");
             let want = selection_heatmap(&mut Device::cpu(), vp(), &batch, &q());
             assert_eq!(shared.texels(), want.texels(), "threads={threads}");
@@ -316,7 +279,8 @@ mod tests {
         for threads in [1usize, 4] {
             let mut dev_f = Device::cpu_parallel(threads);
             let mut dev_m = Device::cpu_parallel(threads);
-            let fused = polygon_density_heatmap(&mut dev_f, vp(), &table, &q(), None);
+            let plan = normalize(polygon_density_plan(table.clone(), q()));
+            let fused = plan.eval(&mut dev_f, vp());
             let want = polygon_density_heatmap_materialized(&mut dev_m, vp(), &table, &q());
             assert_eq!(fused.texels(), want.texels(), "threads={threads}");
             assert_eq!(fused.cover(), want.cover(), "threads={threads}");
@@ -351,7 +315,7 @@ mod tests {
         ])
         .unwrap()]);
         let mut dev = Device::cpu();
-        let heat = polygon_density_heatmap(&mut dev, vp(), &table, &q(), None);
+        let heat = polygon_density_plan(table, q()).eval(&mut dev, vp());
         assert!(heat.is_empty());
     }
 

@@ -231,6 +231,23 @@ pub fn render_query_polygon(dev: &mut Device, vp: Viewport, poly: Polygon, id: u
     render_polygon(dev, vp, &table, 0, id)
 }
 
+/// Count tag [`render_query_tag`] writes: far above any real overlap
+/// count (f32 holds integers exactly to 2²⁴), so after the `⊕` blend
+/// with a polygon table a pixel's 2-row count decomposes as
+/// `inside_query · QUERY_TAG + polygon_count` — the constraint encoded
+/// in the value rows, at pixel resolution (a heatmap is a
+/// pixel-resolution product).
+pub const QUERY_TAG: f32 = (1u32 << 20) as f32;
+
+/// Renders a query region with the count tag: `s[2] = (u32::MAX,
+/// QUERY_TAG, 0)`, id `u32::MAX` so it never shadows a table record
+/// id — the `C_tag` plan leaf.
+pub fn render_query_tag(dev: &mut Device, vp: Viewport, q: &Polygon) -> Canvas {
+    let table: AreaSource = Arc::new(vec![q.clone()]);
+    let texel = Texel::area(u32::MAX, QUERY_TAG, 0.0);
+    render_polygon_with(dev, vp, &table, 0, texel, true)
+}
+
 /// Renders a *heterogeneous* geometric object (Definition 6 / Figure 3):
 /// every primitive lands in the object-information row matching its
 /// dimension, all sharing the record's `id`. This is the fully general

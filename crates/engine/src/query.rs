@@ -3,13 +3,16 @@
 //!
 //! Clients hand the engine a raw algebra plan ([`Query::Plan`]) or one
 //! of the high-level descriptors mirroring the paper's query classes
-//! (selection §4.1, heatmaps §4.1 fused, aggregation §4.3, knn §4.4,
-//! Voronoi / hull / skyline §4.5, origin–destination and
-//! spatio-temporal §4.6). [`Query::prepare`] resolves a descriptor to a
-//! [`Prepared`]: the *lowered* query (plan-backed descriptors become
-//! one normalized [`Query::Plan`]; every other class is its own lowered
-//! form) plus its identity. Everything the engine knows about a class
-//! is written once, on [`Query`] itself:
+//! (selection and heatmaps §4.1, aggregation §4.3, knn §4.4, Voronoi /
+//! hull / skyline §4.5, origin–destination and spatio-temporal §4.6).
+//! [`Query::prepare`] resolves a descriptor to a [`Prepared`]: the
+//! *lowered* query plus its identity. Five classes are plans — the raw
+//! plan and the descriptors that are sugar over the algebra
+//! (`SelectPoints`, `SelectionHeatmap`, `PolygonDensity`,
+//! `AggregateByZone`) lower to one normalized [`Query::Plan`], whose
+//! physical forms (entry walks, chains) the planner picks; every other
+//! class is its own lowered form, a procedure. Everything the engine
+//! knows about a class is written once, on [`Query`] itself:
 //!
 //! * its **label** ([`Query::label`]) — names the class span, the
 //!   per-class latency histogram and the execution report;
@@ -20,20 +23,20 @@
 //!   under their own domain (`"engine/knn"`, …) by the same contract:
 //!   datasets by handle (and pinned), query geometry and scalar
 //!   parameters by value;
-//! * its **run arm** ([`Prepared::execute_via`]) — `Expr::eval_via`, a
-//!   heatmap (`selection_heatmap_via`'s entry walk,
-//!   `polygon_density_heatmap`'s canvas chain), or a promoted procedure
-//!   (`knn`, `compute_voronoi`, …), wrapped in the [`QueryResult`] kind
-//!   the class answers with.
+//! * its **run arm** ([`Prepared::execute_via`]) — `Expr::eval_via` for
+//!   every plan, or a promoted procedure (`knn`, `compute_voronoi`,
+//!   `skyline_of_selection`, `hull_of_selection`, `render_live_heatmap`,
+//!   …), wrapped in the [`QueryResult`] kind the class answers with.
 //!
 //! ## Adding a query class
 //!
-//! A [`Query`] variant, then one arm each in `Query::class` (next dense
-//! index + label; bump `Query::CLASSES`), `Query::identity` (fresh
-//! fingerprint domain, every parameter folded, every by-address handle
-//! pinned — or, for sugar over the algebra, only its plan in
-//! `Query::lower`) and [`Prepared::execute_via`], plus a
-//! [`QueryResult`] kind if no existing one fits the answer. Nothing
+//! A [`Query`] variant and its arm in `Query::class` (next dense index
+//! and label; bump `Query::CLASSES`). If the class is sugar over the
+//! algebra, its plan in `Query::lower` is all it needs: identity, run
+//! arm and EXPLAIN rows come from the plan. Otherwise one arm each in
+//! `Query::identity` (fresh fingerprint domain, every parameter folded,
+//! every by-address handle pinned) and [`Prepared::execute_via`], plus
+//! a [`QueryResult`] kind if no existing one fits the answer. Nothing
 //! outside this file changes: cache, dedup, admission, metrics and
 //! reports key on the label and the fingerprint
 //! (`docs/ARCHITECTURE.md` walks through it).
@@ -69,19 +72,25 @@ pub enum Query {
     /// blend or mask plane is drawn or published. EXPLAIN labels the
     /// rows `Mp'[#areas>=1] (entries)` and `B[⊙] (fused)`.
     SelectPoints { data: Arc<PointBatch>, q: Polygon },
-    /// The selection heatmap `V[log](M[point ∧ area](B[⊙](C_P, C_Q)))`:
-    /// the coarse texel mask keeps pixels holding a point inside `q`,
-    /// and the value transform writes `ln(1 + count)`. It runs as the
-    /// mask's entry walk over `C_P` and `C_Q`, the leaves `SelectPoints`
-    /// over the same `data` and `q` evaluates: after that selection at
-    /// the same viewport both come from the subplan cache and the
-    /// heatmap draws nothing.
+    /// The selection heatmap `V[log](M[point ∧ area](B[⊙](C_P, C_Q)))`
+    /// (`heatmap::selection_heatmap_plan`): the coarse texel mask keeps
+    /// pixels holding a point inside `q`, and the value transform writes
+    /// `ln(1 + count)`. The planner runs it as the mask's entry walk
+    /// finished by the value kernel (`algebra::planner::value_sink`)
+    /// over `C_P` and `C_Q`, the leaves `SelectPoints` over the same
+    /// `data` and `q` evaluates: after that selection at the same
+    /// viewport both come from the subplan cache and the heatmap draws
+    /// nothing. EXPLAIN labels the rows `M[PointAndArea] (entries)` and
+    /// `B[⊙] (fused)`.
     SelectionHeatmap { data: Arc<PointBatch>, q: Polygon },
-    /// The choropleth `V[log](M[inside ∧ ≥1](B[⊕](C_Y*, C_tag)))`: the
-    /// overlap count of `table`'s polygons, kept inside `q`. `C_Y*` is
-    /// the `C_Y*[table, ⊕]` leaf `AggregateByZone` over the same table
-    /// evaluates, shared through the subplan cache; the chain runs over
-    /// it.
+    /// The choropleth `V[log](M[inside ∧ ≥1](B[⊕](C_Y*, C_tag)))`
+    /// (`heatmap::polygon_density_plan`): the overlap count of
+    /// `table`'s polygons, kept inside `q`. The planner runs its three
+    /// kernel nodes as one chain over `C_Y*`
+    /// (`algebra::planner::kernel_node`), the `C_Y*[table, ⊕]` leaf
+    /// `AggregateByZone` over the same table evaluates, shared through
+    /// the subplan cache. EXPLAIN labels the Mask and `B*[⊕]` rows
+    /// `(fused)`.
     PolygonDensity { table: AreaSource, q: Polygon },
     /// Per-zone aggregation as the Section 4.3 scatter plan:
     /// `D*[γc](M[Mp'](B[⊙](C_P, B*[⊕](C_Y*))))` — the result canvas is
@@ -210,12 +219,21 @@ impl Query {
     /// The lowered form: raw plans and the descriptors that are sugar
     /// over the algebra become one normalized [`Query::Plan`] (so a
     /// hand-built Figure 5 plan and `SelectPoints` are the same
-    /// question); every other class is its own lowered form.
+    /// question); every other class is its own lowered form. The
+    /// descriptors' plans are built in normal form (a test holds them
+    /// to it), so only a raw plan pays for normalizing on every
+    /// prepare, cache hits included.
     fn lower(&self) -> Query {
         let plan = match self {
-            Query::Plan(e) => e.clone(),
+            Query::Plan(e) => algebra::normalize(e.clone()),
             Query::SelectPoints { data, q } => {
                 selection::points_in_polygon_plan(data.clone(), q.clone())
+            }
+            Query::SelectionHeatmap { data, q } => {
+                heatmap::selection_heatmap_plan(data.clone(), q.clone())
+            }
+            Query::PolygonDensity { table, q } => {
+                heatmap::polygon_density_plan(table.clone(), q.clone())
             }
             Query::AggregateByZone { data, zones } => Expr::map_scatter(
                 ValueMap::area_id_slot(),
@@ -232,7 +250,7 @@ impl Query {
             ),
             other => return other.clone(),
         };
-        Query::Plan(algebra::normalize(plan))
+        Query::Plan(plan)
     }
 
     /// The class's identity arm: the query's fingerprint, and the
@@ -248,21 +266,10 @@ impl Query {
                 collect_pins(e, &mut pins);
                 (algebra::fingerprint(e), pins)
             }
-            Query::SelectPoints { .. } | Query::AggregateByZone { .. } => self.lower().identity(),
-            Query::SelectionHeatmap { data, q } => (
-                fb("engine/selection-heatmap")
-                    .handle(data, data.len())
-                    .polygon(q)
-                    .finish(),
-                vec![data.clone()],
-            ),
-            Query::PolygonDensity { table, q } => (
-                fb("engine/polygon-density")
-                    .polygons(table)
-                    .polygon(q)
-                    .finish(),
-                Vec::new(),
-            ),
+            Query::SelectPoints { .. }
+            | Query::SelectionHeatmap { .. }
+            | Query::PolygonDensity { .. }
+            | Query::AggregateByZone { .. } => self.lower().identity(),
             Query::Knn { data, x, k } => (
                 fb("engine/knn")
                     .handle(data, data.len())
@@ -369,38 +376,25 @@ impl std::fmt::Debug for Query {
 /// cache entry can pin them — see [`DataPin`].
 fn collect_pins(e: &Expr, out: &mut Vec<DataPin>) {
     use canvas_core::algebra::SourceSpec;
-    use canvas_core::ops::PositionMap;
+    use canvas_core::ops::{MapParam, PositionMap};
     match e {
         Expr::Source(SourceSpec::Points(b)) => out.push(b.clone()),
         Expr::Source(SourceSpec::Literal(c)) => out.push(c.clone()),
-        Expr::Source(_) => {}
-        Expr::Blend { left, right, .. } => {
-            collect_pins(left, out);
-            collect_pins(right, out);
-        }
-        Expr::MultiBlend { inputs, .. } => {
-            for i in inputs {
-                collect_pins(i, out);
-            }
-        }
-        Expr::Mask { input, .. } => collect_pins(input, out),
-        Expr::GeomTransform { gamma, input } => {
-            if let PositionMap::Custom(_) = gamma {
-                // Hashed by closure address: hold a clone of the map
-                // (and through it the closure Arc) alive.
-                out.push(Arc::new(gamma.clone()));
-            }
-            collect_pins(input, out);
-        }
-        Expr::MapScatter { gamma, input, .. } => {
-            if let canvas_core::ops::MapParam::Table(t) = &gamma.param {
-                // A lookup table is hashed by handle: pin it.
+        // Hashed by closure address: hold a clone of the map (and
+        // through it the closure Arc) alive.
+        Expr::GeomTransform {
+            gamma: gamma @ PositionMap::Custom(_),
+            ..
+        } => out.push(Arc::new(gamma.clone())),
+        // A lookup table is hashed by handle: pin it.
+        Expr::MapScatter { gamma, .. } => {
+            if let MapParam::Table(t) = &gamma.param {
                 out.push(t.clone());
             }
-            collect_pins(input, out);
         }
-        Expr::ValueTransform { input, .. } => collect_pins(input, out),
+        _ => {}
     }
+    e.for_each_child(|c| collect_pins(c, out));
 }
 
 /// A normalized, fingerprinted, executable query.
@@ -488,28 +482,24 @@ impl Prepared {
 
     /// Evaluates with a [`SubplanCache`] consulted at cut points — the
     /// engine's subplan-sharing entry, and the one **run arm** per
-    /// class. Plans thread the cache through `Expr::eval_via`; the
-    /// heatmaps consult it for the canvases they read — the selection
-    /// heatmap for the `C_P` and `C_Q` leaves its entry walk reads, the
-    /// choropleth for the zone table's `C_Y*` its chain starts from and
-    /// the tagged query region it blends with — never for a chain's
-    /// intermediates; the promoted classes over a shared point handle
-    /// (skyline, hull) take their `C_P` through it — the same key as the
-    /// `C_P` leaf of a zone aggregate or `SelectPoints` plan over that
-    /// handle — while the
-    /// remaining procedures run on the leased device directly (their
-    /// interior batches are derived per call, so there is nothing
-    /// stable to share). Results are bit-identical to
+    /// class. Plans thread the cache through `Expr::eval_via` (the
+    /// heatmaps' leaves are the ones their sibling views evaluate, and
+    /// a chain's or an entry walk's folded interiors are never
+    /// published); the promoted classes over a shared point handle
+    /// (skyline, hull) take their `C_P` through it — the same key as
+    /// the `C_P` leaf of a zone aggregate or `SelectPoints` plan over
+    /// that handle — while the remaining procedures run on the leased
+    /// device directly (their interior batches are derived per call, so
+    /// there is nothing stable to share). Results are bit-identical to
     /// [`execute`](Self::execute) regardless of what the cache serves,
     /// because rendering is deterministic.
     ///
-    /// Every class but the plan records a per-class trace span
-    /// (category `"query"`, named after [`Query::label`]) under the
-    /// engine's `eval` span, stamped with `node = 0` and the result's
-    /// byte size — the join key
-    /// [`ExecReport::measure`](obs::ExecReport::measure) uses to
-    /// attribute the work to the class's single descriptor row. Plans
-    /// need no extra span: the evaluator stamps one per plan node.
+    /// Every procedure records a per-class trace span (category
+    /// `"query"`, named after [`Query::label`]) under the engine's
+    /// `eval` span, stamped with `node = 0` and the result's byte size —
+    /// the join key [`ExecReport::measure`](obs::ExecReport::measure)
+    /// uses to attribute the work to the class's single descriptor row.
+    /// Plans need no extra span: the evaluator stamps one per plan node.
     pub fn execute_via(
         &self,
         dev: &mut Device,
@@ -522,15 +512,11 @@ impl Prepared {
         let mut class_span = obs::span(self.label, "query");
         class_span.arg_u64("node", 0);
         let result = match &self.query {
-            Query::Plan(_) | Query::SelectPoints { .. } | Query::AggregateByZone { .. } => {
-                unreachable!("plans return above")
-            }
-            Query::SelectionHeatmap { data, q } => {
-                heatmap::selection_heatmap_via(dev, vp, data, q, cache).into()
-            }
-            Query::PolygonDensity { table, q } => {
-                heatmap::polygon_density_heatmap(dev, vp, table, q, cache).into()
-            }
+            Query::Plan(_)
+            | Query::SelectPoints { .. }
+            | Query::SelectionHeatmap { .. }
+            | Query::PolygonDensity { .. }
+            | Query::AggregateByZone { .. } => unreachable!("plans return above"),
             Query::Knn { data, x, k } => {
                 QueryResult::Ids(Arc::new(knn::knn(dev, vp, data, *x, *k as usize)))
             }
@@ -649,6 +635,41 @@ mod tests {
             for j in i + 1..fps.len() {
                 assert_ne!(fps[i], fps[j], "kinds {i} and {j} collided");
             }
+        }
+    }
+
+    #[test]
+    fn descriptor_plans_are_built_normalized() {
+        let data = Arc::new(PointBatch::from_points(vec![Point::new(1.0, 1.0)]));
+        let table: AreaSource = Arc::new(vec![square(0.0, 0.0, 5.0), square(2.0, 2.0, 5.0)]);
+        let q = square(1.0, 1.0, 3.0);
+        let descriptors = [
+            Query::SelectPoints {
+                data: data.clone(),
+                q: q.clone(),
+            },
+            Query::SelectionHeatmap {
+                data: data.clone(),
+                q: q.clone(),
+            },
+            Query::PolygonDensity {
+                table: table.clone(),
+                q,
+            },
+            Query::AggregateByZone { data, zones: table },
+        ];
+        for d in descriptors {
+            let Query::Plan(e) = d.lower() else {
+                panic!("{} lowers to a plan", d.label())
+            };
+            let normal = algebra::normalize(e.clone());
+            assert_eq!(e.plan(), normal.plan(), "{}", d.label());
+            assert_eq!(
+                algebra::fingerprint(&e),
+                algebra::fingerprint(&normal),
+                "{}",
+                d.label()
+            );
         }
     }
 

@@ -55,14 +55,18 @@ fn workload() -> Vec<Query> {
         },
         Query::AggregateByZone {
             data: points.clone(),
-            zones,
+            zones: zones.clone(),
         },
         Query::Knn {
             data: points.clone(),
             x: Point::new(50.0, 50.0),
             k: 8,
         },
-        Query::Hull { data: points, q },
+        Query::Hull {
+            data: points,
+            q: q.clone(),
+        },
+        Query::PolygonDensity { table: zones, q },
     ]
 }
 
@@ -163,6 +167,21 @@ fn tail_sampled_reports_join_plan_fingerprints_and_span_trees() {
         // plan's provenance and `missing` still means recycled spans.
         assert_eq!(row("(fused)").provenance, "plan", "{r:?}");
         assert!(r.nodes.iter().map(|n| n.wall_ns).sum::<u64>() <= r.execute_ns);
+    }
+
+    // The heatmaps are plans: one measured row per plan node (V, M, the
+    // blend, both leaves), the rows the planner folds keep the plan's
+    // provenance, and no row is `missing`.
+    for (label, folded) in [("selection_heatmap", 1), ("polygon_density", 2)] {
+        let entry = slow.iter().find(|e| e.label == label).unwrap();
+        let r = &entry.report;
+        let query = queries.iter().find(|q| q.label() == label).unwrap();
+        assert_eq!(r.nodes.len(), 5, "{r:?}");
+        assert_eq!(r.nodes.len(), query.prepare().explain().nodes.len());
+        assert!(r.nodes.iter().all(|n| n.provenance != "missing"), "{r:?}");
+        let fused = r.nodes.iter().filter(|n| n.label.ends_with(" (fused)"));
+        let fused: Vec<_> = fused.map(|n| (n.provenance.as_str(), n.wall_ns)).collect();
+        assert_eq!(fused, vec![("plan", 0); folded], "{r:?}");
     }
 
     // A resubmission is a cache hit; its on-demand report says so on

@@ -21,10 +21,10 @@ use canvas_core::algebra::{
     is_cut_point, normalize, plan_nodes, selection_sink, Fingerprint, SubplanCache,
 };
 use canvas_core::prelude::*;
-use canvas_core::queries::heatmap;
 use canvas_core::queries::selection::points_in_polygon_plan;
 use canvas_engine::{EngineConfig, Query, QueryEngine};
 use canvas_geom::{BBox, Point, Polygon};
+use canvas_raster::{MaskTag, ValueTag};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -426,7 +426,13 @@ fn linked_views_probe_the_keys_their_siblings_publish() {
 
     // The heatmap's operands are the selection plan's two leaves.
     let heat = Recorder::default();
-    heatmap::selection_heatmap_via(&mut dev, vp(), &data, &q, Some(&heat));
+    let heat_query = Query::SelectionHeatmap {
+        data: data.clone(),
+        q: q.clone(),
+    };
+    heat_query
+        .prepare()
+        .execute_via(&mut dev, vp(), Some(&heat));
     let selection = Query::SelectPoints {
         data: data.clone(),
         q: q.clone(),
@@ -449,7 +455,13 @@ fn linked_views_probe_the_keys_their_siblings_publish() {
     assert_eq!(heat_published, leaf_keys, "and publishes them on a miss");
 
     let density = Recorder::default();
-    heatmap::polygon_density_heatmap(&mut dev, vp(), &zones, &q, Some(&density));
+    let density_query = Query::PolygonDensity {
+        table: zones.clone(),
+        q: q.clone(),
+    };
+    density_query
+        .prepare()
+        .execute_via(&mut dev, vp(), Some(&density));
     let aggregate = Query::AggregateByZone {
         data: data.clone(),
         zones: zones.clone(),
@@ -779,5 +791,49 @@ fn value_maps_fingerprint_the_values_they_close_over() {
         let served = engine.execute(&Query::Plan(plan.clone()), vp()).unwrap();
         let want = plan.eval(&mut Device::cpu(), vp());
         assert_canvas_eq(served.canvas(), &want, "collapse to a constant");
+    }
+}
+
+#[test]
+fn tagged_kernels_fingerprint_their_parameters() {
+    // Choropleths that differ only in the query region, and plans that
+    // differ only in a kernel's parameter (the `DensityLog` offset, the
+    // `AreaV1Above` threshold): each is its own cache identity, and the
+    // engine serves each its own canvas.
+    let zones: AreaSource = Arc::new(canvas_datagen::neighborhoods(&extent(), 6, 3));
+    let other = canvas_datagen::star_polygon(&extent(), 16, 0.3, 9);
+    let kernels = |tag: f32, threshold: f32| {
+        let mask = MaskSpec::Tagged(MaskTag::AreaV1Above { threshold });
+        let zones = Expr::polygon_set(zones.clone(), BlendFn::AreaCount);
+        Query::Plan(Expr::value_tagged(
+            ValueTag::DensityLog { tag },
+            Expr::mask(mask, zones),
+        ))
+    };
+    let queries = [district(), other].map(|q| Query::PolygonDensity {
+        table: zones.clone(),
+        q,
+    });
+    let queries = [
+        &queries[..],
+        &[kernels(0.0, 0.0), kernels(1.0, 0.0), kernels(0.0, 1.0)],
+    ]
+    .concat();
+    let engine = QueryEngine::with_config(config(256 << 20));
+    let mut served = Vec::new();
+    for (i, q) in queries.iter().enumerate() {
+        for (j, r) in queries.iter().enumerate().skip(i + 1) {
+            let (a, b) = (q.prepare().fingerprint, r.prepare().fingerprint);
+            assert_ne!(a, b, "queries {i} and {j} share a key");
+        }
+        let got = engine.execute(q, vp()).unwrap();
+        assert_canvas_eq(got.canvas(), &cpu_reference(q, vp()), q.label());
+        served.push(got);
+    }
+    // The parameters change the canvases, so a shared key would have
+    // served a wrong one.
+    for (a, b) in [(0, 1), (2, 3), (2, 4)] {
+        let (x, y) = (served[a].canvas().texels(), served[b].canvas().texels());
+        assert_ne!(x, y, "queries {a} and {b} draw the same canvas");
     }
 }

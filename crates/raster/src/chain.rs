@@ -22,7 +22,6 @@
 use crate::simd::{self, Backend, BlendTag, MaskTag, TexelWords, ValueTag};
 use crate::stats::PipelineStats;
 use crate::texture::Texture;
-use crate::tile::TileRect;
 
 /// Row dispatcher of a built-in Map: texel row.
 type MapRows<P> = fn(Backend, ValueTag, &mut [P]);
@@ -249,23 +248,22 @@ impl<'a, P: Copy + Default> OpChain<'a, P> {
         }
     }
 
-    /// Applies op `op_idx` to one rect in place: `tex`/`cov` are the
-    /// rect's row-major buffers (a full-width row strip of the planes).
-    /// Mask ops record their post-op null pixels into
-    /// `bits[mask_ordinal]` (local bitset).
-    pub(crate) fn apply_tile(
+    /// Applies op `op_idx` in place to one strip of whole rows starting
+    /// at row `row0`: `tex`/`cov` are the strip's rows of the planes,
+    /// contiguous in both. Mask ops record their post-op null pixels
+    /// into `bits[mask_ordinal]` (strip-local bitset).
+    pub(crate) fn apply_strip(
         &self,
         op_idx: usize,
-        rect: TileRect,
+        row0: usize,
         tex: &mut [P],
         cov: Option<&mut [u16]>,
         bits: &mut [TileBits],
     ) {
-        let w = rect.w as usize;
         let be = self.backend.unwrap_or_else(simd::active_backend);
         match &self.ops[op_idx] {
             // Built-in value transforms are position-independent, so
-            // the whole contiguous tile buffer is one row.
+            // the whole strip is one row.
             ChainOp::Map { tag, rows } => rows(be, *tag, tex),
             ChainOp::Blend {
                 src,
@@ -273,15 +271,10 @@ impl<'a, P: Copy + Default> OpChain<'a, P> {
                 tag,
                 rows,
             } => {
-                for (r, row) in tex.chunks_mut(w).enumerate() {
-                    let base = src.index(rect.x0, rect.y0 + r as u32);
-                    rows(be, *tag, row, &src.texels()[base..base + w]);
-                }
+                let at = row0 * src.width() as usize..row0 * src.width() as usize + tex.len();
+                rows(be, *tag, tex, &src.texels()[at.clone()]);
                 if let (Some(sc), Some(cov)) = (src_cover, cov) {
-                    for (r, row) in cov.chunks_mut(w).enumerate() {
-                        let base = sc.index(rect.x0, rect.y0 + r as u32);
-                        simd::cover_add_rows_with(be, row, &sc.texels()[base..base + w]);
-                    }
+                    simd::cover_add_rows_with(be, cov, &sc.texels()[at]);
                 }
             }
             ChainOp::Mask { tag, rows } => {
@@ -306,7 +299,7 @@ impl TileBits {
         }
     }
 
-    #[inline]
+    #[cfg(test)]
     fn set(&mut self, i: usize) {
         self.words[i / 64] |= 1 << (i % 64);
     }
@@ -343,42 +336,23 @@ impl MaskOutcome {
         self.stages[mask].get(pixel as usize)
     }
 
-    /// Imports one tile's local bitset for Mask op `mask`. Runs on the
-    /// serial merge thread, so it skips zero words and visits only set
-    /// bits instead of walking every texel.
-    pub(crate) fn import_tile(&mut self, mask: usize, rect: TileRect, tile: &TileBits) {
-        let w = rect.w as usize;
-        if rect.x0 == 0 && rect.w == self.width {
-            // Full-width rows are contiguous in the frame: OR whole
-            // words in at the rect's bit offset. Bits past the tile's
-            // texels are never set, so a spill past the frame's last
-            // word is always zero.
-            let start = rect.y0 as usize * w;
-            let (at, shift) = (start / 64, start % 64);
-            let words = &mut self.stages[mask].words;
-            for (wi, &word) in tile.words.iter().enumerate() {
-                if word == 0 {
-                    continue;
-                }
-                words[at + wi] |= word << shift;
-                if shift != 0 && word >> (64 - shift) != 0 {
-                    words[at + wi + 1] |= word >> (64 - shift);
-                }
-            }
-            return;
-        }
-        for (wi, &word) in tile.words.iter().enumerate() {
+    /// Imports the strip-local bitset of Mask op `mask` for the strip
+    /// of whole rows starting at row `row0`. The strip's rows are
+    /// contiguous in the frame, so whole words are ORed in at the
+    /// strip's bit offset, skipping zero words. Bits past the strip's
+    /// texels are never set, so a spill past the frame's last word is
+    /// always zero.
+    pub(crate) fn import_strip(&mut self, mask: usize, row0: usize, strip: &TileBits) {
+        let start = row0 * self.width as usize;
+        let (at, shift) = (start / 64, start % 64);
+        let words = &mut self.stages[mask].words;
+        for (wi, &word) in strip.words.iter().enumerate() {
             if word == 0 {
                 continue;
             }
-            let base = wi * 64;
-            let mut bits = word;
-            while bits != 0 {
-                let li = base + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let x = rect.x0 + (li % w) as u32;
-                let y = rect.y0 + (li / w) as u32;
-                self.stages[mask].set((y * self.width + x) as usize);
+            words[at + wi] |= word << shift;
+            if shift != 0 && word >> (64 - shift) != 0 {
+                words[at + wi + 1] |= word >> (64 - shift);
             }
         }
     }
@@ -421,16 +395,11 @@ mod tests {
 
     #[test]
     fn apply_tile_matches_fullscreen_semantics() {
-        // One 4x4 tile at offset (4, 2) of an 8x8 "framebuffer": every
-        // op on the tile must equal the same scalar row kernel run over
-        // the whole frame, so the blend reads its operand at the tile's
-        // offset and the mask records local bits.
-        let rect = TileRect {
-            x0: 4,
-            y0: 2,
-            w: 4,
-            h: 4,
-        };
+        // Rows 2..6 of an 8x8 "framebuffer" as one strip: every op on
+        // the strip must equal the same scalar row kernel run over the
+        // whole frame, so the blend reads its operand at the strip's
+        // rows and the mask records strip-local bits.
+        let (row0, len) = (2usize, 32usize);
         let mut frame: Texture<T10> = Texture::new(8, 8);
         let mut src: Texture<T10> = Texture::new(8, 8);
         let mut src_cov: Texture<u16> = Texture::new(8, 8);
@@ -450,13 +419,11 @@ mod tests {
             .blend_tagged(&src, Some(&src_cov), BlendTag::PointOverArea)
             .mask_tagged(MaskTag::PointAndArea)
             .map_tagged(ValueTag::HeatLog);
-        let mut tex: Vec<T10> = (0..16)
-            .map(|li| frame.get(4 + li % 4, 2 + li / 4))
-            .collect();
-        let mut cov = vec![3u16; 16];
-        let mut bits = vec![TileBits::new(16)];
+        let mut tex = frame.texels()[row0 * 8..row0 * 8 + len].to_vec();
+        let mut cov = vec![3u16; len];
+        let mut bits = vec![TileBits::new(len)];
         for op in 0..chain.len() {
-            chain.apply_tile(op, rect, &mut tex, Some(&mut cov), &mut bits);
+            chain.apply_strip(op, row0, &mut tex, Some(&mut cov), &mut bits);
         }
 
         let be = Backend::Scalar;
@@ -478,9 +445,9 @@ mod tests {
             &mut frame_bits,
         );
         simd::value_rows_with(be, ValueTag::HeatLog, frame.texels_mut());
-        for li in 0..16 {
-            let (x, y) = (4 + (li % 4) as u32, 2 + (li / 4) as u32);
-            let pixel = (y * 8 + x) as usize;
+        for li in 0..len {
+            let pixel = row0 * 8 + li;
+            let (x, y) = ((pixel % 8) as u32, (pixel / 8) as u32);
             assert_eq!(tex[li], frame.get(x, y), "texel at ({x},{y})");
             assert_eq!(cov[li], frame_cov[pixel], "cover at ({x},{y})");
             let nulled = frame_bits[0] >> pixel & 1 == 1;
@@ -492,17 +459,12 @@ mod tests {
 
     #[test]
     fn mask_outcome_imports_tile_bits() {
-        let rect = TileRect {
-            x0: 2,
-            y0: 1,
-            w: 3,
-            h: 2,
-        };
-        let mut tile = TileBits::new(rect.len());
-        tile.set(0); // local (0,0) => global (2,1) => pixel 1*8+2 = 10
-        tile.set(4); // local (1,1) => global (3,2) => pixel 2*8+3 = 19
+        // A two-row strip at row 1 of an 8-wide frame.
+        let mut strip = TileBits::new(16);
+        strip.set(2); // local 2 => (2,1) => pixel 1*8+2 = 10
+        strip.set(11); // local 11 => (3,2) => pixel 2*8+3 = 19
         let mut out = MaskOutcome::new(8, 64, 1);
-        out.import_tile(0, rect, &tile);
+        out.import_strip(0, 1, &strip);
         assert!(out.is_null_after(0, 10));
         assert!(out.is_null_after(0, 19));
         assert!(!out.is_null_after(0, 11));
@@ -510,31 +472,27 @@ mod tests {
 
     #[test]
     fn mask_outcome_imports_full_width_rows_at_any_bit_offset() {
-        // Full-width rects take the word-shift path; every bit must land
-        // where the per-texel path puts it, including words that spill
-        // across a 64-bit boundary and the frame's last word.
+        // Strips start at any bit offset; every bit must land at its
+        // pixel, including words that spill across a 64-bit boundary
+        // and the frame's last word.
         for (width, height) in [(10u32, 13u32), (64, 5), (100, 7), (33, 40)] {
             for y0 in 0..height {
                 for h in 1..=(height - y0).min(4) {
-                    let rect = TileRect {
-                        x0: 0,
-                        y0,
-                        w: width,
-                        h,
-                    };
-                    let mut tile = TileBits::new(rect.len());
-                    for li in (0..rect.len()).filter(|li| li % 3 != 1) {
-                        tile.set(li);
+                    let len = (width * h) as usize;
+                    let mut strip = TileBits::new(len);
+                    for li in (0..len).filter(|li| li % 3 != 1) {
+                        strip.set(li);
                     }
                     let mut out = MaskOutcome::new(width, (width * height) as usize, 1);
-                    out.import_tile(0, rect, &tile);
-                    for pixel in 0..width * height {
-                        let (x, y) = (pixel % width, pixel / width);
-                        let want = rect.contains(x, y) && tile.get(rect.local_index(x, y));
+                    out.import_strip(0, y0 as usize, &strip);
+                    let first = (y0 * width) as usize;
+                    for pixel in 0..(width * height) as usize {
+                        let inside = (first..first + len).contains(&pixel);
+                        let want = inside && strip.get(pixel - first);
                         assert_eq!(
-                            out.is_null_after(0, pixel),
+                            out.is_null_after(0, pixel as u32),
                             want,
-                            "{width}x{height} {rect:?}"
+                            "{width}x{height} rows {y0}+{h}"
                         );
                     }
                 }

@@ -6,7 +6,7 @@ use super::{draw_span, Pipeline};
 use crate::chain::{MaskOutcome, OpChain};
 use crate::simd::{self, BlendTag, TexelWords, ValueTag};
 use crate::texture::Texture;
-use crate::tile::{TileRect, TILE_SIZE};
+use crate::tile::TILE_SIZE;
 use crate::viewport::Viewport;
 use canvas_geom::Point;
 use canvas_obs as obs;
@@ -17,9 +17,8 @@ impl Pipeline {
     /// and, when given, its cover plane (a chain that merges covers or
     /// masks needs it). Row bands are claimed by the worker pool; each
     /// band walks strips of whole rows about one tile in size and runs
-    /// every stage on a strip before the next (a full-width
-    /// [`TileRect`], so strips are contiguous in both planes and
-    /// nothing is copied). Per-texel operators make the result
+    /// every stage on a strip before the next (whole rows, so strips
+    /// are contiguous in both planes and nothing is copied). Per-texel operators make the result
     /// bit-identical to one full-screen pass per operator at any thread
     /// count, and the work counters charged are the same as those
     /// passes'.
@@ -45,22 +44,17 @@ impl Pipeline {
         let band = |row0: usize, tex: &mut [P], mut cov: Option<&mut [u16]>| {
             let mut done = Vec::new();
             for (k, tex) in tex.chunks_mut(strip).enumerate() {
-                let rect = TileRect {
-                    x0: 0,
-                    y0: (row0 + k * strip_rows) as u32,
-                    w: w as u32,
-                    h: (tex.len() / w) as u32,
-                };
+                let strip_row0 = row0 + k * strip_rows;
                 let mut cov = cov
                     .as_mut()
                     .map(|c| &mut c[k * strip..k * strip + tex.len()]);
-                let mut bits = chain.tile_bits(rect.len());
+                let mut bits = chain.tile_bits(tex.len());
                 for s in 0..chain.len() {
                     let mut op_span = obs::span(chain.ops()[s].label(), "raster");
-                    op_span.arg_u64("tile", rect.y0 as u64);
-                    chain.apply_tile(s, rect, tex, cov.as_deref_mut(), &mut bits);
+                    op_span.arg_u64("tile", strip_row0 as u64);
+                    chain.apply_strip(s, strip_row0, tex, cov.as_deref_mut(), &mut bits);
                 }
-                done.push((rect, bits));
+                done.push((strip_row0, bits));
             }
             done
         };
@@ -83,9 +77,9 @@ impl Pipeline {
                 }),
         };
         let mut masked = MaskOutcome::new(fb.width(), n, chain.mask_count());
-        for (rect, bits) in bands.iter().flatten() {
+        for (row0, bits) in bands.iter().flatten() {
             for (m, tb) in bits.iter().enumerate() {
-                masked.import_tile(m, *rect, tb);
+                masked.import_strip(m, *row0, tb);
             }
         }
         chain.charge_stats(&mut self.stats, n);

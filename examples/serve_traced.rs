@@ -30,9 +30,12 @@
 //! EXPLAIN ANALYZE report, and the slowest capture's annotated plan
 //! tree is printed at the end (`ExecReport::to_text`). The example
 //! asserts that every captured report reconciles (node walls within the
-//! execute span) and that the zone aggregate's and the selection's show
-//! the planner's entry form (`Mp'[#areas>=1] (entries)` over
-//! `B[⊙] (fused)`).
+//! execute span) and that the plan-backed views show the planner's
+//! physical forms: the zone aggregate's and the selection's entry form
+//! (`Mp'[#areas>=1] (entries)` over `B[⊙] (fused)`), the selection
+//! heatmap's (`M[PointAndArea] (entries)` over `B[⊙] (fused)`), and the
+//! choropleth's chain (its `M[AreaV1Above …]` and `B*[⊕]` rows
+//! `(fused)` into the `V` row that runs it).
 
 use canvas_algebra::engine::{EngineConfig, Query, QueryEngine};
 use canvas_algebra::obs;
@@ -140,9 +143,8 @@ fn main() {
     let slow = engine.slow_queries();
     println!("\ntail-sampled slow queries: {} captured", slow.len());
     // Every report reconciles: exclusive node walls never exceed the
-    // query's execute span. The zone aggregate and the selection ran in
-    // the planner's entry form, and their reports name the folded `Mp'`
-    // and `B[⊙]` rows.
+    // query's execute span. The four views are plans, and their reports
+    // name the rows the planner's entry walks and chain fold.
     for entry in &slow {
         let r = &entry.report;
         let node_walls: u64 = r.nodes.iter().map(|n| n.wall_ns).sum();
@@ -153,15 +155,26 @@ fn main() {
             r.execute_ns
         );
     }
-    for label in ["aggregate_by_zone", "select_points"] {
+    let (entries, fused) = ("Mp'[#areas>=1] (entries)", "B[⊙] (fused)");
+    for (label, rows) in [
+        ("aggregate_by_zone", [entries, fused]),
+        ("select_points", [entries, fused]),
+        ("selection_heatmap", ["M[PointAndArea] (entries)", fused]),
+        (
+            "polygon_density",
+            [
+                "M[AreaV1Above { threshold: 1048576.0 }] (fused)",
+                "B*[⊕] (2 inputs) (fused)",
+            ],
+        ),
+    ] {
         let captured: Vec<_> = slow.iter().filter(|e| e.label == label).collect();
         assert!(!captured.is_empty(), "{label} was captured");
         for entry in captured {
-            let rows = &entry.report.nodes;
+            let nodes = &entry.report.nodes;
             assert!(
-                rows.iter().any(|n| n.label == "Mp'[#areas>=1] (entries)")
-                    && rows.iter().any(|n| n.label == "B[⊙] (fused)"),
-                "the {label} report shows the entry form:\n{}",
+                rows.iter().all(|row| nodes.iter().any(|n| n.label == *row)),
+                "the {label} report shows the planner's form:\n{}",
                 entry.report.to_text()
             );
         }

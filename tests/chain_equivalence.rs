@@ -1,17 +1,20 @@
 //! Chain ≡ materialized equivalence harness for canvas operator
 //! chains.
 //!
-//! A chain runs over a finished canvas (`run_canvas_chain`): the
-//! input's planes are copied once and every operator runs over the
-//! copy in place. Over the render of a point batch or a polygon table
-//! it must produce **bit-identical** canvases — texel plane,
-//! certain-cover plane, boundary index — *and* identical pipeline work
-//! counters, compared against the materialized plan (one whole-canvas
-//! pass per operator) on the sequential `Device::cpu`, for random
-//! chains of depth 1–4 of built-in operators (every value, blend and
-//! mask kernel) with random parameters, across thread counts
-//! {1, 2, 3, 8}, with the SIMD backend auto-dispatched or forced to
-//! scalar.
+//! A chain runs over a finished canvas (`ops::chain::run_chain`): the
+//! input's planes are copied once and every kernel runs over the copy
+//! in place. Over the render of a point batch or a polygon table it
+//! must produce **bit-identical** canvases — texel plane, certain-cover
+//! plane, boundary index — *and* identical pipeline work counters,
+//! compared against the materialized kernels (one whole-canvas pass
+//! each) on the sequential `Device::cpu`, for random chains of depth
+//! 1–4 of built-in kernels (every value, blend and mask kernel) with
+//! random parameters, across thread counts {1, 2, 3, 8}. The same
+//! chains written as normalized plans hold too: the planner runs their
+//! kernel tails as chains (or, for the selection heatmap's shape, as
+//! the entry walk). The engine-served heatmaps are held to their
+//! materialized references. Each of these also runs again with the
+//! SIMD backend forced to scalar, in a child process.
 //!
 //! The point draw followed by a chain, `Pipeline::run_chain_points`, is
 //! held to its reference one layer down, in
@@ -19,30 +22,19 @@
 
 mod common;
 
+use canvas_algebra::engine::{EngineConfig, Query, QueryEngine};
 use canvas_algebra::prelude::*;
+use canvas_core::algebra::{normalize, plan_nodes};
 use canvas_core::boundary::{AreaEntry, LineEntry, PointEntry};
-use canvas_core::ops::chain::{apply_chain_materialized, run_canvas_chain, CanvasChain};
+use canvas_core::ops::chain::{apply_chain_materialized, run_chain, ChainKernel};
 use canvas_core::queries::heatmap;
-use canvas_raster::{Backend, MaskTag, ValueTag};
-use common::texel_bits;
+use canvas_raster::{MaskTag, ValueTag};
+use common::{assert_same_canvas, rerun_on_scalar, texel_bits};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 fn extent() -> BBox {
     BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0))
-}
-
-/// A chain operator as pure data, so the same random plan can be
-/// instantiated against any device (operand canvases must be rendered
-/// by the device under test for stats parity).
-#[derive(Clone, Copy, Debug)]
-enum OpSpec {
-    /// A built-in Value Transform.
-    Value(ValueTag),
-    /// Blend with the next operand polygon canvas.
-    Blend(BlendFn),
-    /// A built-in coarse texel mask.
-    Mask(MaskTag),
 }
 
 const BLENDS: [BlendFn; 5] = [
@@ -58,67 +50,70 @@ const BLENDS: [BlendFn; 5] = [
 /// has no `prop_oneof`, so the operator folds into one integer). Tags
 /// above an area count plus one make `ln(1 + v1)` NaN; planes are
 /// compared by their bits (`common::texel_bits`), so those chains are
-/// held to the same contract.
-fn arb_chain() -> impl Strategy<Value = Vec<OpSpec>> {
+/// held to the same contract. Each Blend reads the next operand
+/// polygon canvas.
+fn arb_chain() -> impl Strategy<Value = Vec<ChainKernel>> {
     prop::collection::vec(
         (0usize..9, 0.5f32..4.0).prop_map(|(k, p)| match k {
-            0 => OpSpec::Value(ValueTag::HeatLog),
-            1 => OpSpec::Value(ValueTag::DensityLog { tag: p }),
-            2 => OpSpec::Mask(MaskTag::PointAndArea),
-            3 => OpSpec::Mask(MaskTag::AreaV1Above { threshold: p }),
-            _ => OpSpec::Blend(BLENDS[k - 4]),
+            0 => ChainKernel::Value(ValueTag::HeatLog),
+            1 => ChainKernel::Value(ValueTag::DensityLog { tag: p }),
+            2 => ChainKernel::Mask(MaskTag::PointAndArea),
+            3 => ChainKernel::Mask(MaskTag::AreaV1Above { threshold: p }),
+            _ => ChainKernel::Blend(BLENDS[k - 4]),
         }),
         1..5,
     )
 }
 
-/// Renders one operand polygon canvas per Blend op (same geometry and
-/// order on every device) and builds the borrowed chain.
-fn build_chain<'a>(specs: &[OpSpec], operands: &'a [Canvas]) -> CanvasChain<'a> {
-    let mut chain = CanvasChain::new();
-    let mut next_operand = 0usize;
-    for spec in specs {
-        chain = match *spec {
-            OpSpec::Value(tag) => chain.value_tagged(tag),
-            OpSpec::Blend(op) => {
-                let c = &operands[next_operand];
-                next_operand += 1;
-                chain.blend(c, op)
-            }
-            OpSpec::Mask(tag @ MaskTag::PointAndArea) => chain.mask_tagged("point∧area", tag),
-            OpSpec::Mask(tag) => chain.mask_tagged("area>k", tag),
-        };
-    }
-    chain
-}
-
-/// Renders the Blend operands for a spec list, in spec order.
-fn render_operands(dev: &mut Device, vp: Viewport, specs: &[OpSpec], seed: u64) -> Vec<Canvas> {
-    specs
+/// One operand polygon leaf per Blend kernel (same geometry and order
+/// wherever the chain is instantiated).
+fn operand_leaves(kernels: &[ChainKernel], seed: u64) -> Vec<Expr> {
+    let blends = kernels
         .iter()
-        .filter(|s| matches!(s, OpSpec::Blend(_)))
-        .enumerate()
+        .filter(|k| matches!(k, ChainKernel::Blend(_)));
+    (blends.enumerate())
         .map(|(k, _)| {
             let mbr = BBox::new(
                 Point::new(10.0 + 7.0 * k as f64, 12.0 + 5.0 * k as f64),
                 Point::new(70.0 + 6.0 * k as f64, 75.0 + 4.0 * k as f64),
             );
             let poly = star_polygon(&mbr, 10 + 3 * k, 0.6, seed + k as u64);
-            canvas_core::source::render_query_polygon(dev, vp, poly, k as u32 + 1)
+            Expr::query_polygon(poly, k as u32 + 1)
         })
         .collect()
 }
 
+/// Renders the Blend operands, in chain order, on `dev` (operand
+/// canvases must be rendered by the device under test for stats
+/// parity).
+fn render_operands(dev: &mut Device, vp: Viewport, k: &[ChainKernel], seed: u64) -> Vec<Canvas> {
+    (operand_leaves(k, seed).iter())
+        .map(|leaf| leaf.eval(dev, vp))
+        .collect()
+}
+
+/// The chain as a plan over `input`: one kernel node per kernel, each
+/// Blend over its operand polygon's leaf.
+fn chain_plan(input: Expr, kernels: &[ChainKernel], seed: u64) -> Expr {
+    let mut operands = operand_leaves(kernels, seed).into_iter();
+    kernels.iter().fold(input, |acc, kernel| match *kernel {
+        ChainKernel::Value(tag) => Expr::value_tagged(tag, acc),
+        ChainKernel::Mask(tag) => Expr::mask(MaskSpec::Tagged(tag), acc),
+        ChainKernel::Blend(op) => Expr::blend(op, acc, operands.next().unwrap()),
+    })
+}
+
 /// The geometry a chain's first canvas is drawn from.
 enum Source {
-    Points(PointBatch),
+    Points(Arc<PointBatch>),
     Polygons(AreaSource),
 }
 
 impl Source {
     fn generate(polygons: bool, n: usize, seed: u64) -> Source {
         if !polygons {
-            return Source::Points(PointBatch::from_points(uniform_points(&extent(), n, seed)));
+            let batch = PointBatch::from_points(uniform_points(&extent(), n, seed));
+            return Source::Points(Arc::new(batch));
         }
         let table = (0..1 + n % 5)
             .map(|k| {
@@ -130,22 +125,12 @@ impl Source {
         Source::Polygons(Arc::new(table))
     }
 
-    /// The materialized render the chain starts from.
-    fn render(&self, dev: &mut Device, vp: Viewport) -> Canvas {
+    /// The plan leaf the chain starts from.
+    fn leaf(&self) -> Expr {
         match self {
-            Source::Points(batch) => canvas_core::source::render_points(dev, vp, batch),
-            Source::Polygons(table) => {
-                canvas_core::source::render_polygon_set(dev, vp, table, BlendFn::AreaCount)
-            }
+            Source::Points(batch) => Expr::points(batch.clone()),
+            Source::Polygons(table) => Expr::polygon_set(table.clone(), BlendFn::AreaCount),
         }
-    }
-}
-
-/// `chain` on `backend`, or on the process-wide backend for `None`.
-fn pinned(chain: CanvasChain<'_>, backend: Option<Backend>) -> CanvasChain<'_> {
-    match backend {
-        Some(be) => chain.with_backend(be),
-        None => chain,
     }
 }
 
@@ -164,52 +149,45 @@ proptest! {
     // word boundaries only at some resolutions and band splits.
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// A chain over a materialized canvas: `run_canvas_chain(render(s),
-    /// chain)` ≡ the materialized passes over `render(s)` on
+    /// A chain over a materialized canvas: `run_chain(render(s),
+    /// kernels)` ≡ the materialized passes over `render(s)` on
     /// `Device::cpu`, for point and polygon sources, at threads
-    /// {1, 2, 3, 8}, auto and forced-scalar SIMD — planes, sorted
-    /// boundary lists, sources and every pipeline work counter.
+    /// {1, 2, 3, 8} — planes, sorted boundary lists, sources and every
+    /// pipeline work counter; and so is the normalized plan of the same
+    /// kernels, whatever form the planner runs it in (the entry walk
+    /// charges no counter, so a walked plan's counters are not
+    /// compared).
     #[test]
     fn canvas_chain_equals_materialized(
-        specs in arb_chain(),
+        kernels in arb_chain(),
         polygons in prop::sample::select(vec![false, true]),
         n in 50usize..400,
         seed in 0u64..10_000,
         // 100 px rows put strip starts off 64-bit word boundaries.
         res in prop::sample::select(vec![64u32, 100, 192]),
     ) {
-        let source = Source::generate(polygons, n, seed);
+        let input = Source::generate(polygons, n, seed).leaf();
         let vp = Viewport::square_pixels(extent(), res);
-
+        let plan = normalize(chain_plan(input.clone(), &kernels, seed));
+        let walked = plan_nodes(&plan).iter().any(|n| n.label.ends_with("(entries)"));
         let mut ref_dev = Device::cpu();
-        let ref_operands = render_operands(&mut ref_dev, vp, &specs, seed);
-        let input = source.render(&mut ref_dev, vp);
-        let reference =
-            apply_chain_materialized(&mut ref_dev, input, &build_chain(&specs, &ref_operands));
-        let ref_stats = ref_dev.stats();
-
+        let reference = chain_over(&mut ref_dev, vp, &input, &kernels, seed, true);
         for threads in [1usize, 2, 3, 8] {
-            for backend in [None, Some(Backend::Scalar)] {
-                let ctx = format!("{threads} threads, {backend:?}, chain {specs:?}");
-                let mut dev = Device::cpu_parallel(threads);
-                let operands = render_operands(&mut dev, vp, &specs, seed);
-                let input = source.render(&mut dev, vp);
-                let chain = pinned(build_chain(&specs, &operands), backend);
-                let over = run_canvas_chain(&mut dev, &input, &chain);
-
-                prop_assert_eq!(
-                    texel_bits(reference.texels()), texel_bits(over.texels()),
-                    "texels: {}", &ctx
-                );
-                prop_assert_eq!(reference.cover(), over.cover(), "cover: {}", &ctx);
-                prop_assert_eq!(
-                    entry_lists(&reference), entry_lists(&over), "entries: {}", &ctx
-                );
-                prop_assert_eq!(
-                    reference.area_sources().len(), over.area_sources().len(),
-                    "sources: {}", &ctx
-                );
-                prop_assert_eq!(&ref_stats, &dev.stats(), "stats: {}", &ctx);
+            let mut dev = Device::cpu_parallel(threads);
+            let over = chain_over(&mut dev, vp, &input, &kernels, seed, false);
+            let mut plan_dev = Device::cpu_parallel(threads);
+            let planned = plan.eval(&mut plan_dev, vp);
+            for (form, got, dev) in [("chain", &over, &dev), ("plan", &planned, &plan_dev)] {
+                let ctx = format!("{form}, {threads} threads, chain {kernels:?}");
+                let bits = texel_bits(got.texels());
+                prop_assert_eq!(texel_bits(reference.texels()), bits, "texels: {}", &ctx);
+                prop_assert_eq!(reference.cover(), got.cover(), "cover: {}", &ctx);
+                prop_assert_eq!(entry_lists(&reference), entry_lists(got), "entries: {}", &ctx);
+                let sources = (reference.area_sources().len(), got.area_sources().len());
+                prop_assert_eq!(sources.0, sources.1, "sources: {}", &ctx);
+                if !(walked && form == "plan") {
+                    prop_assert_eq!(ref_dev.stats(), dev.stats(), "stats: {}", &ctx);
+                }
             }
         }
     }
@@ -246,23 +224,23 @@ proptest! {
     }
 }
 
-/// `chain` over the render of `batch`, on `dev`, with the Blend
-/// operands `specs` names rendered by `dev` (for stats parity).
-fn chain_over_points(
+/// The chain `kernels` over `input`, on `dev`, with the Blend operands
+/// rendered by `dev`: run in place, or as the materialized passes.
+fn chain_over(
     dev: &mut Device,
     vp: Viewport,
-    batch: &PointBatch,
-    specs: &[OpSpec],
+    input: &Expr,
+    kernels: &[ChainKernel],
     seed: u64,
     materialized: bool,
 ) -> Canvas {
-    let operands = render_operands(dev, vp, specs, seed);
-    let input = canvas_core::source::render_points(dev, vp, batch);
-    let chain = build_chain(specs, &operands);
+    let operands = render_operands(dev, vp, kernels, seed);
+    let operands: Vec<&Canvas> = operands.iter().collect();
+    let input = input.eval(dev, vp);
     if materialized {
-        apply_chain_materialized(dev, input, &chain)
+        apply_chain_materialized(dev, input, kernels, &operands)
     } else {
-        run_canvas_chain(dev, &input, &chain)
+        run_chain(dev, &input, kernels, &operands)
     }
 }
 
@@ -272,18 +250,18 @@ fn chain_over_points(
 #[test]
 fn chain_empty_draw_equivalence() {
     let vp = Viewport::square_pixels(extent(), 128);
-    let batch = PointBatch::from_points(vec![]);
-    let specs = [
-        OpSpec::Value(ValueTag::DensityLog { tag: 2.0 }),
-        OpSpec::Blend(BlendFn::Over),
-        OpSpec::Mask(MaskTag::AreaV1Above { threshold: 0.5 }),
+    let input = Expr::points(Arc::new(PointBatch::from_points(vec![])));
+    let kernels = [
+        ChainKernel::Value(ValueTag::DensityLog { tag: 2.0 }),
+        ChainKernel::Blend(BlendFn::Over),
+        ChainKernel::Mask(MaskTag::AreaV1Above { threshold: 0.5 }),
     ];
 
     let mut ref_dev = Device::cpu();
-    let reference = chain_over_points(&mut ref_dev, vp, &batch, &specs, 7, true);
+    let reference = chain_over(&mut ref_dev, vp, &input, &kernels, 7, true);
     for threads in [1usize, 3, 8] {
         let mut dev = Device::cpu_parallel(threads);
-        let got = chain_over_points(&mut dev, vp, &batch, &specs, 7, false);
+        let got = chain_over(&mut dev, vp, &input, &kernels, 7, false);
         assert_eq!(
             texel_bits(reference.texels()),
             texel_bits(got.texels()),
@@ -300,17 +278,18 @@ fn chain_empty_draw_equivalence() {
 fn chain_single_tile_canvas_equivalence() {
     let vp = Viewport::square_pixels(extent(), 32); // < 64-pixel tile
     let batch = PointBatch::from_points(uniform_points(&extent(), 120, 11));
-    let specs = [
-        OpSpec::Blend(BlendFn::PointOverArea),
-        OpSpec::Mask(MaskTag::PointAndArea),
-        OpSpec::Value(ValueTag::HeatLog),
+    let input = Expr::points(Arc::new(batch));
+    let kernels = [
+        ChainKernel::Blend(BlendFn::PointOverArea),
+        ChainKernel::Mask(MaskTag::PointAndArea),
+        ChainKernel::Value(ValueTag::HeatLog),
     ];
 
     let mut ref_dev = Device::cpu();
-    let reference = chain_over_points(&mut ref_dev, vp, &batch, &specs, 3, true);
+    let reference = chain_over(&mut ref_dev, vp, &input, &kernels, 3, true);
     for threads in [1usize, 2, 8] {
         let mut dev = Device::cpu_parallel(threads);
-        let got = chain_over_points(&mut dev, vp, &batch, &specs, 3, false);
+        let got = chain_over(&mut dev, vp, &input, &kernels, 3, false);
         assert_eq!(
             texel_bits(reference.texels()),
             texel_bits(got.texels()),
@@ -319,4 +298,77 @@ fn chain_single_tile_canvas_equivalence() {
         assert_eq!(reference.boundary(), got.boundary(), "{threads} threads");
         assert_eq!(ref_dev.stats(), dev.stats(), "{threads} threads");
     }
+}
+
+/// The two heatmap classes as the engine serves them equal their
+/// materialized references: cold, and after a `SelectPoints` and an
+/// `AggregateByZone` published the leaves they read, at threads
+/// {1, 2, 8}.
+#[test]
+fn engine_served_heatmaps_equal_the_materialized_plans() {
+    let vp = Viewport::new(extent(), 96, 80);
+    let data = Arc::new(PointBatch::from_points(taxi_pickups(&extent(), 3_000, 5)));
+    let zones: AreaSource = Arc::new(neighborhoods(&extent(), 6, 3));
+    let q = star_polygon(
+        &BBox::new(Point::new(15.0, 10.0), Point::new(85.0, 80.0)),
+        17,
+        0.55,
+        5,
+    );
+    let mut dev = Device::cpu();
+    let heatmaps = [
+        (
+            Query::SelectionHeatmap {
+                data: data.clone(),
+                q: q.clone(),
+            },
+            heatmap::selection_heatmap_materialized(&mut dev, vp, &data, &q),
+        ),
+        (
+            Query::PolygonDensity {
+                table: zones.clone(),
+                q: q.clone(),
+            },
+            heatmap::polygon_density_heatmap_materialized(&mut dev, vp, &zones, &q),
+        ),
+    ];
+    let warm = [
+        Query::SelectPoints {
+            data: data.clone(),
+            q,
+        },
+        Query::AggregateByZone { data, zones },
+    ];
+    for threads in [1usize, 2, 8] {
+        for warmed in [false, true] {
+            let config = EngineConfig {
+                threads,
+                calibrate: false,
+                ..EngineConfig::default()
+            };
+            let engine = QueryEngine::with_config(config);
+            for w in warm.iter().filter(|_| warmed) {
+                engine.execute(w, vp).unwrap();
+            }
+            let hits = engine.metrics().subplan_hits;
+            for (query, want) in &heatmaps {
+                assert!(!want.is_empty());
+                let got = engine.execute(query, vp).unwrap();
+                let ctx = format!("{}, threads={threads}, warmed={warmed}", query.label());
+                assert_same_canvas(got.canvas(), want, &ctx);
+            }
+            // Warmed, they read C_P, C_Q and C_Y* from the cache.
+            let read = engine.metrics().subplan_hits - hits;
+            assert_eq!(read, if warmed { 3 } else { 0 }, "threads={threads}");
+        }
+    }
+}
+
+/// The chain and heatmap oracles above, again on the scalar backend.
+#[test]
+fn chains_and_heatmaps_hold_on_the_scalar_backend() {
+    rerun_on_scalar(&[
+        "canvas_chain_equals_materialized",
+        "engine_served_heatmaps_equal_the_materialized_plans",
+    ]);
 }

@@ -6,6 +6,7 @@
 use canvas_algebra::prelude::*;
 use canvas_algebra::raster::simd::{texel_words, TEXEL_WORDS};
 use canvas_algebra::raster::Texture;
+use std::process::Command;
 
 /// A texel plane as its word images, for bit-for-bit comparison:
 /// `Texel`'s `PartialEq` compares `f32`s, so two planes holding the same
@@ -45,4 +46,21 @@ pub fn assert_same_canvas(got: &Canvas, want: &Canvas, ctx: &str) {
         want.line_sources().len(),
         "{ctx}: line sources"
     );
+}
+
+/// Runs the tests `names` of this test binary again in a child process
+/// with the SIMD dispatch forced to scalar (`CANVAS_SIMD=scalar`), and
+/// panics unless they pass. The backend is chosen once per process, so
+/// this is how one `cargo test` holds a path to both dispatches. A
+/// no-op when this process already runs under a `CANVAS_SIMD` choice.
+pub fn rerun_on_scalar(names: &[&str]) {
+    if std::env::var_os("CANVAS_SIMD").is_some() {
+        return;
+    }
+    let mut child = Command::new(std::env::current_exe().expect("test binary path"));
+    child.args(names).args(["--exact", "--test-threads=1"]);
+    let out = child.env("CANVAS_SIMD", "scalar").output().expect("runs");
+    let log = String::from_utf8_lossy(&out.stdout);
+    let passed = log.contains(&format!("ok. {} passed", names.len()));
+    assert!(passed, "{names:?} with CANVAS_SIMD=scalar:\n{log}");
 }

@@ -10,9 +10,9 @@
 mod common;
 
 use canvas_algebra::prelude::*;
-use canvas_core::algebra::{selection_sink, SourceSpec};
+use canvas_core::algebra::{selection_sink, value_sink, SourceSpec};
 use canvas_core::boundary::PointEntry;
-use canvas_core::ops::chain::{apply_chain_materialized, CanvasChain};
+use canvas_core::ops::chain::{apply_chain_materialized, ChainKernel};
 use canvas_core::ops::mask::{point_entries_in_areas, select_point_entries_in_areas, PixelRule};
 use canvas_core::queries::heatmap;
 use canvas_core::queries::selection::{self, MultiPolygon};
@@ -460,6 +460,10 @@ fn selection_canvas_equals_blend_then_mask() {
         let points = flat_and_layered(&mut dev, vp, &full, full.len() - 200);
         for (name, right) in &rights {
             let r = right.eval(&mut dev, vp);
+            let blend_plan = || {
+                let points = Expr::points(data.clone());
+                Expr::blend(BlendFn::PointOverArea, points, right.clone())
+            };
             for &cond in &conds {
                 for (cp, layout) in points.iter().zip(["flat", "layered"]) {
                     let ctx = format!("{layout} C_P over {name}, {cond:?}, threads={threads}");
@@ -481,20 +485,21 @@ fn selection_canvas_equals_blend_then_mask() {
                     dropped |= want.boundary().num_points() < cp.boundary().num_points();
                 }
                 // The planner takes the same walk for the plan.
-                let plan = Expr::mask(
-                    MaskSpec::PointInAreas(cond),
-                    Expr::blend(
-                        BlendFn::PointOverArea,
-                        Expr::points(data.clone()),
-                        right.clone(),
-                    ),
-                );
+                let plan = Expr::mask(MaskSpec::PointInAreas(cond), blend_plan());
                 assert!(selection_sink(&plan).is_some());
                 let merged = blend(&mut dev, &points[0], &r, BlendFn::PointOverArea);
                 let want = mask(&mut dev, &merged, &MaskSpec::PointInAreas(cond));
                 let got = plan.eval(&mut dev, vp);
                 assert_same_canvas(&got, &want, &format!("plan over {name}, {cond:?}"));
             }
+            // The heatmap's coarse mask and value kernel take the walk
+            // over every area source too.
+            let mask = MaskSpec::Tagged(MaskTag::PointAndArea);
+            let heat = Expr::value_tagged(ValueTag::HeatLog, Expr::mask(mask, blend_plan()));
+            assert!(value_sink(&heat).is_some());
+            let want = apply_chain_materialized(&mut dev, points[0].clone(), &HEAT, &[&r]);
+            let got = heat.eval(&mut dev, vp);
+            assert_same_canvas(&got, &want, &format!("heatmap over {name}"));
         }
         // `select_points_in_polygon` makes the plan's calls directly.
         let cq = render_query_polygon(&mut dev, vp, query.clone(), 1);
@@ -509,6 +514,13 @@ fn selection_canvas_equals_blend_then_mask() {
         "the spec keeps some points and drops others"
     );
 }
+
+/// The selection heatmap's kernels over `C_P`, blending `C_Q`.
+const HEAT: [ChainKernel; 3] = [
+    ChainKernel::Blend(BlendFn::PointOverArea),
+    ChainKernel::Mask(MaskTag::PointAndArea),
+    ChainKernel::Value(ValueTag::HeatLog),
+];
 
 #[test]
 fn selection_heatmap_equals_the_materialized_plan() {
@@ -535,11 +547,7 @@ fn selection_heatmap_equals_the_materialized_plan() {
             // The walk over a layered `C_P` equals the chain over it.
             let [_, layered] = flat_and_layered(&mut dev, vp, &full, full.len() - 200);
             let cq = render_query_polygon(&mut dev, vp, q.clone(), 1);
-            let heat = CanvasChain::new()
-                .blend(&cq, BlendFn::PointOverArea)
-                .mask_tagged("point ∧ area", MaskTag::PointAndArea)
-                .value_tagged(ValueTag::HeatLog);
-            let spec = apply_chain_materialized(&mut dev, layered.clone(), &heat);
+            let spec = apply_chain_materialized(&mut dev, layered.clone(), &HEAT, &[&cq]);
             let got = select_point_entries_in_areas(
                 &dev,
                 &layered,
