@@ -25,6 +25,7 @@
 use std::sync::Arc;
 
 use canvas_geom::Point;
+use canvas_raster::WorkerPool;
 
 /// An index entry: anything filed under a pixel.
 pub trait Entry: Copy + Default {
@@ -79,10 +80,6 @@ impl Entry for LineEntry {
     }
 }
 
-/// Key of an input the scatter build leaves out (a pixel index never
-/// reaches it: no texture has 2³² texels).
-const SKIP: u32 = u32::MAX;
-
 /// Entries of one kind over a `width × height` pixel grid, ordered by
 /// pixel with ties in input order, and indexed by row:
 /// `rows[y]..rows[y + 1]` are the entries of pixel row `y`.
@@ -104,49 +101,109 @@ impl<T: Entry> SortedRun<T> {
         }
     }
 
-    /// Builds a run from inputs in arbitrary pixel order: input `i` is
-    /// filed under the `i`-th item of `pixels` (`None` leaves it out)
-    /// as `make(i, pixel)`. A stable two-level counting scatter — entries
-    /// go to their row's slot range in input order, then each row is
-    /// ordered by column — so the result equals "push in input order,
-    /// stable sort by pixel" without a comparison sort over the whole
-    /// array, and the array is allocated once at its final length.
+    /// Builds a run from `n` inputs in arbitrary pixel order: input `i`
+    /// is filed under `pixel(i)` (`None` leaves it out) as
+    /// `make(i, pixel)`. A stable counting sort by pixel, so the result
+    /// equals "push in input order, stable sort by pixel" without a
+    /// comparison sort over the whole array, and the array is allocated
+    /// once at its final length:
+    ///
+    /// 1. each input band (a contiguous range of inputs) resolves its
+    ///    pixels and counts its entries per row;
+    /// 2. a prefix sum gives each row its slots and, within them, each
+    ///    input band its own, in band order;
+    /// 3. each input band places its entries in its slots, in input
+    ///    order;
+    /// 4. row bands of about equal entry counts order each of their rows
+    ///    by column.
+    ///
+    /// Bands run on `pool` when `n` reaches its minimum work and inline
+    /// otherwise (one band each). Every entry lands in the slot its row
+    /// and its input position give it, so the run is the same at any
+    /// band count.
     pub fn scatter(
+        pool: &WorkerPool,
         width: u32,
         height: u32,
-        pixels: impl Iterator<Item = Option<u32>>,
-        make: impl Fn(usize, u32) -> T,
-    ) -> Self {
-        let mut rows = vec![0u32; height as usize + 1];
-        let keys: Vec<u32> = pixels
-            .map(|p| {
-                let key = p.unwrap_or(SKIP);
-                if key != SKIP {
-                    rows[(key / width) as usize + 1] += 1;
-                }
-                key
-            })
+        n: usize,
+        pixel: impl Fn(usize) -> Option<u32> + Sync,
+        make: impl Fn(usize, u32) -> T + Sync,
+    ) -> Self
+    where
+        T: Send,
+    {
+        let h = height as usize;
+        let bands = if pool.should_parallelize(n) {
+            pool.threads()
+        } else {
+            1
+        };
+        let band_len = n.div_ceil(bands).max(1);
+        let inputs: Vec<_> = (0..n)
+            .step_by(band_len)
+            .map(|lo| lo..(lo + band_len).min(n))
             .collect();
+        let found = pool.run_claimed(inputs, |_, inputs| {
+            let mut counts = vec![0u32; h];
+            let mut keyed = Vec::with_capacity(inputs.len());
+            for i in inputs {
+                if let Some(p) = pixel(i) {
+                    counts[(p / width) as usize] += 1;
+                    keyed.push((i as u32, p));
+                }
+            }
+            (counts, keyed)
+        });
+        let mut rows = Vec::with_capacity(h + 1);
+        rows.push(0);
         let mut total = 0u32;
-        for r in rows.iter_mut() {
-            total += *r;
-            *r = total;
+        for y in 0..h {
+            total += found.iter().map(|(counts, _)| counts[y]).sum::<u32>();
+            rows.push(total);
         }
-        let mut next = rows.clone();
         let mut entries = vec![T::default(); total as usize];
-        for (i, &key) in keys.iter().enumerate() {
-            if key != SKIP {
-                let slot = &mut next[(key / width) as usize];
-                entries[*slot as usize] = make(i, key);
-                *slot += 1;
+        let mut slots: Vec<Vec<&mut [T]>> = found.iter().map(|_| Vec::with_capacity(h)).collect();
+        let mut rest = entries.as_mut_slice();
+        for y in 0..h {
+            for ((counts, _), band_slots) in found.iter().zip(&mut slots) {
+                let slot;
+                (slot, rest) = std::mem::take(&mut rest).split_at_mut(counts[y] as usize);
+                band_slots.push(slot);
             }
         }
-        drop(keys);
-        let mut by_column = ColumnOrder::new(width);
-        for y in 0..height as usize {
-            let row = &mut entries[rows[y] as usize..rows[y + 1] as usize];
-            by_column.order(row, y as u32 * width);
+        pool.run_claimed(slots, |b, mut band_slots| {
+            let mut next = vec![0usize; h];
+            for &(i, p) in &found[b].1 {
+                let y = (p / width) as usize;
+                band_slots[y][next[y]] = make(i as usize, p);
+                next[y] += 1;
+            }
+        });
+        drop(found);
+        let mut row_bands = Vec::with_capacity(bands);
+        let mut rest = entries.as_mut_slice();
+        let mut y0 = 0;
+        for b in 1..=bands {
+            // The first row whose entries reach this band's share.
+            let share = (total as usize * b).div_ceil(bands) as u32;
+            let y1 = match b == bands {
+                true => h,
+                false => rows.partition_point(|&r| r < share).clamp(y0, h),
+            };
+            let band;
+            (band, rest) = std::mem::take(&mut rest).split_at_mut((rows[y1] - rows[y0]) as usize);
+            row_bands.push((y0..y1, band));
+            y0 = y1;
         }
+        let rows_ref = &rows;
+        pool.run_claimed(row_bands, |_, (band_rows, band)| {
+            let base = rows_ref[band_rows.start];
+            let mut by_column = ColumnOrder::new(width);
+            for y in band_rows {
+                let row = (rows_ref[y] - base) as usize..(rows_ref[y + 1] - base) as usize;
+                by_column.order(&mut band[row], y as u32 * width);
+            }
+        });
         debug_assert_eq!(entries.capacity(), entries.len());
         let run = SortedRun {
             entries,
@@ -884,21 +941,30 @@ mod tests {
         }
     }
 
+    /// A run over a 4×4 grid, scattered on the calling thread.
+    fn scatter<T: Entry + Send>(
+        n: usize,
+        pixel: impl Fn(usize) -> Option<u32> + Sync,
+        make: impl Fn(usize, u32) -> T + Sync,
+    ) -> SortedRun<T> {
+        SortedRun::scatter(&WorkerPool::new(1), 4, 4, n, pixel, make)
+    }
+
     /// A point run over a 4×4 grid from `(pixel, record)` in input order.
     fn points(input: &[(u32, u32)]) -> SortedRun<PointEntry> {
-        SortedRun::scatter(4, 4, input.iter().map(|&(p, _)| Some(p)), |i, p| {
-            pe(p, input[i].1)
-        })
+        scatter(input.len(), |i| Some(input[i].0), |i, p| pe(p, input[i].1))
     }
 
     fn areas(input: &[(u32, u16, u32)]) -> SortedRun<AreaEntry> {
-        SortedRun::scatter(4, 4, input.iter().map(|&(p, _, _)| Some(p)), |i, pixel| {
-            AreaEntry {
+        scatter(
+            input.len(),
+            |i| Some(input[i].0),
+            |i, pixel| AreaEntry {
                 pixel,
                 source: input[i].1,
                 record: input[i].2,
-            }
-        })
+            },
+        )
     }
 
     fn records<'a>(entries: impl IntoIterator<Item = &'a PointEntry>) -> Vec<u32> {
@@ -920,8 +986,35 @@ mod tests {
     fn scatter_leaves_out_skipped_inputs() {
         let pixels = [Some(3), None, Some(1)];
         let run: SortedRun<PointEntry> =
-            SortedRun::scatter(4, 4, pixels.into_iter(), |i, p| pe(p, i as u32));
+            scatter(pixels.len(), |i| pixels[i], |i, p| pe(p, i as u32));
         assert_eq!(records(run.as_slice()), vec![2, 0]);
+    }
+
+    #[test]
+    fn banded_scatter_equals_the_inline_one() {
+        let pool = WorkerPool::new(3);
+        pool.set_min_work_override(1);
+        let cases: Vec<Vec<Option<u32>>> = vec![
+            vec![],
+            vec![None, None],
+            // Every input in one pixel: no band cut may split it.
+            vec![Some(5); 50],
+            (0..200)
+                .map(|i| (i % 7 != 3).then_some(i * 37 % 16))
+                .collect(),
+            (0..64).map(|i| Some(15 - i % 16)).collect(),
+        ];
+        for pixels in &cases {
+            let make = |i: usize, p: u32| pe(p, i as u32);
+            let banded = SortedRun::scatter(&pool, 4, 4, pixels.len(), |i| pixels[i], make);
+            assert_eq!(banded, scatter(pixels.len(), |i| pixels[i], make));
+            let mut want: Vec<(u32, u32)> = (pixels.iter().zip(0..))
+                .filter_map(|(p, i)| p.map(|p| (p, i)))
+                .collect();
+            want.sort_by_key(|&(p, _)| p);
+            let want: Vec<u32> = want.iter().map(|&(_, r)| r).collect();
+            assert_eq!(records(banded.as_slice()), want, "{pixels:?}");
+        }
     }
 
     #[test]
@@ -937,12 +1030,15 @@ mod tests {
 
     #[test]
     fn area_and_line_lookup() {
-        let lines: SortedRun<LineEntry> =
-            SortedRun::scatter(4, 4, [Some(3)].into_iter(), |_, pixel| LineEntry {
+        let lines: SortedRun<LineEntry> = scatter(
+            1,
+            |_| Some(3),
+            |_, pixel| LineEntry {
                 pixel,
                 source: 0,
                 record: 20,
-            });
+            },
+        );
         let b = BoundaryIndex::from_runs(SortedRun::new(4, 4), areas(&[(3, 0, 10)]), lines);
         assert_eq!(b.areas_at(3)[0].record, 10);
         assert_eq!(b.lines_at(3)[0].record, 20);

@@ -24,10 +24,9 @@
 //! run's per-mask [`MaskOutcome`](canvas_raster::MaskOutcome) bitmaps —
 //! sparse metadata, never a full intermediate plane.
 //!
-//! The one point draw followed by a chain lives a layer down
-//! (`Pipeline::run_chain_points`: the draw, then the same in-place
-//! pass over its finished planes): the live heatmap's point draw
-//! finished by `V[HeatLog]` (`source::draw_points`).
+//! The one point draw followed by a chain is the live heatmap's
+//! (`source::draw_points`): its run, the planes folded from it, then
+//! `V[HeatLog]` through the same in-place pass.
 //!
 //! The exact point-refinement Mask (`MaskSpec::PointInAreas`) is *not*
 //! a kernel: it rewrites texels from boundary-index state, which is

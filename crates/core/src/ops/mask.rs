@@ -55,7 +55,7 @@ use std::ops::Range;
 use std::sync::Mutex;
 
 use crate::boundary::{AreaEntry, BoundaryIndex, PointEntry, SortedRun};
-use crate::canvas::Canvas;
+use crate::canvas::{Canvas, PointFold};
 use crate::device::Device;
 use crate::info::{BlendFn, Texel};
 use crate::ops::transform::ValueMap;
@@ -462,6 +462,9 @@ struct PixelSum<'a> {
     first: usize,
     kept: u32,
     weight: f32,
+    /// The fold of the pixel's entries so far: its texel in a point
+    /// canvas without planes.
+    all: PointFold,
 }
 
 impl<'a> PixelSum<'a> {
@@ -523,13 +526,22 @@ fn decide_pixels<'a>(
     mut kept: Option<&mut Vec<PointEntry>>,
     mut keep: impl FnMut(&EntryPixel<'a>, Texel),
 ) {
+    // `points`' texel is its plane's when it has planes, and otherwise
+    // the fold of the pixel's entries (`canvas` module docs), which the
+    // walk accumulates as it goes.
+    let point_texels = points.materialized().map(|p| p.texels.texels());
+    let area_texels = areas.texels().texels();
     // `None` before the first pixel, too.
-    let blended = |i: usize| {
-        let t = *points.texels().texels().get(i)?;
-        Some(BlendFn::PointOverArea.apply(t, areas.texels().texels()[i]))
+    let blended = |sum: &PixelSum<'a>| {
+        let i = sum.at.pixel as usize;
+        let t = match point_texels {
+            Some(plane) => *plane.get(i)?,
+            None => sum.all.texel(),
+        };
+        Some(BlendFn::PointOverArea.apply(t, *area_texels.get(i)?))
     };
     let mut finish = |sum: &PixelSum<'a>, kept: &mut Option<&mut Vec<PointEntry>>| {
-        let t = blended(sum.at.pixel as usize).and_then(|t| sum.kept_texel(t, rule));
+        let t = blended(sum).and_then(|t| sum.kept_texel(t, rule));
         match t {
             Some(t) => keep(&sum.at, t),
             None => kept.iter_mut().for_each(|k| k.truncate(sum.first)),
@@ -540,6 +552,9 @@ fn decide_pixels<'a>(
         if at.pixel != sum.at.pixel {
             finish(&sum, &mut kept);
             sum = PixelSum::starting(at, kept.as_ref().map_or(0, |k| k.len()));
+        }
+        if point_texels.is_none() {
+            sum.all.add(e);
         }
         if rule.keeps_entry(areas, at, e) {
             sum.count(e);
@@ -553,7 +568,8 @@ fn decide_pixels<'a>(
 /// visits every point entry of pixel rows `rows` in run order, with its
 /// pixel's blended cover (`points`' plus `areas`', saturating) and the
 /// area entries `areas` files under that pixel (a row cursor; the run is
-/// never searched).
+/// never searched). It reads no plane of `points` that `points` does not
+/// already have.
 fn walk_point_entries<'a>(
     points: &'a Canvas,
     areas: &'a Canvas,
@@ -566,7 +582,8 @@ fn walk_point_entries<'a>(
         "selection operands must share a viewport"
     );
     let width = points.viewport().width();
-    let point_cover = points.cover().texels();
+    // A point canvas without planes has cover 0 (`canvas` module docs).
+    let point_cover = points.materialized().map(|p| p.cover.texels());
     let area_cover = areas.cover().texels();
     let index = areas.boundary();
     let (mut row, mut row_areas) = (rows.start, index.areas_cursor(rows.start));
@@ -579,7 +596,9 @@ fn walk_point_entries<'a>(
             }
             at = EntryPixel {
                 pixel: e.pixel,
-                cov: point_cover[e.pixel as usize].saturating_add(area_cover[e.pixel as usize]),
+                cov: point_cover
+                    .map_or(0, |c| c[e.pixel as usize])
+                    .saturating_add(area_cover[e.pixel as usize]),
                 boundary_areas: row_areas.at(e.pixel),
             };
         }

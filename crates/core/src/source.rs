@@ -7,15 +7,26 @@
 //! functions are those draw calls. They also populate the hybrid
 //! boundary index and the certain-coverage plane that keep results
 //! exact, and account for the host→device upload of the vector buffers.
+//!
+//! Polygon and polyline tables are drawn by the raster pipeline's tiled
+//! draws. A point canvas is its run instead: the point draw projects
+//! each point once and sorts the entries by pixel with one stable
+//! counting sort ([`SortedRun::scatter`], banded on the device's pool),
+//! and the canvas's planes are defined as the fold of that run, made
+//! when something first reads a plane (`canvas` module docs). The draw
+//! charges the counters the tiled point draw charges for the same batch,
+//! and the cache charges the planes the canvas models
+//! ([`Canvas::size_bytes`]) whether or not they exist; runs are not
+//! charged.
 
 use std::sync::Arc;
 
 use crate::boundary::{AreaEntry, BoundaryIndex, LineEntry, PointEntry, SortedRun};
-use crate::canvas::{AreaSource, Canvas, LineSource, PointBatch};
+use crate::canvas::{fold_points, AreaSource, Canvas, LineSource, PointBatch};
 use crate::device::Device;
 use crate::info::{BlendFn, Texel};
 use canvas_geom::polygon::Polygon;
-use canvas_raster::{OpChain, Viewport};
+use canvas_raster::{OpChain, Texture, Viewport, WorkerPool};
 
 /// Renders a point batch into one canvas.
 ///
@@ -23,57 +34,67 @@ use canvas_raster::{OpChain, Viewport};
 /// pixel accumulate through [`BlendFn::PointAccumulate`], so the pixel's
 /// `v1` is the point count and `v2` the weight sum — exactly the
 /// encodings of Sections 4.1/4.3. Exact locations go to the boundary
-/// index (points always need them).
+/// index (points always need them). The canvas is its point run: its
+/// planes are folded from the run when something first reads them
+/// (`canvas` module docs).
 pub fn render_points(dev: &mut Device, vp: Viewport, batch: &PointBatch) -> Canvas {
     draw_points(dev, vp, batch, &OpChain::new())
 }
 
-/// The one point draw: the tiled point render of [`render_points`],
-/// then `chain` in place over the finished planes
-/// (`Pipeline::run_chain_points`), then the point index. The live
-/// heatmap passes its `V[HeatLog]` chain; a bare render the empty one.
+/// The one point draw: the pixel-sorted point run first
+/// ([`point_run`] on the device's pool, charged as the tiled point draw
+/// is), then, for a non-empty `chain`, the planes folded from the run in
+/// row bands and `chain` run in place over them
+/// (`Pipeline::run_chain_texture`). The live heatmap passes its
+/// `V[HeatLog]` chain. An empty chain leaves the planes to be folded on
+/// first read, so a canvas only ever walked never has them.
 pub(crate) fn draw_points(
     dev: &mut Device,
     vp: Viewport,
     batch: &PointBatch,
     chain: &OpChain<'_, Texel>,
 ) -> Canvas {
-    let mut canvas = Canvas::empty(vp);
     dev.pipeline().note_upload(batch.upload_bytes());
     let (ids, weights) = (&batch.ids, &batch.weights);
-    {
-        let (texels, cover, _) = canvas.planes_mut();
-        dev.pipeline().run_chain_points(
-            &vp,
-            texels,
-            Some(cover),
-            &batch.points,
-            |i, _| Texel::point(ids[i as usize], 1.0, weights[i as usize]),
-            |d, s| BlendFn::PointAccumulate.apply(d, s),
-            chain,
-        );
+    let run = dev.pipeline().draw_points_sorted(batch.len(), |pool| {
+        let run = point_run(pool, &vp, &batch.points, ids, weights);
+        let in_view = run.len();
+        (run, in_view)
+    });
+    let (w, h) = (vp.width(), vp.height());
+    let boundary = BoundaryIndex::from_runs(run, SortedRun::new(w, h), SortedRun::new(w, h));
+    if chain.is_empty() {
+        return Canvas::from_points(vp, boundary);
     }
-    *canvas.boundary_mut() = point_index(&vp, &batch.points, ids, weights);
-    canvas
+    let mut texels = Texture::new(w, h);
+    let mut cover = Texture::new(w, h);
+    dev.pool()
+        .for_each_band1(w as usize, texels.texels_mut(), |y0, band| {
+            let rows = y0 as u32..y0 as u32 + (band.len() / w as usize) as u32;
+            fold_points(band, y0 * w as usize, boundary.points_in_rows(rows));
+        });
+    dev.pipeline()
+        .run_chain_texture(&mut texels, Some(&mut cover), chain);
+    Canvas::from_parts(vp, texels, cover, boundary, Vec::new(), Vec::new())
 }
 
 /// The point entries of a point render: the exact entry of every
 /// in-viewport point (the paper stores "the actual location of the
-/// points" per pixel, for refinement and result extraction), scattered
-/// straight from the batch columns into pixel order. Shared by the
-/// point draw ([`draw_points`]) and by live patches, which pass the
-/// appended suffix of each column.
+/// points" per pixel, for refinement and result extraction), sorted
+/// straight from the batch columns into pixel order by
+/// [`SortedRun::scatter`] on `pool`. Shared by the point draw
+/// ([`draw_points`]) and by live patches, which pass the appended
+/// suffix of each column (a small delta sorts inline).
 pub(crate) fn point_run(
+    pool: &WorkerPool,
     vp: &Viewport,
     points: &[canvas_geom::Point],
     ids: &[u32],
     weights: &[f32],
 ) -> SortedRun<PointEntry> {
     let (w, h) = (vp.width(), vp.height());
-    let pixels = points
-        .iter()
-        .map(|&p| vp.world_to_pixel(p).map(|(x, y)| y * w + x));
-    SortedRun::scatter(w, h, pixels, |i, pixel| PointEntry {
+    let pixel = |i: usize| vp.world_to_pixel(points[i]).map(|(x, y)| y * w + x);
+    SortedRun::scatter(pool, w, h, points.len(), pixel, |i, pixel| PointEntry {
         pixel,
         record: ids[i],
         loc: points[i],
@@ -81,30 +102,19 @@ pub(crate) fn point_run(
     })
 }
 
-/// The index of a point render: [`point_run`] and nothing else.
-fn point_index(
-    vp: &Viewport,
-    points: &[canvas_geom::Point],
-    ids: &[u32],
-    weights: &[f32],
-) -> BoundaryIndex {
-    let (w, h) = (vp.width(), vp.height());
-    let run = point_run(vp, points, ids, weights);
-    BoundaryIndex::from_runs(run, SortedRun::new(w, h), SortedRun::new(w, h))
-}
-
 /// The index of a polygon draw: one area entry per conservative
 /// boundary fragment `(record, pixel)` the draw reported, filed under
 /// `source` with the record `record_of` names.
 fn area_index(
+    pool: &WorkerPool,
     vp: &Viewport,
     source: u16,
     fragments: &[(u32, u32)],
-    record_of: impl Fn(u32) -> u32,
+    record_of: impl Fn(u32) -> u32 + Sync,
 ) -> BoundaryIndex {
     let (w, h) = (vp.width(), vp.height());
-    let pixels = fragments.iter().map(|&(_, pixel)| Some(pixel));
-    let run = SortedRun::scatter(w, h, pixels, |i, pixel| AreaEntry {
+    let pixel = |i: usize| Some(fragments[i].1);
+    let run = SortedRun::scatter(pool, w, h, fragments.len(), pixel, |i, pixel| AreaEntry {
         pixel,
         source,
         record: record_of(fragments[i].0),
@@ -191,7 +201,7 @@ fn draw_areas(
         )
     };
     let record_of = |i: u32| record.map_or(i, |r| r as u32);
-    *canvas.boundary_mut() = area_index(&vp, source, &boundary, record_of);
+    *canvas.boundary_mut() = area_index(dev.pool(), &vp, source, &boundary, record_of);
     canvas
 }
 
@@ -213,11 +223,13 @@ pub fn render_polylines(dev: &mut Device, vp: Viewport, table: &LineSource) -> C
         )
     };
     let (w, h) = (vp.width(), vp.height());
-    let pixels = boundary.iter().map(|&(_, pixel)| Some(pixel));
-    let lines = SortedRun::scatter(w, h, pixels, |i, pixel| LineEntry {
-        pixel,
-        source,
-        record: boundary[i].0,
+    let pixel = |i: usize| Some(boundary[i].1);
+    let lines = SortedRun::scatter(dev.pool(), w, h, boundary.len(), pixel, |i, pixel| {
+        LineEntry {
+            pixel,
+            source,
+            record: boundary[i].0,
+        }
     });
     *canvas.boundary_mut() =
         BoundaryIndex::from_runs(SortedRun::new(w, h), SortedRun::new(w, h), lines);
@@ -354,6 +366,35 @@ mod tests {
         assert_eq!(c.boundary().num_points(), 3);
         assert_eq!(c.point_records(), vec![0, 1, 2]);
         assert!(dev.stats().bytes_uploaded > 0);
+    }
+
+    #[test]
+    fn a_point_canvas_is_its_run_until_a_plane_is_read() {
+        let mut dev = Device::nvidia();
+        let batch = PointBatch::from_points(vec![
+            Point::new(2.5, 2.5),
+            Point::new(2.6, 2.6),
+            Point::new(8.5, 1.5),
+        ]);
+        let c = render_points(&mut dev, vp(), &batch);
+        assert!(!c.planes_materialized());
+        let modeled = Canvas::empty(vp()).size_bytes();
+        assert_eq!(c.size_bytes(), modeled, "charged the planes it models");
+        let pixel = c.pixel_index(2, 2);
+        assert_eq!(c.exact_area_count(pixel, Point::new(2.5, 2.5)), 0);
+        assert!(!c.planes_materialized(), "its cover is 0 without planes");
+        // Rewriting the index folds the planes first: they stay the
+        // drawn ones.
+        let mut cut = c.clone();
+        cut.boundary_mut().retain_points(|e| e.record == 2);
+        assert!(cut.planes_materialized() && !c.planes_materialized());
+        assert_eq!(cut.texel(2, 2), c.texel(2, 2));
+        assert_eq!(c.texel(2, 2).get(0).unwrap().v1, 2.0);
+        assert!(c.planes_materialized());
+        assert_eq!(c.size_bytes(), modeled);
+        // A draw with a chain folds eagerly, then runs it.
+        let live = crate::versioned::render_live_heatmap(&mut dev, vp(), &batch, None);
+        assert!(live.planes_materialized());
     }
 
     #[test]

@@ -39,9 +39,11 @@
 //! in `tests/incremental_equivalence.rs`):
 //!
 //! * Per-pixel blending is a sequential left fold over points in input
-//!   order ([`BlendFn::PointAccumulate`]); folding the appended suffix
-//!   onto the prefix's result equals folding the whole sequence. The
-//!   blend reads and writes only the 0-row's `(id, v1, v2)`.
+//!   order ([`BlendFn::PointAccumulate`]; a full render folds each
+//!   pixel's slice of its stably sorted run, which holds the pixel's
+//!   points in input order); folding the appended suffix onto the
+//!   prefix's result equals folding the whole sequence. The blend reads
+//!   and writes only the 0-row's `(id, v1, v2)`.
 //! * The `HeatLog` value kernel writes `v2` purely from `v1` and
 //!   touches nothing else. Re-applying it over a dirty tile therefore
 //!   overwrites the only word the cached (post-value-pass) texels
@@ -398,8 +400,8 @@ impl TableSnapshot {
     }
 }
 
-/// Builds the live-heatmap operator chain: the tiled point-density
-/// draw finished by the `HeatLog` value pass, optionally pinned to an
+/// Builds the live-heatmap operator chain: the `HeatLog` value pass
+/// that finishes the point-density draw, optionally pinned to an
 /// explicit SIMD backend (tests pin both the full and the incremental
 /// path to the same backend to exercise the dispatch axis without
 /// process-global state).
@@ -474,6 +476,7 @@ pub fn patch_live_heatmap(
     // produces.
     let mut boundary = base.boundary().clone();
     let compacted = boundary.push_points(crate::source::point_run(
+        dev.pool(),
         &vp,
         delta_points,
         delta_ids,

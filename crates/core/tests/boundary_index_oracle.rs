@@ -13,7 +13,7 @@
 //! three entry lists. A layered point index (a stack of delta levels
 //! on a base) is held to the same spec over the concatenated input.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use canvas_core::boundary::{
     AreaEntry, BoundaryIndex, LineEntry, PointEntry, SortedRun, MAX_LEVELS,
@@ -25,7 +25,7 @@ use canvas_core::{
     patch_live_heatmap, render_live_heatmap, BlendFn, Canvas, Device, PointBatch, Texel,
 };
 use canvas_geom::{BBox, Point, Polygon, Polyline};
-use canvas_raster::{Texture, Viewport};
+use canvas_raster::{Texture, Viewport, WorkerPool};
 use proptest::prelude::*;
 
 mod spec {
@@ -149,37 +149,62 @@ fn arb_keyed(w: u32, h: u32, n: usize) -> impl Strategy<Value = Vec<(u32, u16, u
     prop::collection::vec((0..w * h, 0u16..3, 0u32..1000), 0..n)
 }
 
+/// A three-thread pool that sorts every run in bands, however small.
+fn banded() -> &'static WorkerPool {
+    static POOL: OnceLock<WorkerPool> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let pool = WorkerPool::new(3);
+        pool.set_min_work_override(1);
+        pool
+    })
+}
+
 /// Point entries of `input`, which starts at position `first` of the
 /// whole input (entries carry their position, so all are distinct).
 fn point_run(w: u32, h: u32, input: &[(u32, u16, u32)], first: usize) -> SortedRun<PointEntry> {
-    SortedRun::scatter(w, h, input.iter().map(|&(p, _, _)| Some(p)), |i, pixel| {
-        PointEntry {
+    SortedRun::scatter(
+        banded(),
+        w,
+        h,
+        input.len(),
+        |i| Some(input[i].0),
+        |i, pixel| PointEntry {
             pixel,
             record: input[i].2,
             loc: Point::new((first + i) as f64, input[i].1 as f64),
             weight: (first + i) as f32,
-        }
-    })
+        },
+    )
 }
 
 fn area_run(w: u32, h: u32, input: &[(u32, u16, u32)]) -> SortedRun<AreaEntry> {
-    SortedRun::scatter(w, h, input.iter().map(|&(p, _, _)| Some(p)), |i, pixel| {
-        AreaEntry {
+    SortedRun::scatter(
+        banded(),
+        w,
+        h,
+        input.len(),
+        |i| Some(input[i].0),
+        |i, pixel| AreaEntry {
             pixel,
             source: input[i].1,
             record: input[i].2,
-        }
-    })
+        },
+    )
 }
 
 fn line_run(w: u32, h: u32, input: &[(u32, u16, u32)]) -> SortedRun<LineEntry> {
-    SortedRun::scatter(w, h, input.iter().map(|&(p, _, _)| Some(p)), |i, pixel| {
-        LineEntry {
+    SortedRun::scatter(
+        banded(),
+        w,
+        h,
+        input.len(),
+        |i| Some(input[i].0),
+        |i, pixel| LineEntry {
             pixel,
             source: input[i].1,
             record: input[i].2,
-        }
-    })
+        },
+    )
 }
 
 /// The same three inputs through the old build: push, then stable sort.

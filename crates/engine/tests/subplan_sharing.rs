@@ -22,7 +22,7 @@ use canvas_core::algebra::{
 };
 use canvas_core::prelude::*;
 use canvas_core::queries::selection::points_in_polygon_plan;
-use canvas_engine::{EngineConfig, Query, QueryEngine};
+use canvas_engine::{EngineConfig, Query, QueryEngine, Served};
 use canvas_geom::{BBox, Point, Polygon};
 use canvas_raster::{MaskTag, ValueTag};
 use std::collections::HashSet;
@@ -316,6 +316,54 @@ fn linked_views_leave_the_aggregate_nothing_to_draw() {
         assert_eq!(row.provenance, "shared_cache", "{label}: {report:?}");
     }
     assert_canvas_eq(r.canvas(), &cpu_reference(&aggregate, vp()), "aggregate");
+}
+
+#[test]
+fn linked_views_leave_the_shared_point_canvas_unfolded() {
+    // `C_P` is its point run: the four linked views walk it per pixel, so
+    // the one cached `C_P` they share never folds its planes.
+    let data = data();
+    let zones: AreaSource = Arc::new(canvas_datagen::neighborhoods(&extent(), 6, 3));
+    let engine = QueryEngine::with_config(config(256 << 20));
+    let views = [
+        Query::SelectPoints {
+            data: data.clone(),
+            q: district(),
+        },
+        Query::SelectionHeatmap {
+            data: data.clone(),
+            q: district(),
+        },
+        Query::PolygonDensity {
+            table: zones.clone(),
+            q: district(),
+        },
+        Query::AggregateByZone {
+            data: data.clone(),
+            zones,
+        },
+    ];
+    for view in &views {
+        let r = engine.execute(view, vp()).unwrap();
+        assert_canvas_eq(r.canvas(), &cpu_reference(view, vp()), "linked view");
+    }
+    // A plan of the `C_P` leaf alone has the leaf's key: it is served the
+    // cached canvas itself.
+    let cp = engine
+        .execute(&Query::Plan(Expr::points(data.clone())), vp())
+        .unwrap();
+    assert_eq!(cp.served, Served::CacheHit);
+    let cp = cp.canvas();
+    assert!(!cp.planes_materialized(), "a view folded the cached C_P");
+    assert_eq!(
+        cp.boundary().num_points(),
+        data.len(),
+        "every point in view"
+    );
+    // Its planes, once read, are the dense point render's.
+    let want = render_points(&mut Device::cpu(), vp(), &data);
+    assert_canvas_eq(cp, &want, "folded C_P");
+    assert!(cp.planes_materialized());
 }
 
 #[test]

@@ -40,6 +40,10 @@
 //! tiles and re-applies its value kernel to exactly those tiles' rows,
 //! in the same claimed pass.
 //!
+//! A caller that sorts its points by pixel instead of rasterizing them
+//! tile by tile (the core's point canvas) charges that draw through
+//! [`Pipeline::draw_points_sorted`], as a tile job would be charged.
+//!
 //! **Sequential is a pool of one.** When the pipeline's pool has one
 //! thread and the result cannot depend on where tile borders fall (a
 //! draw, not a patch), the same runner runs on a one-tile grid whose
@@ -267,6 +271,29 @@ impl Pipeline {
         };
         let grid = self.draw_grid(vp);
         self.run_tile_job("draw_points", vp, &source, grid, fb, None, |_| {});
+    }
+
+    /// A point draw that is not a tile job: `draw` builds the caller's
+    /// own output on the pool (a pixel-sorted point run, say) and
+    /// returns it with the number of points it found in view. Charged
+    /// as [`draw_points_tiled`](Self::draw_points_tiled) charges the
+    /// same batch — one pass, `points` vertices and primitives, and one
+    /// fragment, boundary fragment and blend op per in-view point — under
+    /// the same `draw_points` span, with no tile spans.
+    pub fn draw_points_sorted<R>(
+        &mut self,
+        points: usize,
+        draw: impl FnOnce(&WorkerPool) -> (R, usize),
+    ) -> R {
+        self.begin_pass();
+        let _draw_span = draw_span("draw_points", points);
+        self.stats.vertices += points as u64;
+        self.stats.primitives += points as u64;
+        let (out, fragments) = draw(&self.pool);
+        self.stats.fragments += fragments as u64;
+        self.stats.boundary_fragments += fragments as u64;
+        self.stats.blend_ops += fragments as u64;
+        out
     }
 
     /// `draw(points) → chain`: the point draw, then `chain` in place

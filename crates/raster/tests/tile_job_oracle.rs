@@ -439,3 +439,216 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The run-first point canvas (`canvas_core::source::render_points`)
+// against the tiled point draw plus the sequential scatter it replaced.
+// ---------------------------------------------------------------------
+
+mod run_first {
+    use super::*;
+    use canvas_core::boundary::{BoundaryIndex, PointEntry, SortedRun};
+    use canvas_core::ops::mask::{select_point_entries_in_areas, CountCond, PixelRule};
+    use canvas_core::source::{render_points, render_query_polygon};
+    use canvas_core::{render_live_heatmap, BlendFn, Canvas, Device, PointBatch, Texel};
+    use canvas_raster::simd::{texel_words, TEXEL_WORDS};
+
+    /// The spec `C_P`: the tiled point draw into an empty canvas, and its
+    /// entries pushed in input order then stably sorted by pixel (the
+    /// sequential scatter), with the counters the draw and its upload
+    /// charge.
+    fn spec(threads: usize, vp: Viewport, batch: &PointBatch) -> (Canvas, PipelineStats) {
+        let mut pl = Pipeline::new();
+        pl.set_threads(threads);
+        pl.note_upload(batch.upload_bytes());
+        let mut canvas = Canvas::empty(vp);
+        let (ids, weights) = (&batch.ids, &batch.weights);
+        pl.draw_points_tiled(
+            &vp,
+            canvas.planes_mut().0,
+            &batch.points,
+            |i, _| Texel::point(ids[i as usize], 1.0, weights[i as usize]),
+            |d, s| BlendFn::PointAccumulate.apply(d, s),
+        );
+        let mut entries: Vec<PointEntry> = (batch.points.iter().enumerate())
+            .filter_map(|(i, &loc)| {
+                let (x, y) = vp.world_to_pixel(loc)?;
+                let (record, weight) = (ids[i], weights[i]);
+                let pixel = y * vp.width() + x;
+                Some(PointEntry {
+                    pixel,
+                    record,
+                    loc,
+                    weight,
+                })
+            })
+            .collect();
+        entries.sort_by_key(|e| e.pixel);
+        let (w, h) = (vp.width(), vp.height());
+        let run = SortedRun::from_sorted(w, h, entries);
+        *canvas.boundary_mut() =
+            BoundaryIndex::from_runs(run, SortedRun::new(w, h), SortedRun::new(w, h));
+        (canvas, pl.stats())
+    }
+
+    fn words(c: &Canvas) -> Vec<[u32; TEXEL_WORDS]> {
+        c.texels()
+            .texels()
+            .iter()
+            .map(|t| *texel_words(t))
+            .collect()
+    }
+
+    fn entries(c: &Canvas) -> Vec<PointEntry> {
+        c.boundary().points().copied().collect()
+    }
+
+    fn device(threads: usize) -> Device {
+        if threads == 1 {
+            Device::cpu()
+        } else {
+            Device::cpu_parallel(threads)
+        }
+    }
+
+    /// `C_P` of `pts` on `vp` at threads 1/2/3/8 × both chain backends:
+    /// the plane-free canvas has the spec's run and counters, its folded
+    /// planes and an eagerly folded live draw equal the spec's planes
+    /// (and its chain), and the canvas sink over it equals the sink over
+    /// the spec.
+    pub(super) fn check(vp: Viewport, pts: Vec<Point>, force_bands: bool) {
+        let n = pts.len();
+        let weights = (0..n).map(|i| (i % 7) as f32 * 0.75 - 1.0).collect();
+        let batch = PointBatch::with_weights(pts, weights);
+        let query = Polygon::circle(Point::new(48.0, 53.0), 31.0, 24);
+        for (threads, be) in [1, 2, 3, 8]
+            .into_iter()
+            .flat_map(|t| [(t, Backend::Scalar), (t, simd::active_backend())])
+        {
+            let ctx = format!(
+                "{}×{}, {n} points, threads={threads}, {be:?}",
+                vp.width(),
+                vp.height()
+            );
+            let (want, want_stats) = spec(threads, vp, &batch);
+            let mut dev = device(threads);
+            if force_bands {
+                dev.pool().set_min_work_override(1);
+            }
+            let got = render_points(&mut dev, vp, &batch);
+            assert_eq!(dev.stats(), want_stats, "{ctx}: counters");
+            assert!(
+                !got.planes_materialized(),
+                "{ctx}: a bare draw has no planes"
+            );
+            assert_eq!(entries(&got), entries(&want), "{ctx}: run");
+            assert_eq!(got.size_bytes(), want.size_bytes(), "{ctx}: modeled bytes");
+            // The canvas sink over the plane-free form, then the folded one.
+            let areas = render_query_polygon(&mut dev, vp, query.clone(), 1);
+            for rule in [
+                PixelRule::PointInAreas(CountCond::Ge(1)),
+                PixelRule::PointAndArea,
+            ] {
+                let value = (rule == PixelRule::PointAndArea).then_some(ValueTag::HeatLog);
+                let sink = |c: &Canvas| select_point_entries_in_areas(&dev, c, &areas, rule, value);
+                let want_sink = sink(&want);
+                for (form, c) in [("plane-free", &got), ("folded", &got.clone())] {
+                    if form == "folded" {
+                        assert_eq!(words(c), words(&want), "{ctx}: folded texels");
+                    }
+                    let s = sink(c);
+                    assert_eq!(
+                        words(&s),
+                        words(&want_sink),
+                        "{ctx}: {form} sink texels, {rule:?}"
+                    );
+                    assert_eq!(s.cover(), want_sink.cover(), "{ctx}: {form} sink cover");
+                    assert_eq!(entries(&s), entries(&want_sink), "{ctx}: {form} sink run");
+                    assert_eq!(s.boundary().areas(), want_sink.boundary().areas(), "{ctx}");
+                }
+            }
+            assert!(!got.planes_materialized(), "{ctx}: the sinks read no plane");
+            assert_eq!(
+                words(&got),
+                words(&want),
+                "{ctx}: texels folded on first read"
+            );
+            assert_eq!(got.cover(), want.cover(), "{ctx}: cover");
+            // The live draw folds eagerly, then runs its chain.
+            let chain = OpChain::new()
+                .map_tagged(ValueTag::HeatLog)
+                .with_backend(be);
+            let mut pl = Pipeline::new();
+            pl.set_threads(threads);
+            let mut planes = (want.texels().clone(), want.cover().clone());
+            pl.run_chain_texture(&mut planes.0, Some(&mut planes.1), &chain);
+            let before = dev.stats();
+            let live = render_live_heatmap(&mut dev, vp, &batch, Some(be));
+            let live_stats = dev.stats().delta(&before);
+            assert!(live.planes_materialized(), "{ctx}");
+            let live_words: Vec<_> = live
+                .texels()
+                .texels()
+                .iter()
+                .map(|t| *texel_words(t))
+                .collect();
+            let spec_words: Vec<_> = planes.0.texels().iter().map(|t| *texel_words(t)).collect();
+            assert_eq!(live_words, spec_words, "{ctx}: live texels");
+            assert_eq!(live.cover(), &planes.1, "{ctx}: live cover");
+            assert_eq!(entries(&live), entries(&want), "{ctx}: live run");
+            assert_eq!(
+                live_stats,
+                want_stats.merged(&pl.stats()),
+                "{ctx}: live counters"
+            );
+        }
+    }
+}
+
+/// In-view, outside, on the world's closed max edge, all in one pixel,
+/// and NaN / ±∞ coordinates (never in view).
+fn arb_edge_point() -> impl Strategy<Value = Point> {
+    (0u32..8, arb_point()).prop_map(|(kind, p)| match kind {
+        0 => Point::new(100.0, p.y.clamp(0.0, 100.0)),
+        1 => Point::new(p.x.clamp(0.0, 100.0), 100.0),
+        2 => Point::new(100.0, 100.0),
+        3 => Point::new(37.5, 61.25),
+        4 => Point::new(f64::NAN, p.y),
+        5 => Point::new(p.x, f64::INFINITY),
+        6 => Point::new(f64::NEG_INFINITY, f64::NAN),
+        _ => p,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The run-first `C_P` ≡ the tiled draw plus the sequential scatter
+    /// (`run_first::check`), the sort banded on the pool however small
+    /// the batch is.
+    #[test]
+    fn run_first_point_canvas_matches_the_tiled_draw(
+        pts in prop::collection::vec(arb_edge_point(), 0..400),
+        dim in 0..DIMS.len(),
+    ) {
+        run_first::check(vp(DIMS[dim]), pts, true);
+    }
+}
+
+/// The same at the pool's own threshold: one point below 65,536 sorts
+/// inline, at and above it in bands; an empty batch; and every point in
+/// one pixel, which no band cut may split.
+#[test]
+fn run_first_point_canvas_at_the_parallel_threshold() {
+    let grid = |n: usize| -> Vec<Point> {
+        (0..n)
+            .map(|i| Point::new((i * 7919 % 10_007) as f64 * 0.01, (i % 9_973) as f64 * 0.01))
+            .collect()
+    };
+    let vp = vp((129, 130));
+    for n in [65_535, 65_536, 70_001] {
+        run_first::check(vp, grid(n), false);
+    }
+    run_first::check(vp, Vec::new(), false);
+    run_first::check(vp, vec![Point::new(12.3, 45.6); 70_000], false);
+}

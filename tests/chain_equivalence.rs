@@ -16,8 +16,9 @@
 //! materialized references. Each of these also runs again with the
 //! SIMD backend forced to scalar, in a child process.
 //!
-//! The point draw followed by a chain, `Pipeline::run_chain_points`, is
-//! held to its reference one layer down, in
+//! The point draw followed by a chain — the live heatmap's run, its
+//! folded planes, then `V[HeatLog]` — is held to the tiled point draw
+//! and its chain one layer down, in
 //! `crates/raster/tests/tile_job_oracle.rs`.
 
 mod common;

@@ -64,3 +64,42 @@ pub fn rerun_on_scalar(names: &[&str]) {
     let passed = log.contains(&format!("ok. {} passed", names.len()));
     assert!(passed, "{names:?} with CANVAS_SIMD=scalar:\n{log}");
 }
+
+/// The point canvas as drawn before it was its run, kept as the spec of
+/// `render_points`: the tiled point draw (`Pipeline::draw_points_tiled`
+/// on a pool of `threads`) into an empty canvas, then the entries of the
+/// in-view points pushed in input order and stably sorted by pixel (the
+/// sequential scatter).
+pub fn spec_point_canvas(threads: usize, vp: Viewport, batch: &PointBatch) -> Canvas {
+    use canvas_algebra::core::boundary::{BoundaryIndex, PointEntry, SortedRun};
+    use canvas_algebra::raster::Pipeline;
+    let mut pl = Pipeline::new();
+    pl.set_threads(threads);
+    let mut canvas = Canvas::empty(vp);
+    let (ids, weights) = (&batch.ids, &batch.weights);
+    pl.draw_points_tiled(
+        &vp,
+        canvas.planes_mut().0,
+        &batch.points,
+        |i, _| Texel::point(ids[i as usize], 1.0, weights[i as usize]),
+        |d, s| BlendFn::PointAccumulate.apply(d, s),
+    );
+    let mut entries: Vec<PointEntry> = (batch.points.iter().zip(ids.iter().zip(weights)))
+        .filter_map(|(&loc, (&record, &weight))| {
+            let (x, y) = vp.world_to_pixel(loc)?;
+            let pixel = y * vp.width() + x;
+            Some(PointEntry {
+                pixel,
+                record,
+                loc,
+                weight,
+            })
+        })
+        .collect();
+    entries.sort_by_key(|e| e.pixel);
+    let (w, h) = (vp.width(), vp.height());
+    let points = SortedRun::from_sorted(w, h, entries);
+    *canvas.boundary_mut() =
+        BoundaryIndex::from_runs(points, SortedRun::new(w, h), SortedRun::new(w, h));
+    canvas
+}

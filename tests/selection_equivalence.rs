@@ -13,7 +13,11 @@ use canvas_algebra::prelude::*;
 use canvas_core::algebra::{selection_sink, value_sink, SourceSpec};
 use canvas_core::boundary::PointEntry;
 use canvas_core::ops::chain::{apply_chain_materialized, ChainKernel};
-use canvas_core::ops::mask::{point_entries_in_areas, select_point_entries_in_areas, PixelRule};
+use canvas_core::ops::mask::{
+    point_entries_in_areas, scatter_point_entries_in_areas, select_point_entries_in_areas,
+    PixelRule,
+};
+use canvas_core::ops::transform::{group_viewport, ValueMap};
 use canvas_core::queries::heatmap;
 use canvas_core::queries::selection::{self, MultiPolygon};
 use canvas_geom::polygon::Ring;
@@ -556,6 +560,112 @@ fn selection_heatmap_equals_the_materialized_plan() {
                 Some(ValueTag::HeatLog),
             );
             assert_same_canvas(&got, &spec, &format!("layered heatmap, threads={threads}"));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The run-first `C_P`: the walks over the plane-free canvas, over the
+// same canvas once its planes are folded, and over the spec.
+// ---------------------------------------------------------------------
+
+/// `oracle_batch`'s points plus the points a pixel mapping could get
+/// wrong: the world's closed max edge and corner, NaN and ±∞
+/// coordinates (never in view), and 300 points in one pixel.
+fn run_first_batch(seed: u64, n: usize, polys: &[Polygon]) -> PointBatch {
+    let mut pts = oracle_batch(seed, n, polys).points;
+    pts.extend([
+        Point::new(100.0, 100.0),
+        Point::new(100.0, 37.0),
+        Point::new(63.0, 100.0),
+        Point::new(0.0, 0.0),
+        Point::new(f64::NAN, 50.0),
+        Point::new(50.0, f64::INFINITY),
+        Point::new(f64::NEG_INFINITY, f64::NAN),
+    ]);
+    pts.extend(std::iter::repeat_n(Point::new(41.3, 22.7), 300));
+    let weights = (0..pts.len()).map(|i| (i % 9) as f32 * 0.5 - 1.5).collect();
+    PointBatch::with_weights(pts, weights)
+}
+
+#[test]
+fn run_first_point_canvas_walks_equal_the_spec() {
+    common::rerun_on_scalar(&["run_first_point_canvas_walks_equal_the_spec"]);
+    let vp = Viewport::new(extent(), 96, 80);
+    let query = holed_polygon(0.0, 0.0);
+    let rights = sink_area_sources(&query);
+    let gamma = ValueMap::area_id_slot();
+    // Small batches sorted and walked in bands however small they are,
+    // and batches on both sides of the pool's own 65,536-input threshold.
+    let batches = [
+        (
+            run_first_batch(47, 3_000, std::slice::from_ref(&query)),
+            true,
+        ),
+        (PointBatch::default(), true),
+        (run_first_batch(53, 57_000, &[]), false),
+        (run_first_batch(59, 57_200, &[]), false),
+    ];
+    assert_eq!(batches[2].0.len(), 65_450);
+    assert_eq!(batches[3].0.len(), 65_679);
+    let mut all_conds = vec![];
+    for k in 0..=2 {
+        all_conds.extend([CountCond::Eq(k), CountCond::Ge(k)]);
+    }
+    for (full, force_bands) in &batches {
+        let conds = if *force_bands {
+            &all_conds[..]
+        } else {
+            &all_conds[3..4]
+        };
+        for threads in [1, 2, 3, 8] {
+            let mut dev = device(threads);
+            if *force_bands {
+                dev.pool().set_min_work_override(1);
+            }
+            let ctx = format!("{} points, threads={threads}", full.len());
+            let spec = common::spec_point_canvas(threads, vp, full);
+            let lazy = render_points(&mut dev, vp, full);
+            let folded = lazy.clone();
+            common::assert_same_canvas(&folded, &spec, &ctx);
+            assert!(folded.planes_materialized() && !lazy.planes_materialized());
+            for (name, right) in &rights {
+                let r = right.eval(&mut dev, vp);
+                for &cond in conds {
+                    let ctx = format!("{ctx}, {name}, {cond:?}");
+                    let walk = |cp: &Canvas| point_entries_in_areas(&dev, cp, &r, cond);
+                    let want = walk(&spec);
+                    assert_eq!(walk(&lazy), want, "{ctx}: entries, plane-free");
+                    assert_eq!(walk(&folded), want, "{ctx}: entries, folded");
+                    let rule = PixelRule::PointInAreas(cond);
+                    let sink =
+                        |cp: &Canvas| select_point_entries_in_areas(&dev, cp, &r, rule, None);
+                    let want = sink(&spec);
+                    assert_same_canvas(&sink(&lazy), &want, &format!("{ctx}: sink, plane-free"));
+                    assert_same_canvas(&sink(&folded), &want, &format!("{ctx}: sink, folded"));
+                }
+                let ctx = format!("{ctx}, {name}");
+                let heat = |cp: &Canvas| {
+                    let rule = PixelRule::PointAndArea;
+                    select_point_entries_in_areas(&dev, cp, &r, rule, Some(ValueTag::HeatLog))
+                };
+                let want = heat(&spec);
+                assert_same_canvas(&heat(&lazy), &want, &format!("{ctx}: heatmap, plane-free"));
+                assert_same_canvas(&heat(&folded), &want, &format!("{ctx}: heatmap, folded"));
+                let groups = group_viewport(8);
+                let rule = PixelRule::PointInAreas(CountCond::Ge(1));
+                let combine = BlendFn::Accumulate;
+                let agg = |cp: &Canvas| {
+                    scatter_point_entries_in_areas(&dev, cp, &r, rule, &gamma, groups, combine)
+                };
+                let want = agg(&spec);
+                assert_same_canvas(&agg(&lazy), &want, &format!("{ctx}: aggregate, plane-free"));
+                assert_same_canvas(&agg(&folded), &want, &format!("{ctx}: aggregate, folded"));
+            }
+            assert!(
+                !lazy.planes_materialized(),
+                "{ctx}: the walks read no plane"
+            );
         }
     }
 }
