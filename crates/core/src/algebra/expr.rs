@@ -226,6 +226,11 @@ impl Expr {
     /// Sharing is invisible in results: rendering is deterministic, so
     /// a cached canvas is bit-identical to the one this evaluation would
     /// have produced itself.
+    ///
+    /// The canvas a plan returns holds its planes: an area canvas drawn
+    /// as spans (`canvas` module docs) is folded here, inside the
+    /// evaluation, not by whoever reads it later. Only interior canvases
+    /// stay span-coded.
     pub fn eval_via(
         &self,
         dev: &mut Device,
@@ -235,7 +240,11 @@ impl Expr {
         let arc = self.eval_node(dev, vp, cache, 0, 0);
         // The root is never shared (depth 0), so this Arc is private
         // and unwraps without a copy.
-        Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone())
+        let canvas = Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone());
+        if canvas.spans().is_some() {
+            canvas.texels();
+        }
+        canvas
     }
 
     /// One node of the cache-aware evaluation. Cut points at depth ≥ 1

@@ -15,25 +15,38 @@
 //! Together these make query answers **exact**: uniform pixels need no
 //! refinement, boundary pixels are re-tested against vector data.
 //!
-//! A point canvas from a bare draw is its pixel-sorted point run: its
-//! planes are *defined* as that run's fold — each texel the
-//! [`PointAccumulate`](crate::info::BlendFn::PointAccumulate) left fold
-//! of `Texel::point(record, 1, weight)` over the pixel's entries in run
-//! order, the cover 0 — and are folded once, on the first read of a
-//! plane ([`Canvas::texels`], [`Canvas::cover`], [`Canvas::planes_mut`],
-//! …). Consumers that read a point canvas only per pixel (the entry
-//! walks of `ops::mask`) fold the texel from the entries they already
-//! hold and never make the planes. Every other canvas holds its planes
-//! from construction.
+//! The planes are that realization, not the canvas itself. Two kinds of
+//! canvas are drawn without them:
+//!
+//! * a point canvas from a bare draw is its pixel-sorted point run: its
+//!   planes are *defined* as that run's fold — each texel the
+//!   [`PointAccumulate`](crate::info::BlendFn::PointAccumulate) left fold
+//!   of `Texel::point(record, 1, weight)` over the pixel's entries in run
+//!   order, the cover 0;
+//! * an area canvas from a polygon draw is its row spans
+//!   ([`RowSpans`]): per row, sorted runs `[x0, x1)` of one texel and
+//!   one cover count each; its planes are defined as their fold.
+//!
+//! Either form's planes are folded once, in row bands on the pool of the
+//! device that drew the canvas, on the first read of a plane
+//! ([`Canvas::texels`], [`Canvas::cover`], [`Canvas::planes_mut`], …).
+//! Consumers that read such a canvas only per pixel never make the
+//! planes: the entry walks of `ops::mask` fold a point texel from the
+//! entries they already hold and read an area canvas's texel and cover
+//! from its spans; a chain over span canvases runs per span
+//! (`ops::chain`); [`Canvas::is_empty`], [`Canvas::non_null_count`] and
+//! [`Canvas::exact_area_count`] answer from the spans. Once its planes
+//! are folded, a canvas is read through them like any other. Every
+//! other canvas holds its planes from construction.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use crate::boundary::{AreaEntry, BoundaryIndex, PointEntry};
 use crate::info::{DimInfo, Texel};
 use canvas_geom::polygon::Polygon;
 use canvas_geom::polyline::Polyline;
 use canvas_geom::Point;
-use canvas_raster::{Texture, Viewport};
+use canvas_raster::{RowSpans, Texture, Viewport, WorkerPool};
 
 /// A shared table of vector polygons referenced by boundary entries.
 pub type AreaSource = Arc<Vec<Polygon>>;
@@ -44,9 +57,14 @@ pub type LineSource = Arc<Vec<Polyline>>;
 #[derive(Clone, Debug)]
 pub struct Canvas {
     viewport: Viewport,
-    /// The texel and cover planes; unset on a point canvas until a plane
-    /// is first read (module docs).
+    /// The texel and cover planes; unset on a point or span canvas until
+    /// a plane is first read (module docs).
     planes: OnceLock<Planes>,
+    /// An area canvas's row spans: what its planes are the fold of.
+    spans: Option<RowSpans<Texel>>,
+    /// The pool of the device that drew a point or span canvas, which
+    /// folds its planes (inline once that device is gone).
+    pool: Weak<WorkerPool>,
     boundary: BoundaryIndex,
     area_sources: Vec<AreaSource>,
     line_sources: Vec<LineSource>,
@@ -92,6 +110,8 @@ impl Canvas {
         Canvas {
             viewport,
             planes: OnceLock::from(Planes { texels, cover }),
+            spans: None,
+            pool: Weak::new(),
             boundary,
             area_sources,
             line_sources,
@@ -99,25 +119,73 @@ impl Canvas {
     }
 
     /// The point canvas whose planes are the fold of `boundary`'s point
-    /// run, folded on first read (module docs). `boundary` holds point
-    /// entries only.
-    pub(crate) fn from_points(viewport: Viewport, boundary: BoundaryIndex) -> Self {
+    /// run, folded on first read on `pool` (module docs). `boundary`
+    /// holds point entries only.
+    pub(crate) fn from_points(
+        viewport: Viewport,
+        boundary: BoundaryIndex,
+        pool: &Arc<WorkerPool>,
+    ) -> Self {
         debug_assert!(boundary.areas().is_empty() && boundary.lines().is_empty());
         Canvas {
             viewport,
             planes: OnceLock::new(),
+            spans: None,
+            pool: Arc::downgrade(pool),
             boundary,
             area_sources: Vec::new(),
             line_sources: Vec::new(),
         }
     }
 
-    /// The planes, folded from the point run first if they are not yet.
+    /// The area canvas whose planes are the fold of `spans`, folded on
+    /// first read on `pool` (module docs).
+    pub(crate) fn from_spans(
+        viewport: Viewport,
+        spans: RowSpans<Texel>,
+        boundary: BoundaryIndex,
+        area_sources: Vec<AreaSource>,
+        pool: &Arc<WorkerPool>,
+    ) -> Self {
+        debug_assert_eq!(
+            (spans.width(), spans.height()),
+            (viewport.width(), viewport.height())
+        );
+        Canvas {
+            viewport,
+            planes: OnceLock::new(),
+            spans: Some(spans),
+            pool: Arc::downgrade(pool),
+            boundary,
+            area_sources,
+            line_sources: Vec::new(),
+        }
+    }
+
+    /// The planes, folded from the spans or the point run first if they
+    /// are not yet: row bands on the drawing device's pool.
     fn planes(&self) -> &Planes {
         self.planes.get_or_init(|| {
+            let pool = (self.pool.upgrade()).unwrap_or_else(|| Arc::new(WorkerPool::new(1)));
+            if let Some(spans) = &self.spans {
+                let (texels, cover) = spans.fold(&pool);
+                return Planes { texels, cover };
+            }
             let (w, h) = (self.viewport.width(), self.viewport.height());
-            let mut texels = Texture::new(w, h);
-            fold_points(texels.texels_mut(), 0, self.boundary.points());
+            let points = &self.boundary;
+            let texels = Texture::from_row_runs(w, h, &pool, |y, runs| {
+                let mut entries = points.points_in_rows(y..y + 1).peekable();
+                while let Some(e) = entries.next() {
+                    let mut fold = PointFold::default();
+                    fold.add(e);
+                    while let Some(next) = entries.next_if(|n| n.pixel == e.pixel) {
+                        fold.add(next);
+                    }
+                    runs.fill_to((e.pixel - y * w) as usize, Texel::null());
+                    runs.run(1, fold.texel());
+                }
+                runs.finish(Texel::null());
+            });
             Planes {
                 texels,
                 cover: Texture::new(w, h),
@@ -125,22 +193,29 @@ impl Canvas {
         })
     }
 
-    /// The planes if they exist: `None` on a point canvas nothing has
-    /// read a plane of yet.
+    /// The planes if they exist: `None` on a point or span canvas
+    /// nothing has read a plane of yet.
     pub(crate) fn materialized(&self) -> Option<&Planes> {
         self.planes.get()
     }
 
-    /// Whether the planes exist (module docs): false only on a point
-    /// canvas whose planes nothing has read yet.
+    /// Whether the planes exist (module docs): false only on a point or
+    /// span canvas whose planes nothing has read yet.
     pub fn planes_materialized(&self) -> bool {
         self.planes.get().is_some()
+    }
+
+    /// The row spans of an area canvas drawn as spans whose planes are
+    /// not folded yet (module docs), or `None`.
+    pub fn spans(&self) -> Option<&RowSpans<Texel>> {
+        self.spans.as_ref().filter(|_| self.planes.get().is_none())
     }
 
     /// Simultaneous mutable access to the texel plane, cover plane and
     /// boundary index (operators need split borrows across the planes).
     pub fn planes_mut(&mut self) -> (&mut Texture<Texel>, &mut Texture<u16>, &mut BoundaryIndex) {
         self.planes();
+        self.spans = None;
         let planes = self.planes.get_mut().expect("folded above");
         (&mut planes.texels, &mut planes.cover, &mut self.boundary)
     }
@@ -165,8 +240,8 @@ impl Canvas {
         &self.boundary
     }
 
-    /// The boundary index, for rewriting. A point canvas folds its
-    /// planes first, so they stay those of the run it was drawn with.
+    /// The boundary index, for rewriting. A point or span canvas folds
+    /// its planes first, so they stay those it was drawn with.
     pub fn boundary_mut(&mut self) -> &mut BoundaryIndex {
         self.planes();
         &mut self.boundary
@@ -219,17 +294,25 @@ impl Canvas {
 
     /// True when every texel is ∅ — operators prune such canvases from
     /// their output, mirroring relational tuple elimination (Section 4).
+    /// A span canvas answers from its spans.
     pub fn is_empty(&self) -> bool {
-        self.texels().texels().iter().all(Texel::is_null)
+        match self.spans() {
+            Some(spans) => spans.spans().iter().all(|s| s.texel.is_null()),
+            None => self.texels().texels().iter().all(Texel::is_null),
+        }
     }
 
-    /// Number of non-∅ pixels.
+    /// Number of non-∅ pixels. A span canvas answers from its spans.
     pub fn non_null_count(&self) -> usize {
-        self.texels()
-            .texels()
-            .iter()
-            .filter(|t| !t.is_null())
-            .count()
+        match self.spans() {
+            Some(spans) => (spans.spans().iter())
+                .filter(|s| !s.texel.is_null())
+                .map(|s| (s.x1 - s.x0) as usize)
+                .sum(),
+            None => (self.texels().texels().iter())
+                .filter(|t| !t.is_null())
+                .count(),
+        }
     }
 
     /// Iterator over `(x, y, texel)` for non-∅ pixels.
@@ -240,13 +323,16 @@ impl Canvas {
     /// Exact number of 2-primitives containing the world point `p`, given
     /// that `p` lies in pixel `pixel`: certain covers plus exact tests
     /// against the boundary-touching polygons. This is the refinement
-    /// kernel the mask operator runs on boundary pixels. A point canvas's
-    /// cover is 0, so one without planes is not folded for it.
+    /// kernel the mask operator runs on boundary pixels. Neither form
+    /// without planes is folded for it: a span canvas reads its cover
+    /// from its spans, and a point canvas's cover is 0.
     pub fn exact_area_count(&self, pixel: u32, p: Point) -> u32 {
-        let cover = self
-            .planes
-            .get()
-            .map_or(0, |c| c.cover.texels()[pixel as usize]);
+        let w = self.viewport.width();
+        let cover = match (self.spans(), self.planes.get()) {
+            (Some(spans), _) => spans.value_at(pixel % w, pixel / w).1,
+            (None, Some(planes)) => planes.cover.texels()[pixel as usize],
+            (None, None) => 0,
+        };
         cover as u32 + self.areas_containing(self.boundary.areas_at(pixel), p)
     }
 
@@ -271,8 +357,8 @@ impl Canvas {
     }
 
     /// Byte size of the texel + cover planes (modeled video memory),
-    /// whether or not they exist yet: a point canvas is charged the
-    /// planes its run models. Runs are not charged.
+    /// whether or not they exist yet: a point or span canvas is charged
+    /// the planes it models. Runs and spans are not charged.
     pub fn size_bytes(&self) -> usize {
         let texels = self.viewport.width() as usize * self.viewport.height() as usize;
         texels * (std::mem::size_of::<Texel>() + std::mem::size_of::<u16>())
@@ -284,26 +370,6 @@ impl Canvas {
         let mut c = Canvas::empty(viewport);
         c.texels_mut().set(x, y, texel);
         c
-    }
-}
-
-/// Folds point entries, in pixel order, into texels: each pixel (offset
-/// by `first`, the pixel of `texels[0]`) gets the [`PointFold`] of its
-/// entries — a point canvas's texel plane (module docs), or one band of
-/// it.
-pub(crate) fn fold_points<'a>(
-    texels: &mut [Texel],
-    first: usize,
-    entries: impl Iterator<Item = &'a PointEntry>,
-) {
-    let mut entries = entries.peekable();
-    while let Some(e) = entries.next() {
-        let mut fold = PointFold::default();
-        fold.add(e);
-        while let Some(next) = entries.next_if(|n| n.pixel == e.pixel) {
-            fold.add(next);
-        }
-        texels[e.pixel as usize - first] = fold.texel();
     }
 }
 

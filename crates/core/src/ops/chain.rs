@@ -10,10 +10,17 @@
 //! `MaskSpec::Texel`) are not kernels; they run dense, one
 //! materialized pass each.
 //!
-//! [`run_chain`] copies the input's planes once and runs every kernel
+//! [`run_chain`] has two forms. When the input and every Blend operand
+//! are span-coded area canvases (`canvas` module docs) — the
+//! choropleth's `C_Y*` and `C_tag` — it runs per span
+//! (`Pipeline::run_chain_spans`): each row is cut at every span end of
+//! the input and operands, the kernels run once per segment, and the
+//! output planes are written once, in row bands, from the result's
+//! spans; neither the input nor an operand is folded or copied.
+//! Otherwise it copies the input's planes once and runs every kernel
 //! over the copy in place, strip by strip
 //! (`Pipeline::run_chain_texture`, full-width row strips). The input
-//! may be a canvas another query already rendered. The run is
+//! may be a canvas another query already rendered. Either run is
 //! **bit-identical** to the materialized operator sequence
 //! ([`apply_chain_materialized`]) — texel plane, cover plane, boundary
 //! index, sources, *and* pipeline work counters — at any thread count;
@@ -50,7 +57,7 @@ use crate::canvas::Canvas;
 use crate::device::Device;
 use crate::info::{BlendFn, Texel};
 use crate::ops::mask::MaskSpec;
-use canvas_raster::{MaskTag, OpChain, ValueTag};
+use canvas_raster::{MaskOutcome, MaskTag, OpChain, RowSpans, SpanOp, ValueTag};
 
 /// One pixel-local kernel of a chain: what a built-in plan node lowers
 /// to.
@@ -67,7 +74,8 @@ pub enum ChainKernel {
     Blend(BlendFn),
 }
 
-/// Runs `kernels` in order over a copy of `input`'s planes (see module
+/// Runs `kernels` in order over `input` — per span when it and every
+/// operand are span-coded, else over a copy of its planes (see module
 /// docs); each Blend kernel reads the next of `operands`. Bit-identical
 /// to [`apply_chain_materialized`] on the same input at any thread
 /// count, including pipeline stats. Panics when an operand's viewport
@@ -82,29 +90,21 @@ pub fn run_chain(
     let vp = input.viewport();
     let same = operands.iter().all(|o| o.viewport() == vp);
     assert!(same, "chain blend operands must share a viewport");
-    let mut next = operands.iter();
-    let mut raster_chain: OpChain<'_, Texel> = OpChain::new();
-    for k in kernels {
-        raster_chain = match *k {
-            ChainKernel::Value(tag) => raster_chain.map_tagged(tag),
-            // Built-in blends always take the SIMD row kernel: the
-            // kernel is bit-identical to `BlendFn::apply` (asserted in
-            // `info::tests`), so the chain ≡ materialized contract is
-            // unchanged by the lowering.
-            ChainKernel::Blend(op) => {
-                let o = next.next().expect("one operand per Blend kernel");
-                raster_chain.blend_tagged(o.texels(), Some(o.cover()), op.tag())
-            }
-            // The mask kernel bakes in the materialized mask's
-            // semantics: null texels pass, failing texels are nulled.
-            ChainKernel::Mask(tag) => raster_chain.mask_tagged(tag),
-        };
-    }
-    let mut canvas = input.clone();
-    let masked = {
-        let (texels, cover, _) = canvas.planes_mut();
-        dev.pipeline()
-            .run_chain_texture(texels, Some(cover), &raster_chain)
+    let (mut canvas, masked) = match span_chain(input, kernels, operands) {
+        Some((spans, ops)) => {
+            let (out, masked) = dev.pipeline().run_chain_spans(spans, &ops);
+            let (texels, cover) = out.fold(dev.pool());
+            let canvas = Canvas::from_parts(
+                *vp,
+                texels,
+                cover,
+                input.boundary().clone(),
+                input.area_sources().to_vec(),
+                input.line_sources().to_vec(),
+            );
+            (canvas, masked)
+        }
+        None => dense_chain(dev, input, kernels, operands),
     };
     // Replay the materialized sequence's boundary/source bookkeeping
     // against the finished planes — sparse metadata only, no
@@ -138,6 +138,64 @@ pub fn run_chain(
         }
     }
     canvas
+}
+
+/// The chain over planes: `input`'s planes copied, then every kernel
+/// run over the copy in place (`Pipeline::run_chain_texture`).
+fn dense_chain(
+    dev: &mut Device,
+    input: &Canvas,
+    kernels: &[ChainKernel],
+    operands: &[&Canvas],
+) -> (Canvas, MaskOutcome) {
+    let mut next = operands.iter();
+    let mut raster_chain: OpChain<'_, Texel> = OpChain::new();
+    for k in kernels {
+        raster_chain = match *k {
+            ChainKernel::Value(tag) => raster_chain.map_tagged(tag),
+            // Built-in blends always take the SIMD row kernel: the
+            // kernel is bit-identical to `BlendFn::apply` (asserted in
+            // `info::tests`), so the chain ≡ materialized contract is
+            // unchanged by the lowering.
+            ChainKernel::Blend(op) => {
+                let o = next.next().expect("one operand per Blend kernel");
+                raster_chain.blend_tagged(o.texels(), Some(o.cover()), op.tag())
+            }
+            // The mask kernel bakes in the materialized mask's
+            // semantics: null texels pass, failing texels are nulled.
+            ChainKernel::Mask(tag) => raster_chain.mask_tagged(tag),
+        };
+    }
+    let mut canvas = input.clone();
+    let masked = {
+        let (texels, cover, _) = canvas.planes_mut();
+        dev.pipeline()
+            .run_chain_texture(texels, Some(cover), &raster_chain)
+    };
+    (canvas, masked)
+}
+
+/// The chain as span ops when `input` and every Blend operand are
+/// span-coded (their planes not folded): `input`'s spans and one
+/// [`SpanOp`] per kernel. `None` sends the chain over planes.
+fn span_chain<'a>(
+    input: &'a Canvas,
+    kernels: &[ChainKernel],
+    operands: &[&'a Canvas],
+) -> Option<(&'a RowSpans<Texel>, Vec<SpanOp<'a, Texel>>)> {
+    let mut next = operands.iter();
+    let ops = kernels.iter().map(|k| {
+        Some(match *k {
+            ChainKernel::Value(tag) => SpanOp::Map(tag),
+            ChainKernel::Blend(op) => {
+                let o = next.next().expect("one operand per Blend kernel");
+                SpanOp::Blend(o.spans()?, op.tag())
+            }
+            ChainKernel::Mask(tag) => SpanOp::Mask(tag),
+        })
+    });
+    let ops = ops.collect::<Option<Vec<_>>>()?;
+    Some((input.spans()?, ops))
 }
 
 /// Applies the kernels as separate whole-canvas passes, each Blend

@@ -23,9 +23,13 @@
 //! `M[Mp(cond)](B[⊙](C_P, R))`, with `R` a point-free area canvas, is
 //! null everywhere except at pixels that hold a kept point, so it need
 //! not cost per pixel. One private walker visits `C_P`'s point run once
-//! against `R`'s cover plane and area run, and decides each entry and
-//! each pixel by the mask's rule (one helper holds it). Three consumers
-//! share it:
+//! against `R`'s texel, cover and area run, and decides each entry and
+//! each pixel by the mask's rule (one helper holds it). A span-coded `R`
+//! (an area canvas drawn as row spans, `canvas` module docs) is read
+//! from its spans with a row cursor, since the run arrives in pixel
+//! order, and never folded; a point canvas without planes gives its
+//! texel as the fold of the entries the walk holds. Three consumers
+//! share the walker:
 //!
 //! * [`point_entries_in_areas`] returns the surviving entries, for the
 //!   queries that read nothing else (a hull, a skyline, an OD
@@ -204,6 +208,7 @@ fn mask_point_in_areas(dev: &mut Device, c: &Canvas, cond: CountCond) -> Canvas 
                     let at = EntryPixel {
                         pixel,
                         cov: *cov,
+                        area_texel: *t,
                         boundary_areas: areas.at(pixel),
                     };
                     let mut sum = PixelSum::starting(&at, kept.len());
@@ -280,7 +285,7 @@ pub fn point_entries_in_areas(
     cond: CountCond,
 ) -> Vec<PointEntry> {
     let rule = PixelRule::PointInAreas(cond);
-    let bands = entry_bands(dev, points);
+    let bands = entry_bands(dev, points, areas);
     let lists = dev.pool().run_indexed(bands.len(), |b| {
         let mut kept = Vec::new();
         walk_point_entries(points, areas, bands[b].clone(), |at, e| {
@@ -326,7 +331,7 @@ pub fn select_point_entries_in_areas(
     let remap: Vec<u16> = (areas.area_sources().iter())
         .map(|s| out.add_area_source(s.clone()))
         .collect();
-    let bands = entry_bands(dev, points);
+    let bands = entry_bands(dev, points, areas);
     let (texels, cover, _) = out.planes_mut();
     let (mut texels, mut cover) = (texels.texels_mut(), cover.texels_mut());
     let mut band_planes = Vec::with_capacity(bands.len());
@@ -391,7 +396,7 @@ pub fn scatter_point_entries_in_areas(
     target_vp: Viewport,
     combine: BlendFn,
 ) -> Canvas {
-    let bands = entry_bands(dev, points);
+    let bands = entry_bands(dev, points, areas);
     let lists = dev.pool().run_indexed(bands.len(), |b| {
         let mut local = Vec::new();
         decide_pixels(points, areas, bands[b].clone(), rule, None, |_, t| {
@@ -414,8 +419,14 @@ pub fn scatter_point_entries_in_areas(
 /// thread — or one band of every row below the pool's minimum-work
 /// threshold, walked on the calling thread. The bands tile the rows in
 /// order, so outputs concatenated band by band do not depend on the
-/// cut.
-fn entry_bands(dev: &Device, points: &Canvas) -> Vec<Range<u32>> {
+/// cut. `areas`' planes, when the walk is to read them, are folded
+/// first.
+fn entry_bands(dev: &Device, points: &Canvas, areas: &Canvas) -> Vec<Range<u32>> {
+    // The walk reads an areas canvas that is not span-coded through its
+    // planes: fold them here, so no band job makes a shared canvas fold.
+    if areas.spans().is_none() {
+        areas.texels();
+    }
     let height = points.viewport().height();
     let pool = dev.pool();
     let entries = points.boundary().num_points();
@@ -435,11 +446,13 @@ fn entry_bands(dev: &Device, points: &Canvas) -> Vec<Range<u32>> {
 }
 
 /// Where [`walk_point_entries`] stands: a pixel of `C_P`'s run, its
-/// blended cover, and the area entries behind it.
+/// blended cover, the areas canvas's texel there, and the area entries
+/// behind it.
 #[derive(Clone, Copy)]
 struct EntryPixel<'a> {
     pixel: u32,
     cov: u16,
+    area_texel: Texel,
     boundary_areas: &'a [AreaEntry],
 }
 
@@ -448,6 +461,7 @@ impl Default for EntryPixel<'_> {
         EntryPixel {
             pixel: u32::MAX,
             cov: 0,
+            area_texel: Texel::null(),
             boundary_areas: &[],
         }
     }
@@ -530,15 +544,15 @@ fn decide_pixels<'a>(
     // the fold of the pixel's entries (`canvas` module docs), which the
     // walk accumulates as it goes.
     let point_texels = points.materialized().map(|p| p.texels.texels());
-    let area_texels = areas.texels().texels();
-    // `None` before the first pixel, too.
+    // `None` before the first pixel.
     let blended = |sum: &PixelSum<'a>| {
         let i = sum.at.pixel as usize;
         let t = match point_texels {
             Some(plane) => *plane.get(i)?,
+            None if sum.at.pixel == u32::MAX => return None,
             None => sum.all.texel(),
         };
-        Some(BlendFn::PointOverArea.apply(t, *area_texels.get(i)?))
+        Some(BlendFn::PointOverArea.apply(t, sum.at.area_texel))
     };
     let mut finish = |sum: &PixelSum<'a>, kept: &mut Option<&mut Vec<PointEntry>>| {
         let t = blended(sum).and_then(|t| sum.kept_texel(t, rule));
@@ -566,10 +580,11 @@ fn decide_pixels<'a>(
 
 /// The one cursor walk over `points`' run behind every entry consumer:
 /// visits every point entry of pixel rows `rows` in run order, with its
-/// pixel's blended cover (`points`' plus `areas`', saturating) and the
-/// area entries `areas` files under that pixel (a row cursor; the run is
-/// never searched). It reads no plane of `points` that `points` does not
-/// already have.
+/// pixel's blended cover (`points`' plus `areas`', saturating), `areas`'
+/// texel there, and the area entries `areas` files under that pixel (row
+/// cursors; the run is never searched). It reads no plane that `points`
+/// or `areas` does not already have: a span-coded `areas` is read from
+/// its spans.
 fn walk_point_entries<'a>(
     points: &'a Canvas,
     areas: &'a Canvas,
@@ -584,21 +599,35 @@ fn walk_point_entries<'a>(
     let width = points.viewport().width();
     // A point canvas without planes has cover 0 (`canvas` module docs).
     let point_cover = points.materialized().map(|p| p.cover.texels());
-    let area_cover = areas.cover().texels();
+    let area_spans = areas.spans();
+    let area_planes = match area_spans {
+        Some(_) => None,
+        None => Some((areas.texels().texels(), areas.cover().texels())),
+    };
     let index = areas.boundary();
-    let (mut row, mut row_areas) = (rows.start, index.areas_cursor(rows.start));
+    let mut row = rows.start;
+    let mut row_areas = index.areas_cursor(row);
+    let mut row_spans = area_spans.map(|s| s.cursor(row));
     let mut at = EntryPixel::default();
     for e in points.boundary().points_in_rows(rows) {
         if e.pixel != at.pixel {
             if e.pixel / width != row {
                 row = e.pixel / width;
                 row_areas = index.areas_cursor(row);
+                row_spans = area_spans.map(|s| s.cursor(row));
             }
+            let i = e.pixel as usize;
+            let (area_texel, area_cov) = match (&mut row_spans, area_planes) {
+                (Some(spans), _) => spans
+                    .at(e.pixel % width)
+                    .map_or((Texel::null(), 0), |s| (s.texel, s.cover)),
+                (None, Some((texels, cover))) => (texels[i], cover[i]),
+                (None, None) => unreachable!("an areas canvas has spans or planes"),
+            };
             at = EntryPixel {
                 pixel: e.pixel,
-                cov: point_cover
-                    .map_or(0, |c| c[e.pixel as usize])
-                    .saturating_add(area_cover[e.pixel as usize]),
+                cov: point_cover.map_or(0, |c| c[i]).saturating_add(area_cov),
+                area_texel,
                 boundary_areas: row_areas.at(e.pixel),
             };
         }

@@ -169,6 +169,9 @@ fn rasterjoin_kernel(
     let width = vp.width();
     let sel = move |k: usize| records.map_or(k, |r| r[k] as usize);
     let n = records.map_or(polys.len(), <[u32]>::len);
+    // The visitor reads the density's texels on the pool: fold them
+    // here first, so no pass job makes a shared canvas fold.
+    density.texels();
     dev.pipeline().note_upload(
         (0..n)
             .map(|k| (polys[sel(k)].num_vertices() * 16) as u64)

@@ -8,25 +8,28 @@
 //! boundary index and the certain-coverage plane that keep results
 //! exact, and account for the host→device upload of the vector buffers.
 //!
-//! Polygon and polyline tables are drawn by the raster pipeline's tiled
-//! draws. A point canvas is its run instead: the point draw projects
-//! each point once and sorts the entries by pixel with one stable
-//! counting sort ([`SortedRun::scatter`], banded on the device's pool),
-//! and the canvas's planes are defined as the fold of that run, made
-//! when something first reads a plane (`canvas` module docs). The draw
-//! charges the counters the tiled point draw charges for the same batch,
-//! and the cache charges the planes the canvas models
-//! ([`Canvas::size_bytes`]) whether or not they exist; runs are not
-//! charged.
+//! Polyline tables are drawn by the raster pipeline's tiled draw. A
+//! point canvas is its run instead: the point draw projects each point
+//! once and sorts the entries by pixel with one stable counting sort
+//! ([`SortedRun::scatter`], banded on the device's pool). A polygon
+//! table's canvas is its row spans: the polygon draw
+//! (`Pipeline::draw_polygon_spans`) rasterizes the polygons in row bands
+//! on the pool and sweeps each row into runs of one texel and one cover
+//! count. Either canvas's planes are defined as the fold of its run or
+//! spans, made when something first reads a plane (`canvas` module
+//! docs). Each draw charges the counters the tiled draw charges for the
+//! same input, and the cache charges the planes the canvas models
+//! ([`Canvas::size_bytes`]) whether or not they exist; runs and spans
+//! are not charged.
 
 use std::sync::Arc;
 
 use crate::boundary::{AreaEntry, BoundaryIndex, LineEntry, PointEntry, SortedRun};
-use crate::canvas::{fold_points, AreaSource, Canvas, LineSource, PointBatch};
+use crate::canvas::{register_source, AreaSource, Canvas, LineSource, PointBatch};
 use crate::device::Device;
 use crate::info::{BlendFn, Texel};
 use canvas_geom::polygon::Polygon;
-use canvas_raster::{OpChain, Texture, Viewport, WorkerPool};
+use canvas_raster::{OpChain, Viewport, WorkerPool};
 
 /// Renders a point batch into one canvas.
 ///
@@ -63,19 +66,12 @@ pub(crate) fn draw_points(
     });
     let (w, h) = (vp.width(), vp.height());
     let boundary = BoundaryIndex::from_runs(run, SortedRun::new(w, h), SortedRun::new(w, h));
-    if chain.is_empty() {
-        return Canvas::from_points(vp, boundary);
+    let mut canvas = Canvas::from_points(vp, boundary, dev.pool());
+    if !chain.is_empty() {
+        let (texels, cover, _) = canvas.planes_mut();
+        dev.pipeline().run_chain_texture(texels, Some(cover), chain);
     }
-    let mut texels = Texture::new(w, h);
-    let mut cover = Texture::new(w, h);
-    dev.pool()
-        .for_each_band1(w as usize, texels.texels_mut(), |y0, band| {
-            let rows = y0 as u32..y0 as u32 + (band.len() / w as usize) as u32;
-            fold_points(band, y0 * w as usize, boundary.points_in_rows(rows));
-        });
-    dev.pipeline()
-        .run_chain_texture(&mut texels, Some(&mut cover), chain);
-    Canvas::from_parts(vp, texels, cover, boundary, Vec::new(), Vec::new())
+    canvas
 }
 
 /// The point entries of a point render: the exact entry of every
@@ -123,7 +119,7 @@ fn area_index(
 }
 
 /// Renders one polygon from a shared table into its own canvas
-/// (one canvas per record, Definition 6).
+/// (one canvas per record, Definition 6), drawn as row spans.
 ///
 /// Interior pixels raise the certain-cover count; conservative boundary
 /// pixels are linked to the vector polygon for exact refinement. The
@@ -167,10 +163,12 @@ pub fn render_polygon_set(
 }
 
 /// The one polygon-table draw: `record`'s polygon, or the whole table
-/// for `None`, drawn in one instanced tiled pass
-/// (`Pipeline::draw_polygons_tiled`) that shades each fragment with
-/// `shade(record)` and merges through `blend`, then indexed under the
-/// table as one area source.
+/// for `None`, drawn in one instanced pass as row spans
+/// (`Pipeline::draw_polygon_spans`: the tiled polygon draw's fragments,
+/// shaded with `shade(record)` and merged through `blend` in table
+/// order, its counters too, with no plane written), then indexed under
+/// the table as one area source. The canvas is its spans; its planes
+/// are folded when something first reads them (`canvas` module docs).
 fn draw_areas(
     dev: &mut Device,
     vp: Viewport,
@@ -180,29 +178,19 @@ fn draw_areas(
     shade: impl Fn(u32) -> Texel + Sync,
     blend: impl Fn(Texel, Texel) -> Texel + Sync,
 ) -> Canvas {
-    let mut canvas = Canvas::empty(vp);
-    let source = canvas.add_area_source(table.clone());
+    let mut sources = Vec::new();
+    let source = register_source(&mut sources, table.clone());
     let polys = match record {
         Some(r) => std::slice::from_ref(&table[r]),
         None => &table[..],
     };
     let upload = polys.iter().map(|p| (p.num_vertices() * 16) as u64).sum();
     dev.pipeline().note_upload(upload);
-    let boundary = {
-        let (texels, cover, _) = canvas.planes_mut();
-        dev.pipeline().draw_polygons_tiled(
-            &vp,
-            texels,
-            cover,
-            polys,
-            conservative,
-            |i, _| shade(i),
-            blend,
-        )
-    };
+    let (spans, boundary) =
+        (dev.pipeline()).draw_polygon_spans(&vp, polys, conservative, shade, blend);
     let record_of = |i: u32| record.map_or(i, |r| r as u32);
-    *canvas.boundary_mut() = area_index(dev.pool(), &vp, source, &boundary, record_of);
-    canvas
+    let index = area_index(dev.pool(), &vp, source, &boundary, record_of);
+    Canvas::from_spans(vp, spans, index, sources, dev.pool())
 }
 
 /// Renders a polyline table into one canvas (1-primitives; supercover

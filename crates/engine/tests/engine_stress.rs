@@ -485,7 +485,7 @@ fn identical_simultaneous_submissions_deduplicate() {
 
 #[test]
 fn fair_share_tickets_reach_the_pool_gate() {
-    let (queries, vps) = workload();
+    let (queries, _) = workload();
     let engine = Arc::new(QueryEngine::with_config(EngineConfig {
         threads: 3,
         max_concurrent: 4,
@@ -500,9 +500,10 @@ fn fair_share_tickets_reach_the_pool_gate() {
     for client in 0..3usize {
         let engine = Arc::clone(&engine);
         let queries = queries.clone();
-        // 96×96 is four 64×64 tiles, so every draw claims its tiles in
-        // a pooled pass (a one-tile frame's draw runs inline).
-        let vp = vps[2];
+        // 256×256 is the pool's minimum work (65,536 texels), so the
+        // row-band passes — span draws, folds, chains — run pooled; a
+        // smaller frame's passes run inline.
+        let vp = Viewport::new(extent(), 256, 256);
         handles.push(std::thread::spawn(move || {
             for i in 0..4 {
                 let q = &queries[(client + i) % queries.len()];

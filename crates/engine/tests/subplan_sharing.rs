@@ -367,6 +367,65 @@ fn linked_views_leave_the_shared_point_canvas_unfolded() {
 }
 
 #[test]
+fn linked_views_leave_the_cached_area_canvases_as_spans() {
+    // `C_Q`, `C_tag` and `C_Y*` are drawn as row spans: the walks read
+    // `C_Q` and `C_Y*` per span and the choropleth's chain runs over
+    // `C_Y*` and `C_tag` per span, so none of the three cached leaves
+    // folds its planes. The choropleth's own canvas, a query's answer,
+    // is returned with its planes.
+    let data = data();
+    let zones: AreaSource = Arc::new(canvas_datagen::neighborhoods(&extent(), 6, 3));
+    let engine = QueryEngine::with_config(config(256 << 20));
+    let density = Query::PolygonDensity {
+        table: zones.clone(),
+        q: district(),
+    };
+    let views = [
+        Query::SelectPoints {
+            data: data.clone(),
+            q: district(),
+        },
+        Query::SelectionHeatmap {
+            data: data.clone(),
+            q: district(),
+        },
+        density.clone(),
+        Query::AggregateByZone {
+            data: data.clone(),
+            zones: zones.clone(),
+        },
+    ];
+    for view in &views {
+        let r = engine.execute(view, vp()).unwrap();
+        if matches!(view, Query::PolygonDensity { .. }) {
+            assert!(
+                r.canvas().planes_materialized(),
+                "the answer holds its planes"
+            );
+        }
+        assert_canvas_eq(r.canvas(), &cpu_reference(view, vp()), "linked view");
+    }
+    let leaves = [
+        ("C_Q", Expr::query_polygon(district(), 1)),
+        ("C_tag", Expr::query_tag(district())),
+        ("C_Y*", Expr::polygon_set(zones, BlendFn::AreaCount)),
+    ];
+    for (name, leaf) in leaves {
+        // A plan of the leaf alone has the leaf's key: it is served the
+        // cached canvas itself.
+        let r = engine.execute(&Query::Plan(leaf.clone()), vp()).unwrap();
+        assert_eq!(r.served, Served::CacheHit, "{name}");
+        let c = r.canvas();
+        assert!(c.spans().is_some(), "{name} is span-coded");
+        assert!(!c.planes_materialized(), "a view folded the cached {name}");
+        // Its planes, once read, are those of the same draw on one thread.
+        let want = leaf.eval(&mut Device::cpu(), vp());
+        assert_canvas_eq(c, &want, name);
+        assert!(c.planes_materialized());
+    }
+}
+
+#[test]
 fn linked_views_share_the_same_interiors_under_a_one_viewport_window() {
     // One admission permit keeps interiors for one viewport only. The
     // four linked views, run view after view at one viewport and then

@@ -61,11 +61,11 @@ fn workload() -> (Vec<Query>, Vec<Viewport>) {
             zones,
         },
     ];
-    // 96×96 is four 64×64 tiles: its draws claim tiles in pooled
-    // passes, so worker-thread spans are recorded (a one-tile frame's
-    // draw runs inline).
+    // 256×256 is the pool's minimum work (65,536 texels): its row-band
+    // passes — span draws, folds, chains — run pooled, so worker-thread
+    // spans are recorded (a smaller frame's passes run inline).
     let viewports = vec![
-        Viewport::new(extent(), 96, 96),
+        Viewport::new(extent(), 256, 256),
         Viewport::new(
             BBox::new(Point::new(20.0, 20.0), Point::new(70.0, 70.0)),
             64,

@@ -40,6 +40,10 @@ std::thread_local! {
     /// The pass ticket the current thread dispatches under (see
     /// [`WorkerPool::with_ticket`]). 0 = the anonymous default ticket.
     static CURRENT_TICKET: std::cell::Cell<TicketId> = const { std::cell::Cell::new(0) };
+    /// Whether the current thread is running its share of a pass: a
+    /// pool worker always, a dispatching thread while it runs its own
+    /// share. A pass started there runs inline (see `run_pass`).
+    static IN_PASS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Process-wide count of live pool workers (incremented when a worker
@@ -139,6 +143,7 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 fn worker_loop(shared: Arc<Shared>) {
+    IN_PASS.with(|p| p.set(true));
     let mut my_epoch = 0u64;
     loop {
         let job = {
@@ -313,9 +318,14 @@ impl WorkerPool {
     /// background worker, returning after **all** invocations complete.
     /// `f` typically loops over an atomic claim counter. Panics from any
     /// invocation are re-raised here after the pass has fully quiesced.
+    ///
+    /// Passes never nest: one started from inside a pass — on a worker,
+    /// or on the dispatching thread while it runs its share (a canvas
+    /// folding its planes on first read inside a walk, say) — runs `f`
+    /// once inline, which claims every item.
     fn run_pass<F: Fn() + Sync>(&self, f: &F) {
         self.passes.fetch_add(1, Ordering::Relaxed);
-        if self.handles.is_empty() {
+        if self.handles.is_empty() || IN_PASS.with(|p| p.get()) {
             let _span = obs::span("pass", "executor");
             f();
             return;
@@ -348,7 +358,9 @@ impl WorkerPool {
         }
         // The caller participates; its panic (if any) is deferred until
         // the workers have quiesced so the borrow of `f` stays valid.
+        IN_PASS.with(|p| p.set(true));
         let caller_outcome = catch_unwind(AssertUnwindSafe(f));
+        IN_PASS.with(|p| p.set(false));
         let worker_panicked = {
             let mut st = self
                 .shared
@@ -651,6 +663,22 @@ impl<T> SlotVec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_pass_started_inside_a_pass_runs_inline() {
+        // Every item of the outer pass (on workers and on the caller)
+        // starts an inner pass on the same pool: each runs inline on its
+        // thread, in order, and nothing waits on the gate the outer
+        // pass holds.
+        let pool = WorkerPool::new(3);
+        let got = pool.run_indexed(12, |i| pool.run_indexed(5, |j| i * 10 + j));
+        let want: Vec<Vec<usize>> = (0..12)
+            .map(|i| (0..5).map(|j| i * 10 + j).collect())
+            .collect();
+        assert_eq!(got, want);
+        // The caller leaves the pass: its next pass fans out again.
+        assert_eq!(pool.run_indexed(4, |i| i), vec![0, 1, 2, 3]);
+    }
 
     #[test]
     fn run_indexed_order_is_deterministic() {

@@ -336,6 +336,23 @@ impl MaskOutcome {
         self.stages[mask].get(pixel as usize)
     }
 
+    /// Marks the pixels `pixels` (row-major) null after Mask op `mask`.
+    pub(crate) fn set_range(&mut self, mask: usize, pixels: std::ops::Range<usize>) {
+        let words = &mut self.stages[mask].words;
+        let (mut i, end) = (pixels.start, pixels.end);
+        while i < end {
+            let (word, bit) = (i / 64, i % 64);
+            let n = (64 - bit).min(end - i);
+            let ones = if n == 64 {
+                u64::MAX
+            } else {
+                ((1u64 << n) - 1) << bit
+            };
+            words[word] |= ones;
+            i += n;
+        }
+    }
+
     /// Imports the strip-local bitset of Mask op `mask` for the strip
     /// of whole rows starting at row `row0`. The strip's rows are
     /// contiguous in the frame, so whole words are ORed in at the

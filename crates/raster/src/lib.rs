@@ -34,6 +34,10 @@
 //!   count. A one-thread pool runs the same draws on a one-tile grid,
 //! * [`simd`] — runtime-dispatched row kernels behind the built-in
 //!   operators,
+//! * [`spans`] — a frame as per-row runs of equal value (`RowSpans`):
+//!   the form a polygon table is drawn in by
+//!   `Pipeline::draw_polygon_spans`, run through chains by
+//!   `Pipeline::run_chain_spans`, and folded into planes in row bands,
 //! * [`stats::PipelineStats`] + [`device::DeviceProfile`] — work
 //!   counting and the calibrated cost model that substitutes for the
 //!   paper's two physical GPUs (the [`device`] module docs carry the
@@ -51,6 +55,7 @@ pub mod device;
 pub mod pipeline;
 pub mod rasterize;
 pub mod simd;
+pub mod spans;
 pub mod stats;
 pub mod texture;
 pub mod tile;
@@ -61,9 +66,10 @@ pub use canvas_executor::{
 };
 pub use chain::{ChainOp, MaskOutcome, OpChain};
 pub use device::DeviceProfile;
-pub use pipeline::{Frag, PatchReport, Pipeline};
+pub use pipeline::{Frag, PatchReport, Pipeline, SpanOp};
 pub use simd::{Backend, BlendTag, MaskTag, TexelWords, ValueTag};
+pub use spans::{RowSpans, Span, SpanCursor};
 pub use stats::PipelineStats;
-pub use texture::Texture;
+pub use texture::{RowRuns, Texture};
 pub use tile::{TileGrid, TileRect, TILE_SIZE};
 pub use viewport::Viewport;

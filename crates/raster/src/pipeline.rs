@@ -42,7 +42,12 @@
 //!
 //! A caller that sorts its points by pixel instead of rasterizing them
 //! tile by tile (the core's point canvas) charges that draw through
-//! [`Pipeline::draw_points_sorted`], as a tile job would be charged.
+//! [`Pipeline::draw_points_sorted`], as a tile job would be charged. A
+//! polygon table can be drawn as row spans instead of planes
+//! ([`Pipeline::draw_polygon_spans`]: the same emitter in row bands,
+//! each row swept into runs, the same counters), and a chain of
+//! built-in kernels run over span inputs once per segment
+//! ([`Pipeline::run_chain_spans`]); see [`crate::spans`].
 //!
 //! **Sequential is a pool of one.** When the pipeline's pool has one
 //! thread and the result cannot depend on where tile borders fall (a
@@ -68,6 +73,9 @@ use canvas_obs as obs;
 use std::sync::{Arc, Mutex, PoisonError};
 
 mod passes;
+mod spans;
+
+pub use spans::SpanOp;
 
 /// Opens a draw-level trace span tagged with the active SIMD backend
 /// and workload shape (no-op unless tracing is enabled).

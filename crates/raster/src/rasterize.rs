@@ -28,13 +28,18 @@ pub fn rasterize_point(vp: &Viewport, p: Point, mut emit: impl FnMut(u32, u32)) 
 
 /// Supercover line rasterization: emits every pixel whose square the
 /// world-space segment `a..b` passes through (conservative, no gaps,
-/// no diagonal skips).
+/// no diagonal skips). A segment with a non-finite end passes through
+/// no pixel: it emits nothing, so its pixels cannot depend on which
+/// clip rect or tile asks for them.
 pub fn rasterize_line_supercover(
     vp: &Viewport,
     a: Point,
     b: Point,
     mut emit: impl FnMut(u32, u32),
 ) {
+    if ![a.x, a.y, b.x, b.y].iter().all(|v| v.is_finite()) {
+        return;
+    }
     // Work in continuous pixel space.
     let pa = vp.world_to_pixel_f(a);
     let pb = vp.world_to_pixel_f(b);

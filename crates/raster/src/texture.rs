@@ -5,12 +5,78 @@
 //! software equivalent: a row-major `Vec` of texels with no per-pixel
 //! allocation, so full-screen passes stream linearly through memory.
 
+use canvas_executor::WorkerPool;
+use std::mem::MaybeUninit;
+
 /// A rectangular grid of texels of type `P`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Texture<P> {
     width: u32,
     height: u32,
     texels: Vec<P>,
+}
+
+/// One row of a texture being written left to right in runs (see
+/// [`Texture::from_row_runs`]).
+pub struct RowRuns<'a, P> {
+    row: &'a mut [MaybeUninit<P>],
+    at: usize,
+}
+
+impl<P: Copy> RowRuns<'_, P> {
+    /// Writes the next `len` texels as `value`.
+    #[inline]
+    pub fn run(&mut self, len: usize, value: P) {
+        let end = self.at + len;
+        for slot in &mut self.row[self.at..end] {
+            slot.write(value);
+        }
+        self.at = end;
+    }
+
+    /// Writes `value` up to (not including) column `x`.
+    #[inline]
+    pub fn fill_to(&mut self, x: usize, value: P) {
+        self.run(x - self.at, value);
+    }
+
+    /// Writes `value` to the end of the row.
+    #[inline]
+    pub fn finish(&mut self, value: P) {
+        self.fill_to(self.row.len(), value);
+    }
+}
+
+impl<P: Copy + Send> Texture<P> {
+    /// A texture written once, row by row: `row(y, runs)` writes row `y`
+    /// left to right and must write all of it. Row bands run on `pool`
+    /// (above its minimum work), and the texels are never written
+    /// before `row` writes them — no zero fill. Panics if a row is left
+    /// short.
+    pub fn from_row_runs(
+        width: u32,
+        height: u32,
+        pool: &WorkerPool,
+        row: impl Fn(u32, &mut RowRuns<'_, P>) + Sync,
+    ) -> Self {
+        let (w, n) = (width as usize, width as usize * height as usize);
+        let mut texels: Vec<P> = Vec::with_capacity(n);
+        pool.for_each_band1(w, &mut texels.spare_capacity_mut()[..n], |y0, band| {
+            for (j, slots) in band.chunks_mut(w).enumerate() {
+                let mut runs = RowRuns { row: slots, at: 0 };
+                row((y0 + j) as u32, &mut runs);
+                assert_eq!(runs.at, w, "row {} written in full", y0 + j);
+            }
+        });
+        // SAFETY: every row of the first `n` slots was written in full
+        // (asserted above; a short row panics before this point).
+        unsafe { texels.set_len(n) };
+        Texture {
+            width,
+            height,
+            texels,
+        }
+    }
 }
 
 impl<P: Copy + Default> Texture<P> {

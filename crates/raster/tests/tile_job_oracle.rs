@@ -652,3 +652,276 @@ fn run_first_point_canvas_at_the_parallel_threshold() {
     run_first::check(vp, Vec::new(), false);
     run_first::check(vp, vec![Point::new(12.3, 45.6); 70_000], false);
 }
+
+// ---------------------------------------------------------------------
+// The span-coded area canvas (`canvas_core::source::render_polygon*`,
+// drawn by `Pipeline::draw_polygon_spans`) against the tiled polygon
+// draw into planes.
+// ---------------------------------------------------------------------
+
+mod area_spans {
+    use super::*;
+    use canvas_core::boundary::{AreaEntry, BoundaryIndex, SortedRun};
+    use canvas_core::canvas::AreaSource;
+    use canvas_core::source::{render_polygon_set, render_polygon_with};
+    use canvas_core::{BlendFn, Canvas, Device, Texel};
+    use canvas_raster::simd::{texel_words, TEXEL_WORDS};
+    use std::sync::Arc;
+
+    /// The spec area canvas: the tiled polygon draw of `polys` (the
+    /// whole table, or `record` alone) into an empty canvas's planes,
+    /// its boundary fragments pushed in draw order and stably sorted by
+    /// pixel under the table, with the counters the draw and its upload
+    /// charge. The spec draws on at least two threads: the span draw
+    /// clips each polygon to the 64×64 tiles its box overlaps, as the
+    /// tiled draw bins it there, while on a pool of one the tiled draw
+    /// clips to the whole frame. The two differ only where a NaN vertex
+    /// puts a scanline crossing at NaN, whose fill span then runs to
+    /// the clip's edge.
+    fn spec(
+        threads: usize,
+        vp: Viewport,
+        table: &AreaSource,
+        record: Option<usize>,
+        conservative: bool,
+        shade: impl Fn(u32) -> Texel + Sync,
+        blend: impl Fn(Texel, Texel) -> Texel + Sync,
+    ) -> (Canvas, PipelineStats) {
+        let mut pl = Pipeline::new();
+        pl.set_threads(threads.max(2));
+        let polys = match record {
+            Some(r) => std::slice::from_ref(&table[r]),
+            None => &table[..],
+        };
+        pl.note_upload(polys.iter().map(|p| (p.num_vertices() * 16) as u64).sum());
+        let mut canvas = Canvas::empty(vp);
+        let source = canvas.add_area_source(table.clone());
+        let fragments = {
+            let (texels, cover, _) = canvas.planes_mut();
+            let shade = |i, _| shade(i);
+            pl.draw_polygons_tiled(&vp, texels, cover, polys, conservative, shade, blend)
+        };
+        let mut entries: Vec<AreaEntry> = (fragments.iter())
+            .map(|&(i, pixel)| AreaEntry {
+                pixel,
+                source,
+                record: record.map_or(i, |r| r as u32),
+            })
+            .collect();
+        entries.sort_by_key(|e| e.pixel);
+        let (w, h) = (vp.width(), vp.height());
+        let areas = SortedRun::from_sorted(w, h, entries);
+        *canvas.boundary_mut() =
+            BoundaryIndex::from_runs(SortedRun::new(w, h), areas, SortedRun::new(w, h));
+        (canvas, pl.stats())
+    }
+
+    fn words(c: &Canvas) -> Vec<[u32; TEXEL_WORDS]> {
+        c.texels()
+            .texels()
+            .iter()
+            .map(|t| *texel_words(t))
+            .collect()
+    }
+
+    fn device(threads: usize, force_bands: bool) -> Device {
+        let dev = match threads {
+            1 => Device::cpu(),
+            n => Device::cpu_parallel(n),
+        };
+        if force_bands {
+            dev.pool().set_min_work_override(1);
+        }
+        dev
+    }
+
+    /// `got`, a span canvas, against the spec canvas `want`: what it
+    /// answers from its spans, then its folded planes, its boundary
+    /// entries and sources.
+    fn same(got: &Canvas, want: &Canvas, ctx: &str) {
+        assert!(got.spans().is_some(), "{ctx}: drawn as spans");
+        assert!(!got.planes_materialized(), "{ctx}: no plane drawn");
+        assert_eq!(got.is_empty(), want.is_empty(), "{ctx}: is_empty");
+        let non_null = want
+            .texels()
+            .texels()
+            .iter()
+            .filter(|t| !t.is_null())
+            .count();
+        assert_eq!(got.non_null_count(), non_null, "{ctx}: non-null count");
+        assert_eq!(got.size_bytes(), want.size_bytes(), "{ctx}: modeled bytes");
+        assert!(!got.planes_materialized(), "{ctx}: answered from the spans");
+        // A NaN location is in no polygon: the count is the cover alone.
+        let covers: Vec<u32> = (0..want.cover().len() as u32)
+            .map(|pixel| got.exact_area_count(pixel, Point::new(f64::NAN, f64::NAN)))
+            .collect();
+        let want_covers: Vec<u32> = want.cover().texels().iter().map(|&c| c as u32).collect();
+        assert_eq!(covers, want_covers, "{ctx}: cover read from the spans");
+        assert_eq!(words(got), words(want), "{ctx}: folded texels");
+        assert_eq!(got.cover(), want.cover(), "{ctx}: folded cover");
+        assert!(
+            got.spans().is_none(),
+            "{ctx}: read through its planes once folded"
+        );
+        assert_eq!(
+            got.boundary().areas(),
+            want.boundary().areas(),
+            "{ctx}: area entries"
+        );
+        let (a, b) = (got.area_sources(), want.area_sources());
+        let shared = a.len() == b.len() && a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(a, b));
+        assert!(shared, "{ctx}: the table is the one area source");
+    }
+
+    /// Every draw of `table` on `vp` — each record alone, conservative
+    /// and not, and the whole table under `AreaCount` and `Over` — at
+    /// threads 1/2/3/8, against the spec at the same thread count.
+    pub(super) fn check(vp: Viewport, table: Vec<Polygon>, force_bands: bool) {
+        let table: AreaSource = Arc::new(table);
+        for threads in [1, 2, 3, 8] {
+            let ctx = |what: &str| {
+                format!(
+                    "{}×{}, {} polygons, {what}, threads={threads}, {:?}",
+                    vp.width(),
+                    vp.height(),
+                    table.len(),
+                    simd::active_backend()
+                )
+            };
+            let mut dev = device(threads, force_bands);
+            for record in 0..table.len() {
+                for conservative in [true, false] {
+                    let texel = Texel::area(record as u32 + 7, 1.0, 0.5);
+                    let before = dev.stats();
+                    let got =
+                        render_polygon_with(&mut dev, vp, &table, record, texel, conservative);
+                    let stats = dev.stats().delta(&before);
+                    let over = |d: Texel, s: Texel| d.over(s);
+                    let (want, want_stats) = spec(
+                        threads,
+                        vp,
+                        &table,
+                        Some(record),
+                        conservative,
+                        |_| texel,
+                        over,
+                    );
+                    let ctx = ctx(&format!("record {record}, conservative {conservative}"));
+                    assert_eq!(stats, want_stats, "{ctx}: counters");
+                    same(&got, &want, &ctx);
+                }
+            }
+            for blend in [BlendFn::AreaCount, BlendFn::Over] {
+                let before = dev.stats();
+                let got = render_polygon_set(&mut dev, vp, &table, blend);
+                let stats = dev.stats().delta(&before);
+                let shade = |record| Texel::area(record, 1.0, 0.0);
+                let (want, want_stats) = spec(threads, vp, &table, None, true, shade, |d, s| {
+                    blend.apply(d, s)
+                });
+                let ctx = ctx(&format!("the table under {blend:?}"));
+                assert_eq!(stats, want_stats, "{ctx}: counters");
+                same(&got, &want, &ctx);
+            }
+        }
+    }
+}
+
+/// Polygons the area oracle draws: stars with and without holes (from
+/// `arb_polygon`, some crossing the viewport's edge), a polygon wholly
+/// outside, a sliver of almost no area, a bow-tie, a ring that doubles
+/// back on a vertex, and a ring with a NaN vertex.
+fn arb_area() -> impl Strategy<Value = Polygon> {
+    let p = Point::new;
+    (0u32..9, arb_polygon(), -5.0f64..105.0, -5.0f64..105.0).prop_map(move |(kind, star, x, y)| {
+        let ring = |pts: Vec<Point>| Polygon::new(Ring::new(pts).unwrap(), Vec::new());
+        match kind {
+            0 => ring(vec![p(150.0, 150.0), p(190.0, 160.0), p(170.0, 199.0)]),
+            1 => ring(vec![
+                p(x, y),
+                p(x + 40.0, y + 40.0),
+                p(x + 20.0, y + 20.000001),
+            ]),
+            2 => ring(vec![
+                p(x, y),
+                p(x + 30.0, y + 25.0),
+                p(x + 30.0, y),
+                p(x, y + 10.0),
+            ]),
+            3 => ring(vec![
+                p(x, y),
+                p(x + 25.0, y),
+                p(x + 25.0, y + 25.0),
+                p(x, y),
+                p(x, y + 12.0),
+            ]),
+            4 => ring(vec![
+                p(x, y),
+                p(f64::NAN, y + 10.0),
+                p(x + 20.0, y + 30.0),
+                p(x + 30.0, y),
+            ]),
+            _ => star,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The span-coded area canvas ≡ the tiled polygon draw into planes
+    /// (`area_spans::check`), its bands cut on the pool however small
+    /// the frame is.
+    #[test]
+    fn span_area_canvas_matches_the_tiled_draw(
+        table in prop::collection::vec(arb_area(), 0..6),
+        dim in 0..DIMS.len(),
+    ) {
+        area_spans::check(vp(DIMS[dim]), table, true);
+    }
+}
+
+/// The same on a 512 × 512 frame (bands cut only where the pool's own
+/// threshold cuts them) with overlapping discs, under both dispatches:
+/// reruns itself with the SIMD kernels forced to scalar.
+#[test]
+fn span_area_canvas_matches_the_tiled_draw_at_full_size() {
+    let vp = Viewport::new(
+        BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)),
+        512,
+        512,
+    );
+    let discs = (0..12)
+        .map(|i| {
+            let c = Point::new(
+                10.0 + 7.0 * i as f64,
+                50.0 + 30.0 * ((i as f64) * 0.7).sin(),
+            );
+            Polygon::circle(c, 12.0 + i as f64, 24 + 4 * i)
+        })
+        .collect();
+    area_spans::check(vp, discs, false);
+    rerun_on_scalar("span_area_canvas_matches_the_tiled_draw_at_full_size");
+    rerun_on_scalar("span_area_canvas_matches_the_tiled_draw");
+}
+
+/// Runs the test `name` of this binary again in a child process with the
+/// SIMD dispatch forced to scalar (`CANVAS_SIMD=scalar`), and panics
+/// unless it passes; a no-op when this process already runs under a
+/// `CANVAS_SIMD` choice.
+fn rerun_on_scalar(name: &str) {
+    if std::env::var_os("CANVAS_SIMD").is_some() {
+        return;
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(exe)
+        .args([name, "--exact", "--test-threads=1"])
+        .env("CANVAS_SIMD", "scalar")
+        .output()
+        .expect("runs");
+    let log = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        log.contains("ok. 1 passed"),
+        "{name} with CANVAS_SIMD=scalar:\n{log}"
+    );
+}

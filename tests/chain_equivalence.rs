@@ -16,6 +16,10 @@
 //! materialized references. Each of these also runs again with the
 //! SIMD backend forced to scalar, in a child process.
 //!
+//! A chain whose input and operands are span-coded area canvases runs
+//! per span; it is held to the same chain over the same canvases with
+//! their planes folded (`span_chain_equals_the_chain_over_folded_canvases`).
+//!
 //! The point draw followed by a chain — the live heatmap's run, its
 //! folded planes, then `V[HeatLog]` — is held to the tiled point draw
 //! and its chain one layer down, in
@@ -66,9 +70,9 @@ fn arb_chain() -> impl Strategy<Value = Vec<ChainKernel>> {
     )
 }
 
-/// One operand polygon leaf per Blend kernel (same geometry and order
+/// One operand polygon and id per Blend kernel (same geometry and order
 /// wherever the chain is instantiated).
-fn operand_leaves(kernels: &[ChainKernel], seed: u64) -> Vec<Expr> {
+fn operand_polygons(kernels: &[ChainKernel], seed: u64) -> Vec<(Polygon, u32)> {
     let blends = kernels
         .iter()
         .filter(|k| matches!(k, ChainKernel::Blend(_)));
@@ -78,9 +82,18 @@ fn operand_leaves(kernels: &[ChainKernel], seed: u64) -> Vec<Expr> {
                 Point::new(10.0 + 7.0 * k as f64, 12.0 + 5.0 * k as f64),
                 Point::new(70.0 + 6.0 * k as f64, 75.0 + 4.0 * k as f64),
             );
-            let poly = star_polygon(&mbr, 10 + 3 * k, 0.6, seed + k as u64);
-            Expr::query_polygon(poly, k as u32 + 1)
+            (
+                star_polygon(&mbr, 10 + 3 * k, 0.6, seed + k as u64),
+                k as u32 + 1,
+            )
         })
+        .collect()
+}
+
+/// One operand polygon leaf per Blend kernel.
+fn operand_leaves(kernels: &[ChainKernel], seed: u64) -> Vec<Expr> {
+    (operand_polygons(kernels, seed).into_iter())
+        .map(|(poly, id)| Expr::query_polygon(poly, id))
         .collect()
 }
 
@@ -222,6 +235,55 @@ proptest! {
         prop_assert_eq!(want.cover(), walked.cover(), "{} threads", threads);
         prop_assert_eq!(want.boundary(), walked.boundary(), "{} threads", threads);
         prop_assert_eq!(dev_f.stats().fullscreen_texels, 0, "no pass over the planes");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A chain over span-coded canvases — a polygon table drawn as
+    /// spans, each Blend reading a query polygon drawn as spans — runs
+    /// per span and equals the same chain over the same canvases with
+    /// their planes folded (the chain over planes), counters included,
+    /// at threads {1, 2, 3, 8}, cut into bands however small the frame
+    /// is. The span canvases are never folded for it.
+    #[test]
+    fn span_chain_equals_the_chain_over_folded_canvases(
+        kernels in arb_chain(),
+        n in 50usize..400,
+        seed in 0u64..10_000,
+        res in prop::sample::select(vec![64u32, 100, 192]),
+    ) {
+        let Source::Polygons(table) = Source::generate(true, n, seed) else {
+            unreachable!("a polygon source")
+        };
+        let vp = Viewport::square_pixels(extent(), res);
+        for threads in [1usize, 2, 3, 8] {
+            let mut dev = Device::cpu_parallel(threads);
+            dev.pool().set_min_work_override(1);
+            let input = render_polygon_set(&mut dev, vp, &table, BlendFn::AreaCount);
+            let operands: Vec<Canvas> = (operand_polygons(&kernels, seed).into_iter())
+                .map(|(poly, id)| render_query_polygon(&mut dev, vp, poly, id))
+                .collect();
+            let fold = |c: &Canvas| {
+                let c = c.clone();
+                c.texels();
+                c
+            };
+            let (folded_input, folded): (Canvas, Vec<Canvas>) =
+                (fold(&input), operands.iter().map(fold).collect());
+            let ctx = format!("{threads} threads, chain {kernels:?}");
+            let before = dev.stats();
+            let got = run_chain(&mut dev, &input, &kernels, &operands.iter().collect::<Vec<_>>());
+            let span_stats = dev.stats().delta(&before);
+            let before = dev.stats();
+            let want = run_chain(&mut dev, &folded_input, &kernels, &folded.iter().collect::<Vec<_>>());
+            prop_assert_eq!(span_stats, dev.stats().delta(&before), "stats: {}", &ctx);
+            assert_same_canvas(&got, &want, &ctx);
+            prop_assert!(got.planes_materialized(), "the output holds its planes: {}", &ctx);
+            let unfolded = std::iter::once(&input).chain(&operands).all(|c| c.spans().is_some());
+            prop_assert!(unfolded, "the chain folded a span canvas: {}", &ctx);
+        }
     }
 }
 
@@ -371,5 +433,6 @@ fn chains_and_heatmaps_hold_on_the_scalar_backend() {
     rerun_on_scalar(&[
         "canvas_chain_equals_materialized",
         "engine_served_heatmaps_equal_the_materialized_plans",
+        "span_chain_equals_the_chain_over_folded_canvases",
     ]);
 }

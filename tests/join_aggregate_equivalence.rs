@@ -521,6 +521,97 @@ fn zone_aggregate_entry_form_equals_the_dense_chain() {
     assert!(kept_somewhere, "the spec is not trivially empty");
 }
 
+/// The zone aggregate's walk reads a span-coded area canvas from its
+/// row spans: over every area source kind drawn as spans, it equals the
+/// same walk over the same canvas with its planes folded, for flat and
+/// layered `C_P`, every condition and both combines, at threads
+/// {1, 2, 3, 8}; the span canvas is never folded for it.
+#[test]
+fn zone_aggregate_walk_over_span_canvases_equals_the_folded_canvas() {
+    use canvas_core::ops::mask::{scatter_point_entries_in_areas, PixelRule};
+    let vp = oracle_vp();
+    let mut zones = quads(
+        &[(10.0, 10.0, 45.0), (30.0, 25.0, 50.0), (60.0, 5.0, 30.0)],
+        0.0,
+    );
+    zones.push(holed_zone(20.0, 15.0, 60.0));
+    let table: AreaSource = Arc::new(zones);
+    let groups = table.len() as u32;
+    let data = Arc::new(clustered_batch(101, 900));
+    let split = data.len() - data.len() / 6;
+    let prefix = PointBatch {
+        points: data.points[..split].to_vec(),
+        ids: data.ids[..split].to_vec(),
+        weights: data.weights[..split].to_vec(),
+    };
+    let mut conds = Vec::new();
+    for k in 0..=3 {
+        conds.extend([CountCond::Eq(k), CountCond::Ge(k)]);
+    }
+    let gamma = ValueMap::area_id_slot();
+    for threads in [1usize, 2, 3, 8] {
+        let mut dev = match threads {
+            1 => Device::cpu(),
+            n => Device::cpu_parallel(n),
+        };
+        dev.pool().set_min_work_override(1);
+        let before = render_live_heatmap(&mut dev, vp, &prefix, None);
+        let (layered, _) = patch_live_heatmap(&mut dev, vp, &before, &data, split, None);
+        let flat = render_points(&mut dev, vp, &data);
+        let rights = [
+            (
+                "C_Y*",
+                render_polygon_set(&mut dev, vp, &table, BlendFn::AreaCount),
+            ),
+            ("C_Y", render_polygon(&mut dev, vp, &table, 3, 2)),
+            (
+                "Circ",
+                circle_canvas(&mut dev, vp, Point::new(50.0, 45.0), 33.0, 3),
+            ),
+            (
+                "Rect",
+                rect_canvas(
+                    &mut dev,
+                    vp,
+                    Point::new(12.3, 20.7),
+                    Point::new(77.1, 64.9),
+                    1,
+                ),
+            ),
+            ("HS", halfspace_canvas(&mut dev, vp, 1.0, 0.7, -90.0, 5)),
+        ];
+        for (name, spans) in &rights {
+            let folded = spans.clone();
+            folded.texels();
+            assert!(
+                spans.spans().is_some() && folded.spans().is_none(),
+                "{name}"
+            );
+            for (cp, layout) in [(&flat, "flat"), (&layered, "layered")] {
+                for &cond in &conds {
+                    for combine in [BlendFn::Accumulate, BlendFn::PointAccumulate] {
+                        let ctx = format!(
+                            "{layout} C_P over {name}, {cond:?}, {combine:?}, threads={threads}"
+                        );
+                        let rule = PixelRule::PointInAreas(cond);
+                        let walk = |r: &Canvas| {
+                            let groups = group_viewport(groups);
+                            scatter_point_entries_in_areas(
+                                &dev, cp, r, rule, &gamma, groups, combine,
+                            )
+                        };
+                        assert_same_canvas(&walk(spans), &walk(&folded), &ctx);
+                    }
+                }
+            }
+            assert!(
+                !spans.planes_materialized(),
+                "{name}: the walk read no plane"
+            );
+        }
+    }
+}
+
 #[test]
 fn rejected_shapes_stay_dense() {
     let vp = oracle_vp();

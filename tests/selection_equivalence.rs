@@ -20,6 +20,7 @@ use canvas_core::ops::mask::{
 use canvas_core::ops::transform::{group_viewport, ValueMap};
 use canvas_core::queries::heatmap;
 use canvas_core::queries::selection::{self, MultiPolygon};
+use canvas_core::source::{render_polygon_with, render_query_tag};
 use canvas_geom::polygon::Ring;
 use canvas_raster::{MaskTag, ValueTag};
 use common::assert_same_canvas;
@@ -665,6 +666,122 @@ fn run_first_point_canvas_walks_equal_the_spec() {
             assert!(
                 !lazy.planes_materialized(),
                 "{ctx}: the walks read no plane"
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Span-coded area canvases: the walks read `R` from its row spans, and
+// must equal the same walks over the same canvas once its planes are
+// folded.
+// ---------------------------------------------------------------------
+
+/// Every area source kind drawn as spans by the render functions (a
+/// plan's root would return it folded): the query polygon, a holed
+/// overlapping table under `AreaCount` and `Over`, the query tag, an
+/// approximate (non-conservative) record, and the utility sources.
+fn span_area_sources(
+    dev: &mut Device,
+    vp: Viewport,
+    query: &Polygon,
+) -> Vec<(&'static str, Canvas)> {
+    let table: AreaSource = Arc::new(vec![
+        holed_polygon(15.0, 20.0),
+        holed_polygon(25.0, 5.0),
+        star_polygon(
+            &BBox::new(Point::new(5.0, 5.0), Point::new(60.0, 60.0)),
+            24,
+            0.5,
+            3,
+        ),
+        Polygon::circle(Point::new(50.0, 50.0), 30.0, 40),
+    ]);
+    let approximate = Texel::area(9, 1.0, 0.0);
+    vec![
+        ("Polygon", render_query_polygon(dev, vp, query.clone(), 1)),
+        (
+            "PolygonSet",
+            render_polygon_set(dev, vp, &table, BlendFn::AreaCount),
+        ),
+        (
+            "PolygonSet Over",
+            render_polygon_set(dev, vp, &table, BlendFn::Over),
+        ),
+        ("QueryTag", render_query_tag(dev, vp, query)),
+        (
+            "approximate",
+            render_polygon_with(dev, vp, &table, 2, approximate, false),
+        ),
+        (
+            "Circle",
+            circle_canvas(dev, vp, Point::new(48.0, 52.0), 31.0, 3),
+        ),
+        (
+            "Rect",
+            rect_canvas(dev, vp, Point::new(12.3, 20.7), Point::new(77.1, 64.9), 1),
+        ),
+        ("HalfSpace", halfspace_canvas(dev, vp, 1.0, 0.7, -90.0, 5)),
+    ]
+}
+
+#[test]
+fn span_area_canvas_walks_equal_the_folded_canvas() {
+    common::rerun_on_scalar(&["span_area_canvas_walks_equal_the_folded_canvas"]);
+    let vp = Viewport::new(extent(), 96, 80);
+    let query = holed_polygon(0.0, 0.0);
+    let full = oracle_batch(61, 3_000, &[query.clone(), holed_polygon(15.0, 20.0)]);
+    let gamma = ValueMap::area_id_slot();
+    let mut conds = vec![];
+    for k in 0..=3 {
+        conds.extend([CountCond::Eq(k), CountCond::Ge(k)]);
+    }
+    for threads in [1, 2, 3, 8] {
+        let mut dev = device(threads);
+        dev.pool().set_min_work_override(1);
+        let points = flat_and_layered(&mut dev, vp, &full, full.len() - 200);
+        for (name, spans) in span_area_sources(&mut dev, vp, &query) {
+            let folded = spans.clone();
+            folded.texels();
+            assert!(
+                spans.spans().is_some() && folded.spans().is_none(),
+                "{name}"
+            );
+            for (cp, layout) in points.iter().zip(["flat", "layered"]) {
+                let ctx = format!("{layout} C_P over {name}, threads={threads}");
+                for &cond in &conds {
+                    let ctx = format!("{ctx}, {cond:?}");
+                    let walk = |r: &Canvas| point_entries_in_areas(&dev, cp, r, cond);
+                    assert_eq!(walk(&spans), walk(&folded), "{ctx}: entries");
+                    let rule = PixelRule::PointInAreas(cond);
+                    let sink = |r: &Canvas| select_point_entries_in_areas(&dev, cp, r, rule, None);
+                    assert_same_canvas(&sink(&spans), &sink(&folded), &format!("{ctx}: sink"));
+                }
+                let heat = |r: &Canvas| {
+                    let rule = PixelRule::PointAndArea;
+                    select_point_entries_in_areas(&dev, cp, r, rule, Some(ValueTag::HeatLog))
+                };
+                assert_same_canvas(&heat(&spans), &heat(&folded), &format!("{ctx}: heatmap"));
+                let (rule, combine) = (
+                    PixelRule::PointInAreas(CountCond::Ge(1)),
+                    BlendFn::Accumulate,
+                );
+                let agg = |r: &Canvas| {
+                    scatter_point_entries_in_areas(
+                        &dev,
+                        cp,
+                        r,
+                        rule,
+                        &gamma,
+                        group_viewport(12),
+                        combine,
+                    )
+                };
+                assert_same_canvas(&agg(&spans), &agg(&folded), &format!("{ctx}: aggregate"));
+            }
+            assert!(
+                !spans.planes_materialized(),
+                "{name}: the walks read no plane"
             );
         }
     }
